@@ -30,7 +30,14 @@ What is proved (per codec, on the declared domain):
   residual path never *accepts* an input the generic path rejects.
   The residual may always **decline** (return 0); the runtime then
   falls back to the generic path, so declining is safe — accepting
-  with different bytes is the bug class this pass exists to catch.
+  with different bytes is the bug class this pass exists to catch;
+* **lowering conformance** — what installs is not the residual MiniC
+  but its :mod:`~repro.minic.compile_py` lowering, which elides wraps
+  and rewrites loops on its own reasoning.  Every concrete probe above
+  (one valid message plus the hostile set) is also fed to the
+  :class:`~repro.minic.compile_py.CompiledModule`, which must fault or
+  not as the interpreter just did on the same residual MiniC, and
+  return the same value, output bytes and decoded struct.
 
 Soundness caveats (also in docs/ANALYSIS.md): equality of symbolic
 values is decided by structural identity, so a residual program that
@@ -51,6 +58,7 @@ from repro.analysis.symexec import (
     values_equal,
 )
 from repro.errors import InterpError, ReproError, VerificationError
+from repro.minic import pyruntime as rt
 from repro.minic import types as ct
 from repro.minic import values as rv
 from repro.rpcgen import idl_ast as idl
@@ -61,8 +69,14 @@ from repro.specialized.sizes import (
     request_size,
 )
 
-#: deterministic filler for concrete probe payload words.
+#: concrete probe payloads open with the words a wrong wrap or a wrong
+#: pack format gets wrong, then count up from a deterministic filler.
+_EDGE_WORDS = (0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0, 1)
 _PROBE_FILL = 0x1357
+
+
+def _probe_words():
+    return itertools.chain(_EDGE_WORDS, itertools.count(_PROBE_FILL))
 
 
 def _finding(rule, entry, message, **context):
@@ -139,11 +153,8 @@ def _var_len_word_offsets(interface, struct, lens, base):
 def _concrete_words(words):
     """Replace the symbolic words of a template with deterministic
     concrete values, keeping concrete words (status, lengths) as-is."""
-    counter = itertools.count(1)
-    return [
-        (w if not is_sym(w) else (_PROBE_FILL + next(counter)) & 0xFFFFFFFF)
-        for w in words
-    ]
+    fill = _probe_words()
+    return [w if not is_sym(w) else next(fill) for w in words]
 
 
 def _words_to_buffer(interp, words, name):
@@ -156,22 +167,36 @@ def _words_to_buffer(interp, words, name):
 # -- symbolic struct instances -------------------------------------------
 
 
-def _fill_symbolic(struct_val, var_fields, lens, prefix):
-    """Make every data field of a MiniC struct instance a fresh symbol;
-    bounded-array length fields get their assumed (concrete) length."""
+def _sym_value(name, _ctype):
+    return sym(name)
+
+
+def _fill_symbolic(struct_val, var_fields, lens, prefix,
+                   value_of=_sym_value):
+    """Make every data field of a MiniC struct instance a fresh symbol
+    (or whatever ``value_of(name, ctype)`` supplies); bounded-array
+    length fields get their assumed (concrete) length."""
     for fname, ftype in struct_val.stype.fields:
         cell = struct_val.field(fname)
         name = f"{prefix}.{fname}"
         if isinstance(ftype, ct.ArrayType):
             array = cell.value
             for index in range(len(array)):
-                array.elem(index).value = sym(f"{name}[{index}]")
+                array.elem(index).value = value_of(f"{name}[{index}]",
+                                                   ftype.base)
         elif isinstance(ftype, ct.StructType):
-            _fill_symbolic(cell.value, (), {}, name)
+            _fill_symbolic(cell.value, (), {}, name, value_of)
         elif fname.endswith("_len") and fname[:-4] in var_fields:
             cell.value = lens[fname[:-4]]
         else:
-            cell.value = sym(name)
+            cell.value = value_of(name, ftype)
+
+
+def _probe_values():
+    """A ``value_of`` for :func:`_fill_symbolic` giving deterministic
+    concrete values of each field's own type."""
+    words = _probe_words()
+    return lambda name, ctype: ct.wrap_int(next(words), ctype)
 
 
 def _struct_mismatches(entry, prefix, left, right, findings):
@@ -278,11 +303,102 @@ class _Harness:
         values, out, resp = make_values(generic_interp)
         generic = _run_with(generic_interp, self.generic_entry,
                             self.generic_names, values, out, resp)
-        residual_interp = SymbolicInterpreter(self.result.program)
-        values, out, resp = make_values(residual_interp)
-        residual = _run_with(residual_interp, self.result.entry_name,
-                             self.residual_names, values, out, resp)
-        return generic, residual
+        return generic, self.run_residual(make_values)
+
+    def run_residual(self, make_values):
+        self._interp = SymbolicInterpreter(self.result.program)
+        values, out, resp = make_values(self._interp)
+        return _run_with(self._interp, self.result.entry_name,
+                         self.residual_names, values, out, resp)
+
+    def lowering_findings(self, module, label, make_values, residual):
+        """The lowering gate for one concrete probe: run ``module`` (the
+        compiled residual) on a fresh copy of the world ``residual``
+        (the interpreter's outcome, from :meth:`run_residual`) started
+        from, and report any difference in outcome."""
+        if module is None:
+            return []
+        entry = self.result.entry_name
+        values, out, resp = make_values(self._interp)
+        lower = _Lowered(module)
+        args = [lower(values[name]) for name in self.residual_names]
+        try:
+            value = module.call(entry, *args)
+        # repro: disable=overbroad-except -- any fault of the compiled code is an outcome to compare, as the runtime wrappers treat it
+        except Exception as exc:
+            if residual.status == "ok":
+                return [_finding(
+                    "lowering-divergence", entry,
+                    f"compiled code faulted where the interpreter"
+                    f" returned {residual.value!r} ({label}): {exc!r}",
+                    probe=label,
+                )]
+            return []
+        if residual.status != "ok":
+            what = f"compiled code returned {value!r} where the" \
+                   f" interpreter faulted: {residual.error}"
+        elif value != residual.value:
+            what = f"compiled code returned {value!r}, the interpreter" \
+                   f" {residual.value!r}"
+        elif value and out is not None and bytes(
+                lower(out).data[:value]) != bytes(
+                residual.out.sym_bytes()[:value]):
+            what = "compiled code wrote different output bytes"
+        elif value and resp is not None and _plain(
+                lower(resp)) != _plain(residual.resp):
+            what = "compiled code decoded a different struct"
+        else:
+            return []
+        return [_finding("lowering-divergence", entry,
+                         f"{what} ({label})", probe=label)]
+
+
+class _Lowered:
+    """Maps an interpreter world (as ``make_values`` builds it) to the
+    :mod:`~repro.minic.pyruntime` values compiled code runs on; one
+    buffer or struct maps to one object however often it is reached."""
+
+    def __init__(self, module):
+        self.module = module
+        self._memo = {}
+
+    def __call__(self, value):
+        if isinstance(value, rv.BufPtr):
+            return rt.BufPtr(self(value.buffer), value.offset,
+                             value.elem_size, value.signed)
+        if isinstance(value, rv.CellPtr):
+            return self(value.cell.value)  # struct pointers are the object
+        if not isinstance(value, (rv.Buffer, rv.StructVal)):
+            return value
+        if id(value) not in self._memo:
+            self._memo[id(value)] = (
+                rt.PyBuffer(bytes(value.data))
+                if isinstance(value, rv.Buffer) else self._struct(value)
+            )
+        return self._memo[id(value)]
+
+    def _struct(self, struct_val):
+        obj = self.module.new_struct(struct_val.stype.name)
+        for fname, _ftype in struct_val.stype.fields:
+            inner = struct_val.field(fname).value
+            if isinstance(inner, rv.ArrayVal):
+                inner = inner.values()
+            elif isinstance(inner, rv.StructVal):
+                inner = self._struct(inner)
+            setattr(obj, fname, inner)
+        return obj
+
+
+def _plain(value):
+    """An interpreter or compiled struct as nested lists of ints."""
+    if isinstance(value, rv.StructVal):
+        return [_plain(value.field(name).value)
+                for name, _ctype in value.stype.fields]
+    if isinstance(value, rv.ArrayVal):
+        return value.values()
+    if hasattr(value, "__slots__"):
+        return [_plain(getattr(value, name)) for name in value.__slots__]
+    return value
 
 
 def _run_with(interp, entry, param_names, values, out, resp):
@@ -365,16 +481,17 @@ def _verify_marshal(pipeline, spec, want_request):
     entry = spec.marshal_result.entry_name
     xid = sym("xid")
 
-    def make_values(interp):
+    def make_values(interp, concrete=False):
         out = interp.make_sym_buffer(spec.bufsize, name="out")
         clnt = interp.make_struct("CLIENT")
         clnt.field("cl_prog").value = pipeline.prog_number
         clnt.field("cl_vers").value = pipeline.vers_number
         args = interp.make_struct(spec.arg_struct.name)
-        _fill_symbolic(args, var_fields, spec._arg_lens, "arg")
+        _fill_symbolic(args, var_fields, spec._arg_lens, "arg",
+                       _probe_values() if concrete else _sym_value)
         values = {
             "clnt": interp.ptr_to(clnt),
-            "xid": xid,
+            "xid": 0x7F03AB03 if concrete else xid,
             "argsp": interp.ptr_to(args),
             "outbuf": rv.BufPtr(out, 0, 1, True),
             "outsize": spec.bufsize,
@@ -425,6 +542,18 @@ def _verify_marshal(pipeline, spec, want_request):
         return findings
     _compare_buffers(entry, "marshal", generic.out, residual.out,
                      want_request, findings)
+    if findings:
+        return findings
+
+    # The symbolic run has no concrete message to hand the lowering
+    # gate: interpret the residual once more on one.
+    def make_probe(interp):
+        return make_values(interp, concrete=True)
+
+    findings.extend(harness.lowering_findings(
+        spec._marshal_module, "in-domain", make_probe,
+        harness.run_residual(make_probe),
+    ))
     return findings
 
 
@@ -515,6 +644,10 @@ def _verify_recv(pipeline, spec, want_reply):
             return values, buf, resp
 
         generic, residual = harness.run_pair(make_probe)
+        findings.extend(harness.lowering_findings(
+            spec._recv_module, label, make_probe, residual))
+        if findings:
+            return findings
         if residual.status in ("error", "undecidable"):
             findings.append(_finding(
                 "residual-bounds", entry,
@@ -583,8 +716,10 @@ def _patched(words, index, value):
 
 
 def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
-                           bufsize, unroll_cap=None):
+                           bufsize, unroll_cap=None, module=None):
     """Verify one residual server dispatcher.  Returns findings.
+    ``module`` is the dispatcher's compiled form, when there is one to
+    hold to the lowering gate.
 
     Server semantics differ from the client in one way: the runtime
     wrapper treats *any* residual exception as a decline and falls back
@@ -692,6 +827,10 @@ def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
             return values, out, None
 
         generic, residual = harness.run_pair(make_probe)
+        findings.extend(harness.lowering_findings(
+            module, label, make_probe, residual))
+        if findings:
+            return findings
         if residual.status != "ok" or residual.value == 0:
             continue  # decline/fault -> generic fallback handles it
         if generic.status != "ok" or generic.value != residual.value:

@@ -12,19 +12,29 @@ variables, so the generated Python is simple and debuggable.
 
 Pointers/structs/buffers are represented by :mod:`repro.minic.pyruntime`
 values; struct types become generated Python classes with ``__slots__``.
+
+The lowering is type-directed (docs/SPECIALIZATION.md, "Lowering rules
+and the in-range invariant"): every integer object holds a value of its
+declared type, so a wrap is emitted — inline — only where a value may
+leave its type's range; tests are Python booleans, counted loops
+``for ... in range``, cursor runs one precompiled ``struct`` call.
 """
+
+import itertools
+import keyword
+import re
 
 from repro.errors import CompileError
 from repro.minic import ast
 from repro.minic import builtins
 from repro.minic import types as ct
+from repro.minic.interp import _address_taken_names
+from repro.minic.pretty import pretty_expr
 from repro.minic.typecheck import typecheck_program
 
 _RT = "_rt"
 
 _BUILTIN_MAP = {
-    "htonl": f"{_RT}.htonl",
-    "ntohl": f"{_RT}.ntohl",
     "htons": f"{_RT}.htons",
     "ntohs": f"{_RT}.ntohs",
     "bzero": f"{_RT}.bzero",
@@ -34,6 +44,45 @@ _BUILTIN_MAP = {
     # real transport via CompiledModule.attach_network().
     "net_sendrecv": "_net_sendrecv",
 }
+
+_NEGATED = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
+
+_ATOM = re.compile(r"[\w.]+(\[[\w.]+\])?")
+
+
+def _p(code):
+    """``code``, parenthesized unless it is already one operand."""
+    return code if _ATOM.fullmatch(code) else f"({code})"
+
+
+def _int_range(ctype):
+    """The closed value range of an integer type; None for other types."""
+    if not isinstance(ctype, ct.IntType):
+        return None
+    half = 1 << (8 * ctype.width - 1)
+    return (-half, half - 1) if ctype.signed else (0, 2 * half - 1)
+
+
+_I32 = _int_range(ct.INT)
+
+
+class _Code(str):
+    """A Python expression plus what is statically known of its value.
+
+    ``fits`` is a closed ``(lo, hi)`` range the value lies in (None:
+    unknown).  ``pre`` is the expression a 32-bit wrap was applied to:
+    a later wrap starts from it, since wraps compose modulo 2**32.
+    Text derived from a ``_Code`` (an f-string) is a plain ``str``:
+    nothing is known of it until a rule says so.
+    """
+
+    __slots__ = ("fits", "pre")
+
+    def __new__(cls, text, fits=None, pre=None):
+        self = str.__new__(cls, text)
+        self.fits = fits
+        self.pre = pre
+        return self
 
 
 def _struct_class_name(name):
@@ -58,8 +107,6 @@ class _FuncCompiler:
         self.boxed = set()
         #: loop context stack: "while" (continue ok) or "for" (see below)
         self.loop_stack = []
-        from repro.minic.interp import _address_taken_names
-
         self.address_taken = _address_taken_names(func)
 
     # -- emit helpers ---------------------------------------------------
@@ -95,41 +142,46 @@ class _FuncCompiler:
         return self.types.get(expr.uid, ct.INT)
 
     @staticmethod
-    def _wrap_fn(ctype):
-        if isinstance(ctype, ct.IntType):
-            if ctype.width == 1:
-                return f"{_RT}.wrap_i8" if ctype.signed else "lambda v: v & 0xFF"
-            return f"{_RT}.wrap_i32" if ctype.signed else f"{_RT}.wrap_u32"
-        return None
+    def typed(text, ctype):
+        """``text`` reads an object (or a call result) of type ``ctype``:
+        every store, return and argument is wrapped, so it is in range."""
+        return _Code(text, _int_range(ctype))
 
-    def wrap(self, expr_str, ctype):
-        fn = self._wrap_fn(ctype)
-        if fn is None or fn.startswith("lambda"):
-            if fn is not None:
-                return f"(({expr_str}) & 0xFF)"
-            return expr_str
-        return f"{fn}({expr_str})"
+    def wrap(self, code, ctype):
+        """``code`` converted to ``ctype``: itself when its value is known
+        to fit, a folded constant for a literal, inline mask arithmetic
+        otherwise (non-integer types convert to themselves)."""
+        bounds = _int_range(ctype)
+        if bounds is None:
+            return code
+        code = getattr(code, "pre", None) or code
+        fits = getattr(code, "fits", None)
+        if fits is not None:
+            if bounds[0] <= fits[0] and fits[1] <= bounds[1]:
+                return code
+            if fits[0] == fits[1]:
+                value = ct.wrap_int(fits[0], ctype)
+                return _Code(repr(value), (value, value))
+        lo, hi = bounds
+        if ctype.signed:
+            text = f"(({_p(code)} + 0x{-lo:X}) & 0x{hi - lo:X}) - 0x{-lo:X}"
+        else:
+            text = f"{_p(code)} & 0x{hi:X}"
+        return _Code(text, bounds, pre=code if ctype.width == 4 else None)
 
     # -- compilation entry -------------------------------------------------
 
     def compile(self):
-        params = []
         self.scopes.append({})
-        for param in self.func.params:
-            name = self.declare(param.name)
-            params.append(name)
+        params = [self.declare(param.name) for param in self.func.params]
         header = f"def {self.module.func_name(self.func.name)}({', '.join(params)}):"
-        for param in self.func.params:
+        for param, name in zip(self.func.params, params):
             if param.name in self.address_taken:
-                self.boxed.add(self.py_name(param.name))
-                name = self.py_name(param.name)
+                self.boxed.add(name)
                 self.emit(f"{name} = [{name}]")
         self.stmt(self.func.body, new_scope=False)
         if not self.lines:
             self.emit("pass")
-        if not self.func.ret_type.is_void:
-            # C function that may fall off the end; mirror the interpreter.
-            pass
         return [header] + self.lines
 
     # -- expressions --------------------------------------------------------
@@ -140,17 +192,14 @@ class _FuncCompiler:
 
     def expr(self, node):
         if isinstance(node, ast.IntLit):
-            return repr(node.value)
+            return _Code(repr(node.value), (node.value, node.value))
         if isinstance(node, ast.StrLit):
             return repr(node.value)
         if isinstance(node, ast.Var):
             name = self.py_name(node.name)
             if name in self.boxed:
-                return f"{name}[0]"
-            ntype = self.type_of(node)
-            if isinstance(ntype, ct.ArrayType):
-                return name
-            return name
+                name = f"{name}[0]"
+            return self.typed(name, self.type_of(node))
         if isinstance(node, ast.Unary):
             return self._unary(node)
         if isinstance(node, ast.Binary):
@@ -163,42 +212,75 @@ class _FuncCompiler:
             return self._call(node)
         if isinstance(node, ast.Member):
             obj = self.expr(node.obj)
-            return f"{obj}.{node.field}"
+            return self.typed(f"{obj}.{node.field}", self.type_of(node))
         if isinstance(node, ast.Index):
-            return self._index_read(node)
+            base = self.expr(node.obj)
+            index = self.expr(node.index)
+            if isinstance(self.type_of(node.obj), ct.ArrayType):
+                return self.typed(f"{base}[{index}]", self.type_of(node))
+            return self.typed(
+                f"{_RT}.ptr_add({base}, {index}).get()", self.type_of(node)
+            )
         if isinstance(node, ast.Cast):
             return self._cast(node)
         if isinstance(node, ast.Cond):
             return self._cond(node)
         if isinstance(node, ast.SizeOf):
-            return repr(node.ctype.size())
+            size = node.ctype.size()
+            return _Code(repr(size), (size, size))
         raise CompileError(f"cannot compile expression {node!r}")
 
-    def _truthy(self, expr_str, node):
-        ntype = self.type_of(node)
-        if isinstance(ntype, (ct.PointerType, ct.ArrayType)):
-            return f"{_RT}.truthy({expr_str})"
-        return f"({expr_str}) != 0"
+    def cond(self, node, negate=False):
+        """``node`` in test position, as a Python boolean expression
+        (the test of ``!node`` when ``negate``)."""
+        if isinstance(node, ast.Unary) and node.op == "!":
+            return self.cond(node.operand, not negate)
+        if isinstance(node, ast.Binary) and node.op in _NEGATED:
+            left, right, pointers = self._operands(node)
+            if pointers and node.op not in ("==", "!="):
+                raise CompileError(f"unsupported pointer operation {node.op!r}")
+            op = _NEGATED[node.op] if negate else node.op
+            return f"{_p(left)} {op} {_p(right)}"
+        if (
+            isinstance(node, ast.Binary)
+            and node.op in ("&&", "||")
+            and not self._has_side_effects(node.right)
+        ):
+            joiner = "and" if node.op == "&&" else "or"
+            test = f"({self.cond(node.left)}) {joiner} ({self.cond(node.right)})"
+            return f"not ({test})" if negate else test
+        value = self.expr(node)
+        if isinstance(self.type_of(node), (ct.PointerType, ct.ArrayType)):
+            value = f"{_RT}.truthy({value})"
+        return f"not {_p(value)}" if negate else value
+
+    def _truth_value(self, node):
+        """A comparison or logical operator in value position."""
+        return _Code(f"(1 if {self.cond(node)} else 0)", (0, 1))
 
     def _unary(self, node):
         if node.op == "&":
             return self._address_of(node.operand)
+        if node.op == "!":
+            return self._truth_value(node)
+        operand = self.expr(node.operand)
         if node.op == "*":
             pointer_type = self.type_of(node.operand)
-            operand = self.expr(node.operand)
             if isinstance(pointer_type, ct.PointerType) and isinstance(
                 pointer_type.base, ct.StructType
             ):
                 return operand  # struct pointers are the object itself
-            return f"{operand}.get()"
-        operand = self.expr(node.operand)
+            return self.typed(f"{operand}.get()", self.type_of(node))
+        fits = getattr(operand, "fits", None)
         if node.op == "-":
-            return self.wrap(f"-({operand})", self.type_of(node))
-        if node.op == "~":
-            return self.wrap(f"~({operand})", self.type_of(node))
-        if node.op == "!":
-            return f"(0 if {self._truthy(operand, node.operand)} else 1)"
-        raise CompileError(f"unknown unary {node.op!r}")
+            fits = fits and (-fits[1], -fits[0])
+        elif node.op == "~":
+            fits = fits and (~fits[1], ~fits[0])
+        else:
+            raise CompileError(f"unknown unary {node.op!r}")
+        return self.wrap(
+            _Code(f"{node.op}{_p(operand)}", fits), self.type_of(node)
+        )
 
     def _address_of(self, target):
         if isinstance(target, ast.Var):
@@ -223,92 +305,69 @@ class _FuncCompiler:
                 return f"{_RT}.ElemPtr({obj}.{target.field}, 0)"
             return f"{_RT}.FieldPtr({obj}, {target.field!r})"
         if isinstance(target, ast.Index):
-            base_type = self.type_of(target.obj)
-            index = self.expr(target.index)
-            if isinstance(base_type, ct.ArrayType):
-                base = self.expr(target.obj)
-                return f"{_RT}.ElemPtr({base}, {index})"
             base = self.expr(target.obj)
+            index = self.expr(target.index)
+            if isinstance(self.type_of(target.obj), ct.ArrayType):
+                return f"{_RT}.ElemPtr({base}, {index})"
             return f"{_RT}.ptr_add({base}, {index})"
         if isinstance(target, ast.Unary) and target.op == "*":
             return self.expr(target.operand)
         raise CompileError(f"cannot take address of {target!r}")
 
-    def _index_read(self, node):
-        base_type = self.type_of(node.obj)
-        base = self.expr(node.obj)
-        index = self.expr(node.index)
-        if isinstance(base_type, ct.ArrayType):
-            if isinstance(base_type.base, ct.StructType):
-                return f"{base}[{index}]"
-            return f"{base}[{index}]"
-        return f"{_RT}.ptr_add({base}, {index}).get()"
+    def _operands(self, node):
+        """Both operands of a binary node (arrays decayed to pointers)
+        and whether either is a pointer."""
+        sides = []
+        pointers = False
+        for side in (node.left, node.right):
+            code = self.expr(side)
+            side_type = self.type_of(side)
+            if isinstance(side_type, ct.ArrayType):
+                code = f"{_RT}.ElemPtr({code}, 0)"
+            pointers |= isinstance(side_type, (ct.PointerType, ct.ArrayType))
+            sides.append(code)
+        return sides[0], sides[1], pointers
 
     def _binary(self, node):
         op = node.op
         if op in ("&&", "||"):
             return self._short_circuit(node)
-        left_type = self.type_of(node.left)
-        right_type = self.type_of(node.right)
-        left = self.expr(node.left)
-        right = self.expr(node.right)
-        left_ptr = isinstance(left_type, (ct.PointerType, ct.ArrayType))
-        right_ptr = isinstance(right_type, (ct.PointerType, ct.ArrayType))
-        if left_ptr and isinstance(left_type, ct.ArrayType):
-            left = f"{_RT}.ElemPtr({left}, 0)"
-        if right_ptr and isinstance(right_type, ct.ArrayType):
-            right = f"{_RT}.ElemPtr({right}, 0)"
-        if left_ptr or right_ptr:
-            return self._pointer_binary(op, left, right, left_ptr, right_ptr)
-        result_type = self.type_of(node)
-        return self._int_binary(op, left, right, result_type)
-
-    def _pointer_binary(self, op, left, right, left_ptr, right_ptr):
+        if op in _NEGATED:
+            return self._truth_value(node)
+        left, right, pointers = self._operands(node)
+        if not pointers:
+            return self._int_binary(op, left, right, self.type_of(node))
+        left_ptr = isinstance(
+            self.type_of(node.left), (ct.PointerType, ct.ArrayType)
+        )
         if op == "+":
             if left_ptr:
                 return f"{_RT}.ptr_add({left}, {right})"
             return f"{_RT}.ptr_add({right}, {left})"
         if op == "-":
-            if left_ptr and right_ptr:
+            if isinstance(
+                self.type_of(node.right), (ct.PointerType, ct.ArrayType)
+            ):
                 return f"{_RT}.ptr_diff({left}, {right})"
             return f"{_RT}.ptr_add({left}, -({right}))"
-        if op == "==":
-            return f"(1 if ({left}) == ({right}) else 0)"
-        if op == "!=":
-            return f"(1 if ({left}) != ({right}) else 0)"
         raise CompileError(f"unsupported pointer operation {op!r}")
 
     def _int_binary(self, op, left, right, result_type):
-        simple = {
-            "+": f"({left}) + ({right})",
-            "-": f"({left}) - ({right})",
-            "*": f"({left}) * ({right})",
-            "&": f"({left}) & ({right})",
-            "|": f"({left}) | ({right})",
-            "^": f"({left}) ^ ({right})",
-            "<<": f"({left}) << (({right}) & 31)",
-        }
-        if op in simple:
-            return self.wrap(simple[op], result_type)
-        if op == "/":
-            return f"{_RT}.c_div({left}, {right})"
-        if op == "%":
-            return f"{_RT}.c_mod({left}, {right})"
-        if op == ">>":
-            if isinstance(result_type, ct.IntType) and not result_type.signed:
-                return f"((({left}) & 0xFFFFFFFF) >> (({right}) & 31))"
-            return f"(({left}) >> (({right}) & 31))"
-        comparisons = {
-            "==": "==",
-            "!=": "!=",
-            "<": "<",
-            "<=": "<=",
-            ">": ">",
-            ">=": ">=",
-        }
-        if op in comparisons:
-            return f"(1 if ({left}) {comparisons[op]} ({right}) else 0)"
-        raise CompileError(f"unknown binary {op!r}")
+        if op in ("+", "-", "*", "&", "|", "^"):
+            value = f"{_p(left)} {op} {_p(right)}"
+        elif op == "<<":
+            value = f"{_p(left)} << ({_p(right)} & 31)"
+        elif op == "/":
+            value = f"{_RT}.c_div({left}, {right})"
+        elif op == "%":
+            value = f"{_RT}.c_mod({left}, {right})"
+        elif op == ">>":
+            if not result_type.signed:
+                left = f"{_p(left)} & 0xFFFFFFFF"
+            value = f"{_p(left)} >> ({_p(right)} & 31)"
+        else:
+            raise CompileError(f"unknown binary {op!r}")
+        return self.wrap(value, result_type)
 
     def _has_side_effects(self, node):
         for child in ast.walk(node):
@@ -317,36 +376,29 @@ class _FuncCompiler:
         return False
 
     def _short_circuit(self, node):
-        left = self.expr(node.left)
-        left_test = self._truthy(left, node.left)
         if not self._has_side_effects(node.right):
-            right = self.expr(node.right)
-            right_test = self._truthy(right, node.right)
-            joiner = "and" if node.op == "&&" else "or"
-            return f"(1 if ({left_test}) {joiner} ({right_test}) else 0)"
+            return self._truth_value(node)
         # Effectful right side: materialize with a conditional prelude.
         temp = self.temp()
-        self.emit(f"{temp} = 1 if {left_test} else 0")
-        guard = f"if {temp}:" if node.op == "&&" else f"if not {temp}:"
-        self.emit(guard)
+        self.emit(f"{temp} = 1 if {self.cond(node.left)} else 0")
+        self.emit(f"if {temp}:" if node.op == "&&" else f"if not {temp}:")
         self.depth += 1
-        right = self.expr(node.right)
-        self.emit(f"{temp} = 1 if {self._truthy(right, node.right)} else 0")
+        right = self.cond(node.right)
+        self.emit(f"{temp} = 1 if {right} else 0")
         self.depth -= 1
-        return temp
+        return _Code(temp, (0, 1))
 
     def _cond(self, node):
         effectful = self._has_side_effects(node.then) or self._has_side_effects(
             node.other
         )
-        cond = self.expr(node.cond)
-        cond_test = self._truthy(cond, node.cond)
+        test = self.cond(node.cond)
         if not effectful:
             then = self.expr(node.then)
             other = self.expr(node.other)
-            return f"(({then}) if ({cond_test}) else ({other}))"
+            return f"({then} if {test} else {other})"
         temp = self.temp()
-        self.emit(f"if {cond_test}:")
+        self.emit(f"if {test}:")
         self.depth += 1
         then = self.expr(node.then)
         self.emit(f"{temp} = {then}")
@@ -358,127 +410,123 @@ class _FuncCompiler:
         self.depth -= 1
         return temp
 
-    def _call(self, node):
-        args = [self.expr(arg) for arg in node.args]
+    def _call(self, node, used=True):
+        ftype = self.module.typeinfo.func_types[node.name]
+        # converted to the parameter types: a parameter read is in range
+        args = [
+            self.wrap(self.expr(arg), ptype)
+            for arg, ptype in zip(node.args, ftype.params)
+        ]
+        if node.name in ("htonl", "ntohl"):
+            # The abstract machine is big-endian: the byte swap is the
+            # conversion to u_long the argument has already had.
+            return args[0]
         if builtins.is_builtin(node.name):
             target = _BUILTIN_MAP[node.name]
         else:
             target = self.module.func_name(node.name)
         call = f"{target}({', '.join(args)})"
-        ret = self.module.typeinfo.func_types[node.name].ret
-        if ret.is_void:
-            # Void calls in expression position still need a value slot.
-            temp = self.temp()
-            self.emit(f"{call}")
-            self.emit(f"{temp} = 0")
-            return temp
+        if ftype.ret.is_void or not used:
+            # Void calls in expression position still need a value.
+            self.emit(call)
+            return _Code("0", (0, 0))
         temp = self.temp()
         self.emit(f"{temp} = {call}")
-        return temp
+        return self.typed(temp, ftype.ret)
 
     def _cast(self, node):
         value = self.expr(node.operand)
         target = node.ctype
-        operand_type = self.type_of(node.operand)
-        if isinstance(target, ct.PointerType):
-            if isinstance(operand_type, (ct.PointerType, ct.ArrayType)):
-                if target.base.is_integer:
-                    return (
-                        f"{_RT}.cast_ptr({value}, {target.base.size()},"
-                        f" {target.base.signed})"
-                    )
-                return value
-            return value
-        if target.is_integer:
+        if not isinstance(target, ct.PointerType):
             return self.wrap(value, target)
-        return value
+        source = self.type_of(node.operand)
+        if not (
+            target.base.is_integer
+            and isinstance(source, (ct.PointerType, ct.ArrayType))
+        ):
+            return value
+        view = f"{target.base.size()}, {target.base.signed}"
+        if (
+            isinstance(source.base, ct.IntType)
+            and source.base.width == target.base.width == 4
+            and source.base.signed != target.base.signed
+        ):
+            # ``(long *)ulp``: stores through the view must still leave a
+            # value of the object's own type behind.
+            view += ", True"
+        return f"{_RT}.cast_ptr({value}, {view})"
 
     # -- assignment ----------------------------------------------------------
 
-    def _store(self, target, value_str):
-        """Emit a store of ``value_str`` into lvalue ``target``; return an
-        expression that re-reads the stored value."""
+    def _store(self, target, value):
+        """Emit a store of ``value`` (converted to the target's type)
+        into lvalue ``target``; return an expression that re-reads it."""
         ttype = self.type_of(target)
-        wrapped = (
-            self.wrap(value_str, ttype) if ttype.is_integer else value_str
-        )
+        wrapped = self.wrap(value, ttype)
         if isinstance(target, ast.Var):
-            name = self.py_name(target.name)
-            if name in self.boxed:
-                self.emit(f"{name}[0] = {wrapped}")
-                return f"{name}[0]"
-            self.emit(f"{name} = {wrapped}")
-            return name
-        if isinstance(target, ast.Member):
-            obj = self.expr(target.obj)
-            self.emit(f"{obj}.{target.field} = {wrapped}")
-            return f"{obj}.{target.field}"
-        if isinstance(target, ast.Index):
-            base_type = self.type_of(target.obj)
-            base = self.expr(target.obj)
-            index = self.expr(target.index)
-            if isinstance(base_type, ct.ArrayType):
-                self.emit(f"{base}[{index}] = {wrapped}")
-                return f"{base}[{index}]"
-            temp = self.temp()
-            self.emit(f"{temp} = {_RT}.ptr_add({base}, {index})")
-            self.emit(f"{temp}.set({wrapped})")
-            return f"{temp}.get()"
-        if isinstance(target, ast.Unary) and target.op == "*":
-            pointer = self.expr(target.operand)
-            temp = self.temp()
-            self.emit(f"{temp} = {pointer}")
-            self.emit(f"{temp}.set({wrapped})")
-            return f"{temp}.get()"
-        raise CompileError(f"cannot store to {target!r}")
-
-    def _read_lvalue(self, target):
-        ttype = self.type_of(target)
-        if isinstance(target, ast.Unary) and target.op == "*":
-            return f"{self.expr(target.operand)}.get()"
-        if isinstance(target, ast.Index) and not isinstance(
+            place = self.py_name(target.name)
+            if place in self.boxed:
+                place = f"{place}[0]"
+        elif isinstance(target, ast.Member):
+            place = f"{self.expr(target.obj)}.{target.field}"
+        elif isinstance(target, ast.Index) and isinstance(
             self.type_of(target.obj), ct.ArrayType
         ):
-            base = self.expr(target.obj)
-            index = self.expr(target.index)
-            return f"{_RT}.ptr_add({base}, {index}).get()"
-        del ttype
-        return self.expr(target)
+            place = f"{self.expr(target.obj)}[{self.expr(target.index)}]"
+        else:
+            if isinstance(target, ast.Index):
+                pointer = (
+                    f"{_RT}.ptr_add({self.expr(target.obj)},"
+                    f" {self.expr(target.index)})"
+                )
+            elif isinstance(target, ast.Unary) and target.op == "*":
+                pointer = self.expr(target.operand)
+            else:
+                raise CompileError(f"cannot store to {target!r}")
+            self.emit(f"{pointer}.set({wrapped})")
+            return self.typed(f"{pointer}.get()", ttype)
+        self.emit(f"{place} = {wrapped}")
+        return self.typed(place, ttype)
+
+    def _update(self, target, op, operand):
+        """``target op= operand`` (``None``: the literal 1); returns
+        (value before, re-read after)."""
+        target_type = self.type_of(target)
+        before = self.temp()
+        self.emit(f"{before} = {self.expr(target)}")
+        # C reads the target before evaluating the operand
+        value = _Code("1", (1, 1)) if operand is None else self.expr(operand)
+        if isinstance(target_type, ct.PointerType):
+            if op not in ("+", "-"):
+                raise CompileError(f"pointer {op}= unsupported")
+            delta = value if op == "+" else f"-({value})"
+            updated = f"{_RT}.ptr_add({before}, {delta})"
+        else:
+            before = self.typed(before, target_type)
+            updated = self._int_binary(op, before, value, target_type)
+        return before, self._store(target, updated)
 
     def _assign(self, node):
         if node.op is None:
-            value = self.expr(node.value)
-            return self._store(node.target, value)
-        current = self._read_lvalue(node.target)
-        temp = self.temp()
-        self.emit(f"{temp} = {current}")
-        value = self.expr(node.value)
-        target_type = self.type_of(node.target)
-        if isinstance(target_type, ct.PointerType):
-            if node.op == "+":
-                combined = f"{_RT}.ptr_add({temp}, {value})"
-            elif node.op == "-":
-                combined = f"{_RT}.ptr_add({temp}, -({value}))"
-            else:
-                raise CompileError(f"pointer {node.op}= unsupported")
-        else:
-            combined = self._int_binary(node.op, temp, f"({value})", target_type)
-        return self._store(node.target, combined)
+            return self._store(node.target, self.expr(node.value))
+        return self._update(node.target, node.op, node.value)[1]
 
     def _incdec(self, node):
-        current = self._read_lvalue(node.target)
-        before = self.temp()
-        self.emit(f"{before} = {current}")
-        delta = "1" if node.op == "++" else "-1"
-        target_type = self.type_of(node.target)
-        if isinstance(target_type, ct.PointerType):
-            updated = f"{_RT}.ptr_add({before}, {delta})"
-        else:
-            updated = self._int_binary("+", before, delta, target_type)
-        after = self._store(node.target, updated)
+        op = "+" if node.op == "++" else "-"
+        before, after = self._update(node.target, op, None)
         return after if node.prefix else before
 
     # -- statements ------------------------------------------------------------
+
+    def _effect(self, node):
+        """Evaluate expression ``node`` for its side effects only."""
+        if isinstance(node, ast.Call):
+            self._call(node, used=False)
+            return
+        value = self.expr(node)
+        if isinstance(node, (ast.Assign, ast.IncDec)) or value.isidentifier():
+            return  # the store is the effect; its re-read is dead
+        self.emit(value)
 
     def stmt(self, node, new_scope=True):
         if isinstance(node, ast.Block):
@@ -489,16 +537,13 @@ class _FuncCompiler:
                 self.scopes.pop()
             return
         if isinstance(node, ast.ExprStmt):
-            value = self.expr(node.expr)
-            if not value.isidentifier():
-                self.emit(f"{value}")
+            self._effect(node.expr)
             return
         if isinstance(node, ast.Decl):
             self._decl(node)
             return
         if isinstance(node, ast.If):
-            cond = self.expr(node.cond)
-            self.emit(f"if {self._truthy(cond, node.cond)}:")
+            self.emit(f"if {self.cond(node.cond)}:")
             self.depth += 1
             self.stmt(node.then)
             self._ensure_body()
@@ -511,15 +556,7 @@ class _FuncCompiler:
                 self.depth -= 1
             return
         if isinstance(node, ast.While):
-            self.emit("while True:")
-            self.depth += 1
-            cond = self.expr(node.cond)
-            self.emit(f"if not ({self._truthy(cond, node.cond)}):")
-            self.emit("    break")
-            self.loop_stack.append("while")
-            self.stmt(node.body)
-            self.loop_stack.pop()
-            self.depth -= 1
+            self._while(node)
             return
         if isinstance(node, ast.For):
             self._for(node)
@@ -528,7 +565,7 @@ class _FuncCompiler:
             if node.value is None:
                 self.emit("return None")
             else:
-                value = self.expr(node.value)
+                value = self.wrap(self.expr(node.value), self.func.ret_type)
                 self.emit(f"return {value}")
             return
         if isinstance(node, ast.Break):
@@ -552,12 +589,10 @@ class _FuncCompiler:
     _MIN_BATCH = 3
 
     def _stmts_with_batching(self, stmts):
-        from repro.minic.pretty import pretty_expr
-
         index = 0
         total = len(stmts)
         while index < total:
-            run = self._collect_cursor_run(stmts, index, pretty_expr)
+            run = self._collect_cursor_run(stmts, index)
             if run is not None and len(run["items"]) >= self._MIN_BATCH:
                 self._emit_cursor_run(run)
                 index = run["end"]
@@ -571,25 +606,36 @@ class _FuncCompiler:
             expr = expr.operand
         return expr
 
-    def _match_cursor_store(self, stmt):
-        """Match ``*(int32 *)CURSOR = VALUE;`` -> (cursor, value_expr)."""
-        if not isinstance(stmt, ast.ExprStmt):
+    @staticmethod
+    def _plain_assign(stmt):
+        """The Assign node of a ``TARGET = VALUE;`` statement, or None."""
+        if isinstance(stmt, ast.ExprStmt):
+            expr = stmt.expr
+            if isinstance(expr, ast.Assign) and expr.op is None:
+                return expr
+        return None
+
+    @staticmethod
+    def _word_cursor(expr):
+        """``*(int32 *)CURSOR`` -> the CURSOR node, or None."""
+        if not (isinstance(expr, ast.Unary) and expr.op == "*"):
             return None
-        expr = stmt.expr
-        if not (isinstance(expr, ast.Assign) and expr.op is None):
-            return None
-        target = expr.target
-        if not (isinstance(target, ast.Unary) and target.op == "*"):
-            return None
-        inner = target.operand
-        if not (
+        inner = expr.operand
+        if (
             isinstance(inner, ast.Cast)
             and isinstance(inner.ctype, ct.PointerType)
             and inner.ctype.base.is_integer
             and inner.ctype.base.size() == 4
         ):
+            return inner.operand
+        return None
+
+    def _match_cursor_store(self, stmt):
+        """Match ``*(int32 *)CURSOR = VALUE;`` -> (cursor, value_expr)."""
+        expr = self._plain_assign(stmt)
+        cursor = self._word_cursor(expr.target) if expr else None
+        if cursor is None:
             return None
-        cursor = inner.operand
         value = self._unwrap_casts(expr.value)
         if isinstance(value, ast.Call):
             if value.name not in ("htonl", "ntohl"):
@@ -602,39 +648,23 @@ class _FuncCompiler:
     def _match_cursor_load(self, stmt):
         """Match ``TARGET = ntohl(*(int32 *)CURSOR);`` ->
         (cursor, target_lvalue)."""
-        if not isinstance(stmt, ast.ExprStmt):
-            return None
-        expr = stmt.expr
-        if not (isinstance(expr, ast.Assign) and expr.op is None):
+        expr = self._plain_assign(stmt)
+        if expr is None:
             return None
         value = self._unwrap_casts(expr.value)
         if isinstance(value, ast.Call):
             if value.name not in ("ntohl", "htonl"):
                 return None
             value = self._unwrap_casts(value.args[0])
-        if not (isinstance(value, ast.Unary) and value.op == "*"):
+        cursor = self._word_cursor(value)
+        if cursor is None:
             return None
-        inner = value.operand
-        if not (
-            isinstance(inner, ast.Cast)
-            and isinstance(inner.ctype, ct.PointerType)
-            and inner.ctype.base.is_integer
-            and inner.ctype.base.size() == 4
-        ):
-            return None
-        if isinstance(expr.target, (ast.Call,)):
-            return None
-        return inner.operand, expr.target
+        return cursor, expr.target
 
-    @staticmethod
-    def _match_cursor_bump(stmt, cursor_text, pretty_expr):
+    def _match_cursor_bump(self, stmt, cursor_text):
         """Match ``CURSOR = CURSOR + 4;``."""
-        if not isinstance(stmt, ast.ExprStmt):
-            return False
-        expr = stmt.expr
-        if not (isinstance(expr, ast.Assign) and expr.op is None):
-            return False
-        if pretty_expr(expr.target) != cursor_text:
+        expr = self._plain_assign(stmt)
+        if expr is None or pretty_expr(expr.target) != cursor_text:
             return False
         value = expr.value
         return (
@@ -645,104 +675,103 @@ class _FuncCompiler:
             and value.right.value == 4
         )
 
-    def _collect_cursor_run(self, stmts, start, pretty_expr):
+    def _collect_cursor_run(self, stmts, start):
         """Collect a maximal (store|load, bump) run over one cursor."""
-        first = stmts[start]
-        store = self._match_cursor_store(first)
-        load = None if store else self._match_cursor_load(first)
-        if store is None and load is None:
+        match = self._match_cursor_store
+        kind = "store"
+        first = match(stmts[start])
+        if first is None:
+            match = self._match_cursor_load
+            kind = "load"
+            first = match(stmts[start])
+        if first is None:
             return None
-        cursor = store[0] if store else load[0]
-        cursor_text = pretty_expr(cursor)
-        kind = "store" if store else "load"
+        cursor_text = pretty_expr(first[0])
         items = []
         index = start
         while index + 1 < len(stmts):
-            matched = (
-                self._match_cursor_store(stmts[index])
-                if kind == "store"
-                else self._match_cursor_load(stmts[index])
-            )
+            matched = match(stmts[index])
             if matched is None or pretty_expr(matched[0]) != cursor_text:
                 break
-            if not self._match_cursor_bump(
-                stmts[index + 1], cursor_text, pretty_expr
-            ):
+            if not self._match_cursor_bump(stmts[index + 1], cursor_text):
                 break
             items.append(matched[1])
             index += 2
         if not items:
             return None
-        return {
-            "kind": kind,
-            "cursor": cursor,
-            "items": items,
-            "end": index,
-        }
+        return {"kind": kind, "cursor": first[0], "items": items, "end": index}
 
     def _emit_cursor_run(self, run):
-        count = len(run["items"])
-        cursor = self.expr(run["cursor"])
-        temp = self.temp()
-        self.emit(f"{temp} = {cursor}")
+        items = run["items"]
+        count = len(items)
+        cursor = self.temp()
+        self.emit(f"{cursor} = {self.expr(run['cursor'])}")
+        where = f"{cursor}.buffer.data, {cursor}.offset"
         if run["kind"] == "store":
-            values = ", ".join(
-                f"({self.expr(item)}) & 0xFFFFFFFF" for item in run["items"]
+            # Words pack unsigned (masked; constants at compile time); a
+            # span of one int array packs signed straight from a slice —
+            # in range by the invariant, refused by the pack otherwise.
+            kinds, values, index = [], [], 0
+            while index < count:
+                span = self._index_span(items, index)
+                if span is None:
+                    kinds.append("I")
+                    values.append(self.wrap(self.expr(items[index]), ct.U_LONG))
+                    index += 1
+                else:
+                    base, first, length = span
+                    kinds.extend("i" * length)
+                    values.append(
+                        f"*{self.expr(base)}[{first}:{first + length}]"
+                    )
+                    index += length
+            fmt = "".join(
+                f"{len(list(group))}{kind}"
+                for kind, group in itertools.groupby(kinds)
             )
-            self.emit(
-                f"_struct.pack_into('>{count}I', {temp}.buffer.data,"
-                f" {temp}.offset, {values})"
-            )
+            packer = self.module.packer(">" + fmt)
+            self.emit(f"{packer}.pack_into({where}, {', '.join(values)})")
         else:
             vals = self.temp()
-            self.emit(
-                f"{vals} = _struct.unpack_from('>{count}i',"
-                f" {temp}.buffer.data, {temp}.offset)"
-            )
-            slice_target = self._consecutive_index_targets(run["items"])
-            if slice_target is not None:
-                base, start_index = slice_target
-                base_code = self.expr(base)
-                self.emit(
-                    f"{base_code}[{start_index}:{start_index + count}] ="
-                    f" {vals}"
-                )
+            packer = self.module.packer(f">{count}i")
+            self.emit(f"{vals} = {packer}.unpack_from({where})")
+            span = self._index_span(items, 0)
+            if span is not None and span[2] == count:
+                base, first, _ = span
+                self.emit(f"{self.expr(base)}[{first}:{first + count}] = {vals}")
             else:
-                for position, target in enumerate(run["items"]):
-                    self._store(target, f"{vals}[{position}]")
+                for position, target in enumerate(items):
+                    self._store(target, _Code(f"{vals}[{position}]", _I32))
         # One cursor update for the whole run.
-        bump = self.temp()
-        self.emit(f"{bump} = {temp}.add({4 * count})")
-        self._store_simple(run["cursor"], bump)
+        self._store(run["cursor"], f"{cursor}.add({4 * count})")
 
-    def _consecutive_index_targets(self, targets):
-        """If every target is ``BASE[k]`` on one array with consecutive
-        literal indices, return (base_node, first_index)."""
-        from repro.minic.pretty import pretty_expr
-
-        base_text = None
-        first = None
-        for position, target in enumerate(targets):
+    def _index_span(self, items, start):
+        """The longest span ``BASE[k], BASE[k+1], ...`` of literal-index
+        elements of one signed 32-bit array beginning at ``items[start]``:
+        (base_node, k, length), or None when ``items[start]`` is not one."""
+        first = items[start]
+        if not (
+            isinstance(first, ast.Index)
+            and isinstance(first.index, ast.IntLit)
+        ):
+            return None
+        array = self.type_of(first.obj)
+        if not (
+            isinstance(array, ct.ArrayType) and _int_range(array.base) == _I32
+        ):
+            return None
+        base_text = pretty_expr(first.obj)
+        length = 1
+        for item in itertools.islice(items, start + 1, None):
             if not (
-                isinstance(target, ast.Index)
-                and isinstance(target.index, ast.IntLit)
+                isinstance(item, ast.Index)
+                and isinstance(item.index, ast.IntLit)
+                and item.index.value == first.index.value + length
+                and pretty_expr(item.obj) == base_text
             ):
-                return None
-            if not isinstance(
-                self.type_of(target.obj), (ct.ArrayType,)
-            ):
-                return None
-            text = pretty_expr(target.obj)
-            if base_text is None:
-                base_text = text
-                first = target.index.value
-            elif text != base_text or target.index.value != first + position:
-                return None
-        return targets[0].obj, first
-
-    def _store_simple(self, target, value_name):
-        """Store a precomputed value into an lvalue node."""
-        self._store(target, value_name)
+                break
+            length += 1
+        return first.obj, first.index.value, length
 
     def _ensure_body(self):
         """Guarantee the just-opened suite is non-empty."""
@@ -755,63 +784,211 @@ class _FuncCompiler:
         boxed = node.name in self.address_taken and not isinstance(
             node.ctype, (ct.StructType, ct.ArrayType)
         )
-        default = self.module.default_value(node.ctype)
         if node.init is not None:
-            init = self.expr(node.init)
-            if node.ctype.is_integer:
-                init = self.wrap(init, node.ctype)
+            init = self.wrap(self.expr(node.init), node.ctype)
         else:
-            init = default
+            init = self.module.default_value(node.ctype)
         if boxed:
             self.boxed.add(name)
             self.emit(f"{name} = [{init}]")
         else:
             self.emit(f"{name} = {init}")
 
+    # -- loops -----------------------------------------------------------------
+
+    def _while(self, node):
+        if self._counted_loop(node):
+            return
+        head = len(self.lines)
+        self.emit("while True:")
+        self.depth += 1
+        test = self.cond(node.cond)
+        if len(self.lines) == head + 1:
+            self.lines[head] = "    " * (self.depth - 1) + f"while {test}:"
+        else:
+            # the test has preludes that must re-run every iteration
+            self.emit(f"if not ({test}):")
+            self.emit("    break")
+        self.loop_stack.append("while")
+        self.stmt(node.body)
+        self._ensure_body()
+        self.loop_stack.pop()
+        self.depth -= 1
+
+    def _is_counter(self, expr):
+        """A function-local ``int`` variable that lives in a plain Python
+        name (its address is never taken)."""
+        return (
+            isinstance(expr, ast.Var)
+            and _int_range(self.type_of(expr)) == _I32
+            and expr.name not in self.address_taken
+            and any(expr.name in scope for scope in self.scopes)
+        )
+
+    def _match_step(self, body, counter):
+        """Split a loop body whose tail is ``counter++`` — spelled
+        ``i++;``, ``i = i + 1;`` or Tempo's ``old = i; i = old + 1;`` —
+        into (old name or None, the statements before it), or (None,
+        None)."""
+        step = body[-1].expr if isinstance(body[-1], ast.ExprStmt) else None
+        if isinstance(step, ast.IncDec) and step.op == "++":
+            source = step.target
+        elif (
+            isinstance(step, ast.Assign)
+            and step.op is None
+            and isinstance(step.value, ast.Binary)
+            and step.value.op == "+"
+            and isinstance(step.value.right, ast.IntLit)
+            and step.value.right.value == 1
+        ):
+            source = step.value.left
+        else:
+            return None, None
+        if not (
+            isinstance(step.target, ast.Var)
+            and step.target.name == counter
+            and isinstance(source, ast.Var)
+        ):
+            return None, None
+        if source.name == counter:
+            return None, body[:-1]
+        copy = self._plain_assign(body[-2]) if len(body) > 1 else None
+        if (
+            copy is not None
+            and self._is_counter(copy.target)
+            and copy.target.name == source.name
+            and isinstance(copy.value, ast.Var)
+            and copy.value.name == counter
+        ):
+            return source.name, body[:-2]
+        return None, None
+
+    def _lvalue_path(self, expr, elements=True):
+        """``(variable, field, ...)`` naming a variable, a ``.``-member
+        of one or (with ``elements``) an element of such an array: two
+        such objects overlap iff one path is a prefix of the other.
+        None for anything reached through a pointer."""
+        fields = []
+        while not isinstance(expr, ast.Var):
+            if isinstance(expr, ast.Member) and not expr.arrow:
+                fields.append(expr.field)
+            elif not (
+                elements
+                and isinstance(expr, ast.Index)
+                and isinstance(self.type_of(expr.obj), ct.ArrayType)
+            ):
+                return None
+            expr = expr.obj
+        return (expr.name, *reversed(fields))
+
+    def _counted_loop(self, node):
+        """Emit ``while (i < BOUND) { body; i++; }`` as ``for i in
+        range(i, BOUND)`` and return True — or return False, emitting
+        nothing, unless BOUND is a literal, a variable or a ``.``-member
+        chain of one, and nothing in the body can change it, ``i`` or
+        the trip count (no call, jump, or store through a pointer)."""
+        cond = node.cond
+        body = node.body.stmts if isinstance(node.body, ast.Block) else [node.body]
+        if not (
+            isinstance(cond, ast.Binary)
+            and cond.op == "<"
+            and self._is_counter(cond.left)
+            and body
+        ):
+            return False
+        counter = cond.left.name
+        old, rest = self._match_step(body, counter)
+        if rest is None:
+            return False
+        bound = cond.right
+        frozen = [(counter,), (old,)]
+        if not isinstance(bound, ast.IntLit):
+            frozen.append(self._lvalue_path(bound, elements=False))
+            if frozen[-1] is None or _int_range(self.type_of(bound)) != _I32:
+                return False
+        for child in itertools.chain.from_iterable(map(ast.walk, rest)):
+            if isinstance(
+                child, (ast.Call, ast.Return, ast.Break, ast.Continue)
+            ):
+                return False
+            if isinstance(child, ast.Decl) and any(
+                child.name == path[0] for path in frozen
+            ):
+                return False
+            if isinstance(child, ast.Var) and child.name == old:
+                return False
+            if isinstance(child, (ast.Assign, ast.IncDec)):
+                written = self._lvalue_path(child.target)
+                if written is None or isinstance(
+                    self.type_of(child.target), ct.StructType
+                ):
+                    return False
+                for path in frozen:
+                    shared = min(len(path), len(written))
+                    if path[:shared] == written[:shared]:
+                        return False
+        limit = self.expr(bound)
+        if not (isinstance(bound, ast.IntLit) or limit.isidentifier()):
+            temp = self.temp()
+            self.emit(f"{temp} = {limit}")
+            limit = temp
+        index = self.py_name(counter)
+        self.emit(f"for {index} in range({index}, {limit}):")
+        self.depth += 1
+        self.scopes.append({})
+        self._stmts_with_batching(rest)
+        self._ensure_body()
+        self.scopes.pop()
+        self.depth -= 1
+        # C leaves i == BOUND (and old == BOUND - 1) after at least one
+        # trip; Python leaves i == BOUND - 1.  Zero trips touch neither.
+        self.emit(f"if {index} < {limit}:")
+        if old is not None:
+            self.emit(f"    {self.py_name(old)} = {index}")
+        self.emit(f"    {index} += 1")
+        return True
+
     def _for(self, node):
         self.scopes.append({})
         if isinstance(node.init, ast.Decl):
             self._decl(node.init)
         elif isinstance(node.init, ast.ExprStmt):
-            value = self.expr(node.init.expr)
-            if not value.isidentifier():
-                self.emit(value)
-        uses_break = any(
-            isinstance(child, ast.Break) for child in self._own_jumps(node.body)
-        )
-        uses_continue = any(
-            isinstance(child, ast.Continue)
-            for child in self._own_jumps(node.body)
-        )
+            self._effect(node.init.expr)
+        jumps = self._own_jumps(node.body)
+        if not any(isinstance(jump, ast.Continue) for jump in jumps):
+            # Without ``continue`` the loop *is*
+            # ``while (cond) { body; step; }``.
+            stmts = [node.body]
+            if node.step is not None:
+                stmts.append(ast.ExprStmt(node.step))
+            self._while(
+                ast.While(node.cond or ast.IntLit(1), ast.Block(stmts))
+            )
+            self.scopes.pop()
+            return
+        # ``continue`` must still run the step: the body becomes a
+        # one-trip inner loop it can leave early.
         flag = None
-        if uses_break:
+        if any(isinstance(jump, ast.Break) for jump in jumps):
             flag = self.temp()
             self.emit(f"{flag} = False")
         self.emit("while True:")
         self.depth += 1
         if node.cond is not None:
-            cond = self.expr(node.cond)
-            self.emit(f"if not ({self._truthy(cond, node.cond)}):")
+            self.emit(f"if {self.cond(node.cond, negate=True)}:")
             self.emit("    break")
-        if uses_continue or uses_break:
-            self.emit("for _once in (0,):")
-            self.depth += 1
-            self.loop_stack.append(("for", flag))
-            self.stmt(node.body)
-            self._ensure_body()
-            self.loop_stack.pop()
-            self.depth -= 1
-            if uses_break:
-                self.emit(f"if {flag}:")
-                self.emit("    break")
-        else:
-            self.loop_stack.append(("for", None))
-            self.stmt(node.body)
-            self.loop_stack.pop()
+        self.emit("for _once in (0,):")
+        self.depth += 1
+        self.loop_stack.append(("for", flag))
+        self.stmt(node.body)
+        self._ensure_body()
+        self.loop_stack.pop()
+        self.depth -= 1
+        if flag is not None:
+            self.emit(f"if {flag}:")
+            self.emit("    break")
         if node.step is not None:
-            value = self.expr(node.step)
-            if not value.isidentifier():
-                self.emit(value)
+            self._effect(node.step)
         self.depth -= 1
         self.scopes.pop()
 
@@ -833,14 +1010,9 @@ class _FuncCompiler:
         if not self.loop_stack:
             raise CompileError("break outside a loop")
         top = self.loop_stack[-1]
-        if top == "while":
-            self.emit("break")
-        else:
-            _, flag = top
-            if flag is None:
-                raise CompileError("internal: break without flag")
-            self.emit(f"{flag} = True")
-            self.emit("break")
+        if top != "while":
+            self.emit(f"{top[1]} = True")
+        self.emit("break")
 
     def _continue(self):
         if not self.loop_stack:
@@ -852,42 +1024,8 @@ class _FuncCompiler:
             self.emit("break")  # leaves the _once loop; step still runs
 
 
-_RESERVED = frozenset(
-    {
-        "def",
-        "class",
-        "return",
-        "pass",
-        "break",
-        "continue",
-        "if",
-        "else",
-        "elif",
-        "while",
-        "for",
-        "in",
-        "not",
-        "and",
-        "or",
-        "None",
-        "True",
-        "False",
-        "lambda",
-        "import",
-        "from",
-        "global",
-        "del",
-        "try",
-        "except",
-        "finally",
-        "raise",
-        "with",
-        "as",
-        "is",
-        "_rt",
-        "_once",
-    }
-)
+#: names a MiniC identifier may not take in the generated module
+_RESERVED = frozenset(keyword.kwlist) | {"_rt", "_once", "_struct"}
 
 
 class CompiledModule:
@@ -897,6 +1035,8 @@ class CompiledModule:
         self.program = program
         self.typeinfo = typeinfo or typecheck_program(program)
         self.global_names = {}
+        #: run format -> name of its module-level ``struct.Struct``
+        self.packers = {}
         self.source = self._generate()
         self.namespace = {}
         code = compile(self.source, "<minic-compiled>", "exec")
@@ -904,6 +1044,11 @@ class CompiledModule:
 
     def func_name(self, name):
         return f"mc_{name}"
+
+    def packer(self, fmt):
+        """The name of the ``struct.Struct`` for ``fmt``, compiled once at
+        module build rather than looked up by format string per call."""
+        return self.packers.setdefault(fmt, f"_S{len(self.packers) + 1}")
 
     def default_value(self, ctype):
         if isinstance(ctype, ct.StructType):
@@ -937,10 +1082,15 @@ class CompiledModule:
             lines.append(f"{name} = {self.default_value(glob.ctype)}")
         if self.program.globals:
             lines.append("")
+        funcs = []
         for func in self.program.funcs:
-            lines.extend(_FuncCompiler(self, func).compile())
+            funcs.extend(_FuncCompiler(self, func).compile())
+            funcs.append("")
+        for fmt, name in self.packers.items():
+            lines.append(f"{name} = _struct.Struct({fmt!r})")
+        if self.packers:
             lines.append("")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines + funcs) + "\n"
 
     def _struct_class(self, struct):
         cls = _struct_class_name(struct.name)

@@ -2,8 +2,9 @@
 
 :mod:`repro.minic.compile_py` translates MiniC functions into Python
 source; the generated code calls into this module for the pieces of C
-semantics that have no direct Python spelling: 32-bit wrapping, pointer
-values, and byte-addressed buffers.
+semantics that have no direct Python spelling: pointer values and
+byte-addressed buffers (32-bit wrapping is emitted inline; the helpers
+here serve the pointer views).
 
 Struct instances are generated classes with ``__slots__``; arrays are
 Python lists; buffers are :class:`PyBuffer` (a thin ``bytearray``
@@ -25,11 +26,6 @@ def wrap_u32(value):
     return value & 0xFFFFFFFF
 
 
-def wrap_i8(value):
-    value &= 0xFF
-    return value - 0x100 if value > 0x7F else value
-
-
 def c_div(left, right):
     if right == 0:
         raise InterpError("division by zero")
@@ -41,13 +37,6 @@ def c_div(left, right):
 
 def c_mod(left, right):
     return left - c_div(left, right) * right
-
-
-def htonl(value):
-    return value & 0xFFFFFFFF
-
-
-ntohl = htonl
 
 
 def htons(value):
@@ -71,10 +60,7 @@ class PyBuffer:
     __slots__ = ("data",)
 
     def __init__(self, size_or_bytes):
-        if isinstance(size_or_bytes, int):
-            self.data = bytearray(size_or_bytes)
-        else:
-            self.data = bytearray(size_or_bytes)
+        self.data = bytearray(size_or_bytes)
 
     def __len__(self):
         return len(self.data)
@@ -195,6 +181,35 @@ class ElemPtr(Ptr):
         return hash((id(self.array), self.index))
 
 
+class PunPtr(Ptr):
+    """A 32-bit integer object seen through a pointer of the other
+    signedness (Sun RPC's ``(long *)ulp``).  Loads convert to the view's
+    range and stores back to the object's, so the object keeps holding a
+    value of its own declared type — the invariant compiled code elides
+    wraps on."""
+
+    __slots__ = ("inner", "signed")
+
+    def __init__(self, inner, signed):
+        self.inner = inner
+        self.signed = signed
+
+    def get(self):
+        return (wrap_i32 if self.signed else wrap_u32)(self.inner.get())
+
+    def set(self, value):
+        self.inner.set((wrap_u32 if self.signed else wrap_i32)(value))
+
+    def add(self, elems):
+        return PunPtr(self.inner.add(elems), self.signed)
+
+    def __eq__(self, other):
+        return self.inner == getattr(other, "inner", other)
+
+    def __hash__(self):
+        return hash(self.inner)
+
+
 _PACK_FMT = {
     (4, True): ">i",
     (4, False): ">I",
@@ -224,11 +239,10 @@ class BufPtr(Ptr):
             raise InterpError(f"buffer read out of bounds: {exc}") from exc
 
     def set(self, value):
+        """Store ``value``, which compiled code has already converted to
+        the view's type: ``struct.error`` for one a caller let in out of
+        range, never a silent wrap."""
         fmt = _PACK_FMT[(self.elem_size, self.signed)]
-        mask = (1 << (8 * self.elem_size)) - 1
-        value &= mask
-        if self.signed and value > mask >> 1:
-            value -= mask + 1
         if self.offset < 0 or self.offset + self.elem_size > len(
             self.buffer.data
         ):
@@ -294,10 +308,13 @@ def memcpy(dst, src, length):
         raise InterpError("memcpy supports buffer pointers only")
 
 
-def cast_ptr(value, elem_size, signed):
-    """C pointer cast: only buffer cursors change their view."""
+def cast_ptr(value, elem_size, signed, punned=False):
+    """C pointer cast: buffer cursors change their view; ``punned`` marks
+    a cast between 32-bit pointees of opposite signedness."""
     if isinstance(value, BufPtr):
         return value.with_type(elem_size, signed)
+    if punned and not isinstance(value, NullPtr):
+        return PunPtr(value, signed)
     return value
 
 

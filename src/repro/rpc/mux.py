@@ -1048,7 +1048,8 @@ class MuxTcpClient(_MuxEngine, TcpClient):
                                     transport="tcp").observe(len(calls))
             span = _obs.span("mux.flush", side="client", transport="tcp",
                              messages=len(calls), bytes=len(chunk))
-            span.end()
+            if span is not None:  # metrics on, no trace sink
+                span.end()
         self.batches_sent += 1
         self.messages_batched += len(calls)
         self._pump_outbuf()

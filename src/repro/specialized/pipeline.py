@@ -115,10 +115,15 @@ class ClientSpecialization:
         }
         for field, length in self._arg_lens.items():
             values[f"expected_{field}_len"] = length
-        outlen = module.call(
-            self._marshal_entry,
-            *[values[name] for name in self._marshal_params],
-        )
+        try:
+            outlen = module.call(
+                self._marshal_entry,
+                *[values[name] for name in self._marshal_params],
+            )
+        except struct.error as exc:
+            # sr.to_compiled leaves signed array elements to the
+            # marshaler's pack: the generic stub's refusal, same type.
+            raise XdrError(f"long out of range: {exc}") from exc
         if outlen == 0:
             raise XdrError(
                 f"specialized marshaler failed for proc {self.proc.name}"
@@ -179,12 +184,14 @@ class ServerSpecialization:
     :class:`~repro.rpc.svc_udp.UdpServer` (it only needs
     ``dispatch_bytes``)."""
 
-    def __init__(self, pipeline, handle_result, bufsize, fallback=None):
+    def __init__(self, pipeline, handle_result, bufsize, fallback=None,
+                 module=None):
         self.pipeline = pipeline
         self.bufsize = bufsize
         self.fallback = fallback
         self.result = handle_result
-        self._module = compile_program(handle_result.program)
+        #: ``module``: the compiled form the lowering gate just passed
+        self._module = module or compile_program(handle_result.program)
         self._params = [n for _t, n in handle_result.residual_params]
         self._entry = handle_result.entry_name
         self._out_buffers = sr.ScratchBuffers(bufsize)
@@ -467,7 +474,8 @@ class SpecializationPipeline:
         self._count_verify("client", findings)
         ensure_verified(findings, f"client codec {spec.proc.name}")
 
-    def _server_check(self, result, proc, arg_lens, res_lens, bufsize):
+    def _server_check(self, result, proc, arg_lens, res_lens, bufsize,
+                      module):
         from repro.analysis.verify import (
             ensure_verified,
             verify_server_residual,
@@ -476,6 +484,7 @@ class SpecializationPipeline:
         findings = verify_server_residual(
             self, ResidualCodec.from_result(result), proc, arg_lens,
             res_lens, bufsize, unroll_cap=self.verify_unroll_cap,
+            module=module,
         )
         self._count_verify("server", findings)
         ensure_verified(findings, f"server dispatcher for {proc.name}")
@@ -621,11 +630,15 @@ class SpecializationPipeline:
         # The residual program is cached; the wrapper is rebuilt per
         # call because it carries per-instance state (dispatch counters,
         # the live ``fallback`` registry).
-        check = None
+        check = module = None
         if self.verify_enabled():
-            check = lambda result: self._server_check(  # noqa: E731
-                result, proc, arg_lens, res_lens, bufsize
-            )
+            def check(result):
+                # compiled once: the module the gate passes is the one
+                # that serves
+                nonlocal module
+                module = compile_program(result.program)
+                self._server_check(result, proc, arg_lens, res_lens,
+                                   bufsize, module)
         handle_result = self.cache.get(
             key,
             build=lambda: self._specialize_server_uncached(
@@ -635,7 +648,8 @@ class SpecializationPipeline:
             load=lambda payload: payload,
             check=check,
         )
-        return ServerSpecialization(self, handle_result, bufsize, fallback)
+        return ServerSpecialization(self, handle_result, bufsize, fallback,
+                                    module=module)
 
     def _specialize_server_uncached(self, proc, arg_lens, res_lens, bufsize):
         arg_struct = self._struct_for(proc.arg, proc.name)

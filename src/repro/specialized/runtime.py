@@ -9,7 +9,7 @@ These converters move data between those and the Python stub structs
 
 import threading
 
-from repro.errors import IdlError
+from repro.errors import IdlError, XdrError
 from repro.minic import pyruntime as rt
 from repro.rpcgen import idl_ast as idl
 
@@ -20,23 +20,53 @@ def _get(value, name):
     return getattr(value, name)
 
 
+_UNSIGNED = idl.Prim("u_int")
+
+
+def _scalar(resolved, value):
+    """One scalar as the generic filters take it: ``xdr_u_long`` masks,
+    ``xdr_long`` refuses what does not fit."""
+    value = int(value)
+    if resolved == _UNSIGNED:
+        return value & 0xFFFFFFFF
+    if not -0x8000_0000 <= value <= 0x7FFF_FFFF:
+        raise XdrError(f"long out of range: {value}")
+    return value
+
+
+def _elements(interface, resolved, value):
+    """Array elements for compiled code.  Signed ones are copied as they
+    are, with no per-element pass: the residual marshaler packs them
+    with a signed format, and that pack is the range (and type) check
+    — the caller maps its ``struct.error`` to :class:`XdrError`."""
+    if interface.resolve(resolved.elem) == _UNSIGNED:
+        return [int(item) & 0xFFFFFFFF for item in value]
+    return list(value)
+
+
 def to_compiled(interface, struct_def, module, value):
-    """Build a compiled-module struct instance from a Python value."""
+    """Build a compiled-module struct instance from a Python value.
+
+    This is the boundary of the compiled code's in-range invariant
+    (every integer object holds a value of its declared type): scalars
+    are checked here, signed array elements by the pack that sends them.
+    """
     obj = module.new_struct(struct_def.name)
     for field in struct_def.fields:
         resolved = interface.resolve(field.type)
         if isinstance(resolved, idl.Prim):
-            setattr(obj, field.name, int(_get(value, field.name)))
+            setattr(obj, field.name,
+                    _scalar(resolved, _get(value, field.name)))
         elif isinstance(resolved, idl.FixedArray):
-            items = list(_get(value, field.name))
+            items = _elements(interface, resolved, _get(value, field.name))
             if len(items) != resolved.size:
                 raise IdlError(
                     f"{struct_def.name}.{field.name}: expected"
                     f" {resolved.size} items, got {len(items)}"
                 )
-            getattr(obj, field.name)[:] = [int(i) for i in items]
+            getattr(obj, field.name)[:] = items
         elif isinstance(resolved, idl.VarArray):
-            items = list(_get(value, field.name))
+            items = _elements(interface, resolved, _get(value, field.name))
             if len(items) > resolved.bound:
                 raise IdlError(
                     f"{struct_def.name}.{field.name}: {len(items)} items"
@@ -44,7 +74,7 @@ def to_compiled(interface, struct_def, module, value):
                 )
             setattr(obj, f"{field.name}_len", len(items))
             backing = getattr(obj, field.name)
-            backing[:len(items)] = [int(i) for i in items]
+            backing[:len(items)] = items
         elif isinstance(resolved, idl.Named):
             nested_def = interface.struct(resolved.name)
             nested = to_compiled(

@@ -12,6 +12,7 @@ in-domain payloads.
 """
 
 import copy
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +208,62 @@ class TestServerMutants:
                      drop_negative_length_check("vals_len"))
         rules = self._verify(xfer_pipeline, xfer_server, bad)
         assert "residual-accepts-bad-input" in rules
+
+
+def relower(module, old, new):
+    """A CompiledModule whose generated Python has ``old`` -> ``new``:
+    the residual MiniC is right, its lowering is not."""
+    assert old in module.source, "mutation found nothing to change"
+    clone = copy.copy(module)
+    clone.source = module.source.replace(old, new)
+    clone.namespace = {}
+    exec(compile(clone.source, "<mutant-lowering>", "exec"),
+         clone.namespace)
+    return clone
+
+
+class TestLoweringMutants:
+    """The bug is in ``compile_py``'s output, not in the residual MiniC:
+    only the lowering gate can see it."""
+
+    def _verify(self, pipeline, server, module):
+        proc = pipeline.find_proc("SENDRECV")
+        return [f.rule for f in verify_server_residual(
+            pipeline, server.result, proc, {"vals": VALS_LEN},
+            {"vals": VALS_LEN}, server.bufsize, module=module)]
+
+    def test_clean_lowering_passes_the_gate(self, xfer_pipeline,
+                                            xfer_server):
+        assert self._verify(xfer_pipeline, xfer_server,
+                            xfer_server._module) == []
+
+    def test_handler_loop_one_trip_short(self, xfer_pipeline, xfer_server):
+        # mutant 10: the counted loop's range is off by one, so the
+        # last element goes back unincremented.
+        loop = re.search(r"for i in range\(i, (\w+)\):",
+                         xfer_server._module.source)
+        bad = relower(xfer_server._module, loop.group(0),
+                      f"for i in range(i, {loop.group(1)} - 1):")
+        assert self._verify(xfer_pipeline, xfer_server, bad) == [
+            "lowering-divergence"]
+
+    def test_client_marshal_slice_shifted(self, xfer_pipeline, xfer_client):
+        # mutant 11: the slice-packed run starts one element late.
+        bad = respec(xfer_pipeline, xfer_client)
+        bad._marshal_module = relower(
+            bad._marshal_module, f"*argsp.vals[0:{VALS_LEN}]",
+            f"*argsp.vals[1:{VALS_LEN}], 0")
+        assert [f.rule for f in verify_client_spec(xfer_pipeline, bad)] == [
+            "lowering-divergence"]
+
+    def test_client_recv_elided_wrap_gone_wrong(self, xfer_pipeline,
+                                                xfer_client):
+        # mutant 12: the decoded words are stored unsigned.
+        bad = respec(xfer_pipeline, xfer_client)
+        bad._recv_module = relower(
+            bad._recv_module, f"'>{VALS_LEN}i'", f"'>{VALS_LEN}I'")
+        assert "lowering-divergence" in [
+            f.rule for f in verify_client_spec(xfer_pipeline, bad)]
 
 
 class TestAcceptedMeansIdentical:

@@ -123,3 +123,29 @@ class TestLossyRunThroughTheInstruments:
         total_sends = sum(len(a) for a in sends_by_trace.values())
         counters = snapshot["counters"]
         assert total_sends == counters["rpc.client.attempts{transport=udp}"]
+
+
+class TestMetricsOnWithoutATraceSink:
+    def test_mux_tcp_call_resolves(self):
+        """``obs.span`` returns None with metrics on and no sink attached;
+        ``MuxTcpClient._flush_sends`` once called ``.end()`` on it, which
+        killed the demux thread and left the call unresolved."""
+        from repro.rpc import MuxTcpClient, MuxTcpServer
+        from repro.xdr import xdr_u_long
+
+        registry = SvcRegistry()
+        registry.register(PROG, VERS, 1, lambda v: v + 1, xdr_u_long,
+                          xdr_u_long)
+        obs.enable()  # metrics only
+        try:
+            with MuxTcpServer(registry) as server:
+                client = MuxTcpClient("127.0.0.1", server.port, PROG, VERS,
+                                      timeout=5.0)
+                try:
+                    call = client.call_async(1, 41, xdr_args=xdr_u_long,
+                                             xdr_res=xdr_u_long)
+                    assert call.result(5.0) == 42
+                finally:
+                    client.close()
+        finally:
+            obs.disable()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IdlError
+from repro.errors import IdlError, VerificationError, XdrError
 from repro.rpc import SvcRegistry, UdpClient, UdpServer
 from repro.rpc.client import RpcClient
 from repro.specialized import SpecializationPipeline
@@ -60,6 +60,24 @@ def test_request_bytes_match_generic(pipeline, client_spec):
     specialized = client_spec.build_request(0x42, {"vals": values})
     generic = generic_request(pipeline, 0x42, values)
     assert specialized == generic
+
+
+@pytest.mark.parametrize("n", [1, 2, N])  # 1, 2: fewer words than a batch
+@pytest.mark.parametrize("bad", [2**31, -2**31 - 1, 2**40])
+def test_out_of_range_int_is_refused_by_both_tiers(pipeline, n, bad):
+    """The residual marshaler once masked: ``2**31`` went out as
+    ``0x80000000`` where the generic stub refuses to encode it."""
+    spec = pipeline.specialize_client(
+        "SENDRECV", arg_lens={"vals": n}, res_lens={"vals": n}
+    )
+    values = [0] * (n - 1) + [bad]
+    with pytest.raises(XdrError, match="long out of range"):
+        generic_request(pipeline, 7, values)
+    with pytest.raises(XdrError, match="long out of range"):
+        spec.build_request(7, {"vals": values})
+    edges = ([2**31 - 1, -2**31] * n)[:n]
+    assert spec.build_request(7, {"vals": edges}) == generic_request(
+        pipeline, 7, edges)
 
 
 def test_expected_sizes(pipeline, client_spec):
@@ -167,3 +185,60 @@ def test_sizes_module(pipeline):
     assert reply_size(pipeline.interface, arg, {"vals": N}) == (
         24 + 4 + 4 * N
     )
+
+
+class TestLoweringGate:
+    """Every install point that verifies also holds the compiled module
+    to the interpreter's outcome on the verifier's concrete probes."""
+
+    @pytest.fixture(autouse=True)
+    def default_verification(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SPEC_VERIFY", raising=False)
+
+    @pytest.fixture()
+    def off_by_one(self, monkeypatch):
+        """A back end that lowers every counted loop one trip short."""
+        from repro.minic import compile_py
+
+        emit = compile_py._FuncCompiler.emit
+
+        def wrong(self, text):
+            if text.startswith("for ") and " in range(" in text:
+                text = text.replace("):", " - 1):")
+            emit(self, text)
+
+        monkeypatch.setattr(compile_py._FuncCompiler, "emit", wrong)
+
+    def test_fresh_build_is_refused(self, off_by_one):
+        pipeline = SpecializationPipeline(IDL, impl_sources=[IMPL])
+        with pytest.raises(VerificationError, match="lowering-divergence"):
+            pipeline.specialize_server(
+                "SENDRECV", arg_lens={"vals": N}, res_lens={"vals": N})
+
+    def test_disk_revival_is_gated_too(self, tmp_path, monkeypatch):
+        lens = {"arg_lens": {"vals": N}, "res_lens": {"vals": N}}
+        first = SpecializationPipeline(IDL, impl_sources=[IMPL],
+                                       cache_dir=str(tmp_path))
+        first.specialize_server("SENDRECV", **lens)
+        gated = []
+        from repro.analysis import verify
+
+        original = verify._Harness.lowering_findings
+
+        def spy(self, module, *args):
+            gated.append(module)
+            return original(self, module, *args)
+
+        monkeypatch.setattr(verify._Harness, "lowering_findings", spy)
+        second = SpecializationPipeline(IDL, impl_sources=[IMPL],
+                                        cache_dir=str(tmp_path))
+        server = second.specialize_server("SENDRECV", **lens)
+        assert second.cache.disk_hits == 1
+        # the module that was gated is the module that serves
+        assert gated and all(m is server._module for m in gated)
+
+    def test_verify_off_skips_the_gate(self, off_by_one):
+        pipeline = SpecializationPipeline(IDL, impl_sources=[IMPL],
+                                          verify=False)
+        pipeline.specialize_server(
+            "SENDRECV", arg_lens={"vals": N}, res_lens={"vals": N})
