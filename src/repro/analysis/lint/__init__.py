@@ -14,6 +14,9 @@ concurrent stack depends on and that no unit test exercises reliably:
   ``_obs.enabled`` so the disabled-by-default registry costs nothing;
 * ``bare-except`` / ``overbroad-except`` — transports may not swallow
   arbitrary exceptions (``KeyboardInterrupt`` included) silently;
+* ``drc-outside-spine`` — the DRC claim protocol (``begin`` / ``put``
+  / ``abandon``) is called only from ``SvcRegistry._spine``, so no
+  dispatch tier can carry a diverging copy of at-most-once;
 * ``knob-contract`` — every ``REPRO_*`` environment knob read by the
   source must be documented in docs/OPERATIONS.md and vice versa
   (absorbed from ``tools/check_links.py``).
@@ -64,13 +67,14 @@ def load_modules(repo_root, subdir="src/repro"):
 
 def run_lint(repo_root, subdir="src/repro"):
     """Run every rule; return ``(findings, stats)`` after pragmas."""
-    from repro.analysis.lint import excepts, knobs, locks, obsguard
+    from repro.analysis.lint import excepts, knobs, locks, obsguard, spine
 
     modules = load_modules(repo_root, subdir)
     findings = []
     findings += locks.check(modules)
     findings += obsguard.check(modules)
     findings += excepts.check(modules)
+    findings += spine.check(modules)
     findings += knobs.check(modules, repo_root)
     pragmas = [p for m in modules for p in m.pragmas]
     findings = apply_pragmas(findings, pragmas)

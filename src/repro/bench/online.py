@@ -222,9 +222,12 @@ def run(workload=None, json_path=DEFAULT_JSON, calls=None):
                              itertools.count(1))
     assert online_call(hot_args).vals == [v + 1 for v in range(HOT_N)]
 
-    route_of = lambda: next(
-        iter((online_reg._online_routes or {}).values()), None
-    )
+    hot_proc = pipeline.find_proc("SENDRECV").number
+
+    def route_of():
+        entry = online_reg.route_for(PROG_NUMBER, VERS_NUMBER, hot_proc)
+        return entry.body if entry is not None else None
+
     windows = []
     wrong_bytes = 0
 

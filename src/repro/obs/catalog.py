@@ -84,7 +84,8 @@ METRICS = {
     # -- server ----------------------------------------------------------
     "rpc.server.requests": (
         "counter", "",
-        "call messages entering the dispatcher"),
+        "call messages entering the dispatcher — exactly one per"
+        " dispatch_bytes call on every tier"),
     "rpc.server.replies": (
         "counter", "outcome",
         "dispatch outcomes: success, drc_replay, prog_unavail,"
@@ -125,8 +126,8 @@ METRICS = {
         "requests answered by the compiled residual dispatcher"),
     "rpc.server.specialized_fallbacks": (
         "counter", "",
-        "requests the residual dispatcher handed to the generic"
-        " fallback registry"),
+        "requests the offline residual body declined to the default"
+        " body"),
     "rpc.server.datagrams": (
         "counter", "transport",
         "transport-level receive events (UDP datagrams handled)"),
@@ -327,9 +328,10 @@ SPANS = {
                        " trace",
     "server.drc_lookup": "duplicate-request cache probe",
     "server.decode_args": "unmarshaling the call arguments",
-    "server.handler": "the registered handler's execution",
+    "server.handler": "the registered handler's execution (default"
+                      " body)",
     "server.encode_reply": "marshaling the reply header + results",
 }
 
 #: every label value the ``tier`` field/label may take.
-TIERS = ("generic", "fastpath", "specialized", "online")
+TIERS = ("generic", "fastpath", "staged", "specialized", "online")

@@ -46,7 +46,7 @@ class DuplicateRequestCache:
         self.evictions = 0
         #: duplicates dropped because the original was still executing
         #: (a worker pool can hold the original and a retransmission
-        #: concurrently; the claim protocol runs the handler once)
+        #: concurrently; :meth:`begin` lets exactly one run the handler)
         self.in_progress_drops = 0
         #: replies inserted by :meth:`absorb` (replication, recovery) —
         #: counted apart from :attr:`stores` so "stores == handler
@@ -71,10 +71,9 @@ class DuplicateRequestCache:
     def get(self, key):
         """The cached raw reply for ``key``, or None (counts a miss).
 
-        A key whose handler is still executing (claimed via
-        :meth:`claim` but not yet answered) reads as a miss — the
-        dispatcher then calls :meth:`claim` itself and learns, under
-        the lock, that the request is in flight.
+        A read-only lookup for tests and tools — dispatch goes through
+        :meth:`begin`.  A key whose handler is still executing (claimed
+        but not yet answered) reads as a miss.
         """
         with self._lock:
             reply = self._entries.get(key)
@@ -89,47 +88,20 @@ class DuplicateRequestCache:
             _obs.registry.counter(name).inc()
         return reply
 
-    def claim(self, key):
-        """Atomically claim ``key`` for execution.
+    def begin(self, key):
+        """Look up ``key`` and, on a first sighting, atomically claim it
+        for execution — one lock round-trip.
 
         Closes the check-then-execute race a worker pool opens: the
-        original request and a retransmission of the same xid can both
-        miss :meth:`get` and sit in the queue together.  The dispatcher
-        calls ``claim`` immediately before running the handler:
-
-        * ``True`` — the caller owns the key and must execute the
-          handler (and later :meth:`put` the reply);
-        * ``False`` — another thread is executing this key right now;
-          the caller must drop the request (the client retransmits and
-          is answered from the cache);
-        * ``bytes`` — the reply finished between :meth:`get` and here;
-          replay it.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._entries[key] = _IN_PROGRESS
-                return True
-            if entry is _IN_PROGRESS:
-                self.in_progress_drops += 1
-                return False
-            self._entries.move_to_end(key)
-            self.hits += 1
-        if _obs.enabled:
-            _obs.registry.counter("rpc.drc.hits").inc()
-        return entry
-
-    def begin(self, key):
-        """Fused :meth:`get` + :meth:`claim` under one lock round-trip.
-
-        The staged residual routes (``SvcRegistry.stage_route``) decode
-        their arguments with one ``struct`` call, so the two separate
-        lock acquisitions of get-then-claim dominate the DRC's cost on
-        that path.  Semantics match the two-step protocol exactly:
+        original request and a retransmission of the same xid can sit
+        in the queue together, and only the claim owner may run the
+        handler.  The dispatch spine calls this once per request:
 
         * ``True`` — first sighting; the caller owns the key, must run
           the handler and :meth:`put` (or :meth:`abandon`) the result;
-        * ``False`` — the original is still executing; drop;
+        * ``False`` — the original is still executing; the caller must
+          drop the request (the client retransmits and is answered
+          from the cache);
         * ``bytes`` — answered already; replay.
         """
         with self._lock:

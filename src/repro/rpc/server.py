@@ -5,21 +5,27 @@ with their XDR filters, and turns a raw call message into a raw reply
 message, covering every accept/deny path of RFC 1057 (PROG_UNAVAIL,
 PROG_MISMATCH, PROC_UNAVAIL, GARBAGE_ARGS, SYSTEM_ERR, RPC_MISMATCH).
 
-Like the client, marshaling is pluggable per procedure so the
-Tempo-specialized server stubs can replace the generic micro-layers.
+Dispatch is one *spine* (:meth:`SvcRegistry._spine`) that owns the
+at-most-once protocol — DRC claim, doomed-deadline drop, drain and
+quota shedding, accounting — and a table of *route bodies* that only
+do the work of a call.  The generic XDR decode/handler/encode is the
+default body; staged, offline-specialized and online-promoted residual
+code are entries of the same table (:meth:`SvcRegistry.install_route`),
+so every specialization tier runs under the identical protocol.
 
 Telemetry (``repro.obs``): when observability is enabled, each
-dispatch emits a ``server.dispatch`` span with ``server.drc_lookup``
-/ ``server.decode_args`` / ``server.handler`` /
-``server.encode_reply`` children, every outcome increments the
-``rpc.server.replies{outcome=...}`` counter, and the fast-path header
-recognizer reports hit/fallback counts.  The disabled path is the
-original dispatcher behind one ``if obs.enabled`` test.
+dispatch emits a ``server.dispatch`` span labelled with the tier that
+served it, with ``server.drc_lookup`` / ``server.decode_args`` /
+``server.handler`` / ``server.encode_reply`` children, every outcome
+increments the ``rpc.server.replies{outcome=...}`` counter, and the
+fast-path header recognizer reports hit/fallback counts.  Turning it
+on never changes which body serves a request.
 """
 
 import logging
 import struct
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 from repro import obs as _obs
@@ -29,7 +35,6 @@ from repro.rpc.drc import DuplicateRequestCache
 from repro.rpc.fastpath import BufferPool, ReplyHeaderTemplate
 from repro.rpc.message import (
     AcceptStat,
-    CallHeader,
     RejectStat,
     decode_call_header,
     encode_accepted_reply,
@@ -59,9 +64,22 @@ _CALL_V2 = struct.pack(">II", 0, 2)
 _NULL_AUTHS = bytes(16)
 _FAST_HEADER_SIZE = 10 * 4
 
-#: sentinel a staged route returns to hand the request to the generic
-#: dispatcher (drain mode, undecodable arguments, ...).
-_TO_GENERIC = object()
+#: everything after the xid of an accepted SUCCESS / SYSTEM_ERR reply
+#: with a NULL verifier — what route bodies and sheds answer with
+#: instead of running the reply encoder.
+_OK_TAIL = ReplyHeaderTemplate(stat=AcceptStat.SUCCESS).prefix[4:]
+_ERR_TAIL = ReplyHeaderTemplate(stat=AcceptStat.SYSTEM_ERR).prefix[4:]
+
+#: one entry of the route table: the ``tier`` label observability
+#: reports and the ``body(data) -> reply | None`` that serves.
+Route = namedtuple("Route", "tier body")
+
+
+def _signature(prog, vers, proc):
+    """The constant header words (bytes 4..24 of a v2 call) that key
+    the route table."""
+    return struct.pack(">5I", 0, 2, prog, vers, proc)
+
 
 def _count_reply(outcome):
     _obs.registry.counter("rpc.server.replies", outcome=outcome).inc()
@@ -74,9 +92,6 @@ class Procedure:
     handler: object
     xdr_args: object
     xdr_res: object
-    #: optional specialized (decode_args_fn, encode_res_fn)
-    decode_args: object = None
-    encode_res: object = None
 
 
 class SvcRegistry:
@@ -90,15 +105,9 @@ class SvcRegistry:
         #: buffer pool (see :mod:`repro.rpc.fastpath`).
         self._reply_template = None
         self._out_pool = None
-        #: staged residual routes (see :meth:`stage_route`): constant
-        #: header signature -> fused decode/handler/encode closure.
-        self._staged_routes = None
-        #: online-specialized routes (see
-        #: :mod:`repro.specialized.online`): constant header signature
-        #: -> :class:`~repro.specialized.online.OnlineServerRoute`.
-        #: Swapped copy-on-write so concurrent dispatchers see either
-        #: the old or the new table, never a mid-mutation one.
-        self._online_routes = None
+        #: the route table (see :meth:`install_route`): constant
+        #: header signature -> :class:`Route`; None while empty.
+        self._routes = None
         #: optional :class:`~repro.specialized.online.DispatchProfiler`
         #: sampling (prog, vers, proc) call counts and message sizes.
         self.profiler = None
@@ -229,12 +238,6 @@ class SvcRegistry:
                                  key=key)
         return self
 
-    def _over_quota(self, caller, prog, vers):
-        """Should this request be quota-shed?  (Charges the bucket.)"""
-        return (self.quota is not None and caller is not None
-                and (prog, vers) not in self._drain_exempt
-                and not self.quota.admit(caller))
-
     def shed_reply_bytes(self, data, reason="queue_full"):
         """A ``SYSTEM_ERR`` reply for a request refused before dispatch
         (bounded queue full), or None when ``data`` is not a
@@ -245,25 +248,15 @@ class SvcRegistry:
         """
         if len(data) < _FAST_HEADER_SIZE or bytes(data[4:12]) != _CALL_V2:
             return None
-        xid = int.from_bytes(data[0:4], "big")
-        out = XdrMemStream(bytearray(64), XdrOp.ENCODE)
-        encode_accepted_reply(out, xid, AcceptStat.SYSTEM_ERR, NULL_AUTH)
+        return self._shed(data, reason)
+
+    def _shed(self, data, reason):
+        """The shed reply (SYSTEM_ERR) for one request, counted."""
         self.sheds += 1
         if _obs.enabled:
             _obs.registry.counter("rpc.server.sheds", reason=reason).inc()
             _count_reply("shed")
-        return out.data()
-
-    def _shed(self, out, header, reason, span):
-        """Answer one dispatched request with a shed reply (SYSTEM_ERR);
-        not recorded in the DRC."""
-        encode_accepted_reply(out, header.xid, AcceptStat.SYSTEM_ERR,
-                              NULL_AUTH)
-        self.sheds += 1
-        if _obs.enabled:
-            _obs.registry.counter("rpc.server.sheds", reason=reason).inc()
-        self._verdict(span, header, "shed")
-        return out.data()
+        return bytes(data[0:4]) + _ERR_TAIL
 
     def register(self, prog, vers, proc, handler, xdr_args=None,
                  xdr_res=None):
@@ -271,16 +264,46 @@ class SvcRegistry:
         table = self._programs.setdefault((prog, vers), {})
         table[proc] = Procedure(handler, xdr_args, xdr_res)
 
-    def install_marshaler(self, prog, vers, proc, decode_args=None,
-                          encode_res=None):
-        """Plug specialized marshalers into a registered procedure."""
-        entry = self._programs[(prog, vers)][proc]
-        entry.decode_args = decode_args
-        entry.encode_res = encode_res
+    # -- the route table ----------------------------------------------------
+
+    def install_route(self, prog, vers, proc, body, tier):
+        """Atomically hot-swap a route body into dispatch.
+
+        ``body(data) -> reply bytes | None`` answers a request whose
+        call header matches the constant signature of (prog, vers,
+        proc) with two NULL auth areas.  A body does the *work* of a
+        call and nothing else — decode, run the handler (counting it
+        exactly once), encode — and returns None to *decline*, which
+        hands the request to the default body under the same DRC
+        claim.  The at-most-once protocol, drain, quota and accounting
+        stay in :meth:`_spine`; a body never touches them.
+
+        One table holds every tier (``staged``, ``specialized``,
+        ``online``); it is published copy-on-write, so concurrent
+        dispatchers see either the old or the new table, never a
+        mid-mutation one.  Installing over an existing entry replaces
+        it.
+        """
+        routes = dict(self._routes or {})
+        routes[_signature(prog, vers, proc)] = Route(tier, body)
+        self._routes = routes
+        return self
+
+    def remove_route(self, prog, vers, proc):
+        """Demote (prog, vers, proc) back to the default body; returns
+        the removed :class:`Route`, or None."""
+        routes = dict(self._routes or {})
+        removed = routes.pop(_signature(prog, vers, proc), None)
+        self._routes = routes or None
+        return removed
+
+    def route_for(self, prog, vers, proc):
+        """The installed :class:`Route` for (prog, vers, proc), or None."""
+        return (self._routes or {}).get(_signature(prog, vers, proc))
 
     def stage_route(self, prog, vers, proc, unpack_args=None,
                     pack_res=None):
-        """Stage one procedure's *entire* dispatch into a residual route.
+        """Stage one procedure's body into a residual route.
 
         The server-side dual of ``RpcClient.install_codec``: for the
         registered procedure, the call header is recognized with one
@@ -300,131 +323,60 @@ class SvcRegistry:
         back to the procedure's registered XDR filters run over a
         stream, which still skips the header layers.
 
-        Semantics are preserved exactly: the DRC claim protocol (get →
-        claim → execute → put) runs inside the route with the same
-        cache keys as the generic dispatcher, handler failures answer
-        (and record) ``SYSTEM_ERR``, and anything off the fast shape —
-        drain mode, undecodable arguments, a non-NULL auth area —
-        falls through to the generic dispatcher, whose replies are
-        byte-identical.  With observability enabled, dispatch takes
-        the fully-instrumented generic path instead, so staged routes
-        never hide spans or counters.
+        Only the body is built here (see :meth:`install_route`): a
+        handler failure answers ``SYSTEM_ERR`` (cached, like the
+        default body's), and undecodable arguments decline, so the
+        default body answers ``GARBAGE_ARGS`` byte-identically.
         """
         procedure = self._programs[(prog, vers)][proc]
-        signature = struct.pack(">5I", 0, 2, prog, vers, proc)
-        ok_tail = ReplyHeaderTemplate(stat=AcceptStat.SUCCESS).prefix[4:]
-        err_tail = ReplyHeaderTemplate(stat=AcceptStat.SYSTEM_ERR).prefix[4:]
         handler = procedure.handler
         if unpack_args is None:
-            decode_args = procedure.decode_args
             xdr_args = procedure.xdr_args
 
             def unpack_args(data, offset):
-                stream = XdrMemStream(data, XdrOp.DECODE, offset=offset)
-                if decode_args is not None:
-                    return decode_args(stream)
-                if xdr_args is not None:
-                    return xdr_args(stream, None)
-                return None
+                if xdr_args is None:
+                    return None
+                return xdr_args(
+                    XdrMemStream(data, XdrOp.DECODE, offset=offset), None)
         if pack_res is None:
-            encode_res = procedure.encode_res
             xdr_res = procedure.xdr_res
             bufsize = self.bufsize
 
             def pack_res(result):
                 stream = XdrMemStream(bytearray(bufsize), XdrOp.ENCODE)
-                if encode_res is not None:
-                    encode_res(stream, result)
-                elif xdr_res is not None:
+                if xdr_res is not None:
                     xdr_res(stream, result)
                 return stream.data()
-        registry = self
 
-        def route(data, caller):
-            if registry.draining:
-                return _TO_GENERIC
-            xid_bytes = bytes(data[0:4])
-            drc = registry.drc
-            drc_key = None
-            if drc is not None and caller is not None:
-                drc_key = (int.from_bytes(xid_bytes, "big"), caller,
-                           prog, vers, proc)
-                verdict = drc.begin(drc_key)
-                if verdict is False:
-                    return None  # original still executing: drop
-                if verdict is not True:
-                    return verdict  # replay the recorded reply
-            if registry._over_quota(caller, prog, vers):
-                # Shed, releasing the claim: the shed reply is never
-                # cached, so the caller's post-refill retry executes.
-                if drc_key is not None:
-                    drc.abandon(drc_key)
-                registry.sheds += 1
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.server.sheds",
-                                          reason="quota").inc()
-                return xid_bytes + err_tail
+        def body(data):
             try:
                 args = unpack_args(data, _FAST_HEADER_SIZE)
-            # repro: disable=overbroad-except -- hostile bytes may raise anything; route to generic GARBAGE_ARGS
+            # repro: disable=overbroad-except -- hostile bytes may raise anything; decline to the default body's GARBAGE_ARGS
             except Exception:
-                # Generic path answers GARBAGE_ARGS; release the claim
-                # so its own get/claim protocol owns the key.
-                if drc_key is not None:
-                    drc.abandon(drc_key)
-                return _TO_GENERIC
+                return None
             try:
-                registry.handlers_invoked += 1
-                reply = xid_bytes + ok_tail + pack_res(handler(args))
+                self.handlers_invoked += 1
+                return bytes(data[0:4]) + _OK_TAIL + pack_res(handler(args))
             # repro: disable=overbroad-except -- any servant crash must become a SYSTEM_ERR reply, not kill dispatch
             except Exception:
                 logger.exception(
                     "staged route for prog=%d proc=%d failed", prog, proc
                 )
-                reply = xid_bytes + err_tail
-            if drc_key is not None:
-                drc.put(drc_key, reply)
-            return reply
+                if _obs.enabled:
+                    _obs.registry.counter("rpc.server.handler_errors").inc()
+                return bytes(data[0:4]) + _ERR_TAIL
 
-        if self._staged_routes is None:
-            self._staged_routes = {}
-        self._staged_routes[signature] = route
-        return self
-
-    # -- online specialization plug points --------------------------------
+        return self.install_route(prog, vers, proc, body, tier="staged")
 
     def install_profiler(self, profiler):
         """Tap dispatch with a traffic profiler (``profiler.record(data,
-        reply)`` after every generically-answered request).  Installed
-        by :meth:`repro.specialized.online.OnlineSpecializer.attach_server`.
+        reply)`` after every request the default body answered, so the
+        sample covers exactly the traffic no route serves yet).
+        Installed by
+        :meth:`repro.specialized.online.OnlineSpecializer.attach_server`.
         """
         self.profiler = profiler
         return self
-
-    def install_online_route(self, prog, vers, proc, route):
-        """Atomically hot-swap an online-specialized route into dispatch.
-
-        ``route(data, caller)`` answers requests matching the constant
-        header signature for (prog, vers, proc); it may return the
-        ``_TO_GENERIC`` sentinel to hand a request back (invariant
-        violation, drain).  Unlike staged routes, online routes stay
-        active with observability enabled — they carry their own
-        counters/spans, so the obs contract still holds.
-        """
-        signature = struct.pack(">5I", 0, 2, prog, vers, proc)
-        routes = dict(self._online_routes or {})
-        routes[signature] = route
-        self._online_routes = routes
-        return self
-
-    def remove_online_route(self, prog, vers, proc):
-        """Demote (prog, vers, proc) back to the generic dispatcher;
-        returns the removed route, or None."""
-        signature = struct.pack(">5I", 0, 2, prog, vers, proc)
-        routes = dict(self._online_routes or {})
-        removed = routes.pop(signature, None)
-        self._online_routes = routes or None
-        return removed
 
     def versions_of(self, prog):
         return sorted(vers for p, vers in self._programs if p == prog)
@@ -450,62 +402,19 @@ class SvcRegistry:
         deadline propagation it anchors the doomed-work check, so a
         request whose budget expired while it sat in the worker queue
         is dropped instead of executed.
+
+        With observability on, the same :meth:`_spine` runs inside one
+        ``server.dispatch`` span (labelled with the tier that served)
+        and one ``rpc.server.requests`` count per call.
         """
-        online = self._online_routes
-        if (online is not None and len(data) >= _FAST_HEADER_SIZE
-                and data[24:40] == _NULL_AUTHS):
-            route = online.get(bytes(data[4:24]))
-            if route is not None:
-                reply = route(data, caller)
-                if reply is not _TO_GENERIC:
-                    return reply
-        profiler = self.profiler
-        if profiler is not None:
-            reply = self._dispatch_generic(data, caller, received_at)
-            profiler.record(data, reply)
-            return reply
-        return self._dispatch_generic(data, caller, received_at)
-
-    def _dispatch_generic(self, data, caller=None, received_at=None):
-        """Dispatch below the online-route/profiler layer."""
-        if _obs.enabled:
-            return self._dispatch_observed(data, caller, received_at)
-        routes = self._staged_routes
-        if (routes is not None and len(data) >= _FAST_HEADER_SIZE
-                and data[24:40] == _NULL_AUTHS):
-            route = routes.get(bytes(data[4:24]))
-            if route is not None:
-                reply = route(data, caller)
-                if reply is not _TO_GENERIC:
-                    return reply
-        if self._out_pool is not None:
-            reply = self._out_pool.acquire()
-            try:
-                return self._dispatch_into(data, reply, caller,
-                                           received_at=received_at)
-            finally:
-                self._out_pool.release(reply)
-        return self._dispatch_into(data, bytearray(self.bufsize), caller,
-                                   received_at=received_at)
-
-    def _dispatch_observed(self, data, caller, received_at=None):
-        """:meth:`dispatch_bytes` with metrics + an optional span."""
+        if not _obs.enabled:
+            return self._spine(data, caller, received_at, None)
         _obs.registry.counter("rpc.server.requests").inc()
         started = time.monotonic()
         span = _obs.span("server.dispatch", side="server", bytes=len(data),
                          caller=str(caller) if caller is not None else None)
         try:
-            if self._out_pool is not None:
-                reply = self._out_pool.acquire()
-                try:
-                    result = self._dispatch_into(data, reply, caller, span,
-                                                 received_at)
-                finally:
-                    self._out_pool.release(reply)
-            else:
-                result = self._dispatch_into(
-                    data, bytearray(self.bufsize), caller, span, received_at
-                )
+            reply = self._spine(data, caller, received_at, span)
         except BaseException as exc:
             if span is not None:
                 span.end(outcome="error", error=type(exc).__name__)
@@ -514,69 +423,164 @@ class SvcRegistry:
             _obs.registry.histogram("rpc.server.dispatch_latency_s").observe(
                 time.monotonic() - started
             )
-        if result is None:
-            if _obs.enabled:
-                _count_reply("dropped")
+        if reply is None:
+            _count_reply("dropped")
             if span is not None:
                 span.end(outcome="dropped")
         elif span is not None:
-            span.end(reply_bytes=len(result))
-        return result
+            span.end(reply_bytes=len(reply))
+        return reply
 
-    def _fast_parse_header(self, data):
-        """A :class:`CallHeader` for the common shape — RPC v2 with two
-        NULL auth areas — without the field-by-field decode; None sends
-        the request to the generic decoder (which also owns every
-        malformed/mismatch path, so those replies stay byte-identical).
-        """
-        if (len(data) < _FAST_HEADER_SIZE
-                or data[4:12] != _CALL_V2
-                or data[24:40] != _NULL_AUTHS):
-            return None
-        xid, _, _, prog, vers, proc = struct.unpack_from(">6I", data, 0)
-        return CallHeader(xid, prog, vers, proc, NULL_AUTH, NULL_AUTH)
-
-    def _dispatch_into(self, data, reply, caller=None, span=None,
-                       received_at=None):
-        if self._reply_template is not None:
-            header = self._fast_parse_header(data)
-            if header is not None:
-                if _obs.enabled:
-                    _obs.registry.counter(
-                        "rpc.server.fastpath_header_hits").inc()
-                if span is not None:
-                    span.add(tier="fastpath")
+    def _spine(self, data, caller, received_at, span):
+        """The one at-most-once protocol every tier runs under:
+        match-or-parse → doomed-deadline drop → ``drc.begin`` →
+        drain/quota shed → route body (default: :meth:`_default_body`)
+        → ``drc.put`` / ``abandon`` → reply."""
+        route = stream = xid = None
+        routes = self._routes
+        fast = self._reply_template is not None
+        if ((fast or routes is not None) and len(data) >= _FAST_HEADER_SIZE
+                and data[24:40] == _NULL_AUTHS):
+            # The common shape — RPC v2 with two NULL auth areas — is
+            # recognized without the field-by-field decode; everything
+            # else (and every malformed/mismatch path, so those replies
+            # stay byte-identical) goes to the generic decoder.
+            if routes is not None:
+                route = routes.get(bytes(data[4:24]))
+            if route is not None or (fast and data[4:12] == _CALL_V2):
+                xid, _, _, prog, vers, proc = struct.unpack_from(
+                    ">6I", data, 0)
+        if fast and _obs.enabled:
+            _obs.registry.counter(
+                "rpc.server.fastpath_header_hits" if xid is not None
+                else "rpc.server.fastpath_fallbacks").inc()
+        if xid is None:
+            fast = False
+            stream = XdrMemStream(data, XdrOp.DECODE)
+            header, answer = self._decode_header(data, stream, span)
+            if header is None:
+                return answer
+            xid, prog, vers, proc = (header.xid, header.prog, header.vers,
+                                     header.proc)
+            remaining = remaining_from_cred(header.cred)
+            if remaining is not None:
+                # Deadline propagation: the cred carries the budget that
+                # remained when the client *built* this message.
+                # Anchored at the transport's receive instant, an
+                # expired budget means the caller has already timed out
+                # — doomed work is dropped (not answered: there is
+                # nobody left to read the reply), before the DRC spends
+                # a probe on it.
+                now = time.monotonic()
+                arrived = received_at if received_at is not None else now
+                if arrived + remaining <= now:
+                    self.doomed_dropped += 1
+                    if _obs.enabled:
+                        _obs.registry.counter("rpc.deadline.doomed").inc()
+                    if span is not None:
+                        span.add(xid=xid, outcome="doomed")
+                    return None
+        if span is not None:
+            span.add(xid=xid, prog=prog, vers=vers, proc=proc)
+        drc = self.drc if caller is not None else None
+        if drc is not None:
+            # One atomic begin claims the key before anything executes:
+            # with a worker pool, the original and a retransmission of
+            # the same xid can sit in the queue together; only the
+            # claim owner runs a body.
+            key = (xid, caller, prog, vers, proc)
+            lookup = (span.child("server.drc_lookup")
+                      if span is not None else None)
+            verdict = drc.begin(key)
+            if lookup is not None:
+                lookup.end(hit=verdict is not True and verdict is not False)
+            if verdict is not True:
+                if verdict is False:
+                    # Another worker is executing this request right
+                    # now; drop — the client's next retransmit replays
+                    # the cached reply.
+                    return None
+                self._verdict(span, "drc_replay")
+                return verdict
+        # Whatever happens below, the claim is resolved exactly once:
+        # a reply a handler run produced is recorded; a shed, an error
+        # reply no handler produced, or an escaping BaseException
+        # releases it, so a retransmission is never blocked and never
+        # replays a reply that load or a typo caused.
+        record = None
+        try:
+            if self.draining or self.quota is not None:
+                reason = self._refusal(caller, prog, vers)
+                if reason is not None:
+                    # Draining: replays (above) and health (exempt)
+                    # still answer; new work, or a caller over its
+                    # token budget, is refused with a typed error reply.
+                    if span is not None:
+                        span.add(outcome="shed")
+                    return self._shed(data, reason)
+            if route is not None:
+                record = route.body(data)
+                if record is not None:
+                    if _obs.enabled:
+                        if span is not None:
+                            span.add(tier=route.tier)
+                        self._verdict(
+                            span, "success" if record[4:24] == _OK_TAIL
+                            else "system_err")
+                    return record
+            if span is not None:
+                span.add(tier="fastpath" if fast else "generic")
+            if stream is None:
                 stream = XdrMemStream(data, XdrOp.DECODE,
                                       offset=_FAST_HEADER_SIZE)
-                out = XdrMemStream(reply, XdrOp.ENCODE)
-                return self._dispatch_call(header, stream, out, caller,
-                                           span, received_at)
-            if _obs.enabled:
-                _obs.registry.counter("rpc.server.fastpath_fallbacks").inc()
-        if span is not None:
-            span.add(tier="generic")
-        stream = XdrMemStream(data, XdrOp.DECODE)
-        out = XdrMemStream(reply, XdrOp.ENCODE)
+            reply, executed = self._default_body(xid, prog, vers, proc,
+                                                 stream, span)
+            if executed:
+                record = reply
+            if self.profiler is not None:
+                self.profiler.record(data, reply)
+            return reply
+        finally:
+            if drc is not None:
+                if record is not None:
+                    drc.put(key, record)
+                else:
+                    drc.abandon(key)
+
+    def _refusal(self, caller, prog, vers):
+        """Why this request must be shed — ``draining``, or ``quota``
+        (charging the caller's bucket) — or None to serve it."""
+        if (prog, vers) in self._drain_exempt:
+            return None
+        if self.draining:
+            return "draining"
+        if (self.quota is not None and caller is not None
+                and not self.quota.admit(caller)):
+            return "quota"
+        return None
+
+    def _decode_header(self, data, stream, span):
+        """The generic header decode: ``(header, None)``, or ``(None,
+        answer)`` where ``answer`` is the RPC_MISMATCH reply, or None to
+        drop an undecodable message."""
         try:
-            header = decode_call_header(stream)
+            return decode_call_header(stream), None
         except RpcProtocolError as exc:
             if "bad RPC version" in str(exc):
                 # We can still answer an RPC_MISMATCH if the xid parsed.
                 try:
                     xid = int.from_bytes(data[0:4], "big")
                 except (TypeError, ValueError):
-                    return None
+                    return None, None
+                out = XdrMemStream(bytearray(64), XdrOp.ENCODE)
                 encode_denied_reply(out, xid, RejectStat.RPC_MISMATCH, (2, 2))
-                if _obs.enabled:
-                    _count_reply("rpc_mismatch")
                 if span is not None:
-                    span.add(xid=xid, outcome="rpc_mismatch")
-                return out.data()
+                    span.add(xid=xid)
+                self._verdict(span, "rpc_mismatch")
+                return None, out.data()
             logger.debug("dropping undecodable call: %s", exc)
-            return None
         except XdrError as exc:
             logger.debug("dropping truncated call: %s", exc)
-            return None
         # repro: disable=overbroad-except -- defensive decode: arbitrary bytes must never crash dispatch
         except Exception as exc:
             # Defensive decode: arbitrary bytes must never crash
@@ -588,203 +592,120 @@ class SvcRegistry:
             if _obs.enabled:
                 _obs.registry.counter("rpc.server.decode_defended").inc()
             logger.debug("defended undecodable call: %r", exc)
-            return None
-        return self._dispatch_call(header, stream, out, caller, span,
-                                   received_at)
+        return None, None
 
-    def _record_reply(self, drc_key, reply):
-        """Cache a handler-produced reply for retransmission replay.
-
-        ``reply`` is already immutable ``bytes`` (``XdrMemStream.data``
-        copies out of the pooled buffer), so the cache never aliases
-        pool-owned memory.
-        """
-        if drc_key is not None:
-            self.drc.put(drc_key, reply)
-        return reply
-
-    def _verdict(self, span, header, outcome):
+    def _verdict(self, span, outcome):
         """Record a dispatch outcome on the span + outcome counter."""
         if _obs.enabled:
             _count_reply(outcome)
         if span is not None:
-            span.add(xid=header.xid, prog=header.prog, vers=header.vers,
-                     proc=header.proc, outcome=outcome)
+            span.add(outcome=outcome)
 
-    def _dispatch_call(self, header, stream, out, caller=None, span=None,
-                       received_at=None):
-        remaining = remaining_from_cred(header.cred)
-        if remaining is not None:
-            # Deadline propagation: the cred carries the budget that
-            # remained when the client *built* this message.  Anchored
-            # at the transport's receive instant, an expired budget
-            # means the caller has already timed out — doomed work is
-            # dropped (not answered: there is nobody left to read the
-            # reply), before the DRC spends a probe on it.
-            now = time.monotonic()
-            arrived = received_at if received_at is not None else now
-            if arrived + remaining <= now:
-                self.doomed_dropped += 1
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.deadline.doomed").inc()
-                if span is not None:
-                    span.add(xid=header.xid, outcome="doomed")
-                return None
-        drc_key = None
-        if self.drc is not None and caller is not None:
-            drc_key = DuplicateRequestCache.key(
-                header.xid, caller, header.prog, header.vers, header.proc
-            )
-            drc_span = (span.child("server.drc_lookup")
-                        if span is not None else None)
-            cached = self.drc.get(drc_key)
-            if drc_span is not None:
-                drc_span.end(hit=cached is not None)
-            if cached is not None:
-                self._verdict(span, header, "drc_replay")
-                return cached
-        if self.draining and (header.prog, header.vers) not in \
-                self._drain_exempt:
-            # Draining: replays (above) and health (exempt) still
-            # answer; new work is refused with a typed error reply.
-            return self._shed(out, header, "draining", span)
-        if self._over_quota(caller, header.prog, header.vers):
-            # Over the caller's token budget: answered (never cached),
-            # so a retry after the bucket refills reaches the handler.
-            return self._shed(out, header, "quota", span)
-        key = (header.prog, header.vers)
-        if key not in self._programs:
-            versions = self.versions_of(header.prog)
-            if versions:
-                encode_accepted_reply(
-                    out, header.xid, AcceptStat.PROG_MISMATCH, NULL_AUTH,
-                    mismatch=(versions[0], versions[-1]),
-                )
-                self._verdict(span, header, "prog_mismatch")
-            else:
-                encode_accepted_reply(
-                    out, header.xid, AcceptStat.PROG_UNAVAIL, NULL_AUTH
-                )
-                self._verdict(span, header, "prog_unavail")
-            return out.data()
-        table = self._programs[key]
-        if header.proc == NULLPROC and NULLPROC not in table:
-            encode_accepted_reply(out, header.xid, AcceptStat.SUCCESS,
-                                  NULL_AUTH)
-            self._verdict(span, header, "success")
-            return out.data()
-        if header.proc not in table:
-            encode_accepted_reply(out, header.xid, AcceptStat.PROC_UNAVAIL,
-                                  NULL_AUTH)
-            self._verdict(span, header, "proc_unavail")
-            return out.data()
-        proc = table[header.proc]
-        decode_span = (span.child("server.decode_args")
-                       if span is not None else None)
+    def _default_body(self, xid, prog, vers, proc, stream, span):
+        """The default route body — generic XDR decode, registered
+        handler, generic encode — for every request no installed route
+        serves.  Returns ``(reply, executed)``: ``executed`` is True
+        when a handler ran (so the reply is recorded in the DRC), False
+        for the error replies no handler produced."""
+        pool = self._out_pool
+        buffer = pool.acquire() if pool is not None else bytearray(
+            self.bufsize)
         try:
-            if proc.decode_args is not None:
-                args = proc.decode_args(stream)
-            elif proc.xdr_args is not None:
-                args = proc.xdr_args(stream, None)
-            else:
-                args = None
-        # repro: disable=overbroad-except -- fuzzed bytes raise beyond XdrError; all map to GARBAGE_ARGS
-        except Exception as exc:
-            # XdrError is the designed signal, but fuzzed bytes can
-            # make body filters raise UnicodeDecodeError, ValueError
-            # (enum discriminants), struct.error, ... — all of them are
-            # GARBAGE_ARGS per the message grammar, never a crash.
-            if not isinstance(exc, XdrError):
-                self.decode_defended += 1
-                if _obs.enabled:
-                    _obs.registry.counter(
-                        "rpc.server.decode_defended").inc()
+            out = XdrMemStream(buffer, XdrOp.ENCODE)
+            table = self._programs.get((prog, vers))
+            if table is None:
+                versions = self.versions_of(prog)
+                if versions:
+                    return self._answer(
+                        out, xid, AcceptStat.PROG_MISMATCH, span,
+                        mismatch=(versions[0], versions[-1]))
+                return self._answer(out, xid, AcceptStat.PROG_UNAVAIL, span)
+            entry = table.get(proc)
+            if entry is None:
+                return self._answer(
+                    out, xid, AcceptStat.SUCCESS if proc == NULLPROC
+                    else AcceptStat.PROC_UNAVAIL, span)
+            decode_span = (span.child("server.decode_args")
+                           if span is not None else None)
+            try:
+                args = (entry.xdr_args(stream, None)
+                        if entry.xdr_args is not None else None)
+            # repro: disable=overbroad-except -- fuzzed bytes raise beyond XdrError; all map to GARBAGE_ARGS
+            except Exception as exc:
+                # XdrError is the designed signal, but fuzzed bytes can
+                # make body filters raise UnicodeDecodeError, ValueError
+                # (enum discriminants), struct.error, ... — all of them
+                # are GARBAGE_ARGS per the message grammar, never a
+                # crash.
+                if not isinstance(exc, XdrError):
+                    self.decode_defended += 1
+                    if _obs.enabled:
+                        _obs.registry.counter(
+                            "rpc.server.decode_defended").inc()
+                if decode_span is not None:
+                    decode_span.end(outcome="garbage_args")
+                logger.debug("garbage args: %r", exc)
+                return self._answer(out, xid, AcceptStat.GARBAGE_ARGS, span)
             if decode_span is not None:
-                decode_span.end(outcome="garbage_args")
-            logger.debug("garbage args: %r", exc)
-            encode_accepted_reply(out, header.xid, AcceptStat.GARBAGE_ARGS,
-                                  NULL_AUTH)
-            self._verdict(span, header, "garbage_args")
-            return out.data()
-        if decode_span is not None:
-            decode_span.end()
-        if drc_key is not None:
-            # Claim the key atomically before executing: with a worker
-            # pool, the original and a retransmission of the same xid
-            # can both miss the lookup above and sit in the queue
-            # together; only the claim owner runs the handler.
-            claimed = self.drc.claim(drc_key)
-            if claimed is False:
-                # Another worker is executing this request right now;
-                # drop — the client's next retransmit replays the
-                # cached reply.
-                return None
-            if claimed is not True:
-                self._verdict(span, header, "drc_replay")
-                return claimed
-        try:
-            return self._run_handler(proc, args, header, out, drc_key, span)
-        except BaseException:
-            # Only non-Exception escapes reach here (the handler and
-            # encode paths below contain Exception); release the claim
-            # so a retransmission is not blocked forever.
-            if drc_key is not None:
-                self.drc.abandon(drc_key)
-            raise
+                decode_span.end()
+            return self._run_handler(entry, args, xid, prog, proc, out,
+                                     span), True
+        finally:
+            if pool is not None:
+                pool.release(buffer)
 
-    def _run_handler(self, proc, args, header, out, drc_key, span):
+    def _answer(self, out, xid, stat, span, mismatch=None):
+        """An accepted reply no handler produced (never cached)."""
+        encode_accepted_reply(out, xid, stat, NULL_AUTH, mismatch=mismatch)
+        self._verdict(span, stat.name.lower())
+        return out.data(), False
+
+    def _run_handler(self, entry, args, xid, prog, proc, out, span):
         handler_span = (span.child("server.handler")
                         if span is not None else None)
         try:
             self.handlers_invoked += 1
-            result = proc.handler(args)
+            result = entry.handler(args)
         # repro: disable=overbroad-except -- any servant crash must become a SYSTEM_ERR reply, not kill dispatch
         except Exception:
             if handler_span is not None:
                 handler_span.end(outcome="error")
             logger.exception(
-                "handler for prog=%d proc=%d failed", header.prog, header.proc
+                "handler for prog=%d proc=%d failed", prog, proc
             )
             if _obs.enabled:
                 _obs.registry.counter("rpc.server.handler_errors").inc()
-            encode_accepted_reply(out, header.xid, AcceptStat.SYSTEM_ERR,
-                                  NULL_AUTH)
-            self._verdict(span, header, "system_err")
-            return self._record_reply(drc_key, out.data())
+            encode_accepted_reply(out, xid, AcceptStat.SYSTEM_ERR, NULL_AUTH)
+            self._verdict(span, "system_err")
+            return out.data()
         if handler_span is not None:
             handler_span.end()
         encode_span = (span.child("server.encode_reply")
                        if span is not None else None)
         if self._reply_template is not None and out.pos == 0:
             # Fast path: copy the pre-built SUCCESS header, patch xid.
-            out.setpos(self._reply_template.write_into(out.buffer,
-                                                       header.xid))
+            out.setpos(self._reply_template.write_into(out.buffer, xid))
         else:
-            encode_accepted_reply(out, header.xid, AcceptStat.SUCCESS,
-                                  NULL_AUTH)
+            encode_accepted_reply(out, xid, AcceptStat.SUCCESS, NULL_AUTH)
         outcome = "success"
         try:
-            if proc.encode_res is not None:
-                proc.encode_res(out, result)
-            elif proc.xdr_res is not None:
-                proc.xdr_res(out, result)
+            if entry.xdr_res is not None:
+                entry.xdr_res(out, result)
         # repro: disable=overbroad-except -- unmarshalable handler result must become SYSTEM_ERR, not kill the transport
         except Exception:
             # Result does not fit the reply buffer (XdrError) or the
             # handler returned something the filter cannot marshal:
             # answer SYSTEM_ERR rather than killing the transport.
             logger.exception(
-                "reply encoding failed for prog=%d proc=%d",
-                header.prog, header.proc,
+                "reply encoding failed for prog=%d proc=%d", prog, proc
             )
             out = XdrMemStream(bytearray(self.bufsize), XdrOp.ENCODE)
-            encode_accepted_reply(out, header.xid, AcceptStat.SYSTEM_ERR,
-                                  NULL_AUTH)
+            encode_accepted_reply(out, xid, AcceptStat.SYSTEM_ERR, NULL_AUTH)
             outcome = "system_err"
         if encode_span is not None:
             encode_span.end(bytes=out.pos)
-        self._verdict(span, header, outcome)
-        return self._record_reply(drc_key, out.data())
+        self._verdict(span, outcome)
+        return out.data()
 
 
 def rpc_service(registry, prog, vers):

@@ -44,13 +44,11 @@ from repro import obs as _obs
 from repro.errors import VerificationError, XdrError
 from repro.rpc.fastpath import ReplyHeaderTemplate
 from repro.rpc.message import (
-    AcceptStat,
     CallHeader,
     decode_reply_header,
     encode_call_header,
     raise_for_reply,
 )
-from repro.rpc.server import _TO_GENERIC
 from repro.specialized.sizes import reply_size, request_size
 from repro.xdr import XdrMemStream, XdrOp
 
@@ -144,8 +142,8 @@ class DispatchProfiler:
 
     Installed via ``SvcRegistry.install_profiler``; the registry calls
     :meth:`record` with the raw request and the raw reply after every
-    generically-dispatched message, so the sample covers exactly the
-    traffic that is *not* yet specialized.  Parsing is three slice
+    message its default body answered, so the sample covers exactly
+    the traffic that is *not* yet specialized.  Parsing is three slice
     compares and one ``struct.unpack_from`` — cheap enough to leave on.
     """
 
@@ -205,22 +203,20 @@ def _dominant_of_counts(counts):
 
 
 class OnlineServerRoute:
-    """One hot procedure's residual dispatch, with the invariant guard.
+    """One hot procedure's residual route body, with the invariant guard.
 
     Holds a map of *exact request sizes* to compiled
     :class:`~repro.specialized.pipeline.ServerSpecialization` residuals
     (one per specialized length — "widened bounds" means more entries).
     A request whose size is not in the map is an invariant violation:
-    it is counted and handed back to the generic dispatcher, which
-    answers it correctly on that call (the guard never guesses).
+    it is counted and declined, so the registry's default body answers
+    it correctly on that call (the guard never guesses).
 
-    Semantics match the staged/generic paths exactly: drain mode and
-    quota shedding behave identically, and the DRC claim protocol
-    (begin -> execute -> put / abandon) runs with the same keys, so
+    Installed with ``SvcRegistry.install_route(..., tier="online")``:
+    the registry's dispatch spine runs the at-most-once protocol,
+    drain and quota around this body exactly as around every other, so
     at-most-once holds across a mid-traffic hot swap.
     """
-
-    _ERR_TAIL = ReplyHeaderTemplate(stat=AcceptStat.SYSTEM_ERR).prefix[4:]
 
     def __init__(self, registry, prog, vers, proc):
         self.registry = registry
@@ -257,77 +253,19 @@ class OnlineServerRoute:
         if _obs.enabled:
             _obs.registry.counter("rpc.spec.online.violations",
                                   side="server").inc()
-        return _TO_GENERIC
 
-    def _count(self, outcome):
-        """Request/outcome counters for a route-answered request (the
-        generic dispatcher was bypassed, so it cannot count this one)."""
-        if _obs.enabled:
-            _obs.registry.counter("rpc.server.requests").inc()
-            _obs.registry.counter("rpc.server.replies",
-                                  outcome=outcome).inc()
-
-    def __call__(self, data, caller):
-        registry = self.registry
-        if registry.draining:
-            return _TO_GENERIC
+    def __call__(self, data):
         spec = self._specs.get(len(data))
-        if spec is None:
-            return self._violation(len(data))
-        xid_bytes = bytes(data[0:4])
-        drc = registry.drc
-        drc_key = None
-        if drc is not None and caller is not None:
-            drc_key = (int.from_bytes(xid_bytes, "big"), caller,
-                       self.prog, self.vers, self.proc)
-            verdict = drc.begin(drc_key)
-            if verdict is False:
-                self._count("dropped")
-                return None  # original still executing: drop
-            if verdict is not True:
-                self._count("drc_replay")
-                return verdict  # replay the recorded reply
-        if registry._over_quota(caller, self.prog, self.vers):
-            if drc_key is not None:
-                drc.abandon(drc_key)
-            registry.sheds += 1
-            if _obs.enabled:
-                _obs.registry.counter("rpc.server.sheds",
-                                      reason="quota").inc()
-            self._count("shed")
-            return xid_bytes + self._ERR_TAIL
-        span = None
-        if _obs.enabled:
-            _obs.registry.counter("rpc.server.requests").inc()
-            span = _obs.span(
-                "server.dispatch", side="server", tier="online",
-                bytes=len(data), prog=self.prog, proc=self.proc,
-                caller=str(caller) if caller is not None else None,
-            )
-        reply = spec.residual_reply(data)
+        # None from the residual (bytes that crash it) declines too
+        reply = spec.residual_reply(data) if spec is not None else None
         if reply is None:
-            # The residual program declined (bytes that crash it): the
-            # generic dispatcher owns the request.  Release the claim
-            # so its own begin/claim protocol takes over; note this
-            # request was already counted above, so the generic path's
-            # own count makes the totals off by one — acceptable for a
-            # defended-garbage path that normal traffic never takes.
-            if drc_key is not None:
-                drc.abandon(drc_key)
-            if span is not None:
-                span.end(outcome="fallback")
-            return self._violation(len(data))
-        registry.handlers_invoked += 1
+            self._violation(len(data))
+            return None
+        self.registry.handlers_invoked += 1
         self.hits += 1
-        if drc_key is not None:
-            drc.put(drc_key, reply)
         if _obs.enabled:
             _obs.registry.counter("rpc.spec.online.hits",
                                   side="server").inc()
-            _obs.registry.counter("rpc.server.replies",
-                                  outcome="success").inc()
-        if span is not None:
-            span.end(outcome="success", reply_bytes=len(reply))
         return reply
 
 
@@ -751,7 +689,8 @@ class OnlineSpecializer:
                 return
             route = OnlineServerRoute(registry, prog, vers, proc_number)
             route.add_size(req_bytes, spec)
-            registry.install_online_route(prog, vers, proc_number, route)
+            registry.install_route(prog, vers, proc_number, route,
+                                   tier="online")
             state.route = route
             state.reviewed_violations = 0
             self._counted("promotions", "server")
@@ -780,7 +719,7 @@ class OnlineSpecializer:
                 return  # the build was refused; keep the route as-is
         # No stable new length (the distribution shifted), or the
         # route is as wide as policy allows: demote to generic.
-        registry.remove_online_route(prog, vers, proc_number)
+        registry.remove_route(prog, vers, proc_number)
         profiler.reset(key)
         state.route = None
         state.reviewed_violations = 0

@@ -181,13 +181,32 @@ class ClientSpecialization:
 
 class ServerSpecialization:
     """A compiled specialized dispatcher, duck-typed as a registry for
-    :class:`~repro.rpc.svc_udp.UdpServer` (it only needs
-    ``dispatch_bytes``)."""
+    the server transports.
 
-    def __init__(self, pipeline, handle_result, bufsize, fallback=None,
-                 module=None):
+    With a ``fallback`` :class:`~repro.rpc.server.SvcRegistry` the
+    residual program is installed there as the ``specialized`` route
+    body of the hot procedure, and ``dispatch_bytes`` enters the
+    fallback's dispatch spine — so the at-most-once protocol, drain,
+    quota and accounting are the registry's own, and anything the
+    body declines is answered by the generic body under the same DRC
+    claim (the residual ``else`` branch of the paper's §6.2).
+    Registry-control attributes (``drc``, ``begin_drain``,
+    ``shed_reply_bytes``, ...) forward to the fallback, so a transport
+    built over this handle drains, sheds and journals exactly as one
+    built over the registry.  A fallback hosts one residual per
+    procedure: the last one built wins.
+
+    Without a fallback it is the bare residual: no DRC to host, and a
+    declined request is dropped.
+    """
+
+    def __init__(self, pipeline, handle_result, bufsize, proc,
+                 expected_request, fallback=None, module=None):
         self.pipeline = pipeline
         self.bufsize = bufsize
+        #: the one request size the residual was specialized to — and
+        #: the verifier proved it on; the body serves nothing else
+        self.expected_request = expected_request
         self.fallback = fallback
         self.result = handle_result
         #: ``module``: the compiled form the lowering gate just passed
@@ -196,33 +215,30 @@ class ServerSpecialization:
         self._entry = handle_result.entry_name
         self._out_buffers = sr.ScratchBuffers(bufsize)
         self.fast_path_hits = 0
-        self.fallback_hits = 0
+        if fallback is not None:
+            fallback.install_route(
+                pipeline.prog_number, pipeline.vers_number, proc.number,
+                self._body, tier="specialized")
+            # this handle's dispatch *is* the fallback's spine (bound
+            # per instance: no per-call hop through a forwarding method)
+            self.dispatch_bytes = fallback.dispatch_bytes
 
-    def _drc_key(self, data, caller):
-        """The fallback registry's DRC key for this request, or None.
-
-        The residual dispatcher re-executes the handler on every
-        datagram, so duplicates are filtered here with the same reply
-        cache the generic path uses — keeping the specialized and
-        generic servers behaviorally equivalent under retransmission.
-        """
-        drc = getattr(self.fallback, "drc", None)
-        if drc is None or caller is None or len(data) < 24:
-            return None
-        xid, _mtype, _rpcvers, prog, vers, proc = struct.unpack_from(
-            ">6I", data, 0
-        )
-        return drc.key(xid, caller, prog, vers, proc)
+    def __getattr__(self, name):
+        # only reached for attributes this handle lacks
+        fallback = self.__dict__.get("fallback")
+        if fallback is None:
+            raise AttributeError(name)
+        return getattr(fallback, name)
 
     def residual_reply(self, data):
         """Run the residual dispatcher alone: the reply bytes for
         ``data``, or None when the residual program declined (bytes
         that crash it, a reply that does not fit).
 
-        No DRC, drain, quota, or fallback logic — callers compose
-        those policies themselves (:meth:`dispatch_bytes` does for the
-        offline wrapper; :class:`repro.specialized.online
-        .OnlineServerRoute` does for hot-swapped routes)."""
+        This is the whole route body; the dispatch spine of the
+        registry it is installed in (the ``fallback``, or the one an
+        :class:`repro.specialized.online.OnlineServerRoute` serves)
+        owns every protocol decision around it."""
         in_buffer = sr.fresh_buffer(data)
         out_buffer = self._out_buffers.acquire()
         try:
@@ -246,126 +262,19 @@ class ServerSpecialization:
         finally:
             self._out_buffers.release(out_buffer)
 
+    def _body(self, data):
+        reply = (self.residual_reply(data)
+                 if len(data) == self.expected_request else None)
+        if _obs.enabled:
+            _obs.registry.counter(
+                "rpc.server.specialized_hits" if reply is not None
+                else "rpc.server.specialized_fallbacks").inc()
+        return reply
+
     def dispatch_bytes(self, data, caller=None, received_at=None):
-        span = None
-        if _obs.enabled:
-            _obs.registry.counter("rpc.server.requests").inc()
-            span = _obs.span(
-                "server.dispatch", side="server", tier="specialized",
-                bytes=len(data),
-                caller=str(caller) if caller is not None else None,
-            )
-        drc_key = self._drc_key(data, caller)
-        if drc_key is not None:
-            drc_span = (span.child("server.drc_lookup")
-                        if span is not None else None)
-            cached = self.fallback.drc.get(drc_key)
-            if drc_span is not None:
-                drc_span.end(hit=cached is not None)
-            if cached is not None:
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.server.replies",
-                                          outcome="drc_replay").inc()
-                if span is not None:
-                    span.end(outcome="drc_replay")
-                return cached
-        if getattr(self.fallback, "draining", False):
-            # Drain mode applies to the residual fast path too: the
-            # generic registry sheds (or answers health) so both tiers
-            # refuse new work identically.
-            if span is not None:
-                span.end(outcome="drained")
-            return self.fallback.dispatch_bytes(data, caller=caller,
-                                                received_at=received_at)
-        if drc_key is not None:
-            # Atomic claim before executing (see
-            # DuplicateRequestCache.claim): only one worker runs a
-            # given xid even when the original and a retransmission
-            # are queued together.
-            claimed = self.fallback.drc.claim(drc_key)
-            if claimed is False:
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.server.replies",
-                                          outcome="dropped").inc()
-                if span is not None:
-                    span.end(outcome="dropped")
-                return None
-            if claimed is not True:
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.server.replies",
-                                          outcome="drc_replay").inc()
-                if span is not None:
-                    span.end(outcome="drc_replay")
-                return claimed
-        in_buffer = sr.fresh_buffer(data)
-        out_buffer = self._out_buffers.acquire()
-        try:
-            values = {
-                "inbuf": sr.buffer_cursor(in_buffer),
-                "inlen": len(data),
-                "outbuf": sr.buffer_cursor(out_buffer),
-                "outsize": self.bufsize,
-            }
-            handler_span = (span.child("server.handler")
-                            if span is not None else None)
-            try:
-                outlen = self._module.call(
-                    self._entry, *[values[name] for name in self._params]
-                )
-            # repro: disable=overbroad-except -- a faulting residual must fall back to the generic dispatcher
-            except Exception:
-                # Defensive decode: fuzzed bytes that crash the
-                # residual program must not crash dispatch — hand the
-                # request to the generic fallback (which answers with
-                # a typed RPC error or drops it).
-                outlen = 0
-                if _obs.enabled:
-                    _obs.registry.counter(
-                        "rpc.server.decode_defended").inc()
-            if handler_span is not None:
-                handler_span.end(residual=True)
-            if outlen:
-                self.fast_path_hits += 1
-                reply = bytes(out_buffer.data[:outlen])
-                if drc_key is not None:
-                    self.fallback.drc.put(drc_key, reply)
-                if _obs.enabled:
-                    _obs.registry.counter(
-                        "rpc.server.specialized_hits").inc()
-                    _obs.registry.counter("rpc.server.replies",
-                                          outcome="success").inc()
-                if span is not None:
-                    span.end(outcome="success", reply_bytes=len(reply))
-                return reply
-        except BaseException as exc:
-            if drc_key is not None:
-                self.fallback.drc.abandon(drc_key)
-            if span is not None:
-                span.end(outcome="error", error=type(exc).__name__)
-            raise
-        finally:
-            self._out_buffers.release(out_buffer)
-        if drc_key is not None:
-            # Hand the claim back before delegating — the fallback
-            # registry re-claims atomically, so single execution still
-            # holds (a racing duplicate that claims first wins and the
-            # fallback drops this one).
-            self.fallback.drc.abandon(drc_key)
-        if self.fallback is not None:
-            self.fallback_hits += 1
-            if _obs.enabled:
-                _obs.registry.counter(
-                    "rpc.server.specialized_fallbacks").inc()
-            if span is not None:
-                span.end(outcome="fallback")
-            return self.fallback.dispatch_bytes(data, caller=caller,
-                                                received_at=received_at)
-        if _obs.enabled:
-            _obs.registry.counter("rpc.server.replies",
-                                  outcome="dropped").inc()
-        if span is not None:
-            span.end(outcome="dropped")
-        return None
+        """The bare residual (no fallback): a declined request is
+        dropped."""
+        return self._body(data)
 
 
 class SpecializationPipeline:
@@ -606,9 +515,8 @@ class SpecializationPipeline:
     def specialize_server(self, hot_proc, arg_lens=None, res_lens=None,
                           bufsize=8800, fallback=None):
         """Specialize the server dispatch path for the expected workload
-        (``hot_proc`` with the given array lengths); other requests take
-        the generic residual branch or the optional ``fallback``
-        registry."""
+        (``hot_proc`` with the given array lengths); other requests are
+        answered by the optional ``fallback`` registry's generic body."""
         if self.impl_sources is None:
             raise IdlError(
                 "server specialization needs MiniC impl_sources for the"
@@ -648,8 +556,10 @@ class SpecializationPipeline:
             load=lambda payload: payload,
             check=check,
         )
-        return ServerSpecialization(self, handle_result, bufsize, fallback,
-                                    module=module)
+        return ServerSpecialization(
+            self, handle_result, bufsize, proc,
+            request_size(self.interface, arg_struct, arg_lens),
+            fallback=fallback, module=module)
 
     def _specialize_server_uncached(self, proc, arg_lens, res_lens, bufsize):
         arg_struct = self._struct_for(proc.arg, proc.name)

@@ -9,7 +9,7 @@ import ast as pyast
 from pathlib import Path
 
 from repro.analysis.findings import scan_pragmas
-from repro.analysis.lint import Module, excepts, locks, obsguard
+from repro.analysis.lint import Module, excepts, locks, obsguard, spine
 
 
 def module(rel, source):
@@ -237,3 +237,60 @@ def f():
         raise
 '''
         assert excepts.check([module("src/repro/rpc/conn.py", src)]) == []
+
+
+class TestDrcOutsideSpine:
+    ROUTE = '''
+class Route:
+    def __call__(self, data, caller):
+        drc = self.registry.drc
+        verdict = drc.begin(self.key(data, caller))
+        if verdict is not True:
+            return verdict
+        reply = self.serve(data)
+        if reply is None:
+            self.registry.drc.abandon(self.key(data, caller))
+        else:
+            self.fallback_drc.put(self.key(data, caller), reply)
+        return reply
+'''
+
+    def test_protocol_calls_in_a_route_flagged_at_exact_lines(self):
+        found = spine.check([module("src/repro/specialized/online.py",
+                                    self.ROUTE)])
+        assert [(f.rule, f.path, f.line) for f in found] == [
+            ("drc-outside-spine", "src/repro/specialized/online.py", 5),
+            ("drc-outside-spine", "src/repro/specialized/online.py", 10),
+            ("drc-outside-spine", "src/repro/specialized/online.py", 12),
+        ]
+
+    def test_the_spine_and_the_cache_module_are_exempt(self):
+        spine_src = '''
+class SvcRegistry:
+    def _spine(self, data, caller, received_at, span):
+        drc = self.drc
+        verdict = drc.begin(key)
+        try:
+            return self.serve(data)
+        finally:
+            drc.put(key, b"") if verdict else drc.abandon(key)
+
+    def other(self, key):
+        self.drc.abandon(key)
+'''
+        found = spine.check([module("src/repro/rpc/server.py", spine_src),
+                             module("src/repro/rpc/drc.py", self.ROUTE)])
+        # only the call outside _spine, even in the spine's own module
+        assert [(f.path, f.line) for f in found] == [
+            ("src/repro/rpc/server.py", 12)]
+
+    def test_other_receivers_and_read_only_calls_are_clean(self):
+        src = '''
+def pump(queue, drc, journal):
+    queue.put(1)
+    journal.begin()
+    drc.get(1)
+    drc.absorb(1, b"")
+    return drc.snapshot_entries()
+'''
+        assert spine.check([module("src/repro/rpc/fleet.py", src)]) == []

@@ -107,15 +107,18 @@ def test_truncated_call_dropped(registry):
 def test_specialized_marshaler_hook(registry):
     calls = {}
 
-    def decode_args(stream):
+    def unpack_args(data, offset):
         calls["decoded"] = True
-        return xdr_int(stream, None)
+        return xdr_int(XdrMemStream(data, XdrOp.DECODE, offset=offset), None)
 
-    def encode_res(stream, value):
+    def pack_res(value):
         calls["encoded"] = True
+        stream = XdrMemStream(bytearray(4), XdrOp.ENCODE)
         xdr_int(stream, value)
+        return stream.data()
 
-    registry.install_marshaler(PROG, VERS, 1, decode_args, encode_res)
+    registry.stage_route(PROG, VERS, 1, unpack_args=unpack_args,
+                         pack_res=pack_res)
     reply, stream = reply_of(registry, call_bytes(arg=5))
     assert reply.stat == AcceptStat.SUCCESS
     assert xdr_int(stream, None) == 10

@@ -43,36 +43,36 @@ class TestClaimProtocol:
     def test_claim_states(self):
         cache = DuplicateRequestCache(capacity=8)
         key = cache.key(1, CALLER, PROG, VERS, 1)
-        assert cache.claim(key) is True          # first owner
-        assert cache.claim(key) is False         # concurrent duplicate
+        assert cache.begin(key) is True          # first owner
+        assert cache.begin(key) is False         # concurrent duplicate
         assert cache.in_progress_drops == 1
         cache.put(key, b"answer")
-        assert cache.claim(key) == b"answer"     # late duplicate replays
+        assert cache.begin(key) == b"answer"     # late duplicate replays
         assert cache.get(key) == b"answer"
 
     def test_in_progress_reads_as_miss(self):
         cache = DuplicateRequestCache(capacity=8)
         key = cache.key(2, CALLER, PROG, VERS, 1)
-        cache.claim(key)
+        cache.begin(key)
         assert cache.get(key) is None
 
     def test_abandon_releases_the_claim(self):
         cache = DuplicateRequestCache(capacity=8)
         key = cache.key(3, CALLER, PROG, VERS, 1)
-        assert cache.claim(key) is True
+        assert cache.begin(key) is True
         cache.abandon(key)
-        assert cache.claim(key) is True          # executable again
+        assert cache.begin(key) is True          # executable again
 
     def test_eviction_never_removes_a_claim(self):
         cache = DuplicateRequestCache(capacity=1)
         claimed = cache.key(4, CALLER, PROG, VERS, 1)
         other = cache.key(5, CALLER, PROG, VERS, 1)
-        assert cache.claim(claimed) is True
+        assert cache.begin(claimed) is True
         cache.put(other, b"b")                   # over capacity
         # The claimed key survived whatever eviction happened.
-        assert cache.claim(claimed) is False
+        assert cache.begin(claimed) is False
         cache.put(claimed, b"a")
-        assert cache.claim(claimed) == b"a"
+        assert cache.begin(claimed) == b"a"
 
     def test_concurrent_duplicates_execute_once(self):
         invocations = []

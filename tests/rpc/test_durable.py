@@ -191,7 +191,7 @@ class TestJournalRecovery:
         journal.attach(cache)
         for i in range(6):  # crosses the compact_every threshold
             key = make_key(i)
-            cache.claim(key)
+            cache.begin(key)
             cache.put(key, b"r%d" % i)
         assert journal.compactions >= 1
         assert os.path.exists(journal.snapshot_path)

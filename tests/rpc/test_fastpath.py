@@ -136,31 +136,48 @@ class TestFastReplyCheck:
             fast.parse_reply(reply, 7, 99, None)
 
 
+def _header_counts(registry, request):
+    """Dispatch ``request`` with metrics on; returns ``(reply, fast-parse
+    hits, generic-decoder fallbacks)``."""
+    from repro import obs
+    from repro.obs.metrics import MetricsRegistry
+
+    prev = (obs.enabled, obs.registry)
+    obs.enabled, obs.registry = True, MetricsRegistry()
+    try:
+        reply = registry.dispatch_bytes(request)
+        counters = obs.collect()["counters"]
+    finally:
+        obs.enabled, obs.registry = prev
+    return (reply, counters.get("rpc.server.fastpath_header_hits", 0),
+            counters.get("rpc.server.fastpath_fallbacks", 0))
+
+
 class TestServerFastHeaderParse:
     def test_null_auth_header_parses_fast(self):
         registry = _registry(fastpath=True)
-        request = RpcClient(PROG, VERS).build_call(3, 1, [5], xdr_iarr)
-        header = registry._fast_parse_header(request)
-        assert header is not None
-        assert (header.xid, header.prog, header.vers, header.proc) == (
-            3, PROG, VERS, 1
-        )
+        client = RpcClient(PROG, VERS)
+        request = client.build_call(3, 1, [5], xdr_iarr)
+        reply, hits, fallbacks = _header_counts(registry, request)
+        assert (hits, fallbacks) == (1, 0)
+        # xid, prog, vers and proc all came out of the fast parse right
+        assert client.parse_reply(reply, 3, 1, xdr_iarr) == (True, [10])
 
     def test_auth_sys_header_declines_fast_parse(self):
         registry = _registry(fastpath=True)
         client = RpcClient(PROG, VERS,
                            cred=make_auth_sys(1, "h", 0, 0))
         request = client.build_call(3, 1, [5], xdr_iarr)
-        assert registry._fast_parse_header(request) is None
+        reply, hits, fallbacks = _header_counts(registry, request)
+        assert (hits, fallbacks) == (0, 1)
         # ...but the generic decoder still serves it identically.
-        assert registry.dispatch_bytes(request) == _registry(
-            fastpath=False
-        ).dispatch_bytes(request)
+        assert reply == _registry(fastpath=False).dispatch_bytes(request)
 
     def test_truncated_header_declines_fast_parse(self):
         registry = _registry(fastpath=True)
         request = RpcClient(PROG, VERS).build_call(3, 1, [5], xdr_iarr)
-        assert registry._fast_parse_header(request[:39]) is None
+        reply, hits, fallbacks = _header_counts(registry, request[:39])
+        assert (reply, hits, fallbacks) == (None, 0, 1)
 
 
 class TestBufferPool:

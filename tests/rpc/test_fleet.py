@@ -26,6 +26,8 @@ from repro.rpc.fleet import (
 from repro.rpc.pmap import IPPROTO_TCP, IPPROTO_UDP
 from repro.rpc.resilience import CallerQuota, TokenBucket
 from repro.xdr import xdr_u_long
+from tests.rpc import test_dispatch_spine as spine
+from tests.rpc.test_dispatch_spine import pipeline  # noqa: F401 (fixture)
 
 PROG, VERS = 0x20006666, 1
 CALLER = ("192.0.2.33", 900)
@@ -296,10 +298,10 @@ class TestDrcReplicator:
         try:
             drc = registry.drc
             repl_key = (1, CALLER, REPL_PROG, 1, 1)
-            drc.claim(repl_key)
+            drc.begin(repl_key)
             drc.put(repl_key, b"push-reply")
             app_key = (2, CALLER, PROG, VERS, 1)
-            drc.claim(app_key)
+            drc.begin(app_key)
             drc.put(app_key, b"app-reply")
             # Only the application entry was offered to the peers.
             assert wait_until(
@@ -396,10 +398,36 @@ class TestQuotaDispatch:
         # budget refilled) executes rather than replaying the error.
         assert (3, CALLER, PROG, VERS, 1) not in registry.drc
 
+    @pytest.mark.parametrize("name", ["staged", "specialized", "online"])
+    def test_route_tiers_shed_like_the_generic_registry(self, pipeline,  # noqa: F811
+                                                        name):
+        # the quota lives in the dispatch spine, so a route body —
+        # staged, offline residual over a fallback, online-promoted —
+        # cannot bypass it
+        tier, generic = spine.Tier(name, pipeline), spine.Tier("generic",
+                                                               pipeline)
+        for each in (tier, generic):
+            each.registry.install_quota(rate=1.0, burst=2.0,
+                                        clock=lambda: 1000.0)
+        requests = [spine.call_bytes(pipeline, xid) for xid in range(1, 7)]
+        replies = [tier.dispatch(request) for request in requests]
+        assert [accept_stat(r) for r in replies] == [0, 0, 5, 5, 5, 5]
+        assert replies == [generic.dispatch(r) for r in requests]
+        executions, stores, _hits, sheds, _doomed = tier.counts()
+        assert (executions, stores, sheds) == (2, 2, 4)
+        # a DRC replay is never charged ...
+        shed_before = tier.registry.quota.summary()["shed"]
+        assert tier.dispatch(requests[0]) == replies[0]
+        assert tier.registry.quota.summary()["shed"] == shed_before
+        # ... and a shed reply is never cached
+        drc = tier.registry.drc
+        assert drc.key(3, spine.CALLER, spine.PROG, spine.VERS,
+                       spine.PROC) not in drc
+
     def test_generic_path_sheds_identically(self):
         counter = []
         registry = self._registry(counter, burst=2.0)
-        registry._staged_routes = None  # force the generic dispatcher
+        registry.remove_route(PROG, VERS, 1)  # force the default body
         replies = [registry.dispatch_bytes(call_bytes(xid=i, value=i),
                                            caller=CALLER)
                    for i in range(4)]

@@ -103,7 +103,8 @@ def drive(stubs, registry, xids, n, count, caller=None):
 
 
 def route_of(registry):
-    return next(iter((registry._online_routes or {}).values()), None)
+    entry = registry.route_for(PROG, VERS, PROC)
+    return entry.body if entry is not None else None
 
 
 class TestServerPromotion:
