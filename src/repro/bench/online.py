@@ -6,17 +6,24 @@ configurations.  This one tells the tuning story of
 generic, the :class:`~repro.specialized.online.OnlineSpecializer`
 watches the traffic profile, and after the policy's evidence threshold
 it hot-swaps compiled residual codecs into live dispatch.  The report
-is a *convergence curve*: per-window throughput over three traffic
+is a *convergence curve*: per-window throughput over four traffic
 phases —
 
 1. **hot** — a stable array length; the curve starts at the generic
    floor and jumps when the promotion lands;
 2. **shift** — the workload changes length mid-run; every call is an
    invariant violation answered (correctly) by the generic fallback,
-   until the violation threshold triggers a respecialization that
-   widens the guard and the curve recovers;
+   until the review finds the table uncovered and widens it with a
+   variant for the new length, and the curve recovers;
 3. **reconverged** — the widened route answers the new length at
-   specialized speed.
+   specialized speed;
+4. **tail** — both lengths alternating under a 5% uniform tail of
+   other lengths: every tail call is a guard miss, the table still
+   covers 95% of its calls, so nothing is demoted and the curve stays
+   specialized (``tail_hit_share``, ``demotions`` in the summary).
+
+After the curve the report prints the specializer's own account:
+``explain()`` per table and the decision log with reasons.
 
 Correctness is asserted, not sampled: every window replays probe
 requests (in-profile *and* deliberately off-profile) against a shadow
@@ -27,7 +34,8 @@ asserted count (always 0 in a successful run).
 ``REPRO_ONLINE_CALLS`` scales the per-window call count (default 400;
 CI uses a small value).  Numbers land in ``BENCH_online.json`` so CI
 can hold the conservative floor: converged online throughput must not
-be *worse* than generic.
+be *worse* than generic, and the tail phase must neither demote nor
+drop under a 0.9 hit share.
 
 Note: the bench constructs its specializer with ``enabled=True``, but
 the ``REPRO_ONLINE_SPEC`` environment kill switch still wins — with
@@ -39,6 +47,7 @@ import itertools
 import json
 import os
 import platform
+import random
 import time
 
 from repro import obs
@@ -72,6 +81,10 @@ PROBE_N = 7
 PROC_SENDRECV = 1
 HOT_WINDOWS = 6
 SHIFT_WINDOWS = 5
+TAIL_WINDOWS = 4
+#: the tail phase: share of calls drawn uniformly from 1..TAIL_MAX_N
+TAIL_SHARE = 0.05
+TAIL_MAX_N = 128
 
 
 def _calls_per_window():
@@ -94,17 +107,12 @@ def _registry(stubs):
 
 
 def _policy(calls):
-    """Deterministic policy for the curve: promotion becomes eligible
-    inside the first hot window, respecialization inside the first
-    shift window, and cooldown never delays a poll."""
+    """The default policy, scaled to the window size: promotion
+    becomes eligible inside the first hot window and the first review
+    of the shifted traffic inside the first shift window."""
     return OnlinePolicy(
         min_calls=max(20, calls // 2),
-        min_rate_hz=0.0,
-        stable_fraction=0.9,
-        window=64,
         violation_threshold=max(8, calls // 8),
-        max_sizes=4,
-        cooldown_s=0.0,
     )
 
 
@@ -135,13 +143,13 @@ def _make_call(stubs, registry, client, xids):
     return call
 
 
-def _window_us(call, args, calls):
-    """Mean microseconds per call over one un-averaged window (the
-    curve wants the trajectory, not best-of)."""
+def _window_us(call, window):
+    """Mean microseconds per call over one un-averaged window of
+    argument structs (the curve wants the trajectory, not best-of)."""
     started = time.perf_counter()
-    for _ in range(calls):
+    for args in window:
         call(args)
-    return (time.perf_counter() - started) / calls * 1e6
+    return (time.perf_counter() - started) / len(window) * 1e6
 
 
 def _verify_bytes(stubs, online_reg, shadow_reg, ns):
@@ -169,10 +177,7 @@ def _verify_bytes(stubs, online_reg, shadow_reg, ns):
 
 
 def _baseline_us(call, args, calls, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        best = min(best, _window_us(call, args, calls))
-    return best
+    return min(_window_us(call, [args] * calls) for _ in range(repeats))
 
 
 def run(workload=None, json_path=DEFAULT_JSON, calls=None):
@@ -231,9 +236,9 @@ def run(workload=None, json_path=DEFAULT_JSON, calls=None):
     windows = []
     wrong_bytes = 0
 
-    def run_window(phase, args, n):
+    def run_window(phase, window, n):
         nonlocal wrong_bytes
-        us = _window_us(online_call, args, calls)
+        us = _window_us(online_call, window)
         # decisions happen between windows, deterministically
         spec.poll_once()
         # correctness probes: the current length, the *other* phase's
@@ -259,19 +264,38 @@ def run(workload=None, json_path=DEFAULT_JSON, calls=None):
         return us
 
     for _ in range(HOT_WINDOWS):
-        run_window("hot", hot_args, HOT_N)
+        run_window("hot", [hot_args] * calls, HOT_N)
     assert spec.promotions >= 1, (
         "online specializer never promoted the hot procedure"
     )
     for _ in range(SHIFT_WINDOWS):
-        run_window("shift", shift_args, SHIFT_N)
+        run_window("shift", [shift_args] * calls, SHIFT_N)
     assert spec.respecializations >= 1, (
-        "violation threshold never triggered a respecialization"
+        "the uncovered table was never widened to the shifted length"
     )
     violations_seen = max(w["route_violations"] for w in windows)
     assert violations_seen >= 1, (
         "the invariant-violation fallback was never exercised"
     )
+    # the reconverged mix under a uniform tail: misses, not demotions
+    rng = random.Random(0)
+    tail_args = [stubs.intarr(vals=list(range(n)))
+                 for n in range(TAIL_MAX_N + 1)]
+
+    def server_guard():
+        table = next(t for t in spec.explain() if t["side"] == "server")
+        return table["hits"], table["violations"]
+
+    before_tail = server_guard()
+    for _ in range(TAIL_WINDOWS):
+        run_window("tail", [
+            tail_args[rng.randint(1, TAIL_MAX_N)]
+            if rng.random() < TAIL_SHARE
+            else (hot_args, shift_args)[index % 2]
+            for index in range(calls)
+        ], HOT_N)
+    tail_hits, tail_misses = (
+        now - before for now, before in zip(server_guard(), before_tail))
     spec.stop()
 
     converged_hot = min(
@@ -292,6 +316,8 @@ def run(workload=None, json_path=DEFAULT_JSON, calls=None):
         "fraction_of_hand_specialized": ratio(hand_us, converged_hot),
         "promotions": spec.promotions,
         "respecializations": spec.respecializations,
+        "demotions": spec.demotions,
+        "tail_hit_share": ratio(tail_hits, tail_hits + tail_misses),
         "violations": violations_seen,
         "wrong_bytes": wrong_bytes,
     }
@@ -319,6 +345,7 @@ def run(workload=None, json_path=DEFAULT_JSON, calls=None):
         },
         "windows": windows,
         "summary": summary,
+        "decisions": [d._asdict() for d in spec.decisions],
         "obs_metrics": obs.collect(),
     }
 
@@ -336,13 +363,26 @@ def run(workload=None, json_path=DEFAULT_JSON, calls=None):
          "violations"),
         rows,
         note="hot: stable length -> promotion; shift: new length ->"
-             " violations -> respecialization widens the guard",
+             " violations -> the review widens the table; tail: both"
+             " lengths + 5% other lengths -> misses, no demotion",
     ))
     print()
     print(f"converged: {summary['speedup_vs_generic']:.2f}x generic,"
           f" {summary['fraction_of_hand_specialized']:.2f}x of the"
           f" hand-specialized ceiling;"
+          f" tail phase hit share {summary['tail_hit_share']:.3f},"
+          f" demotions {spec.demotions};"
           f" wrong-bytes replies: {wrong_bytes}")
+    print()
+    for table in spec.explain():
+        last = table["last_decision"]
+        print(f"{table['side']} {table['procedure']}: variants"
+              f" {table['variants']} (size: hits), violations"
+              f" {table['violations']}, declines {table['declines']};"
+              f" last decision: {last.action if last else '-'}")
+    for d in spec.decisions:
+        print(f"  {d.side:6} {d.action:7} {d.size!s:>5}  {d.reason}"
+              f"  [{d.calls} calls, hit share {d.hit_share:.2f}]")
     if json_path:
         with open(json_path, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)

@@ -258,34 +258,39 @@ METRICS = {
     # -- online specialization (repro.specialized.online) -----------------
     "rpc.spec.online.observed": (
         "counter", "side",
-        "calls sampled by the dispatch/codec profilers while generic"
-        " (the evidence pool promotions are decided from)"),
+        "calls the generic codec served, sampled by the dispatch/codec"
+        " profilers (the evidence reviews are decided from; a call a"
+        " residual answered is not sampled)"),
     "rpc.spec.online.hits": (
         "counter", "side",
         "calls answered by a hot-swapped online-specialized route or"
         " codec"),
     "rpc.spec.online.violations": (
         "counter", "side",
-        "invariant-guard misses: messages outside the specialized"
-        " length set, answered by the generic codec on that call"),
+        "invariant-guard misses: messages of a size the variant table"
+        " does not hold, answered by the generic codec on that call"),
     "rpc.spec.online.promotions": (
         "counter", "side",
         "procedures auto-specialized and hot-swapped into dispatch"),
     "rpc.spec.online.respecializations": (
         "counter", "side",
-        "routes widened with a new stable length after the violation"
-        " threshold"),
+        "variants added to an uncovered table for a missed size that"
+        " holds more than 1 - stable_fraction of its guarded calls"),
+    "rpc.spec.online.evictions": (
+        "counter", "side",
+        "variants dropped: displaced from a full table by a size that"
+        " missed more often than they hit, or idle while nothing"
+        " missed was worth a variant"),
     "rpc.spec.online.demotions": (
         "counter", "side",
-        "routes removed back to generic (size distribution shifted or"
-        " width cap reached)"),
+        "tables whose last variant was evicted (back to generic)"),
     "rpc.spec.online.skips": (
         "counter", "reason",
         "refused builds, by reason (unroll_cap, unsupported,"
         " build_error, verify_failed)"),
     "rpc.spec.online.active": (
         "gauge", "side",
-        "online-specialized routes/codecs currently installed"),
+        "online routes/codecs currently holding a variant"),
     "rpc.spec.online.build_s": (
         "histogram", "",
         "background Tempo + compile time per online build, seconds"),

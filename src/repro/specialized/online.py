@@ -6,25 +6,33 @@ the live traffic profile (``repro.obs``-style dispatch sampling), the
 and the hot dispatch paths (``SvcRegistry.dispatch_bytes`` on every
 server tier, ``RpcClient.install_codec`` on the client):
 
-1. a :class:`DispatchProfiler` samples (prog, vers, proc) call counts
-   and observed request/reply size pairs at dispatch;
-2. an :class:`OnlinePolicy` decides which procedures are hot *and
-   stable* enough to specialize (min call count/rate, a dominant size
-   share over a recent window, and the paper's unroll-cap cost bound);
-3. an :class:`OnlineSpecializer` background thread runs the pipeline
-   for the decided invariants and atomically hot-swaps the residual
-   codec into dispatch — an :class:`OnlineServerRoute` on the server
-   (one copy-on-write dict publish covers ``svc_udp``/``svc_tcp`` and
-   both mux tiers, which all dispatch through the same registry), an
-   :class:`OnlineClientCodec` on the client.
+1. a :class:`ProcProfile` per procedure samples the calls the
+   *generic* codec served — on the server through the registry's
+   :class:`DispatchProfiler` tap, on the client inside the
+   :class:`OnlineClientCodec` — so a call a residual answered costs no
+   profiling at all;
+2. a :class:`VariantTable` per procedure (an :class:`OnlineServerRoute`
+   on the server, an :class:`OnlineClientCodec` on the client) maps
+   exact message sizes to verified residual codecs, at most
+   ``max_sizes`` of them, published copy-on-write, with a hit counter
+   per variant;
+3. an :class:`OnlineSpecializer` background thread reviews every table
+   under one **coverage rule** (:meth:`OnlineSpecializer._review`) and
+   builds what the rule asks for through the pipeline, its cache and
+   its verifier.
 
-Every specialized route carries an **invariant guard**: a message
-outside the specialized length set falls back to the generic codec on
-that call and records a violation; past a threshold the specializer
-*respecializes* with widened bounds (adds the newly dominant length to
-the route, up to ``max_sizes``) or — when the size distribution has
-shifted with no new dominant length, or the route is already at its
-width cap — *demotes* the procedure back to generic and cools down.
+Every table is its own **invariant guard**: a message whose size is not
+in it falls back to the generic codec on that call and counts one
+violation — a reason to answer that call generically, never a reason to
+throw the specialization away.  The rule, over the hits and misses
+since the last review: a table covering ``stable_fraction`` of its
+guarded calls is healthy and left alone; otherwise the most frequent
+missed size holding more than ``1 - stable_fraction`` of them is built
+and added (evicting the least-hit variant of a full table only if it
+had fewer hits than the newcomer had misses), and when no missed size
+qualifies the variants that do not hold that share themselves are
+dropped.  Promotion is the rule on an empty table, demotion is its last
+variant going.
 
 The loop is off by default: nothing engages unless an
 ``OnlineSpecializer`` is constructed and attached (the servers take an
@@ -37,7 +45,7 @@ import os
 import struct
 import threading
 import time
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from dataclasses import dataclass
 
 from repro import obs as _obs
@@ -61,11 +69,6 @@ _CALL_V2 = struct.pack(">II", 0, 2)
 #: sizes — error replies say nothing about the result invariants).
 _SUCCESS_REPLY = ReplyHeaderTemplate()
 
-#: bound on the distinct sizes a profile/violation tally tracks; sizes
-#: beyond it still count toward totals but are not enumerated (a wild
-#: distribution never grows unbounded state).
-_MAX_TRACKED_SIZES = 32
-
 
 def env_enabled(default=True):
     """The ``REPRO_ONLINE_SPEC`` kill switch.
@@ -83,58 +86,59 @@ def env_enabled(default=True):
 
 @dataclass
 class OnlinePolicy:
-    """When to specialize, how wide a route may grow, when to give up.
+    """When to specialize, how many variants a table may hold, when a
+    variant goes.
 
-    The defaults are conservative: a procedure must show a sustained,
-    size-stable load before the (seconds-long) Tempo build is spent on
-    it, and ``unroll_cap`` refuses element counts past the paper's
-    cost-model bound — beyond ~250 elements the unrolled residual
-    loses to the generic loop, so specializing there is a pessimization
-    (source paper §6, Table 4).
+    The defaults are conservative: a procedure must show a sustained
+    load before the (seconds-long) Tempo build is spent on it, and
+    ``unroll_cap`` refuses element counts past the paper's cost-model
+    bound — beyond ~250 elements the unrolled residual loses to the
+    generic loop, so specializing there is a pessimization (source
+    paper §6, Table 4).
     """
 
-    #: observed calls before a procedure is considered hot.
+    #: generic-served calls since the last decision before an empty
+    #: table is reviewed (the procedure is hot).
     min_calls: int = 200
     #: sustained call rate floor in calls/s (0 disables the rate test).
     min_rate_hz: float = 0.0
-    #: share of the recent window one size pair must hold to count as
-    #: a stable invariant (promotion and respecialization both).
+    #: share of its guarded calls a table must answer to be left
+    #: alone; a size must hold more than the rest, ``1 -
+    #: stable_fraction``, to earn a variant or keep an idle one.
     stable_fraction: float = 0.9
-    #: recent-sample window for the stability test.
+    #: generic-served calls sampled per procedure, and the fewest
+    #: guarded calls between two reviews of one table (so at most one
+    #: build per ``window`` calls).
     window: int = 64
     #: refuse to specialize bounded arrays longer than this (the
     #: paper's partial-unroll cost bound).
     unroll_cap: int = 250
-    #: guard misses between reviews of an installed route.
+    #: guard misses between reviews of a table that holds variants.
     violation_threshold: int = 32
-    #: distinct specialized lengths one route may carry before a new
-    #: stable length demotes instead of widening.
+    #: variants one table may hold; past it a newcomer must displace
+    #: the least-hit resident.
     max_sizes: int = 4
-    #: back-off after a demotion or a refused build before the same
-    #: procedure is reconsidered.
+    #: back-off after a refused or failed build before the same table
+    #: is reviewed again.
     cooldown_s: float = 5.0
 
 
 class ProcProfile:
-    """Per-(prog, vers, proc) traffic sample."""
+    """One procedure's sample of the calls the generic codec served."""
 
-    __slots__ = ("calls", "first_ts", "last_ts", "recent", "pairs")
+    __slots__ = ("calls", "first_ts", "last_ts", "recent")
 
     def __init__(self, window, now):
         self.calls = 0
         self.first_ts = now
         self.last_ts = now
-        #: recent (request_bytes, success_reply_bytes|None) pairs.
+        #: recent (size key, success_reply_bytes|None) pairs.
         self.recent = deque(maxlen=window)
-        #: all-time tally of the same pairs (bounded).
-        self.pairs = {}
 
-    def rate(self):
-        """Observed calls/s (inf while the window spans no time)."""
-        elapsed = self.last_ts - self.first_ts
-        if elapsed <= 0.0:
-            return float("inf")
-        return self.calls / elapsed
+    def record(self, key, reply_bytes, now):
+        self.calls += 1
+        self.last_ts = now
+        self.recent.append((key, reply_bytes))
 
 
 class DispatchProfiler:
@@ -143,8 +147,8 @@ class DispatchProfiler:
     Installed via ``SvcRegistry.install_profiler``; the registry calls
     :meth:`record` with the raw request and the raw reply after every
     message its default body answered, so the sample covers exactly
-    the traffic that is *not* yet specialized.  Parsing is three slice
-    compares and one ``struct.unpack_from`` — cheap enough to leave on.
+    the traffic no residual served.  Parsing is three slice compares
+    and one ``struct.unpack_from`` — cheap enough to leave on.
     """
 
     def __init__(self, window=64, clock=time.monotonic):
@@ -155,22 +159,17 @@ class DispatchProfiler:
     def record(self, data, reply):
         if len(data) < 24 or data[4:12] != _CALL_V2:
             return
-        prog, vers, proc = struct.unpack_from(">3I", data, 12)
-        key = (prog, vers, proc)
+        key = struct.unpack_from(">3I", data, 12)
+        now = self.clock()
         profile = self._profiles.get(key)
         if profile is None:
             profile = self._profiles.setdefault(
-                key, ProcProfile(self.window, self.clock())
-            )
-        profile.calls += 1
-        profile.last_ts = self.clock()
-        reply_bytes = (len(reply) if reply is not None
-                       and _SUCCESS_REPLY.matches(reply) else None)
-        pair = (len(data), reply_bytes)
-        profile.recent.append(pair)
-        pairs = profile.pairs
-        if pair in pairs or len(pairs) < _MAX_TRACKED_SIZES:
-            pairs[pair] = pairs.get(pair, 0) + 1
+                key, ProcProfile(self.window, now))
+        profile.record(
+            len(data),
+            len(reply) if reply is not None
+            and _SUCCESS_REPLY.matches(reply) else None,
+            now)
         if _obs.enabled:
             _obs.registry.counter("rpc.spec.online.observed",
                                   side="server").inc()
@@ -179,140 +178,212 @@ class DispatchProfiler:
         """The live profiles, keyed by (prog, vers, proc)."""
         return dict(self._profiles)
 
-    def reset(self, key):
-        """Forget one procedure's sample (after a demotion, so a
-        repromotion needs fresh evidence of stability)."""
-        self._profiles.pop(key, None)
+
+def _implied_lens(pipeline, struct_, nbytes, message_size):
+    """Invert an observed message size to the bounded-array element
+    count it implies, or None when no single binding covers it
+    (several bounded arrays split one size ambiguously)."""
+    fields = pipeline._gen.var_fields(struct_)
+    floor = message_size(pipeline.interface, struct_,
+                         {f: 0 for f in fields})
+    if not fields:
+        return {} if nbytes == floor else None
+    if len(fields) > 1:
+        return None
+    extra = nbytes - floor
+    if extra < 0 or extra % 4:
+        return None
+    return {fields[0]: extra // 4}
 
 
-def _dominant(samples):
-    """``(value, share)`` of the most common element, or (None, 0.0)."""
-    if not samples:
-        return None, 0.0
-    counts = Counter(samples)
-    value, count = counts.most_common(1)[0]
-    return value, count / sum(counts.values())
+class _Variant:
+    """One resident residual: its entry point and its hit counter."""
+
+    __slots__ = ("spec", "run", "hits", "reviewed")
+
+    def __init__(self, spec, run):
+        self.spec = spec
+        self.run = run
+        self.hits = 0
+        #: ``hits`` as of the table's last review.
+        self.reviewed = 0
 
 
-def _dominant_of_counts(counts):
-    """Like :func:`_dominant` for an already-tallied {value: count}."""
-    if not counts:
-        return None, 0.0
-    value = max(counts, key=counts.get)
-    return value, counts[value] / sum(counts.values())
+class VariantTable:
+    """Size key -> verified residual, for one procedure on one side.
 
-
-class OnlineServerRoute:
-    """One hot procedure's residual route body, with the invariant guard.
-
-    Holds a map of *exact request sizes* to compiled
-    :class:`~repro.specialized.pipeline.ServerSpecialization` residuals
-    (one per specialized length — "widened bounds" means more entries).
-    A request whose size is not in the map is an invariant violation:
-    it is counted and declined, so the registry's default body answers
-    it correctly on that call (the guard never guesses).
-
-    Installed with ``SvcRegistry.install_route(..., tier="online")``:
-    the registry's dispatch spine runs the at-most-once protocol,
-    drain and quota around this body exactly as around every other, so
-    at-most-once holds across a mid-traffic hot swap.
+    The table is the invariant guard (a key outside it is a violation,
+    answered generically on that call) and the evidence the coverage
+    rule reads: a hit counter per variant, a violation counter, and
+    ``profile`` — the recent generic-served calls, which while the
+    table holds variants are exactly its misses.  ``variants`` is
+    published copy-on-write, so the hit path is one lock-free dict
+    lookup; everything else here is the specializer's bookkeeping,
+    touched only under its lock.
     """
 
-    def __init__(self, registry, prog, vers, proc):
-        self.registry = registry
-        self.prog = prog
-        self.vers = vers
+    side = None
+    #: pipeline method that builds a variant / spec method that runs it
+    builder = None
+    entry = None
+
+    def __init__(self, pipeline, proc, profile):
+        self.pipeline = pipeline
         self.proc = proc
-        #: expected request bytes -> ServerSpecialization (copy-on-write)
-        self._specs = {}
-        self.hits = 0
+        self.arg_struct = pipeline._struct_for(proc.arg, proc.name)
+        self.ret_struct = pipeline._struct_for(proc.ret, proc.name)
+        self.profile = profile
+        self.variants = {}
+        #: guarded calls whose size is not in the table.
         self.violations = 0
-        self._violation_sizes = {}
+        #: in-table sizes the residual refused (malformed bytes): the
+        #: generic codec answers those too, but they say nothing about
+        #: which sizes are hot.
+        self.declines = 0
+        self.cooldown_until = 0.0
+        self.last_decision = None
+        self._retired_hits = 0
+        self._reviewed = (0, 0, profile.first_ts)
 
     @property
     def sizes(self):
-        """The specialized request sizes, ascending."""
-        return sorted(self._specs)
+        """The resident size keys, ascending."""
+        return sorted(self.variants)
 
-    def add_size(self, request_bytes, spec):
-        """Widen the guard: publish a new size -> residual binding."""
-        specs = dict(self._specs)
-        specs[request_bytes] = spec
-        self._specs = specs
+    @property
+    def hits(self):
+        return self._retired_hits + sum(
+            variant.hits for variant in self.variants.values())
 
-    def take_violation_sizes(self):
-        """Drain the per-size violation tally (review time)."""
-        sizes, self._violation_sizes = self._violation_sizes, {}
-        return sizes
-
-    def _violation(self, nbytes):
+    def _miss(self):
         self.violations += 1
-        sizes = self._violation_sizes
-        if nbytes in sizes or len(sizes) < _MAX_TRACKED_SIZES:
-            sizes[nbytes] = sizes.get(nbytes, 0) + 1
         if _obs.enabled:
             _obs.registry.counter("rpc.spec.online.violations",
-                                  side="server").inc()
+                                  side=self.side).inc()
+
+    def swap(self, add=None, drop=()):
+        """Publish a new table: ``drop`` keys out, ``add=(key, spec)``
+        in, atomically."""
+        variants = dict(self.variants)
+        for key in drop:
+            self._retired_hits += variants.pop(key).hits
+        if add is not None:
+            key, spec = add
+            variants[key] = _Variant(spec, getattr(spec, self.entry))
+        self._publish(variants)
+
+    def _publish(self, variants):
+        self.variants = variants
+
+    def period(self):
+        """``(hits per resident variant, violations, generic-served
+        calls, start of the period)`` since the last review."""
+        violations, calls, since = self._reviewed
+        return ({key: variant.hits - variant.reviewed
+                 for key, variant in self.variants.items()},
+                self.violations - violations,
+                self.profile.calls - calls, since)
+
+    def close_period(self):
+        for variant in self.variants.values():
+            variant.reviewed = variant.hits
+        self._reviewed = (self.violations, self.profile.calls,
+                          self.profile.last_ts)
+
+
+class OnlineServerRoute(VariantTable):
+    """One hot procedure's residual route body, with the invariant guard.
+
+    Keys are *exact request sizes*, values compiled
+    :class:`~repro.specialized.pipeline.ServerSpecialization` residuals.
+    A request whose size is not in the table is an invariant violation:
+    it is counted and declined, so the registry's default body answers
+    it correctly on that call (the guard never guesses).
+
+    Installed with ``SvcRegistry.install_route(..., tier="online")``
+    while it holds a variant: the registry's dispatch spine runs the
+    at-most-once protocol, drain and quota around this body exactly as
+    around every other, so at-most-once holds across a mid-traffic hot
+    swap.
+    """
+
+    side = "server"
+    builder = "specialize_server"
+    entry = "residual_reply"
+
+    def __init__(self, pipeline, proc, profile, registry, key):
+        super().__init__(pipeline, proc, profile)
+        self.registry = registry
+        self.key = key
+
+    def arg_lens(self, request_bytes):
+        return _implied_lens(self.pipeline, self.arg_struct, request_bytes,
+                             request_size)
+
+    def _publish(self, variants):
+        was, self.variants = self.variants, variants
+        if variants and not was:
+            self.registry.install_route(*self.key, self, tier="online")
+        elif was and not variants:
+            self.registry.remove_route(*self.key)
 
     def __call__(self, data):
-        spec = self._specs.get(len(data))
-        # None from the residual (bytes that crash it) declines too
-        reply = spec.residual_reply(data) if spec is not None else None
+        variant = self.variants.get(len(data))
+        if variant is None:
+            self._miss()
+            return None
+        reply = variant.run(data)
         if reply is None:
-            self._violation(len(data))
+            # bytes that crash the residual: the default body answers
+            self.declines += 1
             return None
         self.registry.handlers_invoked += 1
-        self.hits += 1
+        variant.hits += 1
         if _obs.enabled:
             _obs.registry.counter("rpc.spec.online.hits",
                                   side="server").inc()
         return reply
 
 
-class OnlineClientCodec:
+class OnlineClientCodec(VariantTable):
     """Whole-message client codec that profiles, then hot-swaps.
 
     Installed by :meth:`OnlineSpecializer.attach_client` via
-    ``RpcClient.install_codec``.  Until a specialization is built it is
-    a byte-identical generic encoder/decoder that samples argument
-    lengths and success-reply sizes; after promotion it routes calls
-    whose argument length is specialized through the residual codecs
-    and everything else through the generic path (one violation each).
+    ``RpcClient.install_codec``.  Keys are argument element counts.
+    A call whose count is in the table goes through the residual
+    codecs and touches nothing else; every other call is encoded and
+    decoded by the byte-identical generic path, which also samples its
+    (count, success-reply size) pair — one violation each while the
+    table holds variants.
     """
+
+    side = "client"
+    builder = "specialize_client"
+    entry = "build_request"
 
     def __init__(self, specializer, client, proc_name):
         pipeline = specializer.pipeline
+        self._clock = specializer.clock
+        window = specializer.policy.window
+        super().__init__(pipeline, pipeline.find_proc(proc_name),
+                         ProcProfile(window, self._clock()))
         self.client = client
-        self.proc_name = proc_name
-        self.proc = pipeline.find_proc(proc_name)
-        self.arg_struct = pipeline._struct_for(self.proc.arg, proc_name)
-        self.ret_struct = pipeline._struct_for(self.proc.ret, proc_name)
         self._arg_fields = pipeline._gen.var_fields(self.arg_struct)
         self._arg_filter = getattr(pipeline.stubs,
                                    f"xdr_{self.arg_struct.name}")
         self._ret_filter = getattr(pipeline.stubs,
                                    f"xdr_{self.ret_struct.name}")
-        self._clock = specializer.clock
-        self.calls = 0
-        self.hits = 0
-        self.violations = 0
-        self._violation_lens = {}
-        self.first_ts = None
-        self.last_ts = None
-        window = specializer.policy.window
-        #: recent argument element counts (None = unprofilable args).
-        self.recent = deque(maxlen=window)
-        #: recent success-reply byte sizes.
-        self.reply_recent = deque(maxlen=window)
-        #: arg element count -> ClientSpecialization (copy-on-write).
-        self._specs = {}
-        #: expected reply bytes -> the same specs, for parse routing.
+        #: xid -> element count of generic calls awaiting their reply
+        #: (bounded by ``window``: lost replies never accumulate).
+        self._pending = {}
+        #: expected reply bytes -> resident spec, for parse routing.
         self._by_reply = {}
 
-    @property
-    def lens(self):
-        """The specialized argument element counts, ascending."""
-        return sorted(self._specs)
+    #: the resident argument element counts, ascending.
+    lens = VariantTable.sizes
+
+    def arg_lens(self, n):
+        return {self._arg_fields[0]: n} if self._arg_fields else {}
 
     def arg_count(self, args):
         """The bounded-array element count of ``args`` (0 when the
@@ -327,67 +398,36 @@ class OnlineClientCodec:
         except TypeError:
             return None
 
-    def add_spec(self, n, spec):
-        specs = dict(self._specs)
-        specs[n] = spec
-        self._specs = specs
-        by_reply = dict(self._by_reply)
-        by_reply[spec.expected_reply] = spec
-        self._by_reply = by_reply
-
-    def clear_specs(self):
-        self._specs = {}
-        self._by_reply = {}
-
-    def reset_profile(self):
-        self.calls = 0
-        self.first_ts = None
-        self.last_ts = None
-        self.recent.clear()
-        self.reply_recent.clear()
-
-    def take_violation_lens(self):
-        lens, self._violation_lens = self._violation_lens, {}
-        return lens
-
-    def _violation(self, n):
-        self.violations += 1
-        lens = self._violation_lens
-        if n in lens or len(lens) < _MAX_TRACKED_SIZES:
-            lens[n] = lens.get(n, 0) + 1
-        if _obs.enabled:
-            _obs.registry.counter("rpc.spec.online.violations",
-                                  side="client").inc()
+    def _publish(self, variants):
+        self.variants = variants
+        self._by_reply = {variant.spec.expected_reply: variant.spec
+                          for variant in variants.values()}
 
     # -- the codec entry points -----------------------------------------
 
     def build_request(self, xid, args):
-        now = self._clock()
-        if self.first_ts is None:
-            self.first_ts = now
-        self.last_ts = now
-        self.calls += 1
         n = self.arg_count(args)
-        if n is not None:
-            self.recent.append(n)
-        if _obs.enabled:
-            _obs.registry.counter("rpc.spec.online.observed",
-                                  side="client").inc()
-        specs = self._specs
-        if specs:
-            spec = specs.get(n)
-            if spec is not None:
-                try:
-                    out = spec.build_request(xid, args)
-                except XdrError:
-                    out = None
-                if out is not None:
-                    self.hits += 1
-                    if _obs.enabled:
-                        _obs.registry.counter("rpc.spec.online.hits",
-                                              side="client").inc()
-                    return out
-            self._violation(n)
+        variant = self.variants.get(n)
+        if variant is not None:
+            try:
+                out = variant.run(xid, args)
+            except XdrError:
+                out = None
+            if out is not None:
+                variant.hits += 1
+                if _obs.enabled:
+                    _obs.registry.counter("rpc.spec.online.hits",
+                                          side="client").inc()
+                return out
+            self.declines += 1
+        else:
+            if self.variants:
+                self._miss()
+            if n is not None:
+                pending = self._pending
+                if len(pending) >= self.profile.recent.maxlen:
+                    pending.clear()
+                pending[xid] = n
         return self._generic_request(xid, args)
 
     def _generic_request(self, xid, args):
@@ -402,8 +442,8 @@ class OnlineClientCodec:
         return stream.data()
 
     def parse_reply(self, data, xid):
-        if _SUCCESS_REPLY.matches(data):
-            self.reply_recent.append(len(data))
+        if self._pending:
+            self._sample(data, xid)
         spec = self._by_reply.get(len(data))
         if spec is not None:
             # ClientSpecialization.parse_reply falls back generically
@@ -416,14 +456,35 @@ class OnlineClientCodec:
         raise_for_reply(reply)
         return True, self._ret_filter(stream, None)
 
+    def _sample(self, data, xid):
+        """Profile the reply of a call the generic path encoded."""
+        if int.from_bytes(data[:4], "big") != xid & 0xFFFFFFFF:
+            return  # a stale datagram, not this call's reply
+        n = self._pending.pop(xid, None)
+        if n is None:
+            return
+        self.profile.record(
+            n, len(data) if _SUCCESS_REPLY.matches(data) else None,
+            self._clock())
+        if _obs.enabled:
+            _obs.registry.counter("rpc.spec.online.observed",
+                                  side="client").inc()
 
-@dataclass
-class _RouteState:
-    """Specializer-side bookkeeping for one attachment target."""
 
-    route: object = None
-    cooldown_until: float = 0.0
-    reviewed_violations: int = 0
+#: One entry of :attr:`OnlineSpecializer.decisions`.  ``action`` is
+#: promote | widen | evict | demote | skip, on size key ``size`` (None
+#: for a demotion); ``calls`` and ``hit_share`` are the guarded calls of
+#: the period the decision was taken on and the share of them the table
+#: answered; ``sizes`` is that period's ``(size, calls)`` pairs, most
+#: frequent first: every resident variant's hits and the top missed
+#: sizes' misses.
+Decision = namedtuple("Decision", "clock side procedure action size reason"
+                                  " calls hit_share sizes")
+
+
+#: decision action -> the counter it moves
+_COUNTERS = {"promote": "promotions", "widen": "respecializations",
+             "evict": "evictions", "demote": "demotions", "skip": "skips"}
 
 
 class OnlineSpecializer:
@@ -442,6 +503,9 @@ class OnlineSpecializer:
     an auto-specialization survives restarts: the next process's
     promotion revives the residual code from disk instead of re-running
     Tempo.
+
+    Every decision is appended to :attr:`decisions` (the last 64) with
+    the evidence it was taken on; :meth:`explain` shows each table.
     """
 
     def __init__(self, pipeline, policy=None, interval_s=0.05,
@@ -455,18 +519,18 @@ class OnlineSpecializer:
             self.enabled = env_enabled()
         else:
             self.enabled = True if enabled is None else bool(enabled)
-        self._servers = []   # (registry, profiler)
+        self._servers = []   # (registry, profiler, {key: route|None})
         self._clients = []   # OnlineClientCodec
-        self._states = {}
         self._lock = threading.RLock()
         self._stop_event = threading.Event()
         self._thread = None
         self.promotions = 0
         self.respecializations = 0
+        self.evictions = 0
         self.demotions = 0
         self.skips = 0
         self.builds = 0
-        self.last_build_s = 0.0
+        self.decisions = deque(maxlen=64)
         self._active = {"server": 0, "client": 0}
 
     # -- attachment ------------------------------------------------------
@@ -482,7 +546,7 @@ class OnlineSpecializer:
                                     clock=self.clock)
         registry.install_profiler(profiler)
         with self._lock:
-            self._servers.append((registry, profiler))
+            self._servers.append((registry, profiler, {}))
         return profiler
 
     def attach_client(self, client, proc_name):
@@ -543,17 +607,29 @@ class OnlineSpecializer:
     # -- the decision pass ----------------------------------------------
 
     def poll_once(self):
-        """One decide/build/swap pass over every attachment.  The
+        """One decide/build/swap pass over every table.  The
         background loop calls this on ``interval_s``; tests and the
         bench call it directly for deterministic convergence."""
         if not self.enabled:
             return
         with self._lock:
-            for registry, profiler in self._servers:
-                for key, profile in profiler.snapshot().items():
-                    self._consider_server(registry, profiler, key, profile)
-            for codec in self._clients:
-                self._consider_client(codec)
+            for table in self._tables():
+                self._review(table)
+
+    def _tables(self):
+        """Every table under management; a server route is created
+        (empty, not installed) when its procedure is first profiled."""
+        tables = []
+        for registry, profiler, routes in self._servers:
+            for key, profile in profiler.snapshot().items():
+                if key not in routes:
+                    proc = self._match_proc(*key)
+                    # None: another program (health, portmap, ...)
+                    routes[key] = proc and OnlineServerRoute(
+                        self.pipeline, proc, profile, registry, key)
+                if routes[key] is not None:
+                    tables.append(routes[key])
+        return tables + self._clients
 
     def _match_proc(self, prog, vers, proc_number):
         pipeline = self.pipeline
@@ -565,239 +641,146 @@ class OnlineSpecializer:
                 return proc
         return None
 
-    def _lens_for(self, struct, nbytes, message_size):
-        """Invert an observed message size to the bounded-array element
-        count it implies, or None when no single binding covers it
-        (several bounded arrays split one size ambiguously)."""
-        fields = self.pipeline._gen.var_fields(struct)
-        floor = message_size(self.pipeline.interface, struct,
-                             {f: 0 for f in fields})
-        if not fields:
-            return {} if nbytes == floor else None
-        if len(fields) > 1:
-            return None
-        extra = nbytes - floor
-        if extra < 0 or extra % 4:
-            return None
-        return {fields[0]: extra // 4}
+    def explain(self):
+        """Per table: side, procedure, the resident variants with their
+        hit counts, the guard tallies and the last decision."""
+        with self._lock:
+            return [{
+                "side": table.side,
+                "procedure": table.proc.name,
+                "variants": {key: variant.hits for key, variant
+                             in sorted(table.variants.items())},
+                "hits": table.hits,
+                "violations": table.violations,
+                "declines": table.declines,
+                "last_decision": table.last_decision,
+            } for table in self._tables()]
 
-    def _state(self, kind, ident):
-        state = self._states.get((kind, ident))
-        if state is None:
-            state = _RouteState()
-            self._states[(kind, ident)] = state
-        return state
-
-    def _counted(self, what, side):
+    def _decide(self, table, action, size, reason, evidence):
+        decision = Decision(self.clock(), table.side, table.proc.name,
+                            action, size, reason, *evidence)
+        self.decisions.append(decision)
+        table.last_decision = decision
+        what = _COUNTERS[action]
         setattr(self, what, getattr(self, what) + 1)
+        if action in ("promote", "demote"):
+            self._active[table.side] += 1 if action == "promote" else -1
         if _obs.enabled:
+            labels = ({"reason": reason} if action == "skip"
+                      else {"side": table.side})
             _obs.registry.counter(f"rpc.spec.online.{what}",
-                                  side=side).inc()
+                                  **labels).inc()
+            _obs.registry.gauge("rpc.spec.online.active", side=table.side
+                                ).set(self._active[table.side])
 
-    def _swap_count(self, side, delta):
-        self._active[side] += delta
-        if _obs.enabled:
-            _obs.registry.gauge("rpc.spec.online.active",
-                                side=side).set(self._active[side])
+    def _review(self, table):
+        """The coverage rule, on one table, over the period since its
+        last review.  At most one build per call."""
+        policy = self.policy
+        if self.clock() < table.cooldown_until:
+            return
+        held, misses, served, since = table.period()
+        if held:
+            hits = sum(held.values())
+            if (misses < policy.violation_threshold
+                    or hits + misses < policy.window):
+                return
+        else:
+            # nothing is guarded yet: every generic-served call counts
+            hits, misses = 0, served
+            elapsed = table.profile.last_ts - since
+            if misses < policy.min_calls or (
+                    elapsed > 0 and misses / elapsed < policy.min_rate_hz):
+                return
+        calls = hits + misses
+        if not calls:
+            return
+        if hits >= policy.stable_fraction * calls:
+            table.close_period()   # healthy
+            return
+        # the period's misses are the newest generic-served calls of
+        # an off-table size
+        recent = [pair for pair in list(table.profile.recent)
+                  if pair[0] not in held][-misses:]
+        if not recent:
+            return   # misses whose replies never came back: no sample
+        replies = {}   # missed size -> Counter of its success-reply sizes
+        for key, reply_bytes in recent:
+            if reply_bytes is not None:
+                replies.setdefault(key, Counter())[reply_bytes] += 1
+        ranked = sorted(((key, sum(counts.values()) * misses / len(recent))
+                         for key, counts in replies.items()),
+                        key=lambda kv: -kv[1])
+        evidence = (calls, hits / calls, tuple(sorted(
+            [*held.items(), *ranked[:4]], key=lambda kv: -kv[1])))
+        bar = (1.0 - policy.stable_fraction) * calls
+        size, count = ranked[0] if ranked else (None, 0)
+        if count > bar:
+            victim = None
+            if len(held) >= policy.max_sizes:
+                victim = min(held, key=held.get)
+                if held[victim] >= count:
+                    table.close_period()   # it holds the best it can
+                    return
+            spec, refusal = self._build(
+                table, size, replies[size].most_common(1)[0][0])
+            if spec is None:
+                table.cooldown_until = self.clock() + policy.cooldown_s
+                self._decide(table, "skip", size, refusal, evidence)
+            else:
+                share = f"size {size}: {count / calls:.0%} of calls missed"
+                if victim is not None:
+                    self._decide(table, "evict", victim,
+                                 f"{held[victim]} hits, displaced by "
+                                 + share, evidence)
+                table.swap(add=(size, spec),
+                           drop=() if victim is None else (victim,))
+                self._decide(table, "widen" if held else "promote", size,
+                             share, evidence)
+        elif held:
+            idle = [key for key, n in held.items() if n <= bar]
+            if idle:
+                table.swap(drop=idle)
+            for key in idle:
+                self._decide(table, "evict", key,
+                             f"{held[key]} hits, no missed size to widen"
+                             " to", evidence)
+            if not table.variants:
+                self._decide(table, "demote", None, "last variant evicted",
+                             evidence)
+        else:
+            return  # cold and spread: keep watching the same period
+        table.close_period()
 
-    def _skip(self, reason, state):
-        self.skips += 1
-        state.cooldown_until = self.clock() + self.policy.cooldown_s
-        if _obs.enabled:
-            _obs.registry.counter("rpc.spec.online.skips",
-                                  reason=reason).inc()
-
-    def _build(self, state, builder, lens_list):
+    def _build(self, table, size, reply_bytes):
+        """``(spec, None)`` for ``size`` through the pipeline, cache
+        and verifier, or ``(None, refusal)``."""
+        arg_lens = table.arg_lens(size)
+        res_lens = _implied_lens(self.pipeline, table.ret_struct,
+                                 reply_bytes, reply_size)
+        if arg_lens is None or res_lens is None:
+            return None, "unsupported"
         cap = self.policy.unroll_cap
-        if any(n > cap for lens in lens_list for n in lens.values()):
-            self._skip("unroll_cap", state)
-            return None
+        if any(n > cap for lens in (arg_lens, res_lens)
+               for n in lens.values()):
+            return None, "unroll_cap"
         started = self.clock()
         try:
-            spec = builder()
+            spec = getattr(self.pipeline, table.builder)(
+                table.proc.name, arg_lens=arg_lens, res_lens=res_lens,
+                bufsize=self.bufsize)
         except VerificationError as exc:
             # The equivalence verifier rejected the residual codec:
-            # never promote it; the generic path keeps serving.
+            # never install it; the generic path keeps serving.
             logger.warning("online specialization rejected by the"
                            " residual verifier: %s", exc)
-            self._skip("verify_failed", state)
-            return None
+            return None, "verify_failed"
         # repro: disable=overbroad-except -- a failed build is skipped and counted; the generic path keeps serving
         except Exception:
             logger.exception("online specialization build failed")
-            self._skip("build_error", state)
-            return None
+            return None, "build_error"
         self.builds += 1
-        self.last_build_s = self.clock() - started
         if _obs.enabled:
             _obs.registry.histogram("rpc.spec.online.build_s").observe(
-                self.last_build_s)
-        return spec
-
-    # -- server side -----------------------------------------------------
-
-    def _build_server(self, state, proc, req_bytes, rep_bytes):
-        pipeline = self.pipeline
-        arg_struct = pipeline._struct_for(proc.arg, proc.name)
-        ret_struct = pipeline._struct_for(proc.ret, proc.name)
-        arg_lens = self._lens_for(arg_struct, req_bytes, request_size)
-        res_lens = self._lens_for(ret_struct, rep_bytes, reply_size)
-        if arg_lens is None or res_lens is None:
-            self._skip("unsupported", state)
-            return None
-        return self._build(
-            state,
-            lambda: pipeline.specialize_server(
-                proc.name, arg_lens=arg_lens, res_lens=res_lens,
-                bufsize=self.bufsize,
-            ),
-            (arg_lens, res_lens),
-        )
-
-    def _reply_bytes_for(self, profile, req_bytes):
-        """The dominant success-reply size seen with ``req_bytes``
-        requests, or None."""
-        best, best_count = None, 0
-        for (req, rep), count in profile.pairs.items():
-            if req == req_bytes and rep is not None and count > best_count:
-                best, best_count = rep, count
-        return best
-
-    def _consider_server(self, registry, profiler, key, profile):
-        prog, vers, proc_number = key
-        policy = self.policy
-        state = self._state("server", (id(registry), key))
-        now = self.clock()
-        if now < state.cooldown_until:
-            return
-        if state.route is None:
-            proc = self._match_proc(prog, vers, proc_number)
-            if proc is None:
-                return  # another program (health, portmap, ...)
-            if profile.calls < policy.min_calls:
-                return
-            if policy.min_rate_hz and profile.rate() < policy.min_rate_hz:
-                return
-            pair, share = _dominant(profile.recent)
-            if pair is None or share < policy.stable_fraction:
-                return
-            req_bytes, rep_bytes = pair
-            if rep_bytes is None:
-                return  # the dominant shape is not a success reply
-            spec = self._build_server(state, proc, req_bytes, rep_bytes)
-            if spec is None:
-                return
-            route = OnlineServerRoute(registry, prog, vers, proc_number)
-            route.add_size(req_bytes, spec)
-            registry.install_route(prog, vers, proc_number, route,
-                                   tier="online")
-            state.route = route
-            state.reviewed_violations = 0
-            self._counted("promotions", "server")
-            self._swap_count("server", +1)
-            return
-        route = state.route
-        fresh = route.violations - state.reviewed_violations
-        if fresh < policy.violation_threshold:
-            return
-        state.reviewed_violations = route.violations
-        sizes = route.take_violation_sizes()
-        size, share = _dominant_of_counts(sizes)
-        if (size is not None and share >= policy.stable_fraction
-                and len(route.sizes) < policy.max_sizes):
-            proc = self._match_proc(prog, vers, proc_number)
-            rep_bytes = self._reply_bytes_for(profile, size)
-            if proc is not None and rep_bytes is not None:
-                spec = self._build_server(state, proc, size, rep_bytes)
-                if spec is not None:
-                    # Widen the guard in place: the new length joins
-                    # the route's accepted set atomically.
-                    route.add_size(size, spec)
-                    self._counted("respecializations", "server")
-                    return
-            if now < state.cooldown_until:
-                return  # the build was refused; keep the route as-is
-        # No stable new length (the distribution shifted), or the
-        # route is as wide as policy allows: demote to generic.
-        registry.remove_route(prog, vers, proc_number)
-        profiler.reset(key)
-        state.route = None
-        state.reviewed_violations = 0
-        state.cooldown_until = now + policy.cooldown_s
-        self._counted("demotions", "server")
-        self._swap_count("server", -1)
-
-    # -- client side -----------------------------------------------------
-
-    def _build_client(self, state, codec, n, rep_bytes):
-        pipeline = self.pipeline
-        if codec._arg_fields and len(codec._arg_fields) == 1:
-            arg_lens = {codec._arg_fields[0]: n}
-        elif not codec._arg_fields:
-            arg_lens = {}
-        else:
-            self._skip("unsupported", state)
-            return None
-        res_lens = self._lens_for(codec.ret_struct, rep_bytes, reply_size)
-        if res_lens is None:
-            self._skip("unsupported", state)
-            return None
-        return self._build(
-            state,
-            lambda: pipeline.specialize_client(
-                codec.proc_name, arg_lens=arg_lens, res_lens=res_lens,
-                bufsize=self.bufsize,
-            ),
-            (arg_lens, res_lens),
-        )
-
-    def _consider_client(self, codec):
-        policy = self.policy
-        state = self._state("client", id(codec))
-        now = self.clock()
-        if now < state.cooldown_until:
-            return
-        if not codec._specs:
-            if codec.calls < policy.min_calls:
-                return
-            if policy.min_rate_hz:
-                elapsed = (codec.last_ts or 0) - (codec.first_ts or 0)
-                if elapsed <= 0 or codec.calls / elapsed < policy.min_rate_hz:
-                    return
-            n, share = _dominant(codec.recent)
-            if n is None or share < policy.stable_fraction:
-                return
-            rep_bytes, rep_share = _dominant(codec.reply_recent)
-            if rep_bytes is None or rep_share < policy.stable_fraction:
-                return
-            spec = self._build_client(state, codec, n, rep_bytes)
-            if spec is None:
-                return
-            codec.add_spec(n, spec)
-            state.reviewed_violations = 0
-            self._counted("promotions", "client")
-            self._swap_count("client", +1)
-            return
-        fresh = codec.violations - state.reviewed_violations
-        if fresh < policy.violation_threshold:
-            return
-        state.reviewed_violations = codec.violations
-        lens = codec.take_violation_lens()
-        n, share = _dominant_of_counts(lens)
-        if (n is not None and share >= policy.stable_fraction
-                and len(codec.lens) < policy.max_sizes):
-            rep_bytes, rep_share = _dominant(codec.reply_recent)
-            if rep_bytes is not None and rep_share >= policy.stable_fraction:
-                spec = self._build_client(state, codec, n, rep_bytes)
-                if spec is not None:
-                    codec.add_spec(n, spec)
-                    self._counted("respecializations", "client")
-                    return
-            if now < state.cooldown_until:
-                return
-        codec.clear_specs()
-        codec.reset_profile()
-        state.reviewed_violations = 0
-        state.cooldown_until = now + policy.cooldown_s
-        self._counted("demotions", "client")
-        self._swap_count("client", -1)
+                self.clock() - started)
+        return spec, None

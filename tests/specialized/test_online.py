@@ -3,9 +3,10 @@
 The contract under test: traffic profiles promote hot procedures to
 compiled residual routes/codecs hot-swapped into live dispatch, every
 specialized answer is byte-identical to the generic path, out-of-range
-messages fall back generically (never wrong bytes), violation pressure
-widens the guard or demotes, and residuals revive from the disk cache
-across restarts.
+messages fall back generically (never wrong bytes), an uncovered table
+widens toward the missed size or sheds idle variants, and residuals
+revive from the disk cache across restarts.  The policy's thrash-freedom
+properties are in ``test_online_policy.py``.
 """
 
 import itertools
@@ -22,6 +23,10 @@ from repro.specialized import (
     OnlinePolicy,
     OnlineSpecializer,
     SpecializationPipeline,
+)
+from tests.rpc import test_dispatch_spine as spine
+from tests.rpc.test_dispatch_spine import (  # noqa: F401 (fixture)
+    pipeline as spine_pipeline,
 )
 
 IDL = """
@@ -53,9 +58,14 @@ HOT_N = 8
 CALLER = ("127.0.0.1", 50505)
 
 #: fast, deterministic policy: promotion after 10 calls, review after
-#: 4 violations, no cooldown (tests that need cooldown override it)
+#: 4 violations in at least 8 guarded calls, no back-off (the test that
+#: needs one overrides it)
 POLICY = dict(min_calls=10, window=8, stable_fraction=0.9,
               violation_threshold=4, max_sizes=2, cooldown_s=0.0)
+#: a window in which one sample is under the 10% a size must hold, so
+#: a spread of sizes earns no variant, and 16 lengths to spread over
+WIDE = 32
+SPREAD = tuple(range(20, 36))
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +112,12 @@ def drive(stubs, registry, xids, n, count, caller=None):
     return reply
 
 
+def drive_spread(stubs, registry, xids, count):
+    """``count`` calls cycling over SPREAD: no length holds 10%."""
+    for n in itertools.islice(itertools.cycle(SPREAD), count):
+        drive(stubs, registry, xids, n, 1)
+
+
 def route_of(registry):
     entry = registry.route_for(PROG, VERS, PROC)
     return entry.body if entry is not None else None
@@ -140,13 +156,28 @@ class TestServerPromotion:
 
     def test_unstable_sizes_never_promote(self, pipeline, stubs):
         registry = make_registry(stubs)
+        spec = make_spec(pipeline, window=WIDE)
+        spec.attach_server(registry)
+        xids = itertools.count(1)
+        drive_spread(stubs, registry, xids, 2 * WIDE)
+        spec.poll_once()
+        assert spec.promotions == 0 and route_of(registry) is None
+        assert spec.builds == 0
+
+    def test_two_hot_sizes_both_get_a_variant(self, pipeline, stubs):
+        # an alternating mix never shows one 0.9-dominant size; each
+        # half of it holds more than the 10% a variant needs
+        registry = make_registry(stubs)
         spec = make_spec(pipeline)
         spec.attach_server(registry)
         xids = itertools.count(1)
-        for n in itertools.islice(itertools.cycle((2, 3, 5, 7)), 40):
-            drive(stubs, registry, xids, n, 1)
-        spec.poll_once()
-        assert spec.promotions == 0 and route_of(registry) is None
+        for _ in range(2):
+            for n in itertools.islice(itertools.cycle((HOT_N, 4)),
+                                      POLICY["min_calls"]):
+                drive(stubs, registry, xids, n, 1)
+            spec.poll_once()
+        assert (spec.promotions, spec.respecializations) == (1, 1)
+        assert len(route_of(registry).sizes) == 2
 
 
 class TestViolationFallback:
@@ -187,53 +218,144 @@ class TestRespecialization:
         drive(stubs, registry, xids, 4, 2)
         assert route.hits == hits + 2
 
+    def test_violation_threshold_is_the_review_cadence(self, pipeline,
+                                                       stubs):
+        registry = make_registry(stubs)
+        spec = make_spec(pipeline, violation_threshold=20)
+        spec.attach_server(registry)
+        xids = itertools.count(1)
+        drive(stubs, registry, xids, HOT_N, POLICY["min_calls"])
+        spec.poll_once()
+        route = route_of(registry)
+        # more than a window of misses, fewer than the threshold
+        drive(stubs, registry, xids, 4, 19)
+        spec.poll_once()
+        assert spec.respecializations == 0 and len(route.sizes) == 1
+        drive(stubs, registry, xids, 4, 1)
+        spec.poll_once()
+        assert spec.respecializations == 1 and len(route.sizes) == 2
 
-class TestDemotion:
-    def test_shifting_distribution_demotes(self, pipeline, stubs):
+    def test_a_covered_table_is_left_alone(self, pipeline, stubs):
+        # 1 miss in 10: the table answers 90% of its guarded calls, so
+        # no number of misses is a reason to touch it
         registry = make_registry(stubs)
         spec = make_spec(pipeline)
         spec.attach_server(registry)
         xids = itertools.count(1)
         drive(stubs, registry, xids, HOT_N, POLICY["min_calls"])
         spec.poll_once()
-        assert route_of(registry) is not None
-        # violations with no dominant size: nothing to widen toward
-        for n in itertools.islice(itertools.cycle((1, 2, 3, 5, 6)),
-                                  POLICY["violation_threshold"] * 3):
-            drive(stubs, registry, xids, n, 1)
-        spec.poll_once()
-        assert spec.demotions == 1
-        assert route_of(registry) is None
-        # generic service continues, correctly
-        reply = drive(stubs, registry, xids, 3, 1)
-        assert reply is not None
+        route = route_of(registry)
+        for _ in range(10 * POLICY["violation_threshold"]):
+            drive(stubs, registry, xids, HOT_N, 9)
+            drive(stubs, registry, xids, 3, 1)
+            spec.poll_once()
+        assert route_of(registry) is route and route.sizes == [
+            len(call_bytes(stubs, 0, HOT_N))]
+        assert (spec.respecializations, spec.evictions,
+                spec.demotions) == (0, 0, 0)
 
-    def test_cooldown_blocks_instant_repromotion(self, pipeline, stubs):
-        now = [0.0]
+    def test_widens_after_a_long_spread_tail(self, pipeline, stubs):
+        # 40 distinct tail sizes pass through first: the reply size of
+        # the length that turns hot afterwards must still be known
         registry = make_registry(stubs)
-        spec = OnlineSpecializer(
-            pipeline,
-            policy=OnlinePolicy(**{**POLICY, "cooldown_s": 30.0}),
-            clock=lambda: now[0], enabled=True,
-        )
+        spec = make_spec(pipeline)
         spec.attach_server(registry)
         xids = itertools.count(1)
         drive(stubs, registry, xids, HOT_N, POLICY["min_calls"])
         spec.poll_once()
-        for n in itertools.islice(itertools.cycle((1, 2, 3, 5, 6)),
-                                  POLICY["violation_threshold"] * 3):
-            drive(stubs, registry, xids, n, 1)
+        route = route_of(registry)
+        for tail_n in range(10, 50):
+            drive(stubs, registry, xids, HOT_N, 9)
+            drive(stubs, registry, xids, tail_n, 1)
+            spec.poll_once()
+        drive(stubs, registry, xids, 60, POLICY["window"])
+        spec.poll_once()
+        assert spec.respecializations == 1 and spec.demotions == 0
+        assert len(call_bytes(stubs, 0, 60)) in route.sizes
+        hits = route.hits
+        drive(stubs, registry, xids, 60, 2)
+        assert route.hits == hits + 2
+
+
+class TestGarbageIsADecline:
+    """Malformed requests of a resident size are the residual's to
+    refuse, not evidence about which sizes are hot."""
+
+    def test_hot_size_garbage_flood_burns_no_review(self, pipeline, stubs):
+        registry = make_registry(stubs)
+        shadow = make_registry(stubs)
+        spec = make_spec(pipeline)
+        spec.attach_server(registry)
+        xids = itertools.count(1)
+        drive(stubs, registry, xids, HOT_N, POLICY["min_calls"])
+        spec.poll_once()
+        route = route_of(registry)
+        decided = len(spec.decisions)
+        flood = 4 * POLICY["window"]
+        for xid in range(5000, 5000 + flood):
+            # the length word promises one element more than is there
+            garbage = bytearray(call_bytes(stubs, xid, HOT_N))
+            struct.pack_into(">I", garbage, 40, HOT_N + 1)
+            assert registry.dispatch_bytes(bytes(garbage)) == \
+                shadow.dispatch_bytes(bytes(garbage))
+            spec.poll_once()
+        assert (route.declines, route.violations) == (flood, 0)
+        assert len(spec.decisions) == decided
+        assert route_of(registry) is route and len(route.sizes) == 1
+
+    def test_spine_script_garbage_steps(self, spine_pipeline):
+        # the conformance script sends hot-size garbage twice and two
+        # well-formed off-table sizes (the crashing length, once past
+        # the DRC, and OTHER_N)
+        tier = spine.Tier("online", spine_pipeline)
+        spine.run_script(tier, spine_pipeline)
+        route = tier.registry.route_for(spine.PROG, spine.VERS,
+                                        spine.PROC).body
+        assert (route.declines, route.violations) == (2, 2)
+
+
+class TestDemotion:
+    def test_shifting_distribution_demotes(self, pipeline, stubs):
+        registry = make_registry(stubs)
+        spec = make_spec(pipeline, window=WIDE)
+        spec.attach_server(registry)
+        xids = itertools.count(1)
+        drive(stubs, registry, xids, HOT_N, POLICY["min_calls"])
+        spec.poll_once()
+        assert route_of(registry) is not None
+        # violations with no size worth a variant: nothing to widen
+        # toward, and the one resident variant answers nothing
+        drive_spread(stubs, registry, xids, WIDE)
+        spec.poll_once()
+        assert (spec.evictions, spec.demotions) == (1, 1)
+        assert route_of(registry) is None
+        assert [d.action for d in spec.decisions] == [
+            "promote", "evict", "demote"]
+        # generic service continues, correctly, and stays generic
+        drive_spread(stubs, registry, xids, 2 * WIDE)
+        spec.poll_once()
+        assert spec.promotions == 1 and route_of(registry) is None
+        reply = drive(stubs, registry, xids, 3, 1)
+        assert reply is not None
+
+    def test_hot_again_after_a_demotion_repromotes(self, pipeline, stubs):
+        # no cooldown after a demotion: min_calls of fresh evidence is
+        # the only wait
+        registry = make_registry(stubs)
+        spec = make_spec(pipeline, window=WIDE)
+        spec.attach_server(registry)
+        xids = itertools.count(1)
+        drive(stubs, registry, xids, HOT_N, POLICY["min_calls"])
+        spec.poll_once()
+        drive_spread(stubs, registry, xids, WIDE)
         spec.poll_once()
         assert spec.demotions == 1
-        # hot again immediately: still inside the cooldown window
-        drive(stubs, registry, xids, HOT_N, POLICY["min_calls"] * 2)
+        drive(stubs, registry, xids, HOT_N, POLICY["min_calls"] - 1)
         spec.poll_once()
         assert spec.promotions == 1
-        # ... but eligible again once the clock passes it
-        now[0] = 31.0
-        drive(stubs, registry, xids, HOT_N, POLICY["min_calls"] * 2)
+        drive(stubs, registry, xids, HOT_N, 1)
         spec.poll_once()
-        assert spec.promotions == 2
+        assert spec.promotions == 2 and route_of(registry) is not None
 
 
 class TestPolicyRefusals:
@@ -247,6 +369,32 @@ class TestPolicyRefusals:
         assert spec.promotions == 0
         assert spec.skips >= 1
         assert route_of(registry) is None
+        assert spec.decisions[-1].action == "skip"
+        assert spec.decisions[-1].reason == "unroll_cap"
+
+    def test_cooldown_backs_off_after_a_refused_build(self, pipeline,
+                                                      stubs):
+        now = [0.0]
+        registry = make_registry(stubs)
+        spec = OnlineSpecializer(
+            pipeline,
+            policy=OnlinePolicy(**{**POLICY, "unroll_cap": 4,
+                                   "cooldown_s": 30.0}),
+            clock=lambda: now[0], enabled=True,
+        )
+        spec.attach_server(registry)
+        xids = itertools.count(1)
+        drive(stubs, registry, xids, HOT_N, POLICY["min_calls"])
+        spec.poll_once()
+        assert spec.skips == 1
+        # still hot: inside the back-off the refusal is not re-litigated
+        drive(stubs, registry, xids, HOT_N, POLICY["min_calls"] * 2)
+        spec.poll_once()
+        assert spec.skips == 1
+        # ... but it is once the clock passes it
+        now[0] = 31.0
+        spec.poll_once()
+        assert spec.skips == 2
 
 
 class TestKillSwitch:
@@ -294,17 +442,17 @@ class TestConcurrentHotSwap:
     def test_swaps_mid_traffic_never_produce_wrong_bytes(self, pipeline,
                                                          stubs):
         """Dispatch hammers the registry from several threads while the
-        specializer promotes and (forced violations) demotes — every
+        specializer promotes and (forced violations) widens — every
         reply must match the generic oracle for its request."""
         registry = make_registry(stubs)
         shadow = make_registry(stubs)
         spec = make_spec(pipeline)
         spec.attach_server(registry)
-        # mostly the hot length, with a recurring off-length so the
-        # route sees violations and eventually widens — both swaps
+        # mostly the hot length, with an off-length frequent enough
+        # (1 in 4) that the table is uncovered and widens — both swaps
         # (install, widen) happen while the hammer threads are inside
         # dispatch_bytes
-        lengths = [HOT_N] * 19 + [3]
+        lengths = [HOT_N] * 3 + [3]
         requests = [call_bytes(stubs, 1000 + i, lengths[i % len(lengths)])
                     for i in range(60)]
         expected = [bytes(shadow.dispatch_bytes(data))
@@ -328,8 +476,7 @@ class TestConcurrentHotSwap:
             deadline = time.monotonic() + 20.0
             while time.monotonic() < deadline and not mismatches:
                 spec.poll_once()
-                if spec.promotions >= 1 and (spec.respecializations
-                                             + spec.demotions) >= 1:
+                if spec.promotions >= 1 and spec.respecializations >= 1:
                     break
                 time.sleep(0.002)
         finally:
@@ -337,7 +484,7 @@ class TestConcurrentHotSwap:
             for thread in threads:
                 thread.join(timeout=5.0)
         assert not mismatches
-        assert spec.promotions >= 1
+        assert spec.promotions >= 1 and spec.respecializations >= 1
 
 
 class TestDrcThroughRoute:
@@ -402,6 +549,36 @@ class TestClientCodec:
     def test_shifted_length_respecializes_then_demotes(self, pipeline,
                                                        stubs):
         registry = make_registry(stubs)
+        spec = make_spec(pipeline, window=WIDE)
+        client, codec, call = self._client_loop(pipeline, stubs, spec,
+                                                registry)
+        for _ in range(POLICY["min_calls"]):
+            call(HOT_N)
+        spec.poll_once()
+        assert codec.lens == [HOT_N]
+        for _ in range(WIDE):
+            call(4)
+        spec.poll_once()
+        assert spec.respecializations == 1
+        assert codec.lens == [4, HOT_N]
+        # max_sizes reached: a third stable length displaces a variant
+        # that answered nothing meanwhile
+        for _ in range(WIDE):
+            call(2)
+        spec.poll_once()
+        assert (spec.evictions, spec.respecializations) == (1, 2)
+        assert len(codec.lens) == 2 and 2 in codec.lens
+        # the distribution spreads: nothing to widen toward, both idle
+        # variants go, and the last one going is the demotion
+        for n in itertools.islice(itertools.cycle(SPREAD), WIDE):
+            call(n)
+        spec.poll_once()
+        assert spec.demotions == 1 and codec.lens == []
+        data, value = call(HOT_N)  # generic service continues
+        assert value.vals == [v + 1 for v in range(HOT_N)]
+
+    def test_a_hit_profiles_nothing(self, pipeline, stubs):
+        registry = make_registry(stubs)
         spec = make_spec(pipeline)
         client, codec, call = self._client_loop(pipeline, stubs, spec,
                                                 registry)
@@ -409,19 +586,13 @@ class TestClientCodec:
             call(HOT_N)
         spec.poll_once()
         assert codec.lens == [HOT_N]
-        for _ in range(POLICY["violation_threshold"] * 3):
-            call(4)
-        spec.poll_once()
-        assert spec.respecializations == 1
-        assert codec.lens == [4, HOT_N]
-        # max_sizes reached: a third stable length cannot widen further,
-        # so the review demotes back to generic
-        for _ in range(POLICY["violation_threshold"] * 3):
-            call(2)
-        spec.poll_once()
-        assert spec.demotions == 1 and codec.lens == []
-        data, value = call(HOT_N)  # generic service continues
-        assert value.vals == [v + 1 for v in range(HOT_N)]
+        sampled = codec.profile.calls
+        for _ in range(5):
+            call(HOT_N)
+        assert codec.profile.calls == sampled and codec.hits == 5
+        call(3)
+        assert codec.profile.calls == sampled + 1
+        assert codec.profile.recent[-1][0] == 3
 
 
 class TestCachePersistence:
