@@ -23,8 +23,6 @@ What is proved (per codec, on the declared domain):
   (`expected_request`/`expected_reply`, the ``expected_inlen`` rewrite)
   equal the wire arithmetic recomputed from the IDL and the assumed
   lengths, so a guard cannot silently widen past the profiled domain;
-* **unroll-cap conformance** — no assumed length exceeds the unroll
-  cap when one is in force;
 * **hostile-input behavior** — concrete probes (wrong message type,
   stale xid, corrupted or out-of-range length words) confirm the
   residual path never *accepts* an input the generic path rejects.
@@ -61,6 +59,7 @@ from repro.errors import InterpError, ReproError, VerificationError
 from repro.minic import pyruntime as rt
 from repro.minic import types as ct
 from repro.minic import values as rv
+from repro.minic.typecheck import typecheck_program
 from repro.rpcgen import idl_ast as idl
 from repro.specialized.sizes import (
     CALL_HEADER_BYTES,
@@ -288,6 +287,8 @@ class _Harness:
         self.generic_entry = generic_entry
         self.generic_program = pipeline.program_ast
         self.generic_typeinfo = pipeline.typeinfo
+        #: checked once here, not once per probe
+        self.residual_typeinfo = typecheck_program(result.program)
         self.generic_names = _generic_params(
             self.generic_program, generic_entry
         )
@@ -306,7 +307,9 @@ class _Harness:
         return generic, self.run_residual(make_values)
 
     def run_residual(self, make_values):
-        self._interp = SymbolicInterpreter(self.result.program)
+        self._interp = SymbolicInterpreter(
+            self.result.program, typeinfo=self.residual_typeinfo
+        )
         values, out, resp = make_values(self._interp)
         return _run_with(self._interp, self.result.entry_name,
                          self.residual_names, values, out, resp)
@@ -418,7 +421,7 @@ def _run_with(interp, entry, param_names, values, out, resp):
 # -- the client verifier --------------------------------------------------
 
 
-def verify_client_spec(pipeline, spec, unroll_cap=None):
+def verify_client_spec(pipeline, spec):
     """Verify one :class:`ClientSpecialization`.  Returns findings
     (empty list == verified)."""
     findings = []
@@ -446,29 +449,9 @@ def verify_client_spec(pipeline, spec, unroll_cap=None):
     if findings:
         return findings
 
-    findings.extend(_check_unroll(
-        marshal_entry, (arg_lens, res_lens), unroll_cap
-    ))
-    if findings:
-        return findings
-
     findings.extend(_verify_marshal(pipeline, spec, want_request))
     findings.extend(_verify_recv(pipeline, spec, want_reply))
     return findings
-
-
-def _check_unroll(entry, lens_list, unroll_cap):
-    if unroll_cap is None:
-        return []
-    for lens in lens_list:
-        for field, count in lens.items():
-            if count > unroll_cap:
-                return [_finding(
-                    "unroll-cap", entry,
-                    f"assumed length {field}={count} exceeds the unroll"
-                    f" cap {unroll_cap}",
-                )]
-    return []
 
 
 def _verify_marshal(pipeline, spec, want_request):
@@ -716,7 +699,7 @@ def _patched(words, index, value):
 
 
 def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
-                           bufsize, unroll_cap=None, module=None):
+                           bufsize, module=None):
     """Verify one residual server dispatcher.  Returns findings.
     ``module`` is the dispatcher's compiled form, when there is one to
     hold to the lowering gate.
@@ -732,9 +715,6 @@ def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
     interface = pipeline.interface
     arg_struct = pipeline._struct_for(proc.arg, proc.name)
     entry = result.entry_name
-    findings.extend(_check_unroll(entry, (arg_lens, res_lens), unroll_cap))
-    if findings:
-        return findings
     want_request = request_size(interface, arg_struct, arg_lens)
 
     suffix = f"{pipeline.idl_program.name.lower()}_{pipeline.vers_number}"

@@ -49,9 +49,9 @@ class SpecializationError(ReproError):
 class VerificationError(SpecializationError):
     """Raised when the residual-code equivalence verifier rejects a
     residual codec (byte divergence from the generic codec, a bounds
-    violation, uncovered output bytes, a guard wider than the declared
-    domain, or an unroll-cap breach).  A rejected codec is never
-    installed; callers fall back to the generic path."""
+    violation, uncovered output bytes, or a guard wider than the
+    declared domain).  A rejected codec is never installed; callers
+    fall back to the generic path."""
 
 
 class BindingTimeError(SpecializationError):

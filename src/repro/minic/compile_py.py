@@ -20,6 +20,7 @@ leave its type's range; tests are Python booleans, counted loops
 ``for ... in range``, cursor runs one precompiled ``struct`` call.
 """
 
+import collections
 import itertools
 import keyword
 import re
@@ -85,6 +86,11 @@ class _Code(str):
         return self
 
 
+#: a rolled element loop as one item of a cursor run: ``trips`` words of
+#: array ``base`` from element 0, indexed by the variable ``counter``
+_LoopSpan = collections.namedtuple("_LoopSpan", "base trips counter")
+
+
 def _struct_class_name(name):
     return f"S_{name}"
 
@@ -108,6 +114,10 @@ class _FuncCompiler:
         #: loop context stack: "while" (continue ok) or "for" (see below)
         self.loop_stack = []
         self.address_taken = _address_taken_names(func)
+        #: uses of each variable in the function (counted on demand)
+        self._var_uses = None
+        #: python name -> index in ``lines`` of its default initializer
+        self._default_inits = {}
 
     # -- emit helpers ---------------------------------------------------
 
@@ -180,9 +190,8 @@ class _FuncCompiler:
                 self.boxed.add(name)
                 self.emit(f"{name} = [{name}]")
         self.stmt(self.func.body, new_scope=False)
-        if not self.lines:
-            self.emit("pass")
-        return [header] + self.lines
+        lines = [line for line in self.lines if line is not None]
+        return [header] + (lines or ["    pass"])
 
     # -- expressions --------------------------------------------------------
     #
@@ -593,7 +602,7 @@ class _FuncCompiler:
         total = len(stmts)
         while index < total:
             run = self._collect_cursor_run(stmts, index)
-            if run is not None and len(run["items"]) >= self._MIN_BATCH:
+            if run is not None and run["words"] >= self._MIN_BATCH:
                 self._emit_cursor_run(run)
                 index = run["end"]
                 continue
@@ -675,35 +684,106 @@ class _FuncCompiler:
             and value.right.value == 4
         )
 
-    def _collect_cursor_run(self, stmts, start):
-        """Collect a maximal (store|load, bump) run over one cursor."""
-        match = self._match_cursor_store
-        kind = "store"
-        first = match(stmts[start])
-        if first is None:
-            match = self._match_cursor_load
-            kind = "load"
-            first = match(stmts[start])
-        if first is None:
+    def _match_element_loop(self, init, loop):
+        """Match Tempo's rolled element loop ``k = 0; while (k < N) {
+        ACCESS; BUMP; k = k + 1; }`` — N a literal, ``k`` a counter no
+        other statement of the function mentions, so that it is dead
+        after the loop — -> (k, N, ACCESS, BUMP), or None."""
+        start = self._plain_assign(init)
+        if not (
+            start is not None
+            and self._is_counter(start.target)
+            and isinstance(start.value, ast.IntLit)
+            and start.value.value == 0
+            and isinstance(loop, ast.While)
+            and isinstance(loop.body, ast.Block)
+            and len(loop.body.stmts) == 3
+        ):
             return None
-        cursor_text = pretty_expr(first[0])
+        counter = start.target.name
+        cond = loop.cond
+        if not (
+            isinstance(cond, ast.Binary)
+            and cond.op == "<"
+            and isinstance(cond.left, ast.Var)
+            and cond.left.name == counter
+            and isinstance(cond.right, ast.IntLit)
+            and cond.right.value >= 1
+        ):
+            return None
+        old, rest = self._match_step(loop.body.stmts, counter)
+        if rest is None or old is not None:
+            return None
+        if self._var_uses is None:
+            self._var_uses = collections.Counter(
+                node.name
+                for node in ast.walk(self.func)
+                if isinstance(node, ast.Var)
+            )
+        # the init, the test, the index and the step (twice)
+        if self._var_uses[counter] != 5:
+            return None
+        return counter, cond.right.value, rest[0], rest[1]
+
+    def _cursor_step(self, first, second, kind):
+        """(kind, cursor, item) when the two statements are one step of
+        a cursor run of ``kind`` (None: of either kind) — a store or
+        load then the cursor's bump, ``item`` the stored value or the
+        load's target; or a rolled loop of that pair over ``BASE[k]``
+        and its ``k = 0`` before it, ``item`` the (BASE, 0, N) span —
+        or None."""
+        loop = self._match_element_loop(first, second)
+        if loop is not None:
+            counter, trips, first, second = loop
+        matched = None
+        if kind != "load":
+            matched, step_kind = self._match_cursor_store(first), "store"
+        if matched is None and kind != "store":
+            matched, step_kind = self._match_cursor_load(first), "load"
+        if matched is None:
+            return None
+        cursor, item = matched
+        if not self._match_cursor_bump(second, pretty_expr(cursor)):
+            return None
+        if loop is not None:
+            array = self._int32_array(item)
+            if not (
+                array is not None
+                and trips <= array.length
+                and isinstance(item.index, ast.Var)
+                and item.index.name == counter
+            ):
+                return None
+            item = _LoopSpan(item.obj, trips, counter)
+        return step_kind, cursor, item
+
+    def _collect_cursor_run(self, stmts, start):
+        """Collect a maximal run of (store|load, bump) pairs and rolled
+        element loops over one cursor."""
+        kind = cursor = cursor_text = None
         items = []
+        words = 0
         index = start
         while index + 1 < len(stmts):
-            matched = match(stmts[index])
-            if matched is None or pretty_expr(matched[0]) != cursor_text:
+            step = self._cursor_step(stmts[index], stmts[index + 1], kind)
+            if step is None:
                 break
-            if not self._match_cursor_bump(stmts[index + 1], cursor_text):
+            if cursor is None:
+                kind, cursor, _item = step
+                cursor_text = pretty_expr(cursor)
+            elif pretty_expr(step[1]) != cursor_text:
                 break
-            items.append(matched[1])
+            items.append(step[2])
+            words += step[2].trips if isinstance(step[2], _LoopSpan) else 1
             index += 2
         if not items:
             return None
-        return {"kind": kind, "cursor": first[0], "items": items, "end": index}
+        return {"kind": kind, "cursor": cursor, "items": items,
+                "words": words, "end": index}
 
     def _emit_cursor_run(self, run):
         items = run["items"]
-        count = len(items)
+        count = run["words"]
         cursor = self.temp()
         self.emit(f"{cursor} = {self.expr(run['cursor'])}")
         where = f"{cursor}.buffer.data, {cursor}.offset"
@@ -712,19 +792,19 @@ class _FuncCompiler:
             # span of one int array packs signed straight from a slice —
             # in range by the invariant, refused by the pack otherwise.
             kinds, values, index = [], [], 0
-            while index < count:
+            while index < len(items):
                 span = self._index_span(items, index)
                 if span is None:
                     kinds.append("I")
                     values.append(self.wrap(self.expr(items[index]), ct.U_LONG))
                     index += 1
                 else:
-                    base, first, length = span
+                    base, first, length, used = span
                     kinds.extend("i" * length)
                     values.append(
                         f"*{self.expr(base)}[{first}:{first + length}]"
                     )
-                    index += length
+                    index += used
             fmt = "".join(
                 f"{len(list(group))}{kind}"
                 for kind, group in itertools.groupby(kinds)
@@ -735,29 +815,55 @@ class _FuncCompiler:
             vals = self.temp()
             packer = self.module.packer(f">{count}i")
             self.emit(f"{vals} = {packer}.unpack_from({where})")
-            span = self._index_span(items, 0)
-            if span is not None and span[2] == count:
-                base, first, _ = span
-                self.emit(f"{self.expr(base)}[{first}:{first + count}] = {vals}")
-            else:
-                for position, target in enumerate(items):
-                    self._store(target, _Code(f"{vals}[{position}]", _I32))
+            index = position = 0
+            while index < len(items):
+                span = self._index_span(items, index)
+                if span is None:
+                    self._store(
+                        items[index], _Code(f"{vals}[{position}]", _I32)
+                    )
+                    index += 1
+                    position += 1
+                else:
+                    base, first, length, used = span
+                    words = vals if length == count else (
+                        f"{vals}[{position}:{position + length}]"
+                    )
+                    self.emit(
+                        f"{self.expr(base)}[{first}:{first + length}] = {words}"
+                    )
+                    index += used
+                    position += length
         # One cursor update for the whole run.
         self._store(run["cursor"], f"{cursor}.add({4 * count})")
+        for item in items:
+            if isinstance(item, _LoopSpan):
+                # every use of the counter was in the loop: it is gone
+                init = self._default_inits.get(self.py_name(item.counter))
+                if init is not None:
+                    self.lines[init] = None
+
+    def _int32_array(self, item):
+        """The type of the signed 32-bit array ``item`` is an element
+        of, or None."""
+        if isinstance(item, ast.Index):
+            array = self.type_of(item.obj)
+            if isinstance(array, ct.ArrayType) and (
+                _int_range(array.base) == _I32
+            ):
+                return array
+        return None
 
     def _index_span(self, items, start):
         """The longest span ``BASE[k], BASE[k+1], ...`` of literal-index
-        elements of one signed 32-bit array beginning at ``items[start]``:
-        (base_node, k, length), or None when ``items[start]`` is not one."""
+        elements of one signed 32-bit array beginning at ``items[start]``
+        — or the span a rolled loop there covers: (base_node, k, length,
+        items used), or None when ``items[start]`` is neither."""
         first = items[start]
-        if not (
-            isinstance(first, ast.Index)
-            and isinstance(first.index, ast.IntLit)
-        ):
-            return None
-        array = self.type_of(first.obj)
-        if not (
-            isinstance(array, ct.ArrayType) and _int_range(array.base) == _I32
+        if isinstance(first, _LoopSpan):
+            return first.base, 0, first.trips, 1
+        if self._int32_array(first) is None or not isinstance(
+            first.index, ast.IntLit
         ):
             return None
         base_text = pretty_expr(first.obj)
@@ -771,7 +877,7 @@ class _FuncCompiler:
             ):
                 break
             length += 1
-        return first.obj, first.index.value, length
+        return first.obj, first.index.value, length, length
 
     def _ensure_body(self):
         """Guarantee the just-opened suite is non-empty."""
@@ -792,6 +898,8 @@ class _FuncCompiler:
             self.boxed.add(name)
             self.emit(f"{name} = [{init}]")
         else:
+            if node.init is None:
+                self._default_inits[name] = len(self.lines)
             self.emit(f"{name} = {init}")
 
     # -- loops -----------------------------------------------------------------

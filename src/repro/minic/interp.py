@@ -13,6 +13,8 @@ Interpretation is environment-based with explicit control-flow signals.
 The memory model is defined in :mod:`repro.minic.values`.
 """
 
+import functools
+
 from repro.errors import InterpError
 from repro.minic import ast
 from repro.minic import builtins
@@ -80,7 +82,6 @@ class Interpreter:
     def __init__(self, program, typeinfo=None, max_steps=_MAX_STEPS_DEFAULT):
         self.program = program
         self.typeinfo = typeinfo or typecheck_program(program)
-        self.layout = cost.CodeLayout(program)
         self.space = rv.AddressSpace()
         self.max_steps = max_steps
         self.trace = None
@@ -144,6 +145,11 @@ class Interpreter:
             self.trace = previous_trace
 
     # -- tracing ------------------------------------------------------------
+
+    @functools.cached_property
+    def layout(self):
+        """Code addresses of the AST nodes; only a trace reads them."""
+        return cost.CodeLayout(self.program)
 
     def _emit(self, kind, node, mem_addr=0, size=0):
         self.trace.emit(kind, self.layout.addr(node), mem_addr, size)

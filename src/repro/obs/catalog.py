@@ -286,8 +286,8 @@ METRICS = {
         "tables whose last variant was evicted (back to generic)"),
     "rpc.spec.online.skips": (
         "counter", "reason",
-        "refused builds, by reason (unroll_cap, unsupported,"
-        " build_error, verify_failed)"),
+        "refused builds, by reason (unsupported, build_error,"
+        " verify_failed)"),
     "rpc.spec.online.active": (
         "gauge", "side",
         "online routes/codecs currently holding a variant"),

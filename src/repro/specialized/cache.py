@@ -36,14 +36,16 @@ from repro.errors import VerificationError
 #: e.g. copied or symlinked across cache generations, or written by a
 #: future format under a colliding name — is treated as a miss rather
 #: than loaded as stale residual code).
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def content_key(**parts):
     """A stable hex digest of arbitrary JSON-able key parts.
 
-    Non-JSON values are folded in via ``repr`` — good enough for the
-    option objects used here, whose reprs expose their settings.
+    Non-JSON values are folded in via ``repr``, which must expose
+    their settings and nothing else: the specializer's ``Options`` have
+    a field-by-field one (the default ``repr`` carries a memory address
+    — never equal across processes, and reused between objects).
     """
     blob = json.dumps(parts, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -90,11 +90,9 @@ class OnlinePolicy:
     variant goes.
 
     The defaults are conservative: a procedure must show a sustained
-    load before the (seconds-long) Tempo build is spent on it, and
-    ``unroll_cap`` refuses element counts past the paper's cost-model
-    bound — beyond ~250 elements the unrolled residual loses to the
-    generic loop, so specializing there is a pessimization (source
-    paper §6, Table 4).
+    load before a build is spent on it.  There is no bound on the
+    array length: live residuals roll their element loops, so neither
+    code size nor build time has the cliff of the paper's Table 4.
     """
 
     #: generic-served calls since the last decision before an empty
@@ -110,9 +108,6 @@ class OnlinePolicy:
     #: guarded calls between two reviews of one table (so at most one
     #: build per ``window`` calls).
     window: int = 64
-    #: refuse to specialize bounded arrays longer than this (the
-    #: paper's partial-unroll cost bound).
-    unroll_cap: int = 250
     #: guard misses between reviews of a table that holds variants.
     violation_threshold: int = 32
     #: variants one table may hold; past it a newcomer must displace
@@ -760,10 +755,6 @@ class OnlineSpecializer:
                                  reply_bytes, reply_size)
         if arg_lens is None or res_lens is None:
             return None, "unsupported"
-        cap = self.policy.unroll_cap
-        if any(n > cap for lens in (arg_lens, res_lens)
-               for n in lens.values()):
-            return None, "unroll_cap"
         started = self.clock()
         try:
             spec = getattr(self.pipeline, table.builder)(

@@ -42,6 +42,7 @@ from repro.specialized import runtime as sr
 from repro.specialized.cache import SpecializationCache, content_key
 from repro.specialized.sizes import message_sizes, reply_size, request_size
 from repro.tempo import Dyn, DynPtr, Known, PtrTo, StructOf, specialize
+from repro.tempo.specializer import Options
 from repro.xdr import XdrMemStream, XdrOp
 
 
@@ -282,12 +283,14 @@ class SpecializationPipeline:
 
     def __init__(self, idl_source, impl_sources=None, options=None,
                  program=None, version=None, cache=None, cache_dir=None,
-                 verify=None, verify_unroll_cap=None):
+                 verify=None):
         from repro.rpcgen.idl_parser import parse_idl
 
         self.interface = parse_idl(idl_source)
         self.impl_sources = impl_sources
-        self.options = options
+        #: live residuals roll their array loops (docs/SPECIALIZATION.md,
+        #: "Loops by induction"); explicit options are taken as given
+        self.options = Options(roll=True) if options is None else options
         self.minic_source = generate_minic(self.interface, impl_sources)
         self.program_ast = parse_program(self.minic_source)
         self.typeinfo = typecheck_program(self.program_ast)
@@ -306,11 +309,10 @@ class SpecializationPipeline:
         #: verification knob: None = default on; the REPRO_SPEC_VERIFY
         #: environment kill switch overrides the code knob either way.
         self.verify = verify
-        self.verify_unroll_cap = verify_unroll_cap
         self._fingerprint = content_key(
             idl=idl_source,
             impls=list(impl_sources or []),
-            options=repr(options),
+            options=repr(self.options),
             program=program,
             version=version,
         )
@@ -377,9 +379,7 @@ class SpecializationPipeline:
     def _client_check(self, spec):
         from repro.analysis.verify import ensure_verified, verify_client_spec
 
-        findings = verify_client_spec(
-            self, spec, unroll_cap=self.verify_unroll_cap
-        )
+        findings = verify_client_spec(self, spec)
         self._count_verify("client", findings)
         ensure_verified(findings, f"client codec {spec.proc.name}")
 
@@ -392,8 +392,7 @@ class SpecializationPipeline:
 
         findings = verify_server_residual(
             self, ResidualCodec.from_result(result), proc, arg_lens,
-            res_lens, bufsize, unroll_cap=self.verify_unroll_cap,
-            module=module,
+            res_lens, bufsize, module=module,
         )
         self._count_verify("server", findings)
         ensure_verified(findings, f"server dispatcher for {proc.name}")

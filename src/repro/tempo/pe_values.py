@@ -3,8 +3,9 @@
 A *PE value* is either
 
 * :class:`Static` — fully known at specialization time: an ``int``, the
-  null pointer, or a :class:`PEPtr` referencing a specialization-time
-  storage object; or
+  null pointer, a :class:`PEPtr` referencing a specialization-time
+  storage object, or — only while a loop is being residualized by
+  induction — an :class:`Affine` function of that loop's counter; or
 * :class:`Dynamic` — a runtime value represented by a *template* residual
   expression.  Templates are cloned on every lift so residual AST nodes
   are never shared (node identity drives the simulator's code layout).
@@ -23,6 +24,7 @@ materialized local, or a sub-object of another rooted object).
 """
 
 import itertools
+import operator
 
 from repro.errors import SpecializationError
 from repro.minic import ast
@@ -143,6 +145,203 @@ def static_equal(left, right):
     if (left is PE_NULL) != (right is PE_NULL):
         return False
     return left == right
+
+
+# -- affine values (loops by induction) ---------------------------------------
+
+
+class NotAffine(SpecializationError):
+    """A loop being residualized by induction met something its
+    hypothesis cannot carry; the specializer abandons the attempt and
+    unrolls."""
+
+
+class Induction:
+    """The residual counter ``name`` of one loop being residualized by
+    induction, ranging over ``[0, trips)``; ``trips`` is None until the
+    loop test has been solved for it."""
+
+    __slots__ = ("name", "trips")
+
+    def __init__(self):
+        self.name = None
+        self.trips = None
+
+
+class Affine:
+    """The static value ``base + step * k`` over the counter ``k`` of
+    :class:`Induction` ``ind`` — what a loop-carried static is bound to
+    while the body is specialized once for every trip.
+
+    Sums, differences and integer multiples stay affine; anything else
+    raises :class:`NotAffine`.  An affine function is monotone, so a
+    test on one is decided for every ``k`` by deciding it at both ends
+    of the range (:func:`affine_test`).
+    """
+
+    __slots__ = ("base", "step", "ind")
+
+    def __init__(self, base, step, ind):
+        self.base = base
+        self.step = step
+        self.ind = ind
+
+    def at(self, k):
+        return self.base + self.step * k
+
+    def ends(self):
+        """The values at the first and the last trip."""
+        if self.ind.trips is None:
+            raise NotAffine("trip count not solved yet")
+        return self.at(0), self.at(self.ind.trips - 1)
+
+    def fit(self, ctype):
+        """``self`` as a value of integer type ``ctype``: unchanged
+        when no trip wraps, not affine otherwise (unchecked while the
+        trip count is being solved: the loop test is specialized again
+        once it is known)."""
+        if self.ind.trips is not None:
+            for value in self.ends():
+                if ct.wrap_int(value, ctype) != value:
+                    raise NotAffine(f"{self!r} wraps in {ctype}")
+        return self
+
+    def expr(self):
+        """The residual expression ``base + step * k``."""
+        term = ast.Var(self.ind.name)
+        if self.step != 1:
+            term = ast.Binary("*", ast.IntLit(self.step), term)
+        if self.base == 0:
+            return term
+        return ast.Binary("+", ast.IntLit(self.base), term)
+
+    def _coefficients(self, other):
+        if isinstance(other, Affine):
+            if other.ind is not self.ind:
+                raise NotAffine("values of two inductions")
+            return other.base, other.step
+        if isinstance(other, int):
+            return other, 0
+        raise NotAffine(f"affine arithmetic with {other!r}")
+
+    def __add__(self, other):
+        base, step = self._coefficients(other)
+        return affine(self.base + base, self.step + step, self.ind)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Affine(-self.base, -self.step, self.ind)
+
+    def __sub__(self, other):
+        base, step = self._coefficients(other)
+        return affine(self.base - base, self.step - step, self.ind)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __invert__(self):
+        return -self - 1
+
+    def __mul__(self, other):
+        if not isinstance(other, int):
+            raise NotAffine("product of two affine values")
+        return affine(self.base * other, self.step * other, self.ind)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        """Identity of the two functions (not the ``==`` of MiniC,
+        which is :func:`affine_test`)."""
+        return (
+            isinstance(other, Affine)
+            and other.ind is self.ind
+            and other.base == self.base
+            and other.step == self.step
+        )
+
+    def __hash__(self):
+        return hash((self.base, self.step, id(self.ind)))
+
+    def __bool__(self):
+        raise NotAffine(f"truth of {self!r} outside a test")
+
+    def __int__(self):
+        raise NotAffine(f"{self!r} used as one integer")
+
+    __index__ = __int__
+
+    def __repr__(self):
+        return f"Affine({self.base} + {self.step}*{self.ind.name or 'k'})"
+
+
+def affine(base, step, ind):
+    """``base + step * k``: a plain integer when it does not vary."""
+    return Affine(base, step, ind) if step else base
+
+
+def is_affine(concrete):
+    """Does a static value depend on an induction counter?"""
+    return isinstance(concrete, Affine) or (
+        isinstance(concrete, ElemPtr) and isinstance(concrete.index, Affine)
+    )
+
+
+_TESTS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "!=": operator.ne,
+    "==": operator.eq,
+}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def affine_test(op, diff):
+    """Decide ``diff op 0`` for every trip, ``diff`` the difference of
+    the two operands: monotone, so ends that agree decide an ordering
+    for all ``k``; ``==``/``!=`` also need both ends on one side of
+    zero (a crossing could land on it in between)."""
+    test = _TESTS[op]
+    if not isinstance(diff, Affine):
+        return test(diff, 0)
+    first, last = diff.ends()
+    if op in ("==", "!="):
+        if (first > 0) != (last > 0) or first == 0 or last == 0:
+            raise NotAffine(f"{diff!r} may cross zero")
+        return op == "!="
+    if test(first, 0) != test(last, 0):
+        raise NotAffine(f"{diff!r} {op} 0 flips inside the range")
+    return test(first, 0)
+
+
+def affine_binary(op, left, right, result_type):
+    """``left op right`` with an :class:`Affine` operand."""
+    if op in _TESTS:
+        return int(affine_test(op, left - right))
+    if op not in _ARITHMETIC:
+        raise NotAffine(f"operator {op!r} on an affine value")
+    value = _ARITHMETIC[op](left, right)
+    if isinstance(value, Affine):
+        return value.fit(result_type)
+    return ct.wrap_int(value, result_type)
+
+
+def solve_trips(op, diff):
+    """The trip count N of a loop whose test is ``diff op 0`` with
+    ``diff = a + b*k``: the test holds for k in [0, N) and fails at
+    k = N."""
+    if not isinstance(diff, Affine) or op == "==":
+        raise NotAffine("loop test is not an affine ordering")
+    a, b = diff.base, diff.step
+    if op in (">", ">=") or (op == "!=" and b < 0):
+        a, b = -a, -b
+    if b < 0 or (op == "!=" and a % b):
+        raise NotAffine("loop test never fails")
+    if op in ("<=", ">="):
+        return -a // b + 1
+    return (-a + b - 1) // b
 
 
 # -- pointers ---------------------------------------------------------------
@@ -499,7 +698,7 @@ def value_signature(value, store, depth=0):
     concrete = value.value
     if isinstance(concrete, NullValue):
         return ("null",)
-    if isinstance(concrete, int):
+    if isinstance(concrete, (int, Affine)):
         return ("i", concrete)
     if isinstance(concrete, StructPtr):
         struct = store.struct(concrete)

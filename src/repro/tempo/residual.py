@@ -7,6 +7,7 @@ every occurrence of unrolled code has distinct node identities — the
 property the simulator's instruction-cache model depends on.
 """
 
+import copy
 import itertools
 
 from repro.minic import ast
@@ -93,6 +94,21 @@ class FunctionBuilder:
     def emit(self, stmt):
         self.block.emit(stmt)
 
+    def snapshot(self):
+        """The open block, the hoisted declarations and the names taken
+        (reusable: :meth:`rollback` does not consume it)."""
+        return (
+            self.block.snapshot(),
+            len(self.hoisted_decls),
+            frozenset(self._decl_names),
+        )
+
+    def rollback(self, snap):
+        block, decls, names = snap
+        self.block.rollback(block)
+        del self.hoisted_decls[decls:]
+        self._decl_names = set(names)
+
     # -- assembly --------------------------------------------------------------
 
     def build(self):
@@ -125,6 +141,21 @@ class ResidualProgram:
 
     def add_function(self, funcdef):
         self.functions.append(funcdef)
+
+    def snapshot(self):
+        """The functions collected and the names handed out so far
+        (reusable: :meth:`rollback` does not consume it)."""
+        return (
+            len(self.functions),
+            frozenset(self._names),
+            copy.copy(self._name_counter),
+        )
+
+    def rollback(self, snap):
+        funcs, names, counter = snap
+        del self.functions[funcs:]
+        self._names = set(names)
+        self._name_counter = copy.copy(counter)
 
     def build(self, entry_first=True):
         """Assemble the residual Program (struct/enum defs are copied

@@ -46,10 +46,18 @@ from repro.minic import types as ctypes
 from repro.minic.interp import Interpreter, _address_taken_names
 from repro.minic.pretty import pretty_expr
 from repro.tempo import pe_values as pv
+from repro.tempo.induction import LoopInduction
 from repro.tempo.residual import (
     FunctionBuilder,
     ResidualProgram,
     is_simple_path,
+)
+from repro.tempo.signals import (
+    NeedsLoopDemotion,
+    NeedsOutline,
+    SpecBreak,
+    SpecContinue,
+    SpecReturn,
 )
 
 _MAX_TOTAL_STATIC_ITERATIONS = 2_000_000
@@ -68,6 +76,7 @@ class Options:
         static_returns=True,
         inline=True,
         max_unroll=None,
+        roll=False,
     ):
         self.flow_sensitive = flow_sensitive
         self.context_sensitive = context_sensitive
@@ -78,32 +87,22 @@ class Options:
         #: exceeds this bound.  ``None`` = unroll completely, the
         #: paper's default behaviour.
         self.max_unroll = max_unroll
+        #: Residualize a static loop whose trips are provably all alike
+        #: as one counted loop (:mod:`repro.tempo.induction`) instead of
+        #: unrolling it.  Off = the paper's Tempo.
+        self.roll = roll
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in sorted(vars(self).items())
+        )
+        return f"Options({fields})"
+
+    def __eq__(self, other):
+        return isinstance(other, Options) and vars(self) == vars(other)
 
 
 from repro.tempo.pe_values import UNINIT
-
-
-class _SpecReturn(Exception):
-    """Static-control return while specializing an inlined callee."""
-
-    def __init__(self, value):
-        self.value = value
-
-
-class _SpecBreak(Exception):
-    pass
-
-
-class _SpecContinue(Exception):
-    pass
-
-
-class _NeedsOutline(Exception):
-    """Raised when an inline trial meets a return under dynamic control."""
-
-
-class _NeedsLoopDemotion(Exception):
-    """Raised when a static loop meets a dynamic break/continue."""
 
 
 class Frame:
@@ -166,7 +165,7 @@ class Frame:
         self.scopes = [dict(scope) for scope in snapshot]
 
 
-class Specializer:
+class Specializer(LoopInduction):
     """Drives specialization of one entry point.
 
     Use :func:`repro.tempo.driver.specialize` rather than this class
@@ -200,6 +199,8 @@ class Specializer:
         self._tmp_counter = 0
         self._loop_entry_depths = []
         self._residual_loop_kinds = []
+        #: the Induction of the loop being residualized by induction
+        self._rolling = None
 
     # ------------------------------------------------------------------
     # small helpers
@@ -225,8 +226,8 @@ class Specializer:
         concrete = value.value
         if isinstance(concrete, bool):
             return ast.IntLit(int(concrete))
-        if isinstance(concrete, int):
-            return ast.IntLit(concrete)
+        if isinstance(concrete, (int, pv.Affine)):
+            return _index_expr(concrete)
         if isinstance(concrete, pv.NullValue):
             return ast.IntLit(0)
         if isinstance(concrete, pv.StructPtr):
@@ -243,7 +244,7 @@ class Specializer:
                 return self.store.object_expr(concrete.aid)
             return ast.Unary(
                 "&",
-                self.store.elem_expr(concrete.aid, ast.IntLit(concrete.index)),
+                self.store.elem_expr(concrete.aid, _index_expr(concrete.index)),
             )
         if isinstance(concrete, pv.LocalPtr):
             self.materialize(self.store.get(concrete.lid))
@@ -269,8 +270,11 @@ class Specializer:
         return obj
 
     def wrap_static(self, value, ctype_):
-        if isinstance(value, int) and isinstance(ctype_, ctypes.IntType):
-            return ctypes.wrap_int(value, ctype_)
+        if isinstance(ctype_, ctypes.IntType):
+            if isinstance(value, int):
+                return ctypes.wrap_int(value, ctype_)
+            if isinstance(value, pv.Affine):
+                return value.fit(ctype_)
         return value
 
     # ------------------------------------------------------------------
@@ -518,8 +522,20 @@ class Specializer:
         # Canonicalize: the field now lives in runtime storage.
         obj.fields[fname] = pv.Dynamic(self.store.member_expr(obj.oid, fname))
 
+    def _elem_span(self, obj, index):
+        """Element ``index`` (affine) of ``obj`` for every trip: one
+        residual path, provided all of the span lives in runtime storage
+        the way an element missing from ``elems`` does."""
+        if not all(0 <= end < obj.length for end in index.ends()):
+            raise pv.NotAffine(f"index {index!r} leaves [0, {obj.length})")
+        if obj.root is None or obj.static_count:
+            raise pv.NotAffine(f"{obj!r} is not all dynamic")
+        return self.store.elem_expr(obj.oid, index.expr())
+
     def read_elem(self, aid, index):
         obj = self.store.get(aid)
+        if isinstance(index, pv.Affine):
+            return pv.Dynamic(self._elem_span(obj, index))
         if not 0 <= index < obj.length:
             raise SpecializationError(
                 f"static array index {index} out of bounds"
@@ -542,6 +558,14 @@ class Specializer:
 
     def write_elem(self, aid, index, value):
         obj = self.store.mutable(aid)
+        if isinstance(index, pv.Affine):
+            if isinstance(value, pv.Static):
+                raise pv.NotAffine("static store at an affine index")
+            target = self._elem_span(self.materialize(obj), index)
+            self.fb.emit(
+                ast.ExprStmt(ast.Assign(None, target, self.lift(value)))
+            )
+            return
         if not 0 <= index < obj.length:
             raise SpecializationError(
                 f"static array index {index} out of bounds [0, {obj.length})"
@@ -589,13 +613,15 @@ class Specializer:
             right, (pv.NullValue, pv.PEPtr)
         ):
             return self._static_pointer_binary(op, left, right)
+        if isinstance(left, pv.Affine) or isinstance(right, pv.Affine):
+            return pv.affine_binary(op, left, right, result_type)
         return Interpreter._int_binary(op, int(left), int(right), result_type)
 
     def _static_pointer_binary(self, op, left, right):
         if op == "+":
             if isinstance(left, pv.PEPtr):
-                return self.ptr_add(left, int(right))
-            return self.ptr_add(right, int(left))
+                return self.ptr_add(left, _index(right))
+            return self.ptr_add(right, _index(left))
         if op == "-":
             if isinstance(right, pv.PEPtr) and isinstance(left, pv.PEPtr):
                 if isinstance(left, pv.ElemPtr) and isinstance(
@@ -603,8 +629,16 @@ class Specializer:
                 ) and left.aid == right.aid:
                     return left.index - right.index
                 raise SpecializationError("subtracting unrelated pointers")
-            return self.ptr_add(left, -int(right))
+            return self.ptr_add(left, -_index(right))
         if op in ("==", "!="):
+            if pv.is_affine(left) or pv.is_affine(right):
+                if not (
+                    isinstance(left, pv.ElemPtr)
+                    and isinstance(right, pv.ElemPtr)
+                    and left.aid == right.aid
+                ):
+                    raise pv.NotAffine("affine pointer against another object")
+                return int(pv.affine_test(op, left.index - right.index))
             equal = pv.static_equal(left, right)
             if isinstance(left, pv.PEPtr) and isinstance(right, int):
                 equal = False  # non-null pointer vs integer 0
@@ -629,6 +663,8 @@ class Specializer:
             return False
         if isinstance(value, pv.PEPtr):
             return True
+        if isinstance(value, pv.Affine):
+            return pv.affine_test("!=", value)
         return value != 0
 
     def address_taken(self, func):
@@ -774,9 +810,9 @@ class Specializer:
         if isinstance(operand, pv.Static):
             value = operand.value
             if node.op == "-":
-                return pv.Static(ctypes.wrap_int(-value, result_type))
+                return pv.Static(self.wrap_static(-value, result_type))
             if node.op == "~":
-                return pv.Static(ctypes.wrap_int(~value, result_type))
+                return pv.Static(self.wrap_static(~value, result_type))
             if node.op == "!":
                 return pv.Static(0 if self.truthy_static(value) else 1)
         return pv.Dynamic(ast.Unary(node.op, self.lift(operand)))
@@ -852,11 +888,11 @@ class Specializer:
             aid = base.value.aid
             offset = base.value.index
             if isinstance(index, pv.Static):
-                return self.read_elem(aid, offset + int(index.value))
+                return self.read_elem(aid, offset + _index(index.value))
             self.demote_whole_array(aid)
             index_expr = self.lift(index)
-            if offset:
-                index_expr = ast.Binary("+", ast.IntLit(offset), index_expr)
+            if offset != 0:
+                index_expr = ast.Binary("+", _index_expr(offset), index_expr)
             return pv.Dynamic(self.store.elem_expr(aid, index_expr))
         if isinstance(base, pv.Dynamic):
             return pv.Dynamic(
@@ -948,8 +984,8 @@ class Specializer:
         target = node.ctype
         if isinstance(value, pv.Static):
             concrete = value.value
-            if isinstance(concrete, int) and target.is_integer:
-                return pv.Static(ctypes.wrap_int(concrete, target))
+            if isinstance(concrete, (int, pv.Affine)) and target.is_integer:
+                return pv.Static(self.wrap_static(concrete, target))
             return value
         return pv.Dynamic(ast.Cast(target, self.lift(value)))
 
@@ -981,7 +1017,7 @@ class Specializer:
                 updated = pv.Static(self.ptr_add(concrete, delta))
             else:
                 updated = pv.Static(
-                    ctypes.wrap_int(concrete + delta, target_type)
+                    self.wrap_static(concrete + delta, target_type)
                 )
             stored = self.write_loc(loc, updated)
             return stored if node.prefix else current
@@ -1043,13 +1079,13 @@ class Specializer:
                     return (
                         "elem",
                         base.value.aid,
-                        base.value.index + int(index.value),
+                        base.value.index + _index(index.value),
                     )
-                if base.value.index:
+                if base.value.index != 0:
                     index = pv.Dynamic(
                         ast.Binary(
                             "+",
-                            ast.IntLit(base.value.index),
+                            _index_expr(base.value.index),
                             self.lift(index),
                         )
                     )
@@ -1234,13 +1270,16 @@ class Specializer:
         frame = self.frame
         if frame.kind == "inline":
             if frame.dyn_depth > 0:
-                raise _NeedsOutline()
-            raise _SpecReturn(value)
+                raise NeedsOutline()
+            raise SpecReturn(value)
         # Residual frame: emit a residual return.
         if value is None:
             stmt = ast.Return(None)
         else:
             stmt = ast.Return(self.lift(value))
+            if isinstance(value, pv.Static) and pv.is_affine(value.value):
+                # the counter dies with its loop: not a static return
+                value = pv.Dynamic(stmt.value)
         self.fb.emit(stmt)
         frame.returns.append((stmt, value))
         self.fb.block.mark_terminated()
@@ -1252,8 +1291,8 @@ class Specializer:
         mode = frame.loop_stack[-1]
         if mode == "static":
             if frame.dyn_depth > self._loop_entry_depths[-1]:
-                raise _NeedsLoopDemotion()
-            raise _SpecBreak()
+                raise NeedsLoopDemotion()
+            raise SpecBreak()
         self.fb.emit(ast.Break())
         self.fb.block.mark_terminated()
 
@@ -1264,8 +1303,8 @@ class Specializer:
         mode = frame.loop_stack[-1]
         if mode == "static":
             if frame.dyn_depth > self._loop_entry_depths[-1]:
-                raise _NeedsLoopDemotion()
-            raise _SpecContinue()
+                raise NeedsLoopDemotion()
+            raise SpecContinue()
         if self._residual_loop_kinds[-1] == "for-desugared":
             raise SpecializationError(
                 "continue inside a residualized for loop is not supported"
@@ -1437,16 +1476,22 @@ class Specializer:
         self._loop_entry_depths.append(self.frame.dyn_depth)
         self.frame.loop_stack.append("static")
         try:
+            if (
+                self.options.roll
+                and self._rolling is None
+                and self._roll_loop(cond_node, body_node, step_node)
+            ):
+                return
             while True:
                 cond = self.spec_expr(cond_node) if cond_node is not None else (
                     pv.Static(1)
                 )
                 if isinstance(cond, pv.Dynamic):
                     if iterations == 0:
-                        raise _NeedsLoopDemotion()
+                        raise NeedsLoopDemotion()
                     # The condition went dynamic mid-unroll (rare);
                     # restart as a residual loop.
-                    raise _NeedsLoopDemotion()
+                    raise NeedsLoopDemotion()
                 if not self.truthy_static(cond.value):
                     return
                 iterations += 1
@@ -1459,16 +1504,16 @@ class Specializer:
                     self.options.max_unroll is not None
                     and iterations > self.options.max_unroll
                 ):
-                    raise _NeedsLoopDemotion()
+                    raise NeedsLoopDemotion()
                 try:
                     self.spec_stmt(body_node)
-                except _SpecBreak:
+                except SpecBreak:
                     return
-                except _SpecContinue:
+                except SpecContinue:
                     pass
                 if step_node is not None:
                     self.spec_expr(step_node)
-        except _NeedsLoopDemotion:
+        except NeedsLoopDemotion:
             self.restore_state(loop_snapshot)
             self.fb.block.rollback(block_snapshot)
             self._residualize_loop(cond_node, body_node, step_node, node)
@@ -1618,7 +1663,7 @@ class Specializer:
                     result = self.inline_call(func, args, node)
                     self.inline_ok.add(coarse)
                     return result
-                except _NeedsOutline:
+                except NeedsOutline:
                     del self.frames[frames_depth:]
                     del self.fb.blocks[fb_depth:]
                     self.restore_state(snap)
@@ -1637,7 +1682,7 @@ class Specializer:
             self.bind_params(frame, func, args)
             try:
                 self.spec_stmt(func.body)
-            except _SpecReturn as signal:
+            except SpecReturn as signal:
                 return signal.value
             if not func.ret_type.is_void:
                 raise SpecializationError(
@@ -1677,6 +1722,13 @@ class Specializer:
 
     def outline_call(self, func, args, key, node):
         taken = self.address_taken(func)
+        # An induction counter is not in scope in the residual function.
+        args = [
+            pv.Dynamic(self.lift(arg))
+            if isinstance(arg, pv.Static) and isinstance(arg.value, pv.Affine)
+            else arg
+            for arg in args
+        ]
         # Pass 1 (caller side): pointer arguments into statically-tracked
         # scalar storage mean the callee will write through a runtime
         # pointer; demote the targets first.
@@ -1935,6 +1987,18 @@ class Specializer:
         entry_def = fb.build()
         self.residual.functions.insert(0, entry_def)
         return entry_def
+
+
+def _index(value):
+    """A static index or offset: an int, or an affine value as it is."""
+    return value if isinstance(value, pv.Affine) else int(value)
+
+
+def _index_expr(value):
+    """Residual expression of a static int or affine value."""
+    if isinstance(value, pv.Affine):
+        return value.expr()
+    return ast.IntLit(int(value))
 
 
 def _coarse_signature(key):

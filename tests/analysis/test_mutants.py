@@ -14,6 +14,7 @@ in-domain payloads.
 import copy
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,19 +115,34 @@ def swap_assigns_in(name_fragment):
     return apply
 
 
-def drop_last_assign(program):
-    """Delete the last assignment store (a skipped field write)."""
-    for func in reversed(program.funcs):
+def last_buffer_store(program):
+    """(statement list, index) of the last store through a pointer —
+    in a rolled codec, the element store of the loop body."""
+    found = None
+    for func in program.funcs:
         for node in ast.walk(func):
             if not isinstance(node, ast.Block):
                 continue
-            idxs = [i for i, s in enumerate(node.stmts)
-                    if isinstance(s, ast.ExprStmt)
-                    and isinstance(s.expr, ast.Assign)]
-            if idxs:
-                del node.stmts[idxs[-1]]
-                return
-    raise AssertionError("mutation found nothing to change")
+            for index, stmt in enumerate(node.stmts):
+                if (isinstance(stmt, ast.ExprStmt)
+                        and isinstance(stmt.expr, ast.Assign)
+                        and isinstance(stmt.expr.target, ast.Unary)
+                        and stmt.expr.target.op == "*"):
+                    found = node.stmts, index
+    assert found, "mutation found nothing to change"
+    return found
+
+
+def swap_last_store_and_bump(program):
+    """The last buffer store trades places with its cursor bump."""
+    stmts, index = last_buffer_store(program)
+    stmts[index], stmts[index + 1] = stmts[index + 1], stmts[index]
+
+
+def drop_last_store(program):
+    """Delete the last buffer store (a skipped field write)."""
+    stmts, index = last_buffer_store(program)
+    del stmts[index]
 
 
 class TestClientMutants:
@@ -142,17 +158,17 @@ class TestClientMutants:
         assert self._verify(xfer_pipeline, bad)
 
     def test_marshal_swapped_stores(self, xfer_pipeline, xfer_client):
-        # mutant 2: two buffer stores land in each other's slots.
+        # mutant 2: the element stores land one slot late.
         bad = respec(xfer_pipeline, xfer_client,
                      marshal_result=mutate(xfer_client.marshal_result,
-                                           swap_adjacent_assigns))
+                                           swap_last_store_and_bump))
         assert self._verify(xfer_pipeline, bad)
 
     def test_marshal_dropped_store(self, xfer_pipeline, xfer_client):
         # mutant 3: one field write is simply missing.
         bad = respec(xfer_pipeline, xfer_client,
                      marshal_result=mutate(xfer_client.marshal_result,
-                                           drop_last_assign))
+                                           drop_last_store))
         assert self._verify(xfer_pipeline, bad)
 
     def test_recv_dropped_bounds_check(self, xfer_pipeline, xfer_client):
@@ -183,6 +199,79 @@ class TestClientMutants:
                      recv_result=mutate(rmin_client.recv_result,
                                         swap_adjacent_assigns))
         assert self._verify(rmin_pipeline, bad)
+
+
+def rolled_loop(program):
+    """(statements around it, index, the While) of the rolled element
+    loop ``k = 0; while (k < N) { ACCESS; BUMP; k = k + 1; }``."""
+    for func in program.funcs:
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Block):
+                continue
+            for index, stmt in enumerate(node.stmts):
+                if (isinstance(stmt, ast.While)
+                        and isinstance(stmt.cond.right, ast.IntLit)
+                        and stmt.cond.right.value == VALS_LEN):
+                    return node.stmts, index, stmt
+    raise AssertionError("mutation found nothing to change")
+
+
+def one_trip_short(program):
+    _stmts, _index, loop = rolled_loop(program)
+    loop.cond.right.value -= 1
+
+
+def starts_at_one(program):
+    stmts, index, _loop = rolled_loop(program)
+    stmts[index - 1].expr.value.value = 1
+
+
+def index_off_by_one(program):
+    _stmts, _index, loop = rolled_loop(program)
+    access = loop.body.stmts[0]
+    element = next(node for node in ast.walk(access)
+                   if isinstance(node, ast.Index)
+                   and isinstance(node.index, ast.Var))
+    element.index = ast.Binary("+", element.index, ast.IntLit(1))
+
+
+def bump_of_eight(program):
+    _stmts, _index, loop = rolled_loop(program)
+    loop.body.stmts[1].expr.value.right.value = 8
+
+
+def stride_of_two(program):
+    _stmts, _index, loop = rolled_loop(program)
+    loop.body.stmts[2].expr.value.right.value = 2
+
+
+class TestRolledLoopMutants:
+    """One wrong constant in a loop residualized by induction — the
+    bound, the start, the index, the cursor bump, the counter step —
+    must not get past the verifier, on the store loop or the load
+    loop."""
+
+    MUTANTS = (one_trip_short, starts_at_one, index_off_by_one,
+               bump_of_eight, stride_of_two)
+
+    def test_the_subject_is_a_rolled_loop(self, xfer_client):
+        for result in (xfer_client.marshal_result, xfer_client.recv_result):
+            assert f"while (k < {VALS_LEN})" in result.pretty()
+
+    @pytest.mark.parametrize("mutant", MUTANTS,
+                             ids=lambda fn: fn.__name__)
+    def test_marshal_loop(self, xfer_pipeline, xfer_client, mutant):
+        bad = respec(xfer_pipeline, xfer_client,
+                     marshal_result=mutate(xfer_client.marshal_result,
+                                           mutant))
+        assert verify_client_spec(xfer_pipeline, bad)
+
+    @pytest.mark.parametrize("mutant", MUTANTS,
+                             ids=lambda fn: fn.__name__)
+    def test_recv_loop(self, xfer_pipeline, xfer_client, mutant):
+        bad = respec(xfer_pipeline, xfer_client,
+                     recv_result=mutate(xfer_client.recv_result, mutant))
+        assert verify_client_spec(xfer_pipeline, bad)
 
 
 class TestServerMutants:

@@ -55,12 +55,22 @@ class TestGuards:
         rules = [f.rule for f in verify_client_spec(xfer_pipeline, spec)]
         assert rules == ["guard-domain"]
 
-    def test_unroll_cap_conformance(self, xfer_pipeline, xfer_client):
-        assert verify_client_spec(xfer_pipeline, xfer_client,
-                                  unroll_cap=8) == []
-        rules = [f.rule for f in verify_client_spec(
-            xfer_pipeline, xfer_client, unroll_cap=7)]
-        assert rules == ["unroll-cap"]
+    def test_no_length_cap_a_thousand_elements_verify(self):
+        # there is no unroll cap to conform to: the rolled residual at
+        # n=1000 is the n=8 residual up to literals, and verifies clean
+        pipeline = SpecializationPipeline(
+            XFER_IDL.replace("MAXN = 64", "MAXN = 1000"),
+            impl_sources=[XFER_IMPL], verify=False)
+        lens = {"arg_lens": {"vals": 1000}, "res_lens": {"vals": 1000}}
+        client = pipeline.specialize_client("SENDRECV", **lens)
+        server = pipeline.specialize_server("SENDRECV", **lens)
+        assert verify_client_spec(pipeline, client) == []
+        assert verify_server_residual(
+            pipeline, server.result, pipeline.find_proc("SENDRECV"),
+            lens["arg_lens"], lens["res_lens"], server.bufsize,
+            module=server._module) == []
+        assert client.marshal_result.source_size() < 4096
+        assert server.result.source_size() < 16384
 
 
 class TestEnsureVerified:

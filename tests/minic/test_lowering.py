@@ -431,6 +431,98 @@ class TestCountedLoopRefuses:
         assert_agree(source, counted=False)
 
 
+# -- a rolled element loop joins the cursor run ------------------------------
+
+
+def span_case(loop, tail=""):
+    return PRELUDE + f"""
+int f(struct S *s, caddr_t buf, int n)
+{{
+    caddr_t p; int k; int m;
+    m = 8;
+    p = buf;
+    *(long *)p = 7;
+    p = p + 4;
+    *(long *)p = (long)htonl((u_long)n);
+    p = p + 4;
+    k = 0;
+    {loop}
+    {tail}
+    return (int)(p - buf);
+}}
+"""
+
+
+STORE = "*(long *)p = (long)htonl((u_long)s->a[k]); p = p + 4;"
+LOAD = "s->a[k] = (long)ntohl((u_long)*(long *)p); p = p + 4;"
+
+
+def run_span(source):
+    """``f(&s, buf, n)`` both ways over the same memory; returns the
+    compiled module after asserting value, buffer and struct agree."""
+    from repro.minic import pyruntime as rt
+    from repro.minic import values as rv
+
+    program = parse_program(source)
+    wire = bytes(range(1, 65))
+    interp = Interpreter(program)
+    s_interp = interp.make_struct("S")
+    s_interp.field("a").value.set_values(list(EDGES[:8]))
+    buf = interp.make_buffer(64)
+    for offset, byte in enumerate(wire):
+        buf.store_int(offset, byte, 1, False)
+    value = interp.call(
+        "f", [interp.ptr_to(s_interp), rv.BufPtr(buf, 0, 1), 5])
+    module = compile_program(program)
+    s_compiled = module.new_struct("S")
+    s_compiled.a = list(EDGES[:8])
+    buffer = rt.PyBuffer(wire)
+    compiled = module.call("f", s_compiled, rt.BufPtr(buffer, 0, 1, True), 5)
+    assert (compiled, bytes(buffer.data), _compiled_memory(s_compiled)) == (
+        value, buf.bytes(), _interp_memory(s_interp)), module.source
+    return module
+
+
+class TestLoopAsSpan:
+    def test_store_loop_joins_the_header_words_in_one_pack(self):
+        module = run_span(span_case(f"while (k < 8) {{ {STORE} k = k + 1; }}"))
+        body = _function(module.source, "f")
+        assert "_struct.Struct('>2I8i')" in module.source
+        assert body.count("pack_into") == 1 and "*s.a[0:8])" in body
+        assert "while" not in body and "for " not in body
+        assert "k = " not in body  # the dead counter is gone, init and all
+
+    def test_load_loop_is_one_unpack_into_a_slice(self):
+        module = run_span(span_case(f"while (k < 8) {{ {LOAD} k = k + 1; }}")
+                          .replace("*(long *)p = 7;", "m = *(long *)p;")
+                          .replace("*(long *)p = (long)htonl((u_long)n);",
+                                   "m = *(long *)p;"))
+        body = _function(module.source, "f")
+        assert body.count("unpack_from") == 1 and "s.a[0:8] = " in body
+        assert "while" not in body and "for " not in body
+
+    @pytest.mark.parametrize("loop, tail", [
+        # a second statement in the body
+        (f"while (k < 8) {{ {STORE} m = m + 1; k = k + 1; }}", ""),
+        # a bound that is not a literal
+        (f"while (k < m) {{ {STORE} k = k + 1; }}", ""),
+        # an index other than the counter
+        (f"while (k < 7) {{ {STORE.replace('a[k]', 'a[k + 1]')}"
+         " k = k + 1; }", ""),
+        # the counter is read after the loop
+        (f"while (k < 8) {{ {STORE} k = k + 1; }}", "s->n = k;"),
+    ])
+    def test_declines_to_a_plain_loop(self, loop, tail):
+        module = run_span(span_case(loop, tail))
+        assert "while k < " in _function(module.source, "f")
+        assert "8i" not in module.source and "7i" not in module.source
+
+    def test_past_the_end_of_the_array_is_not_a_span(self):
+        # the loop faults at a[8]; a slice would quietly stop short
+        source = span_case(f"while (k < 9) {{ {STORE} k = k + 1; }}")
+        assert "while k < 9:" in compile_program(parse_program(source)).source
+
+
 # -- what the lowering emits ----------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.specialized import SpecializationCache, SpecializationPipeline
 from repro.specialized.cache import content_key
+from repro.tempo.specializer import Options
 
 IDL = """
 const MAXN = 64;
@@ -47,6 +48,48 @@ class TestContentKey:
     def test_sensitive_to_values(self):
         assert content_key(a=1) != content_key(a=2)
         assert content_key(a=1) != content_key(b=1)
+
+
+class TestOptionsInTheKey:
+    """The key folds the specializer options in by ``repr``: it must
+    say what the options are, not where the object lives."""
+
+    def test_equal_options_share_a_key_across_objects(self):
+        # the default repr carries an address: never equal in a second
+        # process, so nothing built with explicit options ever revived
+        assert Options(max_unroll=3) == Options(max_unroll=3)
+        assert repr(Options(max_unroll=3)) == repr(Options(max_unroll=3))
+        assert "0x" not in repr(Options())
+        first = SpecializationPipeline(IDL, options=Options(max_unroll=3))
+        second = SpecializationPipeline(IDL, options=Options(max_unroll=3))
+        assert first._fingerprint == second._fingerprint
+
+    def test_different_options_never_share_a_key(self):
+        # ... and is reused: two short-lived option objects built one
+        # after the other used to hash to the same key
+        keys = {
+            SpecializationPipeline(IDL, options=options)._fingerprint
+            for options in (Options(max_unroll=3), Options(max_unroll=5),
+                            Options(), Options(roll=True))
+        }
+        assert len(keys) == 4
+
+    def test_the_default_is_keyed_as_the_options_it_stands_for(self):
+        assert (SpecializationPipeline(IDL)._fingerprint
+                == SpecializationPipeline(
+                    IDL, options=Options(roll=True))._fingerprint)
+
+    def test_explicit_options_revive_from_disk(self, tmp_path):
+        def build():
+            pipeline = SpecializationPipeline(
+                IDL, impl_sources=[IMPL], cache_dir=str(tmp_path),
+                options=Options(max_unroll=3))
+            pipeline.specialize_client("BOUNCE", arg_lens=LENS,
+                                       res_lens=LENS)
+            return pipeline.cache
+
+        assert build().disk_hits == 0
+        assert build().disk_hits == 1
 
 
 class TestMemoryTier:

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.errors import VerificationError
 from repro.rpc import SvcRegistry, UdpServer
 from repro.rpc.client import RpcClient
 from repro.rpc.svc_mux import MuxUdpServer
@@ -359,27 +360,39 @@ class TestDemotion:
 
 
 class TestPolicyRefusals:
-    def test_unroll_cap_skips_the_build(self, pipeline, stubs):
-        registry = make_registry(stubs)
-        spec = make_spec(pipeline, unroll_cap=4)
+    def test_no_length_cap_a_thousand_elements_served(self):
+        # the policy has no array-length bound: the rolled residual is
+        # as small at n=1000 as at n=8, so the size is built, verified
+        # (the pipeline's gate is on) and served like any other
+        big = SpecializationPipeline(IDL.replace("MAXN = 64", "MAXN = 1000"),
+                                     impl_sources=[IMPL])
+        registry = make_registry(big.stubs)
+        shadow = make_registry(big.stubs)
+        spec = make_spec(big)
         spec.attach_server(registry)
         xids = itertools.count(1)
-        drive(stubs, registry, xids, HOT_N, POLICY["min_calls"] * 2)
+        drive(big.stubs, registry, xids, 1000, POLICY["min_calls"])
         spec.poll_once()
-        assert spec.promotions == 0
-        assert spec.skips >= 1
-        assert route_of(registry) is None
-        assert spec.decisions[-1].action == "skip"
-        assert spec.decisions[-1].reason == "unroll_cap"
+        assert spec.promotions == 1 and spec.skips == 0
+        assert big.verify_enabled()
+        route = route_of(registry)
+        assert route is not None and len(route.sizes) == 1
+        data = call_bytes(big.stubs, 777, 1000)
+        assert bytes(registry.dispatch_bytes(data)) == bytes(
+            shadow.dispatch_bytes(data))
+        assert route.hits == 1
 
     def test_cooldown_backs_off_after_a_refused_build(self, pipeline,
-                                                      stubs):
+                                                      stubs, monkeypatch):
+        def rejected(*args, **kwargs):
+            raise VerificationError("refused for the test")
+
+        monkeypatch.setattr(pipeline, "specialize_server", rejected)
         now = [0.0]
         registry = make_registry(stubs)
         spec = OnlineSpecializer(
             pipeline,
-            policy=OnlinePolicy(**{**POLICY, "unroll_cap": 4,
-                                   "cooldown_s": 30.0}),
+            policy=OnlinePolicy(**{**POLICY, "cooldown_s": 30.0}),
             clock=lambda: now[0], enabled=True,
         )
         spec.attach_server(registry)
