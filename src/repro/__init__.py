@@ -36,6 +36,29 @@ The package is organized as the paper's system is:
     paper's evaluation section.
 """
 
+import importlib
+import sys
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]
+
+
+def lazy_exports(package, exports):
+    """A PEP 562 module ``__getattr__`` for ``package``: its re-exported
+    names resolve on first use.  ``exports`` maps each submodule to the
+    (space-separated) names taken from it; a process that imports one
+    of them does not load — and compile — the others' submodules."""
+    home = {name: module for module, names in exports.items()
+            for name in names.split()}
+
+    def __getattr__(name):
+        if name not in home:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(f"{package}.{home[name]}")
+        value = getattr(module, name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__

@@ -29,13 +29,17 @@ What is proved (per codec, on the declared domain):
   The residual may always **decline** (return 0); the runtime then
   falls back to the generic path, so declining is safe — accepting
   with different bytes is the bug class this pass exists to catch;
-* **lowering conformance** — what installs is not the residual MiniC
-  but its :mod:`~repro.minic.compile_py` lowering, which elides wraps
-  and rewrites loops on its own reasoning.  Every concrete probe above
-  (one valid message plus the hostile set) is also fed to the
-  :class:`~repro.minic.compile_py.CompiledModule`, which must fault or
-  not as the interpreter just did on the same residual MiniC, and
-  return the same value, output bytes and decoded struct.
+* **entry conformance** — what installs is not the residual MiniC but
+  the **fused entry** the transport calls: hand-staged glue, its size
+  guard, and the :mod:`~repro.minic.compile_py` lowering of the
+  residual (which elides wraps and rewrites loops on its own
+  reasoning) over structs narrowed to the assumed array lengths.
+  Every concrete probe above (one valid message plus the hostile set)
+  is fed to that entry, which must answer what the generic program just
+  answered or decline — and must not decline the valid message.
+  Messages of off-profile *lengths* (one element fewer, one more, none;
+  four bytes short, four bytes long) it must decline: the residual was
+  proved on one size, and the guard is what keeps it there.
 
 Soundness caveats (also in docs/ANALYSIS.md): equality of symbolic
 values is decided by structural identity, so a residual program that
@@ -45,6 +49,7 @@ control flow in a residual codec is likewise reported, not guessed at.
 """
 
 import itertools
+import struct
 
 from repro.analysis.findings import Finding
 from repro.analysis.symexec import (
@@ -56,7 +61,6 @@ from repro.analysis.symexec import (
     values_equal,
 )
 from repro.errors import InterpError, ReproError, VerificationError
-from repro.minic import pyruntime as rt
 from repro.minic import types as ct
 from repro.minic import values as rv
 from repro.minic.typecheck import typecheck_program
@@ -72,6 +76,12 @@ from repro.specialized.sizes import (
 #: pack format gets wrong, then count up from a deterministic filler.
 _EDGE_WORDS = (0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0, 1)
 _PROBE_FILL = 0x1357
+
+
+#: the xid of concrete probes, and what a fused entry is handed on top
+#: of it: the application's xid is any int, masked at the boundary.
+_PROBE_XID = 0x7F03AB03
+_XID_EXCESS = 1 << 32
 
 
 def _probe_words():
@@ -174,13 +184,15 @@ def _fill_symbolic(struct_val, var_fields, lens, prefix,
                    value_of=_sym_value):
     """Make every data field of a MiniC struct instance a fresh symbol
     (or whatever ``value_of(name, ctype)`` supplies); bounded-array
-    length fields get their assumed (concrete) length."""
+    length fields get their assumed (concrete) length, and the
+    elements past it stay zero."""
     for fname, ftype in struct_val.stype.fields:
         cell = struct_val.field(fname)
         name = f"{prefix}.{fname}"
         if isinstance(ftype, ct.ArrayType):
             array = cell.value
-            for index in range(len(array)):
+            for index in range(min(lens.get(fname, len(array)),
+                                   len(array))):
                 array.elem(index).value = value_of(f"{name}[{index}]",
                                                    ftype.base)
         elif isinstance(ftype, ct.StructType):
@@ -208,7 +220,9 @@ def _struct_mismatches(entry, prefix, left, right, findings):
                                findings)
         elif isinstance(ftype, ct.ArrayType):
             arr_l, arr_r = cell_l.value, cell_r.value
-            for index in range(len(arr_l)):
+            # the residual's array may be narrower; the decoded length
+            # (compared as a field) lies within both
+            for index in range(min(len(arr_l), len(arr_r))):
                 vl = arr_l.elem(index).value
                 vr = arr_r.elem(index).value
                 if not values_equal(vl, vr):
@@ -281,14 +295,17 @@ class _Harness:
     """Builds matched input worlds for the generic and residual
     programs of one codec and runs both."""
 
-    def __init__(self, pipeline, result, generic_entry):
+    def __init__(self, pipeline, result, generic_entry, module=None):
         self.pipeline = pipeline
         self.result = result
         self.generic_entry = generic_entry
         self.generic_program = pipeline.program_ast
         self.generic_typeinfo = pipeline.typeinfo
+        #: the residual program as it runs: the one ``module`` (its
+        #: compiled form, arrays narrowed) was built from, when given
+        self.program = result.program if module is None else module.program
         #: checked once here, not once per probe
-        self.residual_typeinfo = typecheck_program(result.program)
+        self.residual_typeinfo = typecheck_program(self.program)
         self.generic_names = _generic_params(
             self.generic_program, generic_entry
         )
@@ -298,110 +315,111 @@ class _Harness:
         """``make_values(interp)`` builds the world for one program
         (fresh buffers/structs, shared symbol names); returns the two
         :class:`_Run` outcomes (generic, residual)."""
-        generic_interp = SymbolicInterpreter(
+        return self.run_generic(make_values), self.run_residual(make_values)
+
+    def run_generic(self, make_values):
+        interp = SymbolicInterpreter(
             self.generic_program, typeinfo=self.generic_typeinfo
         )
-        values, out, resp = make_values(generic_interp)
-        generic = _run_with(generic_interp, self.generic_entry,
-                            self.generic_names, values, out, resp)
-        return generic, self.run_residual(make_values)
+        values, out, resp = make_values(interp)
+        return _run_with(interp, self.generic_entry, self.generic_names,
+                         values, out, resp)
 
     def run_residual(self, make_values):
-        self._interp = SymbolicInterpreter(
-            self.result.program, typeinfo=self.residual_typeinfo
+        interp = SymbolicInterpreter(
+            self.program, typeinfo=self.residual_typeinfo
         )
-        values, out, resp = make_values(self._interp)
-        return _run_with(self._interp, self.result.entry_name,
+        values, out, resp = make_values(interp)
+        return _run_with(interp, self.result.entry_name,
                          self.residual_names, values, out, resp)
 
-    def lowering_findings(self, module, label, make_values, residual):
-        """The lowering gate for one concrete probe: run ``module`` (the
-        compiled residual) on a fresh copy of the world ``residual``
-        (the interpreter's outcome, from :meth:`run_residual`) started
-        from, and report any difference in outcome."""
-        if module is None:
-            return []
-        entry = self.result.entry_name
-        values, out, resp = make_values(self._interp)
-        lower = _Lowered(module)
-        args = [lower(values[name]) for name in self.residual_names]
-        try:
-            value = module.call(entry, *args)
-        # repro: disable=overbroad-except -- any fault of the compiled code is an outcome to compare, as the runtime wrappers treat it
-        except Exception as exc:
-            if residual.status == "ok":
-                return [_finding(
-                    "lowering-divergence", entry,
-                    f"compiled code faulted where the interpreter"
-                    f" returned {residual.value!r} ({label}): {exc!r}",
-                    probe=label,
-                )]
-            return []
-        if residual.status != "ok":
-            what = f"compiled code returned {value!r} where the" \
-                   f" interpreter faulted: {residual.error}"
-        elif value != residual.value:
-            what = f"compiled code returned {value!r}, the interpreter" \
-                   f" {residual.value!r}"
-        elif value and out is not None and bytes(
-                lower(out).data[:value]) != bytes(
-                residual.out.sym_bytes()[:value]):
-            what = "compiled code wrote different output bytes"
-        elif value and resp is not None and _plain(
-                lower(resp)) != _plain(residual.resp):
-            what = "compiled code decoded a different struct"
+    def entry_findings(self, label, answer, oracle=None):
+        """The entry gate for one concrete probe: ``answer`` is what the
+        fused entry returned for it (None: it declined) and ``oracle()``
+        what the generic program answers (None: it refuses).  Only the
+        ``in-domain`` probe must be served; an answer must be the
+        oracle's.  A probe with no oracle is of a length the residual
+        was not proved on: the entry's guard must decline it, whatever
+        the residual would have made of it."""
+        rule = "lowering-divergence"
+        if answer is None:
+            if label != "in-domain":
+                return []
+            what = "the entry declines the message it was built for"
+        elif oracle is None:
+            rule = "guard-domain"
+            what = "the entry serves a length outside its guard domain"
         else:
-            return []
-        return [_finding("lowering-divergence", entry,
-                         f"{what} ({label})", probe=label)]
+            expected = oracle()
+            if answer == expected:
+                return []
+            what = ("the entry answers a message the generic program"
+                    " refuses" if expected is None else
+                    "the entry's answer differs from the generic program's")
+        return [_finding(rule, self.result.entry_name, f"{what} ({label})",
+                         probe=label)]
 
 
-class _Lowered:
-    """Maps an interpreter world (as ``make_values`` builds it) to the
-    :mod:`~repro.minic.pyruntime` values compiled code runs on; one
-    buffer or struct maps to one object however often it is reached."""
-
-    def __init__(self, module):
-        self.module = module
-        self._memo = {}
-
-    def __call__(self, value):
-        if isinstance(value, rv.BufPtr):
-            return rt.BufPtr(self(value.buffer), value.offset,
-                             value.elem_size, value.signed)
-        if isinstance(value, rv.CellPtr):
-            return self(value.cell.value)  # struct pointers are the object
-        if not isinstance(value, (rv.Buffer, rv.StructVal)):
-            return value
-        if id(value) not in self._memo:
-            self._memo[id(value)] = (
-                rt.PyBuffer(bytes(value.data))
-                if isinstance(value, rv.Buffer) else self._struct(value)
-            )
-        return self._memo[id(value)]
-
-    def _struct(self, struct_val):
-        obj = self.module.new_struct(struct_val.stype.name)
-        for fname, _ftype in struct_val.stype.fields:
-            inner = struct_val.field(fname).value
-            if isinstance(inner, rv.ArrayVal):
-                inner = inner.values()
-            elif isinstance(inner, rv.StructVal):
-                inner = self._struct(inner)
-            setattr(obj, fname, inner)
-        return obj
+def _python_value(interface, struct, struct_val):
+    """A concrete interpreter struct as the application passes it: a
+    dict per struct, bounded arrays cut to their length."""
+    out = {}
+    for field in struct.fields:
+        resolved = interface.resolve(field.type)
+        value = struct_val.field(field.name).value
+        if isinstance(value, rv.ArrayVal):
+            value = value.values()
+            if isinstance(resolved, idl.VarArray):
+                value = value[:struct_val.field(f"{field.name}_len").value]
+        elif isinstance(value, rv.StructVal):
+            value = _python_value(
+                interface, interface.struct(resolved.name), value)
+        out[field.name] = value
+    return out
 
 
-def _plain(value):
-    """An interpreter or compiled struct as nested lists of ints."""
-    if isinstance(value, rv.StructVal):
-        return [_plain(value.field(name).value)
-                for name, _ctype in value.stype.fields]
-    if isinstance(value, rv.ArrayVal):
-        return value.values()
+def _plain_stub(value):
+    """A decoded stub struct as :func:`_python_value` spells it."""
     if hasattr(value, "__slots__"):
-        return [_plain(getattr(value, name)) for name in value.__slots__]
+        return {name: _plain_stub(getattr(value, name))
+                for name in value.__slots__}
     return value
+
+
+def _message(words):
+    return struct.pack(f">{len(words)}I", *words)
+
+
+def _output(run):
+    """The bytes a concrete generic run produced, None when it refused."""
+    if run.status != "ok" or not run.value:
+        return None
+    return bytes(run.out.sym_bytes()[:run.value])
+
+
+def _off_profile_lens(pipeline, struct, lens):
+    """(label, lens) for the off-profile neighbours of ``lens``: per
+    bounded array one element fewer, one more, and none."""
+    probes = []
+    for field, count in lens.items():
+        bound = pipeline.interface.resolve(
+            next(f for f in struct.fields if f.name == field).type).bound
+        for other in sorted({count - 1, count + 1, 0} - {count}):
+            if 0 <= other <= bound:
+                probes.append((f"len-{field}-{other}-elements",
+                               {**lens, field: other}))
+    return probes
+
+
+def _off_profile_messages(pipeline, struct, lens, base, template_for):
+    """(label, words) of concrete messages that are not of the proved
+    size: the in-domain message ``base`` four bytes short and four
+    long, and the well-formed message ``template_for(other)`` for each
+    off-profile neighbour ``other`` of ``lens``."""
+    probes = [("short-4-bytes", base[:-1]), ("long-4-bytes", base + [0])]
+    for label, other in _off_profile_lens(pipeline, struct, lens):
+        probes.append((label, _concrete_words(template_for(other))))
+    return probes
 
 
 def _run_with(interp, entry, param_names, values, out, resp):
@@ -458,23 +476,26 @@ def _verify_marshal(pipeline, spec, want_request):
     findings = []
     harness = _Harness(
         pipeline, spec.marshal_result,
-        f"{spec.proc.name.lower()}_marshal",
+        f"{spec.proc.name.lower()}_marshal", spec._marshal_module,
     )
     var_fields = tuple(pipeline._gen.var_fields(spec.arg_struct))
     entry = spec.marshal_result.entry_name
     xid = sym("xid")
 
-    def make_values(interp, concrete=False):
+    def make_values(interp, lens=None):
+        """The symbolic world, or (``lens`` given) a concrete one whose
+        bounded arrays hold ``lens`` elements."""
         out = interp.make_sym_buffer(spec.bufsize, name="out")
         clnt = interp.make_struct("CLIENT")
         clnt.field("cl_prog").value = pipeline.prog_number
         clnt.field("cl_vers").value = pipeline.vers_number
         args = interp.make_struct(spec.arg_struct.name)
-        _fill_symbolic(args, var_fields, spec._arg_lens, "arg",
-                       _probe_values() if concrete else _sym_value)
+        concrete = lens is not None
+        _fill_symbolic(args, var_fields, lens if concrete else spec._arg_lens,
+                       "arg", _probe_values() if concrete else _sym_value)
         values = {
             "clnt": interp.ptr_to(clnt),
-            "xid": 0x7F03AB03 if concrete else xid,
+            "xid": _PROBE_XID if concrete else xid,
             "argsp": interp.ptr_to(args),
             "outbuf": rv.BufPtr(out, 0, 1, True),
             "outsize": spec.bufsize,
@@ -528,30 +549,43 @@ def _verify_marshal(pipeline, spec, want_request):
     if findings:
         return findings
 
-    # The symbolic run has no concrete message to hand the lowering
-    # gate: interpret the residual once more on one.
-    def make_probe(interp):
-        return make_values(interp, concrete=True)
+    # The entry gate, on concrete arguments of the assumed lengths —
+    # the oracle is the generic program, built on the capacity it
+    # declares (the residual's arrays are narrowed) — and of their
+    # neighbours, which the entry must decline.
+    def built(lens):
+        args = make_values(SymbolicInterpreter(
+            harness.generic_program, typeinfo=harness.generic_typeinfo,
+        ), lens)[0]["argsp"].cell.value
+        return spec.build_request(_PROBE_XID + _XID_EXCESS, _python_value(
+            pipeline.interface, spec.arg_struct, args))
 
-    findings.extend(harness.lowering_findings(
-        spec._marshal_module, "in-domain", make_probe,
-        harness.run_residual(make_probe),
-    ))
+    findings.extend(harness.entry_findings(
+        "in-domain", built(spec._arg_lens),
+        lambda: _output(harness.run_generic(
+            lambda interp: make_values(interp, spec._arg_lens)))))
+    for label, lens in _off_profile_lens(pipeline, spec.arg_struct,
+                                         spec._arg_lens):
+        if findings:
+            break
+        findings.extend(harness.entry_findings(label, built(lens)))
     return findings
 
 
-def _reply_template(pipeline, spec, xid):
+def _reply_template(pipeline, spec, xid, lens=None):
     words = [xid, 1, 0, 0, 0, 0]  # xid, REPLY, MSG_ACCEPTED, null verf,
     #                               SUCCESS — six header words
     _encode_struct_words(pipeline.interface, spec.ret_struct,
-                         spec._res_lens, "res", words)
+                         spec._res_lens if lens is None else lens,
+                         "res", words)
     return words
 
 
 def _verify_recv(pipeline, spec, want_reply):
     findings = []
     harness = _Harness(
-        pipeline, spec.recv_result, f"{spec.proc.name.lower()}_recv"
+        pipeline, spec.recv_result, f"{spec.proc.name.lower()}_recv",
+        spec._recv_module,
     )
     entry = spec.recv_result.entry_name
     xid = sym("xid")
@@ -564,13 +598,13 @@ def _verify_recv(pipeline, spec, want_reply):
         ))
         return findings
 
-    def make_values(interp, template=words):
+    def make_values(interp, template=words, pxid=xid):
         buf = _words_to_buffer(interp, template, "in")
         resp = interp.make_struct(spec.ret_struct.name)
         values = {
             "inbuf": rv.BufPtr(buf, 0, 1, True),
-            "inlen": want_reply,
-            "xid": template[0],
+            "inlen": 4 * len(template),
+            "xid": pxid,
             "resp": interp.ptr_to(resp),
         }
         for field, length in spec._res_lens.items():
@@ -608,29 +642,28 @@ def _verify_recv(pipeline, spec, want_reply):
     if findings:
         return findings
 
+    def decoded(run):
+        """What a concrete generic run decoded, None when it refused."""
+        if run.status != "ok" or run.value != 1:
+            return None
+        return _python_value(pipeline.interface, spec.ret_struct, run.resp)
+
+    def gate(label, template, pxid, generic=None):
+        """The entry gate on one concrete reply, ``generic`` the
+        generic program's run on it (none: an off-profile length)."""
+        return harness.entry_findings(
+            label,
+            _plain_stub(spec.decode_reply(_message(template),
+                                          pxid + _XID_EXCESS)),
+            None if generic is None else lambda: decoded(generic))
+
     # Hostile-input probes: concrete corrupted replies.  The residual
     # may decline anything; it must never accept what generic rejects,
     # and when both accept the decode must agree.
-    for label, probe_words, probe_xid in _recv_probes(pipeline, spec,
-                                                      words):
-        def make_probe(interp, template=probe_words, pxid=probe_xid):
-            buf = _words_to_buffer(interp, template, "in")
-            resp = interp.make_struct(spec.ret_struct.name)
-            values = {
-                "inbuf": rv.BufPtr(buf, 0, 1, True),
-                "inlen": want_reply,
-                "xid": pxid,
-                "resp": interp.ptr_to(resp),
-            }
-            for field, length in spec._res_lens.items():
-                values[f"expected_{field}_len"] = length
-            return values, buf, resp
-
-        generic, residual = harness.run_pair(make_probe)
-        findings.extend(harness.lowering_findings(
-            spec._recv_module, label, make_probe, residual))
-        if findings:
-            return findings
+    probes = _recv_probes(pipeline, spec, words)
+    for label, probe_words, probe_xid in probes:
+        generic, residual = harness.run_pair(
+            lambda interp: make_values(interp, probe_words, probe_xid))
         if residual.status in ("error", "undecidable"):
             findings.append(_finding(
                 "residual-bounds", entry,
@@ -650,8 +683,19 @@ def _verify_recv(pipeline, spec, want_reply):
                 return findings
             _struct_mismatches(entry, f"res[{label}]", generic.resp,
                                residual.resp, findings)
-            if findings:
-                return findings
+        findings.extend(gate(label, probe_words, probe_xid, generic))
+        if findings:
+            return findings
+
+    # Off-profile lengths: the residual program assumes ``inlen``, so
+    # only the entry — its guard — is asked.
+    _label, base, probe_xid = probes[0]
+    for label, template in _off_profile_messages(
+            pipeline, spec.ret_struct, spec._res_lens, base,
+            lambda lens: _reply_template(pipeline, spec, probe_xid, lens)):
+        findings.extend(gate(label, template, probe_xid))
+        if findings:
+            return findings
     return findings
 
 
@@ -698,18 +742,28 @@ def _patched(words, index, value):
 # -- the server verifier --------------------------------------------------
 
 
+def _call_template(pipeline, proc, arg_struct, arg_lens, xid):
+    words = [
+        xid, 0, 2, pipeline.prog_number, pipeline.vers_number,
+        proc.number, 0, 0, 0, 0,
+    ]
+    return _encode_struct_words(pipeline.interface, arg_struct, arg_lens,
+                                "arg", words)
+
+
 def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
                            bufsize, module=None):
     """Verify one residual server dispatcher.  Returns findings.
-    ``module`` is the dispatcher's compiled form, when there is one to
-    hold to the lowering gate.
+    ``module`` is the dispatcher's compiled form, when there is one:
+    the program it was compiled from is the one interpreted, and its
+    fused entry is held to the entry gate.
 
-    Server semantics differ from the client in one way: the runtime
-    wrapper treats *any* residual exception as a decline and falls back
-    to the generic registry, so a residual fault on hostile input is
-    safe — only accepting with bytes that diverge from the generic
-    dispatcher is an error.  On the declared domain the residual must
-    still answer (no decline) with the generic bytes.
+    Server semantics differ from the client in one way: the fused entry
+    treats *any* residual exception as a decline and the generic body
+    answers, so a residual fault on hostile input is safe — only
+    accepting with bytes that diverge from the generic dispatcher is an
+    error.  On the declared domain the residual must still answer (no
+    decline) with the generic bytes.
     """
     findings = []
     interface = pipeline.interface
@@ -718,14 +772,9 @@ def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
     want_request = request_size(interface, arg_struct, arg_lens)
 
     suffix = f"{pipeline.idl_program.name.lower()}_{pipeline.vers_number}"
-    harness = _Harness(pipeline, result, f"svc_handle_{suffix}")
+    harness = _Harness(pipeline, result, f"svc_process_{suffix}", module)
 
-    xid = sym("xid")
-    words = [
-        xid, 0, 2, pipeline.prog_number, pipeline.vers_number,
-        proc.number, 0, 0, 0, 0,
-    ]
-    _encode_struct_words(interface, arg_struct, arg_lens, "arg", words)
+    words = _call_template(pipeline, proc, arg_struct, arg_lens, sym("xid"))
     if 4 * len(words) != want_request:
         findings.append(_finding(
             "verify-internal", entry,
@@ -744,7 +793,6 @@ def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
             "inlen": 4 * len(template),
             "outbuf": rv.BufPtr(out, 0, 1, True),
             "outsize": bufsize,
-            "expected_inlen": want_request,
         }
         values.update(expected_lens)
         return values, out, None
@@ -789,40 +837,45 @@ def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
     if findings:
         return findings
 
-    # Hostile probes: residual may decline or fault (the wrapper treats
-    # both as fallback) but must not answer with divergent bytes.
-    for label, probe in _server_probes(pipeline, arg_struct, arg_lens,
-                                       proc, words):
-        def make_probe(interp, template=probe):
-            buf = _words_to_buffer(interp, template, "in")
-            out = interp.make_sym_buffer(bufsize, name="out")
-            values = {
-                "inbuf": rv.BufPtr(buf, 0, 1, True),
-                "inlen": 4 * len(template),
-                "outbuf": rv.BufPtr(out, 0, 1, True),
-                "outsize": bufsize,
-                "expected_inlen": want_request,
-            }
-            values.update(expected_lens)
-            return values, out, None
+    def gate(label, template, generic=None):
+        """The entry gate on one concrete call, ``generic`` the generic
+        program's run on it (none: an off-profile length)."""
+        if module is None:
+            return []
+        return harness.entry_findings(
+            label, module.entry(_message(template)),
+            None if generic is None else lambda: _output(generic))
 
-        generic, residual = harness.run_pair(make_probe)
-        findings.extend(harness.lowering_findings(
-            module, label, make_probe, residual))
+    # Hostile probes: residual may decline or fault (the entry treats
+    # both as fallback) but must not answer with divergent bytes.
+    probes = _server_probes(pipeline, arg_struct, arg_lens, proc, words)
+    for label, probe in probes:
+        generic, residual = harness.run_pair(
+            lambda interp: make_values(interp, probe))
+        # a decline or fault is the generic fallback's to handle
+        if residual.status == "ok" and residual.value != 0:
+            if generic.status != "ok" or generic.value != residual.value:
+                findings.append(_finding(
+                    "residual-accepts-bad-input", entry,
+                    f"dispatch answers a call the generic dispatcher"
+                    f" handles differently ({label})",
+                    probe=label,
+                ))
+                return findings
+            _compare_buffers(entry, f"dispatch[{label}]", generic.out,
+                             residual.out, generic.value, findings)
+        findings.extend(gate(label, probe, generic))
         if findings:
             return findings
-        if residual.status != "ok" or residual.value == 0:
-            continue  # decline/fault -> generic fallback handles it
-        if generic.status != "ok" or generic.value != residual.value:
-            findings.append(_finding(
-                "residual-accepts-bad-input", entry,
-                f"dispatch answers a call the generic dispatcher"
-                f" handles differently ({label})",
-                probe=label,
-            ))
-            return findings
-        _compare_buffers(entry, f"dispatch[{label}]", generic.out,
-                         residual.out, generic.value, findings)
+
+    # Off-profile lengths: the residual program assumes ``inlen``, so
+    # only the entry — its guard — is asked.
+    base = probes[0][1]
+    for label, template in _off_profile_messages(
+            pipeline, arg_struct, arg_lens, base,
+            lambda lens: _call_template(pipeline, proc, arg_struct, lens,
+                                        base[0])):
+        findings.extend(gate(label, template))
         if findings:
             return findings
     return findings
@@ -830,7 +883,7 @@ def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
 
 def _svc_expected_lens(pipeline, proc, arg_lens, res_lens):
     """The per-procedure expected-length parameters of the generic
-    ``svc_handle`` entry (zero for every procedure but the hot one),
+    ``svc_process`` entry (zero for every procedure but the hot one),
     mirroring the pipeline's server assumptions."""
     values = {}
     for version_proc in pipeline.idl_version.procs:

@@ -593,16 +593,16 @@ class _FuncCompiler:
     # the general pointer runtime costs several object allocations per
     # element; recognizing whole runs and emitting one struct.pack_into /
     # unpack_from is the Python analogue of what ``gcc -O2`` does to the
-    # residual straight-line C in the paper.
+    # residual straight-line C in the paper.  A run may be one word long:
+    # through the pointer runtime a word costs two cursor objects and
+    # ~105 bytecodes, through ``struct`` one object and ~40.
 
-    _MIN_BATCH = 3
-
-    def _stmts_with_batching(self, stmts):
+    def _stmts_with_batching(self, stmts, guards=True):
         index = 0
         total = len(stmts)
         while index < total:
-            run = self._collect_cursor_run(stmts, index)
-            if run is not None and run["words"] >= self._MIN_BATCH:
+            run = self._collect_cursor_run(stmts, index, guards)
+            if run is not None:
                 self._emit_cursor_run(run)
                 index = run["end"]
                 continue
@@ -757,9 +757,40 @@ class _FuncCompiler:
             item = _LoopSpan(item.obj, trips, counter)
         return step_kind, cursor, item
 
-    def _collect_cursor_run(self, stmts, start):
+    def _run_guard(self, stmt, cursor_text):
+        """Whether ``stmt`` is ``if (COND) return LITERAL;`` with COND
+        over literals and local variables other than the cursor: it has
+        no effect and reads no memory, so not the cursor either — which
+        a guarded run stores late."""
+        if not (isinstance(stmt, ast.If) and stmt.other is None):
+            return False
+        then = stmt.then
+        if isinstance(then, ast.Block) and len(then.stmts) == 1:
+            then = then.stmts[0]
+        if not (
+            isinstance(then, ast.Return)
+            and isinstance(then.value, ast.IntLit)
+        ):
+            return False
+        for node in ast.walk(stmt.cond):
+            if isinstance(node, ast.Var):
+                if node.name == cursor_text or not any(
+                    node.name in scope for scope in self.scopes
+                ):
+                    return False
+            elif isinstance(node, ast.Unary):
+                if node.op in ("*", "&"):
+                    return False
+            elif not isinstance(node, (ast.IntLit, ast.Cast, ast.Binary)):
+                return False
+        return True
+
+    def _collect_cursor_run(self, stmts, start, guards=True):
         """Collect a maximal run of (store|load, bump) pairs and rolled
-        element loops over one cursor."""
+        element loops over one cursor.  With ``guards``, a run of plain
+        loads also steps over the early-return tests between its words
+        (:meth:`_run_guard`): they are items of the run, as ``If``
+        nodes."""
         kind = cursor = cursor_text = None
         items = []
         words = 0
@@ -776,10 +807,24 @@ class _FuncCompiler:
             items.append(step[2])
             words += step[2].trips if isinstance(step[2], _LoopSpan) else 1
             index += 2
+            if isinstance(step[2], _LoopSpan):
+                guards = False
+            while (
+                guards
+                and kind == "load"
+                and index < len(stmts)
+                and self._run_guard(stmts[index], cursor_text)
+            ):
+                items.append(stmts[index])
+                index += 1
+        while items and isinstance(items[-1], ast.If):
+            # a test after the last word is not between two of them
+            items.pop()
+            index -= 1
         if not items:
             return None
         return {"kind": kind, "cursor": cursor, "items": items,
-                "words": words, "end": index}
+                "words": words, "end": index, "stmts": stmts[start:index]}
 
     def _emit_cursor_run(self, run):
         items = run["items"]
@@ -787,6 +832,14 @@ class _FuncCompiler:
         cursor = self.temp()
         self.emit(f"{cursor} = {self.expr(run['cursor'])}")
         where = f"{cursor}.buffer.data, {cursor}.offset"
+        guarded = any(isinstance(item, ast.If) for item in items)
+        if guarded:
+            # One unpack would fault on a buffer that ends inside the
+            # run, where word by word an earlier test may have returned:
+            # batch only what is known to be there.
+            self.emit(f"if {cursor}.offset + {4 * count}"
+                      f" <= len({cursor}.buffer.data):")
+            self.depth += 1
         if run["kind"] == "store":
             # Words pack unsigned (masked; constants at compile time); a
             # span of one int array packs signed straight from a slice —
@@ -817,6 +870,17 @@ class _FuncCompiler:
             self.emit(f"{vals} = {packer}.unpack_from({where})")
             index = position = 0
             while index < len(items):
+                if isinstance(items[index], ast.If):
+                    # leave as word by word would: the cursor past the
+                    # words read so far
+                    self.emit(f"if {self.cond(items[index].cond)}:")
+                    self.depth += 1
+                    self._store(run["cursor"],
+                                f"{cursor}.add({4 * position})")
+                    self.stmt(items[index].then)
+                    self.depth -= 1
+                    index += 1
+                    continue
                 span = self._index_span(items, index)
                 if span is None:
                     self._store(
@@ -836,6 +900,12 @@ class _FuncCompiler:
                     position += length
         # One cursor update for the whole run.
         self._store(run["cursor"], f"{cursor}.add({4 * count})")
+        if guarded:
+            self.depth -= 1
+            self.emit("else:")
+            self.depth += 1
+            self._stmts_with_batching(run["stmts"], guards=False)
+            self.depth -= 1
         for item in items:
             if isinstance(item, _LoopSpan):
                 # every use of the counter was in the loop: it is gone
@@ -1139,13 +1209,16 @@ _RESERVED = frozenset(keyword.kwlist) | {"_rt", "_once", "_struct"}
 class CompiledModule:
     """A MiniC program compiled to a live Python namespace."""
 
-    def __init__(self, program, typeinfo=None):
+    def __init__(self, program, typeinfo=None, glue=""):
         self.program = program
         self.typeinfo = typeinfo or typecheck_program(program)
         self.global_names = {}
         #: run format -> name of its module-level ``struct.Struct``
         self.packers = {}
-        self.source = self._generate()
+        #: ``glue``: Python source appended to the generated module, so
+        #: that hand-staged code around the compiled functions (the
+        #: pipeline's fused entries) is part of the one ``compile()``
+        self.source = self._generate() + glue
         self.namespace = {}
         code = compile(self.source, "<minic-compiled>", "exec")
         exec(code, self.namespace)  # noqa: S102 - our own generated code
@@ -1222,6 +1295,11 @@ class CompiledModule:
         """Return the compiled Python callable for MiniC function ``name``."""
         return self.namespace[self.func_name(name)]
 
+    @property
+    def entry(self):
+        """The function the glue defines under the name ``entry``."""
+        return self.namespace["entry"]
+
     def call(self, name, *args):
         return self.func(name)(*args)
 
@@ -1254,6 +1332,6 @@ class CompiledModule:
         return rt.PyBuffer(size)
 
 
-def compile_program(program, typeinfo=None):
+def compile_program(program, typeinfo=None, glue=""):
     """Compile a MiniC program; returns a :class:`CompiledModule`."""
-    return CompiledModule(program, typeinfo)
+    return CompiledModule(program, typeinfo, glue)

@@ -28,50 +28,31 @@ Marshaling is pluggable per call: the generic path uses the
 compiled from Tempo residual programs (:mod:`repro.specialized`).
 """
 
-from repro.rpc.auth import AUTH_NONE, AUTH_SYS, OpaqueAuth, make_auth_none, make_auth_sys
-from repro.rpc.clnt_tcp import TcpClient
-from repro.rpc.clnt_udp import CallStats, UdpClient
-from repro.rpc.drc import DuplicateRequestCache
-from repro.rpc.durable import DrcJournal, attach_journal
-from repro.rpc.fastpath import BufferPool, CallHeaderTemplate, ReplyHeaderTemplate
-from repro.rpc.faults import FaultPlan, FaultySocket
-from repro.rpc.fleet import (
-    DrcReplicator,
-    FleetDirectory,
-    FleetMember,
-    FleetWatcher,
-    Membership,
-    install_replication_sink,
-)
-from repro.rpc.message import RPC_VERSION
-from repro.rpc.mux import MuxTcpClient, MuxUdpClient, PendingCall
-from repro.rpc.overload import (
-    CodelQueue,
-    HedgeTrigger,
-    RetryBudget,
-    make_deadline_cred,
-    propagation_enabled,
-    remaining_from_cred,
-    stamp_deadline,
-)
-from repro.rpc.resilience import (
-    CallerQuota,
-    CircuitBreaker,
-    Deadline,
-    FailoverClient,
-    HEALTH_PROG,
-    HEALTH_PROC_STATUS,
-    HEALTH_VERS,
-    InflightLimiter,
-    STATUS_DRAINING,
-    STATUS_SERVING,
-    TokenBucket,
-    WorkerPool,
-)
-from repro.rpc.server import SvcRegistry, rpc_service
-from repro.rpc.svc_mux import MuxTcpServer, MuxUdpServer, make_server
-from repro.rpc.svc_tcp import TcpServer
-from repro.rpc.svc_udp import UdpServer
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "auth": "AUTH_NONE AUTH_SYS OpaqueAuth make_auth_none make_auth_sys",
+    "clnt_tcp": "TcpClient",
+    "clnt_udp": "CallStats UdpClient",
+    "drc": "DuplicateRequestCache",
+    "durable": "DrcJournal attach_journal",
+    "fastpath": "BufferPool CallHeaderTemplate ReplyHeaderTemplate",
+    "faults": "FaultPlan FaultySocket",
+    "fleet": "DrcReplicator FleetDirectory FleetMember FleetWatcher"
+             " Membership install_replication_sink",
+    "message": "RPC_VERSION",
+    "mux": "MuxTcpClient MuxUdpClient PendingCall",
+    "overload": "CodelQueue HedgeTrigger RetryBudget make_deadline_cred"
+                " propagation_enabled remaining_from_cred stamp_deadline",
+    "resilience": "CallerQuota CircuitBreaker Deadline FailoverClient"
+                  " HEALTH_PROG HEALTH_PROC_STATUS HEALTH_VERS"
+                  " InflightLimiter STATUS_DRAINING STATUS_SERVING"
+                  " TokenBucket WorkerPool",
+    "server": "SvcRegistry rpc_service",
+    "svc_mux": "MuxTcpServer MuxUdpServer make_server",
+    "svc_tcp": "TcpServer",
+    "svc_udp": "UdpServer",
+})
 
 __all__ = [
     "AUTH_NONE",

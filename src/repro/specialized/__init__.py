@@ -9,20 +9,15 @@ The resulting marshalers plug into the live RPC stack
 (:mod:`repro.rpc`), replacing the generic XDR micro-layers.
 """
 
-from repro.specialized.cache import SpecializationCache, content_key
-from repro.specialized.online import (
-    DispatchProfiler,
-    OnlineClientCodec,
-    OnlinePolicy,
-    OnlineServerRoute,
-    OnlineSpecializer,
-)
-from repro.specialized.pipeline import (
-    ClientSpecialization,
-    ResidualCodec,
-    ServerSpecialization,
-    SpecializationPipeline,
-)
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "cache": "SpecializationCache content_key",
+    "online": "DispatchProfiler OnlineClientCodec OnlinePolicy"
+              " OnlineServerRoute OnlineSpecializer",
+    "pipeline": "ClientSpecialization ResidualCodec ServerSpecialization"
+                " SpecializationPipeline",
+})
 
 __all__ = [
     "ClientSpecialization",

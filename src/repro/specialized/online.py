@@ -49,16 +49,10 @@ from collections import Counter, deque, namedtuple
 from dataclasses import dataclass
 
 from repro import obs as _obs
-from repro.errors import VerificationError, XdrError
+from repro.errors import VerificationError
 from repro.rpc.fastpath import ReplyHeaderTemplate
-from repro.rpc.message import (
-    CallHeader,
-    decode_reply_header,
-    encode_call_header,
-    raise_for_reply,
-)
+from repro.specialized.pipeline import generic_reply, generic_request
 from repro.specialized.sizes import reply_size, request_size
-from repro.xdr import XdrMemStream, XdrOp
 
 logger = logging.getLogger(__name__)
 
@@ -404,10 +398,7 @@ class OnlineClientCodec(VariantTable):
         n = self.arg_count(args)
         variant = self.variants.get(n)
         if variant is not None:
-            try:
-                out = variant.run(xid, args)
-            except XdrError:
-                out = None
+            out = variant.run(xid, args)
             if out is not None:
                 variant.hits += 1
                 if _obs.enabled:
@@ -423,18 +414,8 @@ class OnlineClientCodec(VariantTable):
                 if len(pending) >= self.profile.recent.maxlen:
                     pending.clear()
                 pending[xid] = n
-        return self._generic_request(xid, args)
-
-    def _generic_request(self, xid, args):
-        """The byte-identical generic encoding (never recurses into
-        ``build_call`` — this codec *is* the installed codec)."""
-        client = self.client
-        stream = XdrMemStream(bytearray(client.bufsize), XdrOp.ENCODE)
-        header = CallHeader(xid, client.prog, client.vers,
-                            self.proc.number, client.cred, client.verf)
-        encode_call_header(stream, header)
-        self._arg_filter(stream, args)
-        return stream.data()
+        return generic_request(self.client, self.proc.number,
+                               self._arg_filter, xid, args)
 
     def parse_reply(self, data, xid):
         if self._pending:
@@ -444,12 +425,7 @@ class OnlineClientCodec(VariantTable):
             # ClientSpecialization.parse_reply falls back generically
             # itself on any shape mismatch, so this never wrong-decodes.
             return spec.parse_reply(data, xid)
-        stream = XdrMemStream(data, XdrOp.DECODE)
-        reply = decode_reply_header(stream)
-        if reply.xid != (xid & 0xFFFFFFFF):
-            return False, None
-        raise_for_reply(reply)
-        return True, self._ret_filter(stream, None)
+        return generic_reply(self._ret_filter, data, xid)
 
     def _sample(self, data, xid):
         """Profile the reply of a call the generic path encoded."""

@@ -27,14 +27,18 @@ cache.
 """
 
 import os
-import struct
 
 from repro import obs as _obs
-from repro.errors import IdlError, XdrError
+from repro.errors import IdlError
 from repro.minic.compile_py import compile_program
 from repro.minic.parser import parse_program
 from repro.minic.typecheck import typecheck_program
-from repro.rpc.message import decode_reply_header, raise_for_reply
+from repro.rpc.message import (
+    CallHeader,
+    decode_reply_header,
+    encode_call_header,
+    raise_for_reply,
+)
 from repro.rpcgen import idl_ast as idl
 from repro.rpcgen.codegen_minic import MiniCGenerator, generate_minic
 from repro.rpcgen.codegen_py import load_python
@@ -42,6 +46,7 @@ from repro.specialized import runtime as sr
 from repro.specialized.cache import SpecializationCache, content_key
 from repro.specialized.sizes import message_sizes, reply_size, request_size
 from repro.tempo import Dyn, DynPtr, Known, PtrTo, StructOf, specialize
+from repro.tempo.postprocess import narrow_arrays
 from repro.tempo.specializer import Options
 from repro.xdr import XdrMemStream, XdrOp
 
@@ -67,8 +72,36 @@ class ResidualCodec:
                    result.residual_params)
 
 
+def generic_request(client, proc, xdr_args, xid, args):
+    """The call message as ``client`` builds it with no codec installed
+    — what a codec sends for a call its residual declines (it cannot
+    ask ``build_call``: the codec *is* what that would run)."""
+    stream = XdrMemStream(bytearray(client.bufsize), XdrOp.ENCODE)
+    encode_call_header(stream, CallHeader(
+        xid, client.prog, client.vers, proc, client.cred, client.verf))
+    xdr_args(stream, args)
+    return stream.data()
+
+
+def generic_reply(xdr_res, data, xid):
+    """``(matched, value)`` through the generic decoder: classifies
+    stale xids and protocol errors."""
+    stream = XdrMemStream(data, XdrOp.DECODE)
+    reply = decode_reply_header(stream)
+    if reply.xid != (xid & 0xFFFFFFFF):
+        return False, None
+    raise_for_reply(reply)
+    return True, xdr_res(stream, None)
+
+
 class ClientSpecialization:
-    """Compiled specialized client codecs for one procedure."""
+    """Compiled specialized client codecs for one procedure.
+
+    ``marshal_result`` / ``recv_result`` are the residual programs as
+    Tempo wrote them; what runs is ``_marshal_module`` /
+    ``_recv_module``: the same programs with their bounded arrays
+    narrowed to the assumed lengths, compiled together with their
+    fused entry (docs/SPECIALIZATION.md, "Fused entries")."""
 
     def __init__(self, pipeline, proc, arg_struct, ret_struct, arg_lens,
                  res_lens, bufsize, marshal_result, recv_result):
@@ -82,13 +115,21 @@ class ClientSpecialization:
         )
         self.marshal_result = marshal_result
         self.recv_result = recv_result
-        self._marshal_module = compile_program(marshal_result.program)
-        self._recv_module = compile_program(recv_result.program)
-        self._marshal_params = [n for _t, n in marshal_result.residual_params]
-        self._recv_params = [n for _t, n in recv_result.residual_params]
-        self._marshal_entry = marshal_result.entry_name
-        self._recv_entry = recv_result.entry_name
-        self._stub_ret_class = getattr(pipeline.stubs, ret_struct.name)
+        gen = pipeline._gen
+        self._marshal_module = compile_program(
+            narrow_arrays(marshal_result.program,
+                          {arg_struct.name: arg_lens}),
+            glue=sr.marshal_entry(
+                gen, marshal_result, arg_struct, arg_lens,
+                pipeline.prog_number, pipeline.vers_number,
+                self.expected_request))
+        self._recv_module = compile_program(
+            narrow_arrays(recv_result.program, {ret_struct.name: res_lens}),
+            glue=sr.recv_entry(gen, recv_result, ret_struct, res_lens,
+                               self.expected_reply))
+        self._generic_arg_filter = getattr(
+            pipeline.stubs, f"xdr_{arg_struct.name}"
+        )
         self._generic_ret_filter = getattr(
             pipeline.stubs, f"xdr_{ret_struct.name}"
         )
@@ -97,83 +138,42 @@ class ClientSpecialization:
 
     # -- codec entry points ---------------------------------------------
 
-    def build_request(self, xid, args):
-        """Serialize a complete call message with the residual marshaler."""
-        module = self._marshal_module
-        buffer = sr.fresh_buffer(self.bufsize)
-        clnt = module.new_struct("CLIENT")
-        clnt.cl_prog = self.pipeline.prog_number
-        clnt.cl_vers = self.pipeline.vers_number
-        arg_obj = sr.to_compiled(
-            self.pipeline.interface, self.arg_struct, module, args
-        )
-        values = {
-            "clnt": clnt,
-            "xid": xid & 0xFFFFFFFF,
-            "argsp": arg_obj,
-            "outbuf": sr.buffer_cursor(buffer),
-            "outsize": self.bufsize,
-        }
-        for field, length in self._arg_lens.items():
-            values[f"expected_{field}_len"] = length
-        try:
-            outlen = module.call(
-                self._marshal_entry,
-                *[values[name] for name in self._marshal_params],
-            )
-        except struct.error as exc:
-            # sr.to_compiled leaves signed array elements to the
-            # marshaler's pack: the generic stub's refusal, same type.
-            raise XdrError(f"long out of range: {exc}") from exc
-        if outlen == 0:
-            raise XdrError(
-                f"specialized marshaler failed for proc {self.proc.name}"
-            )
-        return bytes(buffer.data[:outlen])
+    @property
+    def build_request(self):
+        """The fused marshal entry ``(xid, args)``: the complete call
+        message, or None when it declines — ``args`` is not of the
+        assumed lengths, or holds a value the residual cannot send."""
+        return self._marshal_module.entry
+
+    def decode_reply(self, data, xid):
+        """The fused receive entry: the decoded result of the expected
+        success reply to ``xid``, or None when it declines."""
+        return self._recv_module.entry(data, xid, self.pipeline.stubs)
 
     def parse_reply(self, data, xid):
         """Decode a reply; falls back to the generic path off the fast
         shape.  Returns (matched, value) like RpcClient.parse_reply."""
-        if len(data) == self.expected_reply:
-            module = self._recv_module
-            buffer = sr.fresh_buffer(data)
-            res_obj = module.new_struct(self.ret_struct.name)
-            values = {
-                "inbuf": sr.buffer_cursor(buffer),
-                "inlen": len(data),
-                "xid": xid & 0xFFFFFFFF,
-                "resp": res_obj,
-            }
-            for field, length in self._res_lens.items():
-                values[f"expected_{field}_len"] = length
-            ok = module.call(
-                self._recv_entry,
-                *[values[name] for name in self._recv_params],
-            )
-            if ok:
-                return True, sr.from_compiled(
-                    self.pipeline.interface,
-                    self.ret_struct,
-                    res_obj,
-                    factory=self._stub_ret_class,
-                )
-        # Generic fallback: classify stale xids and protocol errors.
-        stream = XdrMemStream(data, XdrOp.DECODE)
-        reply = decode_reply_header(stream)
-        if reply.xid != (xid & 0xFFFFFFFF):
-            return False, None
-        raise_for_reply(reply)
-        return True, self._generic_ret_filter(stream, None)
+        value = self.decode_reply(data, xid)
+        if value is not None:
+            return True, value
+        return generic_reply(self._generic_ret_filter, data, xid)
 
     def install(self, client):
-        """Attach these codecs to an RpcClient for this procedure.
+        """Attach these codecs to an RpcClient for this procedure; a
+        call the marshal entry declines is encoded as the client would
+        have encoded it with no codec.
 
         On a fast-path client this also narrows the buffer pools to the
         exact expected request/reply sizes (the paper's §6 exact-size
         buffers) instead of the 8800-byte default."""
-        client.install_codec(
-            self.proc.number, self.build_request, self.parse_reply
-        )
+        encode, proc = self.build_request, self.proc.number
+        xdr_args = self._generic_arg_filter
+
+        def build_request(xid, args):
+            return encode(xid, args) or generic_request(
+                client, proc, xdr_args, xid, args)
+
+        client.install_codec(proc, build_request, self.parse_reply)
         configure = getattr(client, "configure_buffers", None)
         if configure is not None:
             configure(self.expected_request, self.expected_reply)
@@ -202,19 +202,17 @@ class ServerSpecialization:
     """
 
     def __init__(self, pipeline, handle_result, bufsize, proc,
-                 expected_request, fallback=None, module=None):
+                 expected_request, module, fallback=None):
         self.pipeline = pipeline
         self.bufsize = bufsize
-        #: the one request size the residual was specialized to — and
-        #: the verifier proved it on; the body serves nothing else
+        #: the one request size the residual was specialized to and the
+        #: verifier proved it on; its entry serves nothing else
         self.expected_request = expected_request
         self.fallback = fallback
         self.result = handle_result
-        #: ``module``: the compiled form the lowering gate just passed
-        self._module = module or compile_program(handle_result.program)
-        self._params = [n for _t, n in handle_result.residual_params]
-        self._entry = handle_result.entry_name
-        self._out_buffers = sr.ScratchBuffers(bufsize)
+        #: the compiled form the verifier's gate passed: the narrowed
+        #: residual program and its fused entry
+        self._module = module
         self.fast_path_hits = 0
         if fallback is not None:
             fallback.install_route(
@@ -231,41 +229,22 @@ class ServerSpecialization:
             raise AttributeError(name)
         return getattr(fallback, name)
 
-    def residual_reply(self, data):
-        """Run the residual dispatcher alone: the reply bytes for
-        ``data``, or None when the residual program declined (bytes
-        that crash it, a reply that does not fit).
+    @property
+    def residual_reply(self):
+        """The fused dispatch entry ``(data)``: the reply bytes, or
+        None when it declines (another size, bytes that fault the
+        residual program, a reply that does not fit).
 
         This is the whole route body; the dispatch spine of the
         registry it is installed in (the ``fallback``, or the one an
         :class:`repro.specialized.online.OnlineServerRoute` serves)
         owns every protocol decision around it."""
-        in_buffer = sr.fresh_buffer(data)
-        out_buffer = self._out_buffers.acquire()
-        try:
-            values = {
-                "inbuf": sr.buffer_cursor(in_buffer),
-                "inlen": len(data),
-                "outbuf": sr.buffer_cursor(out_buffer),
-                "outsize": self.bufsize,
-            }
-            try:
-                outlen = self._module.call(
-                    self._entry, *[values[name] for name in self._params]
-                )
-            # repro: disable=overbroad-except -- a faulting residual must fall back to the generic dispatcher
-            except Exception:
-                outlen = 0
-            if outlen:
-                self.fast_path_hits += 1
-                return bytes(out_buffer.data[:outlen])
-            return None
-        finally:
-            self._out_buffers.release(out_buffer)
+        return self._module.entry
 
     def _body(self, data):
-        reply = (self.residual_reply(data)
-                 if len(data) == self.expected_request else None)
+        reply = self.residual_reply(data)
+        if reply is not None:
+            self.fast_path_hits += 1
         if _obs.enabled:
             _obs.registry.counter(
                 "rpc.server.specialized_hits" if reply is not None
@@ -534,42 +513,54 @@ class SpecializationPipeline:
             res_lens=sorted(res_lens.items()),
             bufsize=bufsize,
         )
-        # The residual program is cached; the wrapper is rebuilt per
-        # call because it carries per-instance state (dispatch counters,
-        # the live ``fallback`` registry).
-        check = module = None
-        if self.verify_enabled():
-            def check(result):
-                # compiled once: the module the gate passes is the one
-                # that serves
-                nonlocal module
-                module = compile_program(result.program)
-                self._server_check(result, proc, arg_lens, res_lens,
-                                   bufsize, module)
-        handle_result = self.cache.get(
+        expected_request, expected_reply = message_sizes(
+            self.interface, arg_struct, ret_struct, arg_lens, res_lens)
+        # one array per struct field: where the argument and the result
+        # share a type, the longer of the two assumed lengths
+        capacities = {}
+        for struct, lens in ((arg_struct, arg_lens), (ret_struct, res_lens)):
+            fields = capacities.setdefault(struct.name, {})
+            for field, length in lens.items():
+                fields[field] = max(length, fields.get(field, 0))
+
+        def compiled(result):
+            # compiled once: the module the gate passes is the one
+            # that serves
+            return result, compile_program(
+                narrow_arrays(result.program, capacities),
+                glue=sr.dispatch_entry(result, expected_request,
+                                       expected_reply))
+
+        # The residual program and its compiled module are cached; the
+        # wrapper is rebuilt per call because it carries per-instance
+        # state (dispatch counters, the live ``fallback`` registry).
+        handle_result, module = self.cache.get(
             key,
-            build=lambda: self._specialize_server_uncached(
-                proc, arg_lens, res_lens, bufsize
-            ),
-            dump=ResidualCodec.from_result,
-            load=lambda payload: payload,
-            check=check,
+            build=lambda: compiled(self._specialize_server_uncached(
+                proc, expected_request, arg_lens, res_lens, bufsize
+            )),
+            dump=lambda built: ResidualCodec.from_result(built[0]),
+            load=compiled,
+            check=(lambda built: self._server_check(
+                built[0], proc, arg_lens, res_lens, bufsize, built[1])
+            ) if self.verify_enabled() else None,
         )
         return ServerSpecialization(
-            self, handle_result, bufsize, proc,
-            request_size(self.interface, arg_struct, arg_lens),
-            fallback=fallback, module=module)
+            self, handle_result, bufsize, proc, expected_request, module,
+            fallback=fallback)
 
-    def _specialize_server_uncached(self, proc, arg_lens, res_lens, bufsize):
-        arg_struct = self._struct_for(proc.arg, proc.name)
-        expected_request = request_size(self.interface, arg_struct, arg_lens)
+    def _specialize_server_uncached(self, proc, expected_request, arg_lens,
+                                    res_lens, bufsize):
+        # ``svc_process`` with the request size known: the residual is
+        # the expected branch of the paper's ``inlen == expected_inlen``
+        # rewrite alone — the other branch belongs to the generic body,
+        # which the fused entry's size guard leaves every other size to
         suffix = f"{self.idl_program.name.lower()}_{self.vers_number}"
         assumptions = {
             "inbuf": DynPtr(),
-            "inlen": Dyn(),
+            "inlen": Known(expected_request),
             "outbuf": DynPtr(),
             "outsize": Known(bufsize),
-            "expected_inlen": Known(expected_request),
         }
         for version_proc in self.idl_version.procs:
             vp_name = version_proc.name.lower()
@@ -585,7 +576,7 @@ class SpecializationPipeline:
                 )
         return specialize(
             self.program_ast,
-            f"svc_handle_{suffix}",
+            f"svc_process_{suffix}",
             assumptions,
             options=self.options,
             typeinfo=self.typeinfo,

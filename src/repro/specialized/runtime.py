@@ -1,157 +1,157 @@
-"""Runtime glue between Python-land values and compiled residual code.
+"""Staged glue between Python-land values and compiled residual code.
 
 Compiled residual programs (from :mod:`repro.minic.compile_py`) operate
 on :mod:`repro.minic.pyruntime` values: generated struct classes, plain
 lists for arrays, :class:`~repro.minic.pyruntime.PyBuffer` cursors.
-These converters move data between those and the Python stub structs
-(or dict/attribute-style values) the application uses.
+The application hands over stub structs (or dict-style values) and
+bytes.  Moving between the two is decided entirely by the interface, so
+it is decided once, when a specialization is built: each function here
+walks the IDL struct and returns the *source* of one **fused entry** —
+guard, conversion, the call of the compiled residual function with its
+arguments in place, and the conversion back — which the pipeline hands
+to :func:`~repro.minic.compile_py.compile_program` as the module's
+glue (docs/SPECIALIZATION.md, "Fused entries").
+
+Every entry returns ``None`` to decline: on a size outside the one the
+residual was proved on, and on **any** fault (a value out of range, an
+access past a narrowed array, a residual that returns failure).  The
+caller then takes the generic path, which serves or refuses the call
+as it always has.
 """
 
-import threading
-
-from repro.errors import IdlError, XdrError
-from repro.minic import pyruntime as rt
+from repro.errors import IdlError
 from repro.rpcgen import idl_ast as idl
 
-
-def _get(value, name):
-    if isinstance(value, dict):
-        return value[name]
-    return getattr(value, name)
+_IN = "_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)"
+_OUT = "_rt.BufPtr(out, 0, 1, True)"
 
 
-_UNSIGNED = idl.Prim("u_int")
+def _call(result, bound):
+    """The call of ``result``'s compiled entry, each residual parameter
+    replaced by the expression ``bound`` gives it."""
+    try:
+        args = ", ".join(bound[name] for _ctype, name in
+                         result.residual_params)
+    except KeyError as exc:
+        raise IdlError(f"{result.entry_name}: no binding for residual"
+                       f" parameter {exc}") from None
+    return f"mc_{result.entry_name}({args})"
 
 
-def _scalar(resolved, value):
-    """One scalar as the generic filters take it: ``xdr_u_long`` masks,
-    ``xdr_long`` refuses what does not fit."""
-    value = int(value)
-    if resolved == _UNSIGNED:
-        return value & 0xFFFFFFFF
-    if not -0x8000_0000 <= value <= 0x7FFF_FFFF:
-        raise XdrError(f"long out of range: {value}")
-    return value
+def _entry(params, guard, body):
+    """Source of ``entry(params)``: ``guard`` lines outside, ``body``
+    lines inside the fault-is-a-decline handler."""
+    lines = [f"def entry({params}):"]
+    lines += [f"    {line}" for line in guard]
+    lines.append("    try:")
+    lines += [f"        {line}" for line in body]
+    lines += ["    except Exception:", "        pass", "    return None"]
+    return "\n" + "\n".join(lines) + "\n"
 
 
-def _elements(interface, resolved, value):
-    """Array elements for compiled code.  Signed ones are copied as they
-    are, with no per-element pass: the residual marshaler packs them
-    with a signed format, and that pack is the range (and type) check
-    — the caller maps its ``struct.error`` to :class:`XdrError`."""
-    if interface.resolve(resolved.elem) == _UNSIGNED:
-        return [int(item) & 0xFFFFFFFF for item in value]
-    return list(value)
-
-
-def to_compiled(interface, struct_def, module, value):
-    """Build a compiled-module struct instance from a Python value.
-
-    This is the boundary of the compiled code's in-range invariant
-    (every integer object holds a value of its declared type): scalars
-    are checked here, signed array elements by the pack that sends them.
-    """
-    obj = module.new_struct(struct_def.name)
-    for field in struct_def.fields:
-        resolved = interface.resolve(field.type)
-        if isinstance(resolved, idl.Prim):
-            setattr(obj, field.name,
-                    _scalar(resolved, _get(value, field.name)))
-        elif isinstance(resolved, idl.FixedArray):
-            items = _elements(interface, resolved, _get(value, field.name))
-            if len(items) != resolved.size:
-                raise IdlError(
-                    f"{struct_def.name}.{field.name}: expected"
-                    f" {resolved.size} items, got {len(items)}"
-                )
-            getattr(obj, field.name)[:] = items
-        elif isinstance(resolved, idl.VarArray):
-            items = _elements(interface, resolved, _get(value, field.name))
-            if len(items) > resolved.bound:
-                raise IdlError(
-                    f"{struct_def.name}.{field.name}: {len(items)} items"
-                    f" exceed bound {resolved.bound}"
-                )
-            setattr(obj, f"{field.name}_len", len(items))
-            backing = getattr(obj, field.name)
-            backing[:len(items)] = items
-        elif isinstance(resolved, idl.Named):
-            nested_def = interface.struct(resolved.name)
-            nested = to_compiled(
-                interface, nested_def, module, _get(value, field.name)
-            )
-            setattr(obj, field.name, nested)
+def _fill(gen, struct, lens, src, dst, lines, depth=1):
+    """Append the statements that copy the Python value ``src`` (stub
+    struct or dict) into the compiled struct ``dst``.  This is the
+    boundary of the compiled code's in-range invariant: scalars are
+    checked here, signed array elements by the pack that sends them."""
+    for field in struct.fields:
+        name = field.name
+        resolved = gen.resolve(field.type)
+        value = (f"({src}[{name!r}] if isinstance({src}, dict)"
+                 f" else {src}.{name})")
+        kind = gen.scalar_kind(field.type)
+        if kind == "u_int":
+            lines.append(f"{dst}.{name} = int({value}) & 0xFFFFFFFF")
+        elif kind is not None:
+            lines += [f"_v = int({value})",
+                      "if not -0x80000000 <= _v <= 0x7FFFFFFF:",
+                      "    return None",
+                      f"{dst}.{name} = _v"]
+        elif isinstance(resolved, (idl.FixedArray, idl.VarArray)):
+            fixed = isinstance(resolved, idl.FixedArray)
+            count = resolved.size if fixed else lens[name]
+            lines += [f"_v = {value}",
+                      f"if len(_v) != {count}:",
+                      "    return None"]
+            if not fixed:
+                lines.append(f"{dst}.{name}_len = {count}")
+            if gen.scalar_kind(resolved.elem) == "u_int":
+                lines.append("_v = [int(_i) & 0xFFFFFFFF for _i in _v]")
+            lines.append(f"{dst}.{name}[:{count}] = _v")
         else:
-            raise IdlError(f"unsupported field type {resolved!r}")
-    return obj
+            nested = f"_s{depth}"
+            lines.append(f"{nested} = {value}")
+            _fill(gen, gen.interface.struct(resolved.name), {}, nested,
+                  f"{dst}.{name}", lines, depth + 1)
 
 
-def from_compiled(interface, struct_def, obj, factory=None):
-    """Extract a plain-dict (or ``factory``-built) value from a compiled
-    struct instance."""
-    result = {}
-    for field in struct_def.fields:
-        resolved = interface.resolve(field.type)
-        if isinstance(resolved, idl.Prim):
-            result[field.name] = getattr(obj, field.name)
-        elif isinstance(resolved, idl.FixedArray):
-            result[field.name] = list(getattr(obj, field.name))
-        elif isinstance(resolved, idl.VarArray):
-            length = getattr(obj, f"{field.name}_len")
-            result[field.name] = list(getattr(obj, field.name)[:length])
-        elif isinstance(resolved, idl.Named):
-            nested_def = interface.struct(resolved.name)
-            result[field.name] = from_compiled(
-                interface, nested_def, getattr(obj, field.name)
-            )
+def _extract(gen, struct, src):
+    """The expression that builds the stub value of ``struct`` from the
+    compiled struct ``src`` (fresh per call: its lists are handed over,
+    a bounded array cut to its decoded length)."""
+    fields = []
+    for field in struct.fields:
+        name = field.name
+        resolved = gen.resolve(field.type)
+        if isinstance(resolved, idl.VarArray):
+            value = f"{src}.{name}[:{src}.{name}_len]"
+        elif gen.scalar_kind(field.type) is None and isinstance(
+                resolved, idl.Named):
+            value = _extract(gen, gen.interface.struct(resolved.name),
+                             f"{src}.{name}")
         else:
-            raise IdlError(f"unsupported field type {resolved!r}")
-    if factory is not None:
-        return factory(**result)
-    return result
+            value = f"{src}.{name}"
+        fields.append(f"{name}={value}")
+    return f"stubs.{struct.name}({', '.join(fields)})"
 
 
-def fresh_buffer(size):
-    """A new :class:`~repro.minic.pyruntime.PyBuffer`.
+def marshal_entry(gen, result, struct, lens, prog, vers, size):
+    """``entry(xid, args)``: the ``size``-byte call message for
+    ``args``, or None — the argument is not of the assumed lengths."""
+    body = [f"argsp = S_{struct.name}()"]
+    _fill(gen, struct, lens, "args", "argsp", body)
+    call = _call(result, {
+        "clnt": "_clnt", "xid": "xid & 0xFFFFFFFF", "argsp": "argsp",
+        "outbuf": _OUT, "outsize": str(size),
+        **{f"expected_{f}_len": str(n) for f, n in lens.items()},
+    })
+    body += [f"out = _rt.PyBuffer({size})",
+             f"if {call} == {size}:",
+             "    return bytes(out.data)"]
+    return (f"\n_clnt = S_CLIENT()\n_clnt.cl_prog = {prog}\n"
+            f"_clnt.cl_vers = {vers}\n" + _entry("xid, args", [], body))
 
-    ``size`` may also be bytes-like (including a ``memoryview`` over a
-    transport receive buffer): the content is copied in, since compiled
-    residual code needs the mutable byte-addressed PyBuffer view.
-    """
-    return rt.PyBuffer(size)
+
+def recv_entry(gen, result, struct, lens, size):
+    """``entry(data, xid, stubs)``: the result decoded from the
+    ``size``-byte success reply ``data``, built from the ``stubs``
+    module's classes, or None."""
+    call = _call(result, {
+        "inbuf": _IN, "inlen": str(size), "xid": "xid & 0xFFFFFFFF",
+        "resp": "resp",
+        **{f"expected_{f}_len": str(n) for f, n in lens.items()},
+    })
+    return _entry(
+        "data, xid, stubs",
+        [f"if len(data) != {size}:", "    return None"],
+        [f"resp = S_{struct.name}()",
+         f"if {call}:",
+         f"    return {_extract(gen, struct, 'resp')}"])
 
 
-def buffer_cursor(buffer, offset=0):
-    return rt.BufPtr(buffer, offset, 1, True)
+def dispatch_entry(result, request_size, reply_size):
+    """``entry(data)``: the reply to the ``request_size``-byte call
+    ``data``, written into an exact-size buffer — a longer one faults,
+    so it is left to the generic path — or None."""
+    call = _call(result, {
+        "inbuf": _IN, "inlen": str(request_size), "outbuf": _OUT,
+        "outsize": str(reply_size),
+    })
+    return _entry(
+        "data",
+        [f"if len(data) != {request_size}:", "    return None"],
+        [f"out = _rt.PyBuffer({reply_size})",
+         f"outlen = {call}",
+         "if outlen:",
+         "    return bytes(out.data[:outlen])"])
 
-
-class ScratchBuffers:
-    """A bounded free-list of equal-size PyBuffer scratch buffers.
-
-    The specialized server otherwise allocates a ``bufsize`` output
-    buffer per dispatched datagram; steady-state traffic through this
-    pool reuses the same one or two.  Residual marshalers write
-    sequentially from offset 0 and report an output length, so buffers
-    are reused without re-zeroing.
-    """
-
-    __slots__ = ("size", "limit", "_free", "_lock")
-
-    def __init__(self, size, limit=4):
-        self.size = size
-        self.limit = limit
-        self._free = []
-        self._lock = threading.Lock()
-
-    def acquire(self):
-        with self._lock:
-            if self._free:
-                return self._free.pop()
-        return rt.PyBuffer(self.size)
-
-    def release(self, buffer):
-        if buffer is None or len(buffer) != self.size:
-            return
-        with self._lock:
-            if len(self._free) < self.limit:
-                self._free.append(buffer)

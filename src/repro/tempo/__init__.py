@@ -24,6 +24,7 @@ The refinements the paper calls out are all implemented:
 Public API: :func:`repro.tempo.driver.specialize`.
 """
 
+from repro import lazy_exports
 from repro.tempo.assumptions import (
     ArrayOf,
     Dyn,
@@ -32,8 +33,11 @@ from repro.tempo.assumptions import (
     PtrTo,
     StructOf,
 )
-from repro.tempo.bta import analyze
 from repro.tempo.driver import SpecializationResult, specialize
+
+#: the offline binding-time analysis serves the visualiser only: it
+#: loads when ``analyze`` is first read, not with the specializer
+__getattr__ = lazy_exports(__name__, {"bta": "analyze"})
 
 __all__ = [
     "ArrayOf",

@@ -8,6 +8,7 @@ construction.
 """
 
 from repro.minic import ast
+from repro.minic import types as ct
 
 
 def _has_side_effects(expr):
@@ -165,3 +166,68 @@ def postprocess_program(program, entry_name):
     program = prune_unreachable_functions(program, entry_name)
     program = merge_identical_functions(program, entry_name)
     return program
+
+
+def narrow_arrays(program, capacities):
+    """``program`` with array fields re-declared at a smaller capacity:
+    ``capacities`` maps a struct name to ``{array field: length}``.
+
+    A bounded array whose length the specialization assumes needs no
+    more room than that in the residual program; an access past the
+    narrowed capacity is a bounds fault — in the interpreter the
+    verifier runs, and in compiled code — never a silent overrun.
+    Returns a new :class:`~repro.minic.ast.Program` that shares every
+    subtree the change does not reach (``program`` itself, and the
+    generic program whose struct definitions it shares, are untouched).
+    """
+    narrowed = {}
+    structs = []
+    for struct in program.structs:
+        lengths = capacities.get(struct.name)
+        if lengths:
+            struct = ast.StructDef(struct.name, [
+                ast.Field(ct.ArrayType(field.ctype.base, lengths[field.name]),
+                          field.name, line=field.line)
+                if field.name in lengths else field
+                for field in struct.fields
+            ], line=struct.line)
+            narrowed[struct.name] = ct.StructType(struct.name, tuple(
+                (field.name, field.ctype) for field in struct.fields))
+        structs.append(struct)
+    if not narrowed:
+        return program
+
+    def retype(ctype):
+        if isinstance(ctype, ct.StructType):
+            return narrowed.get(ctype.name, ctype)
+        if isinstance(ctype, (ct.PointerType, ct.ArrayType)):
+            base = retype(ctype.base)
+            if base is not ctype.base:
+                return (ct.PointerType(base) if ctype.is_pointer
+                        else ct.ArrayType(base, ctype.length))
+        return ctype
+
+    def rewrite(node):
+        values = []
+        for name in node._fields:
+            value = getattr(node, name)
+            if isinstance(value, ast.Node):
+                value = rewrite(value)
+            elif isinstance(value, ct.CType):
+                value = retype(value)
+            elif isinstance(value, list):
+                items = [rewrite(item) if isinstance(item, ast.Node)
+                         else item for item in value]
+                if any(new is not old for new, old in zip(items, value)):
+                    value = items
+            values.append(value)
+        if all(new is getattr(node, name)
+               for new, name in zip(values, node._fields)):
+            return node
+        return type(node)(*values, line=node.line)
+
+    return ast.Program(
+        structs=structs, enums=program.enums,
+        funcs=[rewrite(func) for func in program.funcs],
+        globals=[rewrite(glob) for glob in program.globals],
+    )

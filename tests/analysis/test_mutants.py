@@ -26,6 +26,7 @@ from repro.rpc.message import (AcceptStat, NULL_AUTH,
 from repro.xdr import XdrMemStream, XdrOp
 
 from tests.analysis.test_verify import respec
+from tests.minic.test_lowering import relowered
 
 VALS_LEN = 8
 
@@ -303,12 +304,7 @@ def relower(module, old, new):
     """A CompiledModule whose generated Python has ``old`` -> ``new``:
     the residual MiniC is right, its lowering is not."""
     assert old in module.source, "mutation found nothing to change"
-    clone = copy.copy(module)
-    clone.source = module.source.replace(old, new)
-    clone.namespace = {}
-    exec(compile(clone.source, "<mutant-lowering>", "exec"),
-         clone.namespace)
-    return clone
+    return relowered(module, lambda source: source.replace(old, new))
 
 
 class TestLoweringMutants:
@@ -353,6 +349,64 @@ class TestLoweringMutants:
             bad._recv_module, f"'>{VALS_LEN}i'", f"'>{VALS_LEN}I'")
         assert "lowering-divergence" in [
             f.rule for f in verify_client_spec(xfer_pipeline, bad)]
+
+
+class TestFusedEntryMutants:
+    """The bug is in the staged glue of a fused entry — the residual
+    MiniC and its lowering are right: only a gate on the entry the
+    transport calls can see it."""
+
+    IN, OUT = ("_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)",
+               "_rt.BufPtr(out, 0, 1, True)")
+    #: (the module sabotaged, old, new, the rule that must fire)
+    MUTANTS = {
+        "marshal-arguments-swapped": (
+            "_marshal_module", "(_clnt, xid & 0xFFFFFFFF, argsp,",
+            "(argsp, xid & 0xFFFFFFFF, _clnt,", "lowering-divergence"),
+        "dispatch-arguments-swapped": (
+            "server", f"({IN}, {OUT})", f"({OUT}, {IN})",
+            "lowering-divergence"),
+        "dispatch-capacity-one-short": (
+            "server", f"[0] * {VALS_LEN}", f"[0] * {VALS_LEN - 1}",
+            "lowering-divergence"),
+        "marshal-guard-widened": (
+            "_marshal_module", f"if len(_v) != {VALS_LEN}:",
+            f"if len(_v) < {VALS_LEN}:", "guard-domain"),
+        "recv-guard-widened": (
+            "_recv_module", "if len(data) != ", "if len(data) < ",
+            "guard-domain"),
+        "dispatch-guard-widened": (
+            "server", "if len(data) != ", "if len(data) < ",
+            "guard-domain"),
+        "marshal-slice-off-by-one": (
+            "_marshal_module", f"argsp.vals[:{VALS_LEN}] = _v",
+            f"argsp.vals[1:{VALS_LEN}] = _v", "lowering-divergence"),
+        "recv-xid-mask-dropped": (
+            "_recv_module", "xid & 0xFFFFFFFF, resp", "xid, resp",
+            "lowering-divergence"),
+        "recv-result-one-element-short": (
+            "_recv_module", "resp.vals[:resp.vals_len]",
+            "resp.vals[:resp.vals_len - 1]", "lowering-divergence"),
+        "dispatch-reply-one-word-short": (
+            "server", "out.data[:outlen]", "out.data[:outlen - 4]",
+            "lowering-divergence"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_sabotaged_glue_is_rejected(self, xfer_pipeline, xfer_client,
+                                        xfer_server, name):
+        where, old, new, rule = self.MUTANTS[name]
+        if where == "server":
+            findings = verify_server_residual(
+                xfer_pipeline, xfer_server.result,
+                xfer_pipeline.find_proc("SENDRECV"), {"vals": VALS_LEN},
+                {"vals": VALS_LEN}, xfer_server.bufsize,
+                module=relower(xfer_server._module, old, new))
+        else:
+            bad = respec(xfer_pipeline, xfer_client)
+            setattr(bad, where, relower(getattr(bad, where), old, new))
+            findings = verify_client_spec(xfer_pipeline, bad)
+        assert [f.rule for f in findings] == [rule]
 
 
 class TestAcceptedMeansIdentical:

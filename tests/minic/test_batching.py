@@ -94,11 +94,14 @@ def test_load_batch_values_match():
     assert out == raw
 
 
-def test_short_runs_not_batched():
-    module = compile_program(_store_program(2))
-    assert "pack_into" not in module.source.replace(
-        "import struct as _struct", ""
-    )
+def test_short_runs_are_batched_too():
+    # no minimum length: through the pointer runtime one word costs two
+    # cursor objects, through ``struct`` one
+    for words in (1, 2):
+        module = compile_program(_store_program(words))
+        assert module.source.count("pack_into") == 1
+        assert f"'>{words}I'" in module.source
+        assert "ptr_add(xdrs.x_private" not in module.source
 
 
 def test_mixed_header_and_payload_batch_together():
@@ -144,10 +147,9 @@ def test_interleaved_statements_break_runs():
     }
     """
     module = compile_program(parse_program(source))
-    # Runs of length 1 fall back to the general path.
-    assert "pack_into" not in module.source.replace(
-        "import struct as _struct", ""
-    )
+    # two runs of one word each, the increment between them
+    assert module.source.count("pack_into") == 2
+    assert "'>2I'" not in module.source
     xdrs = module.new_struct("XDR")
     buf = module.new_buffer(16)
     xdrs.x_private = rt.BufPtr(buf, 0, 1)

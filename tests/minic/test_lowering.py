@@ -4,19 +4,26 @@ Three layers:
 
 * a seeded generator of small MiniC functions — integer arithmetic over
   ``int``/``unsigned``/``char`` objects at the edges of their ranges,
-  nested conditions, and loops of every shape the backend treats
-  specially — whose compiled form must return what the interpreter
-  returns *and* leave the same memory behind;
+  nested conditions, loops of every shape the backend treats
+  specially, and a run of cursor loads with early-return tests between
+  its words — whose compiled form must return what the interpreter
+  returns *and* leave the same memory (and cursor) behind;
 * hand-written cases for the counted-loop matcher: every refusal it
   must make, and the edges of the loops it accepts;
 * golden assertions on the real n=1000 residual codecs: the shapes the
   performance ledger's counts depend on.
 """
 
+import copy
 import random
+import re
+import struct
 
 import pytest
 
+from repro.errors import InterpError
+from repro.minic import pyruntime as rt
+from repro.minic import values as rv
 from repro.minic.compile_py import compile_program
 from repro.minic.interp import Interpreter
 from repro.minic.parser import parse_program
@@ -33,6 +40,7 @@ struct S {
     char c[4];
     int x; int y; unsigned p; unsigned q; char ch;
     int i; int j; int k; int old; int cnt;
+    caddr_t cur;
 };
 
 int g(int *count, int v)
@@ -44,7 +52,11 @@ int g(int *count, int v)
 
 
 S_FIELDS = ("n", "a", "u", "c", "x", "y", "p", "q", "ch", "i", "j", "k",
-            "old", "cnt")
+            "old", "cnt", "cur")
+
+#: what ``s->cur`` points at in :func:`run_both`: sixteen words, small
+#: ones first so that the generated tests on them fire now and then
+WIRE_WORDS = (0, 1, 2, 7, 1, 0, 3, 2) + EDGES[4:]
 
 
 class Gen:
@@ -207,6 +219,29 @@ class Gen:
         self.emit("}")
         self.active.pop()
 
+    def guarded_run(self):
+        """Lines of a run of loads through ``s->cur``, most followed by
+        an early-return test on the word just loaded — the shape of a
+        residual header check.  Its own generator: the bodies above are
+        what they were before the shape was added."""
+        r = random.Random(self.r.random())
+        lines = []
+        for _ in range(r.randrange(2, 6)):
+            target = r.choice(("x", "y", "p", "q", "ch",
+                               f"s->a[{r.randrange(8)}]"))
+            lines.append(f"    {target} ="
+                         " (long)ntohl((u_long)*(long *)s->cur);")
+            lines.append("    s->cur = s->cur + 4;")
+            if r.random() < 0.7 and "[" not in target:
+                other = r.choice(("a", "n", "x", "y", str(r.randrange(4)),
+                                  "(-1)"))
+                op = r.choice(("==", "!=", "<", ">="))
+                test = r.choice((f"{target} {op} {other}",
+                                 f"({target} & 3) {op} {other}",
+                                 f"(u_long){target} {op} (u_long){other}"))
+                lines.append(f"    if ({test}) return {r.randrange(90, 99)};")
+        return "\n".join(lines)
+
     def source(self):
         self.active = []
         self.block(4)
@@ -235,6 +270,8 @@ int f(struct S *s, int a, int b, int n)
 {body}
     s->n = t.n;
 {copy_out}
+{self.guarded_run()}
+    s->x = x; s->y = y; s->p = p; s->q = q; s->ch = ch;
     r = x + y;
     return r;
 }}
@@ -245,24 +282,54 @@ def _interp_memory(struct_val):
     out = []
     for name, _ctype in struct_val.stype.fields:
         value = struct_val.field(name).value
-        out.append(value.values() if hasattr(value, "values") else value)
+        out.append(value.values() if hasattr(value, "values")
+                   else None if value is rv.NULL
+                   else getattr(value, "offset", value))
     return out
 
 
 def _compiled_memory(obj):
-    return [getattr(obj, name) for name in obj.__slots__]
+    # a cursor reads as its offset, NULL as None
+    return [None if value is rt.NULL else getattr(value, "offset", value)
+            for value in (getattr(obj, name) for name in obj.__slots__)]
 
 
-def run_both(source, *args):
-    """Call ``f(&s, *args)`` both ways; returns the two (value, memory)
-    outcomes."""
+def relowered(module, rewrite):
+    """``module`` with its generated Python put through ``rewrite``."""
+    clone = copy.copy(module)
+    clone.source = rewrite(module.source)
+    clone.namespace = {}
+    exec(compile(clone.source, "<relowered>", "exec"), clone.namespace)
+    return clone
+
+
+def run_both(source, *args, wire=None, rewrite=None):
+    """Call ``f(&s, *args)`` both ways, ``s->cur`` at the start of the
+    ``wire`` bytes; returns the two (value, memory) outcomes — an
+    exception's type name for a value that was not returned."""
+    wire = struct.pack(">16i", *WIRE_WORDS) if wire is None else wire
     program = parse_program(source)
     interp = Interpreter(program)
     s_interp = interp.make_struct("S")
-    value = interp.call("f", [interp.ptr_to(s_interp), *args])
+    buf = interp.make_buffer(max(len(wire), 1))
+    for offset, byte in enumerate(wire):
+        buf.store_int(offset, byte, 1, False)
+    if "cur" in s_interp.fields:
+        s_interp.field("cur").value = rv.BufPtr(buf, 0, 1)
+    try:
+        value = interp.call("f", [interp.ptr_to(s_interp), *args])
+    except InterpError:
+        value = "fault"
     module = compile_program(program)
+    if rewrite is not None:
+        module = relowered(module, rewrite)
     s_compiled = module.new_struct("S")
-    compiled = module.call("f", s_compiled, *args)
+    if "cur" in s_compiled.__slots__:
+        s_compiled.cur = rt.BufPtr(rt.PyBuffer(wire), 0, 1, True)
+    try:
+        compiled = module.call("f", s_compiled, *args)
+    except (InterpError, struct.error):
+        compiled = "fault"
     return ((value, _interp_memory(s_interp)),
             (compiled, _compiled_memory(s_compiled)), module)
 
@@ -293,6 +360,52 @@ def test_generator_reaches_every_lowering():
     assert "+ 0x80000000) & 0xFFFFFFFF) - 0x80000000" in text
     assert "+ 0x80) & 0xFF) - 0x80" in text
     assert " and " in text and " or " in text and "not " in text
+    assert sum(GUARDED_HEAD.search(s) is not None for s in sources) >= 40
+
+
+#: the head of a guarded run: batch only if every word is there
+GUARDED_HEAD = re.compile(
+    r"if (_t\d+)\.offset \+ \d+ <= len\(\1\.buffer\.data\):")
+
+
+def corpus_disagreements(rewrite=None):
+    """Seeds of the generated corpus on which the compiled function
+    (its Python put through ``rewrite``) and the interpreter differ."""
+    bad = []
+    for seed in range(120):
+        source = Gen(seed).source()
+        rng = random.Random(seed * 7919)
+        for _ in range(4):
+            a, b = rng.choice(EDGES), rng.choice(EDGES)
+            interp, compiled, _module = run_both(
+                source, a, b, rng.randrange(9), rewrite=rewrite)
+            if compiled != interp:
+                bad.append(seed)
+                break
+    return bad
+
+
+def drop_cursor_restore(source):
+    """Mutant: an early return inside a guarded run leaves the cursor
+    where the run began."""
+    return re.sub(r"\n +s\.cur = _t\d+\.add\(\d+\)(\n +return 9\d)",
+                  r"\1", source)
+
+
+def hoist_guard(source):
+    """Mutant: a guard is evaluated before the assignment of the word
+    it tests."""
+    return re.sub(
+        r"(\n +[a-z]+ = [^\n]*_t\d+\[\d+\][^\n]*)"
+        r"(\n +if [^\n]+:\n +s\.cur = [^\n]+\n +return 9\d)",
+        r"\2\1", source)
+
+
+@pytest.mark.parametrize("mutant", [drop_cursor_restore, hoist_guard],
+                         ids=lambda fn: fn.__name__)
+def test_the_corpus_catches_a_wrong_guarded_run(mutant):
+    assert corpus_disagreements() == []
+    assert corpus_disagreements(mutant)
 
 
 # -- the counted-loop matcher ------------------------------------------------
@@ -523,6 +636,130 @@ class TestLoopAsSpan:
         assert "while k < 9:" in compile_program(parse_program(source)).source
 
 
+# -- early-return tests between the words of a load run -----------------------
+
+
+def guarded_case(stmts):
+    return PRELUDE + f"""
+int f(struct S *s, int a, int b, int n)
+{{
+    int x; int y; unsigned p;
+    x = 0; y = 0; p = 0;
+    {stmts}
+    s->x = x; s->y = y; s->p = p;
+    return 1;
+}}
+"""
+
+
+LOAD_WORD = "(long)ntohl((u_long)*(long *)s->cur); s->cur = s->cur + 4;"
+#: four words, a test after each of the first three
+HEADER = (f"x = {LOAD_WORD} if (x != a) return 0;"
+          f" y = {LOAD_WORD} if ((y & 3) != 1) return 3;"
+          f" p = {LOAD_WORD} if (p == (u_long)b) return 2;"
+          f" s->a[5] = {LOAD_WORD}")
+
+
+def wire_of(*words):
+    return struct.pack(f">{len(words)}i", *words)
+
+
+class TestGuardedRuns:
+    def test_the_run_is_one_unpack_with_the_tests_in_order(self):
+        _i, _c, module = run_both(guarded_case(HEADER), 7, 0, 0)
+        body = _function(module.source, "f")
+        batched, by_word = body.split("    else:\n")
+        assert GUARDED_HEAD.search(batched)
+        assert "offset + 16 <=" in batched
+        assert batched.count("unpack_from") == 1
+        lines = [line.strip() for line in batched.splitlines()]
+        at = lines.index("x = _t2[0]")
+        assert lines[at + 1:at + 5] == [
+            "if x != a:", "s.cur = _t1.add(4)", "return 0", "y = _t2[1]"]
+        assert lines[-1] == "s.cur = _t1.add(16)"
+        # the other arm is the run as it lowers without the rule
+        assert by_word.count("unpack_from") == 4
+        assert not re.search(r"\b_t1\b", by_word)
+
+    @pytest.mark.parametrize("words, a, b, outcome", [
+        ((6, 1, 9, 4), 7, 0, 0),      # the first test fires
+        ((7, 2, 9, 4), 7, 0, 3),      # the second
+        ((7, 5, 9, 4), 7, 9, 2),      # the third
+        ((7, 5, 9, 4), 7, 0, 1),      # none: the run completes
+        ((7, 5, -1, 4), 7, -1, 2),    # unsigned compare of a wrapped word
+    ])
+    def test_a_guard_firing_at_each_position(self, words, a, b, outcome):
+        interp, compiled, _module = run_both(
+            guarded_case(HEADER), a, b, 0, wire=wire_of(*words, 0, 0))
+        assert compiled == interp and compiled[0] == outcome
+        fired = {0: 1, 3: 2, 2: 3, 1: 4}[outcome]
+        assert compiled[1][S_FIELDS.index("cur")] == 4 * fired
+
+    @pytest.mark.parametrize("words, a, outcome", [
+        ((6, 1, 9), 7, 0),            # returns before the missing word
+        ((7, 5, 9), 7, "fault"),      # reads it: both fault
+        ((7,), 7, "fault"),
+        ((), 7, "fault"),
+    ])
+    def test_a_short_buffer_goes_word_by_word(self, words, a, outcome):
+        # one unpack of the four words would fault where word by word an
+        # earlier test returns
+        interp, compiled, _module = run_both(
+            guarded_case(HEADER), a, 0, 0, wire=wire_of(*words))
+        assert compiled == interp and compiled[0] == outcome
+
+    @pytest.mark.parametrize("test", [
+        # reads the cursor, which the batched form stores late
+        "if (s->cur == s->cur) return 0;",
+        "if (*(long *)s->cur == 5) return 0;",
+        # reads memory
+        "if (s->n != 0) return 0;",
+        "if (s->a[0] != 0) return 0;",
+        # has an effect
+        "if (g(&y, x) == 3) return 0;",
+        "if ((x = x + 1) == 3) return 0;",
+        # does more than return a literal
+        "if (x != a) return x;",
+        "if (x != a) return (-1);",
+        "if (x != a) { y = 1; return 0; }",
+        "if (x != a) return 0; else y = 2;",
+    ])
+    def test_refused_guards_end_the_run(self, test):
+        source = guarded_case(
+            f"x = {LOAD_WORD} {test} y = {LOAD_WORD} p = {LOAD_WORD}")
+        interp, compiled, module = run_both(source, 0, 0, 0)
+        assert compiled == interp
+        assert not GUARDED_HEAD.search(module.source)
+
+    def test_a_test_after_the_last_word_is_outside_the_run(self):
+        source = guarded_case(
+            f"x = {LOAD_WORD} y = {LOAD_WORD} if (y != 1) return 0;")
+        interp, compiled, module = run_both(source, 0, 0, 0)
+        assert compiled == interp and compiled[0] == 1
+        assert not GUARDED_HEAD.search(module.source)
+        assert module.source.count("unpack_from") == 1
+
+    def test_a_local_cursor_may_not_be_read_by_a_guard(self):
+        source = PRELUDE + f"""
+int f(struct S *s, int a, int b, int n)
+{{
+    caddr_t p; int x; int y;
+    p = s->cur;
+    x = (long)ntohl((u_long)*(long *)p); p = p + 4;
+    if (p == s->cur) return 0;
+    y = (long)ntohl((u_long)*(long *)p); p = p + 4;
+    if (x == 0) return 5;
+    y = (long)ntohl((u_long)*(long *)p); p = p + 4;
+    s->cur = p; s->y = y;
+    return 1;
+}}
+"""
+        interp, compiled, module = run_both(source, 0, 0, 0)
+        assert compiled == interp and compiled[0] == 5
+        # only the second test joined a run: the first names the cursor
+        assert module.source.count(".offset + 8 <=") == 1
+
+
 # -- what the lowering emits ----------------------------------------------
 
 
@@ -643,7 +880,7 @@ def test_golden_server_handler_loop(golden_pipeline):
     assert "while" not in hot
     # decode and encode of the 1000 ints: one slice each way
     assert f"objp.vals[0:{GOLDEN_N}] = " in source
-    assert f".pack_into(_t1.buffer.data, _t1.offset, *objp.vals[0:{GOLDEN_N}])" \
+    assert f".pack_into(_t2.buffer.data, _t2.offset, *objp.vals[0:{GOLDEN_N}])" \
         in source
 
 

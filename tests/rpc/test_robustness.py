@@ -95,18 +95,18 @@ def test_specialized_dispatcher_survives_fuzz(sunrpc_program):
     workload = sunrpc_program
     result = workload.specialized_server(8)
     from repro.minic.compile_py import compile_program
-    from repro.specialized import runtime as sr
+    from repro.minic import pyruntime as rt
 
     module = compile_program(result.program)
     params = [name for _t, name in result.residual_params]
 
     def dispatch(data):
-        in_buffer = sr.fresh_buffer(data)
-        out_buffer = sr.fresh_buffer(8800)
+        in_buffer = rt.PyBuffer(data)
+        out_buffer = rt.PyBuffer(8800)
         values = {
-            "inbuf": sr.buffer_cursor(in_buffer),
+            "inbuf": rt.BufPtr(in_buffer),
             "inlen": len(data),
-            "outbuf": sr.buffer_cursor(out_buffer),
+            "outbuf": rt.BufPtr(out_buffer),
             "outsize": 8800,
         }
         return module.call(

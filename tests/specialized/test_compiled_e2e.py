@@ -5,7 +5,7 @@ sockets, one process."""
 import pytest
 
 from repro.minic.compile_py import compile_program
-from repro.specialized import runtime as sr
+from repro.minic import pyruntime as rt
 
 N = 16
 
@@ -20,12 +20,12 @@ def compiled(sunrpc_program):
     server_params = [n for _t, n in server_result.residual_params]
 
     def network(request):
-        in_buffer = sr.fresh_buffer(request)
-        out_buffer = sr.fresh_buffer(8800)
+        in_buffer = rt.PyBuffer(request)
+        out_buffer = rt.PyBuffer(8800)
         values = {
-            "inbuf": sr.buffer_cursor(in_buffer),
+            "inbuf": rt.BufPtr(in_buffer),
             "inlen": len(request),
-            "outbuf": sr.buffer_cursor(out_buffer),
+            "outbuf": rt.BufPtr(out_buffer),
             "outsize": 8800,
         }
         outlen = server.call(
@@ -47,15 +47,15 @@ def _call(compiled, data, xid=0x31337):
     args.vals_len = len(data)
     args.vals[:len(data)] = data
     resp = client.new_struct("intarr")
-    out_buffer = sr.fresh_buffer(8800)
-    in_buffer = sr.fresh_buffer(8800)
+    out_buffer = rt.PyBuffer(8800)
+    in_buffer = rt.PyBuffer(8800)
     values = {
         "clnt": clnt,
         "xid": xid,
         "argsp": args,
         "resp": resp,
-        "outbuf": sr.buffer_cursor(out_buffer),
-        "inbuf": sr.buffer_cursor(in_buffer),
+        "outbuf": rt.BufPtr(out_buffer),
+        "inbuf": rt.BufPtr(in_buffer),
     }
     params = [n for _t, n in client_result.residual_params]
     status = client.call(

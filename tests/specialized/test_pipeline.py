@@ -73,8 +73,13 @@ def test_out_of_range_int_is_refused_by_both_tiers(pipeline, n, bad):
     values = [0] * (n - 1) + [bad]
     with pytest.raises(XdrError, match="long out of range"):
         generic_request(pipeline, 7, values)
+    # the fused entry declines; the installed codec then refuses the
+    # call as the generic stub does
+    assert spec.build_request(7, {"vals": values}) is None
+    client = spec.install(RpcClient(pipeline.prog_number,
+                                    pipeline.vers_number))
     with pytest.raises(XdrError, match="long out of range"):
-        spec.build_request(7, {"vals": values})
+        client.build_call(7, 1, pipeline.stubs.intarr(vals=values), None)
     edges = ([2**31 - 1, -2**31] * n)[:n]
     assert spec.build_request(7, {"vals": edges}) == generic_request(
         pipeline, 7, edges)
@@ -188,8 +193,9 @@ def test_sizes_module(pipeline):
 
 
 class TestLoweringGate:
-    """Every install point that verifies also holds the compiled module
-    to the interpreter's outcome on the verifier's concrete probes."""
+    """Every install point that verifies also holds the fused entry —
+    glue and compiled module — to the generic program's outcome on the
+    verifier's concrete probes."""
 
     @pytest.fixture(autouse=True)
     def default_verification(self, monkeypatch):
@@ -223,19 +229,20 @@ class TestLoweringGate:
         gated = []
         from repro.analysis import verify
 
-        original = verify._Harness.lowering_findings
+        original = verify.verify_server_residual
 
-        def spy(self, module, *args):
+        def spy(*args, module=None):
             gated.append(module)
-            return original(self, module, *args)
+            return original(*args, module=module)
 
-        monkeypatch.setattr(verify._Harness, "lowering_findings", spy)
+        monkeypatch.setattr(verify, "verify_server_residual", spy)
         second = SpecializationPipeline(IDL, impl_sources=[IMPL],
                                         cache_dir=str(tmp_path))
         server = second.specialize_server("SENDRECV", **lens)
         assert second.cache.disk_hits == 1
-        # the module that was gated is the module that serves
-        assert gated and all(m is server._module for m in gated)
+        # the module whose entry was gated is the one that serves
+        assert gated == [server._module]
+        assert server.residual_reply is server._module.entry
 
     def test_verify_off_skips_the_gate(self, off_by_one):
         pipeline = SpecializationPipeline(IDL, impl_sources=[IMPL],

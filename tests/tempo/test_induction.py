@@ -379,31 +379,42 @@ def test_outsize_too_small_keeps_the_declining_residual(stacks):
         spec = pipeline.specialize_client("SENDRECV", bufsize=100, **lens(20))
         texts.append(spec.marshal_result.pretty())
         args = pipeline.stubs.intarr(vals=list(range(20)))
-        with pytest.raises(Exception, match="marshaler failed"):
-            spec.build_request(7, args)
+        assert spec.build_request(7, args) is None
     assert texts[0] == texts[1] and "return 0" in texts[0]
 
 
 # -- the paper path does not drift -------------------------------------------
 
 #: sha256 of the pretty-printed ``Options()`` residuals (client marshal,
-#: client recv, server dispatch), taken on the commit before the rule
+#: client recv, server dispatch).  The client pair was taken on the
+#: commit before the induction rule; the third is the pipeline's
+#: ``svc_process`` residual with the request size known (it specialized
+#: ``svc_handle`` with a dynamic ``inlen`` until the fused entries)
 PAPER_DIGESTS = {
     20: (
         "da3e89e78961337fff4ae914ab8f01034e6c2423eaa6c5ed85b4f4420a1514f0",
         "d127b06a0e333b0304f43d2e1eff2ebdecb543abee54e003bbd39d91a51b12b4",
-        "f38ca9ae1bec3f0cd9d07dda46aeb0dbb4048d8a0cb3a8d15e861a5f27724b65",
+        "05a7625d4b23d7cc14e9bc05cb9538307c1e2a1d0b37066113bfabd0ddad08ef",
     ),
     250: (
         "3924f224838b51eee300e7422a1d5ae99e4994d4d63894bc3e6676b657860770",
         "c77f689e4ca693c44e9841737c48cbfdfc4bef0c66abd1e19fb8d3fedeab96f8",
-        "d5018a0612a5644ec1d67401a26b7a08ed237fa05f5c65f8ed42ef14ba922a13",
+        "2b3a50184243ee083497ac4df249426dfb2874d2ddaebb52273d7f0a32cac5f8",
     ),
+}
+
+#: the paper path's own server residual — ``repro.bench.workloads``
+#: specializes ``svc_handle`` itself, dynamic ``inlen`` and both
+#: branches, for Tables 1–4, ``figure6`` and ``ablation`` — taken on
+#: the commit before the pipeline stopped sharing that entry
+BENCH_SERVER_DIGESTS = {
+    20: "092e71300faa03d8af8c61d122babb29ed8f19ba72f7ee9333dc1f4f678c9f03",
+    250: "f0764e51c6acbaa71b1c2fea71a06ca5c00455c512077f1bce9880e925627936",
 }
 
 
 @pytest.mark.parametrize("n", sorted(PAPER_DIGESTS))
-def test_paper_residuals_are_pinned(stacks, n):
+def test_paper_residuals_are_pinned(stacks, sunrpc_program, n):
     pipeline = stacks["unrolled"]
     client = pipeline.specialize_client("SENDRECV", **lens(n))
     server = pipeline.specialize_server("SENDRECV", **lens(n))
@@ -413,3 +424,7 @@ def test_paper_residuals_are_pinned(stacks, n):
                        server.result)
     )
     assert digests == PAPER_DIGESTS[n]
+    bench = sunrpc_program.specialized_server(n)
+    assert bench.entry_name == "svc_handle_xchg_prog_1_spec"
+    assert hashlib.sha256(
+        bench.pretty().encode()).hexdigest() == BENCH_SERVER_DIGESTS[n]
