@@ -17,6 +17,10 @@ concurrent stack depends on and that no unit test exercises reliably:
 * ``drc-outside-spine`` — the DRC claim protocol (``begin`` / ``put``
   / ``abandon``) is called only from ``SvcRegistry._spine``, so no
   dispatch tier can carry a diverging copy of at-most-once;
+* ``admission-outside-core`` — in the server transports
+  (``repro/rpc/svc_*.py`` other than ``svc_core.py``) nothing builds a
+  ``WorkerPool`` / ``InflightLimiter``, attaches a journal, or calls
+  the registry's shed / drain / enable hooks: that is the core's, once;
 * ``knob-contract`` — every ``REPRO_*`` environment knob read by the
   source must be documented in docs/OPERATIONS.md and vice versa
   (absorbed from ``tools/check_links.py``).

@@ -1,4 +1,6 @@
-"""``drc-outside-spine``: the at-most-once protocol is written once.
+"""Written-once rules: ``drc-outside-spine``, ``admission-outside-core``.
+
+``drc-outside-spine``: the at-most-once protocol is written once.
 
 ``DuplicateRequestCache.begin`` / ``put`` / ``abandon`` are the claim
 protocol: whoever calls them decides which requests execute and which
@@ -11,6 +13,15 @@ and the spine function is a finding.
 A receiver is taken for a DRC when its last name is ``drc`` or ends
 in ``_drc`` (``drc.put``, ``self.drc.begin``, ``self.fallback.drc
 .abandon``) — the naming every holder of one in this tree uses.
+
+``admission-outside-core``: so is everything a server transport is
+not.  Registry wiring, admission, shedding and drain live in
+``repro/rpc/svc_core.py``; a server transport (any other
+``repro/rpc/svc_*.py``) that builds its own ``WorkerPool`` /
+``InflightLimiter``, attaches a journal, or calls the registry's
+``shed_reply_bytes`` / ``begin_drain`` / ``enable_drc`` /
+``enable_fastpath`` / an online specializer's ``attach_server`` is a
+second copy of the core starting to grow.
 """
 
 import ast as pyast
@@ -21,10 +32,22 @@ PROTOCOL_CALLS = {"begin", "put", "abandon"}
 DRC_MODULE = "repro/rpc/drc.py"
 SPINE = ("repro/rpc/server.py", "_spine")
 
+CORE_MODULE = "repro/rpc/svc_core.py"
+TRANSPORT_PREFIX = "repro/rpc/svc_"
+#: what only the core calls, by the callee's last name: constructors,
+#: ``attach_journal``, and methods of the registry / online specializer
+CORE_CALLS = {"WorkerPool", "InflightLimiter", "attach_journal",
+              "shed_reply_bytes", "begin_drain", "enable_drc",
+              "enable_fastpath", "attach_server"}
+
+
+def _last_name(node):
+    return (node.id if isinstance(node, pyast.Name)
+            else node.attr if isinstance(node, pyast.Attribute) else "")
+
 
 def _is_drc(node):
-    name = (node.id if isinstance(node, pyast.Name)
-            else node.attr if isinstance(node, pyast.Attribute) else "")
+    name = _last_name(node)
     return name == "drc" or name.endswith("_drc")
 
 
@@ -43,13 +66,32 @@ def _protocol_calls(node, function, found):
     return found
 
 
+def _core_calls(tree):
+    """Calls in a transport module that belong to the server core."""
+    return [node for node in pyast.walk(tree)
+            if isinstance(node, pyast.Call)
+            and _last_name(node.func) in CORE_CALLS]
+
+
 def check(modules):
     findings = []
     for module in modules:
-        if module.package_rel == DRC_MODULE:
+        rel = module.package_rel
+        if rel.startswith(TRANSPORT_PREFIX) and rel != CORE_MODULE:
+            for call in _core_calls(module.tree):
+                findings.append(Finding(
+                    rule="admission-outside-core",
+                    path=module.rel,
+                    line=call.lineno,
+                    message=(f"{_last_name(call.func)}() in a server "
+                             f"transport: registry wiring, admission, "
+                             f"shedding and drain live only in RpcServer "
+                             f"(svc_core.py); a transport moves messages"),
+                ))
+        if rel == DRC_MODULE:
             continue
         for call, function in _protocol_calls(module.tree, None, []):
-            if (module.package_rel, function) == SPINE:
+            if (rel, function) == SPINE:
                 continue
             findings.append(Finding(
                 rule="drc-outside-spine",

@@ -22,13 +22,13 @@ guarantees rather than eyeballing them:
 
 Results go to ``BENCH_chaos.json``; the run fails loudly (raises
 ``AssertionError``) on any invariant violation so CI catches
-regressions.  ``REPRO_CHAOS_CALLS`` / ``REPRO_CHAOS_SEED`` override
-the soak size and the fault dice.
+regressions.  ``--calls`` / ``--seed`` (``python -m repro.bench chaos
+--calls 400``) override the soak size and the fault dice.
 
 ``engine="mux"`` (CLI: ``python -m repro.bench chaos_mux`` →
-``BENCH_chaos_mux.json``) runs the identical schedule through the
-concurrent call engine: replicas serve via
-:class:`~repro.rpc.MuxUdpServer`, the failover client builds
+``BENCH_chaos_mux.json``) runs the identical schedule, against the
+same :class:`~repro.rpc.UdpServer` replicas, through the concurrent
+call engine: the failover client builds
 :class:`~repro.rpc.MuxUdpClient` endpoints (many in-flight xids per
 socket), and the burst phase keeps ~36 async calls in flight *per
 client* instead of a thread per call — proving that pipelining and
@@ -38,7 +38,6 @@ typed-resolution guarantee.
 
 import json
 import logging
-import os
 import platform
 import threading
 import time
@@ -52,7 +51,6 @@ from repro.rpc import (
     HEALTH_PROG,
     HEALTH_VERS,
     MuxUdpClient,
-    MuxUdpServer,
     STATUS_DRAINING,
     SvcRegistry,
     UdpClient,
@@ -88,10 +86,9 @@ QUEUE_DEPTH = 32
 class Replica:
     """One restartable server replica on a stable port."""
 
-    def __init__(self, name, seed, engine="threaded"):
+    def __init__(self, name, seed):
         self.name = name
         self.seed = seed
-        self.engine = engine
         self.port = 0
         self.incarnation = 0
         self.server = None
@@ -119,8 +116,7 @@ class Replica:
         plan = FaultPlan(seed=self.seed + self.incarnation,
                          drop=LOSS_RATE, duplicate=DUPLICATE_RATE)
         self.registry = registry
-        server_cls = MuxUdpServer if self.engine == "mux" else UdpServer
-        self.server = server_cls(
+        self.server = UdpServer(
             registry, port=self.port, fastpath=True, drc=True,
             fault_plan=plan, workers=WORKERS, queue_depth=QUEUE_DEPTH,
         )
@@ -379,31 +375,27 @@ def _health_of(port, deadline=2.0):
         client.close()
 
 
-def run_mux(workload=None, calls=None, seed=None, json_path=MUX_JSON):
+def run_mux(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
+            json_path=MUX_JSON):
     """The chaos soak over the mux stack (CLI: ``chaos_mux``)."""
     return run(workload, calls=calls, seed=seed, json_path=json_path,
                engine="mux")
 
 
-def run(workload=None, calls=None, seed=None, json_path=DEFAULT_JSON,
-        engine="threaded"):
+def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
+        json_path=DEFAULT_JSON, engine="threaded"):
     """Run the chaos soak, print the verdict table, write the JSON
     report, and raise ``AssertionError`` on any invariant violation.
 
     ``workload`` is accepted (and ignored) for CLI uniformity.
-    ``engine`` selects the stack under test: ``"threaded"`` (serial
-    clients, threaded servers) or ``"mux"`` (pipelined clients,
-    event-loop servers).
+    ``engine`` selects the client stack under test: ``"threaded"``
+    (serial clients) or ``"mux"`` (pipelined clients); the replicas
+    are the same either way.
     """
     del workload
     if engine not in ("threaded", "mux"):
         raise ValueError(f"unknown engine {engine!r}")
-    if calls is None:
-        calls = int(os.environ.get("REPRO_CHAOS_CALLS", DEFAULT_CALLS))
-    if seed is None:
-        seed = int(os.environ.get("REPRO_CHAOS_SEED", DEFAULT_SEED))
-    replicas = [Replica(f"r{i}", seed=seed + 1000 * i,
-                        engine=engine).start()
+    replicas = [Replica(f"r{i}", seed=seed + 1000 * i).start()
                 for i in range(REPLICAS)]
     # The chaos schedule, by call index: two abrupt kill/restart
     # cycles on r0 and r1, one graceful drain of r2 that is never

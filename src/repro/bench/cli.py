@@ -2,6 +2,7 @@
 tables and figures."""
 
 import argparse
+import inspect
 import sys
 import time
 
@@ -58,17 +59,34 @@ def main(argv=None):
         help="comma-separated array sizes (default: the paper's"
         " 20,100,250,500,1000,2000)",
     )
+    parser.add_argument(
+        "--calls", type=int,
+        help="call count of a soak or live bench (chaos, chaos_mux,"
+        " cluster, overload, mux, online, faults); each has its default",
+    )
+    parser.add_argument(
+        "--seed", type=lambda text: int(text, 0),
+        help="fault/retransmission dice of a seeded soak (chaos,"
+        " chaos_mux, cluster, overload, faults)",
+    )
     args = parser.parse_args(argv)
     names = list(EXPERIMENTS) if args.experiment == "all" else [
         args.experiment
     ]
+    sizing = {option: getattr(args, option) for option in ("calls", "seed")
+              if getattr(args, option) is not None}
+    for name in names:
+        takes = inspect.signature(EXPERIMENTS[name][1]).parameters
+        for option in sizing:
+            if option not in takes:
+                parser.error(f"{name} takes no --{option}")
     workload = IntArrayWorkload()
     for name in names:
         title, runner = EXPERIMENTS[name]
         started = time.time()
         print(f"### {title}\n")
         if name in _NO_SIZES:
-            runner(workload)
+            runner(workload, **sizing)
         else:
             runner(workload, args.sizes)
         print(f"\n[{name} done in {time.time() - started:.1f}s]\n")

@@ -34,8 +34,8 @@ Invariants (any violation raises ``AssertionError``):
 * every graceful shutdown writes a summary whose per-incarnation
   counters satisfy the DRC uniqueness proof.
 
-Results go to ``BENCH_cluster.json``.  ``REPRO_CLUSTER_CALLS`` /
-``REPRO_CLUSTER_SEED`` override the soak size and fault dice.
+Results go to ``BENCH_cluster.json``.  ``--calls`` / ``--seed``
+override the soak size and fault dice.
 """
 
 import json
@@ -307,7 +307,8 @@ def _check_incarnation(summary):
     return problems
 
 
-def run(workload=None, calls=None, seed=None, json_path=DEFAULT_JSON):
+def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
+        json_path=DEFAULT_JSON):
     """Run the cluster soak; raises ``AssertionError`` on violation.
 
     ``workload`` is accepted (and ignored) for CLI uniformity.
@@ -315,10 +316,6 @@ def run(workload=None, calls=None, seed=None, json_path=DEFAULT_JSON):
     del workload
     import tempfile
 
-    calls = calls if calls is not None else int(
-        os.environ.get("REPRO_CLUSTER_CALLS", DEFAULT_CALLS))
-    seed = seed if seed is not None else int(
-        os.environ.get("REPRO_CLUSTER_SEED", DEFAULT_SEED))
     calls_per_thread = max(1, calls // LOAD_THREADS)
     violations = []
     workdir = tempfile.mkdtemp(prefix="repro-cluster-")

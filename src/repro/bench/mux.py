@@ -28,7 +28,7 @@ full curve, the serial numbers, realized batch sizes, and
 ``speedup_c64`` — the acceptance headline (target ≥5× locally; CI
 asserts ≥3× as a conservative floor under runner noise).
 
-``REPRO_MUX_CALLS`` scales the per-point call count (default 2000).
+``--calls`` scales the per-point call count (default 2000).
 """
 
 import json
@@ -46,6 +46,8 @@ from repro.rpc.message import decode_reply_header, raise_for_reply
 from repro.xdr import XdrMemStream, XdrOp, xdr_u_long
 
 DEFAULT_JSON = "BENCH_mux.json"
+#: calls per point of the concurrency curve
+DEFAULT_CALLS = 2000
 PROG, VERS = 0x20009999, 1
 PROC_INC = 1
 CONCURRENCIES = (1, 2, 4, 8, 16, 32, 64)
@@ -82,10 +84,6 @@ def _parse_reply(data, xid):
 
 def _unpack_args(data, offset):
     return _WORD.unpack_from(data, offset)[0]
-
-
-def _calls_per_point():
-    return int(os.environ.get("REPRO_MUX_CALLS", "2000"))
 
 
 class _ServerProcess:
@@ -224,13 +222,12 @@ def _mux_goodput(port, concurrency, calls):
     }
 
 
-def run(workload=None, json_path=DEFAULT_JSON):
+def run(workload=None, json_path=DEFAULT_JSON, calls=DEFAULT_CALLS):
     """Print the concurrency curve and write ``BENCH_mux.json``.
 
     ``workload`` is accepted (and ignored) for CLI uniformity.
     """
     del workload
-    calls = _calls_per_point()
     results = {
         "meta": {
             "python": platform.python_version(),

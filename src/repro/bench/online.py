@@ -31,8 +31,8 @@ generic registry and requires byte-identical wire output.  The bench
 aborts on the first wrong byte; ``wrong_bytes`` in the JSON is the
 asserted count (always 0 in a successful run).
 
-``REPRO_ONLINE_CALLS`` scales the per-window call count (default 400;
-CI uses a small value).  Numbers land in ``BENCH_online.json`` so CI
+``--calls`` scales the per-window call count (default 400; CI uses a
+small value).  Numbers land in ``BENCH_online.json`` so CI
 can hold the conservative floor: converged online throughput must not
 be *worse* than generic, and the tail phase must neither demote nor
 drop under a 0.9 hit share.
@@ -45,7 +45,6 @@ never converges.
 
 import itertools
 import json
-import os
 import platform
 import random
 import time
@@ -70,6 +69,9 @@ from repro.specialized import (
 )
 
 DEFAULT_JSON = "BENCH_online.json"
+#: calls per window (a window under MIN_CALLS cannot show a promotion)
+DEFAULT_CALLS = 400
+MIN_CALLS = 20
 
 #: the hot length the traffic starts on, and the length it shifts to
 HOT_N = 64
@@ -85,10 +87,6 @@ TAIL_WINDOWS = 4
 #: the tail phase: share of calls drawn uniformly from 1..TAIL_MAX_N
 TAIL_SHARE = 0.05
 TAIL_MAX_N = 128
-
-
-def _calls_per_window():
-    return max(20, int(os.environ.get("REPRO_ONLINE_CALLS", "400")))
 
 
 def _stubs():
@@ -180,10 +178,10 @@ def _baseline_us(call, args, calls, repeats=3):
     return min(_window_us(call, [args] * calls) for _ in range(repeats))
 
 
-def run(workload=None, json_path=DEFAULT_JSON, calls=None):
+def run(workload=None, json_path=DEFAULT_JSON, calls=DEFAULT_CALLS):
     """Print the convergence curve and write ``BENCH_online.json``."""
     del workload  # CLI uniformity; the live stack needs no simulator run
-    calls = calls or _calls_per_window()
+    calls = max(MIN_CALLS, calls)
     stubs = _stubs()
     pipeline = SpecializationPipeline(
         WORKLOAD_IDL, impl_sources=[WORKLOAD_IMPL]

@@ -44,15 +44,15 @@ The uncontrolled stack's recovery ratio is reported for contrast but
 not asserted — staying collapsed is the expected (bad) behavior.
 
 CLI: ``python -m repro.bench overload`` -> ``BENCH_overload.json``.
-``REPRO_OVERLOAD_CALLS`` scales the run (default 1350 offered calls
-per stack at a fixed 150/s — nine seconds per stack).
+``--calls`` scales the run (default 1350 offered calls per stack at a
+fixed 150/s — nine seconds per stack); ``--seed`` reseeds its fault
+plans.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import platform
 import threading
 import time
@@ -381,18 +381,15 @@ def _run_stack(controlled, calls, seed):
     }
 
 
-def run(workload=None, calls=None, seed=None, json_path=DEFAULT_JSON):
+def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
+        json_path=DEFAULT_JSON):
     """Run the overload soak, print the verdict table, write the JSON
     report, and raise ``AssertionError`` on any floor violation.
 
     ``workload`` is accepted (and ignored) for CLI uniformity.
     """
     del workload
-    if calls is None:
-        calls = int(os.environ.get("REPRO_OVERLOAD_CALLS", DEFAULT_CALLS))
-    calls = max(int(calls), MIN_CALLS)
-    if seed is None:
-        seed = int(os.environ.get("REPRO_OVERLOAD_SEED", DEFAULT_SEED))
+    calls = max(calls, MIN_CALLS)
     violations = []
     started = time.perf_counter()
     with _TracebackWatch() as watch:

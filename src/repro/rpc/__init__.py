@@ -6,17 +6,18 @@ A working pure-Python Sun RPC stack structured like the 1984 sources:
 * :mod:`repro.rpc.auth` — AUTH_NONE / AUTH_SYS credentials;
 * :mod:`repro.rpc.clnt_udp` / :mod:`repro.rpc.clnt_tcp` — clients with
   retransmission (UDP) and record marking (TCP);
-* :mod:`repro.rpc.server` + :mod:`repro.rpc.svc_udp` /
-  :mod:`repro.rpc.svc_tcp` — service dispatch and transports;
+* :mod:`repro.rpc.server` + :mod:`repro.rpc.svc_core` — service
+  dispatch and the one server core (admission, shedding, drain,
+  lifecycle); :mod:`repro.rpc.svc_udp` / :mod:`repro.rpc.svc_tcp` /
+  :mod:`repro.rpc.svc_mux` — its three socket loops;
 * :mod:`repro.rpc.pmap` — the portmapper (program 100000);
 * :mod:`repro.rpc.resilience` — deadlines, circuit breaking,
   multi-endpoint failover, overload control, graceful drain;
 * :mod:`repro.rpc.overload` — end-to-end overload control: deadline
   propagation (doomed-work drops), retry budgets, hedged-request
   triggers, and CoDel-style adaptive queue management;
-* :mod:`repro.rpc.mux` / :mod:`repro.rpc.svc_mux` — the concurrent
-  call engine: xid-multiplexed pipelined clients (``call_async``),
-  call batching, and readiness-driven event-loop servers;
+* :mod:`repro.rpc.mux` — the concurrent call engine: xid-multiplexed
+  pipelined clients (``call_async``) and call batching;
 * :mod:`repro.rpc.durable` — DRC persistence: a write-ahead journal
   + compacted snapshots that make at-most-once hold across restarts;
 * :mod:`repro.rpc.fleet` — DRC replication (incarnation-fenced
@@ -49,7 +50,7 @@ __getattr__ = lazy_exports(__name__, {
                   " InflightLimiter STATUS_DRAINING STATUS_SERVING"
                   " TokenBucket WorkerPool",
     "server": "SvcRegistry rpc_service",
-    "svc_mux": "MuxTcpServer MuxUdpServer make_server",
+    "svc_mux": "MuxTcpServer MuxUdpServer",
     "svc_tcp": "TcpServer",
     "svc_udp": "UdpServer",
 })
@@ -91,7 +92,6 @@ __all__ = [
     "STATUS_DRAINING",
     "STATUS_SERVING",
     "WorkerPool",
-    "make_server",
     "make_deadline_cred",
     "propagation_enabled",
     "remaining_from_cred",

@@ -18,10 +18,11 @@ many in-flight xids over *one* socket:
   TCP, several record-marked messages in one ``send`` (pipelining
   over the stream, wire-compatible with any record-marking server);
   on UDP, several call messages in one datagram wrapped in the
-  *batch envelope* below (our servers unwrap it; a lone message is
-  always sent raw, so single calls stay wire-compatible with any Sun
-  RPC server).  ``batch_window_s`` optionally holds the first queued
-  call back a moment to gather a fuller batch.
+  *batch envelope* of :mod:`repro.rpc.record` (our servers unwrap
+  it; a lone message is always sent raw, so single calls stay
+  wire-compatible with any Sun RPC server).  ``batch_window_s``
+  optionally holds the first queued call back a moment to gather a
+  fuller batch.
 
 * The **fast path** composes: requests are built from the pre-serialized
   header templates with in-place xid patching, and replies are matched
@@ -34,18 +35,6 @@ many in-flight xids over *one* socket:
   exactly-once per incarnation even with many xids in flight from one
   caller.
 
-Batch envelope (UDP)
---------------------
-
-A datagram carrying more than one RPC message is framed as::
-
-    >III   BATCH_MAGIC, 0xFFFFFFFF, count
-    count x (>I length, message bytes)
-
-The second word can never occur in a plain RPC message at that offset
-(``msg_type`` is 0 or 1), so the envelope is unambiguous even against
-an adversarial xid equal to ``BATCH_MAGIC``.
-
 Telemetry: ``rpc.mux.calls`` / ``rpc.mux.inflight`` /
 ``rpc.mux.batch_size`` / ``rpc.mux.wakeups`` / ``rpc.mux.unknown_xids``
 plus the ``mux.flush`` span (see :mod:`repro.obs.catalog`).
@@ -54,7 +43,6 @@ plus the ``mux.flush`` span (see :mod:`repro.obs.catalog`).
 import collections
 import select
 import socket
-import struct
 import threading
 import time
 
@@ -74,9 +62,12 @@ from repro.rpc.clnt_tcp import TcpClient
 from repro.rpc.clnt_udp import CallStats, UdpClient
 from repro.rpc.overload import stamp_deadline
 from repro.rpc.record import (
-    DEFAULT_FRAGMENT_SIZE,
-    LAST_FRAGMENT,
+    BATCH_MAGIC,
     RecordAssembler,
+    batch_groups,
+    mark_record,
+    pack_batch,
+    unpack_batch,
 )
 from repro.rpc.resilience import Deadline
 
@@ -89,80 +80,6 @@ __all__ = [
     "pack_batch",
     "unpack_batch",
 ]
-
-#: first word of a batch-envelope datagram.
-BATCH_MAGIC = 0xB47C4A11
-#: second word — an impossible ``msg_type`` (calls use 0, replies 1),
-#: so a plain RPC message can never be mistaken for an envelope.
-_BATCH_FLAG = 0xFFFFFFFF
-_BATCH_HEADER = struct.Struct(">III")
-#: envelope bytes for a batch of n messages, beyond the messages.
-_BATCH_OVERHEAD = _BATCH_HEADER.size
-
-
-def batch_overhead(count):
-    """Envelope bytes for a batch of ``count`` messages."""
-    return _BATCH_OVERHEAD + 4 * count
-
-
-def pack_batch(messages):
-    """Frame ``messages`` (bytes-likes) into one batch datagram."""
-    parts = [_BATCH_HEADER.pack(BATCH_MAGIC, _BATCH_FLAG, len(messages))]
-    for message in messages:
-        parts.append(struct.pack(">I", len(message)))
-        parts.append(message if type(message) is bytes else bytes(message))
-    return b"".join(parts)
-
-
-def unpack_batch(data):
-    """The messages inside a batch datagram, or None for a plain one.
-
-    Returns a list of ``memoryview`` slices (zero-copy) when ``data``
-    carries the envelope; ``None`` when it is an ordinary RPC message.
-    A recognized envelope that is internally inconsistent raises
-    :class:`~repro.errors.RpcProtocolError` (callers drop it like any
-    other garbage datagram).
-    """
-    if len(data) < _BATCH_OVERHEAD:
-        return None
-    magic, flag, count = _BATCH_HEADER.unpack_from(data, 0)
-    if magic != BATCH_MAGIC or flag != _BATCH_FLAG:
-        return None
-    view = memoryview(data)
-    messages = []
-    offset = _BATCH_OVERHEAD
-    total = len(data)
-    for _ in range(count):
-        if offset + 4 > total:
-            raise RpcProtocolError("truncated batch envelope")
-        (length,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        if offset + length > total:
-            raise RpcProtocolError(
-                f"batch member of {length} bytes overruns the datagram"
-            )
-        messages.append(view[offset:offset + length])
-        offset += length
-    return messages
-
-
-def mark_record(payload, fragment_size=DEFAULT_FRAGMENT_SIZE):
-    """``payload`` as record-marked bytes (the wire form of one TCP
-    message), without touching a socket — lets the demux loop coalesce
-    several records into a single ``send``."""
-    view = memoryview(payload)
-    total = len(view)
-    if total == 0:
-        return struct.pack(">I", LAST_FRAGMENT)
-    parts = []
-    offset = 0
-    while offset < total:
-        chunk = view[offset:offset + fragment_size]
-        offset += len(chunk)
-        header = len(chunk) | (LAST_FRAGMENT if offset >= total else 0)
-        parts.append(struct.pack(">I", header))
-        parts.append(bytes(chunk))
-    return b"".join(parts)
 
 
 class PendingCall:
@@ -731,16 +648,8 @@ class MuxUdpClient(_MuxEngine, UdpClient):
         calls = self._pop_flushable(now)
         if not calls:
             return
-        group = []
-        group_bytes = batch_overhead(0)
-        for call in calls:
-            size = len(call.request) + 4
-            if group and group_bytes + size > self.max_batch_bytes:
-                self._send_group(group, now)
-                group, group_bytes = [], batch_overhead(0)
-            group.append(call)
-            group_bytes += size
-        if group:
+        for group in batch_groups(calls, self.max_batch_bytes,
+                                  size=lambda call: len(call.request)):
             self._send_group(group, now)
 
     def _send_group(self, group, now):

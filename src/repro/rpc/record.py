@@ -10,6 +10,25 @@ resets the connection, or announces an oversized or absurd fragment
 raises :class:`~repro.errors.RpcConnectionError` /
 :class:`~repro.errors.RpcProtocolError` with context, never a bare
 ``struct.error`` or ``ConnectionResetError``.
+
+Both framings that put several RPC messages into one transmit live
+here, because the call engine (:mod:`repro.rpc.mux`) and the server
+transports must agree on them byte for byte: :func:`mark_record`
+(record marking without a socket, so several records can share one
+``send``) and the UDP *batch envelope*.
+
+Batch envelope (UDP)
+--------------------
+
+A datagram carrying more than one RPC message is framed as::
+
+    >III   BATCH_MAGIC, 0xFFFFFFFF, count
+    count x (>I length, message bytes)
+
+The second word can never occur in a plain RPC message at that offset
+(``msg_type`` is 0 or 1), so the envelope is unambiguous even against
+an adversarial xid equal to ``BATCH_MAGIC``.  A lone message is always
+sent raw, so single calls stay wire-compatible with any Sun RPC peer.
 """
 
 import struct
@@ -24,6 +43,90 @@ DEFAULT_FRAGMENT_SIZE = 8192
 #: non-last fragments must error out, not spin the reader forever.
 MAX_FRAGMENTS = 1 << 16
 
+#: first word of a batch-envelope datagram.
+BATCH_MAGIC = 0xB47C4A11
+#: second word — an impossible ``msg_type`` (calls use 0, replies 1),
+#: so a plain RPC message can never be mistaken for an envelope.
+_BATCH_FLAG = 0xFFFFFFFF
+_BATCH_HEADER = struct.Struct(">III")
+
+
+def batch_groups(items, max_bytes, size=len):
+    """Split ``items`` into runs that each fit one batch datagram of
+    ``max_bytes``: the envelope header plus a length word and
+    ``size(item)`` bytes per member.  (A run of one goes out plain,
+    whatever its size.)"""
+    group, group_bytes = [], _BATCH_HEADER.size
+    for item in items:
+        item_bytes = size(item) + 4
+        if group and group_bytes + item_bytes > max_bytes:
+            yield group
+            group, group_bytes = [], _BATCH_HEADER.size
+        group.append(item)
+        group_bytes += item_bytes
+    if group:
+        yield group
+
+
+def pack_batch(messages):
+    """Frame ``messages`` (bytes-likes) into one batch datagram."""
+    parts = [_BATCH_HEADER.pack(BATCH_MAGIC, _BATCH_FLAG, len(messages))]
+    for message in messages:
+        parts.append(struct.pack(">I", len(message)))
+        parts.append(message if type(message) is bytes else bytes(message))
+    return b"".join(parts)
+
+
+def unpack_batch(data):
+    """The messages inside a batch datagram, or None for a plain one.
+
+    Returns a list of ``memoryview`` slices (zero-copy) when ``data``
+    carries the envelope; ``None`` when it is an ordinary RPC message.
+    A recognized envelope that is internally inconsistent raises
+    :class:`~repro.errors.RpcProtocolError` (callers drop it like any
+    other garbage datagram).
+    """
+    if len(data) < _BATCH_HEADER.size:
+        return None
+    magic, flag, count = _BATCH_HEADER.unpack_from(data, 0)
+    if magic != BATCH_MAGIC or flag != _BATCH_FLAG:
+        return None
+    view = memoryview(data)
+    messages = []
+    offset = _BATCH_HEADER.size
+    total = len(data)
+    for _ in range(count):
+        if offset + 4 > total:
+            raise RpcProtocolError("truncated batch envelope")
+        (length,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        if offset + length > total:
+            raise RpcProtocolError(
+                f"batch member of {length} bytes overruns the datagram"
+            )
+        messages.append(view[offset:offset + length])
+        offset += length
+    return messages
+
+
+def mark_record(payload, fragment_size=DEFAULT_FRAGMENT_SIZE):
+    """``payload`` as record-marked bytes (the wire form of one TCP
+    message), without touching a socket — lets an event loop coalesce
+    several records into a single ``send``."""
+    view = memoryview(payload)
+    total = len(view)
+    if total == 0:
+        return struct.pack(">I", LAST_FRAGMENT)
+    parts = []
+    offset = 0
+    while offset < total:
+        chunk = view[offset:offset + fragment_size]
+        offset += len(chunk)
+        header = len(chunk) | (LAST_FRAGMENT if offset >= total else 0)
+        parts.append(struct.pack(">I", header))
+        parts.append(bytes(chunk))
+    return b"".join(parts)
+
 
 def write_record(sock, payload, fragment_size=DEFAULT_FRAGMENT_SIZE):
     """Send one RPC record, fragmenting as needed.
@@ -31,22 +134,12 @@ def write_record(sock, payload, fragment_size=DEFAULT_FRAGMENT_SIZE):
     Transport failures (peer reset, broken pipe) raise
     :class:`~repro.errors.RpcConnectionError`.
     """
-    view = memoryview(payload)
-    total = len(view)
     try:
-        if total == 0:
-            sock.sendall(struct.pack(">I", LAST_FRAGMENT))
-            return
-        offset = 0
-        while offset < total:
-            chunk = view[offset:offset + fragment_size]
-            offset += len(chunk)
-            header = len(chunk) | (LAST_FRAGMENT if offset >= total else 0)
-            sock.sendall(struct.pack(">I", header) + bytes(chunk))
+        sock.sendall(mark_record(payload, fragment_size))
     except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError) \
             as exc:
         raise RpcConnectionError(
-            f"connection lost sending record ({total} bytes): {exc}"
+            f"connection lost sending record ({len(payload)} bytes): {exc}"
         ) from exc
 
 

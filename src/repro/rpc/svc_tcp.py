@@ -2,82 +2,66 @@
 
 import socket
 import threading
+import time
 
 from repro import obs as _obs
 from repro.errors import FaultInjected, RpcProtocolError
-from repro.rpc.durable import attach_journal
-from repro.rpc.faults import FaultySocket
 from repro.rpc.record import read_record, write_record
-from repro.rpc.resilience import InflightLimiter
+from repro.rpc.svc_core import RpcServer
 
 
-class TcpServer:
-    """Serves a :class:`~repro.rpc.server.SvcRegistry` over TCP.
+def _sever(conn):
+    """Shut a connection down: its reader — here and at the peer —
+    sees end-of-stream at once, and the thread serving it closes it."""
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
 
-    Each accepted connection gets its own daemon thread, processing
+
+class TcpServer(RpcServer):
+    """Serves a :class:`~repro.rpc.server.SvcRegistry` over TCP, one
+    daemon thread per accepted connection, each processing
     record-marked calls until the peer disconnects.
 
-    ``drc=True`` enables the registry's duplicate-request reply cache
-    (keyed per peer) — duplicates cannot arise inside one healthy TCP
-    stream, but a client that reconnects and replays an xid after a
-    torn connection is answered from the cache rather than re-executing
-    the handler.
+    Dispatch is inline on the connection's thread, so the only
+    admission bound is ``max_inflight`` (concurrent dispatches across
+    all connections; see :class:`~repro.rpc.svc_core.RpcServer`).
+    ``workers`` is rejected: two workers answering one stream would
+    interleave their records (:class:`~repro.rpc.svc_mux.MuxTcpServer`
+    routes worker replies through its loop for that reason).
 
-    ``max_inflight=N`` bounds concurrently dispatching requests across
-    all connections; requests over the cap are *shed* — answered with
-    a ``SYSTEM_ERR`` reply instead of queuing without bound.  Graceful
-    shutdown: :meth:`drain` puts the registry into drain mode and waits
-    for in-flight dispatches to finish.
+    ``drc=True`` keys the reply cache per peer — duplicates cannot
+    arise inside one healthy TCP stream, but a client that reconnects
+    and replays an xid after a torn connection is answered from the
+    cache rather than re-executing the handler.
 
-    ``fault_plan`` wraps every accepted connection in a
-    :class:`~repro.rpc.faults.FaultySocket` (stream semantics: delay,
-    corrupt, abort), faulting outgoing replies.
+    ``fault_plan`` wraps every accepted connection (stream semantics:
+    delay, corrupt, abort).
     """
 
     def __init__(self, registry, host="127.0.0.1", port=0, backlog=16,
-                 fastpath=False, drc=True, fault_plan=None,
-                 max_inflight=None, drc_dir=None, drc_fsync=None,
-                 online_spec=None):
-        self.registry = registry
-        self._limiter = InflightLimiter(max_inflight)
-        #: requests answered with an over-cap shed reply
-        self.requests_shed = 0
-        #: fast path: template/pooled replies live in the registry (the
-        #: reply pool is thread-safe, so connection threads share it).
-        if fastpath and hasattr(registry, "enable_fastpath"):
-            registry.enable_fastpath()
-        if drc and hasattr(registry, "enable_drc"):
-            if getattr(registry, "drc", None) is None:
-                registry.enable_drc()
-        #: DRC persistence: recover, then journal (off unless
-        #: ``drc_dir`` / ``REPRO_DRC_DIR`` is set).
-        self.journal = attach_journal(registry, drc_dir=drc_dir,
-                                      fsync=drc_fsync)
-        #: profile-guided online specialization (caller-owned; see
-        #: :mod:`repro.specialized.online`).
-        if online_spec is not None and hasattr(registry,
-                                               "install_profiler"):
-            online_spec.attach_server(registry)
-            online_spec.ensure_started()
-        self.fault_plan = fault_plan
+                 **core):
+        if "workers" in core:
+            raise TypeError(
+                "TcpServer dispatches on the connection's own thread and"
+                " takes no workers (they would interleave records on one"
+                " stream): bound it with max_inflight, or use MuxTcpServer"
+            )
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self.sock.bind((host, port))
         self.sock.listen(backlog)
         self.sock.settimeout(0.2)
-        self.host, self.port = self.sock.getsockname()
-        self._stop = threading.Event()
-        self._thread = None
-        self._conn_threads = []
-        self._conns = set()
+        #: live connections: raw socket -> its serving thread
+        self._conns = {}
         self._conns_lock = threading.Lock()
         self.connections_accepted = 0
+        super().__init__(registry, **core)
 
     def _serve_connection(self, raw_conn, peer):
         raw_conn.settimeout(30.0)
-        conn = raw_conn
-        if self.fault_plan is not None:
-            conn = FaultySocket(conn, self.fault_plan)
+        conn = self._faulty(raw_conn)
         try:
             while not self._stop.is_set():
                 try:
@@ -87,29 +71,20 @@ class TcpServer:
                     # a lost or misbehaving peer ends this connection
                     # thread, never the server.
                     return
-                if not self._limiter.try_acquire():
-                    # Over the in-flight cap: answer, don't queue.
-                    reply = None
-                    if hasattr(self.registry, "shed_reply_bytes"):
-                        reply = self.registry.shed_reply_bytes(
-                            data, reason="queue_full"
-                        )
-                    self.requests_shed += 1
-                else:
-                    try:
-                        reply = self.registry.dispatch_bytes(data,
-                                                             caller=peer)
-                    finally:
-                        self._limiter.release()
-                if reply is not None:
-                    try:
-                        write_record(conn, reply)
-                    except (RpcProtocolError, FaultInjected):
-                        return
+                self._submit(data, peer, conn, time.monotonic())
         finally:
             conn.close()
             with self._conns_lock:
-                self._conns.discard(raw_conn)
+                self._conns.pop(raw_conn, None)
+
+    def _send(self, reply, conn):
+        try:
+            write_record(conn, reply)
+        except (RpcProtocolError, FaultInjected, OSError):
+            # A record that did not go out whole leaves the stream
+            # unusable: sever it, and the connection's next read ends
+            # its thread.
+            _sever(conn)
 
     def serve_forever(self):
         while not self._stop.is_set():
@@ -122,67 +97,25 @@ class TcpServer:
                     return
                 raise
             self.connections_accepted += 1
-            with self._conns_lock:
-                self._conns.add(conn)
             if _obs.enabled:
                 _obs.registry.counter("rpc.server.connections",
                                       transport="tcp").inc()
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn, addr), daemon=True
             )
+            with self._conns_lock:
+                self._conns[conn] = thread
             thread.start()
-            self._conn_threads.append(thread)
 
-    @property
-    def inflight(self):
-        """Requests currently mid-dispatch across all connections."""
-        return self._limiter.inflight
-
-    def drain(self, timeout=5.0):
-        """Graceful drain: registry into drain mode, wait for in-flight
-        dispatches to finish.  Connections stay open (DRC replays and
-        health checks still answer); call :meth:`stop` to tear down.
-        Returns True once idle."""
-        if hasattr(self.registry, "begin_drain"):
-            self.registry.begin_drain()
-        return self._limiter.wait_idle(timeout)
-
-    def start(self):
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self.serve_forever, name=f"svctcp:{self.port}", daemon=True
-        )
-        self._thread.start()
-        return self.host, self.port
-
-    def stop(self):
-        self._stop.set()
+    def _close(self):
         # Sever established connections so peers observe the stop as
         # RpcConnectionError immediately — a connection thread blocked
         # in read_record() would otherwise keep answering until its
-        # socket timeout.  Drain first for a graceful goodbye.
+        # socket timeout.
         with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        if self.journal is not None:
-            self.journal.close()
+            conns = list(self._conns.items())
+        for conn, _thread in conns:
+            _sever(conn)
+        for _conn, thread in conns:
+            thread.join(timeout=2.0)
         self.sock.close()
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-        return False

@@ -294,3 +294,55 @@ def pump(queue, drc, journal):
     return drc.snapshot_entries()
 '''
         assert spine.check([module("src/repro/rpc/fleet.py", src)]) == []
+
+
+class TestAdmissionOutsideCore:
+    TRANSPORT = '''
+from repro.rpc import resilience
+from repro.rpc.durable import attach_journal
+
+
+class SctpServer(RpcServer):
+    def __init__(self, registry, online_spec=None, **core):
+        registry.enable_fastpath()
+        registry.enable_drc()
+        self.journal = attach_journal(registry)
+        online_spec.attach_server(registry)
+        self._limiter = InflightLimiter(4)
+        self._pool = resilience.WorkerPool(2, 8, self._work)
+        super().__init__(registry, **core)
+
+    def _refuse(self, data, conn):
+        self._send(self.registry.shed_reply_bytes(data), conn)
+
+    def drain(self, timeout=5.0):
+        self.registry.begin_drain()
+        return self._limiter.wait_idle(timeout)
+'''
+
+    def test_core_calls_in_a_transport_flagged_at_exact_lines(self):
+        found = spine.check([module("src/repro/rpc/svc_sctp.py",
+                                    self.TRANSPORT)])
+        assert sorted((f.rule, f.line) for f in found) == [
+            ("admission-outside-core", line)
+            for line in (8, 9, 10, 11, 12, 13, 17, 20)]
+
+    def test_the_core_and_non_transports_are_exempt(self):
+        found = spine.check([
+            module("src/repro/rpc/svc_core.py", self.TRANSPORT),
+            module("src/repro/bench/overload.py", self.TRANSPORT),
+            module("src/repro/rpc/resilience.py", self.TRANSPORT)])
+        assert found == []
+
+    def test_a_transport_that_only_moves_messages_is_clean(self):
+        src = '''
+class SctpServer(RpcServer):
+    def serve_forever(self):
+        while not self._stop.is_set():
+            data, peer = self.sock.recvfrom(8192)
+            self._submit(data, peer, peer, time.monotonic())
+
+    def _send(self, reply, peer):
+        self.sock.sendto(reply, peer)
+'''
+        assert spine.check([module("src/repro/rpc/svc_sctp.py", src)]) == []

@@ -31,6 +31,25 @@ def test_bench_rejects_unknown_experiment():
         bench_main(["tableX"])
 
 
+def test_bench_sizing_options_reach_only_runners_that_take_them(monkeypatch):
+    from repro.bench import cli
+
+    seen = {}
+
+    def soak(workload=None, calls=None, seed=None):
+        seen.update(calls=calls, seed=seed)
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "chaos", ("stub soak", soak))
+    assert bench_main(["chaos", "--calls", "7", "--seed", "0x10"]) == 0
+    assert seen == {"calls": 7, "seed": 16}
+    # the paper's tables have no call count to set
+    with pytest.raises(SystemExit):
+        bench_main(["table3", "--calls", "7"])
+    # ... and a bench without fault dice takes no seed
+    with pytest.raises(SystemExit):
+        bench_main(["mux", "--seed", "1"])
+
+
 def test_rpcgen_python_output(tmp_path, capsys):
     source = tmp_path / "iface.x"
     source.write_text(SMALL_IDL)

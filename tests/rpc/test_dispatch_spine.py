@@ -18,7 +18,7 @@ import pytest
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, Tracer
-from repro.rpc import MuxUdpServer, SvcRegistry, UdpServer
+from repro.rpc import SvcRegistry, UdpServer
 from repro.rpc.client import RpcClient
 from repro.rpc.message import AcceptStat
 from repro.rpc.resilience import (
@@ -344,7 +344,7 @@ def test_duplicate_racing_a_declining_route_executes_once():
     assert executions == [5]
 
 
-@pytest.mark.parametrize("server_cls", [UdpServer, MuxUdpServer])
+@pytest.mark.parametrize("server_cls", [UdpServer])
 def test_transport_over_the_residual_handle_controls_its_fallback(
         pipeline, tmp_path, server_cls):
     """A transport built over ``specialize_server(..., fallback=)`` must

@@ -1,33 +1,24 @@
-"""The event-loop server tier (repro.rpc.svc_mux), the staged residual
-route, and the DRC's fused get+claim (`begin`).
+"""The batch envelope on the wire (``MuxUdpServer`` is ``UdpServer``),
+the staged residual route, and the DRC's fused get+claim (`begin`).
 
 The server-side contract: a batch-envelope datagram is unwrapped and
 answered (re-batched) with exactly one handler execution per inner
 call; a plain datagram is answered raw (wire-compatible with any Sun
-RPC client); overload sheds typed instead of dropping silently; drain
-keeps replays working while refusing new work; and the staged route's
-replies are byte-identical to the generic dispatcher's.
+RPC client); overload sheds typed instead of dropping silently; and
+the staged route's replies are byte-identical to the generic
+dispatcher's.  Drain and the rest of the lifecycle are rows of
+``test_server_core.py``, for every server class.
 """
 
 import socket
 import struct
 import time
 
-import pytest
-
 from repro.errors import RpcError
-from repro.rpc import (
-    MuxTcpServer,
-    MuxUdpClient,
-    MuxUdpServer,
-    SvcRegistry,
-    TcpServer,
-    UdpServer,
-)
+from repro.rpc import MuxUdpClient, MuxUdpServer, SvcRegistry
 from repro.rpc.drc import DuplicateRequestCache
 from repro.rpc.fastpath import ReplyHeaderTemplate
 from repro.rpc.mux import pack_batch, unpack_batch
-from repro.rpc.svc_mux import make_server
 from repro.xdr import xdr_u_long
 
 PROG, VERS = 0x20006666, 1
@@ -161,51 +152,6 @@ class TestWorkerPoolOverload:
                 assert outcomes.count("shed") == server.requests_shed
             finally:
                 client.close()
-
-
-class TestDrainLifecycle:
-    def test_drain_refuses_new_work_until_ended(self):
-        invocations = []
-        registry = make_registry(invocations)
-        with MuxUdpServer(registry) as server:
-            client = MuxUdpClient("127.0.0.1", server.port, PROG, VERS,
-                                  timeout=2.0, wait=5.0, jitter=0)
-            try:
-                assert client.call(PROC_INC, 1, xdr_args=xdr_u_long,
-                                   xdr_res=xdr_u_long) == 2
-                assert server.drain(timeout=5.0)
-                with pytest.raises(RpcError):
-                    client.call(PROC_INC, 2, xdr_args=xdr_u_long,
-                                xdr_res=xdr_u_long)
-                assert invocations == [1]
-                registry.end_drain()
-                assert client.call(PROC_INC, 3, xdr_args=xdr_u_long,
-                                   xdr_res=xdr_u_long) == 4
-            finally:
-                client.close()
-
-
-class TestMakeServer:
-    def test_engine_selection(self):
-        cases = [
-            ("udp", "threaded", UdpServer),
-            ("udp", "mux", MuxUdpServer),
-            ("tcp", "threaded", TcpServer),
-            ("tcp", "mux", MuxTcpServer),
-        ]
-        for transport, engine, cls in cases:
-            server = make_server(make_registry(), transport=transport,
-                                 engine=engine)
-            try:
-                assert type(server) is cls
-            finally:
-                server.stop()
-
-    def test_unknown_engine_or_transport_rejected(self):
-        with pytest.raises(ValueError):
-            make_server(make_registry(), engine="fibers")
-        with pytest.raises(ValueError):
-            make_server(make_registry(), transport="sctp")
 
 
 class TestStagedRoute:
