@@ -21,6 +21,10 @@ concurrent stack depends on and that no unit test exercises reliably:
   (``repro/rpc/svc_*.py`` other than ``svc_core.py``) nothing builds a
   ``WorkerPool`` / ``InflightLimiter``, attaches a journal, or calls
   the registry's shed / drain / enable hooks: that is the core's, once;
+* ``retransmission-outside-engine`` — in the client transports
+  (``repro/rpc/clnt_*.py`` other than ``clnt_core.py``, and
+  ``repro/rpc/mux.py``) nothing calls a retry budget, re-stamps or
+  coerces a deadline, or builds a ``CallStats``: that is the engine's;
 * ``knob-contract`` — every ``REPRO_*`` environment knob read by the
   source must be documented in docs/OPERATIONS.md and vice versa
   (absorbed from ``tools/check_links.py``).

@@ -1,4 +1,5 @@
-"""Written-once rules: ``drc-outside-spine``, ``admission-outside-core``.
+"""Written-once rules: ``drc-outside-spine``, ``admission-outside-core``,
+``retransmission-outside-engine``.
 
 ``drc-outside-spine``: the at-most-once protocol is written once.
 
@@ -22,6 +23,14 @@ not.  Registry wiring, admission, shedding and drain live in
 ``shed_reply_bytes`` / ``begin_drain`` / ``enable_drc`` /
 ``enable_fastpath`` / an online specializer's ``attach_server`` is a
 second copy of the core starting to grow.
+
+``retransmission-outside-engine``: the client twin.  Deadlines,
+retransmission, the retry budget and per-call stats live in
+``repro/rpc/clnt_core.py``; a client transport (any other
+``repro/rpc/clnt_*.py``, and ``repro/rpc/mux.py``) that calls a retry
+budget's ``try_retry`` / ``note_call``, ``stamp_deadline``,
+``Deadline.coerce`` or builds a ``CallStats`` is a second engine
+starting to grow.
 """
 
 import ast as pyast
@@ -39,6 +48,13 @@ TRANSPORT_PREFIX = "repro/rpc/svc_"
 CORE_CALLS = {"WorkerPool", "InflightLimiter", "attach_journal",
               "shed_reply_bytes", "begin_drain", "enable_drc",
               "enable_fastpath", "attach_server"}
+
+ENGINE_MODULE = "repro/rpc/clnt_core.py"
+CLIENT_PREFIX = "repro/rpc/clnt_"
+MUX_MODULE = "repro/rpc/mux.py"
+#: what only the client engine calls, by the callee's last name
+#: (``coerce`` only as ``Deadline.coerce``)
+ENGINE_CALLS = {"try_retry", "note_call", "stamp_deadline", "CallStats"}
 
 
 def _last_name(node):
@@ -73,10 +89,37 @@ def _core_calls(tree):
             and _last_name(node.func) in CORE_CALLS]
 
 
+def _engine_calls(tree):
+    """Calls in a client transport that belong to the call engine."""
+    found = []
+    for node in pyast.walk(tree):
+        if not isinstance(node, pyast.Call):
+            continue
+        name = _last_name(node.func)
+        if name in ENGINE_CALLS:
+            found.append((node, name))
+        elif (name == "coerce" and isinstance(node.func, pyast.Attribute)
+                and _last_name(node.func.value) == "Deadline"):
+            found.append((node, "Deadline.coerce"))
+    return found
+
+
 def check(modules):
     findings = []
     for module in modules:
         rel = module.package_rel
+        if (rel == MUX_MODULE
+                or rel.startswith(CLIENT_PREFIX) and rel != ENGINE_MODULE):
+            for call, name in _engine_calls(module.tree):
+                findings.append(Finding(
+                    rule="retransmission-outside-engine",
+                    path=module.rel,
+                    line=call.lineno,
+                    message=(f"{name}() in a client transport: deadlines, "
+                             f"retransmission, the retry budget and call "
+                             f"stats live only in CallEngine "
+                             f"(clnt_core.py); a transport moves messages"),
+                ))
         if rel.startswith(TRANSPORT_PREFIX) and rel != CORE_MODULE:
             for call in _core_calls(module.tree):
                 findings.append(Finding(

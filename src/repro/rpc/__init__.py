@@ -4,8 +4,12 @@ A working pure-Python Sun RPC stack structured like the 1984 sources:
 
 * :mod:`repro.rpc.message` — call/reply message headers;
 * :mod:`repro.rpc.auth` — AUTH_NONE / AUTH_SYS credentials;
-* :mod:`repro.rpc.clnt_udp` / :mod:`repro.rpc.clnt_tcp` — clients with
-  retransmission (UDP) and record marking (TCP);
+* :mod:`repro.rpc.client` + :mod:`repro.rpc.clnt_core` — message
+  building and the one client engine (xids in flight, deadlines,
+  retransmission, retry budget, per-call stats);
+  :mod:`repro.rpc.clnt_udp` / :mod:`repro.rpc.clnt_tcp` — its two
+  socket transports; :mod:`repro.rpc.mux` — the same two classes with
+  a window of 64 (``MuxUdpClient`` / ``MuxTcpClient``);
 * :mod:`repro.rpc.server` + :mod:`repro.rpc.svc_core` — service
   dispatch and the one server core (admission, shedding, drain,
   lifecycle); :mod:`repro.rpc.svc_udp` / :mod:`repro.rpc.svc_tcp` /
@@ -16,8 +20,6 @@ A working pure-Python Sun RPC stack structured like the 1984 sources:
 * :mod:`repro.rpc.overload` — end-to-end overload control: deadline
   propagation (doomed-work drops), retry budgets, hedged-request
   triggers, and CoDel-style adaptive queue management;
-* :mod:`repro.rpc.mux` — the concurrent call engine: xid-multiplexed
-  pipelined clients (``call_async``) and call batching;
 * :mod:`repro.rpc.durable` — DRC persistence: a write-ahead journal
   + compacted snapshots that make at-most-once hold across restarts;
 * :mod:`repro.rpc.fleet` — DRC replication (incarnation-fenced
@@ -33,8 +35,9 @@ from repro import lazy_exports
 
 __getattr__ = lazy_exports(__name__, {
     "auth": "AUTH_NONE AUTH_SYS OpaqueAuth make_auth_none make_auth_sys",
+    "clnt_core": "CallStats PendingCall",
     "clnt_tcp": "TcpClient",
-    "clnt_udp": "CallStats UdpClient",
+    "clnt_udp": "UdpClient",
     "drc": "DuplicateRequestCache",
     "durable": "DrcJournal attach_journal",
     "fastpath": "BufferPool CallHeaderTemplate ReplyHeaderTemplate",
@@ -42,7 +45,7 @@ __getattr__ = lazy_exports(__name__, {
     "fleet": "DrcReplicator FleetDirectory FleetMember FleetWatcher"
              " Membership install_replication_sink",
     "message": "RPC_VERSION",
-    "mux": "MuxTcpClient MuxUdpClient PendingCall",
+    "mux": "MuxTcpClient MuxUdpClient",
     "overload": "CodelQueue HedgeTrigger RetryBudget make_deadline_cred"
                 " propagation_enabled remaining_from_cred stamp_deadline",
     "resilience": "CallerQuota CircuitBreaker Deadline FailoverClient"

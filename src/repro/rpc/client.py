@@ -1,10 +1,10 @@
 """Generic RPC client interface.
 
-Transports (:class:`~repro.rpc.clnt_udp.UdpClient`,
-:class:`~repro.rpc.clnt_tcp.TcpClient`) share message construction and
-reply validation; marshaling is pluggable so the Tempo-specialized
-marshalers drop in for the generic XDR micro-layers (the client-side
-half of the paper's experiment).
+Message construction and reply validation, shared by every client
+(the call itself — xids in flight, timers, retransmission — is
+:mod:`repro.rpc.clnt_core`'s); marshaling is pluggable so the
+Tempo-specialized marshalers drop in for the generic XDR micro-layers
+(the client-side half of the paper's experiment).
 
 Two message-building disciplines coexist:
 
@@ -14,9 +14,10 @@ Two message-building disciplines coexist:
 * the *fast* path (:meth:`RpcClient.enable_fastpath`) stages the
   constant work the way the paper's specializer does: the header is a
   pre-serialized :class:`~repro.rpc.fastpath.CallHeaderTemplate`
-  patched with the xid, and buffers come from a
+  patched with the xid, and encode buffers come from a
   :class:`~repro.rpc.fastpath.BufferPool` so steady-state calls
-  allocate nothing.  Both produce byte-identical wire messages.
+  allocate no scratch space.  Both produce byte-identical wire
+  messages.
 """
 
 import itertools
@@ -77,10 +78,10 @@ class RpcClient:
         #: the specialization pipeline (the residual code marshals the
         #: call header too, as the paper's specialized clntudp_call does).
         self._codecs = {}
-        #: fast-path state: per-proc header templates + buffer pools.
+        #: fast-path state: per-proc header templates + the encode
+        #: buffer pool.
         self._templates = {}
         self._send_pool = None
-        self._recv_pool = None
 
     # -- marshaling plug points ------------------------------------------
 
@@ -108,35 +109,32 @@ class RpcClient:
     def fastpath_enabled(self):
         return self._send_pool is not None
 
-    def enable_fastpath(self, send_size=None, recv_size=None, pool_limit=4):
-        """Turn on header templates and buffer pooling.
+    def enable_fastpath(self, send_size=None, pool_limit=4):
+        """Turn on header templates and encode-buffer pooling.
 
-        ``send_size``/``recv_size`` bound the pooled buffers (default:
-        ``bufsize``); an installed specialization narrows them to the
-        exact expected message sizes via :meth:`configure_buffers`.
+        ``send_size`` bounds the pooled buffers (default: ``bufsize``);
+        an installed specialization narrows it to the exact expected
+        request size via :meth:`configure_buffers`.  (Replies land in
+        the transport's one receive buffer: the engine has a single
+        reader.)
         """
-        send_size = send_size or self.bufsize
-        recv_size = recv_size or self.bufsize
-        self._send_pool = BufferPool(send_size, limit=pool_limit, prefill=1)
-        self._recv_pool = BufferPool(recv_size, limit=pool_limit, prefill=1)
+        self._send_pool = BufferPool(send_size or self.bufsize,
+                                     limit=pool_limit, prefill=1)
         return self
 
     def disable_fastpath(self):
         self._send_pool = None
-        self._recv_pool = None
         self._templates.clear()
 
-    def configure_buffers(self, request_size, reply_size):
-        """Shrink the pools to exact-fit message sizes (plus headroom
-        for error replies) — called when a specialization is installed
-        and the wire sizes are known invariants."""
+    def configure_buffers(self, request_size):
+        """Shrink the encode pool to the exact-fit request size — called
+        when a specialization is installed and the wire size is a known
+        invariant."""
         if not self.fastpath_enabled:
             return
-        limit = self._send_pool.limit
-        send = max(int(request_size), MIN_FASTPATH_BUFSIZE)
-        recv = max(int(reply_size), MIN_FASTPATH_BUFSIZE)
-        self._send_pool = BufferPool(send, limit=limit, prefill=1)
-        self._recv_pool = BufferPool(recv, limit=limit, prefill=1)
+        self._send_pool = BufferPool(
+            max(int(request_size), MIN_FASTPATH_BUFSIZE),
+            limit=self._send_pool.limit, prefill=1)
 
     def _template_for(self, proc):
         template = self._templates.get(proc)
@@ -184,7 +182,7 @@ class RpcClient:
 
         Deliberately bypasses the header template and whole-message
         codecs — those are specialized for the constant NULL-cred
-        shape — and returns a mutable ``bytearray`` so the transports
+        shape — and returns a mutable ``bytearray`` so the engine
         can re-stamp a shrunken budget into retransmissions with
         :func:`~repro.rpc.overload.stamp_deadline`.
         """
@@ -230,16 +228,6 @@ class RpcClient:
     def release_send_buffer(self, buffer):
         if self._send_pool is not None:
             self._send_pool.release(buffer)
-
-    def acquire_recv_buffer(self):
-        """A pooled receive buffer (fast path only, else a fresh one)."""
-        if self._recv_pool is not None:
-            return self._recv_pool.acquire()
-        return bytearray(self.bufsize)
-
-    def release_recv_buffer(self, buffer):
-        if self._recv_pool is not None:
-            self._recv_pool.release(buffer)
 
     def parse_reply(self, data, xid, proc, xdr_res):
         """Validate a reply message and decode the results.

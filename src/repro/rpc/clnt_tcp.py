@@ -1,66 +1,65 @@
-"""TCP RPC client (``clnttcp_call``): record-marked stream transport.
+"""TCP RPC client (``clnttcp_call``): the record-marked stream
+transport under the one client engine.
 
-Every wire failure is translated to a typed
-:class:`~repro.errors.RpcError`: timeouts raise
-:class:`~repro.errors.RpcTimeoutError`, connection loss (reset,
-broken pipe, EOF mid-record) raises
-:class:`~repro.errors.RpcConnectionError`, and a peer that sends
-unframeable garbage raises :class:`~repro.errors.RpcProtocolError` —
+:class:`~repro.rpc.clnt_core.CallEngine` owns the call; this module is
+the connection and the framing.  Requests go out as record-marked
+messages (RFC 1057 §10), several queued calls coalesced into one
+``send`` — plain pipelining to any record-marking server; replies are
+reassembled by a :class:`~repro.rpc.record.RecordAssembler` whose
+state survives a timed-out call, so a reply that straggles in after
+its caller gave up is dropped as a stale xid instead of desyncing the
+stream.  A stream never retransmits: a call ends at its timeout or
+deadline.
+
+Every wire failure is a typed :class:`~repro.errors.RpcError`:
+connection loss (reset, broken pipe, EOF, an unframeable record)
+resolves every call in flight with
+:class:`~repro.errors.RpcConnectionError`, later calls raise the same
+until :meth:`TcpClient.reconnect` revives the client in place —
 callers never see ``struct.error`` or a bare ``OSError``.
-
-With observability enabled (``repro.obs``), each call emits a
-``client.call`` span (``transport=tcp``) with ``client.encode`` /
-``client.send`` / ``client.wait`` / ``client.decode`` children plus
-per-call counters and a latency histogram; stale replies consumed
-inside the read loop are counted like the UDP client's.
 """
 
 import socket
-import struct
-import time
 
-from repro import obs as _obs
 from repro.errors import (
     RpcConnectionError,
     RpcDeadlineExceeded,
-    RpcProtocolError,
     RpcTimeoutError,
 )
-from repro.rpc.client import RpcClient
-from repro.rpc.record import read_record, write_record
-from repro.rpc.resilience import Deadline
+from repro.rpc.clnt_core import CallEngine
+from repro.rpc.faults import FaultySocket
+from repro.rpc.record import RecordAssembler, mark_record
+
+__all__ = ["TcpClient"]
+
+_RECV_CHUNK = 1 << 16
 
 
-class TcpClient(RpcClient):
-    """An RPC client over a persistent TCP connection.
+class TcpClient(CallEngine):
+    """An RPC client over a persistent TCP connection, one call in
+    flight at a time (:class:`~repro.rpc.mux.MuxTcpClient` is the same
+    class with a window of 64).  ``fault_plan`` wraps the socket in a
+    :class:`~repro.rpc.faults.FaultySocket`."""
 
-    After a :class:`~repro.errors.RpcConnectionError` the client can be
-    revived in place with :meth:`reconnect`, which re-establishes the
-    connection *and* resets per-call state — pooled fast-path buffers
-    are discarded (a half-written request must never be resent from a
-    dirty buffer) and no span state survives the failed call, so a
-    failed-then-retried call reports exactly one encode span per
-    attempt.
-    """
+    _transport = "tcp"
+    #: one coalesced send carries at most this much
+    _batch_limit = 1 << 20
 
     def __init__(self, host, port, prog, vers, timeout=25.0, bufsize=1 << 16,
                  fastpath=False, fault_plan=None, **kwargs):
-        super().__init__(prog, vers, bufsize=bufsize, **kwargs)
+        super().__init__(prog, vers, timeout, fastpath=fastpath,
+                         bufsize=bufsize, **kwargs)
         self.address = (host, port)
-        self.timeout = timeout
         self._fault_plan = fault_plan
-        #: calls finished (returned or raised) over the client's lifetime
-        self.calls_completed = 0
-        #: stale replies discarded over the client's lifetime
-        self.stale_replies = 0
         #: successful :meth:`reconnect` calls over the client's lifetime
         self.reconnects = 0
+        self._assembler = RecordAssembler()
+        self._outbuf = bytearray()
         self.sock = self._connect(timeout)
-        if fastpath:
-            self.enable_fastpath()
 
     def _connect(self, timeout):
-        """A connected (and fault-wrapped) socket to ``self.address``."""
+        """A connected, non-blocking (and fault-wrapped) socket to
+        ``self.address``."""
         host, port = self.address
         try:
             sock = socket.create_connection(self.address, timeout=timeout)
@@ -72,31 +71,31 @@ class TcpClient(RpcClient):
             raise RpcConnectionError(
                 f"cannot connect to {host}:{port}: {exc}"
             ) from exc
-        sock.settimeout(self.timeout)
+        sock.setblocking(False)
         if self._fault_plan is not None:
-            from repro.rpc.faults import FaultySocket
-
             sock = FaultySocket(sock, self._fault_plan)
         return sock
 
     def reconnect(self, deadline=None):
         """Re-establish the connection after a connection failure.
 
-        Resets per-call state so the retried call starts clean: the
-        old socket (possibly holding a half-written record) is closed,
-        and with the fast path on, the buffer pools are rebuilt — a
-        buffer that held a partially transmitted request is never
-        reused for the retry.  ``deadline`` bounds the connect attempt
-        (it draws from the same per-call budget as everything else).
+        Calls still pending resolve with
+        :class:`~repro.errors.RpcConnectionError` like any connection
+        death, and per-connection state is reset so the revived client
+        starts clean: reassembly state and unsent bytes are dropped
+        with the old socket, and with the fast path on the buffer
+        pools are rebuilt — a buffer that held a partially transmitted
+        request is never reused.  ``deadline`` bounds the connect
+        attempt (it draws from the same per-call budget as everything
+        else).
         """
-        deadline = Deadline.coerce(deadline)
-        timeout = self.timeout
-        if deadline is not None:
-            timeout = min(timeout, deadline.check("reconnect"))
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        deadline, timeout = self._clamp(deadline, "reconnect")
+        self._halt(
+            "reconnecting",
+            lambda call: f"reconnect with call (proc={call.proc},"
+                         f" xid={call.xid}) in flight",
+        )
+        self._close_socket()
         try:
             self.sock = self._connect(timeout)
         except RpcTimeoutError:
@@ -106,171 +105,58 @@ class TcpClient(RpcClient):
                 ) from None
             raise
         if self.fastpath_enabled:
-            # Discard pooled buffers from the failed connection: a
-            # fresh pool guarantees the retry never sends bytes left
-            # over from a half-written request.
-            send_pool, recv_pool = self._send_pool, self._recv_pool
-            self.enable_fastpath(send_size=send_pool.size,
-                                 recv_size=recv_pool.size,
-                                 pool_limit=send_pool.limit)
+            pool = self._send_pool
+            self.enable_fastpath(send_size=pool.size, pool_limit=pool.limit)
+        self._assembler = RecordAssembler()
+        self._outbuf = bytearray()
+        self._down = None
         self.reconnects += 1
         return self
 
-    def call(self, proc, args=None, xdr_args=None, xdr_res=None,
-             deadline=None):
-        """One RPC.  ``deadline`` (a
-        :class:`~repro.rpc.resilience.Deadline` or seconds budget) caps
-        the whole call — the reply wait is clamped to the remaining
-        budget and exhaustion raises
-        :class:`~repro.errors.RpcDeadlineExceeded`."""
-        deadline = Deadline.coerce(deadline)
-        xid = self.next_xid()
-        span = None
-        if _obs.enabled:
-            tier = ("specialized" if proc in self._codecs
-                    else "fastpath" if self.fastpath_enabled
-                    else "generic")
-            _obs.registry.counter("rpc.client.calls", transport="tcp",
-                                  tier=tier).inc()
-            span = _obs.span("client.call", side="client", transport="tcp",
-                             xid=xid, prog=self.prog, vers=self.vers,
-                             proc=proc, tier=tier)
-        started = time.monotonic() if _obs.enabled else 0.0
-        try:
-            if deadline is not None:
-                # Pre-flight check + clamp the socket to the remaining
-                # budget for this call's reads/writes.
-                self.sock.settimeout(
-                    min(self.timeout, deadline.check(f"proc={proc}"))
-                )
-            value = self._call_once(xid, proc, args, xdr_args, xdr_res,
-                                    span, deadline)
-        except BaseException as exc:
-            self._finish_call(started, type(exc).__name__)
-            if span is not None:
-                span.end(outcome="error", error=type(exc).__name__)
-            raise
-        finally:
-            if deadline is not None:
-                try:
-                    self.sock.settimeout(self.timeout)
-                except OSError:
-                    pass
-        self._finish_call(started, "ok")
-        if span is not None:
-            span.end(outcome="ok")
-        return value
+    def _transmit(self, group):
+        chunk = (mark_record(group[0].request) if len(group) == 1
+                 else b"".join([mark_record(call.request)
+                                for call in group]))
+        if self._outbuf:
+            self._outbuf += chunk  # behind what is already waiting
+            self._pump()
+        else:
+            sent = self._send(chunk)
+            if sent < len(chunk):
+                self._outbuf += chunk[sent:]
+        return len(chunk)
 
-    def _finish_call(self, started, outcome):
-        """Single per-call aggregation point (cf. the UDP client's)."""
-        self.calls_completed += 1
-        if not _obs.enabled:
-            return
-        registry = _obs.registry
-        registry.counter("rpc.client.attempts", transport="tcp").inc()
-        if outcome == "RpcDeadlineExceeded":
-            registry.counter("rpc.client.deadline_exceeded",
-                             transport="tcp").inc()
-        elif outcome == "RpcTimeoutError":
-            registry.counter("rpc.client.timeouts", transport="tcp").inc()
-        elif outcome != "ok":
-            registry.counter("rpc.client.errors", transport="tcp",
-                             error=outcome).inc()
-        registry.histogram("rpc.client.call_latency_s",
-                           transport="tcp").observe(
-            time.monotonic() - started
-        )
-
-    def _call_once(self, xid, proc, args, xdr_args, xdr_res, span=None,
-                   deadline=None):
-        send_buffer = None
-        wait_span = None
-        encode_span = (span.child("client.encode")
-                       if span is not None else None)
+    def _send(self, data):
+        """Write what the socket accepts of ``data``; returns how much
+        (connection death: all of it — there is nothing left to send)."""
         try:
-            if (self.propagate_deadline and deadline is not None
-                    and proc not in self._codecs):
-                # Deadline propagation: carry the remaining budget in
-                # the deadline cred so the server can drop doomed work.
-                request = self.build_call_deadline(xid, proc, args,
-                                                   xdr_args, deadline)
-            elif self.fastpath_enabled and proc not in self._codecs:
-                send_buffer, length = self.build_call_pooled(
-                    xid, proc, args, xdr_args
-                )
-                request = memoryview(send_buffer)[:length]
-            else:
-                request = self.build_call(xid, proc, args, xdr_args)
-        except BaseException as exc:
-            if encode_span is not None:
-                encode_span.end(outcome="error", error=type(exc).__name__)
-            raise
-        if encode_span is not None:
-            encode_span.end(bytes=len(request))
-        try:
-            send_span = (span.child("client.send", bytes=len(request))
-                         if span is not None else None)
-            write_record(self.sock, request)
-            if send_span is not None:
-                send_span.end()
-            if send_buffer is not None:
-                self.release_send_buffer(send_buffer)
-                send_buffer = None
-            wait_span = (span.child("client.wait")
-                         if span is not None else None)
-            while True:
-                data = read_record(self.sock)
-                if span is not None:
-                    decode_span = span.child("client.decode",
-                                             bytes=len(data))
-                    try:
-                        matched, value = self.parse_reply(data, xid, proc,
-                                                          xdr_res)
-                    except BaseException as exc:
-                        decode_span.end(outcome="error",
-                                        error=type(exc).__name__)
-                        raise
-                    decode_span.end(matched=matched)
-                else:
-                    matched, value = self.parse_reply(data, xid, proc,
-                                                      xdr_res)
-                if matched:
-                    if wait_span is not None:
-                        wait_span.end(outcome="reply")
-                    return value
-                # A reply for an earlier xid on our own stream: count
-                # it per-lifetime and keep reading.
-                self.stale_replies += 1
-                if _obs.enabled:
-                    _obs.registry.counter("rpc.client.stale_replies",
-                                          transport="tcp").inc()
-        except socket.timeout as exc:
-            if deadline is not None and deadline.expired:
-                raise RpcDeadlineExceeded(
-                    f"TCP RPC call (prog={self.prog}, proc={proc})"
-                    f" exceeded its deadline of {deadline.budget_s}s"
-                ) from exc
-            raise RpcTimeoutError(
-                f"TCP RPC call (prog={self.prog}, proc={proc}) timed out"
-            ) from exc
-        except struct.error as exc:
-            # A corrupted stream can desync any decoder below us; make
-            # it a protocol error instead of leaking the struct layer.
-            raise RpcProtocolError(
-                f"undecodable reply on TCP stream: {exc}"
-            ) from exc
-        except (BrokenPipeError, ConnectionResetError,
-                ConnectionAbortedError) as exc:
-            raise RpcConnectionError(f"connection failed: {exc}") from exc
-        finally:
-            if send_buffer is not None:
-                self.release_send_buffer(send_buffer)
-            if wait_span is not None:
-                # Idempotent: a no-op when the reply path already
-                # closed it; closes the span on every error path.
-                wait_span.end(outcome="aborted")
+            return self.sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            return 0
+        except OSError as exc:
+            self._connection_lost(exc)
+            return len(data)
 
-    def close(self):
+    def _pump(self):
+        """Write as much buffered output as the socket accepts."""
+        while self._outbuf:
+            sent = self._send(self._outbuf)
+            if not sent:
+                return
+            del self._outbuf[:sent]
+
+    def _receive(self):
+        try:
+            chunk = self.sock.recv(_RECV_CHUNK)
+        except (BlockingIOError, InterruptedError):
+            return None
+        except OSError as exc:
+            raise RpcConnectionError(str(exc)) from exc
+        if not chunk:
+            raise RpcConnectionError("peer closed the connection")
+        return self._assembler.feed(chunk)
+
+    def _close_socket(self):
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:

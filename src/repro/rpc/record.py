@@ -49,6 +49,7 @@ BATCH_MAGIC = 0xB47C4A11
 #: so a plain RPC message can never be mistaken for an envelope.
 _BATCH_FLAG = 0xFFFFFFFF
 _BATCH_HEADER = struct.Struct(">III")
+_WORD = struct.Struct(">I")
 
 
 def batch_groups(items, max_bytes, size=len):
@@ -113,10 +114,11 @@ def mark_record(payload, fragment_size=DEFAULT_FRAGMENT_SIZE):
     """``payload`` as record-marked bytes (the wire form of one TCP
     message), without touching a socket — lets an event loop coalesce
     several records into a single ``send``."""
+    total = len(payload)
+    if total <= fragment_size:
+        # one fragment, the common case: header + payload, no views
+        return _WORD.pack(total | LAST_FRAGMENT) + payload
     view = memoryview(payload)
-    total = len(view)
-    if total == 0:
-        return struct.pack(">I", LAST_FRAGMENT)
     parts = []
     offset = 0
     while offset < total:
@@ -195,6 +197,15 @@ class RecordAssembler:
 
     def feed(self, data):
         """Absorb ``data``; return the list of records it completed."""
+        if not (self._buffer or self._fragment_count):
+            # Between records, and ``data`` is exactly one
+            # single-fragment record — the common case for a reply read
+            # in one ``recv``: nothing to buffer.
+            size = len(data) - 4
+            if (0 <= size <= self.max_size
+                    and _WORD.unpack_from(data, 0)[0]
+                    == size | LAST_FRAGMENT):
+                return [bytes(data[4:])]
         self._buffer += data
         records = []
         while True:

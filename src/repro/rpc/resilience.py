@@ -519,6 +519,11 @@ class WorkerPool:
             thread.join(timeout=timeout)
 
 
+#: ``FailoverClient(transport=)`` -> the :mod:`repro.rpc` client name
+_CLIENT_NAMES = {"udp": "UdpClient", "tcp": "TcpClient",
+                 "mux-udp": "MuxUdpClient", "mux-tcp": "MuxTcpClient"}
+
+
 class FailoverClient:
     """One client face over N replicated endpoints.
 
@@ -552,8 +557,8 @@ class FailoverClient:
     gating their in-call retransmissions.
 
     **Hedging:** ``hedge=True`` (or ``REPRO_HEDGE``) arms hedged
-    requests on transports with an async surface (``mux-udp`` /
-    ``mux-tcp``): once the :class:`~repro.rpc.overload.HedgeTrigger`
+    requests (every transport has ``call_async``): once the
+    :class:`~repro.rpc.overload.HedgeTrigger`
     has a latency profile, a call that outlives the adaptive p95 delay
     issues a second request to another replica; the first reply wins.
     The hedge is a *new call with a fresh xid* from the shared
@@ -573,7 +578,7 @@ class FailoverClient:
                  **client_kwargs):
         if not endpoints:
             raise ValueError("need at least one endpoint")
-        if transport not in ("udp", "tcp", "mux-udp", "mux-tcp"):
+        if transport not in _CLIENT_NAMES:
             raise ValueError(f"unknown transport {transport!r}")
         self.endpoints = [tuple(endpoint) for endpoint in endpoints]
         self.prog = prog
@@ -662,34 +667,24 @@ class FailoverClient:
         if self._client_factory is not None:
             return self._client_factory(host, port, self.prog, self.vers,
                                         **self._client_kwargs)
+        from repro import rpc
+
+        cls = getattr(rpc, _CLIENT_NAMES[self.transport])
         kwargs = dict(self._client_kwargs)
-        if self.transport in ("udp", "mux-udp"):
-            # UDP transports retransmit: hand them this endpoint's
-            # retry budget so in-call retransmissions draw from the
-            # same accounting as rotation attempts.
+        if cls.retransmits:
+            # Hand a retransmitting transport this endpoint's retry
+            # budget, so in-call retransmissions draw from the same
+            # accounting as rotation attempts.
             budget = self._retry_budgets[index]
             if budget is not None:
                 kwargs.setdefault("retry_budget", budget)
-        if self.transport == "udp":
-            from repro.rpc.clnt_udp import UdpClient
-
-            return UdpClient(host, port, self.prog, self.vers, **kwargs)
-        if self.transport == "mux-udp":
-            from repro.rpc.mux import MuxUdpClient
-
-            return MuxUdpClient(host, port, self.prog, self.vers, **kwargs)
-        if deadline is not None:
+        elif deadline is not None:
+            # A stream connects in its constructor: inside the budget.
             kwargs["timeout"] = min(
                 kwargs.get("timeout", 25.0), max(deadline.check("connect"),
                                                  1e-3)
             )
-        if self.transport == "mux-tcp":
-            from repro.rpc.mux import MuxTcpClient
-
-            return MuxTcpClient(host, port, self.prog, self.vers, **kwargs)
-        from repro.rpc.clnt_tcp import TcpClient
-
-        return TcpClient(host, port, self.prog, self.vers, **kwargs)
+        return cls(host, port, self.prog, self.vers, **kwargs)
 
     def _client(self, index, deadline=None):
         client = self._clients[index]
@@ -872,8 +867,7 @@ class FailoverClient:
             self._note_failure(index, exc)
             return self._as_rpc_error(exc), True
         if (self.hedge_enabled and trigger is not None
-                and len(self.endpoints) > 1
-                and hasattr(client, "call_async")):
+                and len(self.endpoints) > 1):
             return self._call_hedged(index, client, proc, args,
                                      xdr_args, xdr_res, deadline)
         started = self._clock() if trigger is not None else None
@@ -948,8 +942,6 @@ class FailoverClient:
             return self._settle_alone(index, primary, started)
         try:
             hedge_client = self._client(hedge_index, deadline)
-            if not hasattr(hedge_client, "call_async"):
-                return self._settle_alone(index, primary, started)
             # A fresh xid from the shared counter — this is a new
             # call, not a retransmission, so the two replicas can
             # never confuse their DRC entries.

@@ -163,8 +163,8 @@ class ClientSpecialization:
         call the marshal entry declines is encoded as the client would
         have encoded it with no codec.
 
-        On a fast-path client this also narrows the buffer pools to the
-        exact expected request/reply sizes (the paper's §6 exact-size
+        On a fast-path client this also narrows the encode-buffer pool
+        to the exact expected request size (the paper's §6 exact-size
         buffers) instead of the 8800-byte default."""
         encode, proc = self.build_request, self.proc.number
         xdr_args = self._generic_arg_filter
@@ -176,7 +176,7 @@ class ClientSpecialization:
         client.install_codec(proc, build_request, self.parse_reply)
         configure = getattr(client, "configure_buffers", None)
         if configure is not None:
-            configure(self.expected_request, self.expected_reply)
+            configure(self.expected_request)
         return client
 
 

@@ -346,3 +346,38 @@ class SctpServer(RpcServer):
         self.sock.sendto(reply, peer)
 '''
         assert spine.check([module("src/repro/rpc/svc_sctp.py", src)]) == []
+
+
+class TestRetransmissionOutsideEngine:
+    TRANSPORT = '''
+from repro.rpc.clnt_core import CallEngine, CallStats
+from repro.rpc.overload import stamp_deadline
+from repro.rpc.resilience import Deadline
+
+
+class SctpClient(CallEngine):
+    def call(self, proc, args=None, deadline=None):
+        deadline = Deadline.coerce(deadline)
+        stats = CallStats(proc)
+        self.retry_budget.note_call()
+        while not self.retry_budget.try_retry():
+            stamp_deadline(self.request, deadline)
+        return stats
+
+    def _transmit(self, group):
+        self.sock.send(group[0].request)
+'''
+
+    def test_engine_calls_in_a_transport_flagged_at_exact_lines(self):
+        for path in ("src/repro/rpc/clnt_sctp.py", "src/repro/rpc/mux.py"):
+            found = spine.check([module(path, self.TRANSPORT)])
+            assert sorted((f.rule, f.line) for f in found) == [
+                ("retransmission-outside-engine", line)
+                for line in (9, 10, 11, 12, 13)]
+
+    def test_the_engine_and_non_clients_are_exempt(self):
+        found = spine.check([
+            module("src/repro/rpc/clnt_core.py", self.TRANSPORT),
+            module("src/repro/rpc/resilience.py", self.TRANSPORT),
+            module("src/repro/bench/chaos.py", self.TRANSPORT)])
+        assert found == []

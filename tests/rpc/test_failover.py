@@ -230,16 +230,15 @@ class TestTcpReconnect:
                                timeout=5.0, fastpath=True)
             assert client.call(1, 1, xdr_args=xdr_u_long,
                                xdr_res=xdr_u_long) == 2
-            old_send, old_recv = client._send_pool, client._recv_pool
+            old_send = client._send_pool
             client.sock.close()
             with pytest.raises((RpcConnectionError, OSError)):
                 client.call(1, 2, xdr_args=xdr_u_long,
                             xdr_res=xdr_u_long)
             client.reconnect()
             # A buffer that may hold a half-written request is never
-            # reused: the pools are fresh objects with the old sizing.
+            # reused: the pool is a fresh object with the old sizing.
             assert client._send_pool is not old_send
-            assert client._recv_pool is not old_recv
             assert client._send_pool.size == old_send.size
             assert client._send_pool.limit == old_send.limit
             assert client.call(1, 3, xdr_args=xdr_u_long,

@@ -223,19 +223,17 @@ class TestBufferPool:
 class TestExactFitBuffers:
     def test_configure_buffers_applies_floor(self):
         client = RpcClient(PROG, VERS).enable_fastpath()
-        client.configure_buffers(48, 44)
+        client.configure_buffers(48)
         assert client._send_pool.size == MIN_FASTPATH_BUFSIZE
-        assert client._recv_pool.size == MIN_FASTPATH_BUFSIZE
 
     def test_configure_buffers_exact_fit(self):
         client = RpcClient(PROG, VERS).enable_fastpath()
-        client.configure_buffers(5000, 4400)
+        client.configure_buffers(5000)
         assert client._send_pool.size == 5000
-        assert client._recv_pool.size == 4400
 
     def test_overflowing_exact_fit_pool_grows_and_succeeds(self):
         client = RpcClient(PROG, VERS).enable_fastpath()
-        client.configure_buffers(48, 44)
+        client.configure_buffers(48)
         big = list(range(2000))  # ~8KB body, far over the 1KB pool
         generic = RpcClient(PROG, VERS)
         assert (client.build_call(5, 1, big, xdr_iarr)
@@ -309,7 +307,6 @@ class TestLoopback:
                     lambda x, v: xdr_string(x, v, 256),
                 ) == "HELLO"
                 assert client._send_pool.reuses > 0
-                assert client._recv_pool.reuses > 0
 
     def test_tcp_fastpath_roundtrip(self):
         with TcpServer(_registry(), fastpath=True) as server:

@@ -132,14 +132,14 @@ print(json.dumps(sorted(name for name in sys.modules
 
 def test_a_server_loads_no_client_engine():
     """The framing both sides must know lives in ``repro.rpc.record``,
-    so serving pulls in neither the call engine nor the serial clients
-    it subclasses (1 800 lines a server never runs)."""
+    so serving pulls in neither the client engine nor its transports
+    (1 300 lines a server never runs)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     completed = subprocess.run([sys.executable, "-c", SERVER_ONLY], env=env,
                                capture_output=True, text=True, timeout=60)
     assert completed.returncode == 0, completed.stderr
     loaded = set(json.loads(completed.stdout.splitlines()[-1]))
     assert "repro.rpc.svc_core" in loaded
-    stray = loaded & {"repro.rpc.mux", "repro.rpc.clnt_udp",
-                      "repro.rpc.clnt_tcp"}
+    stray = loaded & {"repro.rpc.mux", "repro.rpc.clnt_core",
+                      "repro.rpc.clnt_udp", "repro.rpc.clnt_tcp"}
     assert not stray, f"loaded by a server-only process: {sorted(stray)}"
