@@ -12,6 +12,9 @@ concurrent stack depends on and that no unit test exercises reliably:
   lock: one slow peer would stall every thread behind the lock;
 * ``obs-unguarded`` — hot-path observability calls must be gated on
   ``_obs.enabled`` so the disabled-by-default registry costs nothing;
+* ``obs-lookup-on-call-path`` — the functions every request or call
+  runs through never get-or-create an instrument: they write the
+  per-call record or update a cell resolved once;
 * ``bare-except`` / ``overbroad-except`` — transports may not swallow
   arbitrary exceptions (``KeyboardInterrupt`` included) silently;
 * ``drc-outside-spine`` — the DRC claim protocol (``begin`` / ``put``

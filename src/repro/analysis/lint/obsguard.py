@@ -1,4 +1,6 @@
-"""``obs-unguarded``: hot-path observability must be gated on ``enabled``.
+"""``obs-unguarded`` and ``obs-lookup-on-call-path``.
+
+``obs-unguarded``: hot-path observability must be gated on ``enabled``.
 
 The observability registry is disabled by default and the hot paths
 (the RPC transports and the specialization engine) rely on the
@@ -13,6 +15,15 @@ A call is *guarded* when it is (transitively) dominated by an
 intra-package call site is itself guarded count as guarded too — the
 gate is hoisted to the caller (e.g. a ``_count_reply`` helper invoked
 only from inside ``if _obs.enabled:`` blocks).
+
+``obs-lookup-on-call-path``: enabled costs one fold per call.  The
+functions one request or one call traverses (:data:`CALL_PATH`) write
+what happened into a per-call record, or update a cell resolved once
+through ``registry.cells[key]``; a ``.counter(`` / ``.gauge(`` /
+``.histogram(`` get-or-create there — keyword dict, sorted label
+tuple, dict probe, lock round, per update — is how the instrument came
+to cost half a call.  Cold sites (drain, shed, builds, faults) keep
+the get-or-create API.
 """
 
 import ast as pyast
@@ -21,6 +32,22 @@ from repro.analysis.findings import Finding
 
 #: only these subtrees are per-call hot paths worth the gate.
 HOT_PREFIXES = ("repro/rpc/", "repro/specialized/", "repro/xdr/")
+
+#: module -> the functions every request (server) or call (client)
+#: runs through; ``body`` is the staged route's.
+CALL_PATH = {
+    "repro/rpc/server.py": {"dispatch_bytes", "_spine", "body"},
+    "repro/rpc/drc.py": {"begin", "get", "put", "fold_drc"},
+    "repro/rpc/fastpath.py": {"acquire"},
+    "repro/rpc/svc_udp.py": {"handle_once"},
+    "repro/rpc/svc_mux.py": {"serve_forever", "_read_conn"},
+    "repro/rpc/clnt_core.py": {"_start", "_launch", "_step", "_send_group",
+                               "_complete_batch", "_finish_call"},
+    "repro/specialized/pipeline.py": {"_body"},
+    "repro/specialized/online.py": {"record", "__call__", "build_request",
+                                    "_sample"},
+}
+GET_OR_CREATE = {"counter", "gauge", "histogram"}
 
 
 def _alias(module):
@@ -154,6 +181,38 @@ def _functions(tree):
             yield node
 
 
+def _own_nodes(func):
+    """Every node of ``func`` outside the functions nested in it."""
+    stack = list(pyast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (pyast.FunctionDef, pyast.AsyncFunctionDef)):
+            continue
+        yield node
+        stack.extend(pyast.iter_child_nodes(node))
+
+
+def _lookups_on_call_path(module):
+    names = CALL_PATH.get(module.package_rel, ())
+    for func in _functions(module.tree):
+        if func.name not in names:
+            continue
+        for node in _own_nodes(func):
+            if (isinstance(node, pyast.Call)
+                    and isinstance(node.func, pyast.Attribute)
+                    and node.func.attr in GET_OR_CREATE):
+                yield Finding(
+                    rule="obs-lookup-on-call-path",
+                    path=module.rel,
+                    line=node.lineno,
+                    message=(f".{node.func.attr}() get-or-create in "
+                             f"{func.name}(), which every call runs: write "
+                             f"the per-call record, or update "
+                             f"registry.cells[key]"),
+                    context={"function": func.name},
+                )
+
+
 def check(modules):
     hot = [m for m in modules
            if m.package_rel.startswith(HOT_PREFIXES)]
@@ -174,7 +233,8 @@ def check(modules):
                 if not guarded:
                     offenders.setdefault(func.name, []).append(
                         (module, lineno))
-    findings = []
+    findings = [finding for module in hot
+                for finding in _lookups_on_call_path(module)]
     for name, calls in offenders.items():
         callers = sites.get(name, [])
         if callers and all(callers):

@@ -15,9 +15,15 @@ Design rules:
 * **Disabled is free(ish).**  Every call site in the hot path is a
   single ``if obs.enabled:`` test of this module's flag; no
   instrument, span, or label dict is touched when it is False (the
-  default).  ``python -m repro.bench live`` measures the residual
-  guard cost and reports it in ``BENCH_live.json`` (documented bound:
-  <= 2% of a loopback round trip).
+  default).
+* **Enabled costs one fold per call.**  The names and labels a call
+  touches are static, only the amounts are not: the dispatch spine
+  and the DRC write what happened into one slotted record, the client
+  engine into the call's ``CallStats``, and each side folds its
+  record once, under one round of ``registry.lock``, into cells
+  resolved once per registry (``registry.cells[key]``).  No per-call
+  path get-or-creates an instrument (lint: ``obs-lookup-on-call-path``;
+  CI bounds the ledger's ``obs.metrics_on_overhead_pct``).
 * **One registry, one tracer.**  ``obs.registry`` and ``obs.tracer``
   are process-global; tests swap/reset them via :func:`reset`.
 * **Everything emitted is documented.**  Instrument and span names

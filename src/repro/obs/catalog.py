@@ -13,8 +13,9 @@ METRICS = {
     # -- client ----------------------------------------------------------
     "rpc.client.calls": (
         "counter", "transport, tier",
-        "calls started, by transport (udp/tcp) and dispatch tier"
-        " (generic/fastpath/specialized)"),
+        "calls, by transport (udp/tcp) and dispatch tier"
+        " (generic/fastpath/specialized); counted when the call ends,"
+        " so it equals the call_latency_s count"),
     "rpc.client.attempts": (
         "counter", "transport",
         "datagrams/records sent including retransmissions"),

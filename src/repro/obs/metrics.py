@@ -3,16 +3,21 @@
 A :class:`MetricsRegistry` is a flat namespace of named instruments,
 optionally refined by labels (``registry.counter("faults.injected",
 kind="drop")``).  Instruments are created on first use and live for
-the registry's lifetime, so hot paths can re-look them up by name
-(one dict hit) or hold a reference.
+the registry's lifetime.  Cold sites get-or-create by name; the
+per-call paths go through ``registry.cells[key]``, which resolves a
+static ``(kind, name, (label, value), ...)`` key once per registry.
 
-Concurrency model: instrument updates take a per-instrument lock, so
-counts are exact under threaded servers; the *disabled* stack never
-reaches an instrument at all (every call site is behind a single
-``if obs.enabled`` check — see :mod:`repro.obs`), which is where the
-overhead budget is spent.  ``collect()`` takes a consistent snapshot
-of each instrument but not across instruments — cross-instrument skew
-of a few in-flight calls is acceptable for an observability surface.
+Concurrency model: every instrument of a registry updates under that
+registry's one :attr:`~MetricsRegistry.lock`, so counts are exact
+under threaded servers.  ``inc``/``set``/``observe`` take it
+themselves; a per-call *fold* takes it once and applies all of the
+call's updates as plain stores (``cell.value += n``,
+``histogram.fold(v)``) — spelled ``acquire()`` / ``try`` / ``finally:
+release()``, a quarter of what ``with`` costs on a lock in CPython
+3.11.  The *disabled* stack never reaches an instrument at all (every
+call site is behind a single ``if obs.enabled`` check — see
+:mod:`repro.obs`).  ``collect()`` snapshots each instrument exactly
+but not all of them at once: the skew is at most the calls in flight.
 
 Everything here is exported by :mod:`repro.obs`; the instrument
 *names* used by the stack are declared in :mod:`repro.obs.catalog`
@@ -20,6 +25,7 @@ and documented in ``docs/OBSERVABILITY.md``.
 """
 
 import threading
+from bisect import bisect_left
 
 #: Default latency bucket upper edges, in seconds.  Chosen around the
 #: loopback RPC regime this repo measures: tens of microseconds for
@@ -40,77 +46,73 @@ def format_labels(labels):
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count; ``value`` is written only by
+    :meth:`inc` and by a fold that holds the registry's lock."""
 
     kind = "counter"
-    __slots__ = ("name", "labels", "_value", "_lock")
+    __slots__ = ("name", "labels", "value", "_lock")
 
-    def __init__(self, name, labels=None):
+    def __init__(self, name, labels=None, lock=None):
         self.name = name
         self.labels = dict(labels or {})
-        self._value = 0
-        self._lock = threading.Lock()
+        self.value = 0
+        self._lock = lock or threading.Lock()
 
     def inc(self, amount=1):
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self):
-        return self._value
+        self._lock.acquire()
+        try:
+            self.value += amount
+        finally:
+            self._lock.release()
 
     def reset(self):
         with self._lock:
-            self._value = 0
+            self.value = 0
 
     def snapshot(self):
-        return self._value
+        return self.value
 
     def __repr__(self):
         return (f"Counter({self.name}{format_labels(self.labels)}"
-                f"={self._value})")
+                f"={self.value})")
 
 
 class Gauge:
     """A value that can go up and down (pool depth, cache entries)."""
 
     kind = "gauge"
-    __slots__ = ("name", "labels", "_value", "_lock")
+    __slots__ = ("name", "labels", "value", "_lock")
 
-    def __init__(self, name, labels=None):
+    def __init__(self, name, labels=None, lock=None):
         self.name = name
         self.labels = dict(labels or {})
-        self._value = 0
-        self._lock = threading.Lock()
+        self.value = 0
+        self._lock = lock or threading.Lock()
 
     def set(self, value):
         with self._lock:
-            self._value = value
+            self.value = value
 
     def inc(self, amount=1):
         with self._lock:
-            self._value += amount
+            self.value += amount
 
     def dec(self, amount=1):
         with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self):
-        return self._value
+            self.value -= amount
 
     def reset(self):
         with self._lock:
-            self._value = 0
+            self.value = 0
 
     def snapshot(self):
-        return self._value
+        return self.value
 
     def __repr__(self):
         return (f"Gauge({self.name}{format_labels(self.labels)}"
-                f"={self._value})")
+                f"={self.value})")
 
 
 class Histogram:
@@ -124,34 +126,31 @@ class Histogram:
     """
 
     kind = "histogram"
-    __slots__ = ("name", "labels", "buckets", "_counts", "_count", "_sum",
-                 "_lock")
+    __slots__ = ("name", "labels", "buckets", "_counts", "_sum", "_lock")
 
-    def __init__(self, name, buckets=DEFAULT_LATENCY_BUCKETS_S, labels=None):
+    def __init__(self, name, buckets=DEFAULT_LATENCY_BUCKETS_S, labels=None,
+                 lock=None):
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError("buckets must be a non-empty ascending sequence")
         self.name = name
         self.labels = dict(labels or {})
         self.buckets = tuple(float(edge) for edge in buckets)
         self._counts = [0] * (len(self.buckets) + 1)  # +1: the +inf bucket
-        self._count = 0
         self._sum = 0.0
-        self._lock = threading.Lock()
+        self._lock = lock or threading.Lock()
 
     def observe(self, value):
-        index = len(self.buckets)
-        for i, edge in enumerate(self.buckets):
-            if value <= edge:
-                index = i
-                break
         with self._lock:
-            self._counts[index] += 1
-            self._count += 1
-            self._sum += value
+            self.fold(value)
+
+    def fold(self, value):
+        """``observe`` for a caller that holds the registry's lock."""
+        self._counts[bisect_left(self.buckets, value)] += 1
+        self._sum += value
 
     @property
     def count(self):
-        return self._count
+        return sum(self._counts)
 
     @property
     def sum(self):
@@ -160,7 +159,6 @@ class Histogram:
     def reset(self):
         with self._lock:
             self._counts = [0] * (len(self.buckets) + 1)
-            self._count = 0
             self._sum = 0.0
 
     def quantile(self, fraction):
@@ -168,7 +166,7 @@ class Histogram:
         the ``fraction``-th observation (None when empty; the +inf
         bucket reports the last finite edge)."""
         with self._lock:
-            total = self._count
+            total = sum(self._counts)
             if not total:
                 return None
             target = fraction * total
@@ -189,13 +187,26 @@ class Histogram:
             return {
                 "buckets": list(self.buckets),
                 "cumulative_counts": cumulative,
-                "count": self._count,
+                "count": running,
                 "sum": self._sum,
             }
 
     def __repr__(self):
         return (f"Histogram({self.name}{format_labels(self.labels)},"
-                f" count={self._count})")
+                f" count={self.count})")
+
+
+class _Cells(dict):
+    """``cells[key]``: the instrument a static key names, get-or-created
+    on the first probe, a dict hit from then on."""
+
+    def __init__(self, registry):
+        self._registry = registry
+
+    def __missing__(self, key):
+        kind, name, *labels = key
+        cell = self[key] = getattr(self._registry, kind)(name, **dict(labels))
+        return cell
 
 
 class MetricsRegistry:
@@ -205,11 +216,18 @@ class MetricsRegistry:
     ``(name, labels)``, creating it on first use; asking for the same
     name with a different instrument kind is an error (it would make
     ``collect()`` ambiguous).
+
+    ``cells[kind, name, (label, value), ...]`` is the same instrument,
+    resolved once: what the per-call folds use.  Cells belong to their
+    registry, so swapping ``obs.registry`` re-binds every fold.
     """
 
     def __init__(self):
         self._instruments = {}
         self._lock = threading.Lock()
+        #: every instrument here updates under it; a fold holds it
+        self.lock = threading.Lock()
+        self.cells = _Cells(self)
 
     def _get(self, cls, name, labels, **kwargs):
         key = (name, tuple(sorted(labels.items())))
@@ -218,7 +236,8 @@ class MetricsRegistry:
             with self._lock:
                 instrument = self._instruments.get(key)
                 if instrument is None:
-                    instrument = cls(name, labels=labels, **kwargs)
+                    instrument = cls(name, labels=labels, lock=self.lock,
+                                     **kwargs)
                     self._instruments[key] = instrument
         if not isinstance(instrument, cls):
             raise TypeError(

@@ -44,6 +44,7 @@ demux thread.
 """
 
 import collections
+import functools
 import select
 import socket
 import threading
@@ -235,6 +236,25 @@ def _outcome(error):
     return kind.__name__
 
 
+@functools.lru_cache(maxsize=None)
+def _series(transport):
+    """One transport's static ``registry.cells`` keys (shared objects)."""
+    label, side = ("transport", transport), ("side", "client")
+    keys = {name: ("counter", "rpc.client." + name, label)
+            for name in ("attempts", "retransmissions", "stale_replies",
+                         "garbage_datagrams", "timeouts",
+                         "deadline_exceeded")}
+    keys.update(
+        {tier: ("counter", "rpc.client.calls", ("tier", tier), label)
+         for tier in ("generic", "fastpath", "specialized")},
+        latency=("histogram", "rpc.client.call_latency_s", label),
+        mux_calls=("counter", "rpc.mux.calls", label),
+        inflight=("gauge", "rpc.mux.inflight", label),
+        wakeups=("counter", "rpc.mux.wakeups", side, label),
+        batch_size=("histogram", "rpc.mux.batch_size", side, label))
+    return keys
+
+
 class CallEngine(RpcClient):
     """Pending table, timers and the driver role over a transport.
 
@@ -298,6 +318,7 @@ class CallEngine(RpcClient):
         #: scan.  A stale-low value costs one redundant scan, never a
         #: missed timer.
         self._timer_floor = _NEVER
+        self._series = _series(self._transport)
         #: calls finished (returned, timed out, or raised)
         self.calls_completed = 0
         self.retransmissions = 0
@@ -343,7 +364,11 @@ class CallEngine(RpcClient):
         call, budget = self._start(proc, args, xdr_args, xdr_res, deadline,
                                    True)
         try:
-            self._admit(call, budget, False)
+            try:
+                self._admit(call, budget, False)
+            except RpcError as exc:
+                self._unsent(call, exc)
+                raise
             if self._driver.acquire(False):
                 # Nobody else drives: send, then step on this thread
                 # until the call resolves.
@@ -414,18 +439,26 @@ class CallEngine(RpcClient):
                 break
             admitted += 1
         for call in calls[admitted:]:
-            call._error = error
-            call._done = True
+            self._unsent(call, error)
         if admitted:
             if _obs.enabled:
-                _obs.registry.counter(
-                    "rpc.mux.calls", transport=self._transport
-                ).inc(admitted)
-                _obs.registry.gauge(
-                    "rpc.mux.inflight", transport=self._transport
-                ).set(len(self._pending))
+                _obs.registry.cells[self._series["mux_calls"]].inc(admitted)
+                self._note_inflight()
             self._kick(wake)
         return error
+
+    def _unsent(self, call, error):
+        """Resolve a call the window refused: one fold, like any other."""
+        call.stats.elapsed_s = time.monotonic() - call.started
+        self._finish_call(call.stats, _outcome(error))
+        call._error = error
+        call._done = True
+
+    def _note_inflight(self):
+        """The window's level, written only when it moved."""
+        level = _obs.registry.cells[self._series["inflight"]]
+        if level.value != len(self._pending):
+            level.set(len(self._pending))
 
     def close(self):
         """Resolve whatever is in flight with a typed
@@ -463,17 +496,11 @@ class CallEngine(RpcClient):
             deadline, budget = self._clamp(deadline, f"proc={proc}")
         xid = next(self._xids) & 0xFFFFFFFF
         span = encode_span = None
-        if _obs.enabled:
-            tier = ("specialized" if proc in self._codecs
-                    else "fastpath" if self.fastpath_enabled
-                    else "generic")
-            _obs.registry.counter("rpc.client.calls",
-                                  transport=self._transport, tier=tier).inc()
-            if traced:
-                span = _obs.span("client.call", side="client",
-                                 transport=self._transport, xid=xid,
-                                 prog=self.prog, vers=self.vers, proc=proc,
-                                 tier=tier)
+        if _obs.enabled and traced and _obs.tracer.sinks:
+            span = _obs.span("client.call", side="client",
+                             transport=self._transport, xid=xid,
+                             prog=self.prog, vers=self.vers, proc=proc,
+                             tier=self._tier(proc))
             if span is not None:
                 encode_span = span.child("client.encode")
         try:
@@ -489,6 +516,7 @@ class CallEngine(RpcClient):
         except BaseException as exc:
             _end_call_span(encode_span, exc)
             _end_call_span(span, exc)
+            self._finish_call(CallStats(proc), _outcome(exc))  # never sent
             raise
         if encode_span is not None:
             encode_span.end(bytes=len(request))
@@ -624,8 +652,7 @@ class CallEngine(RpcClient):
             self._connection_lost(f"socket closed: {exc}")
             return
         if demux and _obs.enabled:
-            _obs.registry.counter("rpc.mux.wakeups", side="client",
-                                  transport=self._transport).inc()
+            _obs.registry.cells[self._series["wakeups"]].inc()
         for ready in readable:
             if ready is sock:
                 self._drain(demux)
@@ -659,17 +686,18 @@ class CallEngine(RpcClient):
         send_spans = ()
         if _obs.enabled:
             if demux:
-                _obs.registry.histogram(
-                    "rpc.mux.batch_size", side="client",
-                    transport=self._transport).observe(len(group))
-                flush_span = _obs.span("mux.flush", side="client",
-                                       transport=self._transport,
-                                       messages=len(group))
-            send_spans = [
-                call.span.child("client.send",
-                                attempt=call.stats.attempts + 1,
-                                bytes=len(call.request))
-                for call in group if call.span is not None]
+                _obs.registry.cells[self._series["batch_size"]].observe(
+                    len(group))
+            if _obs.tracer.sinks:
+                if demux:
+                    flush_span = _obs.span("mux.flush", side="client",
+                                           transport=self._transport,
+                                           messages=len(group))
+                send_spans = [
+                    call.span.child("client.send",
+                                    attempt=call.stats.attempts + 1,
+                                    bytes=len(call.request))
+                    for call in group if call.span is not None]
         try:
             nbytes = self._transmit(group)
         except FaultInjected as exc:
@@ -898,8 +926,7 @@ class CallEngine(RpcClient):
             call._error = error
             call._done = True
         if demux and _obs.enabled:
-            _obs.registry.gauge("rpc.mux.inflight",
-                                transport=self._transport).set(len(pending))
+            self._note_inflight()
         if self._waiters:
             with self._lock:  # the lock _cond notifies under
                 self._cond.notify_all()
@@ -920,28 +947,35 @@ class CallEngine(RpcClient):
         self.garbage_datagrams += stats.garbage_datagrams
         if not _obs.enabled:
             return
-        registry, transport = _obs.registry, self._transport
-        registry.counter("rpc.client.attempts",
-                         transport=transport).inc(stats.attempts)
-        if stats.retransmissions:
-            registry.counter("rpc.client.retransmissions",
-                             transport=transport).inc(stats.retransmissions)
-        if stats.stale_replies:
-            registry.counter("rpc.client.stale_replies",
-                             transport=transport).inc(stats.stale_replies)
-        if stats.garbage_datagrams:
-            registry.counter("rpc.client.garbage_datagrams",
-                             transport=transport).inc(stats.garbage_datagrams)
-        if outcome == "timeout":
-            registry.counter("rpc.client.timeouts", transport=transport).inc()
-        elif outcome == "deadline":
-            registry.counter("rpc.client.deadline_exceeded",
-                             transport=transport).inc()
-        elif outcome != "ok":
-            registry.counter("rpc.client.errors", transport=transport,
-                             error=outcome).inc()
-        registry.histogram("rpc.client.call_latency_s",
-                           transport=transport).observe(stats.elapsed_s)
+        keys = self._series
+        registry = _obs.registry
+        cells = registry.cells
+        registry.lock.acquire()
+        try:
+            cells[keys[self._tier(stats.proc)]].value += 1
+            if stats.attempts:
+                cells[keys["attempts"]].value += stats.attempts
+            if stats.retransmissions:
+                cells[keys["retransmissions"]].value += stats.retransmissions
+            if stats.stale_replies:
+                cells[keys["stale_replies"]].value += stats.stale_replies
+            if stats.garbage_datagrams:
+                cells[keys["garbage_datagrams"]].value += (
+                    stats.garbage_datagrams)
+            if outcome == "timeout":
+                cells[keys["timeouts"]].value += 1
+            elif outcome == "deadline":
+                cells[keys["deadline_exceeded"]].value += 1
+            elif outcome != "ok":
+                cells["counter", "rpc.client.errors", ("error", outcome),
+                      ("transport", self._transport)].value += 1
+            cells[keys["latency"]].fold(stats.elapsed_s)
+        finally:
+            registry.lock.release()
+
+    def _tier(self, proc):
+        return ("specialized" if proc in self._codecs
+                else "fastpath" if self.fastpath_enabled else "generic")
 
     def _refuse(self, reason, describe):
         """Nothing new may start (``reason`` is why); every call in

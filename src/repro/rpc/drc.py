@@ -24,6 +24,27 @@ from collections import OrderedDict
 from repro import obs as _obs
 
 
+#: static ``registry.cells`` keys of :func:`fold_drc`
+_HITS = ("counter", "rpc.drc.hits")
+_MISSES = ("counter", "rpc.drc.misses")
+_STORES = ("counter", "rpc.drc.stores")
+_EVICTIONS = ("counter", "rpc.drc.evictions")
+_ENTRIES = ("gauge", "rpc.drc.entries")
+
+
+def fold_drc(rec, cells):
+    """Registry lock held: the DRC's part of a dispatch record.  A
+    full cache evicts one entry per store: the level rarely moves."""
+    cells[_HITS if rec.drc_hit else _MISSES].value += 1
+    if rec.entries:
+        cells[_STORES].value += 1
+        if rec.evicted:
+            cells[_EVICTIONS].value += rec.evicted
+        level = cells[_ENTRIES]
+        if level.value != rec.entries:
+            level.value = rec.entries
+
+
 #: placeholder value for a request whose handler is currently running
 #: (claimed but not yet answered) — never returned as a reply.
 _IN_PROGRESS = object()
@@ -68,12 +89,13 @@ class DuplicateRequestCache:
         """
         return (xid, caller, prog, vers, proc)
 
-    def get(self, key):
+    def get(self, key, rec=None):
         """The cached raw reply for ``key``, or None (counts a miss).
 
         A read-only lookup for tests and tools — dispatch goes through
         :meth:`begin`.  A key whose handler is still executing (claimed
-        but not yet answered) reads as a miss.
+        but not yet answered) reads as a miss.  Like :meth:`begin` and
+        :meth:`put` it reports to observability only through ``rec``.
         """
         with self._lock:
             reply = self._entries.get(key)
@@ -83,12 +105,11 @@ class DuplicateRequestCache:
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
-        if _obs.enabled:
-            name = "rpc.drc.hits" if reply is not None else "rpc.drc.misses"
-            _obs.registry.counter(name).inc()
+        if rec is not None:
+            rec.drc_hit = reply is not None
         return reply
 
-    def begin(self, key):
+    def begin(self, key, rec=None):
         """Look up ``key`` and, on a first sighting, atomically claim it
         for execution — one lock round-trip.
 
@@ -118,10 +139,8 @@ class DuplicateRequestCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 result = entry
-        if _obs.enabled:
-            name = ("rpc.drc.misses" if result is True or result is False
-                    else "rpc.drc.hits")
-            _obs.registry.counter(name).inc()
+        if rec is not None:
+            rec.drc_hit = result is not True and result is not False
         return result
 
     def abandon(self, key):
@@ -131,7 +150,7 @@ class DuplicateRequestCache:
             if self._entries.get(key) is _IN_PROGRESS:
                 del self._entries[key]
 
-    def put(self, key, reply):
+    def put(self, key, reply, rec=None):
         """Record the reply sent for ``key``.
 
         ``reply`` is copied to immutable ``bytes`` unless it already is
@@ -147,11 +166,9 @@ class DuplicateRequestCache:
             self.stores += 1
             evicted = self._evict_over_capacity()
             entries = len(self._entries)
-        if _obs.enabled:
-            _obs.registry.counter("rpc.drc.stores").inc()
-            if evicted:
-                _obs.registry.counter("rpc.drc.evictions").inc(evicted)
-            _obs.registry.gauge("rpc.drc.entries").set(entries)
+        if rec is not None:
+            rec.evicted = evicted
+            rec.entries = entries
         if self.on_store is not None:
             self.on_store(key, reply)
 

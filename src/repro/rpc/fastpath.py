@@ -114,6 +114,11 @@ class ReplyHeaderTemplate:
         return len(data) >= self.size and data[4:self.size] == self._tail
 
 
+#: static ``registry.cells`` keys of :meth:`BufferPool.acquire`
+_REUSES = ("counter", "rpc.pool.reuses")
+_ALLOCATIONS = ("counter", "rpc.pool.allocations")
+
+
 class BufferPool:
     """A bounded LIFO free-list of equal-size ``bytearray`` buffers.
 
@@ -146,9 +151,8 @@ class BufferPool:
                 self.allocations += 1
                 buffer = None
         if _obs.enabled:
-            name = ("rpc.pool.reuses" if buffer is not None
-                    else "rpc.pool.allocations")
-            _obs.registry.counter(name).inc()
+            _obs.registry.cells[_REUSES if buffer is not None
+                                else _ALLOCATIONS].inc()
         return buffer if buffer is not None else bytearray(self.size)
 
     def release(self, buffer):

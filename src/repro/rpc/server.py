@@ -18,8 +18,10 @@ dispatch emits a ``server.dispatch`` span labelled with the tier that
 served it, with ``server.drc_lookup`` / ``server.decode_args`` /
 ``server.handler`` / ``server.encode_reply`` children, every outcome
 increments the ``rpc.server.replies{outcome=...}`` counter, and the
-fast-path header recognizer reports hit/fallback counts.  Turning it
-on never changes which body serves a request.
+fast-path header recognizer reports hit/fallback counts — written by
+the spine and the DRC into one :class:`_Dispatch` record that
+``dispatch_bytes`` folds once.  Turning it on never changes which body
+serves a request.
 """
 
 import logging
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from repro import obs as _obs
 from repro.errors import RpcProtocolError, XdrError
 from repro.rpc.auth import NULL_AUTH
-from repro.rpc.drc import DuplicateRequestCache
+from repro.rpc.drc import DuplicateRequestCache, fold_drc
 from repro.rpc.fastpath import BufferPool, ReplyHeaderTemplate
 from repro.rpc.message import (
     AcceptStat,
@@ -71,8 +73,9 @@ _OK_TAIL = ReplyHeaderTemplate(stat=AcceptStat.SUCCESS).prefix[4:]
 _ERR_TAIL = ReplyHeaderTemplate(stat=AcceptStat.SYSTEM_ERR).prefix[4:]
 
 #: one entry of the route table: the ``tier`` label observability
-#: reports and the ``body(data) -> reply | None`` that serves.
-Route = namedtuple("Route", "tier body")
+#: reports, the ``body(data) -> reply | None`` that serves, and the
+#: cell keys of the counters a request it (declined, served) moves.
+Route = namedtuple("Route", "tier body counts")
 
 
 def _signature(prog, vers, proc):
@@ -81,8 +84,42 @@ def _signature(prog, vers, proc):
     return struct.pack(">5I", 0, 2, prog, vers, proc)
 
 
-def _count_reply(outcome):
-    _obs.registry.counter("rpc.server.replies", outcome=outcome).inc()
+#: the outcome an answered dispatch is counted under, by the five
+#: words after the xid (REPLY, accepted, NULL verifier, accept_stat —
+#: or the one denial sent); any other reply counts as ``system_err``.
+_OUTCOMES = {struct.pack(">5I", 1, 0, 0, 0, stat): stat.name.lower()
+             for stat in AcceptStat}
+_OUTCOMES[struct.pack(">5I", 1, 1, RejectStat.RPC_MISMATCH, 2, 2)] = (
+    "rpc_mismatch")
+
+#: static ``registry.cells`` keys of the per-dispatch fold
+_REQUESTS = ("counter", "rpc.server.requests")
+_LATENCY = ("histogram", "rpc.server.dispatch_latency_s")
+_DOOMED = ("counter", "rpc.deadline.doomed")
+_HANDLER_ERRORS = ("counter", "rpc.server.handler_errors")
+_HEADER = {True: ("counter", "rpc.server.fastpath_header_hits"),
+           False: ("counter", "rpc.server.fastpath_fallbacks")}
+_REPLIES = {outcome: ("counter", "rpc.server.replies", ("outcome", outcome))
+            for outcome in (*_OUTCOMES.values(), "drc_replay", "shed",
+                            "dropped")}
+
+
+class _Dispatch:
+    """What one dispatch did, as plain fields (observability on only)."""
+
+    __slots__ = ("header", "route_count", "doomed", "outcome",
+                 "drc_hit", "evicted", "entries")
+
+    def __init__(self):
+        #: cell keys: :data:`_HEADER`'s and :attr:`Route.counts`'s
+        self.header = self.route_count = None
+        self.doomed = False
+        #: ``drc_replay`` / ``shed``: what the reply bytes cannot say
+        self.outcome = None
+        #: the DRC's part: ``begin``'s verdict; ``put``'s evictions
+        #: and level (never 0 after a store)
+        self.drc_hit = None
+        self.evicted = self.entries = 0
 
 
 @dataclass
@@ -248,6 +285,8 @@ class SvcRegistry:
         """
         if len(data) < _FAST_HEADER_SIZE or bytes(data[4:12]) != _CALL_V2:
             return None
+        if _obs.enabled:  # no dispatch, so no fold to count the reply
+            _obs.registry.cells[_REPLIES["shed"]].inc()
         return self._shed(data, reason)
 
     def _shed(self, data, reason):
@@ -255,7 +294,6 @@ class SvcRegistry:
         self.sheds += 1
         if _obs.enabled:
             _obs.registry.counter("rpc.server.sheds", reason=reason).inc()
-            _count_reply("shed")
         return bytes(data[0:4]) + _ERR_TAIL
 
     def register(self, prog, vers, proc, handler, xdr_args=None,
@@ -266,7 +304,8 @@ class SvcRegistry:
 
     # -- the route table ----------------------------------------------------
 
-    def install_route(self, prog, vers, proc, body, tier):
+    def install_route(self, prog, vers, proc, body, tier,
+                      counts=(None, None)):
         """Atomically hot-swap a route body into dispatch.
 
         ``body(data) -> reply bytes | None`` answers a request whose
@@ -276,7 +315,8 @@ class SvcRegistry:
         exactly once), encode — and returns None to *decline*, which
         hands the request to the default body under the same DRC
         claim.  The at-most-once protocol, drain, quota and accounting
-        stay in :meth:`_spine`; a body never touches them.
+        stay in :meth:`_spine`; a body never touches them (``counts``:
+        the counters of a request it declined / served).
 
         One table holds every tier (``staged``, ``specialized``,
         ``online``); it is published copy-on-write, so concurrent
@@ -285,7 +325,7 @@ class SvcRegistry:
         it.
         """
         routes = dict(self._routes or {})
-        routes[_signature(prog, vers, proc)] = Route(tier, body)
+        routes[_signature(prog, vers, proc)] = Route(tier, body, counts)
         self._routes = routes
         return self
 
@@ -363,7 +403,7 @@ class SvcRegistry:
                     "staged route for prog=%d proc=%d failed", prog, proc
                 )
                 if _obs.enabled:
-                    _obs.registry.counter("rpc.server.handler_errors").inc()
+                    _obs.registry.cells[_HANDLER_ERRORS].inc()
                 return bytes(data[0:4]) + _ERR_TAIL
 
         return self.install_route(prog, vers, proc, body, tier="staged")
@@ -405,33 +445,54 @@ class SvcRegistry:
 
         With observability on, the same :meth:`_spine` runs inside one
         ``server.dispatch`` span (labelled with the tier that served)
-        and one ``rpc.server.requests`` count per call.
+        and writes what it did into one :class:`_Dispatch`, folded
+        here, once, however the dispatch ends.
         """
         if not _obs.enabled:
             return self._spine(data, caller, received_at, None)
-        _obs.registry.counter("rpc.server.requests").inc()
+        rec = _Dispatch()
+        span = outcome = None
         started = time.monotonic()
-        span = _obs.span("server.dispatch", side="server", bytes=len(data),
-                         caller=str(caller) if caller is not None else None)
+        if _obs.tracer.sinks:
+            span = _obs.span(
+                "server.dispatch", side="server", bytes=len(data),
+                caller=str(caller) if caller is not None else None)
         try:
-            reply = self._spine(data, caller, received_at, span)
+            reply = self._spine(data, caller, received_at, span, rec)
+            outcome = ("dropped" if reply is None else rec.outcome
+                       or _OUTCOMES.get(bytes(reply[4:24]), "system_err"))
         except BaseException as exc:
             if span is not None:
                 span.end(outcome="error", error=type(exc).__name__)
             raise
-        finally:
-            _obs.registry.histogram("rpc.server.dispatch_latency_s").observe(
-                time.monotonic() - started
-            )
-        if reply is None:
-            _count_reply("dropped")
-            if span is not None:
+        finally:  # the fold: all of the dispatch's updates, one lock round
+            elapsed = time.monotonic() - started
+            registry = _obs.registry
+            cells = registry.cells
+            registry.lock.acquire()
+            try:
+                cells[_REQUESTS].value += 1
+                cells[_LATENCY].fold(elapsed)
+                if rec.header is not None:
+                    cells[rec.header].value += 1
+                if rec.route_count is not None:
+                    cells[rec.route_count].value += 1
+                if rec.doomed:
+                    cells[_DOOMED].value += 1
+                if rec.drc_hit is not None:
+                    fold_drc(rec, cells)
+                if outcome is not None:
+                    cells[_REPLIES[outcome]].value += 1
+            finally:
+                registry.lock.release()
+        if span is not None:
+            if reply is None:
                 span.end(outcome="dropped")
-        elif span is not None:
-            span.end(reply_bytes=len(reply))
+            else:
+                span.end(reply_bytes=len(reply))
         return reply
 
-    def _spine(self, data, caller, received_at, span):
+    def _spine(self, data, caller, received_at, span, rec=None):
         """The one at-most-once protocol every tier runs under:
         match-or-parse → doomed-deadline drop → ``drc.begin`` →
         drain/quota shed → route body (default: :meth:`_default_body`)
@@ -450,10 +511,8 @@ class SvcRegistry:
             if route is not None or (fast and data[4:12] == _CALL_V2):
                 xid, _, _, prog, vers, proc = struct.unpack_from(
                     ">6I", data, 0)
-        if fast and _obs.enabled:
-            _obs.registry.counter(
-                "rpc.server.fastpath_header_hits" if xid is not None
-                else "rpc.server.fastpath_fallbacks").inc()
+        if fast and rec is not None:
+            rec.header = _HEADER[xid is not None]
         if xid is None:
             fast = False
             stream = XdrMemStream(data, XdrOp.DECODE)
@@ -475,8 +534,8 @@ class SvcRegistry:
                 arrived = received_at if received_at is not None else now
                 if arrived + remaining <= now:
                     self.doomed_dropped += 1
-                    if _obs.enabled:
-                        _obs.registry.counter("rpc.deadline.doomed").inc()
+                    if rec is not None:
+                        rec.doomed = True
                     if span is not None:
                         span.add(xid=xid, outcome="doomed")
                     return None
@@ -491,7 +550,7 @@ class SvcRegistry:
             key = (xid, caller, prog, vers, proc)
             lookup = (span.child("server.drc_lookup")
                       if span is not None else None)
-            verdict = drc.begin(key)
+            verdict = drc.begin(key, rec)
             if lookup is not None:
                 lookup.end(hit=verdict is not True and verdict is not False)
             if verdict is not True:
@@ -500,7 +559,9 @@ class SvcRegistry:
                     # now; drop — the client's next retransmit replays
                     # the cached reply.
                     return None
-                self._verdict(span, "drc_replay")
+                if rec is not None:
+                    rec.outcome = "drc_replay"
+                    self._verdict(span, "drc_replay")
                 return verdict
         # Whatever happens below, the claim is resolved exactly once:
         # a reply a handler run produced is recorded; a shed, an error
@@ -515,18 +576,18 @@ class SvcRegistry:
                     # Draining: replays (above) and health (exempt)
                     # still answer; new work, or a caller over its
                     # token budget, is refused with a typed error reply.
-                    if span is not None:
-                        span.add(outcome="shed")
+                    if rec is not None:
+                        rec.outcome = "shed"
+                        self._verdict(span, "shed")
                     return self._shed(data, reason)
             if route is not None:
                 record = route.body(data)
+                if rec is not None:
+                    rec.route_count = route.counts[record is not None]
                 if record is not None:
-                    if _obs.enabled:
-                        if span is not None:
-                            span.add(tier=route.tier)
-                        self._verdict(
-                            span, "success" if record[4:24] == _OK_TAIL
-                            else "system_err")
+                    if span is not None:
+                        span.add(tier=route.tier, outcome=_OUTCOMES.get(
+                            bytes(record[4:24]), "system_err"))
                     return record
             if span is not None:
                 span.add(tier="fastpath" if fast else "generic")
@@ -543,7 +604,7 @@ class SvcRegistry:
         finally:
             if drc is not None:
                 if record is not None:
-                    drc.put(key, record)
+                    drc.put(key, record, rec)
                 else:
                     drc.abandon(key)
 
@@ -595,9 +656,8 @@ class SvcRegistry:
         return None, None
 
     def _verdict(self, span, outcome):
-        """Record a dispatch outcome on the span + outcome counter."""
-        if _obs.enabled:
-            _count_reply(outcome)
+        """Record a dispatch outcome on the span (the outcome counter
+        is folded by :meth:`dispatch_bytes`)."""
         if span is not None:
             span.add(outcome=outcome)
 
@@ -674,7 +734,7 @@ class SvcRegistry:
                 "handler for prog=%d proc=%d failed", prog, proc
             )
             if _obs.enabled:
-                _obs.registry.counter("rpc.server.handler_errors").inc()
+                _obs.registry.cells[_HANDLER_ERRORS].inc()
             encode_accepted_reply(out, xid, AcceptStat.SYSTEM_ERR, NULL_AUTH)
             self._verdict(span, "system_err")
             return out.data()

@@ -40,6 +40,11 @@ from repro.rpc.svc_udp import UdpServer
 #: understands the call engine's batch envelope.
 MuxUdpServer = UdpServer
 
+_WAKEUPS = ("counter", "rpc.mux.wakeups", ("side", "server"),
+            ("transport", "tcp"))
+_BATCH_SIZE = ("histogram", "rpc.mux.batch_size", ("side", "server"),
+               ("transport", "tcp"))
+
 
 class _MuxConn:
     """Per-connection state for :class:`MuxTcpServer`."""
@@ -94,8 +99,7 @@ class MuxTcpServer(RpcServer):
         while not self._stop.is_set():
             events = self._selector.select(timeout=0.2)
             if _obs.enabled:
-                _obs.registry.counter("rpc.mux.wakeups", side="server",
-                                      transport="tcp").inc()
+                _obs.registry.cells[_WAKEUPS].inc()
             for key, mask in events:
                 if self._stop.is_set():
                     return
@@ -159,9 +163,7 @@ class MuxTcpServer(RpcServer):
                 self._close_conn(conn)
                 return
             if records and _obs.enabled:
-                _obs.registry.histogram(
-                    "rpc.mux.batch_size", side="server", transport="tcp"
-                ).observe(len(records))
+                _obs.registry.cells[_BATCH_SIZE].observe(len(records))
             received_at = time.monotonic()
             for record in records:
                 self._submit(record, conn.peer, conn, received_at)

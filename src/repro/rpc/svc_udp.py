@@ -9,6 +9,11 @@ from repro.rpc.client import UDPMSGSIZE
 from repro.rpc.record import batch_groups, pack_batch, unpack_batch
 from repro.rpc.svc_core import RpcServer
 
+#: static ``registry.cells`` keys of the per-datagram updates
+_DATAGRAMS = ("counter", "rpc.server.datagrams", ("transport", "udp"))
+_BATCH_SIZE = ("histogram", "rpc.mux.batch_size", ("side", "server"),
+               ("transport", "udp"))
+
 
 class UdpServer(RpcServer):
     """Serves a :class:`~repro.rpc.server.SvcRegistry` over UDP: one
@@ -56,8 +61,7 @@ class UdpServer(RpcServer):
         received_at = time.monotonic()
         data = memoryview(self._recv_buffer)[:nbytes]
         if _obs.enabled:
-            _obs.registry.counter("rpc.server.datagrams",
-                                  transport="udp").inc()
+            _obs.registry.cells[_DATAGRAMS].inc()
         try:
             messages = unpack_batch(data)
         except RpcProtocolError:
@@ -66,9 +70,7 @@ class UdpServer(RpcServer):
             self._submit(data, addr, addr, received_at)
         else:
             if _obs.enabled:
-                _obs.registry.histogram(
-                    "rpc.mux.batch_size", side="server", transport="udp"
-                ).observe(len(messages))
+                _obs.registry.cells[_BATCH_SIZE].observe(len(messages))
             self._submit_batch(messages, addr, addr, received_at)
         return True
 

@@ -63,6 +63,12 @@ _CALL_V2 = struct.pack(">II", 0, 2)
 #: sizes — error replies say nothing about the result invariants).
 _SUCCESS_REPLY = ReplyHeaderTemplate()
 
+#: static ``registry.cells`` keys of the per-call updates, by side
+_OBSERVED = {side: ("counter", "rpc.spec.online.observed", ("side", side))
+             for side in ("server", "client")}
+_HITS = {side: ("counter", "rpc.spec.online.hits", ("side", side))
+         for side in ("server", "client")}
+
 
 def env_enabled(default=True):
     """The ``REPRO_ONLINE_SPEC`` kill switch.
@@ -160,8 +166,7 @@ class DispatchProfiler:
             and _SUCCESS_REPLY.matches(reply) else None,
             now)
         if _obs.enabled:
-            _obs.registry.counter("rpc.spec.online.observed",
-                                  side="server").inc()
+            _obs.registry.cells[_OBSERVED["server"]].inc()
 
     def snapshot(self):
         """The live profiles, keyed by (prog, vers, proc)."""
@@ -312,7 +317,8 @@ class OnlineServerRoute(VariantTable):
     def _publish(self, variants):
         was, self.variants = self.variants, variants
         if variants and not was:
-            self.registry.install_route(*self.key, self, tier="online")
+            self.registry.install_route(*self.key, self, tier="online",
+                                        counts=(None, _HITS["server"]))
         elif was and not variants:
             self.registry.remove_route(*self.key)
 
@@ -328,9 +334,6 @@ class OnlineServerRoute(VariantTable):
             return None
         self.registry.handlers_invoked += 1
         variant.hits += 1
-        if _obs.enabled:
-            _obs.registry.counter("rpc.spec.online.hits",
-                                  side="server").inc()
         return reply
 
 
@@ -402,8 +405,7 @@ class OnlineClientCodec(VariantTable):
             if out is not None:
                 variant.hits += 1
                 if _obs.enabled:
-                    _obs.registry.counter("rpc.spec.online.hits",
-                                          side="client").inc()
+                    _obs.registry.cells[_HITS["client"]].inc()
                 return out
             self.declines += 1
         else:
@@ -438,8 +440,7 @@ class OnlineClientCodec(VariantTable):
             n, len(data) if _SUCCESS_REPLY.matches(data) else None,
             self._clock())
         if _obs.enabled:
-            _obs.registry.counter("rpc.spec.online.observed",
-                                  side="client").inc()
+            _obs.registry.cells[_OBSERVED["client"]].inc()
 
 
 #: One entry of :attr:`OnlineSpecializer.decisions`.  ``action`` is

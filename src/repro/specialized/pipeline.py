@@ -180,6 +180,11 @@ class ClientSpecialization:
         return client
 
 
+#: cell keys of the counters a request the route (declined, served) moves
+_COUNTS = (("counter", "rpc.server.specialized_fallbacks"),
+           ("counter", "rpc.server.specialized_hits"))
+
+
 class ServerSpecialization:
     """A compiled specialized dispatcher, duck-typed as a registry for
     the server transports.
@@ -217,7 +222,7 @@ class ServerSpecialization:
         if fallback is not None:
             fallback.install_route(
                 pipeline.prog_number, pipeline.vers_number, proc.number,
-                self._body, tier="specialized")
+                self._body, tier="specialized", counts=_COUNTS)
             # this handle's dispatch *is* the fallback's spine (bound
             # per instance: no per-call hop through a forwarding method)
             self.dispatch_bytes = fallback.dispatch_bytes
@@ -245,16 +250,15 @@ class ServerSpecialization:
         reply = self.residual_reply(data)
         if reply is not None:
             self.fast_path_hits += 1
-        if _obs.enabled:
-            _obs.registry.counter(
-                "rpc.server.specialized_hits" if reply is not None
-                else "rpc.server.specialized_fallbacks").inc()
         return reply
 
     def dispatch_bytes(self, data, caller=None, received_at=None):
         """The bare residual (no fallback): a declined request is
         dropped."""
-        return self._body(data)
+        reply = self._body(data)
+        if _obs.enabled:  # no spine here to count the route's answer
+            _obs.registry.cells[_COUNTS[reply is not None]].inc()
+        return reply
 
 
 class SpecializationPipeline:

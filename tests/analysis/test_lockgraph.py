@@ -192,6 +192,53 @@ def dispatch(call):
         assert obsguard.check([module("src/repro/rpc/hot.py", src)]) == []
 
 
+class TestObsLookupOnCallPath:
+    SRC = '''
+from repro import obs as _obs
+
+class SvcRegistry:
+    def dispatch_bytes(self, data):
+        if _obs.enabled:
+            _obs.registry.counter("rpc.server.requests").inc()
+            registry = _obs.registry
+            registry.histogram("rpc.server.dispatch_latency_s").observe(1)
+        return self._spine(data)
+
+    def begin_drain(self):
+        if _obs.enabled:
+            _obs.registry.gauge("rpc.server.draining").set(1)
+'''
+
+    def test_get_or_create_on_the_call_path_flagged_at_exact_lines(self):
+        findings = obsguard.check([module("src/repro/rpc/server.py",
+                                          self.SRC)])
+        assert sorted((f.rule, f.line) for f in findings) == [
+            ("obs-lookup-on-call-path", 7), ("obs-lookup-on-call-path", 9)]
+        assert all(f.context == {"function": "dispatch_bytes"}
+                   for f in findings)
+
+    def test_cells_records_and_cold_sites_are_clean(self):
+        src = '''
+from repro import obs as _obs
+
+_REQUESTS = ("counter", "rpc.server.requests")
+
+class SvcRegistry:
+    def dispatch_bytes(self, data, rec):
+        if _obs.enabled:
+            rec.outcome = "dropped"
+            _obs.registry.cells[_REQUESTS].inc()
+
+            def later():  # its own function, not the call path
+                if _obs.enabled:
+                    _obs.registry.counter("rpc.server.drains").inc()
+'''
+        assert obsguard.check([module("src/repro/rpc/server.py", src)]) == []
+        # the same lookups in a module that is no call path
+        assert obsguard.check([module("src/repro/rpc/fleet.py",
+                                      self.SRC)]) == []
+
+
 class TestExcepts:
     def test_bare_except_flagged_anywhere(self):
         src = '''

@@ -87,7 +87,7 @@ NOT_LOADED = {"repro.rpc.fleet", "repro.rpc.pmap", "repro.tempo.bta",
 #: they are executed.  A new name here is a cost in both processes of
 #: every deployment: measure ``peak_rss_mb`` before adding it.
 OUTSIDE = {
-    "collections", "copy", "dataclasses", "enum", "functools", "hashlib",
+    "bisect", "collections", "copy", "dataclasses", "enum", "functools", "hashlib",
     "importlib", "io", "itertools", "json", "keyword", "logging", "math",
     "operator", "os", "pickle", "queue", "random", "re", "select",
     "selectors", "socket", "struct", "sys", "threading", "time", "types",
