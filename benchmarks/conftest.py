@@ -12,12 +12,3 @@ from repro.bench.workloads import IntArrayWorkload
 @pytest.fixture(scope="session")
 def workload():
     return IntArrayWorkload()
-
-
-@pytest.fixture(scope="session")
-def live_pipeline():
-    """The live-Python pipeline for the paper's workload interface."""
-    from repro.bench.workloads import WORKLOAD_IDL, WORKLOAD_IMPL
-    from repro.specialized import SpecializationPipeline
-
-    return SpecializationPipeline(WORKLOAD_IDL, impl_sources=[WORKLOAD_IMPL])

@@ -14,6 +14,12 @@ Each module regenerates one table/figure:
 
 Run ``python -m repro.bench all`` (or a specific experiment name) to
 print the regenerated rows next to the paper's published numbers.
+
+The self-asserting soaks ride the same CLI — :mod:`repro.bench.faults`,
+:mod:`repro.bench.chaos` (``chaos`` / ``chaos_mux``),
+:mod:`repro.bench.cluster` and :mod:`repro.bench.overload` — and share
+their invariant checkers through :mod:`repro.bench.soak`.  Live
+performance is not measured here: that is ``benchmarks/ledger``.
 """
 
 from repro.bench.workloads import ARRAY_SIZES, IntArrayWorkload

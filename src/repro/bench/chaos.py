@@ -36,20 +36,22 @@ batching preserve the exactly-once-per-incarnation DRC proof and the
 typed-resolution guarantee.
 """
 
-import json
-import logging
 import platform
 import threading
 import time
 
 from repro.bench.report import format_table
+from repro.bench.soak import (
+    TracebackWatch,
+    finish,
+    health_of,
+    percentile,
+    uniqueness_violations,
+)
 from repro.errors import RpcError
 from repro.rpc import (
     FailoverClient,
     FaultPlan,
-    HEALTH_PROC_STATUS,
-    HEALTH_PROG,
-    HEALTH_VERS,
     MuxUdpClient,
     STATUS_DRAINING,
     SvcRegistry,
@@ -139,24 +141,10 @@ class Replica:
             "requests_shed": server.requests_shed,
             "worker_errors": (server._pool.worker_errors
                               if server._pool else 0),
-            "violations": [],
         }
-        invoked = record["handlers_invoked"]
-        stores = record["drc"]["stores"]
-        if invoked != stores:
-            record["violations"].append(
-                f"handlers_invoked={invoked} != drc stores={stores}"
-            )
-        if record["drc"]["evictions"]:
-            record["violations"].append(
-                f"drc evicted {record['drc']['evictions']} entries —"
-                f" uniqueness proof lost"
-            )
-        elif stores != record["drc_entries"]:
-            record["violations"].append(
-                f"drc stores={stores} != entries={record['drc_entries']}:"
-                f" some xid was answered twice"
-            )
+        record["violations"] = uniqueness_violations(
+            record["handlers_invoked"], record["drc"], record["drc_entries"]
+        )
         if record["worker_errors"]:
             record["violations"].append(
                 f"{record['worker_errors']} exceptions escaped into the"
@@ -193,47 +181,6 @@ class Replica:
         self.server.stop()
         self.server = None
         return record
-
-
-class _TracebackWatch:
-    """Captures anything that would have printed a stack trace: uncaught
-    thread exceptions and ERROR-level log records from the stack."""
-
-    def __init__(self):
-        self.thread_exceptions = []
-        self.error_logs = []
-        self._prev_hook = None
-        self._handler = None
-
-    def __enter__(self):
-        self._prev_hook = threading.excepthook
-        threading.excepthook = self._on_thread_exception
-        watch = self
-
-        class _Capture(logging.Handler):
-            def emit(self, record):
-                watch.error_logs.append(
-                    f"{record.name}: {record.getMessage()}"
-                )
-
-        self._handler = _Capture(level=logging.ERROR)
-        logging.getLogger("repro").addHandler(self._handler)
-        return self
-
-    def _on_thread_exception(self, args):
-        self.thread_exceptions.append(
-            f"{args.thread.name if args.thread else '?'}:"
-            f" {args.exc_type.__name__}: {args.exc_value}"
-        )
-
-    def __exit__(self, *exc_info):
-        threading.excepthook = self._prev_hook
-        logging.getLogger("repro").removeHandler(self._handler)
-        return False
-
-    @property
-    def escaped(self):
-        return len(self.thread_exceptions) + len(self.error_logs)
 
 
 def _burst_phase(replica, seed, threads=None, calls_per_thread=3):
@@ -363,18 +310,6 @@ def _mux_burst_phase(replica, seed, clients=4, calls_per_client=36):
     }
 
 
-def _health_of(port, deadline=2.0):
-    """Direct health probe of one replica (STATUS_* or an error name)."""
-    client = UdpClient("127.0.0.1", port, HEALTH_PROG, HEALTH_VERS,
-                       timeout=deadline, wait=0.05, jitter=0.0)
-    try:
-        return client.call(HEALTH_PROC_STATUS, xdr_res=xdr_u_long)
-    except RpcError as exc:
-        return type(exc).__name__
-    finally:
-        client.close()
-
-
 def run_mux(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
             json_path=MUX_JSON):
     """The chaos soak over the mux stack (CLI: ``chaos_mux``)."""
@@ -415,7 +350,7 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
     event_log = []
     health_after_drain = None
     started_all = time.perf_counter()
-    with _TracebackWatch() as watch:
+    with TracebackWatch() as watch:
         if engine == "mux":
             burst = _mux_burst_phase(replicas[0], seed)
         else:
@@ -451,7 +386,7 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
                         replica.start()
                     elif action == "drain":
                         replica.drain()
-                        health_after_drain = _health_of(replica.port)
+                        health_after_drain = health_of(replica.port)
                     event_log.append(
                         {"call": i, "action": action,
                          "replica": replica.name}
@@ -495,24 +430,13 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
             f"{record['replica']}#{record['incarnation']}: {violation}"
             for violation in record["violations"]
         )
-    if watch.escaped:
-        violations.extend(
-            f"escaped traceback: {entry}"
-            for entry in (watch.thread_exceptions + watch.error_logs)
-        )
+    violations.extend(f"escaped traceback: {entry}"
+                      for entry in watch.escaped)
     resolved = sum(outcomes.values())
     if resolved != calls:
         violations.append(f"only {resolved}/{calls} calls resolved")
     passed = not violations
-    latencies_sorted = sorted(latencies)
-
-    def percentile(fraction):
-        if not latencies_sorted:
-            return 0.0
-        index = min(int(fraction * len(latencies_sorted)),
-                    len(latencies_sorted) - 1)
-        return latencies_sorted[index]
-
+    latencies.sort()
     results = {
         "meta": {
             "python": platform.python_version(),
@@ -530,16 +454,14 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
         "events": event_log,
         "outcomes": outcomes,
         "latency": {
-            "p50_ms": percentile(0.50) * 1e3,
-            "p99_ms": percentile(0.99) * 1e3,
-            "max_ms": (latencies_sorted[-1] * 1e3
-                       if latencies_sorted else 0.0),
+            "p50_ms": percentile(latencies, 0.50) * 1e3,
+            "p99_ms": percentile(latencies, 0.99) * 1e3,
+            "max_ms": percentile(latencies, 1.0) * 1e3,
         },
         "client": client_stats,
         "health_after_drain": health_after_drain,
         "incarnations": incarnations,
-        "escaped_tracebacks": (watch.thread_exceptions
-                               + watch.error_logs),
+        "escaped_tracebacks": watch.escaped,
         "violations": violations,
         "passed": passed,
     }
@@ -554,7 +476,7 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
          f" {results['latency']['max_ms']:.0f}"),
         ("burst sheds", burst["server_sheds"]),
         ("incarnations checked", len(incarnations)),
-        ("escaped tracebacks", watch.escaped),
+        ("escaped tracebacks", len(watch.escaped)),
         ("violations", len(violations)),
         ("verdict", "PASS" if passed else "FAIL"),
     ]
@@ -567,15 +489,4 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
              f" handlers_invoked == drc stores == drc entries,"
              f" zero evictions",
     ))
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-        print(f"\n[wrote {json_path}]")
-    if not passed:
-        for violation in violations[:20]:
-            print(f"VIOLATION: {violation}")
-        raise AssertionError(
-            f"chaos soak failed with {len(violations)} violation(s);"
-            f" see {json_path or 'the violations above'}"
-        )
-    return results
+    return finish("chaos", results, json_path)

@@ -2,41 +2,45 @@
 tables and figures."""
 
 import argparse
+import importlib
 import inspect
 import sys
 import time
 
-from repro.bench import ablation, chaos, cluster, codesize, faults, figure6, live, marshaling, mux, online, overload, roundtrip, unrolling
 from repro.bench.workloads import ARRAY_SIZES, IntArrayWorkload
 
+#: name -> (title, ``module:function`` of the runner).  A runner's
+#: module is imported when the experiment is chosen, so a paper table
+#: never loads the soaks' sockets, fleet and subprocess machinery.
 EXPERIMENTS = {
-    "table1": ("Table 1 — client marshaling", marshaling.run),
-    "table2": ("Table 2 — RPC round trip", roundtrip.run),
-    "table3": ("Table 3 — code size", codesize.run),
-    "table4": ("Table 4 — 250-element partial unroll", unrolling.run),
-    "figure6": ("Figure 6 — cross-platform panels", figure6.run),
-    "ablation": ("Ablations of specializer refinements", ablation.run),
-    "live": ("Live fast path — generic vs staged runtime", live.run),
+    "table1": ("Table 1 — client marshaling", "marshaling:run"),
+    "table2": ("Table 2 — RPC round trip", "roundtrip:run"),
+    "table3": ("Table 3 — code size", "codesize:run"),
+    "table4": ("Table 4 — 250-element partial unroll", "unrolling:run"),
+    "figure6": ("Figure 6 — cross-platform panels", "figure6:run"),
+    "ablation": ("Ablations of specializer refinements", "ablation:run"),
     "faults": ("Fault matrix — latency/goodput under injected loss",
-               faults.run),
+               "faults:run"),
     "chaos": ("Chaos soak — resilience invariants under loss, kills,"
-              " and drain", chaos.run),
-    "mux": ("Concurrent call engine — pipelined/batched goodput vs the"
-            " serial client", mux.run),
+              " and drain", "chaos:run"),
     "chaos_mux": ("Chaos soak over the mux stack — pipelining preserves"
-                  " at-most-once", chaos.run_mux),
+                  " at-most-once", "chaos:run_mux"),
     "cluster": ("Cluster soak — durable at-most-once across a"
-                " multi-process rolling restart", cluster.run),
-    "online": ("Online specialization — convergence curve of the"
-               " profile-guided hot swap", online.run),
+                " multi-process rolling restart", "cluster:run"),
     "overload": ("Overload soak — metastability with vs without deadline"
                  " propagation, retry budgets, hedging, and CoDel",
-                 overload.run),
+                 "overload:run"),
 }
 
 #: experiments whose runner takes only the workload (no sizes tuple)
-_NO_SIZES = ("table4", "ablation", "faults", "chaos", "mux", "chaos_mux",
-             "cluster", "online", "overload")
+_NO_SIZES = ("table4", "ablation", "faults", "chaos", "chaos_mux",
+             "cluster", "overload")
+
+
+def _runner(name):
+    module, _, function = EXPERIMENTS[name][1].partition(":")
+    return getattr(importlib.import_module(f"repro.bench.{module}"),
+                   function)
 
 
 def main(argv=None):
@@ -61,8 +65,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--calls", type=int,
-        help="call count of a soak or live bench (chaos, chaos_mux,"
-        " cluster, overload, mux, online, faults); each has its default",
+        help="call count of a soak (chaos, chaos_mux, cluster, overload,"
+        " faults); each has its default",
     )
     parser.add_argument(
         "--seed", type=lambda text: int(text, 0),
@@ -75,16 +79,16 @@ def main(argv=None):
     ]
     sizing = {option: getattr(args, option) for option in ("calls", "seed")
               if getattr(args, option) is not None}
-    for name in names:
-        takes = inspect.signature(EXPERIMENTS[name][1]).parameters
+    runners = {name: _runner(name) for name in names}
+    for name, runner in runners.items():
+        takes = inspect.signature(runner).parameters
         for option in sizing:
             if option not in takes:
                 parser.error(f"{name} takes no --{option}")
     workload = IntArrayWorkload()
-    for name in names:
-        title, runner = EXPERIMENTS[name]
+    for name, runner in runners.items():
         started = time.time()
-        print(f"### {title}\n")
+        print(f"### {EXPERIMENTS[name][0]}\n")
         if name in _NO_SIZES:
             runner(workload, **sizing)
         else:

@@ -50,12 +50,11 @@ import time
 
 from repro.bench.cluster_node import PROC_DOUBLE, PROG, VERS
 from repro.bench.report import format_table
+from repro.bench.soak import finish, health_of, uniqueness_violations
 from repro.errors import RpcError
-from repro.rpc import FailoverClient, SvcRegistry, UdpServer
+from repro.rpc import STATUS_SERVING, FailoverClient, SvcRegistry, UdpServer
 from repro.rpc.client import RpcClient
 from repro.rpc.fleet import FleetDirectory, FleetWatcher
-from repro.rpc.resilience import HEALTH_PROG, HEALTH_PROC_STATUS, \
-    HEALTH_VERS, STATUS_SERVING
 from repro.xdr import xdr_u_long
 
 DEFAULT_JSON = "BENCH_cluster.json"
@@ -147,7 +146,7 @@ class _Node:
         """Poll the node's health program until it answers SERVING."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if _health_of(self.port) == STATUS_SERVING:
+            if health_of(self.port, deadline=1.0) == STATUS_SERVING:
                 return True
             time.sleep(0.05)
         return False
@@ -168,19 +167,6 @@ class _Node:
         """SIGKILL: no drain, no summary, journal must carry the day."""
         self.process.kill()
         return self.process.wait(timeout=timeout)
-
-
-def _health_of(port, deadline=1.0):
-    from repro.rpc.clnt_udp import UdpClient
-
-    client = UdpClient("127.0.0.1", port, HEALTH_PROG, HEALTH_VERS,
-                       timeout=deadline, wait=0.05, jitter=0.0)
-    try:
-        return client.call(HEALTH_PROC_STATUS, xdr_res=xdr_u_long)
-    except RpcError as exc:
-        return type(exc).__name__
-    finally:
-        client.close()
 
 
 class _RawProbe:
@@ -284,27 +270,13 @@ def _read_exec_logs(nodes):
 
 def _check_incarnation(summary):
     """The per-incarnation DRC uniqueness proof on one node summary."""
-    problems = []
-    drc = summary["drc"]
-    if summary["handlers_invoked"] != drc["stores"]:
-        problems.append(
-            f"node{summary['node_id']}#{summary['incarnation']}:"
-            f" handlers_invoked={summary['handlers_invoked']} !="
-            f" drc stores={drc['stores']}"
-        )
-    if drc["evictions"]:
-        problems.append(
-            f"node{summary['node_id']}#{summary['incarnation']}:"
-            f" drc evicted {drc['evictions']} entries — uniqueness"
-            f" proof lost"
-        )
+    problems = uniqueness_violations(summary["handlers_invoked"],
+                                     summary["drc"])
     journal = summary.get("journal")
     if journal is not None and journal["append_errors"]:
-        problems.append(
-            f"node{summary['node_id']}#{summary['incarnation']}:"
-            f" {journal['append_errors']} journal append errors"
-        )
-    return problems
+        problems.append(f"{journal['append_errors']} journal append errors")
+    return [f"node{summary['node_id']}#{summary['incarnation']}: {problem}"
+            for problem in problems]
 
 
 def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
@@ -587,15 +559,4 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
         note=f"seed {seed:#x}; proof: every exec-log key appears at"
              f" most once across all incarnations of all nodes",
     ))
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"\n[wrote {json_path}]")
-    if not passed:
-        for violation in violations[:20]:
-            print(f"VIOLATION: {violation}")
-        raise AssertionError(
-            f"cluster soak failed with {len(violations)} violation(s);"
-            f" see {json_path or 'the violations above'}"
-        )
-    return report
+    return finish("cluster", report, json_path)

@@ -14,13 +14,13 @@ sequence, so cell-to-cell differences are the stack's, not the dice's.
 """
 
 import contextlib
-import json
 import os
 import platform
 import time
 
 from repro import obs
 from repro.bench.report import format_table
+from repro.bench.soak import finish, percentile
 from repro.obs.trace import summarize_spans
 from repro.bench.workloads import PROG_NUMBER, VERS_NUMBER, WORKLOAD_IDL
 from repro.rpc import FaultPlan, SvcRegistry, UdpClient, UdpServer
@@ -34,14 +34,6 @@ LOSS_RATES = (0.0, 0.05, 0.20)
 DUPLICATE_RATE = 0.10
 DEFAULT_CALLS = 200
 DEFAULT_SEED = 0x5EED
-
-
-def _percentile(sorted_values, fraction):
-    if not sorted_values:
-        return 0.0
-    index = min(int(fraction * len(sorted_values)),
-                len(sorted_values) - 1)
-    return sorted_values[index]
 
 
 def _run_cell(stubs, loss, fastpath, drc, calls, seed):
@@ -95,8 +87,8 @@ def _run_cell(stubs, loss, fastpath, drc, calls, seed):
         "drc": drc,
         "calls": calls,
         "correct": ok,
-        "p50_us": _percentile(latencies, 0.50) * 1e6,
-        "p99_us": _percentile(latencies, 0.99) * 1e6,
+        "p50_us": percentile(latencies, 0.50) * 1e6,
+        "p99_us": percentile(latencies, 0.99) * 1e6,
         "goodput_calls_per_s": ok / elapsed if elapsed else 0.0,
         "retransmissions": retransmissions,
         "stale_replies": stale,
@@ -186,8 +178,4 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
              f" +{int(DUPLICATE_RATE * 100)}% duplicates when lossy;"
              f" seed {seed:#x}",
     ))
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-        print(f"\n[wrote {json_path}]")
-    return results
+    return finish("faults", results, json_path)

@@ -51,13 +51,11 @@ plans.
 
 from __future__ import annotations
 
-import json
-import logging
 import platform
-import threading
 import time
 
 from repro.bench.report import format_table
+from repro.bench.soak import TracebackWatch, finish, uniqueness_violations
 from repro.errors import RpcError
 from repro.rpc import (
     FailoverClient,
@@ -104,47 +102,6 @@ DEFAULT_SEED = 42
 DEFAULT_JSON = "BENCH_overload.json"
 
 
-class _TracebackWatch:
-    """Captures anything that would have printed a stack trace: uncaught
-    thread exceptions and ERROR-level log records from the stack."""
-
-    def __init__(self):
-        self.thread_exceptions = []
-        self.error_logs = []
-        self._prev_hook = None
-        self._handler = None
-
-    def __enter__(self):
-        self._prev_hook = threading.excepthook
-        threading.excepthook = self._on_thread_exception
-        watch = self
-
-        class _Capture(logging.Handler):
-            def emit(self, record):
-                watch.error_logs.append(
-                    f"{record.name}: {record.getMessage()}"
-                )
-
-        self._handler = _Capture(level=logging.ERROR)
-        logging.getLogger("repro").addHandler(self._handler)
-        return self
-
-    def _on_thread_exception(self, args):
-        self.thread_exceptions.append(
-            f"{args.thread.name if args.thread else '?'}:"
-            f" {args.exc_type.__name__}: {args.exc_value}"
-        )
-
-    def __exit__(self, *exc_info):
-        threading.excepthook = self._prev_hook
-        logging.getLogger("repro").removeHandler(self._handler)
-        return False
-
-    @property
-    def escaped(self):
-        return len(self.thread_exceptions) + len(self.error_logs)
-
-
 class Replica:
     """One UDP replica: DRC-backed registry, worker pool, and a clean
     fault plan used only for the timed spike phase."""
@@ -185,22 +142,9 @@ class Replica:
         }
 
     def violations(self):
-        found = []
-        invoked = self.registry.handlers_invoked
-        stores = self.registry.drc.stores
-        if invoked != stores:
-            found.append(
-                f"{self.name}: duplicate-execution invariant broken:"
-                f" handlers_invoked={invoked} != drc stores={stores}"
-            )
-        if self.registry.drc.evictions:
-            found.append(
-                f"{self.name}: drc evicted"
-                f" {self.registry.drc.evictions} entries — the"
-                f" at-most-once window is compromised; raise"
-                f" DRC_CAPACITY"
-            )
-        return found
+        drc = self.registry.drc
+        return [f"{self.name}: {found}" for found in uniqueness_violations(
+            self.registry.handlers_invoked, drc.summary(), len(drc))]
 
     def stop(self):
         self.server.stop()
@@ -392,7 +336,7 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
     calls = max(calls, MIN_CALLS)
     violations = []
     started = time.perf_counter()
-    with _TracebackWatch() as watch:
+    with TracebackWatch() as watch:
         uncontrolled = _run_stack(False, calls, seed)
         controlled = _run_stack(True, calls, seed + 5000)
     elapsed = time.perf_counter() - started
@@ -420,9 +364,7 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
             "hedge probe issued zero hedged requests — the adaptive"
             " trigger never fired"
         )
-    if watch.escaped:
-        for item in watch.thread_exceptions + watch.error_logs:
-            violations.append(f"escaped: {item}")
+    violations.extend(f"escaped: {item}" for item in watch.escaped)
 
     results = {
         "meta": {
@@ -484,14 +426,4 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
         phase_rows,
     ))
 
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\n[wrote {json_path}]")
-    if violations:
-        listed = "\n  - ".join(violations[:20])
-        raise AssertionError(
-            f"overload soak: {len(violations)} violation(s):\n"
-            f"  - {listed}"
-        )
-    return results
+    return finish("overload", results, json_path)

@@ -49,7 +49,3 @@ def format_series(title, x_label, xs, series, width=52):
             bar = "#" * max(1, int(round(value / peak * width)))
             lines.append(f"  {str(x).rjust(6)} |{bar} {value:.3f}")
     return "\n".join(lines)
-
-
-def ratio(a, b):
-    return a / b if b else float("inf")

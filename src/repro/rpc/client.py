@@ -24,7 +24,7 @@ import itertools
 import os
 import struct
 
-from repro.errors import RpcProtocolError, XdrError
+from repro.errors import XdrError
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.fastpath import (
     BufferPool,
@@ -71,9 +71,6 @@ class RpcClient:
         self.propagate_deadline = propagation_enabled(propagate_deadline)
         start = struct.unpack(">I", os.urandom(4))[0]
         self._xids = itertools.count(start)
-        #: optional (encode_fn, decode_fn) overrides per proc number —
-        #: body-only marshaling overrides.
-        self._marshalers = {}
         #: optional whole-message codecs per proc number — installed by
         #: the specialization pipeline (the residual code marshals the
         #: call header too, as the paper's specialized clntudp_call does).
@@ -83,16 +80,7 @@ class RpcClient:
         self._templates = {}
         self._send_pool = None
 
-    # -- marshaling plug points ------------------------------------------
-
-    def install_marshaler(self, proc, encode_fn=None, decode_fn=None):
-        """Override marshaling for ``proc``.
-
-        ``encode_fn(stream, args)`` writes the arguments; ``decode_fn
-        (stream)`` reads the results.  Either may be None to keep the
-        generic path.
-        """
-        self._marshalers[proc] = (encode_fn, decode_fn)
+    # -- marshaling plug point -------------------------------------------
 
     def install_codec(self, proc, build_request, parse_reply):
         """Override the *whole message* for ``proc``.
@@ -122,10 +110,6 @@ class RpcClient:
                                      limit=pool_limit, prefill=1)
         return self
 
-    def disable_fastpath(self):
-        self._send_pool = None
-        self._templates.clear()
-
     def configure_buffers(self, request_size):
         """Shrink the encode pool to the exact-fit request size — called
         when a specialization is installed and the wire size is a known
@@ -144,14 +128,6 @@ class RpcClient:
             )
             self._templates[proc] = template
         return template
-
-    def _encode_body(self, stream, proc, args, xdr_args):
-        override = self._marshalers.get(proc)
-        if override is not None and override[0] is not None:
-            override[0](stream, args)
-        elif xdr_args is not None:
-            xdr_args(stream, args)
-        return stream.pos
 
     def next_xid(self):
         return next(self._xids) & 0xFFFFFFFF
@@ -173,7 +149,8 @@ class RpcClient:
         header = CallHeader(xid, self.prog, self.vers, proc, self.cred,
                             self.verf)
         encode_call_header(stream, header)
-        self._encode_body(stream, proc, args, xdr_args)
+        if xdr_args is not None:
+            xdr_args(stream, args)
         return stream.data()
 
     def build_call_deadline(self, xid, proc, args, xdr_args, deadline):
@@ -191,14 +168,17 @@ class RpcClient:
         header = CallHeader(xid, self.prog, self.vers, proc,
                             make_deadline_cred(deadline), self.verf)
         encode_call_header(stream, header)
-        length = self._encode_body(stream, proc, args, xdr_args)
-        del buffer[length:]
+        if xdr_args is not None:
+            xdr_args(stream, args)
+        del buffer[stream.pos:]
         return buffer
 
     def _encode_into(self, buffer, xid, proc, args, xdr_args):
         offset = self._template_for(proc).write_into(buffer, xid)
         stream = XdrMemStream(buffer, XdrOp.ENCODE, offset=offset)
-        return self._encode_body(stream, proc, args, xdr_args)
+        if xdr_args is not None:
+            xdr_args(stream, args)
+        return stream.pos
 
     def build_call_pooled(self, xid, proc, args, xdr_args):
         """Fast path: serialize into a pooled buffer.
@@ -246,9 +226,6 @@ class RpcClient:
                 return False, None
             stream = XdrMemStream(data, XdrOp.DECODE,
                                   offset=_ACCEPTED_SUCCESS.size)
-            override = self._marshalers.get(proc)
-            if override is not None and override[1] is not None:
-                return True, override[1](stream)
             if xdr_res is not None:
                 return True, xdr_res(stream, None)
             return True, None
@@ -257,9 +234,6 @@ class RpcClient:
         if reply.xid != xid:
             return False, None
         raise_for_reply(reply)
-        override = self._marshalers.get(proc)
-        if override is not None and override[1] is not None:
-            return True, override[1](stream)
         if xdr_res is not None:
             return True, xdr_res(stream, None)
         return True, None
@@ -283,16 +257,3 @@ class RpcClient:
     def __exit__(self, *exc_info):
         self.close()
         return False
-
-
-def decode_reply_or_raise(data, xid, xdr_res):
-    """One-shot reply decode used by tests and the portmapper client.
-
-    Decodes ``data`` (bytes-like) in place, without copying.
-    """
-    stream = XdrMemStream(data, XdrOp.DECODE)
-    reply = decode_reply_header(stream)
-    if reply.xid != xid:
-        raise RpcProtocolError(f"xid mismatch: {reply.xid} != {xid}")
-    raise_for_reply(reply)
-    return xdr_res(stream, None) if xdr_res is not None else None

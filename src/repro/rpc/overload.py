@@ -56,9 +56,6 @@ __all__ = [
     "remaining_from_cred",
     "stamp_deadline",
     "QUEUE_POLICIES",
-    "resolve_queue_policy",
-    "resolve_queue_target_s",
-    "resolve_queue_interval_s",
 ]
 
 #: user-defined auth flavor carrying the remaining deadline budget
@@ -219,34 +216,8 @@ class HedgeTrigger:
         return delay
 
 
-#: queue policies accepted by :class:`CodelQueue` / ``REPRO_QUEUE_POLICY``
-QUEUE_POLICIES = ("fifo", "codel", "lifo", "codel-lifo")
-
-
-def resolve_queue_policy(policy=None):
-    """Explicit policy wins; ``None`` falls back to
-    ``REPRO_QUEUE_POLICY`` (default ``codel``)."""
-    if policy is None:
-        policy = os.environ.get("REPRO_QUEUE_POLICY", "").strip() \
-            or "codel"
-    if policy not in QUEUE_POLICIES:
-        raise ValueError(
-            f"unknown queue policy {policy!r}; choose from"
-            f" {QUEUE_POLICIES}"
-        )
-    return policy
-
-
-def resolve_queue_target_s(target_s=None):
-    if target_s is not None:
-        return target_s
-    return float(os.environ.get("REPRO_QUEUE_TARGET_MS", 5.0)) / 1e3
-
-
-def resolve_queue_interval_s(interval_s=None):
-    if interval_s is not None:
-        return interval_s
-    return float(os.environ.get("REPRO_QUEUE_INTERVAL_MS", 100.0)) / 1e3
+#: queue policies accepted by :class:`CodelQueue`
+QUEUE_POLICIES = ("fifo", "codel", "codel-lifo")
 
 
 class CodelQueue:
@@ -262,20 +233,25 @@ class CodelQueue:
     SYSTEM_ERR shed) rather than drop it silently.
 
     Policies: ``fifo`` (no shedding — the legacy bounded queue),
-    ``codel`` (shedding, FIFO order), ``lifo`` (shedding,
-    newest-first always), ``codel-lifo`` (shedding, newest-first only
-    while the controller is in its above-target state).
+    ``codel`` (shedding, FIFO order), ``codel-lifo`` (shedding,
+    newest-first only while the controller is in its above-target
+    state).
 
     ``put_nowait`` raises :class:`queue.Full` at ``maxsize`` exactly
     like the stdlib queue it replaces.
     """
 
-    def __init__(self, maxsize, target_s=None, interval_s=None,
-                 policy=None, clock=time.monotonic):
+    def __init__(self, maxsize, target_s=0.005, interval_s=0.1,
+                 policy="codel", clock=time.monotonic):
+        if policy not in QUEUE_POLICIES:
+            raise ValueError(
+                f"unknown queue policy {policy!r}; choose from"
+                f" {QUEUE_POLICIES}"
+            )
         self.maxsize = maxsize
-        self.target_s = resolve_queue_target_s(target_s)
-        self.interval_s = resolve_queue_interval_s(interval_s)
-        self.policy = resolve_queue_policy(policy)
+        self.target_s = target_s
+        self.interval_s = interval_s
+        self.policy = policy
         self._clock = clock
         self._items = collections.deque()
         self._lock = threading.Lock()
@@ -284,7 +260,6 @@ class CodelQueue:
         self._next_shed_at = None
         self._shed_streak = 0
         self.sojourn_sheds = 0
-        self.puts = 0
 
     def qsize(self):
         with self._lock:
@@ -298,7 +273,6 @@ class CodelQueue:
             if self.maxsize and len(self._items) >= self.maxsize:
                 raise queue.Full
             self._items.append((item, self._clock()))
-            self.puts += 1
             self._not_empty.notify()
 
     def pop(self, timeout=None):
@@ -309,9 +283,9 @@ class CodelQueue:
                                             timeout):
                 raise queue.Empty
             now = self._clock()
-            overloaded = self._next_shed_at is not None
-            lifo = (self.policy == "lifo"
-                    or (self.policy == "codel-lifo" and overloaded))
+            # newest first only while the controller is above target
+            lifo = (self.policy == "codel-lifo"
+                    and self._next_shed_at is not None)
             item, enqueued_at = (self._items.pop() if lifo
                                  else self._items.popleft())
             sojourn = max(0.0, now - enqueued_at)
@@ -340,14 +314,3 @@ class CodelQueue:
         self._next_shed_at = now + (self.interval_s
                                     / math.sqrt(self._shed_streak))
         return True
-
-    def summary(self):
-        with self._lock:
-            return {
-                "policy": self.policy,
-                "target_ms": self.target_s * 1e3,
-                "interval_ms": self.interval_s * 1e3,
-                "depth": len(self._items),
-                "puts": self.puts,
-                "sojourn_sheds": self.sojourn_sheds,
-            }

@@ -190,11 +190,6 @@ class RecordAssembler:
         self._record_size = 0
         self._fragment_count = 0
 
-    @property
-    def pending_bytes(self):
-        """Bytes buffered toward an incomplete record."""
-        return len(self._buffer) + self._record_size
-
     def feed(self, data):
         """Absorb ``data``; return the list of records it completed."""
         if not (self._buffer or self._fragment_count):

@@ -419,8 +419,8 @@ class WorkerPool:
     """
 
     def __init__(self, workers, queue_depth, handler, name="rpc-worker",
-                 queue_policy=None, queue_target_s=None,
-                 queue_interval_s=None, shed_handler=None):
+                 queue_policy="codel", queue_target_s=0.005,
+                 queue_interval_s=0.1, shed_handler=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.handler = handler
@@ -443,13 +443,6 @@ class WorkerPool:
         ]
         for thread in self._threads:
             thread.start()
-
-    @property
-    def queue_policy(self):
-        return self._queue.policy
-
-    def queue_summary(self):
-        return self._queue.summary()
 
     def submit(self, item):
         """Enqueue one request; False means the queue is full (shed)."""
@@ -546,8 +539,7 @@ class FailoverClient:
     deadline: one rotation through the replica set, then the last
     error propagates).
 
-    **Retry budget:** ``retry_budget_ratio`` > 0 (or the
-    ``REPRO_RETRY_BUDGET`` knob) installs a
+    **Retry budget:** ``retry_budget_ratio`` > 0 installs a
     :class:`~repro.rpc.overload.RetryBudget` shared by the rotation
     loop — after the first failed attempt, every further attempt
     (rotation or re-cycle) must withdraw a token, and exhaustion
@@ -556,7 +548,7 @@ class FailoverClient:
     a retry storm.  UDP transports also get a per-endpoint budget
     gating their in-call retransmissions.
 
-    **Hedging:** ``hedge=True`` (or ``REPRO_HEDGE``) arms hedged
+    **Hedging:** ``hedge=True`` arms hedged
     requests (every transport has ``call_async``): once the
     :class:`~repro.rpc.overload.HedgeTrigger`
     has a latency profile, a call that outlives the adaptive p95 delay
@@ -571,10 +563,10 @@ class FailoverClient:
                  call_budget_s=None, breaker_threshold=3,
                  breaker_recovery_s=1.0, retry_pause_s=0.02,
                  clock=time.monotonic, client_factory=None,
-                 retry_budget_ratio=None, retry_budget_burst=10.0,
-                 retry_budget_min_rate=1.0, hedge=None,
-                 hedge_trigger=None, hedge_quantile=None,
-                 hedge_min_delay_s=None, hedge_min_samples=16,
+                 retry_budget_ratio=0.0, retry_budget_burst=10.0,
+                 retry_budget_min_rate=1.0, hedge=False,
+                 hedge_trigger=None, hedge_quantile=0.95,
+                 hedge_min_delay_s=0.001, hedge_min_samples=16,
                  **client_kwargs):
         if not endpoints:
             raise ValueError("need at least one endpoint")
@@ -591,10 +583,6 @@ class FailoverClient:
         self._client_kwargs = dict(client_kwargs)
         self._breaker_threshold = breaker_threshold
         self._breaker_recovery_s = breaker_recovery_s
-        if retry_budget_ratio is None:
-            retry_budget_ratio = float(
-                os.environ.get("REPRO_RETRY_BUDGET", "0") or 0.0
-            )
         self._retry_budget_ratio = retry_budget_ratio
         self._retry_budget_burst = retry_budget_burst
         self._retry_budget_min_rate = retry_budget_min_rate
@@ -604,23 +592,11 @@ class FailoverClient:
         self._retry_budgets = [
             self._make_retry_budget() for _ in self.endpoints
         ]
-        if hedge is None:
-            hedge = os.environ.get(
-                "REPRO_HEDGE", ""
-            ).strip().lower() in ("1", "true", "yes", "on")
         self.hedge_enabled = bool(hedge)
         if hedge_trigger is not None:
             self._hedge_trigger = hedge_trigger
             self.hedge_enabled = True
         elif self.hedge_enabled:
-            if hedge_quantile is None:
-                hedge_quantile = float(
-                    os.environ.get("REPRO_HEDGE_QUANTILE", 0.95)
-                )
-            if hedge_min_delay_s is None:
-                hedge_min_delay_s = float(
-                    os.environ.get("REPRO_HEDGE_MIN_DELAY_MS", 1.0)
-                ) / 1e3
             self._hedge_trigger = HedgeTrigger(
                 quantile=hedge_quantile,
                 min_samples=hedge_min_samples,
@@ -662,10 +638,10 @@ class FailoverClient:
                            min_rate=self._retry_budget_min_rate,
                            clock=self._clock)
 
-    def _make_client(self, index, deadline):
+    def _make_client(self, index, deadline, prog, vers):
         host, port = self.endpoints[index]
         if self._client_factory is not None:
-            return self._client_factory(host, port, self.prog, self.vers,
+            return self._client_factory(host, port, prog, vers,
                                         **self._client_kwargs)
         from repro import rpc
 
@@ -684,12 +660,13 @@ class FailoverClient:
                 kwargs.get("timeout", 25.0), max(deadline.check("connect"),
                                                  1e-3)
             )
-        return cls(host, port, self.prog, self.vers, **kwargs)
+        return cls(host, port, prog, vers, **kwargs)
 
     def _client(self, index, deadline=None):
         client = self._clients[index]
         if client is None:
-            client = self._make_client(index, deadline)
+            client = self._make_client(index, deadline, self.prog,
+                                       self.vers)
             # Shared xid discipline: every endpoint draws from the one
             # counter, so no two distinct calls ever share an xid.
             client._xids = self._xids
@@ -1071,24 +1048,39 @@ class FailoverClient:
 
     def health(self, deadline=None):
         """The health program's status (``STATUS_SERVING`` /
-        ``STATUS_DRAINING``) from whichever replica answers."""
+        ``STATUS_DRAINING``) from whichever replica answers.
+
+        One rotation from the current endpoint, each probed through a
+        throwaway client of its own (health rides its own program
+        number; the cached clients are per-(prog, vers)).  A probe
+        reads ``endpoints`` and draws xids and nothing else: calls on
+        other threads, the breakers and the rotation position never
+        see it.
+        """
         from repro.xdr import xdr_u_long
 
-        saved_prog, saved_vers = self.prog, self.vers
-        clients = list(self._clients)
-        try:
-            # Health rides its own program number; underlying clients
-            # are per-(prog, vers), so query with a throwaway set.
-            self.prog, self.vers = HEALTH_PROG, HEALTH_VERS
-            self._clients = [None] * len(self.endpoints)
-            return self.call(HEALTH_PROC_STATUS, xdr_res=xdr_u_long,
-                             deadline=deadline)
-        finally:
-            for client in self._clients:
-                if client is not None:
-                    client.close()
-            self.prog, self.vers = saved_prog, saved_vers
-            self._clients = clients
+        budget = deadline if deadline is not None else self.call_budget_s
+        deadline = Deadline.coerce(budget, clock=self._clock)
+        count = len(self.endpoints)
+        last_error = None
+        for offset in range(count):
+            index = (self._index + offset) % count
+            try:
+                client = self._make_client(index, deadline, HEALTH_PROG,
+                                           HEALTH_VERS)
+            except (RpcError, OSError, IndexError) as exc:
+                # IndexError: set_endpoints() shrank the set under us
+                last_error = self._as_rpc_error(exc)
+                continue
+            try:
+                client._xids = self._xids
+                return client.call(HEALTH_PROC_STATUS, xdr_res=xdr_u_long,
+                                   deadline=deadline)
+            except RpcError as exc:
+                last_error = exc
+            finally:
+                client.close()
+        raise last_error
 
     def stats_summary(self):
         summary = {

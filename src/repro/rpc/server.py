@@ -207,10 +207,6 @@ class SvcRegistry:
         self.drc = DuplicateRequestCache(capacity)
         return self
 
-    @property
-    def drc_enabled(self):
-        return self.drc is not None
-
     # -- resilience: drain, health, shedding ------------------------------
 
     def begin_drain(self):

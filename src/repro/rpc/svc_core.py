@@ -59,8 +59,8 @@ class RpcServer:
 
     def __init__(self, registry, fastpath=False, drc=True,
                  fault_plan=None, max_inflight=None, workers=0,
-                 queue_depth=64, queue_policy=None, queue_target_s=None,
-                 queue_interval_s=None, drc_dir=None, drc_fsync=None,
+                 queue_depth=64, queue_policy="codel", queue_target_s=0.005,
+                 queue_interval_s=0.1, drc_dir=None, drc_fsync=None,
                  online_spec=None):
         self.registry = registry
         self.host, self.port = self.sock.getsockname()

@@ -98,8 +98,6 @@ class OnlinePolicy:
     #: generic-served calls since the last decision before an empty
     #: table is reviewed (the procedure is hot).
     min_calls: int = 200
-    #: sustained call rate floor in calls/s (0 disables the rate test).
-    min_rate_hz: float = 0.0
     #: share of its guarded calls a table must answer to be left
     #: alone; a size must hold more than the rest, ``1 -
     #: stable_fraction``, to earn a variant or keep an idle one.
@@ -121,18 +119,15 @@ class OnlinePolicy:
 class ProcProfile:
     """One procedure's sample of the calls the generic codec served."""
 
-    __slots__ = ("calls", "first_ts", "last_ts", "recent")
+    __slots__ = ("calls", "recent")
 
-    def __init__(self, window, now):
+    def __init__(self, window):
         self.calls = 0
-        self.first_ts = now
-        self.last_ts = now
         #: recent (size key, success_reply_bytes|None) pairs.
         self.recent = deque(maxlen=window)
 
-    def record(self, key, reply_bytes, now):
+    def record(self, key, reply_bytes):
         self.calls += 1
-        self.last_ts = now
         self.recent.append((key, reply_bytes))
 
 
@@ -146,25 +141,22 @@ class DispatchProfiler:
     and one ``struct.unpack_from`` — cheap enough to leave on.
     """
 
-    def __init__(self, window=64, clock=time.monotonic):
+    def __init__(self, window=64):
         self.window = window
-        self.clock = clock
         self._profiles = {}
 
     def record(self, data, reply):
         if len(data) < 24 or data[4:12] != _CALL_V2:
             return
         key = struct.unpack_from(">3I", data, 12)
-        now = self.clock()
         profile = self._profiles.get(key)
         if profile is None:
             profile = self._profiles.setdefault(
-                key, ProcProfile(self.window, now))
+                key, ProcProfile(self.window))
         profile.record(
             len(data),
             len(reply) if reply is not None
-            and _SUCCESS_REPLY.matches(reply) else None,
-            now)
+            and _SUCCESS_REPLY.matches(reply) else None)
         if _obs.enabled:
             _obs.registry.cells[_OBSERVED["server"]].inc()
 
@@ -237,7 +229,7 @@ class VariantTable:
         self.cooldown_until = 0.0
         self.last_decision = None
         self._retired_hits = 0
-        self._reviewed = (0, 0, profile.first_ts)
+        self._reviewed = (0, 0)
 
     @property
     def sizes(self):
@@ -271,18 +263,17 @@ class VariantTable:
 
     def period(self):
         """``(hits per resident variant, violations, generic-served
-        calls, start of the period)`` since the last review."""
-        violations, calls, since = self._reviewed
+        calls)`` since the last review."""
+        violations, calls = self._reviewed
         return ({key: variant.hits - variant.reviewed
                  for key, variant in self.variants.items()},
                 self.violations - violations,
-                self.profile.calls - calls, since)
+                self.profile.calls - calls)
 
     def close_period(self):
         for variant in self.variants.values():
             variant.reviewed = variant.hits
-        self._reviewed = (self.violations, self.profile.calls,
-                          self.profile.last_ts)
+        self._reviewed = (self.violations, self.profile.calls)
 
 
 class OnlineServerRoute(VariantTable):
@@ -355,10 +346,8 @@ class OnlineClientCodec(VariantTable):
 
     def __init__(self, specializer, client, proc_name):
         pipeline = specializer.pipeline
-        self._clock = specializer.clock
-        window = specializer.policy.window
         super().__init__(pipeline, pipeline.find_proc(proc_name),
-                         ProcProfile(window, self._clock()))
+                         ProcProfile(specializer.policy.window))
         self.client = client
         self._arg_fields = pipeline._gen.var_fields(self.arg_struct)
         self._arg_filter = getattr(pipeline.stubs,
@@ -437,8 +426,7 @@ class OnlineClientCodec(VariantTable):
         if n is None:
             return
         self.profile.record(
-            n, len(data) if _SUCCESS_REPLY.matches(data) else None,
-            self._clock())
+            n, len(data) if _SUCCESS_REPLY.matches(data) else None)
         if _obs.enabled:
             _obs.registry.cells[_OBSERVED["client"]].inc()
 
@@ -514,8 +502,7 @@ class OnlineSpecializer:
         the installed profiler (None when disabled)."""
         if not self.enabled:
             return None
-        profiler = DispatchProfiler(window=self.policy.window,
-                                    clock=self.clock)
+        profiler = DispatchProfiler(window=self.policy.window)
         registry.install_profiler(profiler)
         with self._lock:
             self._servers.append((registry, profiler, {}))
@@ -651,7 +638,7 @@ class OnlineSpecializer:
         policy = self.policy
         if self.clock() < table.cooldown_until:
             return
-        held, misses, served, since = table.period()
+        held, misses, served = table.period()
         if held:
             hits = sum(held.values())
             if (misses < policy.violation_threshold
@@ -660,9 +647,7 @@ class OnlineSpecializer:
         else:
             # nothing is guarded yet: every generic-served call counts
             hits, misses = 0, served
-            elapsed = table.profile.last_ts - since
-            if misses < policy.min_calls or (
-                    elapsed > 0 and misses / elapsed < policy.min_rate_hz):
+            if misses < policy.min_calls:
                 return
         calls = hits + misses
         if not calls:

@@ -1,9 +1,16 @@
 """CLI tests for repro-bench and repro-rpcgen."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.cli import main as bench_main
 from repro.rpcgen.cli import main as rpcgen_main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
 
 SMALL_IDL = """
 const N = 4;
@@ -32,22 +39,49 @@ def test_bench_rejects_unknown_experiment():
 
 
 def test_bench_sizing_options_reach_only_runners_that_take_them(monkeypatch):
-    from repro.bench import cli
+    from repro.bench import chaos
 
     seen = {}
 
     def soak(workload=None, calls=None, seed=None):
         seen.update(calls=calls, seed=seed)
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "chaos", ("stub soak", soak))
+    monkeypatch.setattr(chaos, "run", soak)
     assert bench_main(["chaos", "--calls", "7", "--seed", "0x10"]) == 0
     assert seen == {"calls": 7, "seed": 16}
     # the paper's tables have no call count to set
     with pytest.raises(SystemExit):
         bench_main(["table3", "--calls", "7"])
-    # ... and a bench without fault dice takes no seed
+    # ... and no fault dice to seed
     with pytest.raises(SystemExit):
-        bench_main(["mux", "--seed", "1"])
+        bench_main(["table1", "--seed", "1"])
+
+
+@pytest.mark.parametrize("name", ["live", "mux", "online"])
+def test_bench_pre_ledger_live_benches_are_gone(name):
+    with pytest.raises(SystemExit):
+        bench_main([name])
+
+
+def test_bench_table_does_not_load_the_soaks():
+    """The experiment table imports a runner only when it is chosen:
+    a paper table never loads the soaks or the fleet under them."""
+    code = (
+        "import sys\n"
+        "from repro.bench.cli import main\n"
+        "assert main(['table3', '--sizes', '20']) == 0\n"
+        "assert 'repro.bench.codesize' in sys.modules\n"
+        "print([name for name in ('repro.bench.chaos',"
+        " 'repro.bench.cluster', 'repro.bench.overload',"
+        " 'repro.bench.soak', 'repro.rpc.fleet')"
+        " if name in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_rpcgen_python_output(tmp_path, capsys):
@@ -78,31 +112,3 @@ def test_rpcgen_default_prints_python(tmp_path, capsys):
     source.write_text(SMALL_IDL)
     assert rpcgen_main([str(source)]) == 0
     assert "class msg" in capsys.readouterr().out
-
-
-def test_bench_live_report(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert bench_main(["live", "--sizes", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "Live marshal" in out
-    assert "round trip" in out
-    assert (tmp_path / "BENCH_live.json").exists()
-
-
-def test_live_run_emits_json(tmp_path):
-    import json
-
-    from repro.bench import live
-
-    json_path = tmp_path / "live.json"
-    results = live.run(sizes=(20,), repeats=2, number=30,
-                       json_path=str(json_path))
-    on_disk = json.loads(json_path.read_text())
-    assert on_disk["marshal"]["20"]["speedup"] == pytest.approx(
-        results["marshal"]["20"]["speedup"]
-    )
-    roundtrip = on_disk["roundtrip"]["20"]
-    assert roundtrip["generic_us"] > 0
-    assert roundtrip["fastpath_us"] > 0
-    # Steady-state fast-path calls never allocate a buffer.
-    assert roundtrip["fastpath_pool_allocations"] == 0

@@ -160,6 +160,57 @@ class TestFailover:
             for server in servers:
                 server.stop()
 
+    def test_health_probe_does_not_race_concurrent_calls(self):
+        # health() used to swap self.prog / self.vers / self._clients
+        # for the probe's duration: a call() on another thread built
+        # its client against the health program, parked it in the
+        # throwaway list and had it closed under it.
+        servers = [make_server(100)]
+        prober = threading.current_thread()
+        probing, release = threading.Event(), threading.Event()
+        built = []
+
+        def factory(host, port, prog, vers, **kwargs):
+            if threading.current_thread() is prober:
+                probing.set()          # the probe is mid-flight ...
+                assert release.wait(5.0)   # ... until the call is done
+            made = UdpClient(host, port, prog, vers, **kwargs)
+            built.append((threading.current_thread(), prog, made))
+            return made
+
+        outcome = []
+
+        def caller():
+            assert probing.wait(5.0)
+            try:
+                outcome.append(client.call(1, 1, xdr_args=xdr_u_long,
+                                           xdr_res=xdr_u_long))
+            except Exception as exc:
+                outcome.append(exc)
+            finally:
+                release.set()
+
+        try:
+            with make_failover(servers, call_budget_s=2.0,
+                               client_factory=factory) as client:
+                thread = threading.Thread(target=caller, daemon=True)
+                thread.start()
+                assert client.health() == STATUS_SERVING
+                thread.join(5.0)
+                assert not thread.is_alive()
+                assert outcome == [101]
+                (prog, theirs), = [(prog, made) for who, prog, made in built
+                                   if who is thread]
+                assert prog == PROG
+                assert client._clients[0] is theirs
+                assert theirs.sock.fileno() != -1   # still open
+                assert client.call(1, 2, xdr_args=xdr_u_long,
+                                   xdr_res=xdr_u_long) == 102
+        finally:
+            release.set()
+            for server in servers:
+                server.stop()
+
 
 class TestUdpDeadline:
     def test_deadline_beats_timeout(self):

@@ -87,16 +87,6 @@ class TestTemplateEquivalence:
         encode_accepted_reply(stream, 0xDEAD, AcceptStat.SUCCESS, NULL_AUTH)
         assert bytes(buffer[:size]) == stream.data()
 
-    def test_marshaler_override_rides_fast_header(self):
-        generic = RpcClient(PROG, VERS)
-        fast = RpcClient(PROG, VERS).enable_fastpath()
-        for client in (generic, fast):
-            client.install_marshaler(
-                3, encode_fn=lambda s, v: xdr_string(s, v, 64)
-            )
-        assert (fast.build_call(9, 3, "hello", None)
-                == generic.build_call(9, 3, "hello", None))
-
 
 class TestFastReplyCheck:
     """The client-side reply check: one slice compare against the

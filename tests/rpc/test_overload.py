@@ -329,12 +329,6 @@ class TestCodelQueue:
             _item, _sojourn, shed = q.pop(timeout=0)
             assert not shed
 
-    def test_lifo_serves_newest_first(self):
-        q, _clock = self.make_queue(policy="lifo")
-        for i in range(3):
-            q.put_nowait(i)
-        assert q.pop(timeout=0)[0] == 2
-
     def test_codel_lifo_flips_order_only_when_overloaded(self):
         q, clock = self.make_queue(policy="codel-lifo",
                                    target_s=0.005, interval_s=0.1)
