@@ -28,6 +28,10 @@ concurrent stack depends on and that no unit test exercises reliably:
   (``repro/rpc/clnt_*.py`` other than ``clnt_core.py``, and
   ``repro/rpc/mux.py``) nothing calls a retry budget, re-stamps or
   coerces a deadline, or builds a ``CallStats``: that is the engine's;
+* ``wire-layout-outside-rpcgen`` — outside ``repro/rpcgen/`` nothing
+  walks IDL type nodes (``Prim`` / ``FixedArray`` / ``VarArray`` /
+  ``Named`` of ``idl``) or spells a generated ``expected_<field>_len`` parameter
+  name: the stub contract states the layout and the signatures once;
 * ``knob-contract`` — every ``REPRO_*`` environment knob read by the
   source must be documented in docs/OPERATIONS.md and vice versa
   (absorbed from ``tools/check_links.py``).

@@ -1,5 +1,5 @@
 """Written-once rules: ``drc-outside-spine``, ``admission-outside-core``,
-``retransmission-outside-engine``.
+``retransmission-outside-engine``, ``wire-layout-outside-rpcgen``.
 
 ``drc-outside-spine``: the at-most-once protocol is written once.
 
@@ -31,9 +31,19 @@ retransmission, the retry budget and per-call stats live in
 budget's ``try_retry`` / ``note_call``, ``stamp_deadline``,
 ``Deadline.coerce`` or builds a ``CallStats`` is a second engine
 starting to grow.
+
+``wire-layout-outside-rpcgen``: what the generated stubs look like on
+the wire and in their signatures is stated once, by the stub contract
+(``repro/rpcgen/contract.py``).  Outside ``repro/rpcgen/``, a walk over
+IDL type nodes (the ``Prim`` / ``FixedArray`` / ``VarArray`` / ``Named``
+attributes of ``idl``) is a second copy of the wire layout, and a string or
+f-string spelling an ``expected_<field>_len`` parameter name is a
+second copy of an entry signature: read the contract's layout, shapes
+and role-bound signatures instead.
 """
 
 import ast as pyast
+import re
 
 from repro.analysis.findings import Finding
 
@@ -55,6 +65,13 @@ MUX_MODULE = "repro/rpc/mux.py"
 #: what only the client engine calls, by the callee's last name
 #: (``coerce`` only as ``Deadline.coerce``)
 ENGINE_CALLS = {"try_retry", "note_call", "stamp_deadline", "CallStats"}
+
+RPCGEN_PREFIX = "repro/rpcgen/"
+#: the IDL type nodes a wire-layout walk dispatches on
+LAYOUT_TYPES = {"Prim", "FixedArray", "VarArray", "Named"}
+#: a generated expected-length parameter name; ``{}`` stands for an
+#: interpolated piece of an f-string
+EXPECTED_LEN_NAME = re.compile(r"expected_[\w{}]*_len")
 
 
 def _last_name(node):
@@ -104,10 +121,45 @@ def _engine_calls(tree):
     return found
 
 
+def _layout_copies(tree):
+    """``(node, what)`` for IDL type-node references and spelled
+    expected-length parameter names."""
+    found = []
+    for node in pyast.walk(tree):
+        if (isinstance(node, pyast.Attribute) and node.attr in LAYOUT_TYPES
+                and _last_name(node.value) in ("idl", "idl_ast")):
+            found.append((node, f"idl.{node.attr}"))
+            continue
+        if isinstance(node, pyast.JoinedStr):
+            text = "".join(
+                part.value if isinstance(part, pyast.Constant) else "{}"
+                for part in node.values)
+        elif isinstance(node, pyast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        name = EXPECTED_LEN_NAME.search(text)
+        if name:
+            found.append((node, repr(name.group(0))))
+    return found
+
+
 def check(modules):
     findings = []
     for module in modules:
         rel = module.package_rel
+        if not rel.startswith(RPCGEN_PREFIX):
+            for node, what in _layout_copies(module.tree):
+                findings.append(Finding(
+                    rule="wire-layout-outside-rpcgen",
+                    path=module.rel,
+                    line=node.lineno,
+                    message=(f"{what} outside repro/rpcgen: the wire "
+                             f"layout and the entry parameters are the "
+                             f"stub contract's (rpcgen/contract.py); "
+                             f"read its layout, shapes and role-bound "
+                             f"signatures"),
+                ))
         if (rel == MUX_MODULE
                 or rel.startswith(CLIENT_PREFIX) and rel != ENGINE_MODULE):
             for call, name in _engine_calls(module.tree):

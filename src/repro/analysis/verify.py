@@ -60,16 +60,14 @@ from repro.analysis.symexec import (
     sym,
     values_equal,
 )
-from repro.errors import InterpError, ReproError, VerificationError
+from repro.errors import InterpError, VerificationError
 from repro.minic import types as ct
 from repro.minic import values as rv
 from repro.minic.typecheck import typecheck_program
-from repro.rpcgen import idl_ast as idl
-from repro.specialized.sizes import (
-    CALL_HEADER_BYTES,
-    REPLY_HEADER_BYTES,
-    reply_size,
-    request_size,
+from repro.rpcgen.contract import (
+    CALL_HEADER_WORDS,
+    REPLY_HEADER_WORDS,
+    LenWord,
 )
 
 #: concrete probe payloads open with the words a wrong wrap or a wrong
@@ -111,52 +109,23 @@ def ensure_verified(findings, what):
 # -- symbolic message templates ------------------------------------------
 
 
-def _encode_struct_words(interface, struct, lens, prefix, words):
-    """Append the XDR encoding of ``struct`` (one entry per 4-byte
-    word, symbolic for data, concrete for length words) to ``words``.
-    Mirrors :func:`repro.specialized.sizes.struct_encoded_size`."""
-    for field in struct.fields:
-        resolved = interface.resolve(field.type)
-        name = f"{prefix}.{field.name}"
-        if isinstance(resolved, idl.Prim):
-            words.append(sym(name))
-        elif isinstance(resolved, idl.FixedArray):
-            words.extend(sym(f"{name}[{i}]") for i in range(resolved.size))
-        elif isinstance(resolved, idl.VarArray):
-            count = lens[field.name]
-            words.append(count)
-            words.extend(sym(f"{name}[{i}]") for i in range(count))
-        elif isinstance(resolved, idl.Named):
-            nested = interface.struct(resolved.name)
-            _encode_struct_words(interface, nested, {}, name, words)
-        else:
-            raise ReproError(f"unsized type in verifier: {resolved!r}")
-    return words
+def _template(header, shape, lens, prefix):
+    """A message as one entry per 4-byte word: the ``header`` words,
+    then ``shape``'s wire layout under ``lens`` — symbolic for data,
+    concrete for length words.  The layout is the stub contract's; that
+    it is the encoding is checked where the template is used, by
+    running the generic MiniC program on it."""
+    return header + [
+        word.count if isinstance(word, LenWord)
+        else sym(f"{prefix}.{word.path}") for word in shape.layout(lens)]
 
 
-def _var_len_word_offsets(interface, struct, lens, base):
-    """Byte offsets (and bounds) of every bounded-array length word in
-    the encoded form of ``struct`` — the corruption targets for the
-    hostile-input probes.  Returns [(field_name, offset, bound, count)].
-    """
-    out = []
-    offset = base
-    for field in struct.fields:
-        resolved = interface.resolve(field.type)
-        if isinstance(resolved, idl.Prim):
-            offset += 4
-        elif isinstance(resolved, idl.FixedArray):
-            offset += 4 * resolved.size
-        elif isinstance(resolved, idl.VarArray):
-            out.append((field.name, offset, resolved.bound,
-                        lens[field.name]))
-            offset += 4 + 4 * lens[field.name]
-        elif isinstance(resolved, idl.Named):
-            nested = interface.struct(resolved.name)
-            nested_words = _encode_struct_words(interface, nested, {},
-                                                "x", [])
-            offset += 4 * len(nested_words)
-    return out
+def _len_words(header_words, shape, lens):
+    """``(word index, LenWord)`` of every bounded-array length word of
+    the message — the corruption targets of the hostile-input probes."""
+    return [(header_words + index, word)
+            for index, word in enumerate(shape.layout(lens))
+            if isinstance(word, LenWord)]
 
 
 def _concrete_words(words):
@@ -360,20 +329,18 @@ class _Harness:
                          probe=label)]
 
 
-def _python_value(interface, struct, struct_val):
+def _python_value(shape, struct_val):
     """A concrete interpreter struct as the application passes it: a
     dict per struct, bounded arrays cut to their length."""
     out = {}
-    for field in struct.fields:
-        resolved = interface.resolve(field.type)
+    for field in shape.fields:
         value = struct_val.field(field.name).value
         if isinstance(value, rv.ArrayVal):
             value = value.values()
-            if isinstance(resolved, idl.VarArray):
+            if field.bound is not None:
                 value = value[:struct_val.field(f"{field.name}_len").value]
         elif isinstance(value, rv.StructVal):
-            value = _python_value(
-                interface, interface.struct(resolved.name), value)
+            value = _python_value(field.struct, value)
         out[field.name] = value
     return out
 
@@ -397,27 +364,25 @@ def _output(run):
     return bytes(run.out.sym_bytes()[:run.value])
 
 
-def _off_profile_lens(pipeline, struct, lens):
+def _off_profile_lens(shape, lens):
     """(label, lens) for the off-profile neighbours of ``lens``: per
     bounded array one element fewer, one more, and none."""
     probes = []
     for field, count in lens.items():
-        bound = pipeline.interface.resolve(
-            next(f for f in struct.fields if f.name == field).type).bound
         for other in sorted({count - 1, count + 1, 0} - {count}):
-            if 0 <= other <= bound:
+            if 0 <= other <= shape.bounds[field]:
                 probes.append((f"len-{field}-{other}-elements",
                                {**lens, field: other}))
     return probes
 
 
-def _off_profile_messages(pipeline, struct, lens, base, template_for):
+def _off_profile_messages(shape, lens, base, template_for):
     """(label, words) of concrete messages that are not of the proved
     size: the in-domain message ``base`` four bytes short and four
     long, and the well-formed message ``template_for(other)`` for each
     off-profile neighbour ``other`` of ``lens``."""
     probes = [("short-4-bytes", base[:-1]), ("long-4-bytes", base + [0])]
-    for label, other in _off_profile_lens(pipeline, struct, lens):
+    for label, other in _off_profile_lens(shape, lens):
         probes.append((label, _concrete_words(template_for(other))))
     return probes
 
@@ -443,15 +408,13 @@ def verify_client_spec(pipeline, spec):
     """Verify one :class:`ClientSpecialization`.  Returns findings
     (empty list == verified)."""
     findings = []
-    interface = pipeline.interface
-    arg_lens, res_lens = spec._arg_lens, spec._res_lens
     marshal_entry = spec.marshal_result.entry_name
     recv_entry = spec.recv_result.entry_name
 
     # Guard-domain conformance: the declared fast-path sizes must equal
-    # the wire arithmetic recomputed here, independently of the spec.
-    want_request = request_size(interface, spec.arg_struct, arg_lens)
-    want_reply = reply_size(interface, spec.ret_struct, res_lens)
+    # the contract's wire arithmetic, recomputed here from the lengths.
+    want_request = spec.proc.request_size(spec._arg_lens)
+    want_reply = spec.proc.reply_size(spec._res_lens)
     if spec.expected_request != want_request:
         findings.append(_finding(
             "guard-domain", marshal_entry,
@@ -474,17 +437,17 @@ def verify_client_spec(pipeline, spec):
 
 def _verify_marshal(pipeline, spec, want_request):
     findings = []
-    harness = _Harness(
-        pipeline, spec.marshal_result,
-        f"{spec.proc.name.lower()}_marshal", spec._marshal_module,
-    )
-    var_fields = tuple(pipeline._gen.var_fields(spec.arg_struct))
+    sig = spec.proc.marshal
+    harness = _Harness(pipeline, spec.marshal_result, sig.name,
+                       spec._marshal_module)
+    var_fields = tuple(spec.arg_struct.bounds)
     entry = spec.marshal_result.entry_name
     xid = sym("xid")
 
     def make_values(interp, lens=None):
         """The symbolic world, or (``lens`` given) a concrete one whose
-        bounded arrays hold ``lens`` elements."""
+        bounded arrays hold ``lens`` elements; the argument struct
+        rides in the result slot."""
         out = interp.make_sym_buffer(spec.bufsize, name="out")
         clnt = interp.make_struct("CLIENT")
         clnt.field("cl_prog").value = pipeline.prog_number
@@ -493,16 +456,13 @@ def _verify_marshal(pipeline, spec, want_request):
         concrete = lens is not None
         _fill_symbolic(args, var_fields, lens if concrete else spec._arg_lens,
                        "arg", _probe_values() if concrete else _sym_value)
-        values = {
-            "clnt": interp.ptr_to(clnt),
+        return sig.bind({
+            "client": interp.ptr_to(clnt),
             "xid": _PROBE_XID if concrete else xid,
-            "argsp": interp.ptr_to(args),
+            "args": interp.ptr_to(args),
             "outbuf": rv.BufPtr(out, 0, 1, True),
             "outsize": spec.bufsize,
-        }
-        for field, length in spec._arg_lens.items():
-            values[f"expected_{field}_len"] = length
-        return values, out, None
+        }, spec.proc.lens(spec._arg_lens, {}), int), out, args
 
     generic, residual = harness.run_pair(make_values)
     if generic.status != "ok" or is_sym(generic.value):
@@ -556,40 +516,35 @@ def _verify_marshal(pipeline, spec, want_request):
     def built(lens):
         args = make_values(SymbolicInterpreter(
             harness.generic_program, typeinfo=harness.generic_typeinfo,
-        ), lens)[0]["argsp"].cell.value
-        return spec.build_request(_PROBE_XID + _XID_EXCESS, _python_value(
-            pipeline.interface, spec.arg_struct, args))
+        ), lens)[2]
+        return spec.build_request(_PROBE_XID + _XID_EXCESS,
+                                  _python_value(spec.arg_struct, args))
 
     findings.extend(harness.entry_findings(
         "in-domain", built(spec._arg_lens),
         lambda: _output(harness.run_generic(
             lambda interp: make_values(interp, spec._arg_lens)))))
-    for label, lens in _off_profile_lens(pipeline, spec.arg_struct,
-                                         spec._arg_lens):
+    for label, lens in _off_profile_lens(spec.arg_struct, spec._arg_lens):
         if findings:
             break
         findings.extend(harness.entry_findings(label, built(lens)))
     return findings
 
 
-def _reply_template(pipeline, spec, xid, lens=None):
-    words = [xid, 1, 0, 0, 0, 0]  # xid, REPLY, MSG_ACCEPTED, null verf,
-    #                               SUCCESS — six header words
-    _encode_struct_words(pipeline.interface, spec.ret_struct,
-                         spec._res_lens if lens is None else lens,
-                         "res", words)
-    return words
+def _reply_template(spec, xid, lens=None):
+    # xid, REPLY, MSG_ACCEPTED, null verf, SUCCESS — six header words
+    return _template([xid, 1, 0, 0, 0, 0], spec.ret_struct,
+                     spec._res_lens if lens is None else lens, "res")
 
 
 def _verify_recv(pipeline, spec, want_reply):
     findings = []
-    harness = _Harness(
-        pipeline, spec.recv_result, f"{spec.proc.name.lower()}_recv",
-        spec._recv_module,
-    )
+    sig = spec.proc.recv
+    harness = _Harness(pipeline, spec.recv_result, sig.name,
+                       spec._recv_module)
     entry = spec.recv_result.entry_name
     xid = sym("xid")
-    words = _reply_template(pipeline, spec, xid)
+    words = _reply_template(spec, xid)
     if 4 * len(words) != want_reply:
         findings.append(_finding(
             "verify-internal", entry,
@@ -601,15 +556,12 @@ def _verify_recv(pipeline, spec, want_reply):
     def make_values(interp, template=words, pxid=xid):
         buf = _words_to_buffer(interp, template, "in")
         resp = interp.make_struct(spec.ret_struct.name)
-        values = {
+        return sig.bind({
             "inbuf": rv.BufPtr(buf, 0, 1, True),
             "inlen": 4 * len(template),
             "xid": pxid,
-            "resp": interp.ptr_to(resp),
-        }
-        for field, length in spec._res_lens.items():
-            values[f"expected_{field}_len"] = length
-        return values, buf, resp
+            "result": interp.ptr_to(resp),
+        }, spec.proc.lens({}, spec._res_lens), int), buf, resp
 
     generic, residual = harness.run_pair(make_values)
     if generic.status != "ok" or generic.value != 1:
@@ -646,7 +598,7 @@ def _verify_recv(pipeline, spec, want_reply):
         """What a concrete generic run decoded, None when it refused."""
         if run.status != "ok" or run.value != 1:
             return None
-        return _python_value(pipeline.interface, spec.ret_struct, run.resp)
+        return _python_value(spec.ret_struct, run.resp)
 
     def gate(label, template, pxid, generic=None):
         """The entry gate on one concrete reply, ``generic`` the
@@ -660,7 +612,7 @@ def _verify_recv(pipeline, spec, want_reply):
     # Hostile-input probes: concrete corrupted replies.  The residual
     # may decline anything; it must never accept what generic rejects,
     # and when both accept the decode must agree.
-    probes = _recv_probes(pipeline, spec, words)
+    probes = _recv_probes(spec, words)
     for label, probe_words, probe_xid in probes:
         generic, residual = harness.run_pair(
             lambda interp: make_values(interp, probe_words, probe_xid))
@@ -691,15 +643,15 @@ def _verify_recv(pipeline, spec, want_reply):
     # only the entry — its guard — is asked.
     _label, base, probe_xid = probes[0]
     for label, template in _off_profile_messages(
-            pipeline, spec.ret_struct, spec._res_lens, base,
-            lambda lens: _reply_template(pipeline, spec, probe_xid, lens)):
+            spec.ret_struct, spec._res_lens, base,
+            lambda lens: _reply_template(spec, probe_xid, lens)):
         findings.extend(gate(label, template, probe_xid))
         if findings:
             return findings
     return findings
 
 
-def _recv_probes(pipeline, spec, template):
+def _recv_probes(spec, template):
     """(label, words, xid) triples of corrupted concrete replies."""
     base = _concrete_words(template)
     xid = 0x7F03AB01
@@ -711,12 +663,8 @@ def _recv_probes(pipeline, spec, template):
         ("garbage-args-stat", _patched(base, 5, 4), xid),
         ("stale-xid", list(base), (xid + 1) & 0xFFFFFFFF),
     ]
-    len_words = _var_len_word_offsets(
-        pipeline.interface, spec.ret_struct, spec._res_lens,
-        REPLY_HEADER_BYTES,
-    )
-    for field, offset, bound, count in len_words:
-        index = offset // 4
+    for index, (field, bound, count) in _len_words(
+            REPLY_HEADER_WORDS, spec.ret_struct, spec._res_lens):
         probes.append((
             f"len-{field}-over-bound", _patched(base, index, bound + 1),
             xid,
@@ -742,13 +690,11 @@ def _patched(words, index, value):
 # -- the server verifier --------------------------------------------------
 
 
-def _call_template(pipeline, proc, arg_struct, arg_lens, xid):
-    words = [
+def _call_template(pipeline, proc, arg_lens, xid):
+    return _template([
         xid, 0, 2, pipeline.prog_number, pipeline.vers_number,
         proc.number, 0, 0, 0, 0,
-    ]
-    return _encode_struct_words(pipeline.interface, arg_struct, arg_lens,
-                                "arg", words)
+    ], proc.arg, arg_lens, "arg")
 
 
 def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
@@ -766,15 +712,13 @@ def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
     decline) with the generic bytes.
     """
     findings = []
-    interface = pipeline.interface
-    arg_struct = pipeline._struct_for(proc.arg, proc.name)
     entry = result.entry_name
-    want_request = request_size(interface, arg_struct, arg_lens)
+    want_request = proc.request_size(arg_lens)
 
-    suffix = f"{pipeline.idl_program.name.lower()}_{pipeline.vers_number}"
-    harness = _Harness(pipeline, result, f"svc_process_{suffix}", module)
+    sig = pipeline._version.process
+    harness = _Harness(pipeline, result, sig.name, module)
 
-    words = _call_template(pipeline, proc, arg_struct, arg_lens, sym("xid"))
+    words = _call_template(pipeline, proc, arg_lens, sym("xid"))
     if 4 * len(words) != want_request:
         findings.append(_finding(
             "verify-internal", entry,
@@ -783,19 +727,15 @@ def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
         ))
         return findings
 
-    expected_lens = _svc_expected_lens(pipeline, proc, arg_lens, res_lens)
-
     def make_values(interp, template=words):
         buf = _words_to_buffer(interp, template, "in")
         out = interp.make_sym_buffer(bufsize, name="out")
-        values = {
+        return sig.bind({
             "inbuf": rv.BufPtr(buf, 0, 1, True),
             "inlen": 4 * len(template),
             "outbuf": rv.BufPtr(out, 0, 1, True),
             "outsize": bufsize,
-        }
-        values.update(expected_lens)
-        return values, out, None
+        }, proc.lens(arg_lens, res_lens), int), out, None
 
     generic, residual = harness.run_pair(make_values)
     if generic.status != "ok" or is_sym(generic.value) \
@@ -848,7 +788,7 @@ def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
 
     # Hostile probes: residual may decline or fault (the entry treats
     # both as fallback) but must not answer with divergent bytes.
-    probes = _server_probes(pipeline, arg_struct, arg_lens, proc, words)
+    probes = _server_probes(pipeline, arg_lens, proc, words)
     for label, probe in probes:
         generic, residual = harness.run_pair(
             lambda interp: make_values(interp, probe))
@@ -872,35 +812,15 @@ def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
     # only the entry — its guard — is asked.
     base = probes[0][1]
     for label, template in _off_profile_messages(
-            pipeline, arg_struct, arg_lens, base,
-            lambda lens: _call_template(pipeline, proc, arg_struct, lens,
-                                        base[0])):
+            proc.arg, arg_lens, base,
+            lambda lens: _call_template(pipeline, proc, lens, base[0])):
         findings.extend(gate(label, template))
         if findings:
             return findings
     return findings
 
 
-def _svc_expected_lens(pipeline, proc, arg_lens, res_lens):
-    """The per-procedure expected-length parameters of the generic
-    ``svc_process`` entry (zero for every procedure but the hot one),
-    mirroring the pipeline's server assumptions."""
-    values = {}
-    for version_proc in pipeline.idl_version.procs:
-        vp_name = version_proc.name.lower()
-        vp_arg = pipeline._struct_for(version_proc.arg, version_proc.name)
-        vp_ret = pipeline._struct_for(version_proc.ret, version_proc.name)
-        hot = version_proc.name == proc.name
-        for field in pipeline._gen.var_fields(vp_arg):
-            length = arg_lens.get(field, 0) if hot else 0
-            values[f"{vp_name}_expected_{field}_len"] = length
-        for field in pipeline._gen.var_fields(vp_ret):
-            length = res_lens.get(field, 0) if hot else 0
-            values[f"{vp_name}_expected_{field}_len_res"] = length
-    return values
-
-
-def _server_probes(pipeline, arg_struct, arg_lens, proc, template):
+def _server_probes(pipeline, arg_lens, proc, template):
     base = _concrete_words(template)
     base[0] = 0x7F03AB02
     probes = [
@@ -910,11 +830,8 @@ def _server_probes(pipeline, arg_struct, arg_lens, proc, template):
         ("wrong-prog", _patched(base, 3, pipeline.prog_number + 1)),
         ("wrong-proc", _patched(base, 5, proc.number + 1)),
     ]
-    len_words = _var_len_word_offsets(
-        pipeline.interface, arg_struct, arg_lens, CALL_HEADER_BYTES
-    )
-    for field, offset, bound, count in len_words:
-        index = offset // 4
+    for index, (field, bound, _count) in _len_words(
+            CALL_HEADER_WORDS, proc.arg, arg_lens):
         probes.append((
             f"len-{field}-over-bound", _patched(base, index, bound + 1)
         ))

@@ -21,12 +21,11 @@ from repro.bench.report import format_table
 from repro.bench.workloads import (
     BUFSIZE,
     IntArrayWorkload,
-    PROG_NUMBER,
-    VERS_NUMBER,
+    PROC,
     reply_bytes,
 )
 from repro.simulator import pc_linux
-from repro.tempo import Dyn, DynPtr, Known, PtrTo, StructOf, specialize
+from repro.tempo import Known
 from repro.tempo.specializer import Options
 
 ABLATIONS = {
@@ -39,43 +38,6 @@ ABLATIONS = {
 }
 
 
-def _marshal_with(workload, n, options):
-    return specialize(
-        workload.program,
-        "sendrecv_marshal",
-        {
-            "clnt": PtrTo(
-                StructOf(
-                    cl_prog=Known(PROG_NUMBER), cl_vers=Known(VERS_NUMBER)
-                )
-            ),
-            "xid": Dyn(),
-            "argsp": PtrTo(StructOf(vals_len=Known(n))),
-            "outbuf": DynPtr(),
-            "outsize": Known(BUFSIZE),
-            "expected_vals_len": Known(n),
-        },
-        options=options,
-        typeinfo=workload.typeinfo,
-    )
-
-
-def _recv_with(workload, n, options):
-    return specialize(
-        workload.program,
-        "sendrecv_recv",
-        {
-            "inbuf": DynPtr(),
-            "inlen": Known(reply_bytes(n)),
-            "xid": Dyn(),
-            "resp": PtrTo(StructOf()),
-            "expected_vals_len": Known(n),
-        },
-        options=options,
-        typeinfo=workload.typeinfo,
-    )
-
-
 def compute(workload=None, n=500):
     """Measure each ablation's marshal and reply-decode paths (PC model,
     plus raw event counts)."""
@@ -85,7 +47,7 @@ def compute(workload=None, n=500):
     _outlen, request, _t = workload.generic_marshal_trace(n)
     reply, _t = workload.generic_server_reply(n, request)
     for name, options in ABLATIONS.items():
-        marshal = _marshal_with(workload, n, options)
+        marshal = workload.specialize(PROC.marshal, n, options)
         params = [p for _t2, p in marshal.residual_params]
         outlen, wire, marshal_trace = workload.run_marshal(
             marshal.program, marshal.entry_name, params, n
@@ -93,7 +55,8 @@ def compute(workload=None, n=500):
         assert outlen, f"{name}: marshal failed"
         assert wire == request, f"{name}: wire data changed"
         marshal_time = pc_linux().steady_state_time(marshal_trace)
-        recv = _recv_with(workload, n, options)
+        recv = workload.specialize(PROC.recv, n, options,
+                                   inlen=Known(reply_bytes(n)))
         recv_trace = _run_recv(workload, recv, n, reply)
         recv_time = pc_linux().steady_state_time(recv_trace)
         rows.append(
@@ -118,13 +81,12 @@ def _run_recv(workload, result, n, reply):
     inbuf = interp.make_buffer(BUFSIZE, "inbuf")
     inbuf.data[:len(reply)] = reply
     resp = interp.make_struct("intarr")
-    values = {
+    values = PROC.recv.bind({
         "inbuf": rv.BufPtr(inbuf, 0, 1),
         "inlen": len(reply),
         "xid": 0x1234ABCD,
-        "resp": interp.ptr_to(resp),
-        "expected_vals_len": n,
-    }
+        "result": interp.ptr_to(resp),
+    }, PROC.lens({}, PROC.ret.lens_of_count(n)), int)
     params = [p for _t, p in result.residual_params]
     trace = Trace()
     status = interp.call(

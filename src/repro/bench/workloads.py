@@ -20,8 +20,10 @@ from repro.minic.interp import Interpreter
 from repro.minic.parser import parse_program
 from repro.minic.typecheck import typecheck_program
 from repro.rpcgen.codegen_minic import generate_minic
+from repro.rpcgen.contract import StubContract
 from repro.rpcgen.idl_parser import parse_idl
-from repro.tempo import Dyn, DynPtr, Known, PtrTo, StructOf, specialize
+from repro.specialized.pipeline import assumptions
+from repro.tempo import Dyn, Known, specialize
 from repro.tempo.unroll import reroll_program
 
 #: the paper's array sizes (4-byte integers)
@@ -58,14 +60,29 @@ void sendrecv_impl(struct intarr *args, struct intarr *res)
 }
 """
 
-#: call message: 10 header longs + length + elements
+#: the stub contract of the workload: the entry signatures every
+#: harness below binds by role, and the message sizes
+VERSION = StubContract(parse_idl(WORKLOAD_IDL)).versions[0]
+PROC = VERSION.procs[0]
+
+
+def _vals(n):
+    """The assumed lengths of an ``n``-element array, either side."""
+    return PROC.arg.lens_of_count(n)
+
+
+def _lens(n):
+    return PROC.lens(_vals(n), _vals(n))
+
+
 def request_bytes(n):
-    return (10 + 1 + n) * 4
+    """Call message of an ``n``-element array."""
+    return PROC.request_size(_vals(n))
 
 
-#: success reply: 6 header longs + length + elements
 def reply_bytes(n):
-    return (6 + 1 + n) * 4
+    """Success reply of an ``n``-element array."""
+    return PROC.reply_size(_vals(n))
 
 
 class IntArrayWorkload:
@@ -82,103 +99,42 @@ class IntArrayWorkload:
     # ------------------------------------------------------------------
     # specializations (cached per array size)
 
-    @functools.lru_cache(maxsize=None)
-    def specialized_marshal(self, n, options=None):
-        """Residual of the client marshaling path for arrays of ``n``."""
+    def specialize(self, sig, n, options=None, **lengths):
+        """Residual of the emitted entry ``sig`` for arrays of ``n``,
+        under the pipeline's static/dynamic split."""
         return specialize(
             self.program,
-            "sendrecv_marshal",
-            {
-                "clnt": PtrTo(
-                    StructOf(
-                        cl_prog=Known(PROG_NUMBER),
-                        cl_vers=Known(VERS_NUMBER),
-                    )
-                ),
-                "xid": Dyn(),
-                "argsp": PtrTo(StructOf(vals_len=Known(n))),
-                "outbuf": DynPtr(),
-                "outsize": Known(BUFSIZE),
-                "expected_vals_len": Known(n),
-            },
+            sig.name,
+            assumptions(sig, PROC, PROG_NUMBER, VERS_NUMBER, _vals(n),
+                        _vals(n), BUFSIZE, **lengths),
             options=options,
             typeinfo=self.typeinfo,
         )
+
+    @functools.lru_cache(maxsize=None)
+    def specialized_marshal(self, n, options=None):
+        """Residual of the client marshaling path for arrays of ``n``."""
+        return self.specialize(PROC.marshal, n, options)
 
     @functools.lru_cache(maxsize=None)
     def specialized_call(self, n, options=None):
         """Residual of the full client call (marshal + net + decode)."""
-        return specialize(
-            self.program,
-            "sendrecv_call",
-            {
-                "clnt": PtrTo(
-                    StructOf(
-                        cl_prog=Known(PROG_NUMBER),
-                        cl_vers=Known(VERS_NUMBER),
-                    )
-                ),
-                "xid": Dyn(),
-                "argsp": PtrTo(StructOf(vals_len=Known(n))),
-                "resp": PtrTo(StructOf()),
-                "outbuf": DynPtr(),
-                "outsize": Known(BUFSIZE),
-                "inbuf": DynPtr(),
-                "insize": Known(BUFSIZE),
-                "expected_inlen": Known(reply_bytes(n)),
-                "expected_vals_len": Known(n),
-                "expected_vals_len_res": Known(n),
-            },
-            options=options,
-            typeinfo=self.typeinfo,
-        )
+        return self.specialize(PROC.call, n, options,
+                               expected_inlen=Known(reply_bytes(n)))
 
     @functools.lru_cache(maxsize=None)
     def specialized_server(self, n, options=None):
         """Residual of the server dispatch path."""
-        return specialize(
-            self.program,
-            "svc_handle_xchg_prog_1",
-            {
-                "inbuf": DynPtr(),
-                "inlen": Dyn(),
-                "outbuf": DynPtr(),
-                "outsize": Known(BUFSIZE),
-                "expected_inlen": Known(request_bytes(n)),
-                "sendrecv_expected_vals_len": Known(n),
-                "sendrecv_expected_vals_len_res": Known(n),
-            },
-            options=options,
-            typeinfo=self.typeinfo,
-        )
+        return self.specialize(VERSION.handle, n, options, inlen=Dyn(),
+                               expected_inlen=Known(request_bytes(n)))
 
     def rerolled_marshal(self, n, factor):
         """Table 4: the specialized marshal with the unrolled run
         re-rolled into chunks of ``factor`` elements (the paper's manual
-        250-element transformation, automated)."""
-        result = self.specialized_marshal(n)
-        # Work on a fresh specialization so the cached one stays fully
-        # unrolled.
-        fresh = specialize(
-            self.program,
-            "sendrecv_marshal",
-            {
-                "clnt": PtrTo(
-                    StructOf(
-                        cl_prog=Known(PROG_NUMBER),
-                        cl_vers=Known(VERS_NUMBER),
-                    )
-                ),
-                "xid": Dyn(),
-                "argsp": PtrTo(StructOf(vals_len=Known(n))),
-                "outbuf": DynPtr(),
-                "outsize": Known(BUFSIZE),
-                "expected_vals_len": Known(n),
-            },
-            typeinfo=self.typeinfo,
-        )
+        250-element transformation, automated).  A fresh
+        specialization, so the cached one stays fully unrolled."""
+        fresh = self.specialize(PROC.marshal, n)
         reroll_program(fresh.program, factor, entry=fresh.entry_name)
-        del result
         return fresh
 
     # ------------------------------------------------------------------
@@ -199,34 +155,20 @@ class IntArrayWorkload:
         outbuf = interp.make_buffer(BUFSIZE, "outbuf")
         inbuf = interp.make_buffer(BUFSIZE, "inbuf")
         return {
-            "clnt": interp.ptr_to(clnt),
-            "xid": xid,
-            "argsp": interp.ptr_to(args),
-            "resp": interp.ptr_to(resp),
-            "outbuf": rv.BufPtr(outbuf, 0, 1),
-            "outsize": BUFSIZE,
-            "inbuf": rv.BufPtr(inbuf, 0, 1),
-            "insize": BUFSIZE,
-            "expected_inlen": reply_bytes(n),
-            "expected_vals_len": n,
-            "expected_vals_len_res": n,
+            **PROC.call.bind({
+                "client": interp.ptr_to(clnt),
+                "xid": xid,
+                "args": interp.ptr_to(args),
+                "result": interp.ptr_to(resp),
+                "outbuf": rv.BufPtr(outbuf, 0, 1),
+                "outsize": BUFSIZE,
+                "inbuf": rv.BufPtr(inbuf, 0, 1),
+                "insize": BUFSIZE,
+                "expected_inlen": reply_bytes(n),
+            }, _lens(n), int),
             "_outbuf": outbuf,
-            "_inbuf": inbuf,
             "_resp": resp,
         }
-
-    GENERIC_MARSHAL_PARAMS = (
-        "clnt", "xid", "argsp", "outbuf", "outsize", "expected_vals_len",
-    )
-    GENERIC_CALL_PARAMS = (
-        "clnt", "xid", "argsp", "resp", "outbuf", "outsize", "inbuf",
-        "insize", "expected_inlen", "expected_vals_len",
-        "expected_vals_len_res",
-    )
-    GENERIC_SERVER_PARAMS = (
-        "inbuf", "inlen", "outbuf", "outsize", "expected_inlen",
-        "sendrecv_expected_vals_len", "sendrecv_expected_vals_len_res",
-    )
 
     def run_marshal(self, program, entry, params, n, trace=None):
         """Run a marshal entry; returns (outlen, request bytes, trace)."""
@@ -240,7 +182,7 @@ class IntArrayWorkload:
 
     def generic_marshal_trace(self, n):
         return self.run_marshal(
-            self.program, "sendrecv_marshal", self.GENERIC_MARSHAL_PARAMS, n
+            self.program, PROC.marshal.name, PROC.marshal.names, n
         )
 
     def specialized_marshal_trace(self, n, result=None):
@@ -254,15 +196,13 @@ class IntArrayWorkload:
         inbuf = interp.make_buffer(BUFSIZE, "srv_in")
         outbuf = interp.make_buffer(BUFSIZE, "srv_out")
         inbuf.data[:len(request)] = request
-        values = {
+        values = VERSION.handle.bind({
             "inbuf": rv.BufPtr(inbuf, 0, 1),
             "inlen": len(request),
             "outbuf": rv.BufPtr(outbuf, 0, 1),
             "outsize": BUFSIZE,
             "expected_inlen": request_bytes(n),
-            "sendrecv_expected_vals_len": n,
-            "sendrecv_expected_vals_len_res": n,
-        }
+        }, _lens(n), int)
         trace = trace if trace is not None else Trace()
         outlen = interp.call(
             entry, [values[name] for name in params], trace=trace
@@ -271,8 +211,8 @@ class IntArrayWorkload:
 
     def generic_server_reply(self, n, request):
         return self.run_server(
-            self.program, "svc_handle_xchg_prog_1",
-            self.GENERIC_SERVER_PARAMS, n, request,
+            self.program, VERSION.handle.name, VERSION.handle.names, n,
+            request,
         )
 
     def specialized_server_reply(self, n, request, result=None):
@@ -336,11 +276,9 @@ class IntArrayWorkload:
             _outlen, request, _t = self.generic_marshal_trace(n)
             _reply, server_trace = self.generic_server_reply(n, request)
             status, decoded, client_trace = self.run_call(
-                self.program, "sendrecv_call", self.GENERIC_CALL_PARAMS, n,
+                self.program, PROC.call.name, PROC.call.names, n,
                 self.generic_network(n),
             )
-        expected = [(v + 1) & 0xFFFFFFFF & 0x7FFFFFFF or v + 1 for v in []]
-        del expected
         assert status == 1, f"round trip failed (n={n})"
         want = [(x + 1) for x in self._test_data(n)]
         assert decoded == want, f"bad echo payload (n={n})"

@@ -4,9 +4,8 @@ The paper argues the specialized fast path is *behavior-preserving
 under the Sun RPC failure model* — at-least-once UDP semantics with
 client retransmission.  Exercising that claim needs a hostile network
 on demand: this module injects datagram faults deterministically so
-the same seeded plan drives unit tests, loopback integration tests,
-the fault bench (``python -m repro.bench faults``), and the simulator
-(:class:`repro.simulator.network.FaultyLink`).
+the same seeded plan drives unit tests, loopback integration tests
+and the fault bench (``python -m repro.bench faults``).
 
 * :class:`FaultPlan` is a seeded schedule: each :meth:`FaultPlan.decide`
   call draws one fixed-length tuple of uniforms from a private

@@ -20,11 +20,15 @@ runtime in :mod:`repro.rpcgen.sunrpc_minic`):
 The MiniC path supports the type subset the paper's workload exercises:
 32-bit scalars (int/unsigned/bool/enum), structs of them, fixed arrays
 and bounded arrays.  Strings, floats, unions and optionals are served by
-the Python stub path (:mod:`repro.rpcgen.codegen_py`).
+the Python stub path (:mod:`repro.rpcgen.codegen_py`); a struct or
+procedure that needs them is left out of the MiniC text, with the
+reason recorded.  What is in, how it lies on the wire and the parameter
+list of every entry are data first — the stub contract,
+:mod:`repro.rpcgen.contract` — and the emitters below print them.
 """
 
 from repro.errors import IdlError
-from repro.rpcgen import idl_ast as idl
+from repro.rpcgen.contract import StubContract, expected_lens
 from repro.rpcgen.sunrpc_minic import SUNRPC_MINIC_RUNTIME
 
 _SCALAR_FILTERS = {
@@ -40,181 +44,102 @@ _SCALAR_CTYPES = {
 }
 
 
+def _trail(names):
+    """``names`` as trailing call arguments: ``, a, b``."""
+    return "".join(f", {name}" for name in names)
+
+
 class MiniCGenerator:
+    """Emits the MiniC text of what :attr:`contract` describes: the
+    in-subset structs and procedures of the interface."""
+
     def __init__(self, interface):
         self.interface = interface
+        self.contract = StubContract(interface)
         self.lines = []
-        self.struct_names = {s.name for s in interface.structs}
-        self.enum_names = {e.name for e in interface.enums}
 
     def emit(self, text=""):
         self.lines.append(text)
 
-    # -- type mapping -----------------------------------------------------
-
-    def resolve(self, type_ref):
-        resolved = self.interface.resolve(type_ref)
-        return resolved
-
-    def scalar_kind(self, type_ref):
-        """'int'/'u_int'/'bool' for 32-bit scalars, or None."""
-        type_ref = self.resolve(type_ref)
-        if isinstance(type_ref, idl.Prim) and type_ref.name in (
-            "int", "u_int", "bool",
-        ):
-            return type_ref.name
-        if isinstance(type_ref, idl.Named) and type_ref.name in (
-            self.enum_names
-        ):
-            return "int"
-        return None
-
-    def unsupported(self, type_ref, where):
-        raise IdlError(
-            f"{where}: type {type_ref!r} is outside the MiniC stub subset"
-            " (use the Python stub path for strings/floats/unions)"
-        )
-
-    # -- expected-length parameters --------------------------------------
-
-    def var_fields(self, struct):
-        """Bounded-array fields of a struct (these need expected-length
-        guards)."""
-        result = []
-        for field in struct.fields:
-            resolved = self.resolve(field.type)
-            if isinstance(resolved, idl.VarArray):
-                result.append(field.name)
-        return result
-
-    def expected_params(self, struct):
-        return [f"expected_{name}_len" for name in self.var_fields(struct)]
-
-    def expected_param_decl(self, struct):
-        return "".join(
-            f", int {param}" for param in self.expected_params(struct)
-        )
-
-    def expected_args(self, struct):
-        return "".join(f", {p}" for p in self.expected_params(struct))
-
     # -- struct definitions -------------------------------------------------
 
     def struct_defs(self):
-        for struct in self.interface.structs:
-            self.emit(f"struct {struct.name} {{")
-            for field in struct.fields:
-                resolved = self.resolve(field.type)
-                scalar = self.scalar_kind(field.type)
-                if scalar is not None:
-                    self.emit(f"    {_SCALAR_CTYPES[scalar]} {field.name};")
-                elif isinstance(resolved, idl.FixedArray):
-                    elem = self.scalar_kind(resolved.elem)
-                    if elem is None:
-                        self.unsupported(resolved, struct.name)
-                    self.emit(
-                        f"    {_SCALAR_CTYPES[elem]}"
-                        f" {field.name}[{resolved.size}];"
-                    )
-                elif isinstance(resolved, idl.VarArray):
-                    elem = self.scalar_kind(resolved.elem)
-                    if elem is None:
-                        self.unsupported(resolved, struct.name)
+        for shape in self.contract.shapes.values():
+            self.emit(f"struct {shape.name} {{")
+            for field in shape.fields:
+                if field.struct is not None:
+                    self.emit(f"    struct {field.struct.name} {field.name};")
+                    continue
+                ctype = _SCALAR_CTYPES[field.kind]
+                if field.bound is not None:
                     self.emit(f"    int {field.name}_len;")
-                    self.emit(
-                        f"    {_SCALAR_CTYPES[elem]}"
-                        f" {field.name}[{resolved.bound}];"
-                    )
-                elif isinstance(resolved, idl.Named) and (
-                    resolved.name in self.struct_names
-                ):
-                    self.emit(f"    struct {resolved.name} {field.name};")
+                    self.emit(f"    {ctype} {field.name}[{field.bound}];")
+                elif field.size is not None:
+                    self.emit(f"    {ctype} {field.name}[{field.size}];")
                 else:
-                    self.unsupported(resolved, struct.name)
+                    self.emit(f"    {ctype} {field.name};")
             self.emit("};")
             self.emit("")
 
     # -- xdr filters ------------------------------------------------------------
 
     def xdr_filters(self):
-        for struct in self.interface.structs:
-            self._xdr_filter(struct)
+        for shape in self.contract.shapes.values():
+            self._xdr_filter(shape)
 
     def _scalar_call(self, kind, target):
         return f"{_SCALAR_FILTERS[kind]}(xdrs, &{target})"
 
-    def _needs_index(self, struct):
-        for field in struct.fields:
-            resolved = self.resolve(field.type)
-            if isinstance(resolved, (idl.FixedArray, idl.VarArray)):
-                return True
-        return False
-
-    def _xdr_filter(self, struct):
-        params = self.expected_param_decl(struct)
+    def _xdr_filter(self, shape):
+        params = expected_lens(shape)
+        expected = {p.field: p.name for p in params}
+        params = "".join(f", {p.ctype}{p.name}" for p in params)
         self.emit(
-            f"bool_t xdr_{struct.name}(struct XDR *xdrs,"
-            f" struct {struct.name} *objp{params})"
+            f"bool_t xdr_{shape.name}(struct XDR *xdrs,"
+            f" struct {shape.name} *objp{params})"
         )
         self.emit("{")
-        if self._needs_index(struct):
+        if any(field.size is not None or field.bound is not None
+               for field in shape.fields):
             self.emit("    int i;")
-        for field in struct.fields:
-            resolved = self.resolve(field.type)
-            scalar = self.scalar_kind(field.type)
-            if scalar is not None:
+        for field in shape.fields:
+            if field.struct is not None:
                 self.emit(
-                    f"    if (!{self._scalar_call(scalar, f'objp->{field.name}')})"
-                )
-                self.emit("        return FALSE;")
-            elif isinstance(resolved, idl.FixedArray):
-                elem = self.scalar_kind(resolved.elem)
-                self.emit(
-                    f"    for (i = 0; i < {resolved.size}; i++) {{"
-                )
-                self.emit(
-                    f"        if (!{self._scalar_call(elem, f'objp->{field.name}[i]')})"
-                )
-                self.emit("            return FALSE;")
-                self.emit("    }")
-            elif isinstance(resolved, idl.VarArray):
-                self._var_array_field(struct, field, resolved)
-            elif isinstance(resolved, idl.Named) and (
-                resolved.name in self.struct_names
-            ):
-                nested = self.interface.struct(resolved.name)
-                nested_args = self.expected_args(nested)
-                if nested_args:
-                    raise IdlError(
-                        f"{struct.name}.{field.name}: nested structs with"
-                        " bounded arrays are outside the MiniC stub subset"
-                    )
-                self.emit(
-                    f"    if (!xdr_{resolved.name}(xdrs,"
+                    f"    if (!xdr_{field.struct.name}(xdrs,"
                     f" &objp->{field.name}))"
                 )
                 self.emit("        return FALSE;")
+            elif field.bound is not None:
+                self._var_array_field(field, expected[field.name])
+            elif field.size is not None:
+                self.emit(f"    for (i = 0; i < {field.size}; i++) {{")
+                self.emit(
+                    "        if (!"
+                    f"{self._scalar_call(field.kind, f'objp->{field.name}[i]')})"
+                )
+                self.emit("            return FALSE;")
+                self.emit("    }")
             else:
-                self.unsupported(resolved, struct.name)
+                self.emit(
+                    "    if (!"
+                    f"{self._scalar_call(field.kind, f'objp->{field.name}')})"
+                )
+                self.emit("        return FALSE;")
         self.emit("    return TRUE;")
         self.emit("}")
         self.emit("")
 
-    def _var_array_field(self, struct, field, resolved):
+    def _var_array_field(self, field, expected):
         """Bounded array with the paper's expected-length guard: the
         matching branch re-binds the length to the statically known
         value so the element loop unrolls under specialization."""
-        elem = self.scalar_kind(resolved.elem)
-        if elem is None:
-            self.unsupported(resolved, struct.name)
         name = field.name
-        expected = f"expected_{name}_len"
-        item = self._scalar_call(elem, f"objp->{name}[i]")
+        item = self._scalar_call(field.kind, f"objp->{name}[i]")
         self.emit(f"    if (!xdr_int(xdrs, &objp->{name}_len))")
         self.emit("        return FALSE;")
         self.emit(f"    if (objp->{name}_len < 0)")
         self.emit("        return FALSE;")
-        self.emit(f"    if (objp->{name}_len > {resolved.bound})")
+        self.emit(f"    if (objp->{name}_len > {field.bound})")
         self.emit("        return FALSE;")
         self.emit(f"    if (objp->{name}_len == {expected}) {{")
         self.emit(f"        objp->{name}_len = {expected};")
@@ -231,32 +156,15 @@ class MiniCGenerator:
 
     # -- client functions -----------------------------------------------------
 
-    def _struct_of(self, type_ref, where):
-        resolved = self.resolve(type_ref)
-        if isinstance(resolved, idl.Named) and (
-            resolved.name in self.struct_names
-        ):
-            return self.interface.struct(resolved.name)
-        raise IdlError(
-            f"{where}: MiniC stubs need struct argument/result types,"
-            f" got {type_ref!r}"
-        )
+    def client_functions(self, version):
+        for proc in version.served:
+            self._marshal_function(proc)
+            self._recv_function(proc)
+            self._call_function(proc)
 
-    def client_functions(self, program, version):
-        for proc in version.procs:
-            arg = self._struct_of(proc.arg, proc.name)
-            ret = self._struct_of(proc.ret, proc.name)
-            self._marshal_function(proc, arg)
-            self._recv_function(proc, ret)
-            self._call_function(proc, arg, ret)
-
-    def _marshal_function(self, proc, arg):
-        name = proc.name.lower()
-        self.emit(
-            f"int {name}_marshal(struct CLIENT *clnt, u_long xid,"
-            f" struct {arg.name} *argsp, caddr_t outbuf, int outsize"
-            f"{self.expected_param_decl(arg)})"
-        )
+    def _marshal_function(self, proc):
+        sig, arg = proc.marshal, proc.arg
+        self.emit(sig.decl())
         self.emit("{")
         self.emit("    struct XDR xdr_out;")
         self.emit("    xdrmem_create(&xdr_out, outbuf, outsize, XDR_ENCODE);")
@@ -267,19 +175,16 @@ class MiniCGenerator:
         self.emit("        return 0;")
         self.emit(
             f"    if (!xdr_{arg.name}(&xdr_out, argsp"
-            f"{self.expected_args(arg)}))"
+            f"{_trail(sig.expected())}))"
         )
         self.emit("        return 0;")
         self.emit("    return xdr_getpos(&xdr_out);")
         self.emit("}")
         self.emit("")
 
-    def _recv_function(self, proc, ret):
-        name = proc.name.lower()
-        self.emit(
-            f"int {name}_recv(caddr_t inbuf, int inlen, u_long xid,"
-            f" struct {ret.name} *resp{self.expected_param_decl(ret)})"
-        )
+    def _recv_function(self, proc):
+        sig, ret = proc.recv, proc.ret
+        self.emit(sig.decl())
         self.emit("{")
         self.emit("    struct XDR xdr_in;")
         self.emit("    xdrmem_create(&xdr_in, inbuf, inlen, XDR_DECODE);")
@@ -287,23 +192,16 @@ class MiniCGenerator:
         self.emit("        return FALSE;")
         self.emit(
             f"    if (!xdr_{ret.name}(&xdr_in, resp"
-            f"{self.expected_args(ret)}))"
+            f"{_trail(sig.expected())}))"
         )
         self.emit("        return FALSE;")
         self.emit("    return TRUE;")
         self.emit("}")
         self.emit("")
 
-    def _call_function(self, proc, arg, ret):
-        name = proc.name.lower()
-        ret_expected = self.expected_args(ret)
-        self.emit(
-            f"int {name}_call(struct CLIENT *clnt, u_long xid,"
-            f" struct {arg.name} *argsp, struct {ret.name} *resp,"
-            f" caddr_t outbuf, int outsize, caddr_t inbuf, int insize,"
-            f" int expected_inlen{self.expected_param_decl(arg)}"
-            f"{_rename_params(self.expected_param_decl(ret), '_res')})"
-        )
+    def _call_function(self, proc):
+        sig, recv = proc.call, proc.recv.name
+        self.emit(sig.decl())
         self.emit("{")
         self.emit("    struct XDR xdr_out;")
         self.emit("    int outlen;")
@@ -315,63 +213,38 @@ class MiniCGenerator:
         )
         self.emit("        return FALSE;")
         self.emit(
-            f"    if (!xdr_{arg.name}(&xdr_out, argsp"
-            f"{self.expected_args(arg)}))"
+            f"    if (!xdr_{proc.arg.name}(&xdr_out, argsp"
+            f"{_trail(sig.expected(proc.name, 'arg'))}))"
         )
         self.emit("        return FALSE;")
         self.emit("    outlen = xdr_getpos(&xdr_out);")
         self.emit("    bzero(inbuf, insize);")
         self.emit("    inlen = net_sendrecv(outbuf, outlen, inbuf, insize);")
-        res_args = _rename_args(ret_expected, "_res")
+        res_args = _trail(sig.expected(proc.name, "res"))
         self.emit("    if (inlen == expected_inlen) {")
         self.emit(
-            f"        return {name}_recv(inbuf, expected_inlen, xid,"
+            f"        return {recv}(inbuf, expected_inlen, xid,"
             f" resp{res_args});"
         )
         self.emit("    }")
         self.emit(
-            f"    return {name}_recv(inbuf, inlen, xid, resp{res_args});"
+            f"    return {recv}(inbuf, inlen, xid, resp{res_args});"
         )
         self.emit("}")
         self.emit("")
 
     # -- server functions -----------------------------------------------------
 
-    def server_functions(self, program, version):
-        procs = [
-            (
-                proc,
-                self._struct_of(proc.arg, proc.name),
-                self._struct_of(proc.ret, proc.name),
-            )
-            for proc in version.procs
-        ]
-        self._svc_process(program, version, procs)
-        self._svc_handle(program, version, procs)
+    def server_functions(self, version):
+        self._svc_process(version)
+        self._svc_handle(version)
 
-    def _svc_expected_decl(self, procs):
-        parts = []
-        for proc, arg, ret in procs:
-            lname = proc.name.lower()
-            for param in self.expected_params(arg):
-                parts.append(f", int {lname}_{param}")
-            for param in self.expected_params(ret):
-                parts.append(f", int {lname}_{param}_res")
-        return "".join(parts)
-
-    def _svc_expected_args(self, procs):
-        decl = self._svc_expected_decl(procs)
-        return "".join(
-            f", {part.split()[-1]}" for part in decl.split(",") if part.strip()
-        )
-
-    def _svc_process(self, program, version, procs):
-        suffix = f"{program.name.lower()}_{version.number}"
-        self.emit(
-            f"int svc_process_{suffix}(caddr_t inbuf, int inlen,"
-            f" caddr_t outbuf, int outsize"
-            f"{self._svc_expected_decl(procs)})"
-        )
+    def _svc_process(self, version):
+        """The dispatcher over the in-subset procedures; any other
+        procedure number returns 0, which leaves the call to the
+        generic body."""
+        sig = version.process
+        self.emit(sig.decl())
         self.emit("{")
         self.emit("    struct XDR xdr_in;")
         self.emit("    struct XDR xdr_out;")
@@ -381,18 +254,14 @@ class MiniCGenerator:
         self.emit("    proc = 0;")
         self.emit("    xdrmem_create(&xdr_in, inbuf, inlen, XDR_DECODE);")
         self.emit(
-            f"    if (!xdr_callhdr_decode(&xdr_in, {program.number},"
-            f" {version.number}, &xid, &proc))"
+            f"    if (!xdr_callhdr_decode(&xdr_in, {version.program.number},"
+            f" {version.version.number}, &xid, &proc))"
         )
         self.emit("        return 0;")
-        for proc, arg, ret in procs:
-            lname = proc.name.lower()
-            arg_args = "".join(
-                f", {lname}_{p}" for p in self.expected_params(arg)
-            )
-            ret_args = "".join(
-                f", {lname}_{p}_res" for p in self.expected_params(ret)
-            )
+        for proc in version.served:
+            arg, ret = proc.arg, proc.ret
+            arg_args = _trail(sig.expected(proc.name, "arg"))
+            ret_args = _trail(sig.expected(proc.name, "res"))
             self.emit(f"    if (proc == {proc.number}) {{")
             self.emit(f"        struct {arg.name} args;")
             self.emit(f"        struct {ret.name} res;")
@@ -400,7 +269,7 @@ class MiniCGenerator:
                 f"        if (!xdr_{arg.name}(&xdr_in, &args{arg_args}))"
             )
             self.emit("            return 0;")
-            self.emit(f"        {lname}_impl(&args, &res);")
+            self.emit(f"        {proc.lname}_impl(&args, &res);")
             self.emit(
                 "        xdrmem_create(&xdr_out, outbuf, outsize,"
                 " XDR_ENCODE);"
@@ -417,23 +286,19 @@ class MiniCGenerator:
         self.emit("}")
         self.emit("")
 
-    def _svc_handle(self, program, version, procs):
-        suffix = f"{program.name.lower()}_{version.number}"
-        self.emit(
-            f"int svc_handle_{suffix}(caddr_t inbuf, int inlen,"
-            f" caddr_t outbuf, int outsize, int expected_inlen"
-            f"{self._svc_expected_decl(procs)})"
-        )
+    def _svc_handle(self, version):
+        sig, process = version.handle, version.process.name
+        self.emit(sig.decl())
         self.emit("{")
-        args = self._svc_expected_args(procs)
+        args = _trail(sig.expected())
         self.emit("    if (inlen == expected_inlen) {")
         self.emit(
-            f"        return svc_process_{suffix}(inbuf, expected_inlen,"
+            f"        return {process}(inbuf, expected_inlen,"
             f" outbuf, outsize{args});"
         )
         self.emit("    }")
         self.emit(
-            f"    return svc_process_{suffix}(inbuf, inlen, outbuf,"
+            f"    return {process}(inbuf, inlen, outbuf,"
             f" outsize{args});"
         )
         self.emit("}")
@@ -442,6 +307,13 @@ class MiniCGenerator:
     # -- assembly ----------------------------------------------------------------
 
     def generate(self, impl_sources=None):
+        """The MiniC translation unit of the in-subset part of the
+        interface; an interface with nothing in it that was refused
+        something raises the first reason."""
+        versions = self.contract.versions
+        refusals = self.contract.refusals()
+        if refusals and not any(version.served for version in versions):
+            raise IdlError(refusals[0])
         self.emit(SUNRPC_MINIC_RUNTIME)
         self.struct_defs()
         self.xdr_filters()
@@ -449,35 +321,11 @@ class MiniCGenerator:
             for source in impl_sources:
                 self.emit(source)
                 self.emit("")
-        for program in self.interface.programs:
-            for version in program.versions:
-                self.client_functions(program, version)
-                if impl_sources:
-                    self.server_functions(program, version)
+        for version in versions:
+            self.client_functions(version)
+            if impl_sources:
+                self.server_functions(version)
         return "\n".join(self.lines) + "\n"
-
-
-def _rename_params(decl, suffix):
-    """Append ``suffix`` to each ``, int name`` parameter name."""
-    if not decl:
-        return ""
-    parts = []
-    for part in decl.split(","):
-        part = part.strip()
-        if part:
-            parts.append(f", {part}{suffix}")
-    return "".join(parts)
-
-
-def _rename_args(args, suffix):
-    if not args:
-        return ""
-    parts = []
-    for part in args.split(","):
-        part = part.strip()
-        if part:
-            parts.append(f", {part}{suffix}")
-    return "".join(parts)
 
 
 def generate_minic(interface, impl_sources=None):

@@ -31,71 +31,3 @@ class Link:
             f"Link({self.name!r}, {self.latency_s * 1e6:.0f}us,"
             f" {self.bandwidth_bps / 1e6:.0f}Mb/s)"
         )
-
-
-class FaultyLink(Link):
-    """A :class:`Link` driven by a seeded fault plan.
-
-    The same :class:`~repro.rpc.faults.FaultPlan` that wraps live
-    sockets (:class:`~repro.rpc.faults.FaultySocket`) also drives the
-    simulator: each :meth:`transfer_time` consumes one plan decision
-    per transmission attempt and charges the retransmission discipline
-    for drops — a dropped message costs the sender a full
-    ``retrans_wait_s`` receive window before the resend, exactly like
-    :class:`~repro.rpc.clnt_udp.UdpClient`'s backoff loop (exponential
-    growth, capped at ``max_wait_s``).  Delays charge ``plan.delay_s``;
-    duplicates and reorders cost the wire nothing extra at this level
-    of abstraction but are counted in the plan's stats.
-    """
-
-    def __init__(self, link, plan, retrans_wait_s=0.5, backoff=2.0,
-                 max_wait_s=None):
-        super().__init__(
-            f"faulty:{link.name}", link.latency_s, link.bandwidth_bps,
-            link.per_byte_overhead,
-        )
-        self.link = link
-        self.plan = plan
-        self.retrans_wait_s = retrans_wait_s
-        self.backoff = backoff
-        self.max_wait_s = (max_wait_s if max_wait_s is not None
-                           else 8 * retrans_wait_s)
-        #: messages delivered / transmission attempts consumed
-        self.delivered = 0
-        self.attempts = 0
-
-    def transfer_time(self, size_bytes):
-        """One-way time for a message, retransmissions included."""
-        base = self.link.transfer_time(size_bytes)
-        total = 0.0
-        window = self.retrans_wait_s
-        while True:
-            self.attempts += 1
-            decision = self.plan.decide()
-            if "delay" in decision:
-                self.plan.note("delay")
-                total += self.plan.delay_s
-            for kind in ("duplicate", "reorder", "corrupt", "truncate"):
-                if kind in decision:
-                    self.plan.note(kind)
-            if "drop" in decision:
-                # The sender burns a full receive window, backs off,
-                # and retransmits.
-                self.plan.note("drop")
-                total += window
-                window = min(window * self.backoff, self.max_wait_s)
-                continue
-            self.delivered += 1
-            return total + base
-
-    def expected_transfer_time(self, size_bytes):
-        """Closed-form expectation (no plan state consumed): the clean
-        transfer plus the mean number of drops charged one initial
-        receive window each (backoff growth ignored — a lower bound)."""
-        p_drop = self.plan.rates["drop"]
-        base = self.link.transfer_time(size_bytes)
-        expected_drops = p_drop / (1.0 - p_drop) if p_drop < 1.0 else (
-            float("inf")
-        )
-        return (base + expected_drops * self.retrans_wait_s
-                + self.plan.rates["delay"] * self.plan.delay_s)

@@ -49,10 +49,9 @@ from collections import Counter, deque, namedtuple
 from dataclasses import dataclass
 
 from repro import obs as _obs
-from repro.errors import VerificationError
+from repro.errors import IdlError, VerificationError
 from repro.rpc.fastpath import ReplyHeaderTemplate
 from repro.specialized.pipeline import generic_reply, generic_request
-from repro.specialized.sizes import reply_size, request_size
 
 logger = logging.getLogger(__name__)
 
@@ -165,23 +164,6 @@ class DispatchProfiler:
         return dict(self._profiles)
 
 
-def _implied_lens(pipeline, struct_, nbytes, message_size):
-    """Invert an observed message size to the bounded-array element
-    count it implies, or None when no single binding covers it
-    (several bounded arrays split one size ambiguously)."""
-    fields = pipeline._gen.var_fields(struct_)
-    floor = message_size(pipeline.interface, struct_,
-                         {f: 0 for f in fields})
-    if not fields:
-        return {} if nbytes == floor else None
-    if len(fields) > 1:
-        return None
-    extra = nbytes - floor
-    if extra < 0 or extra % 4:
-        return None
-    return {fields[0]: extra // 4}
-
-
 class _Variant:
     """One resident residual: its entry point and its hit counter."""
 
@@ -215,9 +197,9 @@ class VariantTable:
 
     def __init__(self, pipeline, proc, profile):
         self.pipeline = pipeline
+        #: the procedure's stub contract: its shapes, and a message
+        #: size inverted to the array lengths it implies
         self.proc = proc
-        self.arg_struct = pipeline._struct_for(proc.arg, proc.name)
-        self.ret_struct = pipeline._struct_for(proc.ret, proc.name)
         self.profile = profile
         self.variants = {}
         #: guarded calls whose size is not in the table.
@@ -302,8 +284,7 @@ class OnlineServerRoute(VariantTable):
         self.key = key
 
     def arg_lens(self, request_bytes):
-        return _implied_lens(self.pipeline, self.arg_struct, request_bytes,
-                             request_size)
+        return self.proc.arg_lens_of(request_bytes)
 
     def _publish(self, variants):
         was, self.variants = self.variants, variants
@@ -348,12 +329,18 @@ class OnlineClientCodec(VariantTable):
         pipeline = specializer.pipeline
         super().__init__(pipeline, pipeline.find_proc(proc_name),
                          ProcProfile(specializer.policy.window))
+        if self.proc.refusal is not None:
+            raise IdlError(self.proc.refusal)
         self.client = client
-        self._arg_fields = pipeline._gen.var_fields(self.arg_struct)
-        self._arg_filter = getattr(pipeline.stubs,
-                                   f"xdr_{self.arg_struct.name}")
+        shape = self.proc.arg
+        #: the bounded array whose element count is the table key, and
+        #: the key of an argument that has none: 0 for a fixed-size
+        #: struct, None (unprofilable) for one with several
+        self._count_field = shape.count_field
+        self._fixed_key = None if shape.bounds else 0
+        self._arg_filter = getattr(pipeline.stubs, f"xdr_{shape.name}")
         self._ret_filter = getattr(pipeline.stubs,
-                                   f"xdr_{self.ret_struct.name}")
+                                   f"xdr_{self.proc.ret.name}")
         #: xid -> element count of generic calls awaiting their reply
         #: (bounded by ``window``: lost replies never accumulate).
         self._pending = {}
@@ -364,16 +351,14 @@ class OnlineClientCodec(VariantTable):
     lens = VariantTable.sizes
 
     def arg_lens(self, n):
-        return {self._arg_fields[0]: n} if self._arg_fields else {}
+        return self.proc.arg.lens_of_count(n)
 
     def arg_count(self, args):
         """The bounded-array element count of ``args`` (0 when the
         struct has no bounded arrays, None when unprofilable)."""
-        if not self._arg_fields:
-            return 0
-        if len(self._arg_fields) > 1:
-            return None
-        value = getattr(args, self._arg_fields[0], None)
+        if self._count_field is None:
+            return self._fixed_key
+        value = getattr(args, self._count_field, None)
         try:
             return len(value)
         except TypeError:
@@ -583,7 +568,8 @@ class OnlineSpecializer:
             for key, profile in profiler.snapshot().items():
                 if key not in routes:
                     proc = self._match_proc(*key)
-                    # None: another program (health, portmap, ...)
+                    # None: another program (health, portmap, ...) or a
+                    # procedure outside the stub subset
                     routes[key] = proc and OnlineServerRoute(
                         self.pipeline, proc, profile, registry, key)
                 if routes[key] is not None:
@@ -595,9 +581,13 @@ class OnlineSpecializer:
         if (prog != pipeline.prog_number
                 or vers != pipeline.vers_number):
             return None
-        for proc in pipeline.idl_version.procs:
+        for proc in pipeline.procs:
             if proc.number == proc_number:
-                return proc
+                if proc.refusal is None:
+                    return proc
+                # asked once per registry: the route table remembers
+                self._record("server", proc.name, "skip", None,
+                             f"unsupported: {proc.refusal}", (0, 0.0, ()))
         return None
 
     def explain(self):
@@ -616,21 +606,26 @@ class OnlineSpecializer:
             } for table in self._tables()]
 
     def _decide(self, table, action, size, reason, evidence):
-        decision = Decision(self.clock(), table.side, table.proc.name,
-                            action, size, reason, *evidence)
+        table.last_decision = self._record(
+            table.side, table.proc.name, action, size, reason, evidence)
+
+    def _record(self, side, procedure, action, size, reason, evidence):
+        decision = Decision(self.clock(), side, procedure, action, size,
+                            reason, *evidence)
         self.decisions.append(decision)
-        table.last_decision = decision
         what = _COUNTERS[action]
         setattr(self, what, getattr(self, what) + 1)
         if action in ("promote", "demote"):
-            self._active[table.side] += 1 if action == "promote" else -1
+            self._active[side] += 1 if action == "promote" else -1
         if _obs.enabled:
-            labels = ({"reason": reason} if action == "skip"
-                      else {"side": table.side})
+            # a skip's label is the refusal class, not its detail
+            labels = ({"reason": reason.partition(":")[0]}
+                      if action == "skip" else {"side": side})
             _obs.registry.counter(f"rpc.spec.online.{what}",
                                   **labels).inc()
-            _obs.registry.gauge("rpc.spec.online.active", side=table.side
-                                ).set(self._active[table.side])
+            _obs.registry.gauge("rpc.spec.online.active", side=side
+                                ).set(self._active[side])
+        return decision
 
     def _review(self, table):
         """The coverage rule, on one table, over the period since its
@@ -713,8 +708,7 @@ class OnlineSpecializer:
         """``(spec, None)`` for ``size`` through the pipeline, cache
         and verifier, or ``(None, refusal)``."""
         arg_lens = table.arg_lens(size)
-        res_lens = _implied_lens(self.pipeline, table.ret_struct,
-                                 reply_bytes, reply_size)
+        res_lens = table.proc.res_lens_of(reply_bytes)
         if arg_lens is None or res_lens is None:
             return None, "unsupported"
         started = self.clock()

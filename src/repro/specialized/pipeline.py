@@ -39,12 +39,10 @@ from repro.rpc.message import (
     encode_call_header,
     raise_for_reply,
 )
-from repro.rpcgen import idl_ast as idl
-from repro.rpcgen.codegen_minic import MiniCGenerator, generate_minic
+from repro.rpcgen.codegen_minic import MiniCGenerator
 from repro.rpcgen.codegen_py import load_python
 from repro.specialized import runtime as sr
 from repro.specialized.cache import SpecializationCache, content_key
-from repro.specialized.sizes import message_sizes, reply_size, request_size
 from repro.tempo import Dyn, DynPtr, Known, PtrTo, StructOf, specialize
 from repro.tempo.postprocess import narrow_arrays
 from repro.tempo.specializer import Options
@@ -110,22 +108,19 @@ class ClientSpecialization:
         self.arg_struct = arg_struct
         self.ret_struct = ret_struct
         self.bufsize = bufsize
-        self.expected_request, self.expected_reply = message_sizes(
-            pipeline.interface, arg_struct, ret_struct, arg_lens, res_lens
-        )
+        self.expected_request = proc.request_size(arg_lens)
+        self.expected_reply = proc.reply_size(res_lens)
         self.marshal_result = marshal_result
         self.recv_result = recv_result
-        gen = pipeline._gen
         self._marshal_module = compile_program(
             narrow_arrays(marshal_result.program,
                           {arg_struct.name: arg_lens}),
             glue=sr.marshal_entry(
-                gen, marshal_result, arg_struct, arg_lens,
-                pipeline.prog_number, pipeline.vers_number,
-                self.expected_request))
+                proc, marshal_result, arg_lens, pipeline.prog_number,
+                pipeline.vers_number, self.expected_request))
         self._recv_module = compile_program(
             narrow_arrays(recv_result.program, {ret_struct.name: res_lens}),
-            glue=sr.recv_entry(gen, recv_result, ret_struct, res_lens,
+            glue=sr.recv_entry(proc, recv_result, res_lens,
                                self.expected_reply))
         self._generic_arg_filter = getattr(
             pipeline.stubs, f"xdr_{arg_struct.name}"
@@ -261,6 +256,26 @@ class ServerSpecialization:
         return reply
 
 
+def assumptions(sig, proc, prog, vers, arg_lens, res_lens, bufsize,
+                **lengths):
+    """The static/dynamic split of the emitted entry ``sig``, stated
+    once by parameter role: the program and version numbers, the
+    buffer capacities and the assumed array lengths are known, the
+    xid, the buffers and the data are not.  ``lengths`` gives the
+    binding time of the ``inlen`` / ``expected_inlen`` roles, which
+    depends on the entry."""
+    return sig.bind({
+        "client": PtrTo(StructOf(cl_prog=Known(prog), cl_vers=Known(vers))),
+        "xid": Dyn(),
+        "args": PtrTo(StructOf(
+            {f"{f}_len": Known(n) for f, n in arg_lens.items()})),
+        "result": PtrTo(StructOf()),
+        "outbuf": DynPtr(), "outsize": Known(bufsize),
+        "inbuf": DynPtr(), "insize": Known(bufsize),
+        **lengths,
+    }, proc.lens(arg_lens, res_lens), Known)
+
+
 class SpecializationPipeline:
     """Front door: one pipeline per interface (and program version)."""
 
@@ -274,13 +289,18 @@ class SpecializationPipeline:
         #: live residuals roll their array loops (docs/SPECIALIZATION.md,
         #: "Loops by induction"); explicit options are taken as given
         self.options = Options(roll=True) if options is None else options
-        self.minic_source = generate_minic(self.interface, impl_sources)
+        #: the generator holds the stub contract: which procedures are
+        #: inside the MiniC subset, their wire layouts, the signature
+        #: of every entry specialized below
+        self._gen = MiniCGenerator(self.interface)
+        self.minic_source = self._gen.generate(impl_sources)
         self.program_ast = parse_program(self.minic_source)
         self.typeinfo = typecheck_program(self.program_ast)
         self.stubs = load_python(self.interface, "pipeline_stubs")
         self.idl_program = self._select_program(program)
         self.idl_version = self._select_version(version)
-        self._gen = MiniCGenerator(self.interface)
+        self._version = self._gen.contract.version(self.idl_program,
+                                                   self.idl_version)
         #: memoized specializations.  The fingerprint covers everything
         #: the residual code is derived from, so editing the IDL (or the
         #: impls, or the specializer options) invalidates by keying.
@@ -328,8 +348,14 @@ class SpecializationPipeline:
     def vers_number(self):
         return self.idl_version.number
 
+    @property
+    def procs(self):
+        """Every procedure of the version, as its
+        :class:`~repro.rpcgen.contract.ProcContract`."""
+        return self._version.procs
+
     def find_proc(self, name):
-        for proc in self.idl_version.procs:
+        for proc in self.procs:
             if proc.name == name:
                 return proc
         raise IdlError(f"no procedure named {name!r}")
@@ -380,26 +406,33 @@ class SpecializationPipeline:
         self._count_verify("server", findings)
         ensure_verified(findings, f"server dispatcher for {proc.name}")
 
-    def _struct_for(self, type_ref, where):
-        resolved = self.interface.resolve(type_ref)
-        if isinstance(resolved, idl.Named):
-            return self.interface.struct(resolved.name)
-        raise IdlError(f"{where}: MiniC pipeline needs struct types")
+    def _invariants(self, kind, proc_name, arg_lens, res_lens, bufsize):
+        """``(procedure, arg_lens, res_lens, cache key)`` of one
+        request to specialize: the lengths validated, a procedure
+        outside the stub subset refused with the recorded reason."""
+        proc = self.find_proc(proc_name)
+        if proc.refusal is not None:
+            raise IdlError(proc.refusal)
+        arg_lens = proc.arg.assumed(arg_lens)
+        res_lens = proc.ret.assumed(res_lens)
+        return proc, arg_lens, res_lens, content_key(
+            kind=kind,
+            fingerprint=self._fingerprint,
+            proc=proc_name,
+            arg_lens=sorted(arg_lens.items()),
+            res_lens=sorted(res_lens.items()),
+            bufsize=bufsize,
+        )
 
-    def _length_assumptions(self, struct, lens):
-        """Normalize/validate the assumed bounded-array lengths."""
-        expected = set(self._gen.var_fields(struct))
-        lens = dict(lens or {})
-        missing = expected - set(lens)
-        if missing:
-            raise IdlError(
-                f"missing assumed lengths for bounded arrays of"
-                f" {struct.name}: {sorted(missing)}"
-            )
-        extra = set(lens) - expected
-        if extra:
-            raise IdlError(f"unknown bounded arrays: {sorted(extra)}")
-        return lens
+    def _specialize(self, sig, proc, arg_lens, res_lens, bufsize, **lengths):
+        return specialize(
+            self.program_ast,
+            sig.name,
+            assumptions(sig, proc, self.prog_number, self.vers_number,
+                        arg_lens, res_lens, bufsize, **lengths),
+            options=self.options,
+            typeinfo=self.typeinfo,
+        )
 
     # -- client ------------------------------------------------------------
 
@@ -414,82 +447,27 @@ class SpecializationPipeline:
         is served from the in-memory cache in O(1), and — when a disk
         tier is configured — a fresh process revives the residual
         programs from disk instead of re-running Tempo."""
-        proc = self.find_proc(proc_name)
-        arg_struct = self._struct_for(proc.arg, proc.name)
-        ret_struct = self._struct_for(proc.ret, proc.name)
-        arg_lens = self._length_assumptions(arg_struct, arg_lens)
-        res_lens = self._length_assumptions(ret_struct, res_lens)
-        key = content_key(
-            kind="client",
-            fingerprint=self._fingerprint,
-            proc=proc_name,
-            arg_lens=sorted(arg_lens.items()),
-            res_lens=sorted(res_lens.items()),
-            bufsize=bufsize,
-        )
+        proc, arg_lens, res_lens, key = self._invariants(
+            "client", proc_name, arg_lens, res_lens, bufsize)
+
+        def built(marshal_result, recv_result):
+            return ClientSpecialization(
+                self, proc, proc.arg, proc.ret, arg_lens, res_lens, bufsize,
+                marshal_result, recv_result)
+
         return self.cache.get(
             key,
-            build=lambda: self._specialize_client_uncached(
-                proc, arg_struct, ret_struct, arg_lens, res_lens, bufsize
-            ),
+            build=lambda: built(
+                self._specialize(proc.marshal, proc, arg_lens, res_lens,
+                                 bufsize),
+                self._specialize(proc.recv, proc, arg_lens, res_lens, bufsize,
+                                 inlen=Known(proc.reply_size(res_lens)))),
             dump=lambda spec: (
                 ResidualCodec.from_result(spec.marshal_result),
                 ResidualCodec.from_result(spec.recv_result),
             ),
-            load=lambda payload: ClientSpecialization(
-                self, proc, arg_struct, ret_struct, arg_lens, res_lens,
-                bufsize, payload[0], payload[1],
-            ),
+            load=lambda payload: built(*payload),
             check=self._client_check if self.verify_enabled() else None,
-        )
-
-    def _specialize_client_uncached(self, proc, arg_struct, ret_struct,
-                                    arg_lens, res_lens, bufsize):
-        lname = proc.name.lower()
-        marshal_assumptions = {
-            "clnt": PtrTo(
-                StructOf(
-                    cl_prog=Known(self.prog_number),
-                    cl_vers=Known(self.vers_number),
-                )
-            ),
-            "xid": Dyn(),
-            "argsp": PtrTo(
-                StructOf(
-                    {f"{f}_len": Known(n) for f, n in arg_lens.items()}
-                )
-            ),
-            "outbuf": DynPtr(),
-            "outsize": Known(bufsize),
-        }
-        for field, length in arg_lens.items():
-            marshal_assumptions[f"expected_{field}_len"] = Known(length)
-        marshal_result = specialize(
-            self.program_ast,
-            f"{lname}_marshal",
-            marshal_assumptions,
-            options=self.options,
-            typeinfo=self.typeinfo,
-        )
-        expected_reply = reply_size(self.interface, ret_struct, res_lens)
-        recv_assumptions = {
-            "inbuf": DynPtr(),
-            "inlen": Known(expected_reply),
-            "xid": Dyn(),
-            "resp": PtrTo(StructOf()),
-        }
-        for field, length in res_lens.items():
-            recv_assumptions[f"expected_{field}_len"] = Known(length)
-        recv_result = specialize(
-            self.program_ast,
-            f"{lname}_recv",
-            recv_assumptions,
-            options=self.options,
-            typeinfo=self.typeinfo,
-        )
-        return ClientSpecialization(
-            self, proc, arg_struct, ret_struct, arg_lens, res_lens, bufsize,
-            marshal_result, recv_result,
         )
 
     # -- server -------------------------------------------------------------
@@ -504,45 +482,39 @@ class SpecializationPipeline:
                 "server specialization needs MiniC impl_sources for the"
                 " procedure bodies"
             )
-        proc = self.find_proc(hot_proc)
-        arg_struct = self._struct_for(proc.arg, proc.name)
-        ret_struct = self._struct_for(proc.ret, proc.name)
-        arg_lens = self._length_assumptions(arg_struct, arg_lens)
-        res_lens = self._length_assumptions(ret_struct, res_lens)
-        key = content_key(
-            kind="server",
-            fingerprint=self._fingerprint,
-            proc=hot_proc,
-            arg_lens=sorted(arg_lens.items()),
-            res_lens=sorted(res_lens.items()),
-            bufsize=bufsize,
-        )
-        expected_request, expected_reply = message_sizes(
-            self.interface, arg_struct, ret_struct, arg_lens, res_lens)
+        proc, arg_lens, res_lens, key = self._invariants(
+            "server", hot_proc, arg_lens, res_lens, bufsize)
+        expected_request = proc.request_size(arg_lens)
+        expected_reply = proc.reply_size(res_lens)
         # one array per struct field: where the argument and the result
         # share a type, the longer of the two assumed lengths
-        capacities = {}
-        for struct, lens in ((arg_struct, arg_lens), (ret_struct, res_lens)):
-            fields = capacities.setdefault(struct.name, {})
-            for field, length in lens.items():
-                fields[field] = max(length, fields.get(field, 0))
+        capacities = {proc.arg.name: arg_lens, proc.ret.name: res_lens}
+        if proc.arg is proc.ret:
+            capacities[proc.arg.name] = {
+                field: max(length, res_lens[field])
+                for field, length in arg_lens.items()}
 
         def compiled(result):
             # compiled once: the module the gate passes is the one
             # that serves
             return result, compile_program(
                 narrow_arrays(result.program, capacities),
-                glue=sr.dispatch_entry(result, expected_request,
-                                       expected_reply))
+                glue=sr.dispatch_entry(self._version.process, result,
+                                       expected_request, expected_reply))
 
         # The residual program and its compiled module are cached; the
         # wrapper is rebuilt per call because it carries per-instance
         # state (dispatch counters, the live ``fallback`` registry).
         handle_result, module = self.cache.get(
             key,
-            build=lambda: compiled(self._specialize_server_uncached(
-                proc, expected_request, arg_lens, res_lens, bufsize
-            )),
+            # ``svc_process`` with the request size known: the residual
+            # is the expected branch of the paper's ``inlen ==
+            # expected_inlen`` rewrite alone — the other branch belongs
+            # to the generic body, which the fused entry's size guard
+            # leaves every other size to
+            build=lambda: compiled(self._specialize(
+                self._version.process, proc, arg_lens, res_lens, bufsize,
+                inlen=Known(expected_request))),
             dump=lambda built: ResidualCodec.from_result(built[0]),
             load=compiled,
             check=(lambda built: self._server_check(
@@ -552,36 +524,3 @@ class SpecializationPipeline:
         return ServerSpecialization(
             self, handle_result, bufsize, proc, expected_request, module,
             fallback=fallback)
-
-    def _specialize_server_uncached(self, proc, expected_request, arg_lens,
-                                    res_lens, bufsize):
-        # ``svc_process`` with the request size known: the residual is
-        # the expected branch of the paper's ``inlen == expected_inlen``
-        # rewrite alone — the other branch belongs to the generic body,
-        # which the fused entry's size guard leaves every other size to
-        suffix = f"{self.idl_program.name.lower()}_{self.vers_number}"
-        assumptions = {
-            "inbuf": DynPtr(),
-            "inlen": Known(expected_request),
-            "outbuf": DynPtr(),
-            "outsize": Known(bufsize),
-        }
-        for version_proc in self.idl_version.procs:
-            vp_name = version_proc.name.lower()
-            vp_arg = self._struct_for(version_proc.arg, version_proc.name)
-            vp_ret = self._struct_for(version_proc.ret, version_proc.name)
-            for field in self._gen.var_fields(vp_arg):
-                length = arg_lens.get(field, 0) if version_proc is proc else 0
-                assumptions[f"{vp_name}_expected_{field}_len"] = Known(length)
-            for field in self._gen.var_fields(vp_ret):
-                length = res_lens.get(field, 0) if version_proc is proc else 0
-                assumptions[f"{vp_name}_expected_{field}_len_res"] = Known(
-                    length
-                )
-        return specialize(
-            self.program_ast,
-            f"svc_process_{suffix}",
-            assumptions,
-            options=self.options,
-            typeinfo=self.typeinfo,
-        )

@@ -6,7 +6,9 @@ lists for arrays, :class:`~repro.minic.pyruntime.PyBuffer` cursors.
 The application hands over stub structs (or dict-style values) and
 bytes.  Moving between the two is decided entirely by the interface, so
 it is decided once, when a specialization is built: each function here
-walks the IDL struct and returns the *source* of one **fused entry** —
+reads the stub contract (:mod:`repro.rpcgen.contract` — the struct
+shapes, and by role the parameters of the entry that was specialized)
+and returns the *source* of one **fused entry** —
 guard, conversion, the call of the compiled residual function with its
 arguments in place, and the conversion back — which the pipeline hands
 to :func:`~repro.minic.compile_py.compile_program` as the module's
@@ -20,22 +22,24 @@ as it always has.
 """
 
 from repro.errors import IdlError
-from repro.rpcgen import idl_ast as idl
 
 _IN = "_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)"
 _OUT = "_rt.BufPtr(out, 0, 1, True)"
 
 
-def _call(result, bound):
-    """The call of ``result``'s compiled entry, each residual parameter
-    replaced by the expression ``bound`` gives it."""
+def _call(residual, sig, lens, **roles):
+    """The call of ``residual``'s compiled entry — the residual of the
+    emitted entry ``sig`` — each residual parameter replaced by the
+    expression its role has in ``roles``, an assumed length by its
+    count in ``lens``."""
+    bound = sig.bind(roles, lens, str)
     try:
         args = ", ".join(bound[name] for _ctype, name in
-                         result.residual_params)
+                         residual.residual_params)
     except KeyError as exc:
-        raise IdlError(f"{result.entry_name}: no binding for residual"
+        raise IdlError(f"{residual.entry_name}: no binding for residual"
                        f" parameter {exc}") from None
-    return f"mc_{result.entry_name}({args})"
+    return f"mc_{residual.entry_name}({args})"
 
 
 def _entry(params, guard, body):
@@ -49,72 +53,64 @@ def _entry(params, guard, body):
     return "\n" + "\n".join(lines) + "\n"
 
 
-def _fill(gen, struct, lens, src, dst, lines, depth=1):
+def _fill(shape, lens, src, dst, lines, depth=1):
     """Append the statements that copy the Python value ``src`` (stub
     struct or dict) into the compiled struct ``dst``.  This is the
     boundary of the compiled code's in-range invariant: scalars are
     checked here, signed array elements by the pack that sends them."""
-    for field in struct.fields:
+    for field in shape.fields:
         name = field.name
-        resolved = gen.resolve(field.type)
         value = (f"({src}[{name!r}] if isinstance({src}, dict)"
                  f" else {src}.{name})")
-        kind = gen.scalar_kind(field.type)
-        if kind == "u_int":
+        count = field.size if field.bound is None else lens[name]
+        if field.struct is not None:
+            nested = f"_s{depth}"
+            lines.append(f"{nested} = {value}")
+            _fill(field.struct, {}, nested, f"{dst}.{name}", lines,
+                  depth + 1)
+        elif count is not None:
+            lines += [f"_v = {value}",
+                      f"if len(_v) != {count}:",
+                      "    return None"]
+            if field.bound is not None:
+                lines.append(f"{dst}.{name}_len = {count}")
+            if field.kind == "u_int":
+                lines.append("_v = [int(_i) & 0xFFFFFFFF for _i in _v]")
+            lines.append(f"{dst}.{name}[:{count}] = _v")
+        elif field.kind == "u_int":
             lines.append(f"{dst}.{name} = int({value}) & 0xFFFFFFFF")
-        elif kind is not None:
+        else:
             lines += [f"_v = int({value})",
                       "if not -0x80000000 <= _v <= 0x7FFFFFFF:",
                       "    return None",
                       f"{dst}.{name} = _v"]
-        elif isinstance(resolved, (idl.FixedArray, idl.VarArray)):
-            fixed = isinstance(resolved, idl.FixedArray)
-            count = resolved.size if fixed else lens[name]
-            lines += [f"_v = {value}",
-                      f"if len(_v) != {count}:",
-                      "    return None"]
-            if not fixed:
-                lines.append(f"{dst}.{name}_len = {count}")
-            if gen.scalar_kind(resolved.elem) == "u_int":
-                lines.append("_v = [int(_i) & 0xFFFFFFFF for _i in _v]")
-            lines.append(f"{dst}.{name}[:{count}] = _v")
-        else:
-            nested = f"_s{depth}"
-            lines.append(f"{nested} = {value}")
-            _fill(gen, gen.interface.struct(resolved.name), {}, nested,
-                  f"{dst}.{name}", lines, depth + 1)
 
 
-def _extract(gen, struct, src):
-    """The expression that builds the stub value of ``struct`` from the
+def _extract(shape, src):
+    """The expression that builds the stub value of ``shape`` from the
     compiled struct ``src`` (fresh per call: its lists are handed over,
     a bounded array cut to its decoded length)."""
     fields = []
-    for field in struct.fields:
+    for field in shape.fields:
         name = field.name
-        resolved = gen.resolve(field.type)
-        if isinstance(resolved, idl.VarArray):
+        if field.bound is not None:
             value = f"{src}.{name}[:{src}.{name}_len]"
-        elif gen.scalar_kind(field.type) is None and isinstance(
-                resolved, idl.Named):
-            value = _extract(gen, gen.interface.struct(resolved.name),
-                             f"{src}.{name}")
+        elif field.struct is not None:
+            value = _extract(field.struct, f"{src}.{name}")
         else:
             value = f"{src}.{name}"
         fields.append(f"{name}={value}")
-    return f"stubs.{struct.name}({', '.join(fields)})"
+    return f"stubs.{shape.name}({', '.join(fields)})"
 
 
-def marshal_entry(gen, result, struct, lens, prog, vers, size):
+def marshal_entry(proc, result, lens, prog, vers, size):
     """``entry(xid, args)``: the ``size``-byte call message for
     ``args``, or None — the argument is not of the assumed lengths."""
-    body = [f"argsp = S_{struct.name}()"]
-    _fill(gen, struct, lens, "args", "argsp", body)
-    call = _call(result, {
-        "clnt": "_clnt", "xid": "xid & 0xFFFFFFFF", "argsp": "argsp",
-        "outbuf": _OUT, "outsize": str(size),
-        **{f"expected_{f}_len": str(n) for f, n in lens.items()},
-    })
+    body = [f"argsp = S_{proc.arg.name}()"]
+    _fill(proc.arg, lens, "args", "argsp", body)
+    call = _call(result, proc.marshal, proc.lens(lens, {}),
+                 client="_clnt", xid="xid & 0xFFFFFFFF", args="argsp",
+                 outbuf=_OUT, outsize=str(size))
     body += [f"out = _rt.PyBuffer({size})",
              f"if {call} == {size}:",
              "    return bytes(out.data)"]
@@ -122,31 +118,26 @@ def marshal_entry(gen, result, struct, lens, prog, vers, size):
             f"_clnt.cl_vers = {vers}\n" + _entry("xid, args", [], body))
 
 
-def recv_entry(gen, result, struct, lens, size):
+def recv_entry(proc, result, lens, size):
     """``entry(data, xid, stubs)``: the result decoded from the
     ``size``-byte success reply ``data``, built from the ``stubs``
     module's classes, or None."""
-    call = _call(result, {
-        "inbuf": _IN, "inlen": str(size), "xid": "xid & 0xFFFFFFFF",
-        "resp": "resp",
-        **{f"expected_{f}_len": str(n) for f, n in lens.items()},
-    })
+    call = _call(result, proc.recv, proc.lens({}, lens), inbuf=_IN,
+                 inlen=str(size), xid="xid & 0xFFFFFFFF", result="resp")
     return _entry(
         "data, xid, stubs",
         [f"if len(data) != {size}:", "    return None"],
-        [f"resp = S_{struct.name}()",
+        [f"resp = S_{proc.ret.name}()",
          f"if {call}:",
-         f"    return {_extract(gen, struct, 'resp')}"])
+         f"    return {_extract(proc.ret, 'resp')}"])
 
 
-def dispatch_entry(result, request_size, reply_size):
+def dispatch_entry(sig, result, request_size, reply_size):
     """``entry(data)``: the reply to the ``request_size``-byte call
     ``data``, written into an exact-size buffer — a longer one faults,
     so it is left to the generic path — or None."""
-    call = _call(result, {
-        "inbuf": _IN, "inlen": str(request_size), "outbuf": _OUT,
-        "outsize": str(reply_size),
-    })
+    call = _call(result, sig, {}, inbuf=_IN, inlen=str(request_size),
+                 outbuf=_OUT, outsize=str(reply_size))
     return _entry(
         "data",
         [f"if len(data) != {request_size}:", "    return None"],
@@ -154,4 +145,3 @@ def dispatch_entry(result, request_size, reply_size):
          f"outlen = {call}",
          "if outlen:",
          "    return bytes(out.data[:outlen])"])
-

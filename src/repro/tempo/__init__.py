@@ -24,7 +24,6 @@ The refinements the paper calls out are all implemented:
 Public API: :func:`repro.tempo.driver.specialize`.
 """
 
-from repro import lazy_exports
 from repro.tempo.assumptions import (
     ArrayOf,
     Dyn,
@@ -35,10 +34,6 @@ from repro.tempo.assumptions import (
 )
 from repro.tempo.driver import SpecializationResult, specialize
 
-#: the offline binding-time analysis serves the visualiser only: it
-#: loads when ``analyze`` is first read, not with the specializer
-__getattr__ = lazy_exports(__name__, {"bta": "analyze"})
-
 __all__ = [
     "ArrayOf",
     "Dyn",
@@ -47,6 +42,5 @@ __all__ = [
     "PtrTo",
     "StructOf",
     "SpecializationResult",
-    "analyze",
     "specialize",
 ]

@@ -428,3 +428,45 @@ class SctpClient(CallEngine):
             module("src/repro/rpc/resilience.py", self.TRANSPORT),
             module("src/repro/bench/chaos.py", self.TRANSPORT)])
         assert found == []
+
+
+class TestWireLayoutOutsideRpcgen:
+    WALKER = '''
+from repro.rpcgen import idl_ast as idl
+
+
+def words(interface, struct, lens):
+    """Counts ``expected_vals_len`` words."""
+    total = 0
+    for field in struct.fields:
+        resolved = interface.resolve(field.type)
+        if isinstance(resolved, idl.Prim):
+            total += 1
+        elif isinstance(resolved, (idl.FixedArray, idl.VarArray)):
+            total += lens[f"expected_{field.name}_len"]
+        elif isinstance(resolved, idl.Named):
+            total += lens[f"{struct.name}_expected_{field.name}_len_res"]
+    return total + lens.get("expected_inlen", 0)
+'''
+
+    def test_walks_and_spelled_names_flagged_at_exact_lines(self):
+        found = spine.check([module("src/repro/specialized/sizes.py",
+                                    self.WALKER)])
+        assert sorted((f.rule, f.line) for f in found) == [
+            ("wire-layout-outside-rpcgen", line)
+            for line in (6, 10, 12, 12, 13, 14, 15)]
+
+    def test_rpcgen_is_exempt(self):
+        assert spine.check([module("src/repro/rpcgen/contract.py",
+                                   self.WALKER)]) == []
+
+    def test_reading_the_contract_is_clean(self):
+        src = '''
+def request_words(proc, sig, lens):
+    """``expected_inlen`` is a role, not a spelled length parameter."""
+    bound = sig.bind({"inlen": 4, "expected_inlen": 4},
+                     proc.lens(lens, {}), int)
+    return len(proc.arg.layout(lens)), bound
+'''
+        assert spine.check([module("src/repro/analysis/verify.py",
+                                   src)]) == []

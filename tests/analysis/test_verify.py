@@ -73,6 +73,54 @@ class TestGuards:
         assert server.result.source_size() < 16384
 
 
+class TestWrongLayout:
+    """The templates and the declared sizes both come from the stub
+    contract's layout; what checks them is the generic MiniC program
+    run on the template.  So a wrong layout cannot verify a codec."""
+
+    @pytest.fixture()
+    def one_word_short(self, monkeypatch):
+        from repro.rpcgen.contract import DataWord, StructShape
+
+        real = StructShape.layout
+
+        def layout(self, lens, prefix=""):
+            words = real(self, lens, prefix)
+            drop = next(index for index, word in enumerate(words)
+                        if isinstance(word, DataWord))
+            return words[:drop] + words[drop + 1:]
+
+        monkeypatch.setattr(StructShape, "layout", layout)
+
+    LENS = {"arg_lens": {"vals": 8}, "res_lens": {"vals": 8}}
+
+    def _rules(self, pipeline, client, server):
+        proc = pipeline.find_proc("SENDRECV")
+        return ([f.rule for f in verify_client_spec(pipeline, client)],
+                [f.rule for f in verify_server_residual(
+                    pipeline, server.result, proc, {"vals": 8}, {"vals": 8},
+                    server.bufsize, module=server._module)])
+
+    def test_specs_built_on_the_right_layout(self, xfer_pipeline,
+                                             xfer_client, xfer_server,
+                                             one_word_short):
+        client, server = self._rules(xfer_pipeline, xfer_client, xfer_server)
+        assert client == ["guard-domain", "guard-domain"]  # both sizes
+        assert server == ["verify-internal"]
+
+    def test_specs_built_on_the_wrong_layout(self, one_word_short):
+        # sizes, templates and glue all agree with each other — only
+        # the generic program disagrees
+        pipeline = SpecializationPipeline(XFER_IDL, impl_sources=[XFER_IMPL],
+                                          verify=False)
+        client, server = self._rules(
+            pipeline, pipeline.specialize_client("SENDRECV", **self.LENS),
+            pipeline.specialize_server("SENDRECV", **self.LENS))
+        assert client and set(client) <= {"residual-divergence",
+                                          "verify-internal"}
+        assert server == ["verify-internal"]
+
+
 class TestEnsureVerified:
     def test_raises_with_finding_summary(self, xfer_pipeline, xfer_client):
         spec = respec(xfer_pipeline, xfer_client)

@@ -181,15 +181,10 @@ def test_server_spec_requires_impls():
 
 
 def test_sizes_module(pipeline):
-    from repro.specialized.sizes import reply_size, request_size
-
-    arg = pipeline.interface.struct("intarr")
-    assert request_size(pipeline.interface, arg, {"vals": N}) == (
-        40 + 4 + 4 * N
-    )
-    assert reply_size(pipeline.interface, arg, {"vals": N}) == (
-        24 + 4 + 4 * N
-    )
+    # the sizes are the stub contract's: header + 4 x len(layout)
+    proc = pipeline.find_proc("SENDRECV")
+    assert proc.request_size({"vals": N}) == 40 + 4 + 4 * N
+    assert proc.reply_size({"vals": N}) == 24 + 4 + 4 * N
 
 
 class TestLoweringGate:

@@ -78,10 +78,10 @@ print(json.dumps({"loaded": loaded, "outside": sorted(outside - {"repro"})}))
 '''
 
 #: loaded by nothing on the serving path: the fleet layer and portmapper
-#: (package-root re-exports, resolved on first use) and the offline
-#: binding-time analysis (the visualiser's)
-NOT_LOADED = {"repro.rpc.fleet", "repro.rpc.pmap", "repro.tempo.bta",
-              "repro.bench", "repro.simulator"}
+#: (package-root re-exports, resolved on first use), the paper benches
+#: and the platform simulator
+NOT_LOADED = {"repro.rpc.fleet", "repro.rpc.pmap", "repro.bench",
+              "repro.simulator"}
 
 #: every module outside the package that the loaded ones import when
 #: they are executed.  A new name here is a cost in both processes of
