@@ -130,9 +130,12 @@ def _len_words(header_words, shape, lens):
 
 def _concrete_words(words):
     """Replace the symbolic words of a template with deterministic
-    concrete values, keeping concrete words (status, lengths) as-is."""
+    concrete values, keeping concrete words (status, lengths) as-is.
+    Word 0, the xid, is the caller's to set: the edge words go to the
+    data, where a wrong wrap shows."""
     fill = _probe_words()
-    return [w if not is_sym(w) else next(fill) for w in words]
+    return words[:1] + [w if not is_sym(w) else next(fill)
+                        for w in words[1:]]
 
 
 def _words_to_buffer(interp, words, name):

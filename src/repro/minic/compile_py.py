@@ -66,6 +66,16 @@ def _int_range(ctype):
 
 _I32 = _int_range(ct.INT)
 
+#: the operators of a map loop's element expression: none can fault
+_MAP_OPS = frozenset(("+", "-", "*", "&", "|", "^"))
+
+
+def _overlap(path, other):
+    """Whether the objects two ``_lvalue_path`` paths name overlap: one
+    path is a prefix of the other."""
+    shared = min(len(path), len(other))
+    return path[:shared] == other[:shared]
+
 
 class _Code(str):
     """A Python expression plus what is statically known of its value.
@@ -118,6 +128,9 @@ class _FuncCompiler:
         self._var_uses = None
         #: python name -> index in ``lines`` of its default initializer
         self._default_inits = {}
+        #: uid of an ``ARRAY[i]`` read -> the name it is bound to in the
+        #: map comprehension being emitted
+        self._elements = {}
 
     # -- emit helpers ---------------------------------------------------
 
@@ -223,6 +236,8 @@ class _FuncCompiler:
             obj = self.expr(node.obj)
             return self.typed(f"{obj}.{node.field}", self.type_of(node))
         if isinstance(node, ast.Index):
+            if node.uid in self._elements:
+                return self._elements[node.uid]
             base = self.expr(node.obj)
             index = self.expr(node.index)
             if isinstance(self.type_of(node.obj), ct.ArrayType):
@@ -364,6 +379,13 @@ class _FuncCompiler:
     def _int_binary(self, op, left, right, result_type):
         if op in ("+", "-", "*", "&", "|", "^"):
             value = f"{_p(left)} {op} {_p(right)}"
+            lfits = getattr(left, "fits", None)
+            rfits = getattr(right, "fits", None)
+            if op in ("+", "-") and lfits and rfits:
+                if op == "-":
+                    rfits = (-rfits[1], -rfits[0])
+                value = _Code(value, (lfits[0] + rfits[0],
+                                      lfits[1] + rfits[1]))
         elif op == "<<":
             value = f"{_p(left)} << ({_p(right)} & 31)"
         elif op == "/":
@@ -893,9 +915,8 @@ class _FuncCompiler:
                     words = vals if length == count else (
                         f"{vals}[{position}:{position + length}]"
                     )
-                    self.emit(
-                        f"{self.expr(base)}[{first}:{first + length}] = {words}"
-                    )
+                    self._slice_store(self.expr(base), first,
+                                      first + length, words)
                     index += used
                     position += length
         # One cursor update for the whole run.
@@ -948,6 +969,20 @@ class _FuncCompiler:
                 break
             length += 1
         return first.obj, first.index.value, length, length
+
+    def _slice_store(self, array, lo, hi, values, sized=True):
+        """Emit ``array[lo:hi] = values`` so that it faults where the
+        element stores it stands for would: a Python slice store into a
+        list that ends before ``hi`` grows the list instead.  Unless
+        ``sized`` (``values`` known to be ``hi - lo`` long), a
+        ``values`` of another length — the element reads that made it
+        ran off their array — faults too."""
+        test = f"len({array}) < {hi}"
+        if not sized:
+            test += f" or len({values}) != {hi} - {lo}"
+        self.emit(f"if {test}:")
+        self.emit(f"    {_RT}.overrun()")
+        self.emit(f"{array}[{lo}:{hi}] = {values}")
 
     def _ensure_body(self):
         """Guarantee the just-opened suite is non-empty."""
@@ -1064,7 +1099,9 @@ class _FuncCompiler:
         range(i, BOUND)`` and return True — or return False, emitting
         nothing, unless BOUND is a literal, a variable or a ``.``-member
         chain of one, and nothing in the body can change it, ``i`` or
-        the trip count (no call, jump, or store through a pointer)."""
+        the trip count (no call, jump, or store through a pointer).  A
+        body of the map shape (:meth:`_map_store`) is emitted with no
+        loop at all (:meth:`_emit_map`)."""
         cond = node.cond
         body = node.body.stmts if isinstance(node.body, ast.Block) else [node.body]
         if not (
@@ -1101,16 +1138,18 @@ class _FuncCompiler:
                     self.type_of(child.target), ct.StructType
                 ):
                     return False
-                for path in frozen:
-                    shared = min(len(path), len(written))
-                    if path[:shared] == written[:shared]:
-                        return False
+                if any(_overlap(path, written) for path in frozen):
+                    return False
+        mapped = self._map_store(rest, counter)
         limit = self.expr(bound)
         if not (isinstance(bound, ast.IntLit) or limit.isidentifier()):
             temp = self.temp()
             self.emit(f"{temp} = {limit}")
             limit = temp
         index = self.py_name(counter)
+        if mapped is not None:
+            self._emit_map(index, limit, old, *mapped)
+            return True
         self.emit(f"for {index} in range({index}, {limit}):")
         self.depth += 1
         self.scopes.append({})
@@ -1125,6 +1164,89 @@ class _FuncCompiler:
             self.emit(f"    {self.py_name(old)} = {index}")
         self.emit(f"    {index} += 1")
         return True
+
+    def _element_path(self, node, counter):
+        """The path of the signed 32-bit array of which ``node`` is the
+        element ``[counter]``, or None."""
+        if (
+            self._int32_array(node) is not None
+            and isinstance(node.index, ast.Var)
+            and node.index.name == counter
+        ):
+            return self._lvalue_path(node.obj, elements=False)
+        return None
+
+    def _map_store(self, body, counter):
+        """Match a counted-loop body that is one store ``DST[i] = E;``
+        (the map shape): DST a signed 32-bit array, E built from
+        literals, operators that cannot fault and reads ``SRC[i]`` of
+        signed 32-bit arrays, each disjoint from DST — so that every
+        element stored depends on the elements read at its own index
+        and on nothing the loop writes.  -> (the store, the SRC[i]
+        nodes), or None."""
+        store = self._plain_assign(body[0]) if len(body) == 1 else None
+        dst = store and self._element_path(store.target, counter)
+        if dst is None:
+            return None
+        reads = []
+        pending = [store.value]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.Binary) and node.op in _MAP_OPS:
+                pending.extend((node.right, node.left))
+            elif isinstance(node, ast.Unary) and node.op in ("-", "~"):
+                pending.append(node.operand)
+            elif isinstance(node, ast.Index):
+                src = self._element_path(node, counter)
+                if src is None or _overlap(src, dst):
+                    return None
+                reads.append(node)
+            elif not isinstance(node, ast.IntLit):
+                return None
+        return (store, reads) if reads else None
+
+    def _emit_map(self, index, limit, old, store, reads):
+        """Emit the map loop ``DST[i] = E`` over ``range(i, limit)``:
+        one comprehension over the slices ``SRC[i:limit]`` computing E
+        before its 32-bit wrap, a test on only the sides of the int
+        range its value can leave, a second pass wrapping every element
+        when one did leave it — wraps compose modulo 2**32, so a value
+        in range wraps to itself — one slice store, and C's exit values
+        of ``i`` and ``old``; after zero trips, nothing."""
+        sources = {}
+        for node in reads:
+            base = self.expr(node.obj)
+            name = sources.setdefault(base, f"_e{len(sources) + 1}")
+            self._elements[node.uid] = _Code(name, _I32)
+        value = self.wrap(self.expr(store.value), self.type_of(store.target))
+        self._elements.clear()
+        pre = getattr(value, "pre", None)
+        slices = ", ".join(f"{base}[{index}:{limit}]" for base in sources)
+        if len(sources) > 1:
+            slices = f"zip({slices})"
+        values = self.temp()
+        self.emit(f"if {index} < {limit}:")
+        self.depth += 1
+        self.emit(f"{values} = [{pre or value}"
+                  f" for {', '.join(sources.values())} in {slices}]")
+        if pre is not None:
+            fits = getattr(pre, "fits", None)
+            lo, hi = _I32
+            tests = []
+            if fits is None or fits[1] > hi:
+                tests.append(f"max({values}) > 0x{hi:X}")
+            if fits is None or fits[0] < lo:
+                tests.append(f"min({values}) < -0x{-lo:X}")
+            self.emit(f"if {' or '.join(tests)}:")
+            wrapped = self.wrap("_e", self.type_of(store.target))
+            self.emit(f"    {values} = [{wrapped} for _e in {values}]")
+        self._slice_store(self.expr(store.target.obj), index, limit, values,
+                          sized=False)
+        if old is not None:
+            last = int(limit) - 1 if limit.isdigit() else f"{limit} - 1"
+            self.emit(f"{self.py_name(old)} = {last}")
+        self.emit(f"{index} = {limit}")
+        self.depth -= 1
 
     def _for(self, node):
         self.scopes.append({})
@@ -1203,7 +1325,8 @@ class _FuncCompiler:
 
 
 #: names a MiniC identifier may not take in the generated module
-_RESERVED = frozenset(keyword.kwlist) | {"_rt", "_once", "_struct"}
+_RESERVED = frozenset(keyword.kwlist) | {
+    "_rt", "_once", "_struct", "len", "max", "min", "zip"}
 
 
 class CompiledModule:

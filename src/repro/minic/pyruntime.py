@@ -320,3 +320,7 @@ def cast_ptr(value, elem_size, signed, punned=False):
 
 def c_abort():
     raise InterpError("program called abort()")
+
+
+def overrun():
+    raise InterpError("array access past the end of the array")

@@ -323,12 +323,36 @@ class TestLoweringMutants:
                             xfer_server._module) == []
 
     def test_handler_loop_one_trip_short(self, xfer_pipeline, xfer_server):
-        # mutant 10: the counted loop's range is off by one, so the
-        # last element goes back unincremented.
-        loop = re.search(r"for i in range\(i, (\w+)\):",
+        # mutant 10: the handler's map comprehension stops one element
+        # early, so the last element goes back unincremented.
+        loop = re.search(r"for _e1 in (\w+\.vals)\[i:(\w+)\]\]",
                          xfer_server._module.source)
         bad = relower(xfer_server._module, loop.group(0),
-                      f"for i in range(i, {loop.group(1)} - 1):")
+                      f"for _e1 in {loop.group(1)}[i:{loop.group(2)} - 1]]")
+        assert self._verify(xfer_pipeline, xfer_server, bad) == [
+            "lowering-divergence"]
+
+    #: the handler's map loop ``res.vals[i] = args.vals[i] + 1``, with
+    #: one of its parts lowered wrong: (pattern, replacement).  The
+    #: in-domain probe opens with ``INT_MAX``, whose ``+ 1`` wraps.
+    MAP_MUTANTS = {
+        "rewrap-deleted": (
+            r"(if max\(_t\d+\) > 0x7FFFFFFF:\n +)_t\d+ = [^\n]+", r"\1pass"),
+        "range-check-wrong-side": (
+            r"max\((_t\d+)\) > 0x7FFFFFFF", r"min(\1) < -0x80000000"),
+        "range-check-deleted": (
+            r"\n +if max\(_t\d+\) > 0x7FFFFFFF:\n[^\n]+", ""),
+        "map-reads-dst": (
+            r"(for _e1 in \w+)_2\.vals\[", r"\1_3.vals["),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAP_MUTANTS))
+    def test_map_loop_mutant(self, xfer_pipeline, xfer_server, name):
+        pattern, replacement = self.MAP_MUTANTS[name]
+        source = xfer_server._module.source
+        assert re.search(pattern, source), "mutation found nothing to change"
+        bad = relowered(xfer_server._module,
+                        lambda text: re.sub(pattern, replacement, text))
         assert self._verify(xfer_pipeline, xfer_server, bad) == [
             "lowering-divergence"]
 

@@ -9,7 +9,8 @@ Three layers:
   its words — whose compiled form must return what the interpreter
   returns *and* leave the same memory (and cursor) behind;
 * hand-written cases for the counted-loop matcher: every refusal it
-  must make, and the edges of the loops it accepts;
+  must make, and the edges of the loops it accepts — and a Hypothesis
+  property for the map loops it lowers to one comprehension;
 * golden assertions on the real n=1000 residual codecs: the shapes the
   performance ledger's counts depend on.
 """
@@ -20,6 +21,8 @@ import re
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InterpError
 from repro.minic import pyruntime as rt
@@ -544,6 +547,135 @@ class TestCountedLoopRefuses:
         assert_agree(source, counted=False)
 
 
+# -- map loops: one comprehension, the wrap deferred -------------------------
+
+#: the values a wrong wrap, a check on the wrong side or a dropped
+#: re-wrap gets wrong
+MAP_EDGES = (INT_MIN, INT_MAX, -1, 0)
+
+MAP_STRUCT = """
+struct S { int a[8]; int b[8]; int d[8]; int i; int old; };
+"""
+
+
+def map_case(value, a, b, d, store="t.d[i]"):
+    """``f(s, start, n)``: the Tempo-shaped counted loop ``store =
+    value`` over a local struct whose arrays start as ``a``, ``b``,
+    ``d``; everything it leaves behind is copied out to ``*s``."""
+    def fill(name, values):
+        return " ".join(f"t.{name}[{k}] = {f'(-{-v})' if v < 0 else v};"
+                        for k, v in enumerate(values))
+
+    copy_out = " ".join(f"s->{name}[{k}] = t.{name}[{k}];"
+                        for name in "abd" for k in range(8))
+    return MAP_STRUCT + f"""
+int f(struct S *s, int start, int n)
+{{
+    struct S t; int i; int old;
+    {fill("a", a)} {fill("b", b)} {fill("d", d)}
+    old = (-7);
+    i = start;
+    while (i < n) {{ {store} = {value}; old = i; i = old + 1; }}
+    {copy_out}
+    s->i = i; s->old = old;
+    return i;
+}}
+"""
+
+
+MAP_VALUES = ("t.a[i] + 1", "t.a[i] + (-1)", "t.a[i] + 2147483647",
+              "t.a[i] - 1", "t.a[i] * 3", "t.a[i] ^ 1515870810",
+              "-t.a[i]", "~t.a[i]", "t.a[i] + t.b[i]",
+              "(t.b[i] - t.a[i]) * 2 + t.b[i]")
+
+_words = st.lists(st.sampled_from(MAP_EDGES) | st.integers(INT_MIN, INT_MAX),
+                  min_size=8, max_size=8)
+
+
+class TestMapLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(value=st.sampled_from(MAP_VALUES), a=_words, b=_words, d=_words,
+           start=st.integers(0, 8), n=st.integers(0, 8))
+    def test_matches_the_interpreter(self, value, a, b, d, start, n):
+        interp, compiled, module = run_both(map_case(value, a, b, d),
+                                            start, n)
+        assert compiled == interp, module.source
+        body = _function(module.source, "f")
+        assert " for _e1" in body and " in range(" not in body
+        if start >= n:  # zero trips: i and old untouched
+            assert compiled[0] == start
+            assert compiled[1][S_MAP_FIELDS.index("old")] == -7
+
+    @pytest.mark.parametrize("value", MAP_VALUES)
+    def test_every_shape_at_the_edges(self, value):
+        a, b = MAP_EDGES * 2, MAP_EDGES[::-1] * 2
+        for start, n in ((0, 8), (3, 8), (2, 5), (8, 8), (6, 2)):
+            interp, compiled, _ = run_both(map_case(value, a, b, [5] * 8),
+                                           start, n)
+            assert compiled == interp, (value, start, n)
+
+    @pytest.mark.parametrize("value, tests", [
+        # only the side the interval can leave by is tested
+        ("t.a[i] + 1", ["max(_t1) > 0x7FFFFFFF"]),
+        ("t.a[i] - 1", ["min(_t1) < -0x80000000"]),
+        ("-t.a[i]", ["max(_t1) > 0x7FFFFFFF"]),
+        # no interval: both sides
+        ("t.a[i] * 3", ["max(_t1) > 0x7FFFFFFF", "min(_t1) < -0x80000000"]),
+        # an interval inside the range: no test, no wrap
+        ("t.a[i] + 0", []),
+        ("~t.a[i]", []),
+    ])
+    def test_the_range_check_tests_only_the_sides_left(self, value, tests):
+        body = _function(
+            compiled_source(map_case(value, [0] * 8, [0] * 8, [0] * 8)), "f")
+        checks = [line.strip() for line in body.splitlines()
+                  if "max(" in line or "min(" in line]
+        assert checks == ([f"if {' or '.join(tests)}:"] if tests else [])
+        assert ("0xFFFFFFFF" in body) == bool(tests)
+
+    @pytest.mark.parametrize("store, value", [
+        # dst is src: kept as a loop
+        ("t.a[i]", "t.a[i] + 1"),
+        # reads the counter itself, or another element, or a variable
+        ("t.d[i]", "t.a[i] + i"),
+        ("t.d[i]", "t.a[0] + 1"),
+        ("t.d[i]", "t.a[i] + n"),
+        # an operator that can fault
+        ("t.d[i]", "t.a[i] / 3"),
+        # reads nothing indexed by the counter
+        ("t.d[i]", "5"),
+    ])
+    def test_other_bodies_keep_the_for_form(self, store, value):
+        a = MAP_EDGES * 2
+        interp, compiled, module = run_both(
+            map_case(value, a, a, a, store=store), 1, 7)
+        assert compiled == interp
+        body = _function(module.source, "f")
+        assert "for i in range(i, n):" in body and " for _e" not in body
+
+    @pytest.mark.parametrize("short", ["self.a", "self.d"])
+    def test_a_short_array_faults_as_its_elements_would(self, short):
+        # a list one element short of its C array: the element loop
+        # faults reading or storing the last element; a bare slice
+        # store would grow (or shrink) the list and carry on
+        module = compile_program(parse_program(MAP_STRUCT + """
+        int f(struct S *s, int n) {
+            struct S t; int i;
+            i = 0;
+            while (i < n) { t.d[i] = t.a[i] + 1; i = i + 1; }
+            s->d[0] = t.d[0];
+            return i;
+        }"""))
+        assert module.call("f", module.new_struct("S"), 8) == 8
+        bad = relowered(module, lambda source: source.replace(
+            f"{short} = [0] * 8", f"{short} = [0] * 7"))
+        with pytest.raises(InterpError, match="past the end"):
+            bad.call("f", bad.new_struct("S"), 8)
+
+
+S_MAP_FIELDS = ("a", "b", "d", "i", "old")
+
+
 # -- a rolled element loop joins the cursor run ------------------------------
 
 
@@ -613,6 +745,14 @@ class TestLoopAsSpan:
         body = _function(module.source, "f")
         assert body.count("unpack_from") == 1 and "s.a[0:8] = " in body
         assert "while" not in body and "for " not in body
+        # into a list shorter than its C array: a fault, as the element
+        # stores fault, not a longer list
+        short = module.new_struct("S")
+        short.a = [0] * 7
+        with pytest.raises(InterpError, match="past the end"):
+            module.call("f", short, rt.BufPtr(rt.PyBuffer(64), 0, 1, True),
+                        5)
+        assert short.a == [0] * 7
 
     @pytest.mark.parametrize("loop, tail", [
         # a second statement in the body
@@ -808,6 +948,21 @@ class TestEmittedForms:
             "p.v = a", "q.set(a)", "_rt.ptr_add(q, 1).set(a)", "return 0",
         ]
 
+    def test_locals_do_not_shadow_the_builtins_emitted_code_calls(self):
+        # a map loop calls len/max/min (and zip for two sources)
+        source = MAP_STRUCT + """
+        int f(struct S *s, int start, int n) {
+            struct S t; int len; int max; int min; int zip;
+            t.a[0] = 2147483647; t.b[0] = (-2147483648);
+            len = 8; max = 1; min = 2; zip = start;
+            while (zip < n) { t.d[zip] = t.a[zip] + t.b[zip] * 3; zip++; }
+            s->d[0] = t.d[0]; s->i = len + max + min + zip;
+            return zip;
+        }"""
+        interp, compiled, module = run_both(source, 0, 4)
+        assert compiled == interp
+        assert "len__2 = 8" in module.source and " in zip(" in module.source
+
     def test_signedness_punned_pointer_keeps_objects_in_range(self):
         """Sun RPC's ``xdr_u_long`` reads and writes a ``u_long`` through
         a ``long *``; the object must keep an unsigned value."""
@@ -869,17 +1024,25 @@ def test_golden_server_handler_loop(golden_pipeline):
     source = server._module.source
     assert "_rt.wrap_i32(" not in source
     hot = _function(source, "svc_process_xchg_prog_1_spec")
-    lines = hot.splitlines()
-    head = next(i for i, line in enumerate(lines)
-                if "for i in range(i, " in line)
-    assert lines[head + 1].strip() == (
-        "t_intarr_3.vals[i] = (((t_intarr_2.vals[i] + 1) + 0x80000000)"
-        " & 0xFFFFFFFF) - 0x80000000"
-    )
-    assert lines[head + 2].strip().startswith("if i < ")  # loop is 1 line
-    assert "while" not in hot
-    # decode and encode of the 1000 ints: one slice each way
-    assert f"objp.vals[0:{GOLDEN_N}] = " in source
+    lines = [line.strip() for line in hot.splitlines()]
+    head = lines.index("_t4 = [_e1 + 1 for _e1 in t_intarr_2.vals[i:_t3]]")
+    assert lines[head - 1] == "if i < _t3:"  # at least one trip
+    assert lines[head + 1:head + 8] == [
+        # ``src[i] + 1`` can only leave the int range upward
+        "if max(_t4) > 0x7FFFFFFF:",
+        "_t4 = [((_e + 0x80000000) & 0xFFFFFFFF) - 0x80000000 for _e in _t4]",
+        "if len(t_intarr_3.vals) < _t3 or len(_t4) != _t3 - i:",
+        "_rt.overrun()",
+        "t_intarr_3.vals[i:_t3] = _t4",
+        "_old_2 = _t3 - 1",
+        "i = _t3",
+    ]
+    assert "while" not in hot and " in range(" not in hot
+    # decode and encode of the 1000 ints: one slice each way, the
+    # decode's store held to the array's capacity
+    assert (f"if len(objp.vals) < {GOLDEN_N}:\n"
+            f"            _rt.overrun()\n"
+            f"        objp.vals[0:{GOLDEN_N}] = ") in source
     assert f".pack_into(_t2.buffer.data, _t2.offset, *objp.vals[0:{GOLDEN_N}])" \
         in source
 

@@ -1,5 +1,7 @@
 """End-to-end pipeline tests: IDL -> Tempo -> compiled Python codecs."""
 
+import re
+
 import pytest
 
 from repro.errors import IdlError, VerificationError, XdrError
@@ -198,7 +200,8 @@ class TestLoweringGate:
 
     @pytest.fixture()
     def off_by_one(self, monkeypatch):
-        """A back end that lowers every counted loop one trip short."""
+        """A back end that lowers every counted loop one trip short —
+        a ``for`` loop's range or a map comprehension's slices."""
         from repro.minic import compile_py
 
         emit = compile_py._FuncCompiler.emit
@@ -206,6 +209,8 @@ class TestLoweringGate:
         def wrong(self, text):
             if text.startswith("for ") and " in range(" in text:
                 text = text.replace("):", " - 1):")
+            elif " for _e1 in " in text:
+                text = re.sub(r"\[(\w+):(\w+)\]", r"[\1:\2 - 1]", text)
             emit(self, text)
 
         monkeypatch.setattr(compile_py._FuncCompiler, "emit", wrong)
