@@ -11,12 +11,14 @@ framing: it transmits a group of calls, receives messages, says
 whether silence means *retransmit*, and reports connection death.
 
 **One step, one driver role.**  The engine has one step — flush queued
-sends, ``select`` until the earliest timer, drain the socket, fire
-timers — and one *driver role*, a lock, so the socket has exactly one
-reader at any time.  A synchronous :meth:`CallEngine.call` that finds
-the role free takes it and steps on its own thread until its call
-resolves: no demux thread, no wake-up byte, no ``Condition`` round
-trip.  :meth:`~CallEngine.call_async` (a handle nobody is guaranteed
+sends, wait until the earliest timer, drain the socket, fire timers —
+and one *driver role*, a lock, so the socket has exactly one reader at
+any time.  A synchronous :meth:`CallEngine.call` that finds the role
+free takes it and steps on its own thread until its call resolves: no
+demux thread, no wake-up byte, no ``Condition`` round trip — and, while
+it is *lone* (:meth:`~CallEngine._lone`), no ``select``: it blocks in
+the receive under the socket's kernel timeout and settles on the reply.
+:meth:`~CallEngine.call_async` (a handle nobody is guaranteed
 to wait on) and a call that finds the role taken go through the
 *demux thread*, which starts lazily, picks up whatever an exiting
 inline driver leaves pending, and gives the role back and exits once
@@ -47,6 +49,7 @@ import collections
 import functools
 import select
 import socket
+import struct
 import threading
 import time
 
@@ -68,12 +71,15 @@ from repro.rpc.resilience import Deadline
 
 __all__ = ["CallEngine", "CallStats", "PendingCall"]
 
-#: longest a driver sleeps in ``select``: bounds what a wake-up that
-#: raced the lazily created wake pair, or a ``close()`` from another
-#: thread, can cost.
+#: longest a driver sleeps in ``select`` or a blocking receive: bounds
+#: what a wake-up that raced the lazily created wake pair, or a
+#: ``close()`` from another thread, can cost.
 IDLE_TICK_S = 0.2
 
 _NEVER = float("inf")
+#: flags of a read that must not wait (every read but a lone driver's)
+_DONTWAIT = socket.MSG_DONTWAIT
+_XID = struct.Struct(">I").unpack_from
 
 
 class CallStats:
@@ -258,14 +264,17 @@ def _series(transport):
 class CallEngine(RpcClient):
     """Pending table, timers and the driver role over a transport.
 
-    A transport subclass provides ``sock`` (non-blocking), the obs
-    label ``_transport``, ``retransmits`` (does silence past a window
-    mean *send again*?), ``_batch_limit`` (bytes one transmit may
-    carry), and four methods: ``_transmit(group)`` hands a group of
-    calls to the socket as one transmit and returns the bytes it
-    framed, ``_receive()`` performs one read and returns the complete
-    messages it yielded (``None`` when nothing is readable; raises
-    :class:`~repro.errors.RpcProtocolError` on connection death),
+    A transport subclass provides ``sock`` (under
+    :func:`~repro.rpc.record.kernel_timeout` of :data:`IDLE_TICK_S`),
+    the obs label ``_transport``, ``retransmits`` (does silence past a
+    window mean *send again*?), ``_batch_limit`` (bytes one transmit
+    may carry), and four methods: ``_transmit(group)`` hands a group
+    of calls to the socket as one transmit and returns the bytes it
+    framed, ``_receive(flags)`` performs one read with ``flags``
+    (``MSG_DONTWAIT``, or 0: wait up to the kernel timeout) and
+    returns the complete messages it yielded (``None`` when nothing
+    arrived; raises :class:`~repro.errors.RpcProtocolError` on
+    connection death),
     ``_pump()`` writes what ``_outbuf`` still holds, and
     ``_close_socket()``.  The back-off schedule (``wait``,
     ``max_wait``, ``backoff``, ``jitter``, ``_jitter_rng``) and
@@ -314,9 +323,10 @@ class CallEngine(RpcClient):
         #: earliest pending timer (hard end or retransmit), a
         #: conservative lower bound: the O(window) timer scan is
         #: skipped while ``now`` is before it.  Lowered (under the
-        #: lock) wherever a timer is armed; recomputed exactly by each
-        #: scan.  A stale-low value costs one redundant scan, never a
-        #: missed timer.
+        #: lock) wherever a timer is armed, reset by the first call
+        #: into an empty table; recomputed exactly by each scan.  A
+        #: stale-low value costs one redundant scan, never a missed
+        #: timer.
         self._timer_floor = _NEVER
         self._series = _series(self._transport)
         #: calls finished (returned, timed out, or raised)
@@ -371,9 +381,12 @@ class CallEngine(RpcClient):
                 raise
             if self._driver.acquire(False):
                 # Nobody else drives: send, then step on this thread
-                # until the call resolves.
+                # until the call resolves — a lone call first blocks
+                # once in the receive, and settles on its one reply.
                 try:
                     self._send_group((call,), call.started, False)
+                    if self._lone(call.started):
+                        self._drain(False, 0)
                     while not call._done:
                         self._step(False)
                 finally:
@@ -389,7 +402,8 @@ class CallEngine(RpcClient):
         except BaseException as exc:
             _end_call_span(call.span, exc)
             raise
-        _end_call_span(call.span, call._error)
+        if call.span is not None:
+            _end_call_span(call.span, call._error)
         if call._error is not None:
             raise call._error
         return call._value
@@ -450,7 +464,7 @@ class CallEngine(RpcClient):
     def _unsent(self, call, error):
         """Resolve a call the window refused: one fold, like any other."""
         call.stats.elapsed_s = time.monotonic() - call.started
-        self._finish_call(call.stats, _outcome(error))
+        self._finish_call(call.stats, error)
         call._error = error
         call._done = True
 
@@ -516,7 +530,7 @@ class CallEngine(RpcClient):
         except BaseException as exc:
             _end_call_span(encode_span, exc)
             _end_call_span(span, exc)
-            self._finish_call(CallStats(proc), _outcome(exc))  # never sent
+            self._finish_call(CallStats(proc), exc)  # never sent
             raise
         if encode_span is not None:
             encode_span.end(bytes=len(request))
@@ -542,13 +556,14 @@ class CallEngine(RpcClient):
         with self._lock:  # the lock _cond waits on
             if self._down is not None or len(pending) >= self.max_inflight:
                 self._await_room(call.started + budget, budget)
-            pending[call.xid] = call
-            # no timer of this call can be due before this
+            # no timer of this call can be due before this, and in an
+            # empty table no other is (a stale floor would cost _lone)
             when = call.hard_end
             if call.window and call.started + call.window < when:
                 when = call.started + call.window
-            if when < self._timer_floor:
+            if not pending or when < self._timer_floor:
                 self._timer_floor = when
+            pending[call.xid] = call
             if queue:
                 wake = not self._sendq
                 self._sendq.append(call)
@@ -629,15 +644,35 @@ class CallEngine(RpcClient):
         finally:
             self._driver.release()
 
+    def _lone(self, now):
+        """May the driver wait in the receive itself?  Only with nothing
+        else to watch: window 1 (nobody can queue a send meanwhile), no
+        wake pair, no unsent bytes, a call pending, and no timer due
+        within the tick the kernel timeout bounds the receive by."""
+        return (self.max_inflight == 1 and self._wake_r is None
+                and not self._outbuf and self._pending
+                and self._timer_floor - now >= IDLE_TICK_S)
+
     def _step(self, demux):
         """One turn of the engine, by whoever holds the driver role:
-        flush queued sends, sleep in ``select`` until the earliest
-        timer, drain what arrived, fire what is due."""
+        flush queued sends, sleep until the earliest timer — in the
+        receive when :meth:`_lone`, else in ``select`` — drain what
+        arrived, fire what is due."""
         now = time.monotonic()
         if self._sendq:
             self._flush(now, demux)
             if not self._pending:
                 return
+        if self._lone(now):
+            self._drain(demux, 0)
+        else:
+            self._select(now, demux)
+        if self._pending:  # (connection death leaves nothing pending)
+            self._fire_timers(demux)
+
+    def _select(self, now, demux):
+        """Sleep in ``select`` until a timer, a reply, a wake-up or
+        room for unsent bytes is due; act on what is ready."""
         timeout = self._timer_floor - now
         if timeout > IDLE_TICK_S or not self._pending:
             timeout = IDLE_TICK_S
@@ -663,8 +698,6 @@ class CallEngine(RpcClient):
                     pass
         if writable:
             self._pump()
-        if self._pending:
-            self._fire_timers(demux)
 
     def _flush(self, now, demux):
         """Transmit whatever is queued, coalesced up to the
@@ -682,17 +715,16 @@ class CallEngine(RpcClient):
     def _send_group(self, group, now, demux):
         """One transmit — first sends and retransmissions alike — and
         the timer rule for every call it carried."""
-        flush_span = None
-        send_spans = ()
+        send_spans = None  # flush_span is set with it, when traced
         if _obs.enabled:
             if demux:
                 _obs.registry.cells[self._series["batch_size"]].observe(
                     len(group))
             if _obs.tracer.sinks:
-                if demux:
-                    flush_span = _obs.span("mux.flush", side="client",
-                                           transport=self._transport,
-                                           messages=len(group))
+                flush_span = (_obs.span("mux.flush", side="client",
+                                        transport=self._transport,
+                                        messages=len(group))
+                              if demux else None)
                 send_spans = [
                     call.span.child("client.send",
                                     attempt=call.stats.attempts + 1,
@@ -701,26 +733,26 @@ class CallEngine(RpcClient):
         try:
             nbytes = self._transmit(group)
         except FaultInjected as exc:
-            for span in send_spans:
-                span.end(outcome="error", error="FaultInjected")
-            if flush_span is not None:
-                flush_span.end(outcome="fault")
+            if send_spans is not None:
+                for span in send_spans:
+                    span.end(outcome="error", error="FaultInjected")
+                if flush_span is not None:
+                    flush_span.end(outcome="fault")
             self._complete_batch([(call, None, exc) for call in group],
                                  demux)
             return
-        for span in send_spans:
-            span.end()
-        if flush_span is not None:
-            flush_span.end(bytes=nbytes)
+        if send_spans is not None:
+            for span in send_spans:
+                span.end()
+            if flush_span is not None:
+                flush_span.end(bytes=nbytes)
         self.batches_sent += 1
         self.messages_batched += len(group)
-        retransmits = self.retransmits
-        earliest = _NEVER
         for call in group:
             stats = call.stats
             stats.attempts += 1
             when = call.hard_end
-            if retransmits:
+            if self.retransmits:
                 window = grant = call.window
                 if call.deadline is not None:
                     # A deadline is harder than the timeout budget: no
@@ -741,44 +773,25 @@ class CallEngine(RpcClient):
                 call.wait_span = (
                     call.span.child("client.wait", attempt=stats.attempts,
                                     window_s=round(grant, 6))
-                    if retransmits else
+                    if self.retransmits else
                     call.span.child("client.wait", attempt=stats.attempts))
-            if when < earliest:
-                earliest = when
-        if earliest < self._timer_floor:
-            with self._lock:
-                if earliest < self._timer_floor:
-                    self._timer_floor = earliest
+            if when < self._timer_floor:
+                with self._lock:
+                    if when < self._timer_floor:
+                        self._timer_floor = when
 
-    def _drain(self, demux):
+    def _drain(self, demux, flags=_DONTWAIT):
         """Read and classify replies while a pending call could still
         be answered by what is queued: a lone call costs one receive,
         not one plus the ``EAGAIN`` that ends a read-until-dry loop.
-        A reply that settles a call becomes a ``(call, value, error)``
-        resolution; the burst is completed in one batch."""
+        Only the first read takes ``flags`` (0 waits in it).  The
+        resolutions are completed in one batch."""
         resolutions = []
-        pending = self._pending
         try:
-            while True:
-                messages = self._receive()
-                if messages is None:
-                    break
-                for message in messages:
-                    if len(message) < 4:
-                        self._garbage()
-                        continue
-                    xid = int.from_bytes(message[0:4], "big")
-                    # Lock-free probe: dict.get is atomic under the
-                    # GIL, and _complete_batch re-checks ownership with
-                    # a locked pop, so the worst a racing close() costs
-                    # is one redundant parse.
-                    call = pending.get(xid)
-                    if call is None:
-                        self._unknown_xid()
-                    else:
-                        self._deliver(call, xid, message, resolutions)
-                if len(resolutions) >= len(pending):
-                    break
+            messages = self._receive(flags)
+            while (messages is not None
+                   and self._classify(messages, resolutions)):
+                messages = self._receive(_DONTWAIT)
         except RpcProtocolError as exc:
             # Replies fully received ahead of the death resolve with
             # their real values, not in the connection-error sweep.
@@ -805,36 +818,55 @@ class CallEngine(RpcClient):
             _obs.registry.counter("rpc.client.stale_replies",
                                   transport=self._transport).inc()
 
-    def _deliver(self, call, xid, message, resolutions):
-        """Parse one reply to ``call``; a verdict is appended to
-        ``resolutions``."""
-        decode_span = (call.span.child("client.decode", bytes=len(message))
-                       if call.span is not None else None)
-        try:
-            matched, value = self.parse_reply(message, xid, call.proc,
-                                              call.xdr_res)
-        except (XdrError, RpcProtocolError) as exc:
-            # Undecodable under our xid (corruption, truncation):
-            # retransmission recovers it from the server's DRC; on a
-            # stream nothing will, so the call resolves typed.
-            _end_call_span(decode_span, exc)
-            call.stats.garbage_datagrams += 1
-            if not self.retransmits:
-                resolutions.append((call, None, RpcProtocolError(
-                    f"undecodable reply for xid {xid}")))
-            return
-        except RpcError as exc:
-            # A server verdict for *our* xid (denial, PROG_UNAVAIL,
-            # SYSTEM_ERR shed, ...): the call resolves typed.
-            _end_call_span(decode_span, exc)
-            resolutions.append((call, None, exc))
-            return
-        if decode_span is not None:
-            decode_span.end(matched=matched)
-        if matched:
-            resolutions.append((call, value, None))
-        else:
-            call.stats.stale_replies += 1
+    def _classify(self, messages, resolutions):
+        """The reply classification: each message one read yielded is
+        garbage, an unknown xid, or parsed as a reply to its pending
+        call — a verdict that settles the call is appended to
+        ``resolutions`` as ``(call, value, error)``.  Returns whether a
+        pending call is still unanswered."""
+        pending = self._pending
+        for message in messages:
+            try:
+                xid = _XID(message)[0]
+            except struct.error:  # too short to carry an xid
+                self._garbage()
+                continue
+            # Lock-free probe: dict.get is atomic under the GIL, and
+            # _complete_batch re-checks ownership with a locked pop, so
+            # the worst a racing close() costs is one redundant parse.
+            call = pending.get(xid)
+            if call is None:
+                self._unknown_xid()
+                continue
+            decode_span = (
+                call.span.child("client.decode", bytes=len(message))
+                if call.span is not None else None)
+            try:
+                matched, value = self.parse_reply(message, xid, call.proc,
+                                                  call.xdr_res)
+            except (XdrError, RpcProtocolError) as exc:
+                # Undecodable under our xid (corruption, truncation):
+                # retransmission recovers it from the server's DRC; on
+                # a stream nothing will, so the call resolves typed.
+                _end_call_span(decode_span, exc)
+                call.stats.garbage_datagrams += 1
+                if not self.retransmits:
+                    resolutions.append((call, None, RpcProtocolError(
+                        f"undecodable reply for xid {xid}")))
+                continue
+            except RpcError as exc:
+                # A server verdict for *our* xid (denial, PROG_UNAVAIL,
+                # SYSTEM_ERR shed, ...): the call resolves typed.
+                _end_call_span(decode_span, exc)
+                resolutions.append((call, None, exc))
+                continue
+            if decode_span is not None:
+                decode_span.end(matched=matched)
+            if matched:
+                resolutions.append((call, value, None))
+            else:
+                call.stats.stale_replies += 1
+        return len(resolutions) < len(pending)
 
     def _next_window(self, window):
         """The next back-off interval: grow, jitter, cap."""
@@ -921,7 +953,7 @@ class CallEngine(RpcClient):
                     "reply" if error is None
                     else "silent" if isinstance(error, RpcTimeoutError)
                     else "error"))
-            self._finish_call(stats, _outcome(error))
+            self._finish_call(stats, error)
             call._value = value
             call._error = error
             call._done = True
@@ -931,7 +963,7 @@ class CallEngine(RpcClient):
             with self._lock:  # the lock _cond notifies under
                 self._cond.notify_all()
 
-    def _finish_call(self, stats, outcome):
+    def _finish_call(self, stats, error):
         """The single aggregation point for per-call telemetry.
 
         Lifetime counters and the metrics registry are updated *here
@@ -942,11 +974,14 @@ class CallEngine(RpcClient):
         """
         self.last_call_stats = stats
         self.calls_completed += 1
-        self.retransmissions += stats.retransmissions
-        self.stale_replies += stats.stale_replies
-        self.garbage_datagrams += stats.garbage_datagrams
+        if (stats.retransmissions or stats.stale_replies
+                or stats.garbage_datagrams):
+            self.retransmissions += stats.retransmissions
+            self.stale_replies += stats.stale_replies
+            self.garbage_datagrams += stats.garbage_datagrams
         if not _obs.enabled:
             return
+        outcome = _outcome(error)
         keys = self._series
         registry = _obs.registry
         cells = registry.cells

@@ -20,15 +20,16 @@ callers never see ``struct.error`` or a bare ``OSError``.
 """
 
 import socket
+from socket import MSG_DONTWAIT
 
 from repro.errors import (
     RpcConnectionError,
     RpcDeadlineExceeded,
     RpcTimeoutError,
 )
-from repro.rpc.clnt_core import CallEngine
+from repro.rpc.clnt_core import IDLE_TICK_S, CallEngine
 from repro.rpc.faults import FaultySocket
-from repro.rpc.record import RecordAssembler, mark_record
+from repro.rpc.record import RecordAssembler, kernel_timeout, mark_record
 
 __all__ = ["TcpClient"]
 
@@ -58,8 +59,8 @@ class TcpClient(CallEngine):
         self.sock = self._connect(timeout)
 
     def _connect(self, timeout):
-        """A connected, non-blocking (and fault-wrapped) socket to
-        ``self.address``."""
+        """A connected (and fault-wrapped) socket to ``self.address``,
+        under the engine's kernel timeout."""
         host, port = self.address
         try:
             sock = socket.create_connection(self.address, timeout=timeout)
@@ -71,7 +72,7 @@ class TcpClient(CallEngine):
             raise RpcConnectionError(
                 f"cannot connect to {host}:{port}: {exc}"
             ) from exc
-        sock.setblocking(False)
+        kernel_timeout(sock, IDLE_TICK_S)
         if self._fault_plan is not None:
             sock = FaultySocket(sock, self._fault_plan)
         return sock
@@ -117,20 +118,21 @@ class TcpClient(CallEngine):
         chunk = (mark_record(group[0].request) if len(group) == 1
                  else b"".join([mark_record(call.request)
                                 for call in group]))
+        size = len(chunk)
         if self._outbuf:
             self._outbuf += chunk  # behind what is already waiting
             self._pump()
         else:
             sent = self._send(chunk)
-            if sent < len(chunk):
+            if sent < size:
                 self._outbuf += chunk[sent:]
-        return len(chunk)
+        return size
 
     def _send(self, data):
         """Write what the socket accepts of ``data``; returns how much
         (connection death: all of it — there is nothing left to send)."""
         try:
-            return self.sock.send(data)
+            return self.sock.send(data, MSG_DONTWAIT)
         except (BlockingIOError, InterruptedError):
             return 0
         except OSError as exc:
@@ -145,9 +147,9 @@ class TcpClient(CallEngine):
                 return
             del self._outbuf[:sent]
 
-    def _receive(self):
+    def _receive(self, flags):
         try:
-            chunk = self.sock.recv(_RECV_CHUNK)
+            chunk = self.sock.recv(_RECV_CHUNK, flags)
         except (BlockingIOError, InterruptedError):
             return None
         except OSError as exc:

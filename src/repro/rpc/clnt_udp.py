@@ -23,11 +23,11 @@ handler.
 import random
 import socket
 
-from repro.errors import RpcProtocolError
+from repro.errors import RpcConnectionError, RpcProtocolError
 from repro.rpc.client import UDPMSGSIZE
-from repro.rpc.clnt_core import CallEngine
+from repro.rpc.clnt_core import IDLE_TICK_S, CallEngine
 from repro.rpc.faults import FaultySocket
-from repro.rpc.record import pack_batch, unpack_batch
+from repro.rpc.record import kernel_timeout, pack_batch, unpack_batch
 
 __all__ = ["UdpClient"]
 
@@ -77,14 +77,15 @@ class UdpClient(CallEngine):
         self.backoff = backoff
         self.jitter = jitter
         self._jitter_rng = random.Random(retrans_seed)
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.setblocking(False)
+        self.sock = kernel_timeout(
+            socket.socket(socket.AF_INET, socket.SOCK_DGRAM), IDLE_TICK_S)
         if fault_plan is not None:
             self.sock = FaultySocket(self.sock, fault_plan)
         #: a batch datagram is capped at what either end will accept
         self._batch_limit = min(UDPMSGSIZE, self.bufsize)
         #: the driver's private receive buffer (single reader)
         self._recv_buffer = bytearray(self.bufsize)
+        self._recv_view = memoryview(self._recv_buffer)
 
     def _transmit(self, group):
         payload = (group[0].request if len(group) == 1
@@ -95,12 +96,14 @@ class UdpClient(CallEngine):
             pass  # unreachable peer: the retransmit timer recovers
         return len(payload)
 
-    def _receive(self):
+    def _receive(self, flags):
         try:
-            nbytes = self.sock.recv_into(self._recv_buffer)
-        except OSError:
-            return None  # nothing queued (or an ICMP error surfacing)
-        data = memoryview(self._recv_buffer)[:nbytes]
+            nbytes = self.sock.recv_into(self._recv_buffer, 0, flags)
+        except OSError as exc:
+            if self.sock.fileno() < 0:
+                raise RpcConnectionError(f"socket closed: {exc}") from exc
+            return None  # nothing arrived (or an ICMP error surfacing)
+        data = self._recv_view[:nbytes]
         if nbytes < 5 or self._recv_buffer[4] != 0xFF:
             # msg_type's top byte is 0 in every RPC message and 0xFF
             # in a batch envelope: the common case skips the unwrap

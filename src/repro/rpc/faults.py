@@ -16,8 +16,9 @@ and the fault bench (``python -m repro.bench faults``).
 
 * :class:`FaultySocket` wraps a real socket and applies a plan's
   decisions per send/receive.  It duck-types the socket surface the
-  transports use (``sendto``/``sendall``/``recvfrom``/``recv_into``/
-  ``recvfrom_into``/``recv``/``fileno``/…), so it drops into
+  transports use (``sendto``/``send``/``sendall``/``recvfrom``/
+  ``recv_into``/``recvfrom_into``/``recv``/``fileno``/…; a connected
+  datagram socket's ``send`` is faulted as ``sendto``), so it drops into
   :class:`~repro.rpc.clnt_udp.UdpClient`,
   :class:`~repro.rpc.svc_udp.UdpServer`, and the TCP transports
   unchanged.
@@ -301,8 +302,10 @@ class FaultySocket:
     # -- datagram send side ----------------------------------------------
 
     def sendto(self, data, addr):
+        """Send one datagram through the fault plan; ``addr=None`` is a
+        connected socket's ``send``."""
         if not self.on_send:
-            return self._sock.sendto(data, addr)
+            return self._put(data, addr)
         # decide() runs unconditionally — timed phases must not shift
         # the seeded draw sequence.
         decision = self.plan.decide()
@@ -330,20 +333,26 @@ class FaultySocket:
                 self._held = (payload, addr)
                 self.datagrams_sent += 1
                 return size
-        self._sock.sendto(payload, addr)
+        self._put(payload, addr)
         self.datagrams_sent += 1
         if "duplicate" in decision:
             self.plan.note("duplicate")
-            self._sock.sendto(payload, addr)
+            self._put(payload, addr)
             self.datagrams_sent += 1
         self._flush_held()
         return size
+
+    def _put(self, payload, addr):
+        """The real send of one datagram (``addr=None``: connected)."""
+        if addr is None:
+            return self._sock.send(payload)
+        return self._sock.sendto(payload, addr)
 
     def _flush_held(self):
         with self._lock:
             held, self._held = self._held, None
         if held is not None:
-            self._sock.sendto(*held)
+            self._put(*held)
 
     # -- datagram receive side -------------------------------------------
 
@@ -427,10 +436,14 @@ class FaultySocket:
         return self._sock.sendall(data)
 
     def send(self, data, *flags):
-        if self.stream and self.on_send:
-            self.sendall(data)
-            return len(data)
-        return self._sock.send(data, *flags)
+        if not self.on_send:
+            return self._sock.send(data, *flags)
+        if not self.stream:
+            # a connected datagram socket: the same decision path as
+            # sendto (and the same draw sequence)
+            return self.sendto(data, None)
+        self.sendall(data)
+        return len(data)
 
     def recv(self, bufsize, *flags):
         data = self._sock.recv(bufsize, *flags)

@@ -15,7 +15,8 @@ Both framings that put several RPC messages into one transmit live
 here, because the call engine (:mod:`repro.rpc.mux`) and the server
 transports must agree on them byte for byte: :func:`mark_record`
 (record marking without a socket, so several records can share one
-``send``) and the UDP *batch envelope*.
+``send``) and the UDP *batch envelope*.  So does the socket mode both
+ends' loops run in, :func:`kernel_timeout`.
 
 Batch envelope (UDP)
 --------------------
@@ -31,6 +32,7 @@ an adversarial xid equal to ``BATCH_MAGIC``.  A lone message is always
 sent raw, so single calls stay wire-compatible with any Sun RPC peer.
 """
 
+import socket
 import struct
 
 from repro.errors import RpcConnectionError, RpcProtocolError
@@ -50,6 +52,21 @@ BATCH_MAGIC = 0xB47C4A11
 _BATCH_FLAG = 0xFFFFFFFF
 _BATCH_HEADER = struct.Struct(">III")
 _WORD = struct.Struct(">I")
+
+
+def kernel_timeout(sock, seconds):
+    """Make ``sock`` blocking, with the kernel bounding each receive and
+    each send to ``seconds`` (``SO_RCVTIMEO`` / ``SO_SNDTIMEO``); one
+    that runs out raises ``BlockingIOError``.  Unlike ``settimeout``,
+    this leaves CPython nothing to ``poll`` before each call: a serial
+    round trip's syscalls are its sends and receives.  Returns
+    ``sock``."""
+    sock.settimeout(None)
+    whole = int(seconds)
+    value = struct.pack("@ll", whole, int((seconds - whole) * 1e6))
+    for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+        sock.setsockopt(socket.SOL_SOCKET, option, value)
+    return sock
 
 
 def batch_groups(items, max_bytes, size=len):

@@ -250,6 +250,8 @@ class InflightLimiter:
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._inflight = 0
+        #: threads inside ``wait_idle`` (no waiter, no ``notify_all``)
+        self._waiters = 0
         self.admitted = 0
         self.rejected = 0
 
@@ -270,7 +272,7 @@ class InflightLimiter:
     def release(self):
         with self._lock:
             self._inflight -= 1
-            if self._inflight <= 0:
+            if self._inflight <= 0 and self._waiters:
                 self._idle.notify_all()
 
     def wait_idle(self, timeout=None):
@@ -278,13 +280,17 @@ class InflightLimiter:
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         with self._lock:
-            while self._inflight > 0:
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-            return True
+            self._waiters += 1
+            try:
+                while self._inflight > 0:
+                    remaining = (None if deadline is None
+                                 else deadline - time.monotonic())
+                    if remaining is not None and remaining <= 0:
+                        return False
+                    self._idle.wait(remaining)
+                return True
+            finally:
+                self._waiters -= 1
 
 
 class TokenBucket:

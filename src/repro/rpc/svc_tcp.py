@@ -6,7 +6,7 @@ import time
 
 from repro import obs as _obs
 from repro.errors import FaultInjected, RpcProtocolError
-from repro.rpc.record import read_record, write_record
+from repro.rpc.record import kernel_timeout, read_record, write_record
 from repro.rpc.svc_core import RpcServer
 
 
@@ -60,13 +60,14 @@ class TcpServer(RpcServer):
         super().__init__(registry, **core)
 
     def _serve_connection(self, raw_conn, peer):
-        raw_conn.settimeout(30.0)
-        conn = self._faulty(raw_conn)
+        # an idle peer is let go after 30 s: a kernel timeout, so
+        # CPython polls before no read and no send of a record
+        conn = self._faulty(kernel_timeout(raw_conn, 30.0))
         try:
             while not self._stop.is_set():
                 try:
                     data = read_record(conn)
-                except (RpcProtocolError, socket.timeout, OSError):
+                except (RpcProtocolError, OSError):
                     # RpcConnectionError subclasses RpcProtocolError:
                     # a lost or misbehaving peer ends this connection
                     # thread, never the server.

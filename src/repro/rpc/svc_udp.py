@@ -6,7 +6,8 @@ import time
 from repro import obs as _obs
 from repro.errors import FaultInjected, RpcProtocolError
 from repro.rpc.client import UDPMSGSIZE
-from repro.rpc.record import batch_groups, pack_batch, unpack_batch
+from repro.rpc.record import (batch_groups, kernel_timeout, pack_batch,
+                              unpack_batch)
 from repro.rpc.svc_core import RpcServer
 
 #: static ``registry.cells`` keys of the per-datagram updates
@@ -42,7 +43,9 @@ class UdpServer(RpcServer):
         self.bufsize = bufsize
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.bind((host, port))
-        self.sock.settimeout(0.2)
+        # the idle tick that looks at _stop: a kernel timeout, so
+        # CPython polls before no receive and no send
+        kernel_timeout(self.sock, 0.2)
         #: the one receive buffer (the receive loop is not reentrant;
         #: the core copies a message before handing it to a worker)
         self._recv_buffer = bytearray(bufsize)
@@ -51,10 +54,10 @@ class UdpServer(RpcServer):
 
     def handle_once(self):
         """Receive and handle (or enqueue) one datagram; returns True
-        if one was received, False on the socket's timeout."""
+        if one was received, False on the socket's (kernel) timeout."""
         try:
             nbytes, addr = self.sock.recvfrom_into(self._recv_buffer)
-        except socket.timeout:
+        except BlockingIOError:
             return False
         if not nbytes:
             return True  # no message (stop()'s wake-up is one of these)
@@ -78,6 +81,8 @@ class UdpServer(RpcServer):
         while not self._stop.is_set():
             try:
                 self.handle_once()
+            except BlockingIOError:
+                continue  # the idle tick (a handle_once may not catch it)
             except OSError:
                 if self._stop.is_set():
                     return

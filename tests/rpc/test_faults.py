@@ -137,6 +137,9 @@ class _CountingSock:
         self.sent.append((bytes(data), addr))
         return len(data)
 
+    def send(self, data):
+        return self.sendto(data, None)
+
     def close(self):
         pass
 
@@ -192,6 +195,42 @@ class TestFaultySocketUdp:
         finally:
             left.close()
             right.close()
+
+    def test_connected_send_is_faulted(self):
+        """Bugfix: ``send`` on a connected datagram socket went straight
+        to the wire, past the plan."""
+        receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            receiver.bind(("127.0.0.1", 0))
+            receiver.settimeout(0.2)
+            sender.connect(receiver.getsockname())
+            faulty = FaultySocket(sender, FaultPlan(seed=5, drop=1.0))
+            for _ in range(10):
+                assert faulty.send(b"payload") == 7
+            with pytest.raises(socket.timeout):
+                receiver.recv(64)
+        finally:
+            sender.close()
+            receiver.close()
+
+    def test_send_and_sendto_draw_the_same_sequence(self):
+        def run(send):
+            plan = FaultPlan(seed=7, drop=0.2, duplicate=0.2, reorder=0.2,
+                             corrupt=0.2)
+            notes, note = [], plan.note
+            plan.note = lambda kind: (notes.append(kind), note(kind))
+            sock = _CountingSock()
+            faulty = FaultySocket(sock, plan, stream=False)
+            for index in range(50):
+                send(faulty, b"message %d" % index)
+            faulty.close()
+            return notes, [data for data, _addr in sock.sent]
+
+        by_sendto = run(lambda sock, data: sock.sendto(data, self.ADDR))
+        by_send = run(lambda sock, data: sock.send(data))
+        assert by_send == by_sendto
+        assert {"drop", "duplicate", "reorder", "corrupt"} <= set(by_send[0])
 
     def test_delegates_socket_surface(self):
         inner = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

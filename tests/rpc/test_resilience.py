@@ -3,6 +3,7 @@ breaking, overload control — plus the registry's shed/drain/health
 surface and the transports' drain plumbing."""
 
 import threading
+import time
 
 import pytest
 
@@ -343,6 +344,13 @@ class TestTcpServerResilience:
                 assert server.requests_shed >= 1
                 release.set()
                 background.join(timeout=2.0)
+                # The blocker's request stays in flight until its reply
+                # is on the wire, so its call() can return first: wait
+                # (bounded) for the slot to come back.
+                freed_by = time.monotonic() + 2.0
+                while server.inflight and time.monotonic() < freed_by:
+                    time.sleep(0.001)
+                assert server.inflight == 0
                 # Capacity freed: the same connection serves again.
                 assert second.call(1, 2, xdr_args=xdr_u_long,
                                    xdr_res=xdr_u_long) == 3
