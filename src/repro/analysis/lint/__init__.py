@@ -28,6 +28,9 @@ concurrent stack depends on and that no unit test exercises reliably:
   (``repro/rpc/clnt_*.py`` other than ``clnt_core.py``, and
   ``repro/rpc/mux.py``) nothing calls a retry budget, re-stamps or
   coerces a deadline, or builds a ``CallStats``: that is the engine's;
+* ``breaker-outside-settle`` — in ``repro/rpc/resilience.py`` only
+  ``FailoverClient._settle`` (and ``CircuitBreaker`` itself) calls
+  ``record_failure`` / ``record_success``: the breaker rule, once;
 * ``wire-layout-outside-rpcgen`` — outside ``repro/rpcgen/`` nothing
   walks IDL type nodes (``Prim`` / ``FixedArray`` / ``VarArray`` /
   ``Named`` of ``idl``) or spells a generated ``expected_<field>_len`` parameter

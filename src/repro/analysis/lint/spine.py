@@ -1,5 +1,6 @@
 """Written-once rules: ``drc-outside-spine``, ``admission-outside-core``,
-``retransmission-outside-engine``, ``wire-layout-outside-rpcgen``.
+``retransmission-outside-engine``, ``breaker-outside-settle``,
+``wire-layout-outside-rpcgen``.
 
 ``drc-outside-spine``: the at-most-once protocol is written once.
 
@@ -31,6 +32,13 @@ retransmission, the retry budget and per-call stats live in
 budget's ``try_retry`` / ``note_call``, ``stamp_deadline``,
 ``Deadline.coerce`` or builds a ``CallStats`` is a second engine
 starting to grow.
+
+``breaker-outside-settle``: the failover twin.  Which attempt outcome
+charges or clears an endpoint's breaker is written once, in
+``FailoverClient._settle``; a ``record_failure`` / ``record_success``
+call anywhere else in ``repro/rpc/resilience.py`` (the
+``CircuitBreaker`` class itself aside) is a second copy of the
+breaker rule that can silently diverge from the first.
 
 ``wire-layout-outside-rpcgen``: what the generated stubs look like on
 the wire and in their signatures is stated once, by the stub contract
@@ -65,6 +73,11 @@ MUX_MODULE = "repro/rpc/mux.py"
 #: what only the client engine calls, by the callee's last name
 #: (``coerce`` only as ``Deadline.coerce``)
 ENGINE_CALLS = {"try_retry", "note_call", "stamp_deadline", "CallStats"}
+
+RESILIENCE_MODULE = "repro/rpc/resilience.py"
+BREAKER_CALLS = {"record_failure", "record_success"}
+#: the one outcome function, and the breaker itself
+BREAKER_OWNERS = {"_settle", "CircuitBreaker"}
 
 RPCGEN_PREFIX = "repro/rpcgen/"
 #: the IDL type nodes a wire-layout walk dispatches on
@@ -121,6 +134,20 @@ def _engine_calls(tree):
     return found
 
 
+def _breaker_calls(node, found):
+    """Breaker charges under *node*, skipping the owners' bodies."""
+    for child in pyast.iter_child_nodes(node):
+        if (isinstance(child, (pyast.FunctionDef, pyast.AsyncFunctionDef,
+                               pyast.ClassDef))
+                and child.name in BREAKER_OWNERS):
+            continue
+        if (isinstance(child, pyast.Call)
+                and _last_name(child.func) in BREAKER_CALLS):
+            found.append(child)
+        _breaker_calls(child, found)
+    return found
+
+
 def _layout_copies(tree):
     """``(node, what)`` for IDL type-node references and spelled
     expected-length parameter names."""
@@ -171,6 +198,17 @@ def check(modules):
                              f"retransmission, the retry budget and call "
                              f"stats live only in CallEngine "
                              f"(clnt_core.py); a transport moves messages"),
+                ))
+        if rel == RESILIENCE_MODULE:
+            for call in _breaker_calls(module.tree, []):
+                findings.append(Finding(
+                    rule="breaker-outside-settle",
+                    path=module.rel,
+                    line=call.lineno,
+                    message=(f"{_last_name(call.func)}() outside "
+                             f"FailoverClient._settle: the breaker rule "
+                             f"maps an attempt's outcome once; pass the "
+                             f"attempt to _settle"),
                 ))
         if rel.startswith(TRANSPORT_PREFIX) and rel != CORE_MODULE:
             for call in _core_calls(module.tree):

@@ -361,16 +361,12 @@ def run(workload=None, calls=DEFAULT_CALLS, seed=DEFAULT_SEED,
                 "burst: overload produced zero sheds — queue bound"
                 " not exercised"
             )
-        factory = None
-        if engine == "mux":
-            def factory(host, port, prog, vers, **kwargs):
-                return MuxUdpClient(host, port, prog, vers, **kwargs)
         client = FailoverClient(
             [("127.0.0.1", replica.port) for replica in replicas],
-            PROG, VERS, transport="udp",
+            PROG, VERS, transport="mux-udp" if engine == "mux" else "udp",
             call_budget_s=CALL_BUDGET_S,
             breaker_threshold=3, breaker_recovery_s=0.3,
-            retry_pause_s=0.01, client_factory=factory,
+            retry_pause_s=0.01,
             timeout=0.4, wait=0.01, max_wait=0.1, jitter=0.25,
             retrans_seed=seed, fault_plan=client_plan,
         )

@@ -523,16 +523,31 @@ _CLIENT_NAMES = {"udp": "UdpClient", "tcp": "TcpClient",
                  "mux-udp": "MuxUdpClient", "mux-tcp": "MuxTcpClient"}
 
 
+class _Replica:
+    """One endpoint of a :class:`FailoverClient`: its address, its
+    lazily-created client, its breaker and its retry budget.  An
+    attempt carries its record, so its outcome lands on this endpoint
+    even when the replica set is re-published under it."""
+
+    __slots__ = ("endpoint", "client", "breaker", "retry_budget")
+
+    def __init__(self, endpoint, breaker, retry_budget):
+        self.endpoint = endpoint
+        self.client = None
+        self.breaker = breaker
+        self.retry_budget = retry_budget
+
+
 class FailoverClient:
     """One client face over N replicated endpoints.
 
     ``endpoints`` is a list of ``(host, port)``; ``transport`` picks
-    UDP or TCP.  Each endpoint gets a lazily-created underlying client
-    and its own :class:`CircuitBreaker`.  A call tries the current
-    endpoint first and rotates on connection failure, timeout, server
-    error, or an open breaker; with a deadline it keeps cycling the
-    replica set until the budget is spent, then raises
-    :class:`~repro.errors.RpcDeadlineExceeded`.
+    UDP or TCP.  Each endpoint is one record: a lazily-created
+    underlying client, its own :class:`CircuitBreaker` and its retry
+    budget.  A call tries the current endpoint first and rotates on
+    connection failure, timeout, server error, or an open breaker;
+    with a deadline it keeps cycling the replica set until the budget
+    is spent, then raises :class:`~repro.errors.RpcDeadlineExceeded`.
 
     **Xid discipline:** all underlying clients share one xid counter.
     A retransmission of the same call (inside one endpoint's
@@ -554,15 +569,15 @@ class FailoverClient:
     a retry storm.  UDP transports also get a per-endpoint budget
     gating their in-call retransmissions.
 
-    **Hedging:** ``hedge=True`` arms hedged
-    requests (every transport has ``call_async``): once the
-    :class:`~repro.rpc.overload.HedgeTrigger`
-    has a latency profile, a call that outlives the adaptive p95 delay
-    issues a second request to another replica; the first reply wins.
-    The hedge is a *new call with a fresh xid* from the shared
-    counter, so the PR 4 xid discipline plus the server DRC guarantee
-    the loser coalesces or executes at-most-once — never a duplicate
-    execution of the same xid.
+    **Hedging:** ``hedge_trigger=`` (a
+    :class:`~repro.rpc.overload.HedgeTrigger`; ``HedgeTrigger()`` is
+    the adaptive p95 default) arms hedged requests (every transport
+    has ``call_async``): once the trigger has a latency profile, a
+    call that outlives its delay issues a second request to another
+    replica; the first reply wins.  The hedge is a *new call with a
+    fresh xid* from the shared counter, so the xid discipline above
+    plus the server DRC guarantee the loser coalesces or executes
+    at-most-once — never a duplicate execution of the same xid.
     """
 
     def __init__(self, endpoints, prog, vers, transport="udp",
@@ -570,15 +585,10 @@ class FailoverClient:
                  breaker_recovery_s=1.0, retry_pause_s=0.02,
                  clock=time.monotonic, client_factory=None,
                  retry_budget_ratio=0.0, retry_budget_burst=10.0,
-                 retry_budget_min_rate=1.0, hedge=False,
-                 hedge_trigger=None, hedge_quantile=0.95,
-                 hedge_min_delay_s=0.001, hedge_min_samples=16,
+                 retry_budget_min_rate=1.0, hedge_trigger=None,
                  **client_kwargs):
-        if not endpoints:
-            raise ValueError("need at least one endpoint")
         if transport not in _CLIENT_NAMES:
             raise ValueError(f"unknown transport {transport!r}")
-        self.endpoints = [tuple(endpoint) for endpoint in endpoints]
         self.prog = prog
         self.vers = vers
         self.transport = transport
@@ -594,29 +604,13 @@ class FailoverClient:
         self._retry_budget_min_rate = retry_budget_min_rate
         #: gates rotation/re-cycle attempts after the first failure
         self._rotation_budget = self._make_retry_budget()
-        #: per-endpoint budgets handed to UDP clients (retransmit gate)
-        self._retry_budgets = [
-            self._make_retry_budget() for _ in self.endpoints
-        ]
-        self.hedge_enabled = bool(hedge)
-        if hedge_trigger is not None:
-            self._hedge_trigger = hedge_trigger
-            self.hedge_enabled = True
-        elif self.hedge_enabled:
-            self._hedge_trigger = HedgeTrigger(
-                quantile=hedge_quantile,
-                min_samples=hedge_min_samples,
-                min_delay_s=hedge_min_delay_s,
-            )
-        else:
-            self._hedge_trigger = None
-        self._clients = [None] * len(self.endpoints)
-        self.breakers = [
-            self._make_breaker(host, port)
-            for host, port in self.endpoints
-        ]
-        self._index = 0
+        self._hedge_trigger = hedge_trigger
         self._lock = threading.Lock()
+        #: the replica set: a tuple of records, replaced whole
+        self._replicas = ()
+        self.set_endpoints(endpoints)
+        #: the record of the last successful call; rotations start there
+        self._current = self._replicas[0]
         start = struct.unpack(">I", os.urandom(4))[0]
         #: one xid sequence shared by every underlying client
         self._xids = itertools.count(start)
@@ -626,15 +620,24 @@ class FailoverClient:
         self.hedges = 0
         self.hedge_wins = 0
         self.retry_budget_exhausted = 0
-        #: (endpoint, error-type-name) of failures seen, newest last
-        self.last_errors = []
 
-    # -- endpoint/client management --------------------------------------
+    # -- the replica set ----------------------------------------------------
 
-    def _make_breaker(self, host, port):
-        return CircuitBreaker(failure_threshold=self._breaker_threshold,
-                              recovery_s=self._breaker_recovery_s,
-                              clock=self._clock, name=f"{host}:{port}")
+    @property
+    def endpoints(self):
+        """The replica set's ``(host, port)`` pairs, in configured order."""
+        return [replica.endpoint for replica in self._replicas]
+
+    @property
+    def breakers(self):
+        return [replica.breaker for replica in self._replicas]
+
+    def _replica(self, endpoint):
+        host, port = endpoint
+        breaker = CircuitBreaker(failure_threshold=self._breaker_threshold,
+                                 recovery_s=self._breaker_recovery_s,
+                                 clock=self._clock, name=f"{host}:{port}")
+        return _Replica(endpoint, breaker, self._make_retry_budget())
 
     def _make_retry_budget(self):
         if self._retry_budget_ratio <= 0:
@@ -644,8 +647,15 @@ class FailoverClient:
                            min_rate=self._retry_budget_min_rate,
                            clock=self._clock)
 
-    def _make_client(self, index, deadline, prog, vers):
-        host, port = self.endpoints[index]
+    def _rotation(self, first):
+        """One snapshot of the replica set, rotated to start at the
+        record ``first`` (at the head once ``first`` has departed)."""
+        replicas = self._replicas
+        start = replicas.index(first) if first in replicas else 0
+        return replicas[start:] + replicas[:start]
+
+    def _make_client(self, replica, deadline, prog, vers):
+        host, port = replica.endpoint
         if self._client_factory is not None:
             return self._client_factory(host, port, prog, vers,
                                         **self._client_kwargs)
@@ -657,9 +667,8 @@ class FailoverClient:
             # Hand a retransmitting transport this endpoint's retry
             # budget, so in-call retransmissions draw from the same
             # accounting as rotation attempts.
-            budget = self._retry_budgets[index]
-            if budget is not None:
-                kwargs.setdefault("retry_budget", budget)
+            if replica.retry_budget is not None:
+                kwargs.setdefault("retry_budget", replica.retry_budget)
         elif deadline is not None:
             # A stream connects in its constructor: inside the budget.
             kwargs["timeout"] = min(
@@ -668,21 +677,21 @@ class FailoverClient:
             )
         return cls(host, port, prog, vers, **kwargs)
 
-    def _client(self, index, deadline=None):
-        client = self._clients[index]
+    def _client(self, replica, deadline):
+        client = replica.client
         if client is None:
-            client = self._make_client(index, deadline, self.prog,
+            client = self._make_client(replica, deadline, self.prog,
                                        self.vers)
             # Shared xid discipline: every endpoint draws from the one
             # counter, so no two distinct calls ever share an xid.
             client._xids = self._xids
-            self._clients[index] = client
+            replica.client = client
         return client
 
-    def _drop_client(self, index):
-        """Forget a broken client so the next use reconnects."""
-        client = self._clients[index]
-        self._clients[index] = None
+    @staticmethod
+    def _drop(replica):
+        """Forget a replica's broken client so the next use reconnects."""
+        client, replica.client = replica.client, None
         if client is not None:
             try:
                 client.close()
@@ -690,50 +699,32 @@ class FailoverClient:
                 pass
 
     def set_endpoints(self, endpoints):
-        """Replace the replica set in place (the fleet watcher's hook).
+        """Replace the replica set (the fleet watcher's hook).
 
         Endpoints present in both the old and new sets keep their
-        underlying client and breaker state; departed endpoints'
-        clients are closed; new endpoints start cold.  The current
-        rotation position follows the endpoint it pointed at when that
-        endpoint survives.  Returns True when the set actually
-        changed; an empty list is rejected — a failover client with
-        zero endpoints could never recover.
+        record — underlying client, breaker state, retry budget;
+        departed endpoints' clients are closed; new endpoints start
+        cold.  The set is published as one new tuple, copy-on-write
+        like ``SvcRegistry``'s route table: a call or probe works on
+        the snapshot it took, and an attempt's outcome lands on the
+        record it ran on, never on a position.  Rotations keep
+        starting from the current endpoint while it survives, and
+        from the head once it departs.  Returns True when the set actually changed; an empty list is
+        rejected — a failover client with zero endpoints could never
+        recover.
         """
-        fresh = []
-        for endpoint in endpoints:
-            endpoint = tuple(endpoint)
-            if endpoint not in fresh:
-                fresh.append(endpoint)
+        fresh = list(dict.fromkeys(tuple(endpoint) for endpoint in endpoints))
         if not fresh:
             raise ValueError("need at least one endpoint")
         with self._lock:
             if fresh == self.endpoints:
                 return False
-            clients = dict(zip(self.endpoints, self._clients))
-            breakers = dict(zip(self.endpoints, self.breakers))
-            budgets = dict(zip(self.endpoints, self._retry_budgets))
-            current = (self.endpoints[self._index]
-                       if self._index < len(self.endpoints) else None)
-            keep = set(fresh)
-            retired = [client for endpoint, client in clients.items()
-                       if client is not None and endpoint not in keep]
-            self.endpoints = fresh
-            self._clients = [clients.get(endpoint) for endpoint in fresh]
-            self.breakers = [
-                breakers.get(endpoint) or self._make_breaker(*endpoint)
-                for endpoint in fresh
-            ]
-            self._retry_budgets = [
-                budgets.get(endpoint) or self._make_retry_budget()
-                for endpoint in fresh
-            ]
-            self._index = (fresh.index(current) if current in keep else 0)
-        for client in retired:
-            try:
-                client.close()
-            except OSError:
-                pass
+            known = {replica.endpoint: replica for replica in self._replicas}
+            self._replicas = tuple(known.pop(endpoint, None)
+                                   or self._replica(endpoint)
+                                   for endpoint in fresh)
+        for departed in known.values():
+            self._drop(departed)
         return True
 
     # -- the call loop ----------------------------------------------------
@@ -748,9 +739,6 @@ class FailoverClient:
             rotation_budget.note_call()
         tried = 0
         while True:
-            # Recomputed per rotation: set_endpoints() may swap the
-            # replica set between (or during) rotations.
-            count = len(self.endpoints)
             if deadline is not None:
                 try:
                     deadline.check(f"proc={proc}")
@@ -762,45 +750,46 @@ class FailoverClient:
                             f" endpoint error: {last_error}"
                         ) from last_error
                     raise
+            # One snapshot per rotation: set_endpoints() may publish a
+            # new replica set between (or during) rotations.
+            ring = self._rotation(self._current)
+            hedge = self._hedge_trigger is not None and len(ring) > 1
             attempted = False
-            for offset in range(count):
-                index = (self._index + offset) % count
-                try:
-                    if not self.breakers[index].allow():
-                        continue
-                    if deadline is not None and deadline.expired:
-                        break
-                    if (tried and rotation_budget is not None
-                            and not rotation_budget.try_retry()):
-                        # Every attempt after the first is a retry in
-                        # the budget's eyes: a dry bucket fails the
-                        # call typed instead of feeding the storm.
-                        self.retry_budget_exhausted += 1
-                        raise RpcRetryBudgetExhausted(
-                            f"retry budget exhausted calling"
-                            f" proc={proc} after {tried} attempt(s);"
-                            f" last endpoint error: {last_error!r}"
-                        ) from last_error
-                    attempted = True
-                    tried += 1
-                    value, failed = self._try_endpoint(
-                        index, proc, args, xdr_args, xdr_res, deadline
-                    )
-                except IndexError:
-                    # The replica set shrank mid-rotation; restart with
-                    # the fresh view.
+            for replica in ring:
+                if not replica.breaker.allow():
+                    continue
+                if deadline is not None and deadline.expired:
                     break
-                if not failed:
+                if (tried and rotation_budget is not None
+                        and not rotation_budget.try_retry()):
+                    # Every attempt after the first is a retry in the
+                    # budget's eyes: a dry bucket fails the call typed
+                    # instead of feeding the storm.
+                    self.retry_budget_exhausted += 1
+                    raise RpcRetryBudgetExhausted(
+                        f"retry budget exhausted calling"
+                        f" proc={proc} after {tried} attempt(s);"
+                        f" last endpoint error: {last_error!r}"
+                    ) from last_error
+                attempted = True
+                tried += 1
+                value, error = self._attempt(replica, hedge, proc, args,
+                                             xdr_args, xdr_res, deadline)
+                if error is None:
                     with self._lock:
-                        if self._index != index:
+                        if self._current is not replica:
                             self.failovers += 1
                             if _obs.enabled:
                                 _obs.registry.counter(
                                     "rpc.client.failovers").inc()
-                        self._index = index
+                        self._current = replica
                         self.calls_completed += 1
                     return value
-                last_error = value
+                if isinstance(error, RpcDeadlineExceeded):
+                    # The budget is global, not per-endpoint.
+                    self.deadline_exceeded += 1
+                    raise error
+                last_error = error
             if deadline is None:
                 # No budget to keep cycling: one full rotation only.
                 break
@@ -808,9 +797,8 @@ class FailoverClient:
             # by the earliest breaker recovery) and cycle again.
             pause = self.retry_pause_s
             if not attempted:
-                due = min(
-                    breaker.recovery_due_in() for breaker in self.breakers
-                )
+                due = min(replica.breaker.recovery_due_in()
+                          for replica in ring)
                 pause = max(pause, min(due, 0.25))
             remaining = deadline.remaining()
             if remaining <= 0:
@@ -819,73 +807,67 @@ class FailoverClient:
         if last_error is not None:
             raise last_error
         raise RpcCircuitOpenError(
-            f"all {count} endpoints have open circuit breakers"
+            f"all {len(ring)} endpoints have open circuit breakers"
         )
 
-    def _try_endpoint(self, index, proc, args, xdr_args, xdr_res,
-                      deadline):
-        """One attempt on one endpoint.
-
-        Returns ``(value, False)`` on success, ``(error, True)`` on a
-        failure that should rotate to the next endpoint.  Deadline
-        exhaustion propagates — the budget is global, not
-        per-endpoint.
-
-        Breaker discipline: only failures that are evidence the
-        *endpoint* is unhealthy (connection death, silence, deadline
-        burn) charge its :class:`CircuitBreaker`.  An *answered*
-        denial — a SYSTEM_ERR overload shed, a quota shed, an auth
-        refusal — proves the endpoint is alive and deliberately
-        refusing, so it rotates without a breaker charge; otherwise
-        load shedding would cascade into spurious circuit opens.
-        Retry-budget denials are local policy, never endpoint
-        evidence.
-        """
-        breaker = self.breakers[index]
+    def _attempt(self, replica, hedge, proc, args, xdr_args, xdr_res,
+                 deadline):
+        """One attempt on ``replica``: ``(value, None)`` or ``(None,
+        error)``, every outcome mapped by :meth:`_settle`.  An unhedged
+        attempt keeps the synchronous ``call`` (a lone call's inline
+        receive); a hedged one launches with ``call_async``."""
         trigger = self._hedge_trigger
-        try:
-            client = self._client(index, deadline)
-        except (RpcConnectionError, OSError) as exc:
-            breaker.record_failure()
-            self._note_failure(index, exc)
-            return self._as_rpc_error(exc), True
-        if (self.hedge_enabled and trigger is not None
-                and len(self.endpoints) > 1):
-            return self._call_hedged(index, client, proc, args,
-                                     xdr_args, xdr_res, deadline)
         started = self._clock() if trigger is not None else None
-        try:
-            value = client.call(proc, args, xdr_args=xdr_args,
-                                xdr_res=xdr_res, deadline=deadline)
-        except RpcDeadlineExceeded:
-            breaker.record_failure()
-            self.deadline_exceeded += 1
-            raise
-        except RpcRetryBudgetExhausted as exc:
-            # Local budget policy, not endpoint evidence: no breaker.
-            self._note_failure(index, exc)
-            return exc, True
-        except RpcDeniedError as exc:
-            # The endpoint answered (shed/quota/auth): alive, no
-            # breaker charge — just rotate.
-            self._note_failure(index, exc)
-            return exc, True
-        except (RpcConnectionError, RpcTimeoutError) as exc:
-            breaker.record_failure()
-            self._note_failure(index, exc)
-            if isinstance(exc, RpcConnectionError):
-                self._drop_client(index)
-            return exc, True
-        breaker.record_success()
-        if started is not None:
+
+        def send(target, launch=False):
+            client = self._client(target, deadline)
+            method = client.call_async if launch else client.call
+            return method(proc, args, xdr_args=xdr_args, xdr_res=xdr_res,
+                          deadline=deadline)
+
+        if hedge:
+            value, error = self._call_hedged(replica, send)
+        else:
+            value, error = self._settle(replica, lambda: send(replica))
+        if error is None and trigger is not None:
             trigger.observe(self._clock() - started)
-        return value, False
+        return value, error
+
+    def _settle(self, replica, attempt, launch=False):
+        """Run ``attempt`` against ``replica`` and map its outcome: the
+        breaker rule, written once.
+
+        Returns ``(value, None)``, or ``(None, error)`` for a failure
+        the call loop rotates on — or, for a spent deadline, counts
+        and raises (the budget is global, not per-endpoint).  Only
+        evidence that the *endpoint* is unhealthy charges its breaker:
+        connection death (which also drops this record's client),
+        silence, a deadline burn.  An *answered* denial — a SYSTEM_ERR
+        overload shed, a quota shed, an auth refusal — proves the
+        endpoint alive and deliberately refusing, and a retry-budget
+        denial is local policy: both rotate uncharged, or load
+        shedding would cascade into spurious circuit opens.
+        ``launch=True`` marks a ``call_async`` launch: a pending call
+        is not a reply yet, so its success leaves the breaker alone.
+        """
+        try:
+            value = attempt()
+        except (RpcRetryBudgetExhausted, RpcDeniedError) as exc:
+            return None, exc
+        except (RpcTimeoutError, RpcConnectionError, OSError) as exc:
+            error = self._as_rpc_error(exc)
+            replica.breaker.record_failure()
+            if isinstance(error, RpcConnectionError):
+                self._drop(replica)
+            return None, error
+        if not launch:
+            replica.breaker.record_success()
+        return value, None
 
     # -- hedged requests ---------------------------------------------------
 
-    def _call_hedged(self, index, client, proc, args, xdr_args,
-                     xdr_res, deadline):
-        """One attempt on endpoint ``index`` with a hedge race.
+    def _call_hedged(self, replica, send):
+        """One attempt on ``replica`` with a hedge race.
 
         The primary goes out immediately; if it outlives the adaptive
         trigger delay, a *second, fresh-xid* call goes to another
@@ -895,151 +877,59 @@ class FailoverClient:
         coalesces any late retransmission, so no xid ever executes
         twice.
         """
-        breaker = self.breakers[index]
-        trigger = self._hedge_trigger
-        started = self._clock()
-        try:
-            primary = client.call_async(proc, args, xdr_args=xdr_args,
-                                        xdr_res=xdr_res,
-                                        deadline=deadline)
-        except RpcDeadlineExceeded:
-            breaker.record_failure()
-            self.deadline_exceeded += 1
-            raise
-        except RpcRetryBudgetExhausted as exc:
-            self._note_failure(index, exc)
-            return exc, True
-        except (RpcConnectionError, RpcTimeoutError) as exc:
-            breaker.record_failure()
-            self._note_failure(index, exc)
-            if isinstance(exc, RpcConnectionError):
-                self._drop_client(index)
-            return exc, True
-        delay = trigger.delay()
-        if delay is None or primary.wait(delay):
-            # No latency profile yet, or the primary answered inside
-            # the hedge window: no hedge needed.
-            return self._settle_alone(index, primary, started)
-        hedge_index = self._hedge_target(index)
-        if hedge_index is None:
-            return self._settle_alone(index, primary, started)
-        try:
-            hedge_client = self._client(hedge_index, deadline)
+        primary, error = self._settle(replica, lambda: send(replica, True),
+                                      launch=True)
+        if error is not None:
+            return None, error
+        delay = self._hedge_trigger.delay()
+        target = secondary = None
+        if delay is not None and not primary.wait(delay):
+            target = self._hedge_target(replica)
+        if target is not None:
             # A fresh xid from the shared counter — this is a new
             # call, not a retransmission, so the two replicas can
             # never confuse their DRC entries.
-            secondary = hedge_client.call_async(
-                proc, args, xdr_args=xdr_args, xdr_res=xdr_res,
-                deadline=deadline
-            )
-        except RpcDeadlineExceeded:
-            return self._settle_alone(index, primary, started)
-        except (RpcConnectionError, RpcTimeoutError,
-                RpcDeniedError) as exc:
-            self._fail_racer(hedge_index, exc)
-            return self._settle_alone(index, primary, started)
-        except OSError as exc:
-            self.breakers[hedge_index].record_failure()
-            self._note_failure(hedge_index, self._as_rpc_error(exc))
-            return self._settle_alone(index, primary, started)
+            secondary, _ = self._settle(target, lambda: send(target, True),
+                                        launch=True)
+        if secondary is None:
+            # No latency profile yet, an answer inside the hedge
+            # window, no other admitted replica or a failed hedge
+            # launch: the primary settles alone.
+            return self._settle(replica, primary.result)
         self.hedges += 1
         if _obs.enabled:
             _obs.registry.counter("rpc.hedge.attempts").inc()
-        racers = ((index, primary), (hedge_index, secondary))
+        racers = ((replica, primary), (target, secondary))
         while True:
-            resolved = [(i, call) for i, call in racers if call.done()]
-            winners = [(i, call) for i, call in resolved
-                       if call.exception(0) is None]
-            if winners:
-                win_index, win_call = winners[0]
-                value = win_call.result(0)
-                self.breakers[win_index].record_success()
-                trigger.observe(self._clock() - started)
-                won_by_hedge = win_index != index
-                if won_by_hedge:
-                    self.hedge_wins += 1
-                if _obs.enabled:
-                    _obs.registry.counter(
-                        "rpc.hedge.wins",
-                        winner="hedge" if won_by_hedge else "primary",
-                    ).inc()
-                return value, False
-            if len(resolved) == len(racers):
-                for racer_index, call in racers:
-                    self._fail_racer(racer_index, call.exception(0))
-                primary_error = primary.exception(0)
-                if isinstance(primary_error, RpcDeadlineExceeded):
-                    self.deadline_exceeded += 1
-                    raise primary_error
-                return primary_error, True
-            # Block briefly on whichever racer is still pending; a
-            # completion on either side wakes the next loop turn.
-            for _racer_index, call in racers:
-                if not call.done():
-                    call.wait(0.002)
-                    break
+            done = [(racer, call) for racer, call in racers if call.done()]
+            for racer, call in done:
+                if call.exception(0) is None:
+                    if racer is target:
+                        self.hedge_wins += 1
+                    if _obs.enabled:
+                        _obs.registry.counter(
+                            "rpc.hedge.wins",
+                            winner="hedge" if racer is target else "primary",
+                        ).inc()
+                    return self._settle(racer, call.result)
+            if len(done) == len(racers):
+                # Both lost: each racer is charged by the one rule, and
+                # the primary's error is the attempt's.
+                outcome = self._settle(replica, primary.result)
+                self._settle(target, secondary.result)
+                return outcome
+            # Block briefly on a racer still pending; a completion on
+            # either side wakes the next loop turn.
+            (secondary if primary.done() else primary).wait(0.002)
 
-    def _settle_alone(self, index, call, started):
-        """Wait out a pending call with no hedge in flight, mapping
-        its outcome exactly like the synchronous attempt path."""
-        breaker = self.breakers[index]
-        trigger = self._hedge_trigger
-        try:
-            value = call.result()
-        except RpcDeadlineExceeded:
-            breaker.record_failure()
-            self.deadline_exceeded += 1
-            raise
-        except RpcRetryBudgetExhausted as exc:
-            self._note_failure(index, exc)
-            return exc, True
-        except RpcDeniedError as exc:
-            self._note_failure(index, exc)
-            return exc, True
-        except (RpcConnectionError, RpcTimeoutError) as exc:
-            breaker.record_failure()
-            self._note_failure(index, exc)
-            if isinstance(exc, RpcConnectionError):
-                self._drop_client(index)
-            return exc, True
-        breaker.record_success()
-        if trigger is not None:
-            trigger.observe(self._clock() - started)
-        return value, False
-
-    def _hedge_target(self, index):
-        """The next live endpoint to hedge to (never ``index``), or
-        None when every other breaker refuses."""
-        count = len(self.endpoints)
-        for offset in range(1, count):
-            candidate = (index + offset) % count
-            try:
-                if self.breakers[candidate].allow():
-                    return candidate
-            except IndexError:
-                return None
+    def _hedge_target(self, primary):
+        """The next breaker-admitted replica after ``primary`` in one
+        snapshot of the set, or None when every other breaker
+        refuses."""
+        for replica in self._rotation(primary):
+            if replica is not primary and replica.breaker.allow():
+                return replica
         return None
-
-    def _fail_racer(self, index, exc):
-        """Charge one hedge racer's failure with the same breaker
-        discipline as the synchronous path."""
-        if exc is None:
-            return
-        self._note_failure(index, exc)
-        if isinstance(exc, (RpcRetryBudgetExhausted, RpcDeniedError)):
-            return  # answered/local: no breaker charge
-        try:
-            self.breakers[index].record_failure()
-            if isinstance(exc, RpcConnectionError):
-                self._drop_client(index)
-        except IndexError:
-            pass
-
-    def _note_failure(self, index, exc):
-        self.last_errors.append(
-            (self.endpoints[index], type(exc).__name__)
-        )
-        del self.last_errors[:-32]
 
     @staticmethod
     def _as_rpc_error(exc):
@@ -1059,23 +949,20 @@ class FailoverClient:
         One rotation from the current endpoint, each probed through a
         throwaway client of its own (health rides its own program
         number; the cached clients are per-(prog, vers)).  A probe
-        reads ``endpoints`` and draws xids and nothing else: calls on
-        other threads, the breakers and the rotation position never
-        see it.
+        reads one snapshot of the replica set and draws xids and
+        nothing else: calls on other threads, the breakers and the
+        rotation position never see it.
         """
         from repro.xdr import xdr_u_long
 
         budget = deadline if deadline is not None else self.call_budget_s
         deadline = Deadline.coerce(budget, clock=self._clock)
-        count = len(self.endpoints)
         last_error = None
-        for offset in range(count):
-            index = (self._index + offset) % count
+        for replica in self._rotation(self._current):
             try:
-                client = self._make_client(index, deadline, HEALTH_PROG,
+                client = self._make_client(replica, deadline, HEALTH_PROG,
                                            HEALTH_VERS)
-            except (RpcError, OSError, IndexError) as exc:
-                # IndexError: set_endpoints() shrank the set under us
+            except (RpcError, OSError) as exc:
                 last_error = self._as_rpc_error(exc)
                 continue
             try:
@@ -1103,8 +990,8 @@ class FailoverClient:
         return summary
 
     def close(self):
-        for index in range(len(self._clients)):
-            self._drop_client(index)
+        for replica in self._replicas:
+            self._drop(replica)
 
     def __enter__(self):
         return self

@@ -430,6 +430,49 @@ class SctpClient(CallEngine):
         assert found == []
 
 
+class TestBreakerOutsideSettle:
+    FAILOVER = '''
+class CircuitBreaker:
+    def trip(self):
+        self.record_failure()
+
+
+class FailoverClient:
+    def _settle(self, replica, attempt):
+        try:
+            return attempt()
+        except RpcTimeoutError:
+            replica.breaker.record_failure()
+        replica.breaker.record_success()
+
+    def _fail_racer(self, replica, exc):
+        replica.breaker.record_failure()
+
+    def _call_hedged(self, replicas, call):
+        self.breakers[0].record_success()
+        return [r.breaker.record_failure() for r in replicas]
+'''
+
+    def test_charges_outside_settle_flagged_at_exact_lines(self):
+        found = spine.check([module("src/repro/rpc/resilience.py",
+                                    self.FAILOVER)])
+        assert sorted((f.rule, f.line) for f in found) == [
+            ("breaker-outside-settle", line) for line in (16, 19, 20)]
+
+    def test_settle_the_breaker_and_other_modules_are_exempt(self):
+        src = '''
+class FailoverClient:
+    def _settle(self, replica, attempt):
+        replica.breaker.record_failure()
+        replica.breaker.record_success()
+'''
+        found = spine.check([
+            module("src/repro/rpc/resilience.py", src),
+            module("src/repro/rpc/fleet.py", self.FAILOVER),
+            module("src/repro/bench/chaos.py", self.FAILOVER)])
+        assert found == []
+
+
 class TestWireLayoutOutsideRpcgen:
     WALKER = '''
 from repro.rpcgen import idl_ast as idl

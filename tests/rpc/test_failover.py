@@ -12,6 +12,7 @@ from repro import obs
 from repro.errors import (
     RpcConnectionError,
     RpcDeadlineExceeded,
+    RpcDeniedError,
     RpcTimeoutError,
 )
 from repro.rpc import (
@@ -107,11 +108,11 @@ class TestFailover:
             with make_failover(servers, call_budget_s=5.0) as client:
                 client.call(1, 1, xdr_args=xdr_u_long,
                             xdr_res=xdr_u_long)
-                first_client = client._clients[client._index]
-                servers[client._index].stop()
+                first_client = client._current.client
+                servers[client._replicas.index(client._current)].stop()
                 client.call(1, 1, xdr_args=xdr_u_long,
                             xdr_res=xdr_u_long)
-                second_client = client._clients[client._index]
+                second_client = client._current.client
                 assert first_client is not second_client
                 # Both draw from one counter: no xid is ever reused
                 # for two different calls across endpoints.
@@ -128,17 +129,17 @@ class TestFailover:
                                breaker_threshold=2) as client:
                 client.call(1, 1, xdr_args=xdr_u_long,
                             xdr_res=xdr_u_long)
-                dead = client._index
+                dead = client._replicas.index(client._current)
                 servers[dead].stop()
                 # After one failover the client sticks to the healthy
                 # endpoint; force the dead one to be retried so its
                 # breaker accumulates failures and opens.
                 for _ in range(2):
-                    client._index = dead
+                    client._current = client._replicas[dead]
                     client.call(1, 1, xdr_args=xdr_u_long,
                                 xdr_res=xdr_u_long)
                 assert client.breakers[dead].state == "open"
-                client._index = dead
+                client._current = client._replicas[dead]
                 # While open, calls skip the dead endpoint entirely and
                 # return fast from the healthy one.
                 started = time.monotonic()
@@ -202,7 +203,7 @@ class TestFailover:
                 (prog, theirs), = [(prog, made) for who, prog, made in built
                                    if who is thread]
                 assert prog == PROG
-                assert client._clients[0] is theirs
+                assert client._replicas[0].client is theirs
                 assert theirs.sock.fileno() != -1   # still open
                 assert client.call(1, 2, xdr_args=xdr_u_long,
                                    xdr_res=xdr_u_long) == 102
@@ -210,6 +211,68 @@ class TestFailover:
             release.set()
             for server in servers:
                 server.stop()
+
+    def test_reorder_during_a_failing_attempt_blames_the_right_replica(self):
+        # An attempt on A is in flight when the fleet watcher reorders
+        # the set to [B, A]; then A's connection dies.  The failure
+        # belongs to A's record, not to whatever now sits at A's old
+        # position (B, whose healthy client must survive).
+        a, b = ("127.0.0.1", 1), ("127.0.0.1", 2)
+        in_flight, reordered = threading.Event(), threading.Event()
+
+        def a_dies():
+            in_flight.set()
+            assert reordered.wait(5.0)
+            raise RpcConnectionError("A's connection died")
+
+        scripts = {a: [RpcDeniedError("shed"), a_dies],
+                   b: [1, RpcDeniedError("shed"), 3]}
+        built = []
+
+        class Fake:
+            def __init__(self, endpoint):
+                self.script = iter(scripts[endpoint])
+                self.closed = False
+
+            def call(self, proc, args=None, **kwargs):
+                step = next(self.script)
+                if isinstance(step, Exception):
+                    raise step
+                return step() if callable(step) else step
+
+            def close(self):
+                self.closed = True
+
+        def factory(host, port, prog, vers, **kwargs):
+            built.append(Fake((host, port)))
+            return built[-1]
+
+        def watcher():
+            assert in_flight.wait(5.0)
+            client.set_endpoints([b, a])
+            reordered.set()
+
+        client = FailoverClient([a, b], PROG, VERS, client_factory=factory)
+        try:
+            assert client.call(1, 1) == 1      # A sheds, B answers
+            fake_a, fake_b = built
+            thread = threading.Thread(target=watcher, daemon=True)
+            thread.start()
+            with pytest.raises(RpcConnectionError):
+                client.call(1, 2)              # B sheds, A dies mid-reorder
+            thread.join(5.0)
+            assert not fake_b.closed           # B's client is untouched ...
+            assert client.call(1, 3) == 3      # ... and still the one in use
+            assert len(built) == 2
+            assert fake_a.closed               # A's dead client is closed ...
+            assert [replica.client for replica in client._replicas] == [
+                fake_b, None]                  # ... and dropped
+            failures = {breaker.name: breaker.summary()["failures"]
+                        for breaker in client.breakers}
+            assert failures == {"127.0.0.1:1": 1, "127.0.0.1:2": 0}
+        finally:
+            reordered.set()
+            client.close()
 
 
 class TestUdpDeadline:

@@ -484,12 +484,13 @@ class TestSetEndpoints:
 
     def test_rotation_follows_the_current_endpoint(self):
         client = self._client()
-        client._index = 1  # currently pinned to port 12
+        client._current = client._replicas[1]  # pinned to port 12
         client.set_endpoints([("127.0.0.1", 14), ("127.0.0.1", 12)])
-        assert client.endpoints[client._index] == ("127.0.0.1", 12)
+        ring = client._rotation(client._current)
+        assert ring[0].endpoint == ("127.0.0.1", 12)
         # ... and resets when the current endpoint departs.
         client.set_endpoints([("127.0.0.1", 15)])
-        assert client._index == 0
+        assert client._rotation(client._current)[0] is client._replicas[0]
         client.close()
 
 
