@@ -12,6 +12,10 @@ variables, so the generated Python is simple and debuggable.
 
 Pointers/structs/buffers are represented by :mod:`repro.minic.pyruntime`
 values; struct types become generated Python classes with ``__slots__``.
+What is lowered is the program after :mod:`repro.minic.scalar`: one-call
+functions inlined, struct locals split into scalars, cursors turned into
+``int`` offsets into the bytes a buffer parameter holds, dead stores
+dropped (docs/SPECIALIZATION.md, "Scalar replacement").
 
 The lowering is type-directed (docs/SPECIALIZATION.md, "Lowering rules
 and the in-range invariant"): every integer object holds a value of its
@@ -28,6 +32,8 @@ import re
 from repro.errors import CompileError
 from repro.minic import ast
 from repro.minic import builtins
+from repro.minic import pyruntime as _rt
+from repro.minic import scalar
 from repro.minic import types as ct
 from repro.minic.interp import _address_taken_names
 from repro.minic.pretty import pretty_expr
@@ -101,6 +107,26 @@ class _Code(str):
 _LoopSpan = collections.namedtuple("_LoopSpan", "base trips counter")
 
 
+def _pure(node):
+    """Whether evaluating ``node`` can neither fault nor have an
+    effect: literals, locals, ``.`` members and arithmetic that does not
+    divide."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Binary):
+            if child.op in ("/", "%"):
+                return False
+        elif isinstance(child, ast.Unary):
+            if child.op in ("*", "&"):
+                return False
+        elif isinstance(child, ast.Member):
+            if child.arrow:
+                return False
+        elif not isinstance(child, (ast.IntLit, ast.Var, ast.Cast, ast.Cond,
+                                    ast.SizeOf)):
+            return False
+    return True
+
+
 def _struct_class_name(name):
     return f"S_{name}"
 
@@ -108,10 +134,11 @@ def _struct_class_name(name):
 class _FuncCompiler:
     """Compiles one FuncDef into Python source lines."""
 
-    def __init__(self, module, func):
+    def __init__(self, module, func, typeinfo, called):
         self.module = module
         self.func = func
-        self.types = module.typeinfo.expr_types
+        self.typeinfo = typeinfo
+        self.types = typeinfo.expr_types
         self.lines = []
         self.depth = 1
         self.temp_counter = 0
@@ -131,6 +158,11 @@ class _FuncCompiler:
         #: uid of an ``ARRAY[i]`` read -> the name it is bound to in the
         #: map comprehension being emitted
         self._elements = {}
+        self.live = scalar.Liveness(func)
+        #: promoted cursor -> its base parameter; buffer parameter ->
+        #: whether the function stores through it (none in a function
+        #: the program calls: its callers pass pointers)
+        self.cursors, self.buffers = scalar.cursors(func, not called)
 
     # -- emit helpers ---------------------------------------------------
 
@@ -218,6 +250,8 @@ class _FuncCompiler:
         if isinstance(node, ast.StrLit):
             return repr(node.value)
         if isinstance(node, ast.Var):
+            if node.name in self.buffers:
+                return _Code("0", (0, 0))  # a cursor's start offset
             name = self.py_name(node.name)
             if name in self.boxed:
                 name = f"{name}[0]"
@@ -268,7 +302,7 @@ class _FuncCompiler:
         if (
             isinstance(node, ast.Binary)
             and node.op in ("&&", "||")
-            and not self._has_side_effects(node.right)
+            and not scalar.has_effects(node.right)
         ):
             joiner = "and" if node.op == "&&" else "or"
             test = f"({self.cond(node.left)}) {joiner} ({self.cond(node.right)})"
@@ -287,6 +321,12 @@ class _FuncCompiler:
             return self._address_of(node.operand)
         if node.op == "!":
             return self._truth_value(node)
+        if node.op == "*":
+            access = self._cursor_access(node.operand)
+            if access is not None:
+                packer, where = access
+                return self.typed(f"{packer}.unpack_from({where})[0]",
+                                  self.type_of(node))
         operand = self.expr(node.operand)
         if node.op == "*":
             pointer_type = self.type_of(node.operand)
@@ -305,6 +345,17 @@ class _FuncCompiler:
         return self.wrap(
             _Code(f"{node.op}{_p(operand)}", fits), self.type_of(node)
         )
+
+    def _cursor_access(self, pointer):
+        """``(packer, "data, offset")`` of ``*pointer`` when ``pointer``
+        is a promoted cursor, as itself or cast; None otherwise."""
+        var = pointer.operand if isinstance(pointer, ast.Cast) else pointer
+        if not (isinstance(var, ast.Var) and var.name in self.cursors):
+            return None
+        ctype = self.type_of(pointer).base
+        packer = self.module.packer(_rt.PACK_FMT[ctype.width, ctype.signed])
+        data = self.py_name(self.cursors[var.name])
+        return packer, f"{data}, {self.py_name(var.name)}"
 
     def _address_of(self, target):
         if isinstance(target, ast.Var):
@@ -364,6 +415,9 @@ class _FuncCompiler:
         left_ptr = isinstance(
             self.type_of(node.left), (ct.PointerType, ct.ArrayType)
         )
+        if isinstance(node.left, ast.Var) and node.left.name in self.cursors:
+            # offsets into one buffer: ``p + c`` and ``p - q`` in bytes
+            return f"{left} {op} {_p(right)}"
         if op == "+":
             if left_ptr:
                 return f"{_RT}.ptr_add({left}, {right})"
@@ -400,14 +454,8 @@ class _FuncCompiler:
             raise CompileError(f"unknown binary {op!r}")
         return self.wrap(value, result_type)
 
-    def _has_side_effects(self, node):
-        for child in ast.walk(node):
-            if isinstance(child, (ast.Assign, ast.IncDec, ast.Call)):
-                return True
-        return False
-
     def _short_circuit(self, node):
-        if not self._has_side_effects(node.right):
+        if not scalar.has_effects(node.right):
             return self._truth_value(node)
         # Effectful right side: materialize with a conditional prelude.
         temp = self.temp()
@@ -420,7 +468,7 @@ class _FuncCompiler:
         return _Code(temp, (0, 1))
 
     def _cond(self, node):
-        effectful = self._has_side_effects(node.then) or self._has_side_effects(
+        effectful = scalar.has_effects(node.then) or scalar.has_effects(
             node.other
         )
         test = self.cond(node.cond)
@@ -442,7 +490,7 @@ class _FuncCompiler:
         return temp
 
     def _call(self, node, used=True):
-        ftype = self.module.typeinfo.func_types[node.name]
+        ftype = self.typeinfo.func_types[node.name]
         # converted to the parameter types: a parameter read is in range
         args = [
             self.wrap(self.expr(arg), ptype)
@@ -511,6 +559,12 @@ class _FuncCompiler:
                     f" {self.expr(target.index)})"
                 )
             elif isinstance(target, ast.Unary) and target.op == "*":
+                access = self._cursor_access(target.operand)
+                if access is not None:
+                    packer, where = access
+                    self.emit(f"{packer}.pack_into({where}, {wrapped})")
+                    return self.typed(f"{packer}.unpack_from({where})[0]",
+                                      ttype)
                 pointer = self.expr(target.operand)
             else:
                 raise CompileError(f"cannot store to {target!r}")
@@ -549,8 +603,27 @@ class _FuncCompiler:
 
     # -- statements ------------------------------------------------------------
 
+    def _dead(self, name, after):
+        """Whether local ``name`` is one nothing reads once the
+        statement whose live-after set is ``after`` has run."""
+        return (after is not None and name in self.live.tracked
+                and name not in after)
+
+    def _dead_store(self, node):
+        """Whether the statement-level expression ``node`` stores a value
+        that cannot fault into a local nothing reads afterwards."""
+        if not (isinstance(node, (ast.Assign, ast.IncDec))
+                and isinstance(node.target, ast.Var)
+                and node.target.uid in self.live.dead):
+            return False
+        if isinstance(node, ast.IncDec):
+            return True
+        return node.op not in ("/", "%") and _pure(node.value)
+
     def _effect(self, node):
         """Evaluate expression ``node`` for its side effects only."""
+        if self._dead_store(node):
+            return
         if isinstance(node, ast.Call):
             self._call(node, used=False)
             return
@@ -780,19 +853,12 @@ class _FuncCompiler:
         return step_kind, cursor, item
 
     def _run_guard(self, stmt, cursor_text):
-        """Whether ``stmt`` is ``if (COND) return LITERAL;`` with COND
-        over literals and local variables other than the cursor: it has
-        no effect and reads no memory, so not the cursor either — which
-        a guarded run stores late."""
-        if not (isinstance(stmt, ast.If) and stmt.other is None):
-            return False
-        then = stmt.then
-        if isinstance(then, ast.Block) and len(then.stmts) == 1:
-            then = then.stmts[0]
-        if not (
-            isinstance(then, ast.Return)
-            and isinstance(then.value, ast.IntLit)
-        ):
+        """Whether ``stmt`` is ``if (COND) EXIT`` (:meth:`_exit`) with
+        COND over literals and local variables other than the cursor: it
+        has no effect and reads no memory, so not the cursor either —
+        which a guarded run stores late."""
+        if not (isinstance(stmt, ast.If) and stmt.other is None
+                and self._exit(stmt.then, cursor_text)):
             return False
         for node in ast.walk(stmt.cond):
             if isinstance(node, ast.Var):
@@ -804,6 +870,25 @@ class _FuncCompiler:
                 if node.op in ("*", "&"):
                     return False
             elif not isinstance(node, (ast.IntLit, ast.Cast, ast.Binary)):
+                return False
+        return True
+
+    def _exit(self, then, cursor_text):
+        """Whether ``then`` only leaves: ``return LITERAL;``, or — an
+        inlined callee's return — ``{ v = LITERAL; ... break; }`` with
+        each ``v`` a plain local other than the cursor."""
+        stmts = then.stmts if isinstance(then, ast.Block) else [then]
+        if len(stmts) == 1 and isinstance(stmts[0], ast.Return):
+            return isinstance(stmts[0].value, ast.IntLit)
+        if not (stmts and isinstance(stmts[-1], ast.Break)):
+            return False
+        for stmt in stmts[:-1]:
+            store = self._plain_assign(stmt)
+            if not (store is not None
+                    and isinstance(store.value, ast.IntLit)
+                    and isinstance(store.target, ast.Var)
+                    and store.target.name != cursor_text
+                    and store.target.name not in self.address_taken):
                 return False
         return True
 
@@ -851,16 +936,29 @@ class _FuncCompiler:
     def _emit_cursor_run(self, run):
         items = run["items"]
         count = run["words"]
-        cursor = self.temp()
-        self.emit(f"{cursor} = {self.expr(run['cursor'])}")
-        where = f"{cursor}.buffer.data, {cursor}.offset"
+        node = run["cursor"]
+        if isinstance(node, ast.Var) and node.name in self.cursors:
+            data = self.py_name(self.cursors[node.name])
+            offset = self.py_name(node.name)
+            advanced = f"{offset} + {{}}"
+            after = self.live.after(run["stmts"][-1])
+            if self._dead(node.name, after):
+                node = None  # nothing reads where the run leaves it
+        else:
+            cursor = self.temp()
+            self.emit(f"{cursor} = {self.expr(node)}")
+            data, offset = f"{cursor}.buffer.data", f"{cursor}.offset"
+            # a negative offset would reach the buffer's tail
+            self.emit(f"if {offset} < 0:")
+            self.emit(f"    {_RT}.underrun()")
+            advanced = f"{cursor}.add({{}})"
+        where = f"{data}, {offset}"
         guarded = any(isinstance(item, ast.If) for item in items)
         if guarded:
             # One unpack would fault on a buffer that ends inside the
             # run, where word by word an earlier test may have returned:
             # batch only what is known to be there.
-            self.emit(f"if {cursor}.offset + {4 * count}"
-                      f" <= len({cursor}.buffer.data):")
+            self.emit(f"if {offset} + {4 * count} <= len({data}):")
             self.depth += 1
         if run["kind"] == "store":
             # Words pack unsigned (masked; constants at compile time); a
@@ -895,19 +993,23 @@ class _FuncCompiler:
                 if isinstance(items[index], ast.If):
                     # leave as word by word would: the cursor past the
                     # words read so far
-                    self.emit(f"if {self.cond(items[index].cond)}:")
+                    guard = items[index]
+                    self.emit(f"if {self.cond(guard.cond)}:")
                     self.depth += 1
-                    self._store(run["cursor"],
-                                f"{cursor}.add({4 * position})")
-                    self.stmt(items[index].then)
+                    if not (isinstance(run["cursor"], ast.Var)
+                            and self._dead(run["cursor"].name,
+                                           self.live.before(guard.then))):
+                        self._store(run["cursor"],
+                                    advanced.format(4 * position))
+                    self.stmt(guard.then)
                     self.depth -= 1
                     index += 1
                     continue
                 span = self._index_span(items, index)
                 if span is None:
-                    self._store(
-                        items[index], _Code(f"{vals}[{position}]", _I32)
-                    )
+                    if items[index].uid not in self.live.dead:
+                        self._store(items[index],
+                                    _Code(f"{vals}[{position}]", _I32))
                     index += 1
                     position += 1
                 else:
@@ -920,7 +1022,8 @@ class _FuncCompiler:
                     index += used
                     position += length
         # One cursor update for the whole run.
-        self._store(run["cursor"], f"{cursor}.add({4 * count})")
+        if node is not None:
+            self._store(run["cursor"], advanced.format(4 * count))
         if guarded:
             self.depth -= 1
             self.emit("else:")
@@ -995,8 +1098,14 @@ class _FuncCompiler:
         boxed = node.name in self.address_taken and not isinstance(
             node.ctype, (ct.StructType, ct.ArrayType)
         )
+        if self._dead(node.name, self.live.after(node)) and (
+            node.init is None or _pure(node.init)
+        ):
+            return  # no path reads this value
         if node.init is not None:
             init = self.wrap(self.expr(node.init), node.ctype)
+        elif node.name in self.cursors:
+            init = "None"  # a NULL cursor: any use of it faults
         else:
             init = self.module.default_value(node.ctype)
         if boxed:
@@ -1148,7 +1257,10 @@ class _FuncCompiler:
             limit = temp
         index = self.py_name(counter)
         if mapped is not None:
-            self._emit_map(index, limit, old, *mapped)
+            after = self.live.after(node)
+            self._emit_map(index, limit,
+                           None if self._dead(old, after) else old,
+                           *mapped, exits=not self._dead(counter, after))
             return True
         self.emit(f"for {index} in range({index}, {limit}):")
         self.depth += 1
@@ -1159,10 +1271,13 @@ class _FuncCompiler:
         self.depth -= 1
         # C leaves i == BOUND (and old == BOUND - 1) after at least one
         # trip; Python leaves i == BOUND - 1.  Zero trips touch neither.
-        self.emit(f"if {index} < {limit}:")
-        if old is not None:
-            self.emit(f"    {self.py_name(old)} = {index}")
-        self.emit(f"    {index} += 1")
+        after = self.live.after(node)
+        old_live = old is not None and not self._dead(old, after)
+        if old_live or not self._dead(counter, after):
+            self.emit(f"if {index} < {limit}:")
+            if old_live:
+                self.emit(f"    {self.py_name(old)} = {index}")
+            self.emit(f"    {index} += 1")
         return True
 
     def _element_path(self, node, counter):
@@ -1205,14 +1320,15 @@ class _FuncCompiler:
                 return None
         return (store, reads) if reads else None
 
-    def _emit_map(self, index, limit, old, store, reads):
+    def _emit_map(self, index, limit, old, store, reads, exits=True):
         """Emit the map loop ``DST[i] = E`` over ``range(i, limit)``:
         one comprehension over the slices ``SRC[i:limit]`` computing E
         before its 32-bit wrap, a test on only the sides of the int
         range its value can leave, a second pass wrapping every element
         when one did leave it — wraps compose modulo 2**32, so a value
         in range wraps to itself — one slice store, and C's exit values
-        of ``i`` and ``old``; after zero trips, nothing."""
+        of ``i`` (unless not ``exits``) and ``old`` (unless None): the
+        ones read afterwards; after zero trips, nothing."""
         sources = {}
         for node in reads:
             base = self.expr(node.obj)
@@ -1245,7 +1361,8 @@ class _FuncCompiler:
         if old is not None:
             last = int(limit) - 1 if limit.isdigit() else f"{limit} - 1"
             self.emit(f"{self.py_name(old)} = {last}")
-        self.emit(f"{index} = {limit}")
+        if exits:
+            self.emit(f"{index} = {limit}")
         self.depth -= 1
 
     def _for(self, node):
@@ -1330,18 +1447,33 @@ _RESERVED = frozenset(keyword.kwlist) | {
 
 
 class CompiledModule:
-    """A MiniC program compiled to a live Python namespace."""
+    """A MiniC program compiled to a live Python namespace.
 
-    def __init__(self, program, typeinfo=None, glue=""):
+    A function with one call site is inlined there (scalar
+    replacement) and not compiled on its own: :meth:`func` and
+    :meth:`call` refuse it by name (``inlined`` holds them)."""
+
+    def __init__(self, program, glue=None):
         self.program = program
-        self.typeinfo = typeinfo or typecheck_program(program)
         self.global_names = {}
         #: run format -> name of its module-level ``struct.Struct``
         self.packers = {}
-        #: ``glue``: Python source appended to the generated module, so
-        #: that hand-staged code around the compiled functions (the
-        #: pipeline's fused entries) is part of the one ``compile()``
-        self.source = self._generate() + glue
+        #: function -> {its buffer parameters: whether it stores through
+        #: them}.  A buffer parameter takes the bytes object itself —
+        #: ``bytes`` when the function never stores through it, else a
+        #: ``bytearray`` — and any other pointer a ``pyruntime`` value.
+        self.buffers = {}
+        #: ``glue(module)``: Python source appended to the generated
+        #: module, so that hand-staged code around the compiled
+        #: functions (the pipeline's fused entries) is part of the one
+        #: ``compile()``; it is called once the functions are lowered,
+        #: so that it can read ``buffers``
+        # what is lowered is ``program`` after scalar replacement
+        lowered = scalar.scalarize(program)
+        self.inlined = ({func.name for func in program.funcs}
+                        - {func.name for func in lowered.funcs})
+        generated = self._generate(lowered)
+        self.source = generated + (glue(self) if glue else "")
         self.namespace = {}
         code = compile(self.source, "<minic-compiled>", "exec")
         exec(code, self.namespace)  # noqa: S102 - our own generated code
@@ -1366,7 +1498,7 @@ class CompiledModule:
             return f"{_RT}.NULL"
         return "0"
 
-    def _generate(self):
+    def _generate(self, lowered):
         lines = [
             "# Generated by repro.minic.compile_py — do not edit.",
             "import struct as _struct",
@@ -1386,10 +1518,17 @@ class CompiledModule:
             lines.append(f"{name} = {self.default_value(glob.ctype)}")
         if self.program.globals:
             lines.append("")
+        typeinfo = typecheck_program(lowered)
+        called = {node.name for func in lowered.funcs
+                  for node in ast.walk(func.body)
+                  if isinstance(node, ast.Call)}
         funcs = []
-        for func in self.program.funcs:
-            funcs.extend(_FuncCompiler(self, func).compile())
+        for func in lowered.funcs:
+            compiler = _FuncCompiler(self, func, typeinfo,
+                                     func.name in called)
+            funcs.extend(compiler.compile())
             funcs.append("")
+            self.buffers[func.name] = compiler.buffers
         for fmt, name in self.packers.items():
             lines.append(f"{name} = _struct.Struct({fmt!r})")
         if self.packers:
@@ -1416,6 +1555,9 @@ class CompiledModule:
 
     def func(self, name):
         """Return the compiled Python callable for MiniC function ``name``."""
+        if name in self.inlined:
+            raise KeyError(f"{name} is inlined at its one call site and"
+                           " not compiled on its own")
         return self.namespace[self.func_name(name)]
 
     @property
@@ -1424,7 +1566,15 @@ class CompiledModule:
         return self.namespace["entry"]
 
     def call(self, name, *args):
-        return self.func(name)(*args)
+        """Call MiniC function ``name``; a buffer parameter may be
+        passed as a ``pyruntime`` pointer too (what it points at on)."""
+        function = self.func(name)
+        buffers = self.buffers[name]
+        if buffers:
+            params = self.program.func(name).params
+            args = [_rt.buffer_at(arg) if param.name in buffers else arg
+                    for param, arg in zip(params, args)]
+        return function(*args)
 
     def new_struct(self, name):
         return self.namespace[_struct_class_name(name)]()
@@ -1450,11 +1600,9 @@ class CompiledModule:
 
     @staticmethod
     def new_buffer(size):
-        from repro.minic import pyruntime as rt
-
-        return rt.PyBuffer(size)
+        return _rt.PyBuffer(size)
 
 
-def compile_program(program, typeinfo=None, glue=""):
+def compile_program(program, glue=None):
     """Compile a MiniC program; returns a :class:`CompiledModule`."""
-    return CompiledModule(program, typeinfo, glue)
+    return CompiledModule(program, glue)

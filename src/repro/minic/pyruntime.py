@@ -210,7 +210,8 @@ class PunPtr(Ptr):
         return hash(self.inner)
 
 
-_PACK_FMT = {
+#: the ``struct`` format of an integer view: (width, signed)
+PACK_FMT = {
     (4, True): ">i",
     (4, False): ">I",
     (2, True): ">h",
@@ -232,7 +233,9 @@ class BufPtr(Ptr):
         self.signed = signed
 
     def get(self):
-        fmt = _PACK_FMT[(self.elem_size, self.signed)]
+        fmt = PACK_FMT[(self.elem_size, self.signed)]
+        if self.offset < 0:
+            underrun()  # unpack_from would read the buffer's tail
         try:
             return struct.unpack_from(fmt, self.buffer.data, self.offset)[0]
         except struct.error as exc:
@@ -242,7 +245,7 @@ class BufPtr(Ptr):
         """Store ``value``, which compiled code has already converted to
         the view's type: ``struct.error`` for one a caller let in out of
         range, never a silent wrap."""
-        fmt = _PACK_FMT[(self.elem_size, self.signed)]
+        fmt = PACK_FMT[(self.elem_size, self.signed)]
         if self.offset < 0 or self.offset + self.elem_size > len(
             self.buffer.data
         ):
@@ -286,8 +289,31 @@ def ptr_diff(left, right):
     return left.diff(right)
 
 
+def buffer_at(pointer):
+    """The bytes a :class:`BufPtr` points at on, for a compiled buffer
+    parameter (anything else is passed as it is)."""
+    if not isinstance(pointer, BufPtr):
+        return pointer
+    if pointer.offset < 0:
+        raise InterpError("buffer pointer before its start")
+    data = pointer.buffer.data
+    return data if pointer.offset == 0 else memoryview(data)[pointer.offset:]
+
+
+def _check(pointer, length):
+    """Fault, as the interpreter does, on ``length`` bytes from
+    ``pointer`` that are not all in its buffer — a slice store there
+    would resize the buffer instead."""
+    size = len(pointer.buffer.data)
+    if pointer.offset < 0 or length < 0 or pointer.offset + length > size:
+        raise InterpError(
+            f"buffer access [{pointer.offset}, {pointer.offset + length})"
+            f" out of bounds (size {size})")
+
+
 def bzero(pointer, length):
     if isinstance(pointer, BufPtr):
+        _check(pointer, length)
         pointer.buffer.data[pointer.offset:pointer.offset + length] = bytes(
             length
         )
@@ -301,6 +327,8 @@ def bzero(pointer, length):
 
 def memcpy(dst, src, length):
     if isinstance(dst, BufPtr) and isinstance(src, BufPtr):
+        _check(dst, length)
+        _check(src, length)
         dst.buffer.data[dst.offset:dst.offset + length] = src.buffer.data[
             src.offset:src.offset + length
         ]
@@ -324,3 +352,7 @@ def c_abort():
 
 def overrun():
     raise InterpError("array access past the end of the array")
+
+
+def underrun():
+    raise InterpError("buffer access before the start of the buffer")

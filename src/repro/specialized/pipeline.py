@@ -115,13 +115,15 @@ class ClientSpecialization:
         self._marshal_module = compile_program(
             narrow_arrays(marshal_result.program,
                           {arg_struct.name: arg_lens}),
-            glue=sr.marshal_entry(
+            glue=lambda module: sr.marshal_entry(
                 proc, marshal_result, arg_lens, pipeline.prog_number,
-                pipeline.vers_number, self.expected_request))
+                pipeline.vers_number, self.expected_request,
+                module.buffers[marshal_result.entry_name]))
         self._recv_module = compile_program(
             narrow_arrays(recv_result.program, {ret_struct.name: res_lens}),
-            glue=sr.recv_entry(proc, recv_result, res_lens,
-                               self.expected_reply))
+            glue=lambda module: sr.recv_entry(
+                proc, recv_result, res_lens, self.expected_reply,
+                module.buffers[recv_result.entry_name]))
         self._generic_arg_filter = getattr(
             pipeline.stubs, f"xdr_{arg_struct.name}"
         )
@@ -499,8 +501,9 @@ class SpecializationPipeline:
             # that serves
             return result, compile_program(
                 narrow_arrays(result.program, capacities),
-                glue=sr.dispatch_entry(self._version.process, result,
-                                       expected_request, expected_reply))
+                glue=lambda module: sr.dispatch_entry(
+                    self._version.process, result, expected_request,
+                    expected_reply, module.buffers[result.entry_name]))
 
         # The residual program and its compiled module are cached; the
         # wrapper is rebuilt per call because it carries per-instance

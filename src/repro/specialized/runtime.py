@@ -2,7 +2,9 @@
 
 Compiled residual programs (from :mod:`repro.minic.compile_py`) operate
 on :mod:`repro.minic.pyruntime` values: generated struct classes, plain
-lists for arrays, :class:`~repro.minic.pyruntime.PyBuffer` cursors.
+lists for arrays — and on the message bytes themselves, where a
+``char *`` parameter is a *buffer parameter*
+(:attr:`~repro.minic.compile_py.CompiledModule.buffers`).
 The application hands over stub structs (or dict-style values) and
 bytes.  Moving between the two is decided entirely by the interface, so
 it is decided once, when a specialization is built: each function here
@@ -12,7 +14,10 @@ and returns the *source* of one **fused entry** —
 guard, conversion, the call of the compiled residual function with its
 arguments in place, and the conversion back — which the pipeline hands
 to :func:`~repro.minic.compile_py.compile_program` as the module's
-glue (docs/SPECIALIZATION.md, "Fused entries").
+glue (docs/SPECIALIZATION.md, "Fused entries").  Each is handed the
+residual entry's buffer parameters, which the lowering decides: the
+request goes in place unless the residual stores through it, the reply
+is written into an exact-size ``bytearray``.
 
 Every entry returns ``None`` to decline: on a size outside the one the
 residual was proved on, and on **any** fault (a value out of range, an
@@ -23,8 +28,31 @@ as it always has.
 
 from repro.errors import IdlError
 
-_IN = "_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)"
-_OUT = "_rt.BufPtr(out, 0, 1, True)"
+
+def _buffer(sig, buffers, role):
+    """None when the residual takes its ``role`` parameter as a
+    ``pyruntime`` pointer; else whether it stores through that buffer.
+    A partly unrolled residual (``Options(max_unroll=...)`` below the
+    array length) is one that does: its per-element helper has two
+    call sites, so the XDR handle and its cursor escape to it."""
+    name = next(p.name for p in sig.params if p.role == role)
+    return buffers.get(name)
+
+
+def _request(sig, buffers):
+    """The argument that hands the request ``data`` over."""
+    return {None: "_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)",
+            False: "data", True: "bytearray(data)"}[
+        _buffer(sig, buffers, "inbuf")]
+
+
+def _reply(sig, buffers, size):
+    """``(allocation of out, the argument, out's bytes)`` for a reply
+    written into an exact-size buffer."""
+    if _buffer(sig, buffers, "outbuf") is None:
+        return (f"out = _rt.PyBuffer({size})", "_rt.BufPtr(out, 0, 1, True)",
+                "out.data")
+    return f"out = bytearray({size})", "out", "out"
 
 
 def _call(residual, sig, lens, **roles):
@@ -103,27 +131,29 @@ def _extract(shape, src):
     return f"stubs.{shape.name}({', '.join(fields)})"
 
 
-def marshal_entry(proc, result, lens, prog, vers, size):
+def marshal_entry(proc, result, lens, prog, vers, size, buffers):
     """``entry(xid, args)``: the ``size``-byte call message for
     ``args``, or None — the argument is not of the assumed lengths."""
     body = [f"argsp = S_{proc.arg.name}()"]
     _fill(proc.arg, lens, "args", "argsp", body)
+    alloc, out, data = _reply(proc.marshal, buffers, size)
     call = _call(result, proc.marshal, proc.lens(lens, {}),
                  client="_clnt", xid="xid & 0xFFFFFFFF", args="argsp",
-                 outbuf=_OUT, outsize=str(size))
-    body += [f"out = _rt.PyBuffer({size})",
+                 outbuf=out, outsize=str(size))
+    body += [alloc,
              f"if {call} == {size}:",
-             "    return bytes(out.data)"]
+             f"    return bytes({data})"]
     return (f"\n_clnt = S_CLIENT()\n_clnt.cl_prog = {prog}\n"
             f"_clnt.cl_vers = {vers}\n" + _entry("xid, args", [], body))
 
 
-def recv_entry(proc, result, lens, size):
+def recv_entry(proc, result, lens, size, buffers):
     """``entry(data, xid, stubs)``: the result decoded from the
     ``size``-byte success reply ``data``, built from the ``stubs``
     module's classes, or None."""
-    call = _call(result, proc.recv, proc.lens({}, lens), inbuf=_IN,
-                 inlen=str(size), xid="xid & 0xFFFFFFFF", result="resp")
+    call = _call(result, proc.recv, proc.lens({}, lens),
+                 inbuf=_request(proc.recv, buffers), inlen=str(size),
+                 xid="xid & 0xFFFFFFFF", result="resp")
     return _entry(
         "data, xid, stubs",
         [f"if len(data) != {size}:", "    return None"],
@@ -132,16 +162,18 @@ def recv_entry(proc, result, lens, size):
          f"    return {_extract(proc.ret, 'resp')}"])
 
 
-def dispatch_entry(sig, result, request_size, reply_size):
+def dispatch_entry(sig, result, request_size, reply_size, buffers):
     """``entry(data)``: the reply to the ``request_size``-byte call
     ``data``, written into an exact-size buffer — a longer one faults,
-    so it is left to the generic path — or None."""
-    call = _call(result, sig, {}, inbuf=_IN, inlen=str(request_size),
-                 outbuf=_OUT, outsize=str(reply_size))
+    a shorter one is not this entry's to send: both are left to the
+    generic path — or None."""
+    alloc, out, data = _reply(sig, buffers, reply_size)
+    call = _call(result, sig, {}, inbuf=_request(sig, buffers),
+                 inlen=str(request_size), outbuf=out,
+                 outsize=str(reply_size))
     return _entry(
         "data",
         [f"if len(data) != {request_size}:", "    return None"],
-        [f"out = _rt.PyBuffer({reply_size})",
-         f"outlen = {call}",
-         "if outlen:",
-         "    return bytes(out.data[:outlen])"])
+        [alloc,
+         f"if {call} == {reply_size}:",
+         f"    return bytes({data})"])

@@ -325,7 +325,7 @@ class TestLoweringMutants:
     def test_handler_loop_one_trip_short(self, xfer_pipeline, xfer_server):
         # mutant 10: the handler's map comprehension stops one element
         # early, so the last element goes back unincremented.
-        loop = re.search(r"for _e1 in (\w+\.vals)\[i:(\w+)\]\]",
+        loop = re.search(r"for _e1 in (\w+__vals)\[i:(\w+)\]\]",
                          xfer_server._module.source)
         bad = relower(xfer_server._module, loop.group(0),
                       f"for _e1 in {loop.group(1)}[i:{loop.group(2)} - 1]]")
@@ -343,7 +343,7 @@ class TestLoweringMutants:
         "range-check-deleted": (
             r"\n +if max\(_t\d+\) > 0x7FFFFFFF:\n[^\n]+", ""),
         "map-reads-dst": (
-            r"(for _e1 in \w+)_2\.vals\[", r"\1_3.vals["),
+            r"(for _e1 in \w+)_2__vals\[", r"\1_3__vals["),
     }
 
     @pytest.mark.parametrize("name", sorted(MAP_MUTANTS))
@@ -353,6 +353,34 @@ class TestLoweringMutants:
         assert re.search(pattern, source), "mutation found nothing to change"
         bad = relowered(xfer_server._module,
                         lambda text: re.sub(pattern, replacement, text))
+        assert self._verify(xfer_pipeline, xfer_server, bad) == [
+            "lowering-divergence"]
+
+    def test_promoted_cursor_advanced_one_word_short(self, xfer_pipeline,
+                                                     xfer_server):
+        # mutant 13: the reply cursor, an ``int`` offset since scalar
+        # replacement, steps 28 bytes past the 8-word run instead of 32:
+        # the reply length it returns is one word short.
+        step = f"t_xdr_2__x_private + {4 * VALS_LEN}\n"
+        bad = relower(xfer_server._module, step,
+                      f"t_xdr_2__x_private + {4 * VALS_LEN - 4}\n")
+        assert self._verify(xfer_pipeline, xfer_server, bad) == [
+            "lowering-divergence"]
+
+    def test_escaping_cursor_promoted_anyway(self, xfer_pipeline,
+                                             xfer_server):
+        # mutant 14: escape analysis that missed a call — the reply
+        # cursor is promoted to an ``int`` offset, yet handed to a callee
+        # that was not inlined and so still takes a pointer.
+        run = re.search(r"(_S\d+)\.pack_into\(outbuf, (\w+),"
+                        r" \*(\w+)\[0:(\d+)\]\)",
+                        xfer_server._module.source)
+        packer, cursor, vals, count = run.groups()
+        callee = (f"\ndef mc_put_vals(xdrs_private, vals):\n"
+                  f"    {packer}.pack_into(xdrs_private.buffer.data,"
+                  f" xdrs_private.offset, *vals[0:{count}])\n")
+        bad = relowered(xfer_server._module, lambda text: text.replace(
+            run.group(0), f"mc_put_vals({cursor}, {vals})") + callee)
         assert self._verify(xfer_pipeline, xfer_server, bad) == [
             "lowering-divergence"]
 
@@ -380,8 +408,8 @@ class TestFusedEntryMutants:
     MiniC and its lowering are right: only a gate on the entry the
     transport calls can see it."""
 
-    IN, OUT = ("_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)",
-               "_rt.BufPtr(out, 0, 1, True)")
+    #: the request goes in place, the reply buffer is ``out``
+    IN, OUT = ("data", "out")
     #: (the module sabotaged, old, new, the rule that must fire)
     MUTANTS = {
         "marshal-arguments-swapped": (
@@ -412,7 +440,7 @@ class TestFusedEntryMutants:
             "_recv_module", "resp.vals[:resp.vals_len]",
             "resp.vals[:resp.vals_len - 1]", "lowering-divergence"),
         "dispatch-reply-one-word-short": (
-            "server", "out.data[:outlen]", "out.data[:outlen - 4]",
+            "server", "return bytes(out)", "return bytes(out[:-4])",
             "lowering-divergence"),
     }
 

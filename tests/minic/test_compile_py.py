@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import InterpError
 from repro.minic import pyruntime as rt
 from repro.minic import values as rv
 from repro.minic.compile_py import compile_program
@@ -215,6 +216,175 @@ class TestAggregates:
             assert interp.call("f", [interp.ptr_to(xi)]) == module.call(
                 "f", xc
             )
+
+
+class TestScalarReplacement:
+    """Inlining, struct splitting and dead-store removal
+    (``repro.minic.scalar``) against the interpreter."""
+
+    @pytest.mark.parametrize("source, arg", [
+        # a callee local shadows a parameter: no substitution
+        ("int g(int x) { int r; r = x; { int x; x = 7; r = r + x; }"
+         " return r + x; }", 5),
+        # nested shadowing survives the flat renaming
+        ("int g(int x) { int y; y = 1; { int y; y = 2; x = x + y; }"
+         " return x + y; }", 5),
+        # returns inside loops leave through a flag
+        ("int g(int n) { int i; i = 0; while (i < 10) {"
+         " if (i == n) return i * 3; i = i + 1; } return -1; }", 4),
+        ("int g(int n) { int i; int j; for (i = 0; i < 5; i++) {"
+         " for (j = 0; j < 5; j++) { if (i * j == n) return i * 10 + j; }"
+         " } return -1; }", 6),
+        # a boxed out-parameter becomes the local
+        ("int g(int *p, int n) { *p = n * 2; if (n > 3) return 0;"
+         " *p = *p + 1; return 1; }", 2),
+    ])
+    def test_inlined_callee_agrees(self, source, arg):
+        caller = ("int f(int a) { int v; int r; v = 0; r = g(&v, a);"
+                  " return r * 1000 + v; }" if "*p" in source else
+                  "int f(int a) { int v; v = g(a); return v; }")
+        module = compile_program(parse_program(source + caller))
+        assert "mc_g" not in module.namespace  # inlined, not emitted
+        with pytest.raises(KeyError, match="inlined"):
+            module.call("g", arg)
+        both(source + caller, "f", arg)
+
+    @pytest.mark.parametrize("arg", [3, -3])
+    def test_struct_local_split_through_an_inlined_callee(self, arg):
+        source = """
+        struct S { int a; int b; };
+        void g(struct S *s, int n) { if (n < 0) return; s->a = n;
+                                     s->b = n + 1; }
+        int f(int a) { struct S t; t.a = 9; t.b = 9; g(&t, a);
+                       return t.a * 100 + t.b; }"""
+        assert "S_S()" not in compile_program(parse_program(source)).source
+        both(source, "f", arg)
+
+    def test_a_global_the_callee_reads_is_not_captured(self):
+        both("""
+        int k;
+        int g(int n) { return n + k; }
+        int f(int a) { int k; int v; k = 50; v = g(a); return v + k; }""",
+             "f", 1)
+
+    @pytest.mark.parametrize("second", ["b", "b + 4"])
+    def test_a_called_function_takes_pointers(self, second):
+        # ``get`` has two call sites, so it is not inlined: its caller
+        # hands it a pointer, not bytes, so ``b`` is no buffer parameter
+        source = f"""
+        long get(caddr_t b) {{ caddr_t p; p = b; return *(long *)p; }}
+        long f(caddr_t b) {{
+            *(long *)b = 5; *(long *)(b + 4) = 7;
+            return get(b) + get({second});
+        }}"""
+        module = compile_program(parse_program(source))
+        assert module.buffers == {"get": {}, "f": {}}
+        interp, compiled = on_buffers(source, (8,))
+        assert compiled == interp
+        assert interp[0] == (10 if second == "b" else 12)
+
+    def test_an_escaping_struct_stays_a_struct(self):
+        source = """
+        struct S { int a; };
+        int h(struct S *s) { return s->a; }
+        int f(int a) { struct S t; int v; int w; t.a = a; v = h(&t);
+                       w = h(&t); return v + w; }"""
+        assert "S_S()" in compile_program(parse_program(source)).source
+        both(source, "f", 3)
+
+
+def on_buffers(source, sizes, *args, offset=0):
+    """``f(p0, p1, ..., *args)`` over fresh zeroed buffers of ``sizes``
+    (each pointer at ``offset``) in the interpreter and compiled:
+    ``(result or "fault", the buffers' bytes)`` per side."""
+    program = parse_program(source)
+    interp = Interpreter(program)
+    module = compile_program(program)
+    sides = []
+    for make, pointer, call in (
+            (interp.make_buffer, rv.BufPtr,
+             lambda ptrs: interp.call("f", ptrs + list(args))),
+            (rt.PyBuffer, rt.BufPtr,
+             lambda ptrs: module.call("f", *ptrs, *args))):
+        buffers = [make(size) for size in sizes]
+        try:
+            result = call([pointer(buf, offset, 1) for buf in buffers])
+        except InterpError:
+            result = "fault"
+        sides.append((result, [buf.bytes() for buf in buffers]))
+    return sides
+
+
+class TestBufferBounds:
+    """A byte range past a buffer faults compiled as it does in the
+    interpreter: never a resized buffer, never the buffer's tail."""
+
+    @pytest.mark.parametrize("source, sizes", [
+        # zeroing past the end once grew the buffer to 10 bytes
+        ("int f(caddr_t p) { bzero(p + 6, 4); return 1; }", (8,)),
+        # a short source once shrank the destination to 6 bytes
+        ("int f(caddr_t d, caddr_t s) { memcpy(d, s, 8); return 1; }",
+         (8, 6)),
+        # ... and a short destination grew
+        ("int f(caddr_t d, caddr_t s) { memcpy(d, s, 8); return 1; }",
+         (6, 8)),
+    ])
+    def test_out_of_range_copies_fault(self, source, sizes):
+        interp, compiled = on_buffers(source, sizes)
+        assert compiled == interp
+        assert interp[0] == "fault"
+        assert [len(data) for data in compiled[1]] == list(sizes)
+
+    def test_in_range_copies_agree(self):
+        interp, compiled = on_buffers("""
+        int f(caddr_t d, caddr_t s) {
+            *(long *)s = 0x01020304; *(long *)(s + 4) = (-1);
+            memcpy(d + 2, s, 6); bzero(d + 3, 2); return 1;
+        }""", (8, 8))
+        assert compiled == interp and interp[0] == 1
+
+    def test_a_pointer_before_its_buffer_faults(self):
+        pointer = rt.BufPtr(rt.PyBuffer(b"\0\0\0\x07"), 0, 4, True)
+        assert pointer.get() == 7
+        with pytest.raises(InterpError, match="before the start"):
+            pointer.add(-1).get()
+
+    def test_a_run_through_a_cursor_before_its_buffer_faults(self):
+        # the cursor lives in a struct (not a promotable local), so the
+        # run goes through ``unpack_from(data, offset)``, which reads
+        # the buffer's tail at a negative offset
+        source = """
+        struct S { caddr_t cur; int x; int y; };
+        int f(struct S *s) {
+            s->x = (long)ntohl((u_long)*(long *)s->cur); s->cur = s->cur + 4;
+            s->y = (long)ntohl((u_long)*(long *)s->cur); s->cur = s->cur + 4;
+            return s->x + s->y;
+        }"""
+        program = parse_program(source)
+        interp = Interpreter(program)
+        s_interp = interp.make_struct("S")
+        s_interp.field("cur").value = rv.BufPtr(interp.make_buffer(12), -4, 1)
+        with pytest.raises(InterpError):
+            interp.call("f", [interp.ptr_to(s_interp)])
+        module = compile_program(program)
+        assert "unpack_from" in module.source
+        s_compiled = module.new_struct("S")
+        s_compiled.cur = rt.BufPtr(rt.PyBuffer(bytes(range(12))), -4, 1)
+        with pytest.raises(InterpError, match="before the start"):
+            module.call("f", s_compiled)
+
+    def test_a_cursor_that_steps_back_is_not_promoted(self):
+        # an offset that may go negative stays a runtime pointer, whose
+        # read before the start faults
+        source = """
+        int f(caddr_t buf) {
+            caddr_t p;
+            p = buf; p = p + 4; p = p - 8;
+            return *(long *)p;
+        }"""
+        interp, compiled = on_buffers(source, (8,))
+        assert compiled == interp and interp[0] == "fault"
+        assert compile_program(parse_program(source)).buffers["f"] == {}
 
 
 class TestNetworkHook:

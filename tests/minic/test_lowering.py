@@ -667,8 +667,11 @@ class TestMapLoops:
             return i;
         }"""))
         assert module.call("f", module.new_struct("S"), 8) == 8
+        # ``t`` is scalar-replaced: its fields are the locals ``t__a``...
+        local = short.replace("self.", "t__")
+        assert f"{local} = [0] * 8" in module.source
         bad = relowered(module, lambda source: source.replace(
-            f"{short} = [0] * 8", f"{short} = [0] * 7"))
+            f"{local} = [0] * 8", f"{local} = [0] * 7"))
         with pytest.raises(InterpError, match="past the end"):
             bad.call("f", bad.new_struct("S"), 8)
 
@@ -909,10 +912,17 @@ def compiled_source(source):
 
 class TestEmittedForms:
     def test_reads_are_not_rewrapped_and_literals_fold(self):
+        # each store is read (by a sink called twice, so not inlined):
+        # a store nothing reads is dropped
         text = compiled_source("""
+        void gi(int x) { }
+        void gu(unsigned x) { }
+        void gc(char x) { }
         int f(int a, unsigned u) {
             int b; unsigned v; char c;
-            b = a; v = u; b = -1; v = -1; c = 200; c = (char)a;
+            b = a; v = u; gi(b); gu(v);
+            b = -1; v = -1; gi(b); gu(v);
+            c = 200; gc(c); c = (char)a; gc(c);
             b = (int)(long)(u_long)a;
             return b;
         }""")
@@ -1017,6 +1027,20 @@ def _function(source, name):
     return source[start:end if end != -1 else None]
 
 
+def _enclosing(raw, index):
+    """The ``if`` / ``else`` headers of the branch that line ``index``
+    of ``raw`` sits in, stripped."""
+    def indent(line):
+        return len(line) - len(line.lstrip())
+
+    other = next(j for j in range(index - 1, -1, -1)
+                 if indent(raw[j]) < indent(raw[index]))
+    test = next(j for j in range(other - 1, -1, -1)
+                if indent(raw[j]) == indent(raw[other])
+                and raw[j].lstrip().startswith("if "))
+    return [raw[test].strip(), raw[other].strip()]
+
+
 def test_golden_server_handler_loop(golden_pipeline):
     lens = {"vals": GOLDEN_N}
     server = golden_pipeline.specialize_server(
@@ -1025,26 +1049,49 @@ def test_golden_server_handler_loop(golden_pipeline):
     assert "_rt.wrap_i32(" not in source
     hot = _function(source, "svc_process_xchg_prog_1_spec")
     lines = [line.strip() for line in hot.splitlines()]
-    head = lines.index("_t4 = [_e1 + 1 for _e1 in t_intarr_2.vals[i:_t3]]")
-    assert lines[head - 1] == "if i < _t3:"  # at least one trip
-    assert lines[head + 1:head + 8] == [
+    head = lines.index("_t12 = [_e1 + 1 for _e1 in"
+                       " t_intarr_2__vals[i:t_intarr_2__vals_len]]")
+    assert lines[head - 1] == "if i < t_intarr_2__vals_len:"  # >= 1 trip
+    assert lines[head + 1:head + 7] == [
         # ``src[i] + 1`` can only leave the int range upward
-        "if max(_t4) > 0x7FFFFFFF:",
-        "_t4 = [((_e + 0x80000000) & 0xFFFFFFFF) - 0x80000000 for _e in _t4]",
-        "if len(t_intarr_3.vals) < _t3 or len(_t4) != _t3 - i:",
+        "if max(_t12) > 0x7FFFFFFF:",
+        "_t12 = [((_e + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
+        " for _e in _t12]",
+        "if len(t_intarr_3__vals) < t_intarr_2__vals_len"
+        " or len(_t12) != t_intarr_2__vals_len - i:",
         "_rt.overrun()",
-        "t_intarr_3.vals[i:_t3] = _t4",
-        "_old_2 = _t3 - 1",
-        "i = _t3",
+        "t_intarr_3__vals[i:t_intarr_2__vals_len] = _t12",
+        # C's exit values of ``i`` and ``_old_2`` are never read: no
+        # store of them follows
+        "t_xdr_2__x_private = 0",
     ]
-    assert "while" not in hot and " in range(" not in hot
-    # decode and encode of the 1000 ints: one slice each way, the
-    # decode's store held to the array's capacity
-    assert (f"if len(objp.vals) < {GOLDEN_N}:\n"
-            f"            _rt.overrun()\n"
-            f"        objp.vals[0:{GOLDEN_N}] = ") in source
-    assert f".pack_into(_t2.buffer.data, _t2.offset, *objp.vals[0:{GOLDEN_N}])" \
-        in source
+    assert " in range(" not in hot
+    # no rolled loop falls back to a generic ``while``: what is left is
+    # the one-trip block each inlined helper runs in, and the element
+    # loop of each inlined array filter's off-profile branch (a length
+    # other than the assumed one)
+    loops = [line for line in lines if line.startswith("while ")]
+    assert loops.count("while 1:") == 5
+    counted = [line for line in loops if line != "while 1:"]
+    assert counted == ["while i__2 < t_intarr_2__vals_len:",
+                       "while i__3 < t_intarr_3__vals_len:"]
+    raw = hot.splitlines()
+    for loop, length in zip(counted, ("t_intarr_2__vals_len",
+                                      "t_intarr_3__vals_len")):
+        assert _enclosing(raw, lines.index(loop)) == [
+            f"if {length} == {GOLDEN_N}:", "else:"]
+    # decode and encode of the 1000 ints: one slice each way through
+    # the request and reply buffers themselves, the decode's store held
+    # to the array's capacity
+    assert lines[lines.index(f"if len(t_intarr_2__vals) < {GOLDEN_N}:")
+                 - 1:][:4] == [
+        "_t10 = _S5.unpack_from(inbuf, t_xdr__x_private)",
+        f"if len(t_intarr_2__vals) < {GOLDEN_N}:",
+        "_rt.overrun()",
+        f"t_intarr_2__vals[0:{GOLDEN_N}] = _t10",
+    ]
+    assert (f"_S5.pack_into(outbuf, t_xdr_2__x_private,"
+            f" *t_intarr_3__vals[0:{GOLDEN_N}])") in lines
 
 
 def test_golden_client_marshal_is_one_sliced_pack(golden_pipeline):
@@ -1058,4 +1105,4 @@ def test_golden_client_marshal_is_one_sliced_pack(golden_pipeline):
     assert "argsp.vals[1]" not in source
     recv = client._recv_module.source
     assert recv.count("unpack_from") >= 1
-    assert f"objp.vals[0:{GOLDEN_N}] = " in recv
+    assert f"resp.vals[0:{GOLDEN_N}] = " in recv

@@ -1,0 +1,161 @@
+"""Scalar replacement on the live codecs (docs/SPECIALIZATION.md,
+"Scalar replacement"): what the lowering leaves of C's object model,
+and the fused entries on hostile messages of exactly the length their
+guard admits — each must serve what the generic path serves, or
+decline."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.rpc import SvcRegistry
+from repro.rpc.client import RpcClient
+from repro.specialized import SpecializationPipeline
+from repro.tempo.specializer import Options
+
+from tests.tempo.test_induction import IDL, IMPL, PROC, PROG, VERS, lens
+
+SIZES = (1, 20, 1000)
+
+#: what the lowering spells only for C's object model: buffer cursors,
+#: boxed out-parameters, the XDR handle, pointer arithmetic
+OBJECT_MODEL = ("BufPtr(", "VarPtr(", "S_XDR()", ".add(", "ptr_diff")
+
+#: words worth planting anywhere in a header
+HOSTILE = (0, 1, 2, 3, 4, 8, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+
+
+@pytest.fixture(scope="module")
+def pipeline():
+    return SpecializationPipeline(IDL, impl_sources=[IMPL])
+
+
+@pytest.fixture(scope="module")
+def generic(pipeline):
+    stubs = pipeline.stubs
+
+    class Impl:
+        def SENDRECV(self, args):
+            return stubs.intarr(vals=[(v + 1 + 2**31) % 2**32 - 2**31
+                                      for v in args.vals])
+
+    return (RpcClient(PROG, VERS),
+            stubs.register_IND_PROG_1(SvcRegistry(), Impl()))
+
+
+@pytest.fixture(scope="module")
+def specs(pipeline):
+    return {n: (pipeline.specialize_client("SENDRECV", **lens(n)),
+                pipeline.specialize_server("SENDRECV", **lens(n)))
+            for n in SIZES}
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_no_object_model_is_left(specs, n):
+    client, server = specs[n]
+    for module in (client._marshal_module, client._recv_module,
+                   server._module):
+        found = [token for token in OBJECT_MODEL if token in module.source]
+        assert not found, f"{found} in\n{module.source}"
+        # the request is read in place, the reply written into the
+        # buffer the entry returns
+        assert "PyBuffer(" not in module.source
+
+
+def test_what_does_not_qualify_is_lowered_as_before(generic):
+    """A partly unrolled residual (``max_unroll`` below the array
+    length) calls its per-element helper from two sites, so the helper
+    is not inlined and the XDR handle — with the cursor in it — escapes
+    to it.  The server residual then takes ``pyruntime`` pointers and
+    the entries hand the message over wrapped, as they did before
+    scalar replacement — and still pass the gate and serve the generic
+    path's bytes."""
+    pipeline = SpecializationPipeline(IDL, impl_sources=[IMPL],
+                                      options=Options(max_unroll=3))
+    client = pipeline.specialize_client("SENDRECV", **lens(20))
+    server = pipeline.specialize_server("SENDRECV", **lens(20))
+    assert server._module.buffers[server.result.entry_name] == {}
+    assert "S_XDR()" in server._module.source
+    assert ("_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True),"
+            " _rt.BufPtr(out, 0, 1, True)") in server._module.source
+    assert "_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)" in \
+        client._recv_module.source
+    stubs = pipeline.stubs
+    args = stubs.intarr(vals=list(range(20)))
+    request = generic[0].build_call(3, PROC, args, stubs.xdr_intarr)
+    reply = generic[1].dispatch_bytes(request)
+    assert client.build_request(3, args) == request
+    assert server.residual_reply(request) == reply
+    assert client.decode_reply(reply, 3).vals == [v + 1 for v in range(20)]
+
+
+def planted(data, word, how, value):
+    """``data`` with header word ``word`` replaced by ``value`` or with
+    bit ``value % 32`` of it flipped."""
+    out = bytearray(data)
+    old = int.from_bytes(out[4 * word:4 * word + 4], "big")
+    new = old ^ (1 << (value % 32)) if how == "flip" else value
+    out[4 * word:4 * word + 4] = new.to_bytes(4, "big")
+    return bytes(out)
+
+
+PLANT = dict(how=st.sampled_from(["flip", "set"]),
+             value=st.one_of(st.sampled_from(HOSTILE),
+                             st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=40, deadline=None)
+# xid, mtype, rpcvers, prog, vers, proc, cred (2), verifier (2), vals_len
+@given(word=st.integers(0, 10), **PLANT)
+def test_dispatch_entry_on_hostile_requests(pipeline, generic, specs, n,
+                                            word, how, value):
+    client, registry = generic
+    request = client.build_call(0x1234, PROC, pipeline.stubs.intarr(
+        vals=list(range(n))), pipeline.stubs.xdr_intarr)
+    data = planted(request, word, how, value)
+    answer = specs[n][1].residual_reply(data)
+    if answer is not None:
+        assert answer == registry.dispatch_bytes(data)
+
+
+def generic_decode(client, stubs, data, xid):
+    try:
+        matched, value = client.parse_reply(data, xid, PROC,
+                                            stubs.xdr_intarr)
+    except Exception:  # a refused reply: the entry must have declined
+        return None
+    return value if matched else None
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=40, deadline=None)
+# xid, mtype, reply stat, verifier (2), accept stat, vals_len
+@given(word=st.integers(0, 6), **PLANT)
+def test_decode_entry_on_hostile_replies(pipeline, generic, specs, n,
+                                         word, how, value):
+    client, registry = generic
+    stubs = pipeline.stubs
+    request = client.build_call(0x1234, PROC, stubs.intarr(
+        vals=list(range(n))), stubs.xdr_intarr)
+    data = planted(registry.dispatch_bytes(request), word, how, value)
+    answer = specs[n][0].decode_reply(data, 0x1234)
+    if answer is not None:
+        expected = generic_decode(client, stubs, data, 0x1234)
+        assert expected is not None and answer.vals == expected.vals
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=20, deadline=None)
+@given(index=st.integers(0, 999),
+       bad=st.sampled_from([2**31, -2**31 - 1, 2**40, 1.5, "7", None]))
+def test_encode_entry_on_hostile_arguments(pipeline, generic, specs, n,
+                                           index, bad):
+    client, _registry = generic
+    stubs = pipeline.stubs
+    values = list(range(n))
+    values[index % n] = bad
+    answer = specs[n][0].build_request(9, stubs.intarr(vals=values))
+    if answer is not None:
+        assert answer == client.build_call(9, PROC, stubs.intarr(
+            vals=values), stubs.xdr_intarr)
