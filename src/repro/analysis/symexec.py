@@ -1,11 +1,13 @@
 """Symbolic execution of MiniC programs, for the equivalence verifier.
 
 This reuses the reference interpreter (:mod:`repro.minic.interp`) and
-its value model (:mod:`repro.minic.values`) wholesale: structs, arrays,
-pointers, frames, and statement dispatch are inherited unchanged.  What
-changes is the *scalar domain* — a value is either a concrete Python
-int (interpreted exactly as the reference interpreter does) or a
-:class:`SymVal`, an expression tree over named 32-bit unknowns.
+its value model (:mod:`repro.minic.values`) wholesale: the compiled
+engine (evaluation order, steps, frames, calls), structs, arrays and
+pointers are shared unchanged.  What changes is the *value domain* — a
+value is either a concrete Python int (interpreted exactly as the
+reference interpreter does) or a :class:`SymVal`, an expression tree
+over named 32-bit unknowns — and :class:`SymbolicInterpreter` supplies
+only that domain's hooks.
 
 The symbolic domain is deliberately small, because residual marshaling
 code is deliberately simple: after specialization the codecs are
@@ -23,19 +25,23 @@ byte stores.  The executor:
   raises :class:`Undecidable` — the verifier treats that as "cannot
   prove equivalence", never as "equivalent".
 
-Symbolic values are tracked as **unsigned 32-bit residues**: an
-expression denotes its value modulo 2**32.  Byte-level output
-comparison is insensitive to signedness, so this loses nothing for
-equivalence checking, but it means *signed comparisons on symbolic
-values are never decided* (they raise :class:`Undecidable`), keeping
-the executor sound.
+Symbolic values are tracked as **32-bit residues**: an expression
+denotes its value modulo 2**32.  Byte-level output comparison is
+insensitive to how those bits are read, so a node carries signedness
+only where the residue depends on it: an operator in
+:data:`~repro.minic.interp.SIGN_SENSITIVE` computed in a signed type is
+tagged (``s>>`` is an arithmetic shift, ``>>`` a logical one; likewise
+``s/``, ``s%`` and the signed comparisons), and narrowing to a signed
+type smaller than 32 bits is a ``sext`` node.  So ``x >> 4`` and
+``(int)((unsigned)x >> 4)`` are *different* expressions.  Comparisons
+on symbolic values are never decided (they raise
+:class:`Undecidable`), keeping the executor sound.
 """
 
 from repro.errors import ReproError
-from repro.minic import ast
 from repro.minic import types as ct
 from repro.minic import values as rv
-from repro.minic.interp import Interpreter
+from repro.minic.interp import SIGN_SENSITIVE, Interpreter, int_op
 
 MASK32 = 0xFFFFFFFF
 
@@ -53,9 +59,10 @@ class SymVal:
     """An immutable symbolic expression over 32-bit unknowns.
 
     Nodes: ``("var", name)``, ``("bin", op, left, right)``,
-    ``("byte", value, shift)`` — ``(value >> shift) & 0xFF`` —
-    and ``("cat", parts...)`` — big-endian concatenation of byte
-    expressions.  Structural equality is semantic equality (the same
+    ``("byte", value, shift)`` — ``(value >> shift) & 0xFF`` —,
+    ``("cat", parts...)`` — big-endian concatenation of byte
+    expressions — and ``("sext", bits, value)`` — the low ``bits`` of
+    ``value`` sign-extended.  Structural equality is semantic equality (the same
     expression over the same unknowns denotes the same value), which
     is the only direction the verifier relies on.
     """
@@ -77,21 +84,14 @@ class SymVal:
     def __repr__(self):
         return f"SymVal({render(self)})"
 
-    # ``ct.wrap_int`` (used by the inherited interpreter for parameter
-    # passing, declarations, and stores) masks with ``&`` and then
-    # tests ``value > mask >> 1`` for the signed adjustment.  ``__and__``
-    # keeps the expression; ``__gt__`` returning False skips the signed
-    # adjustment — i.e. symbolic values stay unsigned residues.  These
-    # two operators exist ONLY to keep ``wrap_int`` working; symbolic
-    # arithmetic everywhere else goes through :func:`sym_bin`.
+    # The byte-swap builtins mask their operand with ``&``; that is the
+    # one operator a symbolic value answers directly.  Everything else
+    # goes through :func:`sym_bin` via the interpreter's value domain.
     def __and__(self, other):
         return sym_bin("&", self, other)
 
     def __rand__(self, other):
         return sym_bin("&", other, self)
-
-    def __gt__(self, other):
-        return False
 
     def __int__(self):
         # Every inherited interpreter path that insists on a concrete
@@ -123,6 +123,8 @@ def render(value):
         return f"byte({render(node[1])}, {node[2]})"
     if node[0] == "cat":
         return "cat(" + ", ".join(render(p) for p in node[1:]) + ")"
+    if node[0] == "sext":
+        return f"sext{node[1]}({render(node[2])})"
     return repr(node)
 
 
@@ -144,12 +146,21 @@ def values_equal(left, right):
     return _residue(left) == _residue(right)
 
 
-def sym_bin(op, left, right):
-    """Build (and simplify) a binary expression node."""
+_COMPARISONS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+
+
+def _base_op(op):
+    """The C operator of a node's (possibly sign-tagged) ``op``."""
+    return op[1:] if op[0] == "s" else op
+
+
+def sym_bin(op, left, right, signed=False):
+    """Build (and simplify) a binary expression node; ``signed`` says
+    the operator is computed in a signed type."""
     if isinstance(left, int) and isinstance(right, int):
         # Concrete operands never reach here from the interpreter (it
         # folds them), but simplification rules recurse through this.
-        return Interpreter._int_binary(op, left, right, ct.UNSIGNED)
+        return int_op(op, ct.INT if signed else ct.UNSIGNED)(left, right)
     if op == "&":
         for a, b in ((left, right), (right, left)):
             if isinstance(b, int):
@@ -175,7 +186,28 @@ def sym_bin(op, left, right):
         return 1
     if op == "!=" and values_equal(left, right):
         return 0
+    if signed and op in SIGN_SENSITIVE:
+        op = "s" + op
     return SymVal(("bin", op, _freeze(left), _freeze(right)))
+
+
+def sym_sext(value, width):
+    """``value``, ``width`` bytes wide, read as a signed number."""
+    if isinstance(value, int):
+        limit = 1 << (8 * width - 1)
+        return value - (limit << 1) if value >= limit else value
+    if width >= 4:
+        return value
+    return SymVal(("sext", 8 * width, value))
+
+
+def sym_wrap(value, ctype):
+    """``ct.wrap_int`` on a symbolic value: the residue of ``value``
+    as an object of the integer type ``ctype``."""
+    if not isinstance(ctype, ct.IntType) or ctype.width >= 4:
+        return value
+    narrowed = sym_bin("&", value, (1 << (8 * ctype.width)) - 1)
+    return sym_sext(narrowed, ctype.width) if ctype.signed else narrowed
 
 
 def _freeze(value):
@@ -274,11 +306,7 @@ class SymBuffer(rv.Buffer):
         self.check(offset, size)
         parts = self.data[offset:offset + size]
         value = sym_cat(parts)
-        if isinstance(value, int) and signed:
-            limit = 1 << (8 * size - 1)
-            if value >= limit:
-                value -= limit << 1
-        return value
+        return sym_sext(value, size) if signed else value
 
     def store_u32(self, offset, value):
         self.store_int(offset, value, 4, False)
@@ -307,10 +335,12 @@ class SymBuffer(rv.Buffer):
 
 
 class SymbolicInterpreter(Interpreter):
-    """The reference interpreter lifted to the concrete-or-symbolic
-    scalar domain.  Concrete runs behave byte-for-byte like the parent
-    class (the parent *is* the concrete path); symbolic operands route
-    through :func:`sym_bin`/:class:`SymBuffer`."""
+    """The reference interpreter over the concrete-or-symbolic value
+    domain.  It shares the compiled engine (evaluation order, steps,
+    memory, calls) and supplies only what an operator means when an
+    operand is symbolic: concrete operands fold exactly as the parent
+    folds them; symbolic ones build :func:`sym_bin` nodes and
+    :class:`SymBuffer` bytes."""
 
     #: verification runs are bounded much tighter than general
     #: interpretation — residual codecs are small.
@@ -322,125 +352,81 @@ class SymbolicInterpreter(Interpreter):
         buffer.addr = self.space.alloc_heap(len(buffer))
         return buffer
 
-    # -- decisions --------------------------------------------------------
+    # -- the value domain ---------------------------------------------------
 
-    def _truthy(self, value):
+    @staticmethod
+    def truthy(value):
         if isinstance(value, SymVal):
             node = value.node
-            if node[0] == "bin" and node[1] in ("==", "!=", "<", "<=",
-                                                ">", ">="):
+            if node[0] == "bin" and _base_op(node[1]) in _COMPARISONS:
                 raise Undecidable(value, "comparison on symbolic values")
             raise Undecidable(value)
-        return Interpreter._truthy(value)
+        return Interpreter.truthy(value)
 
-    # -- operators over the lifted domain --------------------------------
+    @staticmethod
+    def wrap(value, ctype):
+        if isinstance(value, SymVal):
+            return sym_wrap(value, ctype)
+        return ct.wrap_int(value, ctype)
 
-    def _eval_binary(self, node, frame):
-        op = node.op
-        if op in ("&&", "||"):
-            return super()._eval_binary(node, frame)
-        left = self.eval(node.left, frame)
-        right = self.eval(node.right, frame)
-        left_ptr = isinstance(left, rv.Pointer)
-        right_ptr = isinstance(right, rv.Pointer)
-        if left_ptr or right_ptr:
-            return self._pointer_binary(op, left, right)
-        result_type = self.typeinfo.expr_types.get(node.uid, ct.INT)
-        if is_sym(left) or is_sym(right):
-            return sym_bin(op, left, right)
-        return self._int_binary(op, int(left), int(right), result_type)
+    @staticmethod
+    def binop(op, result_type, op_type):
+        concrete = Interpreter.binop(op, result_type, op_type)
+        signed = getattr(op_type, "signed", False)
 
-    def _eval_unary(self, node, frame):
-        if node.op in ("&", "*"):
-            return super()._eval_unary(node, frame)
-        operand = self.eval(node.operand, frame)
-        if is_sym(operand):
-            if node.op == "-":
-                return sym_bin("-", 0, operand)
-            if node.op == "~":
+        def lifted(left, right):
+            if isinstance(left, rv.Pointer) or isinstance(right, rv.Pointer):
+                return concrete(left, right)
+            if isinstance(left, SymVal) or isinstance(right, SymVal):
+                return sym_bin(op, left, right, signed)
+            return concrete(left, right)
+        return lifted
+
+    @staticmethod
+    def unop(op, result_type):
+        concrete = Interpreter.unop(op, result_type)
+
+        def lifted(operand):
+            if isinstance(operand, SymVal):
+                if op == "-":
+                    return sym_bin("-", 0, operand)
                 return sym_bin("^", operand, MASK32)
-            # "!" needs a truth value — _truthy raises Undecidable.
-            return 0 if self._truthy(operand) else 1
-        result_type = self.typeinfo.expr_types.get(node.uid, ct.INT)
-        if node.op == "-":
-            return ct.wrap_int(-operand, result_type)
-        if node.op == "~":
-            return ct.wrap_int(~operand, result_type)
-        if node.op == "!":
-            return 0 if self._truthy(operand) else 1
-        raise ReproError(f"unknown unary {node.op!r}")
+            return concrete(operand)
+        return lifted
 
-    def _eval_cast(self, node, frame):
-        value = self.eval(node.operand, frame)
-        ctype = node.ctype
-        if is_sym(value):
-            if ctype.is_integer:
-                width = ctype.size()
-                if width >= 4:
-                    return value
-                return sym_bin("&", value, (1 << (8 * width)) - 1)
-            raise Undecidable(value, "cast of symbolic value to pointer")
-        if isinstance(value, rv.BufPtr) and isinstance(ctype,
-                                                       ct.PointerType):
-            return value.with_type(ctype)
-        if isinstance(value, rv.Pointer):
-            return value
-        if ctype.is_integer:
-            return ct.wrap_int(int(value), ctype)
-        return value
+    @staticmethod
+    def cast(ctype):
+        concrete = Interpreter.cast(ctype)
 
-    def _eval_assign(self, node, frame):
-        location = self.eval_lvalue(node.target, frame)
-        value = self.eval(node.value, frame)
-        if node.op is not None:
-            current = self._load_loc(location, node)
-            if isinstance(current, rv.Pointer):
-                value = self._pointer_binary(node.op, current, value)
-            elif is_sym(current) or is_sym(value):
-                value = sym_bin(node.op, current, value)
-            else:
-                result_type = self.typeinfo.expr_types.get(node.uid, ct.INT)
-                value = self._int_binary(
-                    node.op, int(current), int(value), result_type
-                )
-        return self._store_loc(location, value, node)
+        def lifted(value):
+            if isinstance(value, SymVal):
+                if ctype.is_integer:
+                    return sym_wrap(value, ctype)
+                raise Undecidable(value, "cast of symbolic value to pointer")
+            return concrete(value)
+        return lifted
 
-    def _eval_incdec(self, node, frame):
-        location = self.eval_lvalue(node.target, frame)
-        current = self._load_loc(location, node)
-        if isinstance(current, rv.Pointer):
-            updated = current.add(1 if node.op == "++" else -1)
-        elif is_sym(current):
-            updated = sym_bin("+" if node.op == "++" else "-", current, 1)
-        else:
-            updated = current + (1 if node.op == "++" else -1)
-        self._store_loc(location, updated, node)
-        return updated if node.prefix else current
+    @staticmethod
+    def incdec(delta):
+        concrete = Interpreter.incdec(delta)
 
-    # -- memory over the lifted domain -----------------------------------
+        def lifted(current):
+            if isinstance(current, SymVal):
+                return sym_bin("+" if delta > 0 else "-", current, 1)
+            return concrete(current)
+        return lifted
 
-    def _store_loc(self, location, value, node):
-        if isinstance(location, rv.BufPtr) and is_sym(value):
+    @staticmethod
+    def index(value):
+        if isinstance(value, SymVal):
+            raise Undecidable(value, "array index depends on symbolic value")
+        return int(value)
+
+    @staticmethod
+    def store_buf(location, value):
+        if isinstance(value, SymVal):
             location.buffer.store_int(
                 location.offset, value, location.elem_size, location.signed
             )
-            return value
-        return super()._store_loc(location, value, node)
-
-    def _index_loc(self, node, frame):
-        index = self.eval(node.index, frame)
-        if is_sym(index):
-            raise Undecidable(index, "array index depends on symbolic value")
-        base = node.obj
-        base_loc = None
-        if isinstance(base, (ast.Var, ast.Member)):
-            base_loc = self.eval_lvalue(base, frame)
-        if base_loc is not None and isinstance(base_loc.value, rv.ArrayVal):
-            return base_loc.value.elem(int(index))
-        pointer = self.eval(base, frame)
-        return self._deref_loc(
-            pointer.add(int(index))
-            if isinstance(pointer, (rv.CellPtr, rv.BufPtr))
-            else pointer,
-            node,
-        )
+        else:
+            location.store(int(value))

@@ -161,7 +161,8 @@ GlobalDecl = _make_node("GlobalDecl", "ctype name init")
 class Program(Node):
     """A complete MiniC translation unit."""
 
-    __slots__ = ("structs", "enums", "funcs", "globals")
+    # weakly referenced by the interpreter's cache of compiled code
+    __slots__ = ("structs", "enums", "funcs", "globals", "__weakref__")
 
     def __init__(self, structs=None, enums=None, funcs=None, globals=None):
         super().__init__()

@@ -9,11 +9,31 @@ Two jobs:
    (:mod:`repro.minic.cost`) that the platform simulator replays to
    regenerate the paper's timing tables.
 
-Interpretation is environment-based with explicit control-flow signals.
-The memory model is defined in :mod:`repro.minic.values`.
+The interpreter is compiled, not walked: the first call of a function
+turns its body into a tree of Python closures, one per AST node, with
+everything static about the node settled once — its kind, operator,
+result type and code address, the callee of a call, and the frame slot
+of every variable (a function activation is a flat list of
+:class:`~repro.minic.values.Cell` slots, not a chain of scope dicts).
+Control flow returns signals (``_RETURN`` / ``_BREAK`` / ``_CONTINUE``)
+instead of raising.  What a run *does* is the node-by-node walk it
+replaced, event for event: one step tick per evaluated statement and
+expression, trace events and address allocations at the same points in
+the same order.  Compiled code is cached per program and per value
+domain, weakly, so it lives exactly as long as the program.
+
+The closures own evaluation order; what an operator *means* on the
+values of a run is the interpreter class's value domain — the static
+methods ``truthy``, ``wrap``, ``binop``, ``unop``, ``cast``,
+``incdec``, ``index`` and ``store_buf`` below.  Two ints always meet
+the concrete C operator; the symbolic verifier
+(:mod:`repro.analysis.symexec`) overrides the domain for everything
+else.  The memory model is defined in :mod:`repro.minic.values`.
 """
 
 import functools
+import operator
+import weakref
 
 from repro.errors import InterpError
 from repro.minic import ast
@@ -25,42 +45,18 @@ from repro.minic.typecheck import typecheck_program
 
 _MAX_STEPS_DEFAULT = 50_000_000
 
+#: statement outcomes other than "fell through" (None); a returned
+#: value waits in slot 0 of the activation
+_RETURN = object()
+_BREAK = object()
+_CONTINUE = object()
 
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-class Frame:
-    """One function activation: a chain of block scopes."""
-
-    __slots__ = ("scopes",)
-
-    def __init__(self):
-        self.scopes = [{}]
-
-    def push(self):
-        self.scopes.append({})
-
-    def pop(self):
-        self.scopes.pop()
-
-    def declare(self, name, cell):
-        self.scopes[-1][name] = cell
-
-    def lookup(self, name):
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        raise InterpError(f"undefined variable {name!r}")
+_Cell = rv.Cell
+_CellPtr = rv.CellPtr
+_BufPtr = rv.BufPtr
+_ArrayVal = rv.ArrayVal
+_StructVal = rv.StructVal
+_Pointer = rv.Pointer
 
 
 def _address_taken_names(func):
@@ -76,12 +72,138 @@ def _address_taken_names(func):
     return taken
 
 
+# -- C integer operators ------------------------------------------------------
+
+
+def _c_div(left, right):
+    if right == 0:
+        raise InterpError("division by zero")
+    value = abs(left) // abs(right)
+    return -value if (left < 0) != (right < 0) else value
+
+
+def _c_mod(left, right):
+    if right == 0:
+        raise InterpError("modulo by zero")
+    quotient = abs(left) // abs(right)
+    if (left < 0) != (right < 0):
+        quotient = -quotient
+    return left - quotient * right
+
+
+_ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _c_div,
+    "%": _c_mod,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+    "<<": lambda left, right: left << (right & 31),
+}
+
+_COMPARE = {
+    "==": lambda left, right: 1 if left == right else 0,
+    "!=": lambda left, right: 1 if left != right else 0,
+    "<": lambda left, right: 1 if left < right else 0,
+    "<=": lambda left, right: 1 if left <= right else 0,
+    ">": lambda left, right: 1 if left > right else 0,
+    ">=": lambda left, right: 1 if left >= right else 0,
+}
+
+#: operators whose result on the same bits depends on the signedness of
+#: the type they are computed in
+SIGN_SENSITIVE = frozenset((">>", "/", "%", "<", "<=", ">", ">="))
+
+
+def _wrapper(ctype, compute=None):
+    """``compute(left, right)`` (or the identity on one value) wrapped
+    to the C value range of ``ctype``, as :func:`ct.wrap_int` does."""
+    if not isinstance(ctype, ct.IntType):
+        return compute or (lambda value: value)
+    mask = (1 << (8 * ctype.width)) - 1
+    half, span = mask >> 1, mask + 1
+    if compute is None:
+        if ctype.signed:
+            def wrap(value):
+                value &= mask
+                return value - span if value > half else value
+        else:
+            def wrap(value):
+                return value & mask
+        return wrap
+    if ctype.signed:
+        def binary(left, right):
+            value = compute(left, right) & mask
+            return value - span if value > half else value
+    else:
+        def binary(left, right):
+            return compute(left, right) & mask
+    return binary
+
+
+@functools.lru_cache(maxsize=None)
+def int_op(op, result_type):
+    """The C binary operator ``op`` on two ints, ``result_type`` its
+    result type: wrapped, shifts masked, division truncating."""
+    if op in _COMPARE:
+        return _COMPARE[op]
+    if op == ">>":
+        if getattr(result_type, "signed", True):
+            compute = lambda left, right: left >> (right & 31)  # noqa: E731
+        else:
+            compute = lambda left, right: (  # noqa: E731
+                (left & 0xFFFFFFFF) >> (right & 31))
+    elif op in _ARITH:
+        compute = _ARITH[op]
+    else:
+        def unknown(_left, _right):
+            raise InterpError(f"unknown binary {op!r}")
+        return unknown
+    return _wrapper(result_type, compute)
+
+
+def _pointer_binary(op, left, right):
+    if op == "+":
+        if isinstance(left, _Pointer):
+            return left.add(int(right))
+        return right.add(int(left))
+    if op == "-":
+        if isinstance(right, _Pointer):
+            return left.diff(right)
+        return left.add(-int(right))
+    if op in ("==", "!="):
+        equal = left == right
+        if equal is NotImplemented:
+            equal = left is right
+        return int(equal) if op == "==" else int(not equal)
+    raise InterpError(f"unsupported pointer operation {op!r}")
+
+
+def _deref(pointer):
+    """The location a pointer value designates: a Cell or a BufPtr."""
+    if pointer.__class__ is _CellPtr:
+        return pointer.cell
+    if pointer.__class__ is _BufPtr:
+        return pointer
+    if isinstance(pointer, rv.NullPtr):
+        raise InterpError("NULL pointer dereference")
+    raise InterpError(f"dereference of non-pointer {pointer!r}")
+
+
+_DIV_KIND = {"*": cost.MUL, "/": cost.DIV, "%": cost.DIV}
+
+
+# -- the interpreter ------------------------------------------------------------
+
+
 class Interpreter:
     """Executes functions of one MiniC program."""
 
     def __init__(self, program, typeinfo=None, max_steps=_MAX_STEPS_DEFAULT):
         self.program = program
-        self.typeinfo = typeinfo or typecheck_program(program)
+        self._code = _compiled(program, typeinfo, type(self))
         self.space = rv.AddressSpace()
         self.max_steps = max_steps
         self.trace = None
@@ -90,19 +212,21 @@ class Interpreter:
         self.network = None
         self._steps = 0
         self._globals = {}
-        self._taken_cache = {}
         for glob in self.program.globals:
             value = rv.make_value(glob.ctype, self.space)
             cell = rv.Cell(value, glob.ctype, self.space.alloc_heap(4))
             self._globals[glob.name] = cell
-        # Globals with initializers are evaluated in a pseudo-frame.
-        frame = Frame()
-        for glob in self.program.globals:
-            if glob.init is not None:
-                cell = self._globals[glob.name]
-                cell.value = ct.wrap_int(
-                    self.eval(glob.init, frame), glob.ctype
-                )
+        # Globals with initializers are evaluated before any call.
+        ticks = self._start()
+        try:
+            for glob in self.program.globals:
+                if glob.init is not None:
+                    init = self._code.global_init(glob)
+                    cell = self._globals[glob.name]
+                    cell.value = ct.wrap_int(init(self, None), glob.ctype)
+        except StopIteration:
+            raise self._exhausted(ticks) from None
+        self._stop(ticks)
 
     # -- public helpers ---------------------------------------------------
 
@@ -138,73 +262,42 @@ class Interpreter:
     def call(self, name, args, trace=None):
         """Call function ``name`` with already-constructed values."""
         previous_trace, self.trace = self.trace, trace
-        self._steps = 0
+        ticks = self._start()
         try:
-            return self._call(name, list(args), node=None)
+            return self._code.call(self, name, list(args), None)
+        except StopIteration:
+            raise self._exhausted(ticks) from None
         finally:
             self.trace = previous_trace
+            self._stop(ticks)
 
-    # -- tracing ------------------------------------------------------------
+    # -- steps ------------------------------------------------------------------
 
-    @functools.cached_property
-    def layout(self):
-        """Code addresses of the AST nodes; only a trace reads them."""
-        return cost.CodeLayout(self.program)
+    def _start(self):
+        """A fresh step budget: every compiled node calls ``self.tick()``
+        once, and the call past ``max_steps`` raises StopIteration."""
+        ticks = iter(range(self.max_steps))
+        self.tick = ticks.__next__
+        self._steps = None
+        return ticks
 
-    def _emit(self, kind, node, mem_addr=0, size=0):
-        self.trace.emit(kind, self.layout.addr(node), mem_addr, size)
+    def _stop(self, ticks):
+        if self._steps is None:
+            self._steps = self.max_steps - operator.length_hint(ticks)
 
-    def _tick(self):
-        self._steps += 1
-        if self._steps > self.max_steps:
-            raise InterpError(f"exceeded {self.max_steps} interpreter steps")
+    def _exhausted(self, ticks):
+        self._steps = self.max_steps + 1
+        return InterpError(f"exceeded {self.max_steps} interpreter steps")
 
-    # -- calls ---------------------------------------------------------------
+    # -- builtins ----------------------------------------------------------------
 
-    def _call(self, name, args, node):
-        if builtins.is_builtin(name):
-            return self._call_builtin(name, args, node)
-        try:
-            func = self.program.func(name)
-        except KeyError:
-            raise InterpError(f"call to undefined function {name!r}") from None
-        if len(args) != len(func.params):
-            raise InterpError(
-                f"{name} expects {len(func.params)} args, got {len(args)}"
-            )
-        if self.trace is not None and node is not None:
-            self._emit(cost.CALL, node)
-        frame = Frame()
-        if func.name not in self._taken_cache:
-            self._taken_cache[func.name] = _address_taken_names(func)
-        taken = self._taken_cache[func.name]
-        for param, arg in zip(func.params, args):
-            if isinstance(param.ctype, (ct.StructType, ct.ArrayType)):
-                raise InterpError(
-                    f"{name}: aggregates must be passed by pointer"
-                )
-            addr = self.space.alloc_stack(4) if param.name in taken else None
-            value = arg
-            if param.ctype.is_integer:
-                value = ct.wrap_int(arg, param.ctype)
-            frame.declare(param.name, rv.Cell(value, param.ctype, addr))
-        try:
-            self.exec_stmt(func.body, frame, taken)
-        except _Return as signal:
-            if self.trace is not None and node is not None:
-                self._emit(cost.RET, node)
-            return signal.value
-        if self.trace is not None and node is not None:
-            self._emit(cost.RET, node)
-        if not func.ret_type.is_void:
-            raise InterpError(f"{name}: fell off the end of a non-void function")
-        return None
-
-    def _call_builtin(self, name, args, node):
-        trace = self.trace
+    def _call_builtin(self, name, args, addr):
+        """``addr`` is the call site's code address, None for a call
+        from outside the program (which records no events)."""
+        trace = self.trace if addr is not None else None
         if name in ("htonl", "ntohl", "htons", "ntohs"):
-            if trace is not None and node is not None:
-                self._emit(cost.BYTESWAP, node)
+            if trace is not None:
+                trace.emit(cost.BYTESWAP, addr)
             width = 4 if name.endswith("l") else 2
             mask = (1 << (8 * width)) - 1
             return args[0] & mask
@@ -213,14 +306,14 @@ class Interpreter:
             length = int(length)
             if isinstance(ptr, rv.BufPtr):
                 ptr.buffer.fill_zero(ptr.offset, length)
-                if trace is not None and node is not None:
-                    self._emit(cost.STORE, node, ptr.mem_addr(), length)
+                if trace is not None:
+                    trace.emit(cost.STORE, addr, ptr.mem_addr(), length)
             elif isinstance(ptr, rv.CellPtr) and ptr.array is not None:
                 elem_size = ptr.array.atype.base.size()
                 for index in range(length // elem_size):
                     ptr.array.elem(ptr.index + index).value = 0
-                if trace is not None and node is not None:
-                    self._emit(cost.STORE, node, ptr.mem_addr(), length)
+                if trace is not None:
+                    trace.emit(cost.STORE, addr, ptr.mem_addr(), length)
             else:
                 raise InterpError("bzero needs a buffer or array pointer")
             return None
@@ -233,18 +326,18 @@ class Interpreter:
                 dst.buffer.data[dst.offset:dst.offset + length] = (
                     src.buffer.data[src.offset:src.offset + length]
                 )
-                if trace is not None and node is not None:
-                    self._emit(cost.LOAD, node, src.mem_addr(), length)
-                    self._emit(cost.STORE, node, dst.mem_addr(), length)
+                if trace is not None:
+                    trace.emit(cost.LOAD, addr, src.mem_addr(), length)
+                    trace.emit(cost.STORE, addr, dst.mem_addr(), length)
                 return None
             raise InterpError("memcpy supports buffer pointers only")
         if name == "net_sendrecv":
-            return self._net_sendrecv(args, node)
+            return self._net_sendrecv(args, trace, addr)
         if name == "abort":
             raise InterpError("program called abort()")
         raise InterpError(f"unimplemented builtin {name!r}")
 
-    def _net_sendrecv(self, args, node):
+    def _net_sendrecv(self, args, trace, addr):
         out_ptr, out_len, in_ptr, in_max = args
         out_len = int(out_len)
         in_max = int(in_max)
@@ -257,419 +350,826 @@ class Interpreter:
         request = bytes(
             out_ptr.buffer.data[out_ptr.offset:out_ptr.offset + out_len]
         )
-        if self.trace is not None and node is not None:
-            self._emit(cost.NET_SEND, node, 0, out_len)
+        if trace is not None:
+            trace.emit(cost.NET_SEND, addr, 0, out_len)
         reply = self.network(request)
         reply = reply[:in_max]
         in_ptr.buffer.check(in_ptr.offset, len(reply))
         in_ptr.buffer.data[in_ptr.offset:in_ptr.offset + len(reply)] = reply
-        if self.trace is not None and node is not None:
-            self._emit(cost.NET_RECV, node, in_ptr.mem_addr(), len(reply))
+        if trace is not None:
+            trace.emit(cost.NET_RECV, addr, in_ptr.mem_addr(), len(reply))
         return len(reply)
 
-    # -- statements ------------------------------------------------------------
-
-    def exec_stmt(self, node, frame, taken):
-        self._tick()
-        trace = self.trace
-        if isinstance(node, ast.Block):
-            frame.push()
-            try:
-                for stmt in node.stmts:
-                    self.exec_stmt(stmt, frame, taken)
-            finally:
-                frame.pop()
-        elif isinstance(node, ast.ExprStmt):
-            self.eval(node.expr, frame)
-        elif isinstance(node, ast.Decl):
-            self._exec_decl(node, frame, taken)
-        elif isinstance(node, ast.If):
-            if trace is not None:
-                self._emit(cost.BRANCH, node)
-            if self._truthy(self.eval(node.cond, frame)):
-                self.exec_stmt(node.then, frame, taken)
-            elif node.other is not None:
-                self.exec_stmt(node.other, frame, taken)
-        elif isinstance(node, ast.While):
-            while True:
-                if trace is not None:
-                    self._emit(cost.BRANCH, node)
-                if not self._truthy(self.eval(node.cond, frame)):
-                    break
-                try:
-                    self.exec_stmt(node.body, frame, taken)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-        elif isinstance(node, ast.For):
-            frame.push()
-            try:
-                if isinstance(node.init, ast.Decl):
-                    self._exec_decl(node.init, frame, taken)
-                elif isinstance(node.init, ast.ExprStmt):
-                    self.eval(node.init.expr, frame)
-                while True:
-                    if node.cond is not None:
-                        if trace is not None:
-                            self._emit(cost.BRANCH, node)
-                        if not self._truthy(self.eval(node.cond, frame)):
-                            break
-                    try:
-                        self.exec_stmt(node.body, frame, taken)
-                    except _Break:
-                        break
-                    except _Continue:
-                        pass
-                    if node.step is not None:
-                        self.eval(node.step, frame)
-            finally:
-                frame.pop()
-        elif isinstance(node, ast.Return):
-            value = None
-            if node.value is not None:
-                value = self.eval(node.value, frame)
-            raise _Return(value)
-        elif isinstance(node, ast.Break):
-            raise _Break()
-        elif isinstance(node, ast.Continue):
-            raise _Continue()
-        else:
-            raise InterpError(f"unknown statement {node!r}")
-
-    def _exec_decl(self, node, frame, taken):
-        ctype = node.ctype
-        if isinstance(ctype, (ct.StructType, ct.ArrayType)):
-            value = rv.make_value(ctype, self.space)
-            cell = rv.Cell(value, ctype, value.addr)
-        else:
-            addr = self.space.alloc_stack(4) if node.name in taken else None
-            cell = rv.Cell(rv.make_value(ctype), ctype, addr)
-        if node.init is not None:
-            init = self.eval(node.init, frame)
-            if ctype.is_integer:
-                init = ct.wrap_int(init, ctype)
-            cell.value = init
-        frame.declare(node.name, cell)
-
-    # -- expressions -------------------------------------------------------------
-
-    def eval(self, node, frame):
-        self._tick()
-        trace = self.trace
-        if trace is not None:
-            self._emit(cost.IFETCH, node)
-        if isinstance(node, ast.IntLit):
-            return node.value
-        if isinstance(node, ast.StrLit):
-            return node.value
-        if isinstance(node, ast.Var):
-            cell = self._lookup(node.name, frame)
-            if trace is not None and cell.addr is not None:
-                self._emit(cost.LOAD, node, cell.addr, cell.size())
-            return cell.value
-        if isinstance(node, ast.Unary):
-            return self._eval_unary(node, frame)
-        if isinstance(node, ast.Binary):
-            return self._eval_binary(node, frame)
-        if isinstance(node, ast.Assign):
-            return self._eval_assign(node, frame)
-        if isinstance(node, ast.IncDec):
-            return self._eval_incdec(node, frame)
-        if isinstance(node, ast.Call):
-            args = [self.eval(arg, frame) for arg in node.args]
-            return self._call(node.name, args, node)
-        if isinstance(node, ast.Member):
-            cell = self._member_cell(node, frame)
-            if trace is not None and cell.addr is not None:
-                self._emit(cost.LOAD, node, cell.addr, cell.size())
-            return cell.value
-        if isinstance(node, ast.Index):
-            location = self._index_loc(node, frame)
-            return self._load_loc(location, node)
-        if isinstance(node, ast.Cast):
-            return self._eval_cast(node, frame)
-        if isinstance(node, ast.Cond):
-            if trace is not None:
-                self._emit(cost.BRANCH, node)
-            if self._truthy(self.eval(node.cond, frame)):
-                return self.eval(node.then, frame)
-            return self.eval(node.other, frame)
-        if isinstance(node, ast.SizeOf):
-            return node.ctype.size()
-        raise InterpError(f"unknown expression {node!r}")
-
-    def _lookup(self, name, frame):
-        try:
-            return frame.lookup(name)
-        except InterpError:
-            if name in self._globals:
-                return self._globals[name]
-            raise
-
-    # -- lvalues --------------------------------------------------------------
-
-    def eval_lvalue(self, node, frame):
-        """Evaluate an lvalue to a location: a Cell or a BufPtr."""
-        if isinstance(node, ast.Var):
-            return self._lookup(node.name, frame)
-        if isinstance(node, ast.Member):
-            return self._member_cell(node, frame)
-        if isinstance(node, ast.Index):
-            return self._index_loc(node, frame)
-        if isinstance(node, ast.Unary) and node.op == "*":
-            pointer = self.eval(node.operand, frame)
-            return self._deref_loc(pointer, node)
-        raise InterpError(f"not an lvalue: {node!r}")
-
-    def _member_cell(self, node, frame):
-        if node.arrow:
-            pointer = self.eval(node.obj, frame)
-            struct = self._pointee_struct(pointer)
-        else:
-            struct = self._struct_of(self.eval_lvalue(node.obj, frame))
-        return struct.field(node.field)
+    # -- the value domain ----------------------------------------------------------
+    #
+    # Called once per node at compile time (the factories) or at run
+    # time on values the compiled code does not handle itself; two ints
+    # never reach ``binop``'s function, ``unop``'s or ``incdec``'s.
 
     @staticmethod
-    def _struct_of(location):
-        if isinstance(location, rv.Cell) and isinstance(
-            location.value, rv.StructVal
-        ):
-            return location.value
-        raise InterpError("member access on a non-struct value")
-
-    @staticmethod
-    def _pointee_struct(pointer):
-        if isinstance(pointer, rv.CellPtr) and isinstance(
-            pointer.cell.value, rv.StructVal
-        ):
-            return pointer.cell.value
-        raise InterpError("-> through a non-struct pointer")
-
-    def _index_loc(self, node, frame):
-        index = self.eval(node.index, frame)
-        base = node.obj
-        base_loc = None
-        if isinstance(base, (ast.Var, ast.Member)):
-            base_loc = self.eval_lvalue(base, frame)
-        if base_loc is not None and isinstance(base_loc.value, rv.ArrayVal):
-            return base_loc.value.elem(int(index))
-        pointer = self.eval(base, frame)
-        return self._deref_loc(
-            pointer.add(int(index))
-            if isinstance(pointer, (rv.CellPtr, rv.BufPtr))
-            else pointer,
-            node,
-        )
-
-    def _deref_loc(self, pointer, node):
-        if isinstance(pointer, rv.CellPtr):
-            return pointer.cell
-        if isinstance(pointer, rv.BufPtr):
-            return pointer
-        if isinstance(pointer, rv.NullPtr):
-            raise InterpError("NULL pointer dereference")
-        raise InterpError(f"dereference of non-pointer {pointer!r}")
-
-    def _load_loc(self, location, node):
-        trace = self.trace
-        if isinstance(location, rv.Cell):
-            if trace is not None and location.addr is not None:
-                self._emit(cost.LOAD, node, location.addr, location.size())
-            return location.value
-        value = location.load()
-        if trace is not None:
-            self._emit(cost.LOAD, node, location.mem_addr(), location.elem_size)
-        return value
-
-    def _store_loc(self, location, value, node):
-        trace = self.trace
-        if isinstance(location, rv.Cell):
-            if location.ctype.is_integer:
-                value = ct.wrap_int(value, location.ctype)
-            location.value = value
-            if trace is not None and location.addr is not None:
-                self._emit(cost.STORE, node, location.addr, location.size())
-            return value
-        location.store(int(value))
-        if trace is not None:
-            self._emit(cost.STORE, node, location.mem_addr(), location.elem_size)
-        return value
-
-    # -- operators ----------------------------------------------------------------
-
-    def _eval_unary(self, node, frame):
-        trace = self.trace
-        if node.op == "&":
-            location = self.eval_lvalue(node.operand, frame)
-            if isinstance(location, rv.BufPtr):
-                return location
-            value = location.value
-            if isinstance(value, rv.ArrayVal):
-                return rv.CellPtr(value.elem(0), value, 0)
-            # Pointer to the cell itself; remember the owning array when
-            # the cell is an element so arithmetic stays legal.
-            return rv.CellPtr(location)
-        if node.op == "*":
-            pointer = self.eval(node.operand, frame)
-            location = self._deref_loc(pointer, node)
-            return self._load_loc(location, node)
-        operand = self.eval(node.operand, frame)
-        if trace is not None:
-            self._emit(cost.ALU, node)
-        result_type = self.typeinfo.expr_types.get(node.uid, ct.INT)
-        if node.op == "-":
-            return ct.wrap_int(-operand, result_type)
-        if node.op == "~":
-            return ct.wrap_int(~operand, result_type)
-        if node.op == "!":
-            return 0 if self._truthy(operand) else 1
-        raise InterpError(f"unknown unary {node.op!r}")
-
-    @staticmethod
-    def _truthy(value):
+    def truthy(value):
         if isinstance(value, rv.NullPtr):
             return False
-        if isinstance(value, rv.Pointer):
+        if isinstance(value, _Pointer):
             return True
         return value != 0
 
-    def _eval_binary(self, node, frame):
-        trace = self.trace
-        op = node.op
-        if op in ("&&", "||"):
-            left = self.eval(node.left, frame)
-            if trace is not None:
-                self._emit(cost.BRANCH, node)
-            if op == "&&":
-                if not self._truthy(left):
-                    return 0
-                return 1 if self._truthy(self.eval(node.right, frame)) else 0
-            if self._truthy(left):
-                return 1
-            return 1 if self._truthy(self.eval(node.right, frame)) else 0
-        left = self.eval(node.left, frame)
-        right = self.eval(node.right, frame)
-        if trace is not None:
-            if op in ("*",):
-                self._emit(cost.MUL, node)
-            elif op in ("/", "%"):
-                self._emit(cost.DIV, node)
-            else:
-                self._emit(cost.ALU, node)
-        left_ptr = isinstance(left, rv.Pointer)
-        right_ptr = isinstance(right, rv.Pointer)
-        if left_ptr or right_ptr:
-            return self._pointer_binary(op, left, right)
-        result_type = self.typeinfo.expr_types.get(node.uid, ct.INT)
-        return self._int_binary(op, int(left), int(right), result_type)
+    #: ``wrap(value, ctype)``: a value stored into, bound to or declared
+    #: as an object of ``ctype``
+    wrap = staticmethod(ct.wrap_int)
 
-    def _pointer_binary(self, op, left, right):
-        if op == "+":
-            if isinstance(left, rv.Pointer):
-                return left.add(int(right))
-            return right.add(int(left))
+    @staticmethod
+    def binop(op, result_type, op_type):
+        """``f(left, right)`` for the binary ``op`` on operands that are
+        not both ints; ``op_type`` is the type it is computed in."""
+        ints = int_op(op, result_type)
+
+        def general(left, right):
+            if isinstance(left, _Pointer) or isinstance(right, _Pointer):
+                return _pointer_binary(op, left, right)
+            return ints(int(left), int(right))
+        return general
+
+    @staticmethod
+    def unop(op, result_type):
+        """``f(operand)`` for ``-`` or ``~`` on a non-int operand."""
+        wrap = _wrapper(result_type)
         if op == "-":
-            if isinstance(right, rv.Pointer):
-                return left.diff(right)
-            return left.add(-int(right))
-        if op in ("==", "!="):
-            equal = left == right
-            if equal is NotImplemented:
-                equal = left is right
-            return int(equal) if op == "==" else int(not equal)
-        raise InterpError(f"unsupported pointer operation {op!r}")
+            return lambda value: wrap(-value)
+        return lambda value: wrap(~value)
+
+    @staticmethod
+    def cast(ctype):
+        """``f(value)`` for the C cast ``(ctype)value``."""
+        wrap = _wrapper(ctype)
+        to_pointer = isinstance(ctype, ct.PointerType)
+        integer = ctype.is_integer
+
+        def cast(value):
+            if value.__class__ is int:
+                return wrap(value) if integer else value
+            if to_pointer and value.__class__ is _BufPtr:
+                return value.with_type(ctype)
+            if isinstance(value, _Pointer):
+                return value
+            if integer:
+                return wrap(int(value))
+            return value
+        return cast
+
+    @staticmethod
+    def incdec(delta):
+        """``f(current)``: the updated value of ``++``/``--`` on a
+        non-int."""
+        def step(current):
+            if isinstance(current, _Pointer):
+                return current.add(delta)
+            return current + delta
+        return step
+
+    #: ``index(value)``: an array subscript as a Python int
+    index = staticmethod(int)
+
+    @staticmethod
+    def store_buf(location, value):
+        """Store ``value`` through the buffer cursor ``location``."""
+        location.store(int(value))
+
+    # backwards-compatible spellings used by the specializer
+    _truthy = truthy
 
     @staticmethod
     def _int_binary(op, left, right, result_type):
-        if op == "+":
-            value = left + right
-        elif op == "-":
-            value = left - right
-        elif op == "*":
-            value = left * right
-        elif op == "/":
-            if right == 0:
-                raise InterpError("division by zero")
-            value = abs(left) // abs(right)
-            if (left < 0) != (right < 0):
-                value = -value
-        elif op == "%":
-            if right == 0:
-                raise InterpError("modulo by zero")
-            quotient = abs(left) // abs(right)
-            if (left < 0) != (right < 0):
-                quotient = -quotient
-            value = left - quotient * right
-        elif op == "&":
-            value = left & right
-        elif op == "|":
-            value = left | right
-        elif op == "^":
-            value = left ^ right
-        elif op == "<<":
-            value = left << (right & 31)
-        elif op == ">>":
-            if not result_type.signed:
-                value = (left & 0xFFFFFFFF) >> (right & 31)
-            else:
-                value = left >> (right & 31)
-        elif op == "==":
-            return int(left == right)
-        elif op == "!=":
-            return int(left != right)
-        elif op == "<":
-            return int(left < right)
-        elif op == "<=":
-            return int(left <= right)
-        elif op == ">":
-            return int(left > right)
-        elif op == ">=":
-            return int(left >= right)
-        else:
-            raise InterpError(f"unknown binary {op!r}")
-        return ct.wrap_int(value, result_type)
+        return int_op(op, result_type)(left, right)
 
-    def _eval_assign(self, node, frame):
-        location = self.eval_lvalue(node.target, frame)
-        value = self.eval(node.value, frame)
-        if node.op is not None:
-            current = self._load_loc(location, node)
-            if self.trace is not None:
-                kind = (
-                    cost.MUL
-                    if node.op == "*"
-                    else cost.DIV if node.op in ("/", "%") else cost.ALU
-                )
-                self._emit(kind, node)
-            if isinstance(current, rv.Pointer):
-                value = self._pointer_binary(node.op, current, value)
-            else:
-                result_type = self.typeinfo.expr_types.get(node.uid, ct.INT)
-                value = self._int_binary(
-                    node.op, int(current), int(value), result_type
-                )
-        return self._store_loc(location, value, node)
 
-    def _eval_incdec(self, node, frame):
-        location = self.eval_lvalue(node.target, frame)
-        current = self._load_loc(location, node)
-        if self.trace is not None:
-            self._emit(cost.ALU, node)
-        if isinstance(current, rv.Pointer):
-            updated = current.add(1 if node.op == "++" else -1)
-        else:
-            updated = current + (1 if node.op == "++" else -1)
-        self._store_loc(location, updated, node)
-        return updated if node.prefix else current
+# -- the compiler -----------------------------------------------------------------
 
-    def _eval_cast(self, node, frame):
-        value = self.eval(node.operand, frame)
+#: program -> {interpreter class: CompiledProgram}; an entry lives as
+#: long as its program
+_CACHE = weakref.WeakKeyDictionary()
+
+
+def _compiled(program, typeinfo, domain):
+    """The compiled form of ``program`` for the value domain of the
+    interpreter class ``domain``, compiled on first use."""
+    per_domain = _CACHE.get(program)
+    if per_domain is None:
+        per_domain = _CACHE.setdefault(program, {})
+    code = per_domain.get(domain)
+    if code is None:
+        typeinfo = typeinfo or typecheck_program(program)
+        code = per_domain.setdefault(
+            domain, CompiledProgram(program, typeinfo, domain))
+    return code
+
+
+class CompiledProgram:
+    """One program's functions as closures, each compiled on its first
+    call.  It references the program's nodes but not the program, so
+    the weak cache entry dies with it."""
+
+    def __init__(self, program, typeinfo, domain):
+        self.domain = domain
+        self.types = typeinfo.expr_types
+        self.defs = {func.name: func for func in program.funcs}
+        self.globals = {glob.name for glob in program.globals}
+        self.addrs = cost.CodeLayout(program).addr_of_uid
+        self.funcs = {}
+        self._global_inits = {}
+
+    def call(self, rt, name, args, addr):
+        """Call ``name`` from a call site at code address ``addr``."""
+        if builtins.is_builtin(name):
+            return rt._call_builtin(name, args, addr)
+        return self.function(name)(rt, args, addr)
+
+    def function(self, name):
+        compiled = self.funcs.get(name)
+        if compiled is None:
+            func = self.defs.get(name)
+            if func is None:
+                raise InterpError(f"call to undefined function {name!r}")
+            compiled = _FunctionCompiler(self, func).function()
+            self.funcs[name] = compiled
+        return compiled
+
+    def global_init(self, glob):
+        init = self._global_inits.get(glob.name)
+        if init is None:
+            init = _FunctionCompiler(self, None).expr(glob.init)
+            self._global_inits[glob.name] = init
+        return init
+
+
+class _FunctionCompiler:
+    """Compiles one function body: block scopes become slot numbers."""
+
+    def __init__(self, code, func):
+        self.code = code
+        self.domain = code.domain
+        self.func = func
+        self.taken = _address_taken_names(func) if func is not None else ()
+        self.scopes = [{}]
+        self.slots = 1  # slot 0 holds the returned value
+        self.expr_of = {
+            ast.IntLit: self._literal,
+            ast.StrLit: self._literal,
+            ast.Var: self._var,
+            ast.Unary: self._unary,
+            ast.Binary: self._binary,
+            ast.Assign: self._assign,
+            ast.IncDec: self._incdec,
+            ast.Call: self._call,
+            ast.Member: self._member,
+            ast.Index: self._index,
+            ast.Cast: self._cast,
+            ast.Cond: self._cond,
+            ast.SizeOf: self._sizeof,
+        }
+        self.stmt_of = {
+            ast.Block: self._block,
+            ast.ExprStmt: self._expr_stmt,
+            ast.Decl: self._decl_stmt,
+            ast.If: self._if,
+            ast.While: self._while,
+            ast.For: self._for,
+            ast.Return: self._return,
+            ast.Break: self._break,
+            ast.Continue: self._continue,
+        }
+
+    # -- helpers -------------------------------------------------------------
+
+    def addr(self, node):
+        return self.code.addrs.get(node.uid, 0)
+
+    def type_of(self, node):
+        return self.code.types.get(node.uid, ct.INT)
+
+    def declare(self, name):
+        slot = self.slots
+        self.slots += 1
+        self.scopes[-1][name] = slot
+        return slot
+
+    def resolve(self, name):
+        for scope in reversed(self.scopes):
+            if name in scope:
+                return scope[name]
+        return None
+
+    @staticmethod
+    def _fails(message):
+        """A node the walk would reject when it reaches it, not before."""
+        def fail(rt, env):
+            raise InterpError(message)
+        return fail
+
+    # -- functions -----------------------------------------------------------
+
+    def function(self):
+        func = self.func
+        name = func.name
+        binders = []
+        for param in func.params:
+            ctype = param.ctype
+            binders.append((self.declare(param.name), ctype,
+                            isinstance(ctype, (ct.StructType, ct.ArrayType)),
+                            ctype.is_integer, param.name in self.taken))
+        body = self.stmt(func.body)
+        nparams = len(binders)
+        nslots = self.slots
+        returns_value = not func.ret_type.is_void
+        wrap = self.domain.wrap
+
+        def run(rt, args, addr):
+            if len(args) != nparams:
+                raise InterpError(
+                    f"{name} expects {nparams} args, got {len(args)}")
+            if addr is not None and rt.trace is not None:
+                rt.trace.emit(cost.CALL, addr)
+            env = [None] * nslots
+            for (slot, ctype, aggregate, integer, taken), arg in zip(
+                    binders, args):
+                if aggregate:
+                    raise InterpError(
+                        f"{name}: aggregates must be passed by pointer")
+                env[slot] = _Cell(
+                    wrap(arg, ctype) if integer else arg, ctype,
+                    rt.space.alloc_stack(4) if taken else None)
+            signal = body(rt, env)
+            if addr is not None and rt.trace is not None:
+                rt.trace.emit(cost.RET, addr)
+            if signal is _RETURN:
+                return env[0]
+            if returns_value:
+                raise InterpError(
+                    f"{name}: fell off the end of a non-void function")
+            return None
+        return run
+
+    # -- statements ----------------------------------------------------------
+
+    def stmt(self, node):
+        compile_stmt = self.stmt_of.get(type(node))
+        if compile_stmt is None:
+            return self._fails(f"unknown statement {node!r}")
+        return compile_stmt(node)
+
+    def _block(self, node):
+        self.scopes.append({})
+        stmts = tuple(self.stmt(stmt) for stmt in node.stmts)
+        self.scopes.pop()
+
+        def block(rt, env):
+            rt.tick()
+            for stmt in stmts:
+                signal = stmt(rt, env)
+                if signal is not None:
+                    return signal
+            return None
+        return block
+
+    def _expr_stmt(self, node):
+        expr = self.expr(node.expr)
+
+        def expr_stmt(rt, env):
+            rt.tick()
+            expr(rt, env)
+        return expr_stmt
+
+    def _decl_stmt(self, node):
+        decl = self.decl(node)
+
+        def decl_stmt(rt, env):
+            rt.tick()
+            decl(rt, env)
+        return decl_stmt
+
+    def decl(self, node):
+        """The declaration itself, without the statement's step."""
         ctype = node.ctype
-        if isinstance(value, rv.BufPtr) and isinstance(ctype, ct.PointerType):
-            return value.with_type(ctype)
-        if isinstance(value, rv.Pointer):
+        init = self.expr(node.init) if node.init is not None else None
+        slot = self.declare(node.name)
+        wrap = self.domain.wrap
+        integer = ctype.is_integer
+        if isinstance(ctype, (ct.StructType, ct.ArrayType)):
+            def new_cell(rt):
+                value = rv.make_value(ctype, rt.space)
+                return _Cell(value, ctype, value.addr)
+        else:
+            zero = rv.make_value(ctype)
+            taken = node.name in self.taken
+
+            def new_cell(rt):
+                return _Cell(zero, ctype,
+                             rt.space.alloc_stack(4) if taken else None)
+
+        if init is None:
+            def decl(rt, env):
+                env[slot] = new_cell(rt)
+        else:
+            def decl(rt, env):
+                cell = new_cell(rt)
+                value = init(rt, env)
+                cell.value = wrap(value, ctype) if integer else value
+                env[slot] = cell
+        return decl
+
+    def _if(self, node):
+        cond = self.expr(node.cond)
+        then = self.stmt(node.then)
+        other = self.stmt(node.other) if node.other is not None else None
+        truthy = self.domain.truthy
+        addr = self.addr(node)
+
+        def if_(rt, env):
+            rt.tick()
+            if rt.trace is not None:
+                rt.trace.emit(cost.BRANCH, addr)
+            value = cond(rt, env)
+            if value != 0 if value.__class__ is int else truthy(value):
+                return then(rt, env)
+            if other is not None:
+                return other(rt, env)
+            return None
+        return if_
+
+    def _while(self, node):
+        cond = self.expr(node.cond)
+        body = self.stmt(node.body)
+        truthy = self.domain.truthy
+        addr = self.addr(node)
+
+        def while_(rt, env):
+            rt.tick()
+            while True:
+                if rt.trace is not None:
+                    rt.trace.emit(cost.BRANCH, addr)
+                value = cond(rt, env)
+                if not (value != 0 if value.__class__ is int
+                        else truthy(value)):
+                    return None
+                signal = body(rt, env)
+                if signal is not None and signal is not _CONTINUE:
+                    return None if signal is _BREAK else signal
+        return while_
+
+    def _for(self, node):
+        self.scopes.append({})
+        if isinstance(node.init, ast.Decl):
+            init = self.decl(node.init)
+        elif isinstance(node.init, ast.ExprStmt):
+            init = self.expr(node.init.expr)
+        else:
+            init = None
+        cond = self.expr(node.cond) if node.cond is not None else None
+        step = self.expr(node.step) if node.step is not None else None
+        body = self.stmt(node.body)
+        self.scopes.pop()
+        truthy = self.domain.truthy
+        addr = self.addr(node)
+
+        def for_(rt, env):
+            rt.tick()
+            if init is not None:
+                init(rt, env)
+            while True:
+                if cond is not None:
+                    if rt.trace is not None:
+                        rt.trace.emit(cost.BRANCH, addr)
+                    value = cond(rt, env)
+                    if not (value != 0 if value.__class__ is int
+                            else truthy(value)):
+                        return None
+                signal = body(rt, env)
+                if signal is not None and signal is not _CONTINUE:
+                    return None if signal is _BREAK else signal
+                if step is not None:
+                    step(rt, env)
+        return for_
+
+    def _return(self, node):
+        value = self.expr(node.value) if node.value is not None else None
+
+        def return_(rt, env):
+            rt.tick()
+            env[0] = value(rt, env) if value is not None else None
+            return _RETURN
+        return return_
+
+    @staticmethod
+    def _break(node):
+        def break_(rt, env):
+            rt.tick()
+            return _BREAK
+        return break_
+
+    @staticmethod
+    def _continue(node):
+        def continue_(rt, env):
+            rt.tick()
+            return _CONTINUE
+        return continue_
+
+    # -- expressions -----------------------------------------------------------
+
+    def expr(self, node):
+        compile_expr = self.expr_of.get(type(node))
+        if compile_expr is None:
+            return self._fails(f"unknown expression {node!r}")
+        return compile_expr(node)
+
+    def _literal(self, node):
+        value = node.value
+        addr = self.addr(node)
+
+        def literal(rt, env):
+            rt.tick()
+            if rt.trace is not None:
+                rt.trace.emit(cost.IFETCH, addr)
             return value
-        if ctype.is_integer:
-            return ct.wrap_int(int(value), ctype)
-        return value
+        return literal
+
+    def _sizeof(self, node):
+        ctype = node.ctype
+        addr = self.addr(node)
+
+        def sizeof(rt, env):
+            rt.tick()
+            if rt.trace is not None:
+                rt.trace.emit(cost.IFETCH, addr)
+            return ctype.size()
+        return sizeof
+
+    def _load(self, location, addr):
+        """An rvalue closure: a step, the fetch, the location's load."""
+        def load(rt, env):
+            rt.tick()
+            trace = rt.trace
+            if trace is None:
+                cell = location(rt, env)
+                if cell.__class__ is _Cell:
+                    return cell.value
+                return cell.load()
+            trace.emit(cost.IFETCH, addr)
+            cell = location(rt, env)
+            if cell.__class__ is _Cell:
+                if cell.addr is not None:
+                    trace.emit(cost.LOAD, addr, cell.addr, cell.size())
+                return cell.value
+            value = cell.load()
+            trace.emit(cost.LOAD, addr, cell.mem_addr(), cell.elem_size)
+            return value
+        return load
+
+    def _var(self, node):
+        slot = self.resolve(node.name)
+        if slot is None:
+            return self._load(self.lvalue(node), self.addr(node))
+        addr = self.addr(node)
+
+        def var(rt, env):
+            rt.tick()
+            cell = env[slot]
+            trace = rt.trace
+            if trace is not None:
+                trace.emit(cost.IFETCH, addr)
+                if cell.addr is not None:
+                    trace.emit(cost.LOAD, addr, cell.addr, cell.size())
+            return cell.value
+        return var
+
+    def _member(self, node):
+        return self._load(self.lvalue(node), self.addr(node))
+
+    def _index(self, node):
+        return self._load(self.lvalue(node), self.addr(node))
+
+    def _unary(self, node):
+        op = node.op
+        addr = self.addr(node)
+        if op == "&":
+            location = self.lvalue(node.operand)
+
+            def address_of(rt, env):
+                rt.tick()
+                if rt.trace is not None:
+                    rt.trace.emit(cost.IFETCH, addr)
+                cell = location(rt, env)
+                if cell.__class__ is _BufPtr:
+                    return cell
+                value = cell.value
+                if value.__class__ is _ArrayVal:
+                    return _CellPtr(value.elem(0), value, 0)
+                # Pointer to the cell itself; remember the owning array
+                # when the cell is an element so arithmetic stays legal.
+                return _CellPtr(cell)
+            return address_of
+        if op == "*":
+            return self._load(self.lvalue(node), addr)
+        operand = self.expr(node.operand)
+        result_type = self.type_of(node)
+        if op == "!":
+            truthy = self.domain.truthy
+
+            def compute(value):
+                return 0 if truthy(value) else 1
+            ints = compute
+        elif op in ("-", "~"):
+            compute = self.domain.unop(op, result_type)
+            wrap = _wrapper(result_type)
+            if op == "-":
+                ints = lambda value: wrap(-value)  # noqa: E731
+            else:
+                ints = lambda value: wrap(~value)  # noqa: E731
+        else:
+            def compute(value):
+                raise InterpError(f"unknown unary {op!r}")
+            ints = compute
+
+        def unary(rt, env):
+            rt.tick()
+            if rt.trace is not None:
+                rt.trace.emit(cost.IFETCH, addr)
+            value = operand(rt, env)
+            if rt.trace is not None:
+                rt.trace.emit(cost.ALU, addr)
+            if value.__class__ is int:
+                return ints(value)
+            return compute(value)
+        return unary
+
+    def _op_type(self, node):
+        """The type a binary operator is computed in: its result type,
+        except a comparison's, computed in its operands' common type."""
+        result_type = self.type_of(node)
+        if node.op not in _COMPARE:
+            return result_type
+        left, right = self.type_of(node.left), self.type_of(node.right)
+        if isinstance(left, ct.IntType) and isinstance(right, ct.IntType):
+            return ct.common_arith_type(left, right)
+        return left
+
+    def _binary(self, node):
+        op = node.op
+        addr = self.addr(node)
+        left = self.expr(node.left)
+        right = self.expr(node.right)
+        if op in ("&&", "||"):
+            truthy = self.domain.truthy
+            want = op == "||"
+
+            def logical(rt, env):
+                rt.tick()
+                if rt.trace is not None:
+                    rt.trace.emit(cost.IFETCH, addr)
+                value = left(rt, env)
+                if rt.trace is not None:
+                    rt.trace.emit(cost.BRANCH, addr)
+                if truthy(value) == want:
+                    return 1 if want else 0
+                return 1 if truthy(right(rt, env)) else 0
+            return logical
+        result_type = self.type_of(node)
+        ints = int_op(op, result_type)
+        general = self.domain.binop(op, result_type, self._op_type(node))
+        kind = _DIV_KIND.get(op, cost.ALU)
+
+        def binary(rt, env):
+            rt.tick()
+            if rt.trace is not None:
+                rt.trace.emit(cost.IFETCH, addr)
+            lhs = left(rt, env)
+            rhs = right(rt, env)
+            if rt.trace is not None:
+                rt.trace.emit(kind, addr)
+            if lhs.__class__ is int and rhs.__class__ is int:
+                return ints(lhs, rhs)
+            return general(lhs, rhs)
+        return binary
+
+    def _store(self):
+        """``store(rt, location, value, addr)``: the walk's store."""
+        wrap = self.domain.wrap
+        store_buf = self.domain.store_buf
+
+        def store(rt, location, value, addr):
+            if location.__class__ is _Cell:
+                ctype = location.ctype
+                if ctype.__class__ is ct.IntType:
+                    value = wrap(value, ctype)
+                location.value = value
+                if rt.trace is not None and location.addr is not None:
+                    rt.trace.emit(cost.STORE, addr, location.addr,
+                                  location.size())
+                return value
+            store_buf(location, value)
+            if rt.trace is not None:
+                rt.trace.emit(cost.STORE, addr, location.mem_addr(),
+                              location.elem_size)
+            return value
+        return store
+
+    def _assign(self, node):
+        addr = self.addr(node)
+        target = self.lvalue(node.target)
+        source = self.expr(node.value)
+        store = self._store()
+        op = node.op
+        if op is None:
+            def assign(rt, env):
+                rt.tick()
+                if rt.trace is not None:
+                    rt.trace.emit(cost.IFETCH, addr)
+                location = target(rt, env)
+                return store(rt, location, source(rt, env), addr)
+            return assign
+        result_type = self.type_of(node)
+        ints = int_op(op, result_type)
+        general = self.domain.binop(op, result_type, result_type)
+        kind = _DIV_KIND.get(op, cost.ALU)
+
+        def compound(rt, env):
+            rt.tick()
+            trace = rt.trace
+            if trace is not None:
+                trace.emit(cost.IFETCH, addr)
+            location = target(rt, env)
+            value = source(rt, env)
+            current = _load_from(location, trace, addr)
+            if trace is not None:
+                trace.emit(kind, addr)
+            if current.__class__ is int and value.__class__ is int:
+                value = ints(current, value)
+            else:
+                value = general(current, value)
+            return store(rt, location, value, addr)
+        return compound
+
+    def _incdec(self, node):
+        addr = self.addr(node)
+        target = self.lvalue(node.target)
+        store = self._store()
+        delta = 1 if node.op == "++" else -1
+        step = self.domain.incdec(delta)
+        prefix = node.prefix
+
+        def incdec(rt, env):
+            rt.tick()
+            trace = rt.trace
+            if trace is not None:
+                trace.emit(cost.IFETCH, addr)
+            location = target(rt, env)
+            current = _load_from(location, trace, addr)
+            if trace is not None:
+                trace.emit(cost.ALU, addr)
+            if current.__class__ is int:
+                updated = current + delta
+            else:
+                updated = step(current)
+            store(rt, location, updated, addr)
+            return updated if prefix else current
+        return incdec
+
+    def _call(self, node):
+        addr = self.addr(node)
+        args = tuple(self.expr(arg) for arg in node.args)
+        name = node.name
+        code = self.code
+        if builtins.is_builtin(name):
+            def call_builtin(rt, env):
+                rt.tick()
+                if rt.trace is not None:
+                    rt.trace.emit(cost.IFETCH, addr)
+                values = [arg(rt, env) for arg in args]
+                return rt._call_builtin(name, values, addr)
+            return call_builtin
+        callee = None
+
+        def call(rt, env):
+            nonlocal callee
+            rt.tick()
+            if rt.trace is not None:
+                rt.trace.emit(cost.IFETCH, addr)
+            values = [arg(rt, env) for arg in args]
+            if callee is None:
+                callee = code.function(name)
+            return callee(rt, values, addr)
+        return call
+
+    def _cast(self, node):
+        addr = self.addr(node)
+        operand = self.expr(node.operand)
+        cast = self.domain.cast(node.ctype)
+
+        def cast_(rt, env):
+            rt.tick()
+            if rt.trace is not None:
+                rt.trace.emit(cost.IFETCH, addr)
+            return cast(operand(rt, env))
+        return cast_
+
+    def _cond(self, node):
+        addr = self.addr(node)
+        cond = self.expr(node.cond)
+        then = self.expr(node.then)
+        other = self.expr(node.other)
+        truthy = self.domain.truthy
+
+        def conditional(rt, env):
+            rt.tick()
+            if rt.trace is not None:
+                rt.trace.emit(cost.IFETCH, addr)
+                rt.trace.emit(cost.BRANCH, addr)
+            if truthy(cond(rt, env)):
+                return then(rt, env)
+            return other(rt, env)
+        return conditional
+
+    # -- lvalues: a location (a Cell or a BufPtr), with no step of their own
+
+    def lvalue(self, node):
+        kind = type(node)
+        if kind is ast.Var:
+            return self._var_location(node)
+        if kind is ast.Member:
+            return self._member_location(node)
+        if kind is ast.Index:
+            return self._index_location(node)
+        if kind is ast.Unary and node.op == "*":
+            pointer = self.expr(node.operand)
+            return lambda rt, env: _deref(pointer(rt, env))
+        return self._fails(f"not an lvalue: {node!r}")
+
+    def _var_location(self, node):
+        slot = self.resolve(node.name)
+        if slot is not None:
+            return lambda rt, env: env[slot]
+        name = node.name
+
+        def global_cell(rt, env):
+            try:
+                return rt._globals[name]
+            except KeyError:
+                raise InterpError(f"undefined variable {name!r}") from None
+        return global_cell
+
+    def _member_location(self, node):
+        field = node.field
+        if node.arrow:
+            obj = self.expr(node.obj)
+
+            def through_pointer(rt, env):
+                pointer = obj(rt, env)
+                if (pointer.__class__ is _CellPtr
+                        and pointer.cell.value.__class__ is _StructVal):
+                    return pointer.cell.value.field(field)
+                raise InterpError("-> through a non-struct pointer")
+            return through_pointer
+        obj = self.lvalue(node.obj)
+
+        def member(rt, env):
+            location = obj(rt, env)
+            if (location.__class__ is _Cell
+                    and location.value.__class__ is _StructVal):
+                return location.value.field(field)
+            raise InterpError("member access on a non-struct value")
+        return member
+
+    def _index_location(self, node):
+        index = self.expr(node.index)
+        to_int = self.domain.index
+        base = node.obj
+        pointer = self.expr(base)
+
+        def through(rt, env, position):
+            value = pointer(rt, env)
+            if value.__class__ is _CellPtr or value.__class__ is _BufPtr:
+                value = value.add(position)
+            return _deref(value)
+
+        if type(base) not in (ast.Var, ast.Member):
+            return lambda rt, env: through(rt, env, to_int(index(rt, env)))
+        array = self.lvalue(base)
+
+        def element(rt, env):
+            position = to_int(index(rt, env))
+            value = array(rt, env).value
+            if value.__class__ is _ArrayVal:
+                return value.elem(position)
+            return through(rt, env, position)
+        return element
+
+
+def _load_from(location, trace, addr):
+    """The value at ``location``, recording the load when traced."""
+    if location.__class__ is _Cell:
+        if trace is not None and location.addr is not None:
+            trace.emit(cost.LOAD, addr, location.addr, location.size())
+        return location.value
+    value = location.load()
+    if trace is not None:
+        trace.emit(cost.LOAD, addr, location.mem_addr(), location.elem_size)
+    return value

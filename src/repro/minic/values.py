@@ -127,13 +127,15 @@ class ArrayVal:
             self.addr = space.alloc_heap(atype.size())
         elem = atype.base
         elem_size = elem.size()
-        self.cells = []
-        for index in range(atype.length):
-            eaddr = None if self.addr is None else self.addr + index * elem_size
-            if isinstance(elem, ct.StructType):
-                self.cells.append(Cell(StructVal(elem, addr=eaddr), elem, eaddr))
-            else:
-                self.cells.append(Cell(_zero_of(elem), elem, eaddr))
+        base = self.addr
+        addrs = (range(base, base + atype.length * elem_size, elem_size)
+                 if base is not None else [None] * atype.length)
+        if isinstance(elem, ct.StructType):
+            self.cells = [Cell(StructVal(elem, addr=eaddr), elem, eaddr)
+                          for eaddr in addrs]
+        else:
+            zero = _zero_of(elem)
+            self.cells = [Cell(zero, elem, eaddr) for eaddr in addrs]
 
     def elem(self, index):
         if not 0 <= index < len(self.cells):

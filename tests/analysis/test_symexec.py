@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.symexec import (MASK32, SymbolicInterpreter, SymBuffer,
                                     Undecidable, is_sym, sym, sym_bin,
                                     sym_byte, sym_cat, values_equal)
+from repro.minic import types as ct
 from repro.minic.parser import parse_program
 
 
@@ -52,12 +53,16 @@ class TestAlgebra:
         with pytest.raises(Undecidable):
             int(sym("x"))
 
-    def test_wrap_int_compat(self):
-        # ct.wrap_int does `value & mask` then `value > mask >> 1`;
-        # symbolic values must pass through both unchanged.
+    def test_wrap_keeps_the_residue_and_the_sign(self):
+        # a 32-bit wrap is the identity on a residue; narrowing to a
+        # signed char sign-extends, which a mask alone does not
         x = sym("x")
+        wrap = SymbolicInterpreter.wrap
         assert (x & 0xFFFFFFFF) is x
-        assert (x > 0x7FFFFFFF) is False
+        assert wrap(x, ct.INT) is x and wrap(x, ct.U_LONG) is x
+        assert wrap(x, ct.IntType("u_char", 1, False)) == sym_bin("&", x, 255)
+        assert not values_equal(wrap(x, ct.CHAR), sym_bin("&", x, 255))
+        assert wrap(-1, ct.CHAR) == -1
 
 
 class TestSymBuffer:
