@@ -375,9 +375,9 @@ class SymbolicInterpreter(Interpreter):
         signed = getattr(op_type, "signed", False)
 
         def lifted(left, right):
-            if isinstance(left, rv.Pointer) or isinstance(right, rv.Pointer):
-                return concrete(left, right)
-            if isinstance(left, SymVal) or isinstance(right, SymVal):
+            if ((left.__class__ is SymVal or right.__class__ is SymVal)
+                    and not isinstance(left, rv.Pointer)
+                    and not isinstance(right, rv.Pointer)):
                 return sym_bin(op, left, right, signed)
             return concrete(left, right)
         return lifted

@@ -954,12 +954,14 @@ class _FunctionCompiler:
         """``store(rt, location, value, addr)``: the walk's store."""
         wrap = self.domain.wrap
         store_buf = self.domain.store_buf
+        wrap_int = ct.wrap_int
 
         def store(rt, location, value, addr):
             if location.__class__ is _Cell:
                 ctype = location.ctype
                 if ctype.__class__ is ct.IntType:
-                    value = wrap(value, ctype)
+                    value = (wrap_int(value, ctype) if value.__class__ is int
+                             else wrap(value, ctype))
                 location.value = value
                 if rt.trace is not None and location.addr is not None:
                     rt.trace.emit(cost.STORE, addr, location.addr,
@@ -1123,18 +1125,20 @@ class _FunctionCompiler:
 
             def through_pointer(rt, env):
                 pointer = obj(rt, env)
-                if (pointer.__class__ is _CellPtr
-                        and pointer.cell.value.__class__ is _StructVal):
-                    return pointer.cell.value.field(field)
+                if pointer.__class__ is _CellPtr:
+                    struct = pointer.cell.value
+                    if struct.__class__ is _StructVal:
+                        return struct.fields.get(field) or struct.field(field)
                 raise InterpError("-> through a non-struct pointer")
             return through_pointer
         obj = self.lvalue(node.obj)
 
         def member(rt, env):
             location = obj(rt, env)
-            if (location.__class__ is _Cell
-                    and location.value.__class__ is _StructVal):
-                return location.value.field(field)
+            if location.__class__ is _Cell:
+                struct = location.value
+                if struct.__class__ is _StructVal:
+                    return struct.fields.get(field) or struct.field(field)
             raise InterpError("member access on a non-struct value")
         return member
 

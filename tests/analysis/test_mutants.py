@@ -20,11 +20,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.verify import verify_client_spec, verify_server_residual
 from repro.minic import ast
+from repro.minic import types as ct
 from repro.rpc.client import RpcClient
 from repro.rpc.message import (AcceptStat, NULL_AUTH,
                                encode_accepted_reply)
+from repro.specialized import SpecializationPipeline
 from repro.xdr import XdrMemStream, XdrOp
 
+from tests.analysis.conftest import XFER_IDL, XFER_IMPL
 from tests.analysis.test_verify import respec
 from tests.minic.test_lowering import relowered
 
@@ -298,6 +301,48 @@ class TestServerMutants:
                      drop_negative_length_check("vals_len"))
         rules = self._verify(xfer_pipeline, xfer_server, bad)
         assert "residual-accepts-bad-input" in rules
+
+
+class TestSignednessMutants:
+    """A handler computing ``x >> 4`` on a signed int, and the residual
+    with that shift made unsigned.  The symbolic pair alone rejects it:
+    the finding is the pair's, before any concrete probe runs."""
+
+    SHIFT_IMPL = XFER_IMPL.replace("args->vals[i] + 1",
+                                   "args->vals[i] >> 4")
+
+    @staticmethod
+    def unsigned_shift(program):
+        """Every signed ``a >> b`` becomes ``(int)((unsigned)a >> b)``."""
+        changed = 0
+        for func in program.funcs:
+            for node in ast.walk(func):
+                for name in node.__slots__:
+                    child = getattr(node, name, None)
+                    if (isinstance(child, ast.Binary) and child.op == ">>"
+                            and not isinstance(child.left, ast.Cast)):
+                        child.left = ast.Cast(ct.UNSIGNED, child.left)
+                        setattr(node, name, ast.Cast(ct.INT, child))
+                        changed += 1
+        assert changed, "mutation found nothing to change"
+
+    def test_unsigned_shift_is_rejected_by_the_symbolic_pair(self):
+        assert self.SHIFT_IMPL != XFER_IMPL
+        pipeline = SpecializationPipeline(
+            XFER_IDL, impl_sources=[self.SHIFT_IMPL], verify=False)
+        lens = {"vals": VALS_LEN}
+        server = pipeline.specialize_server("SENDRECV", arg_lens=lens,
+                                            res_lens=lens)
+        proc = pipeline.find_proc("SENDRECV")
+
+        def verify(result):
+            return verify_server_residual(pipeline, result, proc, lens,
+                                          lens, server.bufsize)
+
+        assert verify(server.result) == []
+        findings = verify(mutate(server.result, self.unsigned_shift))
+        assert [f.rule for f in findings] == ["residual-divergence"]
+        assert findings[0].message.startswith("dispatch: output byte")
 
 
 def relower(module, old, new):

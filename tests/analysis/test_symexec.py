@@ -119,3 +119,53 @@ class TestInterpreter:
         interp = self._interp()
         out = interp.call("mask_low", [sym("value")])
         assert out == sym_bin("&", sym("value"), 0xFF)
+
+
+class TestSignedness:
+    """A signed operator and its unsigned twin differ on negative
+    inputs, so their symbolic results must not compare equal: the
+    verifier would otherwise accept a residual that swapped one for the
+    other.  Each pair is (generic, residual, witness input)."""
+
+    PAIRS = {
+        "shift": ("x >> 4", "(int)((unsigned)x >> 4)", -32),
+        "divide": ("x / 16", "(int)((unsigned)x / (unsigned)16)", -32),
+        "remainder": ("x % 16", "(int)((unsigned)x % (unsigned)16)", -1),
+        "narrow": ("(char)x", "x & 255", -1),
+    }
+
+    @staticmethod
+    def _run(expr, value):
+        program = parse_program(f"int f(int x) {{ return {expr}; }}")
+        return SymbolicInterpreter(program).call("f", [value])
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_signed_and_unsigned_twins_differ(self, pair):
+        generic, residual, witness = self.PAIRS[pair]
+        assert self._run(generic, witness) != self._run(residual, witness)
+        assert not values_equal(self._run(generic, sym("x")),
+                                self._run(residual, sym("x")))
+
+    def test_same_signedness_still_proves_equal(self):
+        for expr in ("x >> 4", "(char)x", "(unsigned)x / (unsigned)16"):
+            assert values_equal(self._run(expr, sym("x")),
+                                self._run(expr, sym("x")))
+        assert values_equal(self._run("(int)((unsigned)x >> 0)", sym("x")),
+                            self._run("x >> 0", sym("x")))
+
+    def test_signed_comparison_is_tagged(self):
+        program = parse_program("""
+            int s(int x) { return x < 5; }
+            int u(int x) { return (unsigned)x < (unsigned)5; }
+        """)
+        interp = SymbolicInterpreter(program)
+        assert not values_equal(interp.call("s", [sym("x")]),
+                                interp.call("u", [sym("x")]))
+
+    def test_a_signed_byte_load_sign_extends(self):
+        buf = SymBuffer(4)
+        buf.store_int(0, sym("x"), 4, False)
+        assert buf.load_int(3, 1, signed=False) == sym_cat(
+            [sym_byte(sym("x"), 0)])
+        assert not values_equal(buf.load_int(3, 1, signed=True),
+                                buf.load_int(3, 1, signed=False))
