@@ -509,7 +509,9 @@ class _FunctionCompiler:
         self.code = code
         self.domain = code.domain
         self.func = func
-        self.taken = _address_taken_names(func) if func is not None else ()
+        #: names whose address the function takes (``&name``): they get
+        #: stack addresses; filled in as the body compiles
+        self.taken = set()
         self.scopes = [{}]
         self.slots = 1  # slot 0 holds the returned value
         self.expr_of = {
@@ -571,13 +573,12 @@ class _FunctionCompiler:
     def function(self):
         func = self.func
         name = func.name
-        binders = []
-        for param in func.params:
-            ctype = param.ctype
-            binders.append((self.declare(param.name), ctype,
-                            isinstance(ctype, (ct.StructType, ct.ArrayType)),
-                            ctype.is_integer, param.name in self.taken))
+        slots = [self.declare(param.name) for param in func.params]
         body = self.stmt(func.body)
+        binders = [(slot, param.ctype,
+                    isinstance(param.ctype, (ct.StructType, ct.ArrayType)),
+                    param.ctype.is_integer, param.name in self.taken)
+                   for slot, param in zip(slots, func.params)]
         nparams = len(binders)
         nslots = self.slots
         returns_value = not func.ret_type.is_void
@@ -660,11 +661,11 @@ class _FunctionCompiler:
                 return _Cell(value, ctype, value.addr)
         else:
             zero = rv.make_value(ctype)
-            taken = node.name in self.taken
+            name, taken = node.name, self.taken
 
             def new_cell(rt):
                 return _Cell(zero, ctype,
-                             rt.space.alloc_stack(4) if taken else None)
+                             rt.space.alloc_stack(4) if name in taken else None)
 
         if init is None:
             def decl(rt, env):
@@ -851,6 +852,10 @@ class _FunctionCompiler:
         op = node.op
         addr = self.addr(node)
         if op == "&":
+            # Only a direct ``&var`` pins the variable itself; ``&p->f``
+            # and ``&a[i]`` take the address of the pointee/element.
+            if type(node.operand) is ast.Var:
+                self.taken.add(node.operand.name)
             location = self.lvalue(node.operand)
 
             def address_of(rt, env):
