@@ -473,8 +473,8 @@ class CompiledProgram:
         self.domain = domain
         self.types = typeinfo.expr_types
         self.defs = {func.name: func for func in program.funcs}
-        self.globals = {glob.name for glob in program.globals}
         self.addrs = cost.CodeLayout(program).addr_of_uid
+        self.store = _store(domain.wrap, domain.store_buf)
         self.funcs = {}
         self._global_inits = {}
 
@@ -503,7 +503,12 @@ class CompiledProgram:
 
 
 class _FunctionCompiler:
-    """Compiles one function body: block scopes become slot numbers."""
+    """Compiles one function body: block scopes become slot numbers.
+
+    Each closure binds what it needs as default arguments, so it costs
+    one function and one tuple, not a cell per captured name: a compile
+    allocates little, which keeps the collector's work on a short-lived
+    program small."""
 
     def __init__(self, code, func):
         self.code = code
@@ -514,32 +519,6 @@ class _FunctionCompiler:
         self.taken = set()
         self.scopes = [{}]
         self.slots = 1  # slot 0 holds the returned value
-        self.expr_of = {
-            ast.IntLit: self._literal,
-            ast.StrLit: self._literal,
-            ast.Var: self._var,
-            ast.Unary: self._unary,
-            ast.Binary: self._binary,
-            ast.Assign: self._assign,
-            ast.IncDec: self._incdec,
-            ast.Call: self._call,
-            ast.Member: self._member,
-            ast.Index: self._index,
-            ast.Cast: self._cast,
-            ast.Cond: self._cond,
-            ast.SizeOf: self._sizeof,
-        }
-        self.stmt_of = {
-            ast.Block: self._block,
-            ast.ExprStmt: self._expr_stmt,
-            ast.Decl: self._decl_stmt,
-            ast.If: self._if,
-            ast.While: self._while,
-            ast.For: self._for,
-            ast.Return: self._return,
-            ast.Break: self._break,
-            ast.Continue: self._continue,
-        }
 
     # -- helpers -------------------------------------------------------------
 
@@ -564,7 +543,7 @@ class _FunctionCompiler:
     @staticmethod
     def _fails(message):
         """A node the walk would reject when it reaches it, not before."""
-        def fail(rt, env):
+        def fail(rt, env, message=message):
             raise InterpError(message)
         return fail
 
@@ -572,19 +551,18 @@ class _FunctionCompiler:
 
     def function(self):
         func = self.func
-        name = func.name
         slots = [self.declare(param.name) for param in func.params]
         body = self.stmt(func.body)
-        binders = [(slot, param.ctype,
-                    isinstance(param.ctype, (ct.StructType, ct.ArrayType)),
-                    param.ctype.is_integer, param.name in self.taken)
-                   for slot, param in zip(slots, func.params)]
-        nparams = len(binders)
-        nslots = self.slots
-        returns_value = not func.ret_type.is_void
-        wrap = self.domain.wrap
+        binders = tuple(
+            (slot, param.ctype,
+             isinstance(param.ctype, (ct.StructType, ct.ArrayType)),
+             param.ctype.is_integer, param.name in self.taken)
+            for slot, param in zip(slots, func.params))
 
-        def run(rt, args, addr):
+        def run(rt, args, addr, name=func.name, nparams=len(binders),
+                binders=binders, body=body, nslots=self.slots,
+                returns_value=not func.ret_type.is_void,
+                wrap=self.domain.wrap):
             if len(args) != nparams:
                 raise InterpError(
                     f"{name} expects {nparams} args, got {len(args)}")
@@ -613,17 +591,17 @@ class _FunctionCompiler:
     # -- statements ----------------------------------------------------------
 
     def stmt(self, node):
-        compile_stmt = self.stmt_of.get(type(node))
+        compile_stmt = _STMTS.get(type(node))
         if compile_stmt is None:
             return self._fails(f"unknown statement {node!r}")
-        return compile_stmt(node)
+        return compile_stmt(self, node)
 
     def _block(self, node):
         self.scopes.append({})
         stmts = tuple(self.stmt(stmt) for stmt in node.stmts)
         self.scopes.pop()
 
-        def block(rt, env):
+        def block(rt, env, stmts=stmts):
             rt.tick()
             for stmt in stmts:
                 signal = stmt(rt, env)
@@ -633,17 +611,13 @@ class _FunctionCompiler:
         return block
 
     def _expr_stmt(self, node):
-        expr = self.expr(node.expr)
-
-        def expr_stmt(rt, env):
+        def expr_stmt(rt, env, expr=self.expr(node.expr)):
             rt.tick()
             expr(rt, env)
         return expr_stmt
 
     def _decl_stmt(self, node):
-        decl = self.decl(node)
-
-        def decl_stmt(rt, env):
+        def decl_stmt(rt, env, decl=self.decl(node)):
             rt.tick()
             decl(rt, env)
         return decl_stmt
@@ -653,25 +627,24 @@ class _FunctionCompiler:
         ctype = node.ctype
         init = self.expr(node.init) if node.init is not None else None
         slot = self.declare(node.name)
-        wrap = self.domain.wrap
-        integer = ctype.is_integer
         if isinstance(ctype, (ct.StructType, ct.ArrayType)):
-            def new_cell(rt):
+            def new_cell(rt, ctype=ctype):
                 value = rv.make_value(ctype, rt.space)
                 return _Cell(value, ctype, value.addr)
         else:
-            zero = rv.make_value(ctype)
-            name, taken = node.name, self.taken
-
-            def new_cell(rt):
+            def new_cell(rt, zero=rv.make_value(ctype), ctype=ctype,
+                         name=node.name, taken=self.taken):
                 return _Cell(zero, ctype,
-                             rt.space.alloc_stack(4) if name in taken else None)
+                             rt.space.alloc_stack(4) if name in taken
+                             else None)
 
         if init is None:
-            def decl(rt, env):
+            def decl(rt, env, new_cell=new_cell, slot=slot):
                 env[slot] = new_cell(rt)
         else:
-            def decl(rt, env):
+            def decl(rt, env, new_cell=new_cell, init=init, slot=slot,
+                     ctype=ctype, integer=ctype.is_integer,
+                     wrap=self.domain.wrap):
                 cell = new_cell(rt)
                 value = init(rt, env)
                 cell.value = wrap(value, ctype) if integer else value
@@ -679,13 +652,10 @@ class _FunctionCompiler:
         return decl
 
     def _if(self, node):
-        cond = self.expr(node.cond)
-        then = self.stmt(node.then)
-        other = self.stmt(node.other) if node.other is not None else None
-        truthy = self.domain.truthy
-        addr = self.addr(node)
-
-        def if_(rt, env):
+        def if_(rt, env, cond=self.expr(node.cond), then=self.stmt(node.then),
+                other=(self.stmt(node.other) if node.other is not None
+                       else None),
+                truthy=self.domain.truthy, addr=self.addr(node)):
             rt.tick()
             if rt.trace is not None:
                 rt.trace.emit(cost.BRANCH, addr)
@@ -698,12 +668,9 @@ class _FunctionCompiler:
         return if_
 
     def _while(self, node):
-        cond = self.expr(node.cond)
-        body = self.stmt(node.body)
-        truthy = self.domain.truthy
-        addr = self.addr(node)
-
-        def while_(rt, env):
+        def while_(rt, env, cond=self.expr(node.cond),
+                   body=self.stmt(node.body), truthy=self.domain.truthy,
+                   addr=self.addr(node)):
             rt.tick()
             while True:
                 if rt.trace is not None:
@@ -729,10 +696,9 @@ class _FunctionCompiler:
         step = self.expr(node.step) if node.step is not None else None
         body = self.stmt(node.body)
         self.scopes.pop()
-        truthy = self.domain.truthy
-        addr = self.addr(node)
 
-        def for_(rt, env):
+        def for_(rt, env, init=init, cond=cond, step=step, body=body,
+                 truthy=self.domain.truthy, addr=self.addr(node)):
             rt.tick()
             if init is not None:
                 init(rt, env)
@@ -752,23 +718,20 @@ class _FunctionCompiler:
         return for_
 
     def _return(self, node):
-        value = self.expr(node.value) if node.value is not None else None
-
-        def return_(rt, env):
+        def return_(rt, env, value=(self.expr(node.value)
+                                    if node.value is not None else None)):
             rt.tick()
             env[0] = value(rt, env) if value is not None else None
             return _RETURN
         return return_
 
-    @staticmethod
-    def _break(node):
+    def _break(self, node):
         def break_(rt, env):
             rt.tick()
             return _BREAK
         return break_
 
-    @staticmethod
-    def _continue(node):
+    def _continue(self, node):
         def continue_(rt, env):
             rt.tick()
             return _CONTINUE
@@ -777,16 +740,13 @@ class _FunctionCompiler:
     # -- expressions -----------------------------------------------------------
 
     def expr(self, node):
-        compile_expr = self.expr_of.get(type(node))
+        compile_expr = _EXPRS.get(type(node))
         if compile_expr is None:
             return self._fails(f"unknown expression {node!r}")
-        return compile_expr(node)
+        return compile_expr(self, node)
 
     def _literal(self, node):
-        value = node.value
-        addr = self.addr(node)
-
-        def literal(rt, env):
+        def literal(rt, env, value=node.value, addr=self.addr(node)):
             rt.tick()
             if rt.trace is not None:
                 rt.trace.emit(cost.IFETCH, addr)
@@ -794,19 +754,16 @@ class _FunctionCompiler:
         return literal
 
     def _sizeof(self, node):
-        ctype = node.ctype
-        addr = self.addr(node)
-
-        def sizeof(rt, env):
+        def sizeof(rt, env, ctype=node.ctype, addr=self.addr(node)):
             rt.tick()
             if rt.trace is not None:
                 rt.trace.emit(cost.IFETCH, addr)
             return ctype.size()
         return sizeof
 
-    def _load(self, location, addr):
+    def _load(self, node):
         """An rvalue closure: a step, the fetch, the location's load."""
-        def load(rt, env):
+        def load(rt, env, location=self.lvalue(node), addr=self.addr(node)):
             rt.tick()
             trace = rt.trace
             if trace is None:
@@ -815,23 +772,15 @@ class _FunctionCompiler:
                     return cell.value
                 return cell.load()
             trace.emit(cost.IFETCH, addr)
-            cell = location(rt, env)
-            if cell.__class__ is _Cell:
-                if cell.addr is not None:
-                    trace.emit(cost.LOAD, addr, cell.addr, cell.size())
-                return cell.value
-            value = cell.load()
-            trace.emit(cost.LOAD, addr, cell.mem_addr(), cell.elem_size)
-            return value
+            return _load_from(location(rt, env), trace, addr)
         return load
 
     def _var(self, node):
         slot = self.resolve(node.name)
         if slot is None:
-            return self._load(self.lvalue(node), self.addr(node))
-        addr = self.addr(node)
+            return self._load(node)
 
-        def var(rt, env):
+        def var(rt, env, slot=slot, addr=self.addr(node)):
             rt.tick()
             cell = env[slot]
             trace = rt.trace
@@ -842,23 +791,18 @@ class _FunctionCompiler:
             return cell.value
         return var
 
-    def _member(self, node):
-        return self._load(self.lvalue(node), self.addr(node))
-
-    def _index(self, node):
-        return self._load(self.lvalue(node), self.addr(node))
-
     def _unary(self, node):
         op = node.op
-        addr = self.addr(node)
+        if op == "*":
+            return self._load(node)
         if op == "&":
             # Only a direct ``&var`` pins the variable itself; ``&p->f``
             # and ``&a[i]`` take the address of the pointee/element.
             if type(node.operand) is ast.Var:
                 self.taken.add(node.operand.name)
-            location = self.lvalue(node.operand)
 
-            def address_of(rt, env):
+            def address_of(rt, env, location=self.lvalue(node.operand),
+                           addr=self.addr(node)):
                 rt.tick()
                 if rt.trace is not None:
                     rt.trace.emit(cost.IFETCH, addr)
@@ -872,37 +816,23 @@ class _FunctionCompiler:
                 # when the cell is an element so arithmetic stays legal.
                 return _CellPtr(cell)
             return address_of
-        if op == "*":
-            return self._load(self.lvalue(node), addr)
-        operand = self.expr(node.operand)
-        result_type = self.type_of(node)
         if op == "!":
-            truthy = self.domain.truthy
-
-            def compute(value):
+            def compute(value, truthy=self.domain.truthy):
                 return 0 if truthy(value) else 1
-            ints = compute
         elif op in ("-", "~"):
-            compute = self.domain.unop(op, result_type)
-            wrap = _wrapper(result_type)
-            if op == "-":
-                ints = lambda value: wrap(-value)  # noqa: E731
-            else:
-                ints = lambda value: wrap(~value)  # noqa: E731
+            compute = self.domain.unop(op, self.type_of(node))
         else:
-            def compute(value):
+            def compute(value, op=op):
                 raise InterpError(f"unknown unary {op!r}")
-            ints = compute
 
-        def unary(rt, env):
+        def unary(rt, env, operand=self.expr(node.operand), compute=compute,
+                  addr=self.addr(node)):
             rt.tick()
             if rt.trace is not None:
                 rt.trace.emit(cost.IFETCH, addr)
             value = operand(rt, env)
             if rt.trace is not None:
                 rt.trace.emit(cost.ALU, addr)
-            if value.__class__ is int:
-                return ints(value)
             return compute(value)
         return unary
 
@@ -919,14 +849,10 @@ class _FunctionCompiler:
 
     def _binary(self, node):
         op = node.op
-        addr = self.addr(node)
-        left = self.expr(node.left)
-        right = self.expr(node.right)
+        left, right = self.expr(node.left), self.expr(node.right)
         if op in ("&&", "||"):
-            truthy = self.domain.truthy
-            want = op == "||"
-
-            def logical(rt, env):
+            def logical(rt, env, left=left, right=right, want=op == "||",
+                        truthy=self.domain.truthy, addr=self.addr(node)):
                 rt.tick()
                 if rt.trace is not None:
                     rt.trace.emit(cost.IFETCH, addr)
@@ -938,11 +864,12 @@ class _FunctionCompiler:
                 return 1 if truthy(right(rt, env)) else 0
             return logical
         result_type = self.type_of(node)
-        ints = int_op(op, result_type)
-        general = self.domain.binop(op, result_type, self._op_type(node))
-        kind = _DIV_KIND.get(op, cost.ALU)
 
-        def binary(rt, env):
+        def binary(rt, env, left=left, right=right,
+                   ints=int_op(op, result_type),
+                   general=self.domain.binop(op, result_type,
+                                             self._op_type(node)),
+                   kind=_DIV_KIND.get(op, cost.ALU), addr=self.addr(node)):
             rt.tick()
             if rt.trace is not None:
                 rt.trace.emit(cost.IFETCH, addr)
@@ -955,38 +882,12 @@ class _FunctionCompiler:
             return general(lhs, rhs)
         return binary
 
-    def _store(self):
-        """``store(rt, location, value, addr)``: the walk's store."""
-        wrap = self.domain.wrap
-        store_buf = self.domain.store_buf
-        wrap_int = ct.wrap_int
-
-        def store(rt, location, value, addr):
-            if location.__class__ is _Cell:
-                ctype = location.ctype
-                if ctype.__class__ is ct.IntType:
-                    value = (wrap_int(value, ctype) if value.__class__ is int
-                             else wrap(value, ctype))
-                location.value = value
-                if rt.trace is not None and location.addr is not None:
-                    rt.trace.emit(cost.STORE, addr, location.addr,
-                                  location.size())
-                return value
-            store_buf(location, value)
-            if rt.trace is not None:
-                rt.trace.emit(cost.STORE, addr, location.mem_addr(),
-                              location.elem_size)
-            return value
-        return store
-
     def _assign(self, node):
-        addr = self.addr(node)
-        target = self.lvalue(node.target)
-        source = self.expr(node.value)
-        store = self._store()
         op = node.op
         if op is None:
-            def assign(rt, env):
+            def assign(rt, env, target=self.lvalue(node.target),
+                       source=self.expr(node.value), store=self.code.store,
+                       addr=self.addr(node)):
                 rt.tick()
                 if rt.trace is not None:
                     rt.trace.emit(cost.IFETCH, addr)
@@ -994,11 +895,12 @@ class _FunctionCompiler:
                 return store(rt, location, source(rt, env), addr)
             return assign
         result_type = self.type_of(node)
-        ints = int_op(op, result_type)
-        general = self.domain.binop(op, result_type, result_type)
-        kind = _DIV_KIND.get(op, cost.ALU)
 
-        def compound(rt, env):
+        def compound(rt, env, target=self.lvalue(node.target),
+                     source=self.expr(node.value), store=self.code.store,
+                     ints=int_op(op, result_type),
+                     general=self.domain.binop(op, result_type, result_type),
+                     kind=_DIV_KIND.get(op, cost.ALU), addr=self.addr(node)):
             rt.tick()
             trace = rt.trace
             if trace is not None:
@@ -1016,14 +918,12 @@ class _FunctionCompiler:
         return compound
 
     def _incdec(self, node):
-        addr = self.addr(node)
-        target = self.lvalue(node.target)
-        store = self._store()
         delta = 1 if node.op == "++" else -1
-        step = self.domain.incdec(delta)
-        prefix = node.prefix
 
-        def incdec(rt, env):
+        def incdec(rt, env, target=self.lvalue(node.target),
+                   store=self.code.store, delta=delta,
+                   step=self.domain.incdec(delta), prefix=node.prefix,
+                   addr=self.addr(node)):
             rt.tick()
             trace = rt.trace
             if trace is not None:
@@ -1041,37 +941,34 @@ class _FunctionCompiler:
         return incdec
 
     def _call(self, node):
-        addr = self.addr(node)
         args = tuple(self.expr(arg) for arg in node.args)
-        name = node.name
-        code = self.code
-        if builtins.is_builtin(name):
-            def call_builtin(rt, env):
+        if builtins.is_builtin(node.name):
+            def call_builtin(rt, env, name=node.name, args=args,
+                             addr=self.addr(node)):
                 rt.tick()
                 if rt.trace is not None:
                     rt.trace.emit(cost.IFETCH, addr)
                 values = [arg(rt, env) for arg in args]
                 return rt._call_builtin(name, values, addr)
             return call_builtin
-        callee = None
+        # the callee compiles on its first call, then stays in the box
+        callee = [None]
 
-        def call(rt, env):
-            nonlocal callee
+        def call(rt, env, name=node.name, args=args, callee=callee,
+                 code=self.code, addr=self.addr(node)):
             rt.tick()
             if rt.trace is not None:
                 rt.trace.emit(cost.IFETCH, addr)
             values = [arg(rt, env) for arg in args]
-            if callee is None:
-                callee = code.function(name)
-            return callee(rt, values, addr)
+            run = callee[0]
+            if run is None:
+                run = callee[0] = code.function(name)
+            return run(rt, values, addr)
         return call
 
     def _cast(self, node):
-        addr = self.addr(node)
-        operand = self.expr(node.operand)
-        cast = self.domain.cast(node.ctype)
-
-        def cast_(rt, env):
+        def cast_(rt, env, operand=self.expr(node.operand),
+                  cast=self.domain.cast(node.ctype), addr=self.addr(node)):
             rt.tick()
             if rt.trace is not None:
                 rt.trace.emit(cost.IFETCH, addr)
@@ -1079,13 +976,9 @@ class _FunctionCompiler:
         return cast_
 
     def _cond(self, node):
-        addr = self.addr(node)
-        cond = self.expr(node.cond)
-        then = self.expr(node.then)
-        other = self.expr(node.other)
-        truthy = self.domain.truthy
-
-        def conditional(rt, env):
+        def conditional(rt, env, cond=self.expr(node.cond),
+                        then=self.expr(node.then), other=self.expr(node.other),
+                        truthy=self.domain.truthy, addr=self.addr(node)):
             rt.tick()
             if rt.trace is not None:
                 rt.trace.emit(cost.IFETCH, addr)
@@ -1106,17 +999,19 @@ class _FunctionCompiler:
         if kind is ast.Index:
             return self._index_location(node)
         if kind is ast.Unary and node.op == "*":
-            pointer = self.expr(node.operand)
-            return lambda rt, env: _deref(pointer(rt, env))
+            def deref(rt, env, pointer=self.expr(node.operand)):
+                return _deref(pointer(rt, env))
+            return deref
         return self._fails(f"not an lvalue: {node!r}")
 
     def _var_location(self, node):
         slot = self.resolve(node.name)
         if slot is not None:
-            return lambda rt, env: env[slot]
-        name = node.name
+            def local(rt, env, slot=slot):
+                return env[slot]
+            return local
 
-        def global_cell(rt, env):
+        def global_cell(rt, env, name=node.name):
             try:
                 return rt._globals[name]
             except KeyError:
@@ -1124,11 +1019,9 @@ class _FunctionCompiler:
         return global_cell
 
     def _member_location(self, node):
-        field = node.field
         if node.arrow:
-            obj = self.expr(node.obj)
-
-            def through_pointer(rt, env):
+            def through_pointer(rt, env, obj=self.expr(node.obj),
+                                field=node.field):
                 pointer = obj(rt, env)
                 if pointer.__class__ is _CellPtr:
                     struct = pointer.cell.value
@@ -1136,9 +1029,8 @@ class _FunctionCompiler:
                         return struct.fields.get(field) or struct.field(field)
                 raise InterpError("-> through a non-struct pointer")
             return through_pointer
-        obj = self.lvalue(node.obj)
 
-        def member(rt, env):
+        def member(rt, env, obj=self.lvalue(node.obj), field=node.field):
             location = obj(rt, env)
             if location.__class__ is _Cell:
                 struct = location.value
@@ -1148,28 +1040,58 @@ class _FunctionCompiler:
         return member
 
     def _index_location(self, node):
-        index = self.expr(node.index)
-        to_int = self.domain.index
-        base = node.obj
-        pointer = self.expr(base)
+        index, to_int = self.expr(node.index), self.domain.index
+        pointer = self.expr(node.obj)
+        if type(node.obj) not in (ast.Var, ast.Member):
+            def through(rt, env, index=index, to_int=to_int, pointer=pointer):
+                position = to_int(index(rt, env))
+                return _element_through(pointer(rt, env), position)
+            return through
 
-        def through(rt, env, position):
-            value = pointer(rt, env)
-            if value.__class__ is _CellPtr or value.__class__ is _BufPtr:
-                value = value.add(position)
-            return _deref(value)
-
-        if type(base) not in (ast.Var, ast.Member):
-            return lambda rt, env: through(rt, env, to_int(index(rt, env)))
-        array = self.lvalue(base)
-
-        def element(rt, env):
+        def element(rt, env, index=index, to_int=to_int,
+                    array=self.lvalue(node.obj), pointer=pointer):
             position = to_int(index(rt, env))
             value = array(rt, env).value
             if value.__class__ is _ArrayVal:
                 return value.elem(position)
-            return through(rt, env, position)
+            return _element_through(pointer(rt, env), position)
         return element
+
+
+_EXPRS = {
+    ast.IntLit: _FunctionCompiler._literal,
+    ast.StrLit: _FunctionCompiler._literal,
+    ast.Var: _FunctionCompiler._var,
+    ast.Unary: _FunctionCompiler._unary,
+    ast.Binary: _FunctionCompiler._binary,
+    ast.Assign: _FunctionCompiler._assign,
+    ast.IncDec: _FunctionCompiler._incdec,
+    ast.Call: _FunctionCompiler._call,
+    ast.Member: _FunctionCompiler._load,
+    ast.Index: _FunctionCompiler._load,
+    ast.Cast: _FunctionCompiler._cast,
+    ast.Cond: _FunctionCompiler._cond,
+    ast.SizeOf: _FunctionCompiler._sizeof,
+}
+
+_STMTS = {
+    ast.Block: _FunctionCompiler._block,
+    ast.ExprStmt: _FunctionCompiler._expr_stmt,
+    ast.Decl: _FunctionCompiler._decl_stmt,
+    ast.If: _FunctionCompiler._if,
+    ast.While: _FunctionCompiler._while,
+    ast.For: _FunctionCompiler._for,
+    ast.Return: _FunctionCompiler._return,
+    ast.Break: _FunctionCompiler._break,
+    ast.Continue: _FunctionCompiler._continue,
+}
+
+
+def _element_through(pointer, position):
+    """The location ``position`` elements past ``pointer``."""
+    if pointer.__class__ is _CellPtr or pointer.__class__ is _BufPtr:
+        pointer = pointer.add(position)
+    return _deref(pointer)
 
 
 def _load_from(location, trace, addr):
@@ -1182,3 +1104,26 @@ def _load_from(location, trace, addr):
     if trace is not None:
         trace.emit(cost.LOAD, addr, location.mem_addr(), location.elem_size)
     return value
+
+
+def _store(wrap, store_buf):
+    """``store(rt, location, value, addr)`` for a value domain's ``wrap``
+    and ``store_buf``: the value as stored, the store recorded when
+    traced."""
+    def store(rt, location, value, addr, wrap_int=ct.wrap_int):
+        if location.__class__ is _Cell:
+            ctype = location.ctype
+            if ctype.__class__ is ct.IntType:
+                value = (wrap_int(value, ctype) if value.__class__ is int
+                         else wrap(value, ctype))
+            location.value = value
+            if rt.trace is not None and location.addr is not None:
+                rt.trace.emit(cost.STORE, addr, location.addr,
+                              location.size())
+            return value
+        store_buf(location, value)
+        if rt.trace is not None:
+            rt.trace.emit(cost.STORE, addr, location.mem_addr(),
+                          location.elem_size)
+        return value
+    return store
