@@ -62,9 +62,9 @@ class SymVal:
     ``("byte", value, shift)`` — ``(value >> shift) & 0xFF`` —,
     ``("cat", parts...)`` — big-endian concatenation of byte
     expressions — and ``("sext", bits, value)`` — the low ``bits`` of
-    ``value`` sign-extended.  Structural equality is semantic equality (the same
-    expression over the same unknowns denotes the same value), which
-    is the only direction the verifier relies on.
+    ``value`` sign-extended.  Structural equality is semantic equality
+    (the same expression over the same unknowns denotes the same
+    value), which is the only direction the verifier relies on.
     """
 
     __slots__ = ("node", "_hash")
@@ -94,8 +94,8 @@ class SymVal:
         return sym_bin("&", other, self)
 
     def __int__(self):
-        # Every inherited interpreter path that insists on a concrete
-        # value (``int(length)``, pointer arithmetic, …) fails closed.
+        # Every interpreter path that insists on a concrete value
+        # (``int(length)``, pointer arithmetic, …) fails closed.
         raise Undecidable(
             self, "symbolic value where a concrete int is required"
         )

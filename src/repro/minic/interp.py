@@ -195,7 +195,7 @@ def _deref(pointer):
 _DIV_KIND = {"*": cost.MUL, "/": cost.DIV, "%": cost.DIV}
 
 
-# -- the interpreter ------------------------------------------------------------
+# -- the interpreter ----------------------------------------------------------
 
 
 class Interpreter:
@@ -210,23 +210,20 @@ class Interpreter:
         #: pluggable loopback network for ``net_sendrecv``; a callable
         #: taking request ``bytes`` and returning reply ``bytes``.
         self.network = None
-        self._steps = 0
         self._globals = {}
         for glob in self.program.globals:
             value = rv.make_value(glob.ctype, self.space)
             cell = rv.Cell(value, glob.ctype, self.space.alloc_heap(4))
             self._globals[glob.name] = cell
         # Globals with initializers are evaluated before any call.
-        ticks = self._start()
-        try:
-            for glob in self.program.globals:
-                if glob.init is not None:
-                    init = self._code.global_init(glob)
-                    cell = self._globals[glob.name]
-                    cell.value = ct.wrap_int(init(self, None), glob.ctype)
-        except StopIteration:
-            raise self._exhausted(ticks) from None
-        self._stop(ticks)
+        self._counted(self._init_globals)
+
+    def _init_globals(self):
+        for glob in self.program.globals:
+            if glob.init is not None:
+                init = self._code.global_init(glob)
+                cell = self._globals[glob.name]
+                cell.value = ct.wrap_int(init(self, None), glob.ctype)
 
     # -- public helpers ---------------------------------------------------
 
@@ -262,34 +259,30 @@ class Interpreter:
     def call(self, name, args, trace=None):
         """Call function ``name`` with already-constructed values."""
         previous_trace, self.trace = self.trace, trace
-        ticks = self._start()
         try:
-            return self._code.call(self, name, list(args), None)
-        except StopIteration:
-            raise self._exhausted(ticks) from None
+            return self._counted(self._code.call, self, name, list(args),
+                                 None)
         finally:
             self.trace = previous_trace
-            self._stop(ticks)
 
-    # -- steps ------------------------------------------------------------------
-
-    def _start(self):
-        """A fresh step budget: every compiled node calls ``self.tick()``
-        once, and the call past ``max_steps`` raises StopIteration."""
+    def _counted(self, run, *args):
+        """``run(*args)`` on a fresh step budget: every compiled node
+        calls ``self.tick()`` once, and the call past ``max_steps``
+        raises.  ``_steps`` is what the run took."""
         ticks = iter(range(self.max_steps))
         self.tick = ticks.__next__
-        self._steps = None
-        return ticks
+        exhausted = False
+        try:
+            return run(*args)
+        except StopIteration:
+            exhausted = True
+            raise InterpError(
+                f"exceeded {self.max_steps} interpreter steps") from None
+        finally:
+            self._steps = (self.max_steps - operator.length_hint(ticks)
+                           + exhausted)
 
-    def _stop(self, ticks):
-        if self._steps is None:
-            self._steps = self.max_steps - operator.length_hint(ticks)
-
-    def _exhausted(self, ticks):
-        self._steps = self.max_steps + 1
-        return InterpError(f"exceeded {self.max_steps} interpreter steps")
-
-    # -- builtins ----------------------------------------------------------------
+    # -- builtins -------------------------------------------------------------
 
     def _call_builtin(self, name, args, addr):
         """``addr`` is the call site's code address, None for a call
@@ -360,11 +353,11 @@ class Interpreter:
             trace.emit(cost.NET_RECV, addr, in_ptr.mem_addr(), len(reply))
         return len(reply)
 
-    # -- the value domain ----------------------------------------------------------
+    # -- the value domain -----------------------------------------------------
     #
-    # Called once per node at compile time (the factories) or at run
-    # time on values the compiled code does not handle itself; two ints
-    # never reach ``binop``'s function, ``unop``'s or ``incdec``'s.
+    # The factories run once per node at compile time; what they return
+    # runs on the values the compiled code does not handle itself (two
+    # ints never reach ``binop``'s function, an int never ``incdec``'s).
 
     @staticmethod
     def truthy(value):
@@ -392,7 +385,7 @@ class Interpreter:
 
     @staticmethod
     def unop(op, result_type):
-        """``f(operand)`` for ``-`` or ``~`` on a non-int operand."""
+        """``f(operand)`` for the unary ``-`` or ``~``."""
         wrap = _wrapper(result_type)
         if op == "-":
             return lambda value: wrap(-value)
@@ -435,15 +428,8 @@ class Interpreter:
         """Store ``value`` through the buffer cursor ``location``."""
         location.store(int(value))
 
-    # backwards-compatible spellings used by the specializer
-    _truthy = truthy
 
-    @staticmethod
-    def _int_binary(op, left, right, result_type):
-        return int_op(op, result_type)(left, right)
-
-
-# -- the compiler -----------------------------------------------------------------
+# -- the compiler -------------------------------------------------------------
 
 #: program -> {interpreter class: CompiledProgram}; an entry lives as
 #: long as its program
@@ -737,7 +723,7 @@ class _FunctionCompiler:
             return _CONTINUE
         return continue_
 
-    # -- expressions -----------------------------------------------------------
+    # -- expressions ----------------------------------------------------------
 
     def expr(self, node):
         compile_expr = _EXPRS.get(type(node))

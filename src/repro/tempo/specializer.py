@@ -43,7 +43,7 @@ from repro.errors import SpecializationError
 from repro.minic import ast
 from repro.minic import builtins
 from repro.minic import types as ctypes
-from repro.minic.interp import Interpreter, _address_taken_names
+from repro.minic.interp import _address_taken_names, int_op
 from repro.minic.pretty import pretty_expr
 from repro.tempo import pe_values as pv
 from repro.tempo.induction import LoopInduction
@@ -615,7 +615,7 @@ class Specializer(LoopInduction):
             return self._static_pointer_binary(op, left, right)
         if isinstance(left, pv.Affine) or isinstance(right, pv.Affine):
             return pv.affine_binary(op, left, right, result_type)
-        return Interpreter._int_binary(op, int(left), int(right), result_type)
+        return int_op(op, result_type)(int(left), int(right))
 
     def _static_pointer_binary(self, op, left, right):
         if op == "+":

@@ -86,12 +86,14 @@ NOT_LOADED = {"repro.rpc.fleet", "repro.rpc.pmap", "repro.bench",
 #: every module outside the package that the loaded ones import when
 #: they are executed.  A new name here is a cost in both processes of
 #: every deployment: measure ``peak_rss_mb`` before adding it.
+#: (``weakref``, for the interpreter's cache of compiled code, costs
+#: nothing: a plain ``python`` start-up has loaded it already.)
 OUTSIDE = {
     "bisect", "collections", "copy", "dataclasses", "enum", "functools", "hashlib",
     "importlib", "io", "itertools", "json", "keyword", "logging", "math",
     "operator", "os", "pickle", "queue", "random", "re", "select",
     "selectors", "socket", "struct", "sys", "threading", "time", "types",
-    "zlib",
+    "weakref", "zlib",
 }
 
 
