@@ -38,6 +38,8 @@ on symbolic values are never decided (they raise
 :class:`Undecidable`), keeping the executor sound.
 """
 
+import functools
+
 from repro.errors import ReproError
 from repro.minic import types as ct
 from repro.minic import values as rv
@@ -58,10 +60,10 @@ class Undecidable(ReproError):
 class SymVal:
     """An immutable symbolic expression over 32-bit unknowns.
 
-    Nodes: ``("var", name)``, ``("bin", op, left, right)``,
-    ``("byte", value, shift)`` — ``(value >> shift) & 0xFF`` —,
-    ``("cat", parts...)`` — big-endian concatenation of byte
-    expressions — and ``("sext", bits, value)`` — the low ``bits`` of
+    Nodes: ``("var", name)``; ``("bin", op, left, right)``;
+    ``("byte", value, shift)``, that is ``(value >> shift) & 0xFF``;
+    ``("cat", parts...)``, the big-endian concatenation of byte
+    expressions; and ``("sext", bits, value)``, the low ``bits`` of
     ``value`` sign-extended.  Structural equality is semantic equality
     (the same expression over the same unknowns denotes the same
     value), which is the only direction the verifier relies on.
@@ -370,6 +372,7 @@ class SymbolicInterpreter(Interpreter):
         return ct.wrap_int(value, ctype)
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def binop(op, result_type, op_type):
         concrete = Interpreter.binop(op, result_type, op_type)
         signed = getattr(op_type, "signed", False)
@@ -383,6 +386,7 @@ class SymbolicInterpreter(Interpreter):
         return lifted
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def unop(op, result_type):
         concrete = Interpreter.unop(op, result_type)
 
@@ -395,6 +399,7 @@ class SymbolicInterpreter(Interpreter):
         return lifted
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def cast(ctype):
         concrete = Interpreter.cast(ctype)
 
@@ -407,6 +412,7 @@ class SymbolicInterpreter(Interpreter):
         return lifted
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def incdec(delta):
         concrete = Interpreter.incdec(delta)
 

@@ -1,34 +1,25 @@
 """Reference interpreter for MiniC.
 
-Two jobs:
+Two jobs: define the semantics of MiniC programs — the oracle the Tempo
+specializer must preserve — and optionally record the instruction and
+memory cost trace (:mod:`repro.minic.cost`) that the platform simulator
+replays for the paper's tables.
 
-1. Define the semantics of MiniC programs — the correctness oracle that
-   the Tempo specializer must preserve (tests compare generic-program
-   runs against residual-program runs over random inputs).
-2. Optionally record an instruction/memory cost trace
-   (:mod:`repro.minic.cost`) that the platform simulator replays to
-   regenerate the paper's timing tables.
+It is compiled, not walked.  The first call of a function turns its
+body into Python closures, one per AST node, with what is static about
+the node settled once: its kind, operator, result type and callee, and
+the frame slot of every variable (an activation is a flat list of
+cells).  Statements return ``_RETURN`` / ``_BREAK`` / ``_CONTINUE``
+signals instead of raising.  A run ticks its steps, records its trace
+events and allocates its addresses exactly where the node-by-node walk
+it replaced did.  Compiled code is cached per program and value domain,
+weakly: it lives as long as its program.
 
-The interpreter is compiled, not walked: the first call of a function
-turns its body into a tree of Python closures, one per AST node, with
-everything static about the node settled once — its kind, operator,
-result type and code address, the callee of a call, and the frame slot
-of every variable (a function activation is a flat list of
-:class:`~repro.minic.values.Cell` slots, not a chain of scope dicts).
-Control flow returns signals (``_RETURN`` / ``_BREAK`` / ``_CONTINUE``)
-instead of raising.  What a run *does* is the node-by-node walk it
-replaced, event for event: one step tick per evaluated statement and
-expression, trace events and address allocations at the same points in
-the same order.  Compiled code is cached per program and per value
-domain, weakly, so it lives exactly as long as the program.
-
-The closures own evaluation order; what an operator *means* on the
-values of a run is the interpreter class's value domain — the static
-methods ``truthy``, ``wrap``, ``binop``, ``unop``, ``cast``,
-``incdec``, ``index`` and ``store_buf`` below.  Two ints always meet
-the concrete C operator; the symbolic verifier
-(:mod:`repro.analysis.symexec`) overrides the domain for everything
-else.  The memory model is defined in :mod:`repro.minic.values`.
+What an operator *means* on a run's values is the interpreter class's
+value domain: ``truthy``, ``wrap``, ``binop``, ``unop``, ``cast``,
+``incdec``, ``index`` and ``store_buf``.  Two ints always meet the
+concrete C operator; :mod:`repro.analysis.symexec` overrides the rest.
+The memory model is :mod:`repro.minic.values`.
 """
 
 import functools
@@ -45,18 +36,12 @@ from repro.minic.typecheck import typecheck_program
 
 _MAX_STEPS_DEFAULT = 50_000_000
 
-#: statement outcomes other than "fell through" (None); a returned
-#: value waits in slot 0 of the activation
-_RETURN = object()
-_BREAK = object()
-_CONTINUE = object()
+#: how a statement ends other than by falling through (None); a
+#: returned value waits in slot 0 of the activation
+_RETURN, _BREAK, _CONTINUE = object(), object(), object()
 
-_Cell = rv.Cell
-_CellPtr = rv.CellPtr
-_BufPtr = rv.BufPtr
-_ArrayVal = rv.ArrayVal
-_StructVal = rv.StructVal
-_Pointer = rv.Pointer
+_Cell, _CellPtr, _BufPtr = rv.Cell, rv.CellPtr, rv.BufPtr
+_ArrayVal, _StructVal, _Pointer = rv.ArrayVal, rv.StructVal, rv.Pointer
 
 
 def _address_taken_names(func):
@@ -72,7 +57,7 @@ def _address_taken_names(func):
     return taken
 
 
-# -- C integer operators ------------------------------------------------------
+# -- C integer operators --------------------------------------------------
 
 
 def _c_div(left, right):
@@ -92,14 +77,9 @@ def _c_mod(left, right):
 
 
 _ARITH = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _c_div,
-    "%": _c_mod,
-    "&": operator.and_,
-    "|": operator.or_,
-    "^": operator.xor,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _c_div, "%": _c_mod,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
     "<<": lambda left, right: left << (right & 31),
 }
 
@@ -116,10 +96,12 @@ _COMPARE = {
 #: the type they are computed in
 SIGN_SENSITIVE = frozenset((">>", "/", "%", "<", "<=", ">", ">="))
 
+_KIND = {"*": cost.MUL, "/": cost.DIV, "%": cost.DIV}
+
 
 def _wrapper(ctype, compute=None):
-    """``compute(left, right)`` (or the identity on one value) wrapped
-    to the C value range of ``ctype``, as :func:`ct.wrap_int` does."""
+    """``compute(left, right)`` — or, with none, one value — wrapped to
+    the C value range of ``ctype`` as :func:`ct.wrap_int` does."""
     if not isinstance(ctype, ct.IntType):
         return compute or (lambda value: value)
     mask = (1 << (8 * ctype.width)) - 1
@@ -129,18 +111,14 @@ def _wrapper(ctype, compute=None):
             def wrap(value):
                 value &= mask
                 return value - span if value > half else value
-        else:
-            def wrap(value):
-                return value & mask
-        return wrap
+            return wrap
+        return lambda value: value & mask
     if ctype.signed:
         def binary(left, right):
             value = compute(left, right) & mask
             return value - span if value > half else value
-    else:
-        def binary(left, right):
-            return compute(left, right) & mask
-    return binary
+        return binary
+    return lambda left, right: compute(left, right) & mask
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,10 +170,14 @@ def _deref(pointer):
     raise InterpError(f"dereference of non-pointer {pointer!r}")
 
 
-_DIV_KIND = {"*": cost.MUL, "/": cost.DIV, "%": cost.DIV}
+def _element(pointer, position):
+    """The location ``position`` elements past ``pointer``."""
+    if pointer.__class__ is _CellPtr or pointer.__class__ is _BufPtr:
+        pointer = pointer.add(position)
+    return _deref(pointer)
 
 
-# -- the interpreter ----------------------------------------------------------
+# -- the interpreter --------------------------------------------------------
 
 
 class Interpreter:
@@ -259,9 +241,11 @@ class Interpreter:
     def call(self, name, args, trace=None):
         """Call function ``name`` with already-constructed values."""
         previous_trace, self.trace = self.trace, trace
+        if trace is not None:
+            self._addrs = self._code.layout(self.program)
         try:
-            return self._counted(self._code.call, self, name, list(args),
-                                 None)
+            return self._counted(self._code.function(name), self,
+                                 list(args), None)
         finally:
             self.trace = previous_trace
 
@@ -282,15 +266,19 @@ class Interpreter:
             self._steps = (self.max_steps - operator.length_hint(ticks)
                            + exhausted)
 
-    # -- builtins -------------------------------------------------------------
+    def emit(self, kind, uid, mem_addr=0, size=0):
+        """Record one trace event of the node ``uid``."""
+        self.trace.emit(kind, self._addrs.get(uid, 0), mem_addr, size)
 
-    def _call_builtin(self, name, args, addr):
-        """``addr`` is the call site's code address, None for a call
-        from outside the program (which records no events)."""
-        trace = self.trace if addr is not None else None
+    # -- builtins -----------------------------------------------------------
+
+    def _call_builtin(self, name, args, uid):
+        """``uid`` is the call site's node, None for a call from outside
+        the program (which records no events)."""
+        traced = uid is not None and self.trace is not None
         if name in ("htonl", "ntohl", "htons", "ntohs"):
-            if trace is not None:
-                trace.emit(cost.BYTESWAP, addr)
+            if traced:
+                self.emit(cost.BYTESWAP, uid)
             width = 4 if name.endswith("l") else 2
             mask = (1 << (8 * width)) - 1
             return args[0] & mask
@@ -299,16 +287,14 @@ class Interpreter:
             length = int(length)
             if isinstance(ptr, rv.BufPtr):
                 ptr.buffer.fill_zero(ptr.offset, length)
-                if trace is not None:
-                    trace.emit(cost.STORE, addr, ptr.mem_addr(), length)
             elif isinstance(ptr, rv.CellPtr) and ptr.array is not None:
                 elem_size = ptr.array.atype.base.size()
                 for index in range(length // elem_size):
                     ptr.array.elem(ptr.index + index).value = 0
-                if trace is not None:
-                    trace.emit(cost.STORE, addr, ptr.mem_addr(), length)
             else:
                 raise InterpError("bzero needs a buffer or array pointer")
+            if traced:
+                self.emit(cost.STORE, uid, ptr.mem_addr(), length)
             return None
         if name == "memcpy":
             dst, src, length = args
@@ -319,18 +305,18 @@ class Interpreter:
                 dst.buffer.data[dst.offset:dst.offset + length] = (
                     src.buffer.data[src.offset:src.offset + length]
                 )
-                if trace is not None:
-                    trace.emit(cost.LOAD, addr, src.mem_addr(), length)
-                    trace.emit(cost.STORE, addr, dst.mem_addr(), length)
+                if traced:
+                    self.emit(cost.LOAD, uid, src.mem_addr(), length)
+                    self.emit(cost.STORE, uid, dst.mem_addr(), length)
                 return None
             raise InterpError("memcpy supports buffer pointers only")
         if name == "net_sendrecv":
-            return self._net_sendrecv(args, trace, addr)
+            return self._net_sendrecv(args, traced, uid)
         if name == "abort":
             raise InterpError("program called abort()")
         raise InterpError(f"unimplemented builtin {name!r}")
 
-    def _net_sendrecv(self, args, trace, addr):
+    def _net_sendrecv(self, args, traced, uid):
         out_ptr, out_len, in_ptr, in_max = args
         out_len = int(out_len)
         in_max = int(in_max)
@@ -343,21 +329,22 @@ class Interpreter:
         request = bytes(
             out_ptr.buffer.data[out_ptr.offset:out_ptr.offset + out_len]
         )
-        if trace is not None:
-            trace.emit(cost.NET_SEND, addr, 0, out_len)
+        if traced:
+            self.emit(cost.NET_SEND, uid, 0, out_len)
         reply = self.network(request)
         reply = reply[:in_max]
         in_ptr.buffer.check(in_ptr.offset, len(reply))
         in_ptr.buffer.data[in_ptr.offset:in_ptr.offset + len(reply)] = reply
-        if trace is not None:
-            trace.emit(cost.NET_RECV, addr, in_ptr.mem_addr(), len(reply))
+        if traced:
+            self.emit(cost.NET_RECV, uid, in_ptr.mem_addr(), len(reply))
         return len(reply)
 
-    # -- the value domain -----------------------------------------------------
+    # -- the value domain ---------------------------------------------------
     #
-    # The factories run once per node at compile time; what they return
-    # runs on the values the compiled code does not handle itself (two
-    # ints never reach ``binop``'s function, an int never ``incdec``'s).
+    # The factories run at compile time, once per distinct argument
+    # tuple; what they return runs on the values the compiled code does
+    # not handle itself (two ints never reach ``binop``'s function, an
+    # int never ``incdec``'s).
 
     @staticmethod
     def truthy(value):
@@ -372,6 +359,7 @@ class Interpreter:
     wrap = staticmethod(ct.wrap_int)
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def binop(op, result_type, op_type):
         """``f(left, right)`` for the binary ``op`` on operands that are
         not both ints; ``op_type`` is the type it is computed in."""
@@ -384,6 +372,7 @@ class Interpreter:
         return general
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def unop(op, result_type):
         """``f(operand)`` for the unary ``-`` or ``~``."""
         wrap = _wrapper(result_type)
@@ -392,6 +381,7 @@ class Interpreter:
         return lambda value: wrap(~value)
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def cast(ctype):
         """``f(value)`` for the C cast ``(ctype)value``."""
         wrap = _wrapper(ctype)
@@ -405,15 +395,13 @@ class Interpreter:
                 return value.with_type(ctype)
             if isinstance(value, _Pointer):
                 return value
-            if integer:
-                return wrap(int(value))
-            return value
+            return wrap(int(value)) if integer else value
         return cast
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def incdec(delta):
-        """``f(current)``: the updated value of ``++``/``--`` on a
-        non-int."""
+        """``f(current)``: ``++`` / ``--`` on a non-int."""
         def step(current):
             if isinstance(current, _Pointer):
                 return current.add(delta)
@@ -429,7 +417,7 @@ class Interpreter:
         location.store(int(value))
 
 
-# -- the compiler -------------------------------------------------------------
+# -- the compiler -----------------------------------------------------------
 
 #: program -> {interpreter class: CompiledProgram}; an entry lives as
 #: long as its program
@@ -459,24 +447,30 @@ class CompiledProgram:
         self.domain = domain
         self.types = typeinfo.expr_types
         self.defs = {func.name: func for func in program.funcs}
-        self.addrs = cost.CodeLayout(program).addr_of_uid
         self.store = _store(domain.wrap, domain.store_buf)
         self.funcs = {}
         self._global_inits = {}
+        self._addrs = None
 
-    def call(self, rt, name, args, addr):
-        """Call ``name`` from a call site at code address ``addr``."""
-        if builtins.is_builtin(name):
-            return rt._call_builtin(name, args, addr)
-        return self.function(name)(rt, args, addr)
+    def layout(self, program):
+        """Node uid -> code address; only a trace reads them."""
+        if self._addrs is None:
+            self._addrs = cost.CodeLayout(program).addr_of_uid
+        return self._addrs
 
     def function(self, name):
+        """``run(rt, args, uid)`` calling ``name`` from the call site
+        ``uid`` (None: from outside the program)."""
         compiled = self.funcs.get(name)
         if compiled is None:
             func = self.defs.get(name)
-            if func is None:
+            if builtins.is_builtin(name):
+                def compiled(rt, args, uid):
+                    return rt._call_builtin(name, args, uid)
+            elif func is None:
                 raise InterpError(f"call to undefined function {name!r}")
-            compiled = _FunctionCompiler(self, func).function()
+            else:
+                compiled = _FunctionCompiler(self, func).function()
             self.funcs[name] = compiled
         return compiled
 
@@ -491,10 +485,9 @@ class CompiledProgram:
 class _FunctionCompiler:
     """Compiles one function body: block scopes become slot numbers.
 
-    Each closure binds what it needs as default arguments, so it costs
-    one function and one tuple, not a cell per captured name: a compile
-    allocates little, which keeps the collector's work on a short-lived
-    program small."""
+    A closure binds what it needs as default arguments — one tuple, not
+    a cell per captured name — so a compile allocates little.  ``uid``
+    is the node's, for the trace (:meth:`Interpreter.emit`)."""
 
     def __init__(self, code, func):
         self.code = code
@@ -505,11 +498,6 @@ class _FunctionCompiler:
         self.taken = set()
         self.scopes = [{}]
         self.slots = 1  # slot 0 holds the returned value
-
-    # -- helpers -------------------------------------------------------------
-
-    def addr(self, node):
-        return self.code.addrs.get(node.uid, 0)
 
     def type_of(self, node):
         return self.code.types.get(node.uid, ct.INT)
@@ -533,8 +521,6 @@ class _FunctionCompiler:
             raise InterpError(message)
         return fail
 
-    # -- functions -----------------------------------------------------------
-
     def function(self):
         func = self.func
         slots = [self.declare(param.name) for param in func.params]
@@ -545,15 +531,14 @@ class _FunctionCompiler:
              param.ctype.is_integer, param.name in self.taken)
             for slot, param in zip(slots, func.params))
 
-        def run(rt, args, addr, name=func.name, nparams=len(binders),
-                binders=binders, body=body, nslots=self.slots,
-                returns_value=not func.ret_type.is_void,
+        def run(rt, args, uid, name=func.name, binders=binders, body=body,
+                nslots=self.slots, returns_value=not func.ret_type.is_void,
                 wrap=self.domain.wrap):
-            if len(args) != nparams:
+            if len(args) != len(binders):
                 raise InterpError(
-                    f"{name} expects {nparams} args, got {len(args)}")
-            if addr is not None and rt.trace is not None:
-                rt.trace.emit(cost.CALL, addr)
+                    f"{name} expects {len(binders)} args, got {len(args)}")
+            if uid is not None and rt.trace is not None:
+                rt.emit(cost.CALL, uid)
             env = [None] * nslots
             for (slot, ctype, aggregate, integer, taken), arg in zip(
                     binders, args):
@@ -564,8 +549,8 @@ class _FunctionCompiler:
                     wrap(arg, ctype) if integer else arg, ctype,
                     rt.space.alloc_stack(4) if taken else None)
             signal = body(rt, env)
-            if addr is not None and rt.trace is not None:
-                rt.trace.emit(cost.RET, addr)
+            if uid is not None and rt.trace is not None:
+                rt.emit(cost.RET, uid)
             if signal is _RETURN:
                 return env[0]
             if returns_value:
@@ -620,31 +605,27 @@ class _FunctionCompiler:
         else:
             def new_cell(rt, zero=rv.make_value(ctype), ctype=ctype,
                          name=node.name, taken=self.taken):
-                return _Cell(zero, ctype,
-                             rt.space.alloc_stack(4) if name in taken
-                             else None)
+                return _Cell(zero, ctype, rt.space.alloc_stack(4)
+                             if name in taken else None)
 
-        if init is None:
-            def decl(rt, env, new_cell=new_cell, slot=slot):
-                env[slot] = new_cell(rt)
-        else:
-            def decl(rt, env, new_cell=new_cell, init=init, slot=slot,
-                     ctype=ctype, integer=ctype.is_integer,
-                     wrap=self.domain.wrap):
-                cell = new_cell(rt)
+        def decl(rt, env, new_cell=new_cell, init=init, slot=slot,
+                 ctype=ctype, integer=ctype.is_integer,
+                 wrap=self.domain.wrap):
+            cell = new_cell(rt)
+            if init is not None:
                 value = init(rt, env)
                 cell.value = wrap(value, ctype) if integer else value
-                env[slot] = cell
+            env[slot] = cell
         return decl
 
     def _if(self, node):
         def if_(rt, env, cond=self.expr(node.cond), then=self.stmt(node.then),
                 other=(self.stmt(node.other) if node.other is not None
                        else None),
-                truthy=self.domain.truthy, addr=self.addr(node)):
+                truthy=self.domain.truthy, uid=node.uid):
             rt.tick()
             if rt.trace is not None:
-                rt.trace.emit(cost.BRANCH, addr)
+                rt.emit(cost.BRANCH, uid)
             value = cond(rt, env)
             if value != 0 if value.__class__ is int else truthy(value):
                 return then(rt, env)
@@ -654,21 +635,7 @@ class _FunctionCompiler:
         return if_
 
     def _while(self, node):
-        def while_(rt, env, cond=self.expr(node.cond),
-                   body=self.stmt(node.body), truthy=self.domain.truthy,
-                   addr=self.addr(node)):
-            rt.tick()
-            while True:
-                if rt.trace is not None:
-                    rt.trace.emit(cost.BRANCH, addr)
-                value = cond(rt, env)
-                if not (value != 0 if value.__class__ is int
-                        else truthy(value)):
-                    return None
-                signal = body(rt, env)
-                if signal is not None and signal is not _CONTINUE:
-                    return None if signal is _BREAK else signal
-        return while_
+        return self._loop(node, None, node.cond, None, node.body)
 
     def _for(self, node):
         self.scopes.append({})
@@ -678,20 +645,25 @@ class _FunctionCompiler:
             init = self.expr(node.init.expr)
         else:
             init = None
-        cond = self.expr(node.cond) if node.cond is not None else None
-        step = self.expr(node.step) if node.step is not None else None
-        body = self.stmt(node.body)
+        loop = self._loop(node, init, node.cond, node.step, node.body)
         self.scopes.pop()
+        return loop
 
-        def for_(rt, env, init=init, cond=cond, step=step, body=body,
-                 truthy=self.domain.truthy, addr=self.addr(node)):
+    def _loop(self, node, init, cond, step, body):
+        """``while`` and ``for``: a step, ``init``, then a branch event
+        and ``cond`` before each trip and ``step`` after it."""
+        def loop(rt, env, init=init,
+                 cond=self.expr(cond) if cond is not None else None,
+                 step=self.expr(step) if step is not None else None,
+                 body=self.stmt(body), truthy=self.domain.truthy,
+                 uid=node.uid):
             rt.tick()
             if init is not None:
                 init(rt, env)
             while True:
                 if cond is not None:
                     if rt.trace is not None:
-                        rt.trace.emit(cost.BRANCH, addr)
+                        rt.emit(cost.BRANCH, uid)
                     value = cond(rt, env)
                     if not (value != 0 if value.__class__ is int
                             else truthy(value)):
@@ -701,7 +673,7 @@ class _FunctionCompiler:
                     return None if signal is _BREAK else signal
                 if step is not None:
                     step(rt, env)
-        return for_
+        return loop
 
     def _return(self, node):
         def return_(rt, env, value=(self.expr(node.value)
@@ -711,19 +683,14 @@ class _FunctionCompiler:
             return _RETURN
         return return_
 
-    def _break(self, node):
-        def break_(rt, env):
+    def _jump(self, node):
+        def jump(rt, env, signal=_BREAK if type(node) is ast.Break
+                 else _CONTINUE):
             rt.tick()
-            return _BREAK
-        return break_
+            return signal
+        return jump
 
-    def _continue(self, node):
-        def continue_(rt, env):
-            rt.tick()
-            return _CONTINUE
-        return continue_
-
-    # -- expressions ----------------------------------------------------------
+    # -- expressions -----------------------------------------------------------
 
     def expr(self, node):
         compile_expr = _EXPRS.get(type(node))
@@ -732,33 +699,32 @@ class _FunctionCompiler:
         return compile_expr(self, node)
 
     def _literal(self, node):
-        def literal(rt, env, value=node.value, addr=self.addr(node)):
+        def literal(rt, env, value=node.value, uid=node.uid):
             rt.tick()
             if rt.trace is not None:
-                rt.trace.emit(cost.IFETCH, addr)
+                rt.emit(cost.IFETCH, uid)
             return value
         return literal
 
     def _sizeof(self, node):
-        def sizeof(rt, env, ctype=node.ctype, addr=self.addr(node)):
+        def sizeof(rt, env, ctype=node.ctype, uid=node.uid):
             rt.tick()
             if rt.trace is not None:
-                rt.trace.emit(cost.IFETCH, addr)
+                rt.emit(cost.IFETCH, uid)
             return ctype.size()
         return sizeof
 
     def _load(self, node):
         """An rvalue closure: a step, the fetch, the location's load."""
-        def load(rt, env, location=self.lvalue(node), addr=self.addr(node)):
+        def load(rt, env, location=self.lvalue(node), uid=node.uid):
             rt.tick()
-            trace = rt.trace
-            if trace is None:
+            if rt.trace is None:
                 cell = location(rt, env)
                 if cell.__class__ is _Cell:
                     return cell.value
                 return cell.load()
-            trace.emit(cost.IFETCH, addr)
-            return _load_from(location(rt, env), trace, addr)
+            rt.emit(cost.IFETCH, uid)
+            return _load_from(rt, location(rt, env), uid)
         return load
 
     def _var(self, node):
@@ -766,14 +732,13 @@ class _FunctionCompiler:
         if slot is None:
             return self._load(node)
 
-        def var(rt, env, slot=slot, addr=self.addr(node)):
+        def var(rt, env, slot=slot, uid=node.uid):
             rt.tick()
             cell = env[slot]
-            trace = rt.trace
-            if trace is not None:
-                trace.emit(cost.IFETCH, addr)
+            if rt.trace is not None:
+                rt.emit(cost.IFETCH, uid)
                 if cell.addr is not None:
-                    trace.emit(cost.LOAD, addr, cell.addr, cell.size())
+                    rt.emit(cost.LOAD, uid, cell.addr, cell.size())
             return cell.value
         return var
 
@@ -788,10 +753,10 @@ class _FunctionCompiler:
                 self.taken.add(node.operand.name)
 
             def address_of(rt, env, location=self.lvalue(node.operand),
-                           addr=self.addr(node)):
+                           uid=node.uid):
                 rt.tick()
                 if rt.trace is not None:
-                    rt.trace.emit(cost.IFETCH, addr)
+                    rt.emit(cost.IFETCH, uid)
                 cell = location(rt, env)
                 if cell.__class__ is _BufPtr:
                     return cell
@@ -812,13 +777,13 @@ class _FunctionCompiler:
                 raise InterpError(f"unknown unary {op!r}")
 
         def unary(rt, env, operand=self.expr(node.operand), compute=compute,
-                  addr=self.addr(node)):
+                  uid=node.uid):
             rt.tick()
             if rt.trace is not None:
-                rt.trace.emit(cost.IFETCH, addr)
+                rt.emit(cost.IFETCH, uid)
             value = operand(rt, env)
             if rt.trace is not None:
-                rt.trace.emit(cost.ALU, addr)
+                rt.emit(cost.ALU, uid)
             return compute(value)
         return unary
 
@@ -838,13 +803,13 @@ class _FunctionCompiler:
         left, right = self.expr(node.left), self.expr(node.right)
         if op in ("&&", "||"):
             def logical(rt, env, left=left, right=right, want=op == "||",
-                        truthy=self.domain.truthy, addr=self.addr(node)):
+                        truthy=self.domain.truthy, uid=node.uid):
                 rt.tick()
                 if rt.trace is not None:
-                    rt.trace.emit(cost.IFETCH, addr)
+                    rt.emit(cost.IFETCH, uid)
                 value = left(rt, env)
                 if rt.trace is not None:
-                    rt.trace.emit(cost.BRANCH, addr)
+                    rt.emit(cost.BRANCH, uid)
                 if truthy(value) == want:
                     return 1 if want else 0
                 return 1 if truthy(right(rt, env)) else 0
@@ -855,14 +820,14 @@ class _FunctionCompiler:
                    ints=int_op(op, result_type),
                    general=self.domain.binop(op, result_type,
                                              self._op_type(node)),
-                   kind=_DIV_KIND.get(op, cost.ALU), addr=self.addr(node)):
+                   kind=_KIND.get(op, cost.ALU), uid=node.uid):
             rt.tick()
             if rt.trace is not None:
-                rt.trace.emit(cost.IFETCH, addr)
+                rt.emit(cost.IFETCH, uid)
             lhs = left(rt, env)
             rhs = right(rt, env)
             if rt.trace is not None:
-                rt.trace.emit(kind, addr)
+                rt.emit(kind, uid)
             if lhs.__class__ is int and rhs.__class__ is int:
                 return ints(lhs, rhs)
             return general(lhs, rhs)
@@ -873,12 +838,12 @@ class _FunctionCompiler:
         if op is None:
             def assign(rt, env, target=self.lvalue(node.target),
                        source=self.expr(node.value), store=self.code.store,
-                       addr=self.addr(node)):
+                       uid=node.uid):
                 rt.tick()
                 if rt.trace is not None:
-                    rt.trace.emit(cost.IFETCH, addr)
+                    rt.emit(cost.IFETCH, uid)
                 location = target(rt, env)
-                return store(rt, location, source(rt, env), addr)
+                return store(rt, location, source(rt, env), uid)
             return assign
         result_type = self.type_of(node)
 
@@ -886,21 +851,20 @@ class _FunctionCompiler:
                      source=self.expr(node.value), store=self.code.store,
                      ints=int_op(op, result_type),
                      general=self.domain.binop(op, result_type, result_type),
-                     kind=_DIV_KIND.get(op, cost.ALU), addr=self.addr(node)):
+                     kind=_KIND.get(op, cost.ALU), uid=node.uid):
             rt.tick()
-            trace = rt.trace
-            if trace is not None:
-                trace.emit(cost.IFETCH, addr)
+            if rt.trace is not None:
+                rt.emit(cost.IFETCH, uid)
             location = target(rt, env)
             value = source(rt, env)
-            current = _load_from(location, trace, addr)
-            if trace is not None:
-                trace.emit(kind, addr)
+            current = _load_from(rt, location, uid)
+            if rt.trace is not None:
+                rt.emit(kind, uid)
             if current.__class__ is int and value.__class__ is int:
                 value = ints(current, value)
             else:
                 value = general(current, value)
-            return store(rt, location, value, addr)
+            return store(rt, location, value, uid)
         return compound
 
     def _incdec(self, node):
@@ -909,66 +873,54 @@ class _FunctionCompiler:
         def incdec(rt, env, target=self.lvalue(node.target),
                    store=self.code.store, delta=delta,
                    step=self.domain.incdec(delta), prefix=node.prefix,
-                   addr=self.addr(node)):
+                   uid=node.uid):
             rt.tick()
-            trace = rt.trace
-            if trace is not None:
-                trace.emit(cost.IFETCH, addr)
+            if rt.trace is not None:
+                rt.emit(cost.IFETCH, uid)
             location = target(rt, env)
-            current = _load_from(location, trace, addr)
-            if trace is not None:
-                trace.emit(cost.ALU, addr)
+            current = _load_from(rt, location, uid)
+            if rt.trace is not None:
+                rt.emit(cost.ALU, uid)
             if current.__class__ is int:
                 updated = current + delta
             else:
                 updated = step(current)
-            store(rt, location, updated, addr)
+            store(rt, location, updated, uid)
             return updated if prefix else current
         return incdec
 
     def _call(self, node):
-        args = tuple(self.expr(arg) for arg in node.args)
-        if builtins.is_builtin(node.name):
-            def call_builtin(rt, env, name=node.name, args=args,
-                             addr=self.addr(node)):
-                rt.tick()
-                if rt.trace is not None:
-                    rt.trace.emit(cost.IFETCH, addr)
-                values = [arg(rt, env) for arg in args]
-                return rt._call_builtin(name, values, addr)
-            return call_builtin
-        # the callee compiles on its first call, then stays in the box
-        callee = [None]
-
-        def call(rt, env, name=node.name, args=args, callee=callee,
-                 code=self.code, addr=self.addr(node)):
+        # the callee resolves on the first call, then stays in the box
+        def call(rt, env, name=node.name,
+                 args=tuple(self.expr(arg) for arg in node.args),
+                 callee=[None], code=self.code, uid=node.uid):
             rt.tick()
             if rt.trace is not None:
-                rt.trace.emit(cost.IFETCH, addr)
+                rt.emit(cost.IFETCH, uid)
             values = [arg(rt, env) for arg in args]
             run = callee[0]
             if run is None:
                 run = callee[0] = code.function(name)
-            return run(rt, values, addr)
+            return run(rt, values, uid)
         return call
 
     def _cast(self, node):
         def cast_(rt, env, operand=self.expr(node.operand),
-                  cast=self.domain.cast(node.ctype), addr=self.addr(node)):
+                  cast=self.domain.cast(node.ctype), uid=node.uid):
             rt.tick()
             if rt.trace is not None:
-                rt.trace.emit(cost.IFETCH, addr)
+                rt.emit(cost.IFETCH, uid)
             return cast(operand(rt, env))
         return cast_
 
     def _cond(self, node):
         def conditional(rt, env, cond=self.expr(node.cond),
                         then=self.expr(node.then), other=self.expr(node.other),
-                        truthy=self.domain.truthy, addr=self.addr(node)):
+                        truthy=self.domain.truthy, uid=node.uid):
             rt.tick()
             if rt.trace is not None:
-                rt.trace.emit(cost.IFETCH, addr)
-                rt.trace.emit(cost.BRANCH, addr)
+                rt.emit(cost.IFETCH, uid)
+                rt.emit(cost.BRANCH, uid)
             if truthy(cond(rt, env)):
                 return then(rt, env)
             return other(rt, env)
@@ -977,18 +929,11 @@ class _FunctionCompiler:
     # -- lvalues: a location (a Cell or a BufPtr), with no step of their own
 
     def lvalue(self, node):
-        kind = type(node)
-        if kind is ast.Var:
-            return self._var_location(node)
-        if kind is ast.Member:
-            return self._member_location(node)
-        if kind is ast.Index:
-            return self._index_location(node)
-        if kind is ast.Unary and node.op == "*":
-            def deref(rt, env, pointer=self.expr(node.operand)):
-                return _deref(pointer(rt, env))
-            return deref
-        return self._fails(f"not an lvalue: {node!r}")
+        compile_lvalue = _LVALUES.get(type(node))
+        if compile_lvalue is None or (type(node) is ast.Unary
+                                      and node.op != "*"):
+            return self._fails(f"not an lvalue: {node!r}")
+        return compile_lvalue(self, node)
 
     def _var_location(self, node):
         slot = self.resolve(node.name)
@@ -1031,7 +976,7 @@ class _FunctionCompiler:
         if type(node.obj) not in (ast.Var, ast.Member):
             def through(rt, env, index=index, to_int=to_int, pointer=pointer):
                 position = to_int(index(rt, env))
-                return _element_through(pointer(rt, env), position)
+                return _element(pointer(rt, env), position)
             return through
 
         def element(rt, env, index=index, to_int=to_int,
@@ -1040,63 +985,51 @@ class _FunctionCompiler:
             value = array(rt, env).value
             if value.__class__ is _ArrayVal:
                 return value.elem(position)
-            return _element_through(pointer(rt, env), position)
+            return _element(pointer(rt, env), position)
         return element
 
+    def _deref_location(self, node):
+        def deref(rt, env, pointer=self.expr(node.operand)):
+            return _deref(pointer(rt, env))
+        return deref
 
-_EXPRS = {
-    ast.IntLit: _FunctionCompiler._literal,
-    ast.StrLit: _FunctionCompiler._literal,
-    ast.Var: _FunctionCompiler._var,
-    ast.Unary: _FunctionCompiler._unary,
-    ast.Binary: _FunctionCompiler._binary,
-    ast.Assign: _FunctionCompiler._assign,
-    ast.IncDec: _FunctionCompiler._incdec,
-    ast.Call: _FunctionCompiler._call,
-    ast.Member: _FunctionCompiler._load,
-    ast.Index: _FunctionCompiler._load,
-    ast.Cast: _FunctionCompiler._cast,
-    ast.Cond: _FunctionCompiler._cond,
-    ast.SizeOf: _FunctionCompiler._sizeof,
-}
 
+_FC = _FunctionCompiler
 _STMTS = {
-    ast.Block: _FunctionCompiler._block,
-    ast.ExprStmt: _FunctionCompiler._expr_stmt,
-    ast.Decl: _FunctionCompiler._decl_stmt,
-    ast.If: _FunctionCompiler._if,
-    ast.While: _FunctionCompiler._while,
-    ast.For: _FunctionCompiler._for,
-    ast.Return: _FunctionCompiler._return,
-    ast.Break: _FunctionCompiler._break,
-    ast.Continue: _FunctionCompiler._continue,
+    ast.Block: _FC._block, ast.ExprStmt: _FC._expr_stmt,
+    ast.Decl: _FC._decl_stmt, ast.If: _FC._if, ast.While: _FC._while,
+    ast.For: _FC._for, ast.Return: _FC._return,
+    ast.Break: _FC._jump, ast.Continue: _FC._jump,
+}
+_EXPRS = {
+    ast.IntLit: _FC._literal, ast.StrLit: _FC._literal, ast.Var: _FC._var,
+    ast.Unary: _FC._unary, ast.Binary: _FC._binary,
+    ast.Assign: _FC._assign, ast.IncDec: _FC._incdec,
+    ast.Call: _FC._call, ast.Member: _FC._load, ast.Index: _FC._load,
+    ast.Cast: _FC._cast, ast.Cond: _FC._cond, ast.SizeOf: _FC._sizeof,
+}
+_LVALUES = {
+    ast.Var: _FC._var_location, ast.Member: _FC._member_location,
+    ast.Index: _FC._index_location, ast.Unary: _FC._deref_location,
 }
 
 
-def _element_through(pointer, position):
-    """The location ``position`` elements past ``pointer``."""
-    if pointer.__class__ is _CellPtr or pointer.__class__ is _BufPtr:
-        pointer = pointer.add(position)
-    return _deref(pointer)
-
-
-def _load_from(location, trace, addr):
+def _load_from(rt, location, uid):
     """The value at ``location``, recording the load when traced."""
     if location.__class__ is _Cell:
-        if trace is not None and location.addr is not None:
-            trace.emit(cost.LOAD, addr, location.addr, location.size())
+        if rt.trace is not None and location.addr is not None:
+            rt.emit(cost.LOAD, uid, location.addr, location.size())
         return location.value
     value = location.load()
-    if trace is not None:
-        trace.emit(cost.LOAD, addr, location.mem_addr(), location.elem_size)
+    if rt.trace is not None:
+        rt.emit(cost.LOAD, uid, location.mem_addr(), location.elem_size)
     return value
 
 
 def _store(wrap, store_buf):
-    """``store(rt, location, value, addr)`` for a value domain's ``wrap``
-    and ``store_buf``: the value as stored, the store recorded when
-    traced."""
-    def store(rt, location, value, addr, wrap_int=ct.wrap_int):
+    """``store(rt, location, value, uid)`` for a value domain's ``wrap``
+    and ``store_buf``: returns the value as stored."""
+    def store(rt, location, value, uid, wrap_int=ct.wrap_int):
         if location.__class__ is _Cell:
             ctype = location.ctype
             if ctype.__class__ is ct.IntType:
@@ -1104,12 +1037,10 @@ def _store(wrap, store_buf):
                          else wrap(value, ctype))
             location.value = value
             if rt.trace is not None and location.addr is not None:
-                rt.trace.emit(cost.STORE, addr, location.addr,
-                              location.size())
+                rt.emit(cost.STORE, uid, location.addr, location.size())
             return value
         store_buf(location, value)
         if rt.trace is not None:
-            rt.trace.emit(cost.STORE, addr, location.mem_addr(),
-                          location.elem_size)
+            rt.emit(cost.STORE, uid, location.mem_addr(), location.elem_size)
         return value
     return store

@@ -21,10 +21,10 @@ from tests.rpc.test_lone_call import count_pyops
 
 N = 20
 
-#: both verifier calls at n=20, counted on CPython 3.11: 3 595 315 on
+#: both verifier calls at n=20, counted on CPython 3.11: 3 325 736 on
 #: the compiled engine (8 955 245 with the node-by-node tree walker it
 #: replaced); the budget is that plus 5%.
-PYOPS_BUDGET = 3775080
+PYOPS_BUDGET = 3492022
 
 
 def verify_pyops():
