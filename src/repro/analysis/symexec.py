@@ -29,7 +29,7 @@ Symbolic values are tracked as **32-bit residues**: an expression
 denotes its value modulo 2**32.  Byte-level output comparison is
 insensitive to how those bits are read, so a node carries signedness
 only where the residue depends on it: an operator in
-:data:`~repro.minic.interp.SIGN_SENSITIVE` computed in a signed type is
+:data:`SIGN_SENSITIVE` computed in a signed type is
 tagged (``s>>`` is an arithmetic shift, ``>>`` a logical one; likewise
 ``s/``, ``s%`` and the signed comparisons), and narrowing to a signed
 type smaller than 32 bits is a ``sext`` node.  So ``x >> 4`` and
@@ -43,9 +43,13 @@ import functools
 from repro.errors import ReproError
 from repro.minic import types as ct
 from repro.minic import values as rv
-from repro.minic.interp import SIGN_SENSITIVE, Interpreter, int_op
+from repro.minic.interp import Interpreter, int_op
 
 MASK32 = 0xFFFFFFFF
+
+#: operators whose result on the same bits depends on the signedness of
+#: the type they are computed in
+SIGN_SENSITIVE = frozenset((">>", "/", "%", "<", "<=", ">", ">="))
 
 
 class Undecidable(ReproError):

@@ -92,10 +92,6 @@ _COMPARE = {
     ">=": lambda left, right: 1 if left >= right else 0,
 }
 
-#: operators whose result on the same bits depends on the signedness of
-#: the type they are computed in
-SIGN_SENSITIVE = frozenset((">>", "/", "%", "<", "<=", ">", ">="))
-
 _KIND = {"*": cost.MUL, "/": cost.DIV, "%": cost.DIV}
 
 
@@ -639,12 +635,11 @@ class _FunctionCompiler:
 
     def _for(self, node):
         self.scopes.append({})
-        if isinstance(node.init, ast.Decl):
+        init = None
+        if type(node.init) is ast.Decl:
             init = self.decl(node.init)
-        elif isinstance(node.init, ast.ExprStmt):
+        elif type(node.init) is ast.ExprStmt:
             init = self.expr(node.init.expr)
-        else:
-            init = None
         loop = self._loop(node, init, node.cond, node.step, node.body)
         self.scopes.pop()
         return loop

@@ -91,15 +91,6 @@ def test_compiled_code_dies_with_its_program():
     assert code_ref() is None
 
 
-def test_one_program_one_compile_per_domain():
-    program = parse_program(SRC)
-    first = Interpreter(program)
-    first.call("loops", [12])
-    second = Interpreter(program)
-    assert second._code is first._code
-    assert second.call("loops", [3]) == first.call("loops", [3])
-
-
 def test_a_verifier_call_compiles_each_program_it_runs_once(monkeypatch):
     pipeline = SpecializationPipeline(WORKLOAD_IDL,
                                       impl_sources=[WORKLOAD_IMPL],
