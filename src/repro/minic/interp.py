@@ -885,17 +885,20 @@ class _FunctionCompiler:
         return incdec
 
     def _call(self, node):
-        # the callee resolves on the first call, then stays in the box
+        # The callee resolves on the first call, then stays in the box.
+        # It is found through ``rt``: a closure that held the compiled
+        # program would make a cycle, and the program's code would then
+        # outlive it until the collector's next full pass.
         def call(rt, env, name=node.name,
                  args=tuple(self.expr(arg) for arg in node.args),
-                 callee=[None], code=self.code, uid=node.uid):
+                 callee=[None], uid=node.uid):
             rt.tick()
             if rt.trace is not None:
                 rt.emit(cost.IFETCH, uid)
             values = [arg(rt, env) for arg in args]
             run = callee[0]
             if run is None:
-                run = callee[0] = code.function(name)
+                run = callee[0] = rt._code.function(name)
             return run(rt, values, uid)
         return call
 
