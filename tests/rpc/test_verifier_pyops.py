@@ -5,8 +5,8 @@ Every offline build and every online promotion runs
 residual installs; at n=1000 they are most of a build.  This counts
 the bytecodes both take at n=20 on a fresh pipeline (so the one-time
 compile of the programs they interpret is in the count, as it is in a
-cold build; only process-wide caches are warm) and pins them +5% on
-CPython 3.11 (skipped elsewhere).
+cold build; only the process is warm: caches filled, bytecode
+quickened) and pins them +5% on CPython 3.11 (skipped elsewhere).
 """
 
 import gc
@@ -21,10 +21,10 @@ from tests.rpc.test_lone_call import count_pyops
 
 N = 20
 
-#: both verifier calls at n=20, counted on CPython 3.11: 3 325 736 on
+#: both verifier calls at n=20, counted on CPython 3.11: 3 325 648 on
 #: the compiled engine (8 955 245 with the node-by-node tree walker it
 #: replaced); the budget is that plus 5%.
-PYOPS_BUDGET = 3492022
+PYOPS_BUDGET = 3491930
 
 
 def verify_pyops():
@@ -53,7 +53,8 @@ def verify_pyops():
                     reason="exact bytecode counts compare within one"
                            " CPython minor version (counted on 3.11)")
 def test_the_verifier_stays_inside_its_bytecode_budget():
-    verify_pyops()  # warm the per-process caches (operators, imports)
+    for _ in range(3):  # warm the process: caches, quickened bytecode
+        verify_pyops()
     counts = {verify_pyops() for _ in range(2)}
     assert len(counts) == 1, counts
     count, = counts
@@ -63,5 +64,6 @@ def test_the_verifier_stays_inside_its_bytecode_budget():
 
 
 if __name__ == "__main__":
-    verify_pyops()
-    print(verify_pyops())
+    for _ in range(3):
+        verify_pyops()
+    print(verify_pyops(), verify_pyops())
