@@ -15,6 +15,7 @@ from repro.analysis.verify import verify_server_residual
 from repro.bench.workloads import WORKLOAD_IDL, WORKLOAD_IMPL
 from repro.errors import InterpError
 from repro.minic import interp as engine
+from repro.minic import values as rv
 from repro.minic.interp import Interpreter
 from repro.minic.parser import parse_program
 from repro.specialized import SpecializationPipeline
@@ -76,6 +77,23 @@ def test_the_step_budget_runs_out_on_the_walkers_node(name):
     with pytest.raises(InterpError, match=f"exceeded {steps - 1} "):
         short.call(name, args_for(short, name))
     assert short._steps == steps
+
+
+def test_a_stopiteration_from_the_network_is_not_the_step_budgets():
+    # the budget's ticks raise StopIteration when spent; one raised by
+    # a network callable with budget to spare must pass through as the
+    # walker let it, not turn into "exceeded N interpreter steps"
+    src = "int f(caddr_t o, caddr_t i) { return net_sendrecv(o, 4, i, 4); }"
+    interp = Interpreter(parse_program(src))
+    interp.network = lambda request: next(iter(()))
+    out, inb = interp.make_buffer(4), interp.make_buffer(4)
+    with pytest.raises(StopIteration):
+        interp.call("f", [rv.BufPtr(out, 0, 1), rv.BufPtr(inb, 0, 1)])
+    steps = interp._steps
+    interp.network = lambda request: request
+    assert interp.call("f", [rv.BufPtr(out, 0, 1),
+                             rv.BufPtr(inb, 0, 1)]) == 4
+    assert interp._steps == steps
 
 
 def test_compiled_code_dies_with_its_program():
