@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.analysis.verify import verify_client_spec, verify_server_residual
 from repro.minic import ast
 from repro.minic import types as ct
+from repro.minic.parser import parse_program
 from repro.rpc.client import RpcClient
 from repro.rpc.message import (AcceptStat, NULL_AUTH,
                                encode_accepted_reply)
@@ -504,6 +505,107 @@ class TestFusedEntryMutants:
             setattr(bad, where, relower(getattr(bad, where), old, new))
             findings = verify_client_spec(xfer_pipeline, bad)
         assert [f.rule for f in findings] == [rule]
+
+
+def prepended(source):
+    """The codec's entry function opens with the MiniC ``source``."""
+    def apply(program, entry):
+        program.func(entry).body.stmts[:0] = parse_program(
+            f"void f(void) {{ {source} }}").funcs[0].body.stmts
+    return apply
+
+
+def drop_first_literal_store(program, entry):
+    """The entry function's first store of a literal word is gone: a
+    header word of the message is never written."""
+    for block in ast.walk(program.func(entry)):
+        if not isinstance(block, ast.Block):
+            continue
+        for index, stmt in enumerate(block.stmts):
+            if (isinstance(stmt, ast.ExprStmt)
+                    and isinstance(stmt.expr, ast.Assign)
+                    and isinstance(stmt.expr.target, ast.Unary)
+                    and stmt.expr.target.op == "*"
+                    and isinstance(stmt.expr.value, ast.IntLit)):
+                del block.stmts[index]
+                return
+    raise AssertionError("mutation found nothing to change")
+
+
+class TestLadderRules:
+    """Each step of the verification protocol, per codec, with the
+    exact findings it yields: ``(rule, probe)`` in order.  A rule that
+    moved to another step, or a step that stopped stopping, shows here.
+
+    Every cell the protocol has is reached by a residual mutant.  Two
+    combinations are not cells: the marshal has no hostile probes (its
+    input is the application's struct, not a message), and the receive
+    path writes a struct, not bytes, so it has no unwritten-byte step —
+    a field it never sets shows as a divergence.  The server's entry
+    turns any residual fault into a decline, so a dispatch that faults
+    only on a hostile probe is accepted; the client's is a finding."""
+
+    #: name -> (codec, mutation, findings)
+    CELLS = {
+        "marshal-declines": (
+            "marshal", prepended("return 0;"),
+            [("residual-domain-reject", None)]),
+        "marshal-faults": (
+            "marshal", prepended("abort();"), [("residual-bounds", None)]),
+        "marshal-branches-on-xid": (
+            "marshal", prepended("if (xid == 5) return 0;"),
+            [("residual-undecidable", None)]),
+        "marshal-leaves-a-word-unwritten": (
+            "marshal", drop_first_literal_store,
+            [("residual-uninitialized", None)]),
+        "recv-declines": (
+            "recv", prepended("return 0;"),
+            [("residual-domain-reject", None)]),
+        "recv-faults": (
+            "recv", prepended("abort();"), [("residual-bounds", None)]),
+        "recv-branches-on-xid": (
+            "recv", prepended("if (xid == 5) return 0;"),
+            [("residual-undecidable", None)]),
+        "recv-faults-on-a-hostile-probe": (
+            "recv", prepended("if (inbuf[7] != 1) abort();"),
+            [("residual-bounds", "wrong-mtype")]),
+        "dispatch-declines": (
+            "dispatch", prepended("return 0;"),
+            [("residual-domain-reject", None)]),
+        "dispatch-faults": (
+            "dispatch", prepended("abort();"), [("residual-bounds", None)]),
+        "dispatch-branches-on-an-argument-byte": (
+            "dispatch", prepended("if (inbuf[47] == 5) return 0;"),
+            [("residual-undecidable", None)]),
+        "dispatch-leaves-a-word-unwritten": (
+            "dispatch", drop_first_literal_store,
+            [("residual-uninitialized", None)]),
+        "dispatch-faults-only-on-a-hostile-probe": (
+            "dispatch", prepended("if (inbuf[7] != 0) abort();"), []),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_each_step_keeps_its_rule(self, xfer_pipeline, xfer_client,
+                                      xfer_server, name):
+        codec, mutation, expected = self.CELLS[name]
+
+        def mutant(result):
+            clone = copy.deepcopy(result)
+            mutation(clone.program, clone.entry_name)
+            return clone
+
+        if codec == "dispatch":
+            findings = verify_server_residual(
+                xfer_pipeline, mutant(xfer_server.result),
+                xfer_pipeline.find_proc("SENDRECV"), {"vals": VALS_LEN},
+                {"vals": VALS_LEN}, xfer_server.bufsize)
+        else:
+            result = getattr(xfer_client, f"{codec}_result")
+            findings = verify_client_spec(xfer_pipeline, respec(
+                xfer_pipeline, xfer_client,
+                **{f"{codec}_result": mutant(result)}))
+        assert [(f.rule, f.context.get("probe"))
+                for f in findings] == expected
 
 
 class TestAcceptedMeansIdentical:
