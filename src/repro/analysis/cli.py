@@ -109,7 +109,7 @@ def run_verify(report, root):
                                               res_lens=res_lens)
             found = verify_server_residual(
                 pipeline, spec.result, pipeline.find_proc(proc),
-                arg_lens, res_lens, spec.bufsize)
+                arg_lens, res_lens, spec.bufsize, module=spec._module)
         else:
             spec = pipeline.specialize_client(proc, arg_lens=arg_lens,
                                               res_lens=res_lens)

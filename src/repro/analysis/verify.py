@@ -41,6 +41,10 @@ What is proved (per codec, on the declared domain):
   four bytes short, four bytes long) it must decline: the residual was
   proved on one size, and the guard is what keeps it there.
 
+The three codecs — marshal, receive, dispatch — share one protocol,
+:meth:`_Codec.verify`, which stops at the first step with a finding; a
+codec supplies only what differs (the table in docs/ANALYSIS.md).
+
 Soundness caveats (also in docs/ANALYSIS.md): equality of symbolic
 values is decided by structural identity, so a residual program that
 is equivalent but *algebraically rearranged* is reported as
@@ -255,81 +259,18 @@ class _Run:
         self.resp = resp
 
 
-def _generic_params(program, entry):
-    return [param.name for param in program.func(entry).params]
-
-
-def _residual_params(result):
-    return [name for _ctype, name in result.residual_params]
-
-
-class _Harness:
-    """Builds matched input worlds for the generic and residual
-    programs of one codec and runs both."""
-
-    def __init__(self, pipeline, result, generic_entry, module=None):
-        self.pipeline = pipeline
-        self.result = result
-        self.generic_entry = generic_entry
-        self.generic_program = pipeline.program_ast
-        self.generic_typeinfo = pipeline.typeinfo
-        #: the residual program as it runs: the one ``module`` (its
-        #: compiled form, arrays narrowed) was built from, when given
-        self.program = result.program if module is None else module.program
-        #: checked once here, not once per probe
-        self.residual_typeinfo = typecheck_program(self.program)
-        self.generic_names = _generic_params(
-            self.generic_program, generic_entry
+def _run_with(interp, entry, param_names, make_values):
+    """Run ``entry`` on the world ``make_values(interp)`` builds."""
+    values, out, resp = make_values(interp)
+    try:
+        result = interp.call(
+            entry, [values[name] for name in param_names]
         )
-        self.residual_names = _residual_params(result)
-
-    def run_pair(self, make_values):
-        """``make_values(interp)`` builds the world for one program
-        (fresh buffers/structs, shared symbol names); returns the two
-        :class:`_Run` outcomes (generic, residual)."""
-        return self.run_generic(make_values), self.run_residual(make_values)
-
-    def run_generic(self, make_values):
-        interp = SymbolicInterpreter(
-            self.generic_program, typeinfo=self.generic_typeinfo
-        )
-        values, out, resp = make_values(interp)
-        return _run_with(interp, self.generic_entry, self.generic_names,
-                         values, out, resp)
-
-    def run_residual(self, make_values):
-        interp = SymbolicInterpreter(
-            self.program, typeinfo=self.residual_typeinfo
-        )
-        values, out, resp = make_values(interp)
-        return _run_with(interp, self.result.entry_name,
-                         self.residual_names, values, out, resp)
-
-    def entry_findings(self, label, answer, oracle=None):
-        """The entry gate for one concrete probe: ``answer`` is what the
-        fused entry returned for it (None: it declined) and ``oracle()``
-        what the generic program answers (None: it refuses).  Only the
-        ``in-domain`` probe must be served; an answer must be the
-        oracle's.  A probe with no oracle is of a length the residual
-        was not proved on: the entry's guard must decline it, whatever
-        the residual would have made of it."""
-        rule = "lowering-divergence"
-        if answer is None:
-            if label != "in-domain":
-                return []
-            what = "the entry declines the message it was built for"
-        elif oracle is None:
-            rule = "guard-domain"
-            what = "the entry serves a length outside its guard domain"
-        else:
-            expected = oracle()
-            if answer == expected:
-                return []
-            what = ("the entry answers a message the generic program"
-                    " refuses" if expected is None else
-                    "the entry's answer differs from the generic program's")
-        return [_finding(rule, self.result.entry_name, f"{what} ({label})",
-                         probe=label)]
+    except Undecidable as exc:
+        return _Run("undecidable", error=exc)
+    except (InterpError, KeyError) as exc:
+        return _Run("error", error=exc)
+    return _Run("ok", value=result, out=out, resp=resp)
 
 
 def _python_value(shape, struct_val):
@@ -360,11 +301,26 @@ def _message(words):
     return struct.pack(f">{len(words)}I", *words)
 
 
-def _output(run):
-    """The bytes a concrete generic run produced, None when it refused."""
-    if run.status != "ok" or not run.value:
-        return None
-    return bytes(run.out.sym_bytes()[:run.value])
+def _patched(words, index, value):
+    out = list(words)
+    out[index] = value
+    return out
+
+
+def _length_corruptions(base, header_words, shape, lens, short):
+    """(label, words) of the message ``base`` with each bounded-array
+    length word past its bound, negative and (``short``) one short."""
+    probes = []
+    for index, (field, bound, count) in _len_words(header_words, shape,
+                                                   lens):
+        probes.append((f"len-{field}-over-bound",
+                       _patched(base, index, bound + 1)))
+        probes.append((f"len-{field}-negative",
+                       _patched(base, index, 0xFFFFFFFF)))
+        if short and count > 0:
+            probes.append((f"len-{field}-short",
+                           _patched(base, index, count - 1)))
+    return probes
 
 
 def _off_profile_lens(shape, lens):
@@ -390,148 +346,249 @@ def _off_profile_messages(shape, lens, base, template_for):
     return probes
 
 
-def _run_with(interp, entry, param_names, values, out, resp):
-    try:
-        result = interp.call(
-            entry, [values[name] for name in param_names]
-        )
-    except Undecidable as exc:
-        return _Run("undecidable", error=exc)
-    except InterpError as exc:
-        return _Run("error", error=exc)
-    except KeyError as exc:
-        return _Run("error", error=exc)
-    return _Run("ok", value=result, out=out, resp=resp)
+# -- the protocol ---------------------------------------------------------
 
 
-# -- the client verifier --------------------------------------------------
+class _Codec:
+    """One codec under the verification protocol (:meth:`verify`).  A
+    subclass supplies only what differs between the three:
 
+    * :meth:`world` — the input world of one run, symbolic or of the
+      concrete ``probe``, as ``(values, out, resp)``;
+    * :meth:`answers` — what answering means (a decline is safe: the
+      caller goes generic);
+    * :meth:`compare` — what is compared: the message bytes, or the
+      decoded struct;
+    * ``faults_decline`` — whether a residual fault on a hostile probe
+      is a decline (the server's entry falls back) or a finding;
+    * :meth:`entry` — the fused entry's answer to a concrete probe, and
+      :meth:`output` a generic run's answer spelled the same way;
+    * :meth:`hostile` and :meth:`entry_only` — the probe lists, built
+      only once the symbolic pair has passed.
+    """
 
-def verify_client_spec(pipeline, spec):
-    """Verify one :class:`ClientSpecialization`.  Returns findings
-    (empty list == verified)."""
-    findings = []
-    marshal_entry = spec.marshal_result.entry_name
-    recv_entry = spec.recv_result.entry_name
+    #: what the codec reads or writes, for the findings
+    message = None
+    #: the input template (recv, dispatch) and its declared size
+    template = size = None
+    faults_decline = False
+    #: whether the generic program must answer on the declared domain
+    #: (a marshal's may not: the request does not fit its ``outsize``)
+    oracle_answers = True
+    #: the length the generic marshal must produce, when one is declared
+    declared = None
 
-    # Guard-domain conformance: the declared fast-path sizes must equal
-    # the contract's wire arithmetic, recomputed here from the lengths.
-    want_request = spec.proc.request_size(spec._arg_lens)
-    want_reply = spec.proc.reply_size(spec._res_lens)
-    if spec.expected_request != want_request:
-        findings.append(_finding(
-            "guard-domain", marshal_entry,
-            f"declared request guard {spec.expected_request} !="
-            f" computed {want_request}",
-        ))
-    if spec.expected_reply != want_reply:
-        findings.append(_finding(
-            "guard-domain", recv_entry,
-            f"declared reply guard {spec.expected_reply} !="
-            f" computed {want_reply}",
-        ))
-    if findings:
+    def __init__(self, pipeline, result, sig, module):
+        self.pipeline, self.sig = pipeline, sig
+        self.entry_name = result.entry_name
+        self.generic_program = pipeline.program_ast
+        self.generic_typeinfo = pipeline.typeinfo
+        self.generic_names = [param.name for param in
+                              self.generic_program.func(sig.name).params]
+        #: the residual program as it serves: the one ``module`` (its
+        #: compiled form, arrays narrowed) was built from, checked once
+        self.program = module.program
+        self.typeinfo = typecheck_program(self.program)
+        self.residual_names = [name for _ctype, name
+                               in result.residual_params]
+
+    def run_generic(self, make_values):
+        return _run_with(SymbolicInterpreter(
+            self.generic_program, typeinfo=self.generic_typeinfo),
+            self.sig.name, self.generic_names, make_values)
+
+    def run_pair(self, make_values):
+        """``make_values(interp)`` builds the world for one program
+        (fresh buffers/structs, shared symbol names); returns the two
+        :class:`_Run` outcomes (generic, residual)."""
+        return self.run_generic(make_values), _run_with(
+            SymbolicInterpreter(self.program, typeinfo=self.typeinfo),
+            self.entry_name, self.residual_names, make_values)
+
+    def finding(self, rule, message, **context):
+        return [_finding(rule, self.entry_name, message, **context)]
+
+    def verify(self):
+        """The protocol: the symbolic pair; each hostile probe, both
+        programs then the fused entry; the entry-only probes.  Returns
+        the findings of the first step that has any."""
+        name = self.name
+        if self.template is not None and 4 * len(self.template) != self.size:
+            return self.finding(
+                "verify-internal",
+                f"{self.message} template is {4 * len(self.template)}"
+                f" bytes, expected {self.size}")
+        generic, residual = self.run_pair(self.world)
+        if generic.status != "ok" or is_sym(generic.value) or (
+                self.oracle_answers and not self.answers(generic.value)):
+            return self.finding(
+                "verify-internal",
+                f"generic {name} oracle refused the in-domain"
+                f" {self.message}: {generic.error or generic.value!r}")
+        if residual.status == "undecidable":
+            return self.finding(
+                "residual-undecidable",
+                f"{name} has data-dependent control flow the verifier"
+                f" cannot decide: {residual.error}")
+        if residual.status == "error":
+            return self.finding(
+                "residual-bounds",
+                f"{name} faulted on the declared domain: {residual.error}")
+        if not self.answers(residual.value):
+            return self.finding(
+                "residual-domain-reject",
+                f"{name} declines its own declared domain"
+                f" (returns {render(residual.value)})")
+        findings = self.compare(generic, residual)
+        if findings:
+            return findings
+
+        for label, probe in self.hostile():
+            generic, residual = self.run_pair(
+                lambda interp: self.world(interp, probe))
+            findings = []
+            if residual.status != "ok":
+                if not self.faults_decline:
+                    return self.finding(
+                        "residual-bounds",
+                        f"{name} faulted on hostile input ({label}):"
+                        f" {residual.error}", probe=label)
+            elif self.answers(residual.value):
+                if generic.status != "ok" or generic.value != residual.value:
+                    return self.finding(
+                        "residual-accepts-bad-input",
+                        f"{name} answers a {self.message} the generic"
+                        f" program refuses or answers otherwise"
+                        f" ({label})", probe=label)
+                findings = self.compare(generic, residual, label)
+            findings += self.gate(label, probe, lambda: self.output(generic))
+            if findings:
+                return findings
+
+        for label, probe, asked in self.entry_only():
+            findings = self.gate(label, probe, (
+                lambda: self.output(self.run_generic(
+                    lambda interp: self.world(interp, probe))))
+                if asked else None)
+            if findings:
+                return findings
+        return []
+
+    def gate(self, label, probe, oracle=None):
+        """The entry gate for one concrete probe: the fused entry's
+        answer to it (None: it declined) against ``oracle()``, what the
+        generic program answers (None: it refuses).  Only the
+        ``in-domain`` probe must be served; an answer must be the
+        oracle's.  A probe with no oracle is of a length the residual
+        was not proved on: the entry's guard must decline it, whatever
+        the residual would have made of it."""
+        answer = self.entry(probe)
+        rule = "lowering-divergence"
+        if answer is None:
+            if label != "in-domain":
+                return []
+            what = "the entry declines the message it was built for"
+        elif oracle is None:
+            rule = "guard-domain"
+            what = "the entry serves a length outside its guard domain"
+        else:
+            expected = oracle()
+            if answer == expected:
+                return []
+            what = ("the entry answers a message the generic program"
+                    " refuses" if expected is None else
+                    "the entry's answer differs from the generic program's")
+        return self.finding(rule, f"{what} ({label})", probe=label)
+
+    def output(self, run):
+        """The bytes a concrete generic run produced, None when it
+        refused."""
+        if run.status != "ok" or not self.answers(run.value):
+            return None
+        return bytes(run.out.sym_bytes()[:run.value])
+
+    def compare(self, generic, residual, label=None):
+        """The message bytes, the return value their length: on the
+        symbolic pair (no ``label``) the lengths first."""
+        name = self.name
+        if label is None:
+            if is_sym(residual.value):
+                return self.finding(
+                    "residual-divergence",
+                    f"{name} output length is data-dependent:"
+                    f" {render(residual.value)}")
+            if residual.value != generic.value or self.declared not in (
+                    None, generic.value):
+                declared = ("" if self.declared is None
+                            else f" declared={self.declared}")
+                return self.finding(
+                    "residual-divergence",
+                    f"{name} length diverges: generic={generic.value}"
+                    f" residual={residual.value}{declared}")
+        findings = []
+        _compare_buffers(self.entry_name,
+                         name if label is None else f"{name}[{label}]",
+                         generic.out, residual.out, generic.value, findings)
         return findings
 
-    findings.extend(_verify_marshal(pipeline, spec, want_request))
-    findings.extend(_verify_recv(pipeline, spec, want_reply))
-    return findings
+    def hostile(self):
+        return []
+
+    def _base(self):
+        """The concrete in-domain message, with the codec's probe xid."""
+        return [self.XID] + _concrete_words(self.template)[1:]
 
 
-def _verify_marshal(pipeline, spec, want_request):
-    findings = []
-    sig = spec.proc.marshal
-    harness = _Harness(pipeline, spec.marshal_result, sig.name,
-                       spec._marshal_module)
-    var_fields = tuple(spec.arg_struct.bounds)
-    entry = spec.marshal_result.entry_name
-    xid = sym("xid")
+class _Marshal(_Codec):
+    name, message = "marshal", "request"
+    oracle_answers = False
 
-    def make_values(interp, lens=None):
+    def __init__(self, pipeline, spec):
+        super().__init__(pipeline, spec.marshal_result, spec.proc.marshal,
+                         spec._marshal_module)
+        self.spec = spec
+        self.declared = spec.expected_request
+
+    @staticmethod
+    def answers(value):
+        return is_sym(value) or value != 0
+
+    def world(self, interp, lens=None):
         """The symbolic world, or (``lens`` given) a concrete one whose
         bounded arrays hold ``lens`` elements; the argument struct
         rides in the result slot."""
+        spec = self.spec
         out = interp.make_sym_buffer(spec.bufsize, name="out")
         clnt = interp.make_struct("CLIENT")
-        clnt.field("cl_prog").value = pipeline.prog_number
-        clnt.field("cl_vers").value = pipeline.vers_number
+        clnt.field("cl_prog").value = self.pipeline.prog_number
+        clnt.field("cl_vers").value = self.pipeline.vers_number
         args = interp.make_struct(spec.arg_struct.name)
         concrete = lens is not None
-        _fill_symbolic(args, var_fields, lens if concrete else spec._arg_lens,
-                       "arg", _probe_values() if concrete else _sym_value)
-        return sig.bind({
+        _fill_symbolic(args, tuple(spec.arg_struct.bounds),
+                       lens if concrete else spec._arg_lens, "arg",
+                       _probe_values() if concrete else _sym_value)
+        return self.sig.bind({
             "client": interp.ptr_to(clnt),
-            "xid": _PROBE_XID if concrete else xid,
+            "xid": _PROBE_XID if concrete else sym("xid"),
             "args": interp.ptr_to(args),
             "outbuf": rv.BufPtr(out, 0, 1, True),
             "outsize": spec.bufsize,
         }, spec.proc.lens(spec._arg_lens, {}), int), out, args
 
-    generic, residual = harness.run_pair(make_values)
-    if generic.status != "ok" or is_sym(generic.value):
-        findings.append(_finding(
-            "verify-internal", entry,
-            f"generic marshal oracle failed: {generic.error or generic.value!r}",
-        ))
-        return findings
-    if residual.status == "undecidable":
-        findings.append(_finding(
-            "residual-undecidable", entry,
-            f"marshal has data-dependent control flow the verifier cannot"
-            f" decide: {residual.error}",
-        ))
-        return findings
-    if residual.status == "error":
-        findings.append(_finding(
-            "residual-bounds", entry,
-            f"marshal faulted on the declared domain: {residual.error}",
-        ))
-        return findings
-    if is_sym(residual.value):
-        findings.append(_finding(
-            "residual-divergence", entry,
-            f"marshal output length is data-dependent:"
-            f" {render(residual.value)}",
-        ))
-        return findings
-    if residual.value == 0:
-        findings.append(_finding(
-            "residual-domain-reject", entry,
-            "marshal declines its own declared domain (returns 0)",
-        ))
-        return findings
-    if residual.value != generic.value or generic.value != want_request:
-        findings.append(_finding(
-            "residual-divergence", entry,
-            f"marshal length diverges: generic={generic.value}"
-            f" residual={residual.value} declared={want_request}",
-        ))
-        return findings
-    _compare_buffers(entry, "marshal", generic.out, residual.out,
-                     want_request, findings)
-    if findings:
-        return findings
+    def entry(self, lens):
+        # the arguments as the generic program, built on the capacity
+        # it declares (the residual's arrays are narrowed), holds them
+        args = self.world(SymbolicInterpreter(
+            self.generic_program, typeinfo=self.generic_typeinfo), lens)[2]
+        return self.spec.build_request(
+            _PROBE_XID + _XID_EXCESS, _python_value(self.spec.arg_struct,
+                                                    args))
 
-    # The entry gate, on concrete arguments of the assumed lengths —
-    # the oracle is the generic program, built on the capacity it
-    # declares (the residual's arrays are narrowed) — and of their
-    # neighbours, which the entry must decline.
-    def built(lens):
-        args = make_values(SymbolicInterpreter(
-            harness.generic_program, typeinfo=harness.generic_typeinfo,
-        ), lens)[2]
-        return spec.build_request(_PROBE_XID + _XID_EXCESS,
-                                  _python_value(spec.arg_struct, args))
-
-    findings.extend(harness.entry_findings(
-        "in-domain", built(spec._arg_lens),
-        lambda: _output(harness.run_generic(
-            lambda interp: make_values(interp, spec._arg_lens)))))
-    for label, lens in _off_profile_lens(spec.arg_struct, spec._arg_lens):
-        if findings:
-            break
-        findings.extend(harness.entry_findings(label, built(lens)))
-    return findings
+    def entry_only(self):
+        spec = self.spec
+        return [("in-domain", spec._arg_lens, True)] + [
+            (label, lens, False) for label, lens in _off_profile_lens(
+                spec.arg_struct, spec._arg_lens)]
 
 
 def _reply_template(spec, xid, lens=None):
@@ -540,157 +597,70 @@ def _reply_template(spec, xid, lens=None):
                      spec._res_lens if lens is None else lens, "res")
 
 
-def _verify_recv(pipeline, spec, want_reply):
-    findings = []
-    sig = spec.proc.recv
-    harness = _Harness(pipeline, spec.recv_result, sig.name,
-                       spec._recv_module)
-    entry = spec.recv_result.entry_name
-    xid = sym("xid")
-    words = _reply_template(spec, xid)
-    if 4 * len(words) != want_reply:
-        findings.append(_finding(
-            "verify-internal", entry,
-            f"reply template is {4 * len(words)} bytes, expected"
-            f" {want_reply}",
-        ))
-        return findings
+class _Recv(_Codec):
+    name, message = "recv", "reply"
+    #: the xid of the concrete replies
+    XID = 0x7F03AB01
 
-    def make_values(interp, template=words, pxid=xid):
-        buf = _words_to_buffer(interp, template, "in")
-        resp = interp.make_struct(spec.ret_struct.name)
-        return sig.bind({
+    def __init__(self, pipeline, spec):
+        super().__init__(pipeline, spec.recv_result, spec.proc.recv,
+                         spec._recv_module)
+        self.spec = spec
+        self.template = _reply_template(spec, sym("xid"))
+        self.size = spec.expected_reply
+
+    @staticmethod
+    def answers(value):
+        return value == 1
+
+    def world(self, interp, probe=None):
+        words, xid = (self.template, sym("xid")) if probe is None else probe
+        buf = _words_to_buffer(interp, words, "in")
+        resp = interp.make_struct(self.spec.ret_struct.name)
+        return self.sig.bind({
             "inbuf": rv.BufPtr(buf, 0, 1, True),
-            "inlen": 4 * len(template),
-            "xid": pxid,
+            "inlen": 4 * len(words),
+            "xid": xid,
             "result": interp.ptr_to(resp),
-        }, spec.proc.lens({}, spec._res_lens), int), buf, resp
+        }, self.spec.proc.lens({}, self.spec._res_lens), int), buf, resp
 
-    generic, residual = harness.run_pair(make_values)
-    if generic.status != "ok" or generic.value != 1:
-        findings.append(_finding(
-            "verify-internal", entry,
-            f"generic recv oracle rejected the in-domain reply:"
-            f" {generic.error or generic.value!r}",
-        ))
-        return findings
-    if residual.status == "undecidable":
-        findings.append(_finding(
-            "residual-undecidable", entry,
-            f"recv has data-dependent control flow the verifier cannot"
-            f" decide: {residual.error}",
-        ))
-        return findings
-    if residual.status == "error":
-        findings.append(_finding(
-            "residual-bounds", entry,
-            f"recv faulted on the declared domain: {residual.error}",
-        ))
-        return findings
-    if residual.value != 1:
-        findings.append(_finding(
-            "residual-domain-reject", entry,
-            "recv declines its own declared domain (returns 0)",
-        ))
-        return findings
-    _struct_mismatches(entry, "res", generic.resp, residual.resp, findings)
-    if findings:
+    def compare(self, generic, residual, label=None):
+        findings = []
+        _struct_mismatches(self.entry_name,
+                           "res" if label is None else f"res[{label}]",
+                           generic.resp, residual.resp, findings)
         return findings
 
-    def decoded(run):
-        """What a concrete generic run decoded, None when it refused."""
+    def output(self, run):
         if run.status != "ok" or run.value != 1:
             return None
-        return _python_value(spec.ret_struct, run.resp)
+        return _python_value(self.spec.ret_struct, run.resp)
 
-    def gate(label, template, pxid, generic=None):
-        """The entry gate on one concrete reply, ``generic`` the
-        generic program's run on it (none: an off-profile length)."""
-        return harness.entry_findings(
-            label,
-            _plain_stub(spec.decode_reply(_message(template),
-                                          pxid + _XID_EXCESS)),
-            None if generic is None else lambda: decoded(generic))
+    def entry(self, probe):
+        words, xid = probe
+        return _plain_stub(self.spec.decode_reply(_message(words),
+                                                  xid + _XID_EXCESS))
 
-    # Hostile-input probes: concrete corrupted replies.  The residual
-    # may decline anything; it must never accept what generic rejects,
-    # and when both accept the decode must agree.
-    probes = _recv_probes(spec, words)
-    for label, probe_words, probe_xid in probes:
-        generic, residual = harness.run_pair(
-            lambda interp: make_values(interp, probe_words, probe_xid))
-        if residual.status in ("error", "undecidable"):
-            findings.append(_finding(
-                "residual-bounds", entry,
-                f"recv faulted on hostile input ({label}):"
-                f" {residual.error}",
-                probe=label,
-            ))
-            return findings
-        if residual.value == 1:
-            if generic.status != "ok" or generic.value != 1:
-                findings.append(_finding(
-                    "residual-accepts-bad-input", entry,
-                    f"recv accepts a reply the generic decoder rejects"
-                    f" ({label})",
-                    probe=label,
-                ))
-                return findings
-            _struct_mismatches(entry, f"res[{label}]", generic.resp,
-                               residual.resp, findings)
-        findings.extend(gate(label, probe_words, probe_xid, generic))
-        if findings:
-            return findings
+    def hostile(self):
+        """The in-domain reply and its corruptions, each with the xid
+        the caller expects."""
+        base, xid = self._base(), self.XID
+        return [
+            ("in-domain", (list(base), xid)),
+            ("wrong-mtype", (_patched(base, 1, 0), xid)),
+            ("denied-reply", (_patched(base, 2, 1), xid)),
+            ("garbage-args-stat", (_patched(base, 5, 4), xid)),
+            ("stale-xid", (list(base), (xid + 1) & 0xFFFFFFFF)),
+        ] + [(label, (words, xid)) for label, words in _length_corruptions(
+            base, REPLY_HEADER_WORDS, self.spec.ret_struct,
+            self.spec._res_lens, True)]
 
-    # Off-profile lengths: the residual program assumes ``inlen``, so
-    # only the entry — its guard — is asked.
-    _label, base, probe_xid = probes[0]
-    for label, template in _off_profile_messages(
-            spec.ret_struct, spec._res_lens, base,
-            lambda lens: _reply_template(spec, probe_xid, lens)):
-        findings.extend(gate(label, template, probe_xid))
-        if findings:
-            return findings
-    return findings
-
-
-def _recv_probes(spec, template):
-    """(label, words, xid) triples of corrupted concrete replies."""
-    base = _concrete_words(template)
-    xid = 0x7F03AB01
-    base[0] = xid
-    probes = [
-        ("in-domain", list(base), xid),
-        ("wrong-mtype", _patched(base, 1, 0), xid),
-        ("denied-reply", _patched(base, 2, 1), xid),
-        ("garbage-args-stat", _patched(base, 5, 4), xid),
-        ("stale-xid", list(base), (xid + 1) & 0xFFFFFFFF),
-    ]
-    for index, (field, bound, count) in _len_words(
-            REPLY_HEADER_WORDS, spec.ret_struct, spec._res_lens):
-        probes.append((
-            f"len-{field}-over-bound", _patched(base, index, bound + 1),
-            xid,
-        ))
-        probes.append((
-            f"len-{field}-negative", _patched(base, index, 0xFFFFFFFF),
-            xid,
-        ))
-        if count > 0:
-            probes.append((
-                f"len-{field}-short", _patched(base, index, count - 1),
-                xid,
-            ))
-    return probes
-
-
-def _patched(words, index, value):
-    out = list(words)
-    out[index] = value
-    return out
-
-
-# -- the server verifier --------------------------------------------------
+    def entry_only(self):
+        spec = self.spec
+        return [(label, (words, self.XID), False)
+                for label, words in _off_profile_messages(
+                    spec.ret_struct, spec._res_lens, self._base(),
+                    lambda lens: _reply_template(spec, self.XID, lens))]
 
 
 def _call_template(pipeline, proc, arg_lens, xid):
@@ -700,145 +670,102 @@ def _call_template(pipeline, proc, arg_lens, xid):
     ], proc.arg, arg_lens, "arg")
 
 
+class _Dispatch(_Codec):
+    """Server semantics differ from the client in one way: the fused
+    entry treats *any* residual exception as a decline and the generic
+    body answers, so a residual fault on hostile input is safe — only
+    answering with bytes that diverge from the generic dispatcher is an
+    error."""
+
+    name, message = "dispatch", "call"
+    faults_decline = True
+    #: the xid of the concrete calls
+    XID = 0x7F03AB02
+
+    def __init__(self, pipeline, result, proc, arg_lens, res_lens, bufsize,
+                 module):
+        super().__init__(pipeline, result, pipeline._version.process,
+                         module)
+        self.proc, self.module = proc, module
+        self.arg_lens, self.res_lens = arg_lens, res_lens
+        self.bufsize = bufsize
+        self.template = _call_template(pipeline, proc, arg_lens, sym("xid"))
+        self.size = proc.request_size(arg_lens)
+
+    @staticmethod
+    def answers(value):
+        return not is_sym(value) and value != 0
+
+    def world(self, interp, words=None):
+        words = self.template if words is None else words
+        buf = _words_to_buffer(interp, words, "in")
+        out = interp.make_sym_buffer(self.bufsize, name="out")
+        return self.sig.bind({
+            "inbuf": rv.BufPtr(buf, 0, 1, True),
+            "inlen": 4 * len(words),
+            "outbuf": rv.BufPtr(out, 0, 1, True),
+            "outsize": self.bufsize,
+        }, self.proc.lens(self.arg_lens, self.res_lens), int), out, None
+
+    def entry(self, words):
+        return self.module.entry(_message(words))
+
+    def hostile(self):
+        base, proc = self._base(), self.proc
+        return [
+            ("in-domain", list(base)),
+            ("wrong-mtype", _patched(base, 1, 1)),
+            ("wrong-rpcvers", _patched(base, 2, 3)),
+            ("wrong-prog", _patched(base, 3, self.pipeline.prog_number + 1)),
+            ("wrong-proc", _patched(base, 5, proc.number + 1)),
+        ] + _length_corruptions(base, CALL_HEADER_WORDS, proc.arg,
+                                self.arg_lens, False)
+
+    def entry_only(self):
+        return [(label, words, False) for label, words in
+                _off_profile_messages(
+                    self.proc.arg, self.arg_lens, self._base(),
+                    lambda lens: _call_template(self.pipeline, self.proc,
+                                                lens, self.XID))]
+
+
+# -- the entry points -----------------------------------------------------
+
+
+def verify_client_spec(pipeline, spec):
+    """Verify one :class:`ClientSpecialization`.  Returns findings
+    (empty list == verified)."""
+    findings = []
+    # Guard-domain conformance: the declared fast-path sizes must equal
+    # the contract's wire arithmetic, recomputed here from the lengths.
+    want_request = spec.proc.request_size(spec._arg_lens)
+    want_reply = spec.proc.reply_size(spec._res_lens)
+    if spec.expected_request != want_request:
+        findings.append(_finding(
+            "guard-domain", spec.marshal_result.entry_name,
+            f"declared request guard {spec.expected_request} !="
+            f" computed {want_request}",
+        ))
+    if spec.expected_reply != want_reply:
+        findings.append(_finding(
+            "guard-domain", spec.recv_result.entry_name,
+            f"declared reply guard {spec.expected_reply} !="
+            f" computed {want_reply}",
+        ))
+    if findings:
+        return findings
+    return (_Marshal(pipeline, spec).verify()
+            + _Recv(pipeline, spec).verify())
+
+
 def verify_server_residual(pipeline, result, proc, arg_lens, res_lens,
                            bufsize, module=None):
     """Verify one residual server dispatcher.  Returns findings.
-    ``module`` is the dispatcher's compiled form, when there is one:
-    the program it was compiled from is the one interpreted, and its
-    fused entry is held to the entry gate.
-
-    Server semantics differ from the client in one way: the fused entry
-    treats *any* residual exception as a decline and the generic body
-    answers, so a residual fault on hostile input is safe — only
-    accepting with bytes that diverge from the generic dispatcher is an
-    error.  On the declared domain the residual must still answer (no
-    decline) with the generic bytes.
-    """
-    findings = []
-    entry = result.entry_name
-    want_request = proc.request_size(arg_lens)
-
-    sig = pipeline._version.process
-    harness = _Harness(pipeline, result, sig.name, module)
-
-    words = _call_template(pipeline, proc, arg_lens, sym("xid"))
-    if 4 * len(words) != want_request:
-        findings.append(_finding(
-            "verify-internal", entry,
-            f"call template is {4 * len(words)} bytes, expected"
-            f" {want_request}",
-        ))
-        return findings
-
-    def make_values(interp, template=words):
-        buf = _words_to_buffer(interp, template, "in")
-        out = interp.make_sym_buffer(bufsize, name="out")
-        return sig.bind({
-            "inbuf": rv.BufPtr(buf, 0, 1, True),
-            "inlen": 4 * len(template),
-            "outbuf": rv.BufPtr(out, 0, 1, True),
-            "outsize": bufsize,
-        }, proc.lens(arg_lens, res_lens), int), out, None
-
-    generic, residual = harness.run_pair(make_values)
-    if generic.status != "ok" or is_sym(generic.value) \
-            or generic.value == 0:
-        findings.append(_finding(
-            "verify-internal", entry,
-            f"generic dispatch oracle failed on the in-domain call:"
-            f" {generic.error or generic.value!r}",
-        ))
-        return findings
-    if residual.status == "undecidable":
-        findings.append(_finding(
-            "residual-undecidable", entry,
-            f"dispatch has control flow the verifier cannot decide:"
-            f" {residual.error}",
-        ))
-        return findings
-    if residual.status == "error":
-        findings.append(_finding(
-            "residual-bounds", entry,
-            f"dispatch faulted on the declared domain: {residual.error}",
-        ))
-        return findings
-    if is_sym(residual.value) or residual.value == 0:
-        findings.append(_finding(
-            "residual-domain-reject", entry,
-            "dispatch declines its own declared domain",
-        ))
-        return findings
-    if residual.value != generic.value:
-        findings.append(_finding(
-            "residual-divergence", entry,
-            f"dispatch reply length diverges: generic={generic.value}"
-            f" residual={residual.value}",
-        ))
-        return findings
-    _compare_buffers(entry, "dispatch", generic.out, residual.out,
-                     generic.value, findings)
-    if findings:
-        return findings
-
-    def gate(label, template, generic=None):
-        """The entry gate on one concrete call, ``generic`` the generic
-        program's run on it (none: an off-profile length)."""
-        if module is None:
-            return []
-        return harness.entry_findings(
-            label, module.entry(_message(template)),
-            None if generic is None else lambda: _output(generic))
-
-    # Hostile probes: residual may decline or fault (the entry treats
-    # both as fallback) but must not answer with divergent bytes.
-    probes = _server_probes(pipeline, arg_lens, proc, words)
-    for label, probe in probes:
-        generic, residual = harness.run_pair(
-            lambda interp: make_values(interp, probe))
-        # a decline or fault is the generic fallback's to handle
-        if residual.status == "ok" and residual.value != 0:
-            if generic.status != "ok" or generic.value != residual.value:
-                findings.append(_finding(
-                    "residual-accepts-bad-input", entry,
-                    f"dispatch answers a call the generic dispatcher"
-                    f" handles differently ({label})",
-                    probe=label,
-                ))
-                return findings
-            _compare_buffers(entry, f"dispatch[{label}]", generic.out,
-                             residual.out, generic.value, findings)
-        findings.extend(gate(label, probe, generic))
-        if findings:
-            return findings
-
-    # Off-profile lengths: the residual program assumes ``inlen``, so
-    # only the entry — its guard — is asked.
-    base = probes[0][1]
-    for label, template in _off_profile_messages(
-            proc.arg, arg_lens, base,
-            lambda lens: _call_template(pipeline, proc, lens, base[0])):
-        findings.extend(gate(label, template))
-        if findings:
-            return findings
-    return findings
-
-
-def _server_probes(pipeline, arg_lens, proc, template):
-    base = _concrete_words(template)
-    base[0] = 0x7F03AB02
-    probes = [
-        ("in-domain", list(base)),
-        ("wrong-mtype", _patched(base, 1, 1)),
-        ("wrong-rpcvers", _patched(base, 2, 3)),
-        ("wrong-prog", _patched(base, 3, pipeline.prog_number + 1)),
-        ("wrong-proc", _patched(base, 5, proc.number + 1)),
-    ]
-    for index, (field, bound, _count) in _len_words(
-            CALL_HEADER_WORDS, proc.arg, arg_lens):
-        probes.append((
-            f"len-{field}-over-bound", _patched(base, index, bound + 1)
-        ))
-        probes.append((
-            f"len-{field}-negative", _patched(base, index, 0xFFFFFFFF)
-        ))
-    return probes
+    ``module`` is its compiled form, the one that serves; given none,
+    it is compiled by the build's own recipe,
+    ``pipeline.compile_server``.  The program it was compiled from is
+    the one interpreted, and its fused entry is held to the gate."""
+    if module is None:
+        module = pipeline.compile_server(result, proc, arg_lens, res_lens)
+    return _Dispatch(pipeline, result, proc, arg_lens, res_lens, bufsize,
+                     module).verify()

@@ -32,6 +32,7 @@ from repro.minic import builtins
 from repro.minic import cost
 from repro.minic import types as ct
 from repro.minic import values as rv
+from repro.minic.pyruntime import c_div, c_mod
 from repro.minic.typecheck import typecheck_program
 
 _MAX_STEPS_DEFAULT = 50_000_000
@@ -67,26 +68,10 @@ def _address_taken_names(func):
 
 # -- C integer operators --------------------------------------------------
 
-
-def _c_div(left, right):
-    if right == 0:
-        raise InterpError("division by zero")
-    value = abs(left) // abs(right)
-    return -value if (left < 0) != (right < 0) else value
-
-
-def _c_mod(left, right):
-    if right == 0:
-        raise InterpError("modulo by zero")
-    quotient = abs(left) // abs(right)
-    if (left < 0) != (right < 0):
-        quotient = -quotient
-    return left - quotient * right
-
-
+#: ``/`` and ``%`` truncate toward zero, as compiled code does
 _ARITH = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": _c_div, "%": _c_mod,
+    "/": c_div, "%": c_mod,
     "&": operator.and_, "|": operator.or_, "^": operator.xor,
     "<<": lambda left, right: left << (right & 31),
 }

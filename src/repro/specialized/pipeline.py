@@ -376,37 +376,28 @@ class SpecializationPipeline:
             return raw not in ("0", "no", "off", "false")
         return True if self.verify is None else bool(self.verify)
 
-    def _count_verify(self, kind, findings):
-        if not _obs.enabled:
-            return
-        if findings:
-            _obs.registry.counter(
-                "rpc.spec.verify.fail", kind=kind,
-                reason=findings[0].rule,
-            ).inc()
-        else:
-            _obs.registry.counter("rpc.spec.verify.pass", kind=kind).inc()
+    def _gate(self, kind, what, findings_of):
+        """The install gate of a build, for the cache's ``check=``, or
+        None when verification is off: ``findings_of(verify, built)``
+        runs :mod:`repro.analysis.verify` on it; the verdict is counted
+        and any finding refuses the build."""
+        if not self.verify_enabled():
+            return None
 
-    def _client_check(self, spec):
-        from repro.analysis.verify import ensure_verified, verify_client_spec
+        def check(built):
+            from repro.analysis import verify
 
-        findings = verify_client_spec(self, spec)
-        self._count_verify("client", findings)
-        ensure_verified(findings, f"client codec {spec.proc.name}")
-
-    def _server_check(self, result, proc, arg_lens, res_lens, bufsize,
-                      module):
-        from repro.analysis.verify import (
-            ensure_verified,
-            verify_server_residual,
-        )
-
-        findings = verify_server_residual(
-            self, ResidualCodec.from_result(result), proc, arg_lens,
-            res_lens, bufsize, module=module,
-        )
-        self._count_verify("server", findings)
-        ensure_verified(findings, f"server dispatcher for {proc.name}")
+            findings = findings_of(verify, built)
+            if _obs.enabled:
+                if findings:
+                    _obs.registry.counter(
+                        "rpc.spec.verify.fail", kind=kind,
+                        reason=findings[0].rule).inc()
+                else:
+                    _obs.registry.counter(
+                        "rpc.spec.verify.pass", kind=kind).inc()
+            verify.ensure_verified(findings, what)
+        return check
 
     def _invariants(self, kind, proc_name, arg_lens, res_lens, bufsize):
         """``(procedure, arg_lens, res_lens, cache key)`` of one
@@ -469,10 +460,31 @@ class SpecializationPipeline:
                 ResidualCodec.from_result(spec.recv_result),
             ),
             load=lambda payload: built(*payload),
-            check=self._client_check if self.verify_enabled() else None,
+            check=self._gate(
+                "client", f"client codec {proc.name}",
+                lambda verify, spec: verify.verify_client_spec(self, spec)),
         )
 
     # -- server -------------------------------------------------------------
+
+    def compile_server(self, result, proc, arg_lens, res_lens):
+        """The compiled form of a residual dispatcher: ``result``'s
+        program with its arrays narrowed to the assumed lengths,
+        compiled with its fused entry.  The one recipe — for a build,
+        a disk revival and a verifier handed only the residual."""
+        # one array per struct field: where the argument and the result
+        # share a type, the longer of the two assumed lengths
+        capacities = {proc.arg.name: arg_lens, proc.ret.name: res_lens}
+        if proc.arg is proc.ret:
+            capacities[proc.arg.name] = {
+                field: max(length, res_lens[field])
+                for field, length in arg_lens.items()}
+        return compile_program(
+            narrow_arrays(result.program, capacities),
+            glue=lambda module: sr.dispatch_entry(
+                self._version.process, result, proc.request_size(arg_lens),
+                proc.reply_size(res_lens),
+                module.buffers[result.entry_name]))
 
     def specialize_server(self, hot_proc, arg_lens=None, res_lens=None,
                           bufsize=8800, fallback=None):
@@ -487,23 +499,12 @@ class SpecializationPipeline:
         proc, arg_lens, res_lens, key = self._invariants(
             "server", hot_proc, arg_lens, res_lens, bufsize)
         expected_request = proc.request_size(arg_lens)
-        expected_reply = proc.reply_size(res_lens)
-        # one array per struct field: where the argument and the result
-        # share a type, the longer of the two assumed lengths
-        capacities = {proc.arg.name: arg_lens, proc.ret.name: res_lens}
-        if proc.arg is proc.ret:
-            capacities[proc.arg.name] = {
-                field: max(length, res_lens[field])
-                for field, length in arg_lens.items()}
 
         def compiled(result):
             # compiled once: the module the gate passes is the one
             # that serves
-            return result, compile_program(
-                narrow_arrays(result.program, capacities),
-                glue=lambda module: sr.dispatch_entry(
-                    self._version.process, result, expected_request,
-                    expected_reply, module.buffers[result.entry_name]))
+            return result, self.compile_server(result, proc, arg_lens,
+                                               res_lens)
 
         # The residual program and its compiled module are cached; the
         # wrapper is rebuilt per call because it carries per-instance
@@ -520,9 +521,11 @@ class SpecializationPipeline:
                 inlen=Known(expected_request))),
             dump=lambda built: ResidualCodec.from_result(built[0]),
             load=compiled,
-            check=(lambda built: self._server_check(
-                built[0], proc, arg_lens, res_lens, bufsize, built[1])
-            ) if self.verify_enabled() else None,
+            check=self._gate(
+                "server", f"server dispatcher for {proc.name}",
+                lambda verify, built: verify.verify_server_residual(
+                    self, built[0], proc, arg_lens, res_lens, bufsize,
+                    module=built[1])),
         )
         return ServerSpecialization(
             self, handle_result, bufsize, proc, expected_request, module,

@@ -506,6 +506,28 @@ class TestFusedEntryMutants:
             findings = verify_client_spec(xfer_pipeline, bad)
         assert [f.rule for f in findings] == [rule]
 
+    def test_a_residual_handed_over_alone_is_gated(
+            self, xfer_pipeline, xfer_server, monkeypatch):
+        # with no compiled form given, the verifier compiles the
+        # residual by the build's own recipe and gates that entry —
+        # as ``python -m repro.analysis verify`` once did not
+        from repro.specialized import runtime
+
+        real = runtime.dispatch_entry
+
+        def sabotaged(*args):
+            source = real(*args)
+            assert "return bytes(out)" in source
+            return source.replace("return bytes(out)",
+                                  "return bytes(out[:-4])")
+
+        monkeypatch.setattr(runtime, "dispatch_entry", sabotaged)
+        findings = verify_server_residual(
+            xfer_pipeline, xfer_server.result,
+            xfer_pipeline.find_proc("SENDRECV"), {"vals": VALS_LEN},
+            {"vals": VALS_LEN}, xfer_server.bufsize)
+        assert [f.rule for f in findings] == ["lowering-divergence"]
+
 
 def prepended(source):
     """The codec's entry function opens with the MiniC ``source``."""

@@ -55,6 +55,17 @@ class TestGuards:
         rules = [f.rule for f in verify_client_spec(xfer_pipeline, spec)]
         assert rules == ["guard-domain"]
 
+    def test_a_request_larger_than_its_buffer_is_a_domain_reject(
+            self, xfer_pipeline):
+        # the generic marshal declines a request that does not fit
+        # ``outsize``, and so does the residual: the finding is the
+        # residual's declined domain, not a broken oracle
+        spec = xfer_pipeline.specialize_client(
+            "SENDRECV", arg_lens={"vals": 8}, res_lens={"vals": 8},
+            bufsize=40)
+        rules = [f.rule for f in verify_client_spec(xfer_pipeline, spec)]
+        assert rules == ["residual-domain-reject"]
+
     def test_no_length_cap_a_thousand_elements_verify(self):
         # there is no unroll cap to conform to: the rolled residual at
         # n=1000 is the n=8 residual up to literals, and verifies clean

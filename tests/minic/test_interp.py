@@ -33,6 +33,11 @@ class TestArithmetic:
         with pytest.raises(InterpError, match="zero"):
             run("int f(int a) { return a / 0; }", "f", 1)
 
+    def test_modulo_by_zero_is_the_compiled_codes_error(self):
+        # one rule for ``/`` and ``%``: repro.minic.pyruntime's
+        with pytest.raises(InterpError, match="^division by zero$"):
+            run("int f(int a) { return a % 0; }", "f", 1)
+
     def test_signed_overflow_wraps(self):
         src = "int f(int a) { return a + 1; }"
         assert run(src, "f", 0x7FFFFFFF) == -0x80000000
