@@ -632,7 +632,7 @@ class _Recv(_Codec):
         return findings
 
     def output(self, run):
-        if run.status != "ok" or run.value != 1:
+        if run.status != "ok" or not self.answers(run.value):
             return None
         return _python_value(self.spec.ret_struct, run.resp)
 
