@@ -34,14 +34,19 @@ from repro.analysis.findings import Finding
 HOT_PREFIXES = ("repro/rpc/", "repro/specialized/", "repro/xdr/")
 
 #: module -> the functions every request (server) or call (client)
-#: runs through; ``body`` is the staged route's.
+#: runs through; ``body`` is the staged route's, ``serve_inline`` the
+#: core's staged per-request path, ``call`` a lone call's whole path.
 CALL_PATH = {
     "repro/rpc/server.py": {"dispatch_bytes", "_spine", "body"},
     "repro/rpc/drc.py": {"begin", "get", "put", "fold_drc"},
     "repro/rpc/fastpath.py": {"acquire"},
+    "repro/rpc/svc_core.py": {"serve_inline", "_enqueue", "_serve"},
     "repro/rpc/svc_udp.py": {"handle_once"},
     "repro/rpc/svc_mux.py": {"serve_forever", "_read_conn"},
-    "repro/rpc/clnt_core.py": {"_start", "_launch", "_step", "_send_group",
+    "repro/rpc/resilience.py": {"submit", "admit"},
+    "repro/rpc/overload.py": {"pop"},
+    "repro/rpc/clnt_core.py": {"call", "_handover", "_start", "_launch",
+                               "_step", "_send_group", "_arm",
                                "_complete_batch", "_finish_call"},
     "repro/specialized/pipeline.py": {"_body"},
     "repro/specialized/online.py": {"record", "__call__", "build_request",

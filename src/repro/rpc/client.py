@@ -138,6 +138,8 @@ class RpcClient:
         if codec is not None:
             return codec[0](xid, args)
         if self.fastpath_enabled:
+            if xdr_args is None:  # no arguments: the header is the call
+                return self._template_for(proc).message(xid)
             buffer, length = self.build_call_pooled(xid, proc, args,
                                                     xdr_args)
             try:
@@ -224,11 +226,10 @@ class RpcClient:
         if self.fastpath_enabled and _ACCEPTED_SUCCESS.matches(data):
             if struct.unpack_from(">I", data, 0)[0] != xid:
                 return False, None
-            stream = XdrMemStream(data, XdrOp.DECODE,
-                                  offset=_ACCEPTED_SUCCESS.size)
-            if xdr_res is not None:
-                return True, xdr_res(stream, None)
-            return True, None
+            if xdr_res is None:
+                return True, None
+            return True, xdr_res(XdrMemStream(
+                data, XdrOp.DECODE, offset=_ACCEPTED_SUCCESS.size), None)
         stream = XdrMemStream(data, XdrOp.DECODE)
         reply = decode_reply_header(stream)
         if reply.xid != xid:

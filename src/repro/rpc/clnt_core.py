@@ -7,17 +7,20 @@ back-off with jitter and cap, retry-budget gate, re-stamped deadline
 cred), reply classification, completion, :class:`CallStats` and the
 single obs fold, ``close()`` and fail-all.  A transport
 (:mod:`repro.rpc.clnt_udp`, :mod:`repro.rpc.clnt_tcp`) is a socket plus
-framing: it transmits a group of calls, receives messages, says
+framing: it transmits a group of requests, receives messages, says
 whether silence means *retransmit*, and reports connection death.
 
 **One step, one driver role.**  The engine has one step — flush queued
 sends, wait until the earliest timer, drain the socket, fire timers —
 and one *driver role*, a lock, so the socket has exactly one reader at
-any time.  A synchronous :meth:`CallEngine.call` that finds the role
-free takes it and steps on its own thread until its call resolves: no
-demux thread, no wake-up byte, no ``Condition`` round trip — and, while
-it is *lone* (:meth:`~CallEngine._lone`), no ``select``: it blocks in
-the receive under the socket's kernel timeout and settles on the reply.
+any time.  A synchronous :meth:`CallEngine.call` that finds the engine
+idle is *lone*: it holds its window slot with no :class:`PendingCall`,
+transmits once, blocks once in the receive under the socket's kernel
+timeout and settles on its reply — anything else hands it to the
+engine as the call it would hold after that send.  A call that finds
+the role free steps on its own thread until it resolves: no demux
+thread, no wake-up byte, no ``Condition`` round trip, and while it is
+lone (:meth:`~CallEngine._lone`) no ``select``.
 :meth:`~CallEngine.call_async` (a handle nobody is guaranteed
 to wait on) and a call that finds the role taken go through the
 *demux thread*, which starts lazily, picks up whatever an exiting
@@ -83,23 +86,22 @@ _XID = struct.Struct(">I").unpack_from
 
 
 class CallStats:
-    """Per-call retransmission telemetry."""
+    """Per-call retransmission telemetry.  The counters start as class
+    defaults: a call pays for a field only when it moves."""
 
-    __slots__ = ("proc", "attempts", "retransmissions", "backoff_schedule",
-                 "stale_replies", "garbage_datagrams", "elapsed_s")
+    #: messages sent for this call (1 == no retransmission)
+    attempts = 0
+    retransmissions = 0
+    #: well-formed replies bearing another call's xid
+    stale_replies = 0
+    #: replies under this call's xid that failed to decode
+    garbage_datagrams = 0
+    elapsed_s = 0.0
 
     def __init__(self, proc):
         self.proc = proc
-        #: messages sent for this call (1 == no retransmission)
-        self.attempts = 0
-        self.retransmissions = 0
         #: the receive window (seconds) granted to each attempt
         self.backoff_schedule = []
-        #: well-formed replies bearing another call's xid
-        self.stale_replies = 0
-        #: replies under this call's xid that failed to decode
-        self.garbage_datagrams = 0
-        self.elapsed_s = 0.0
 
     def as_dict(self):
         return {
@@ -268,14 +270,14 @@ class CallEngine(RpcClient):
     :func:`~repro.rpc.record.kernel_timeout` of :data:`IDLE_TICK_S`),
     the obs label ``_transport``, ``retransmits`` (does silence past a
     window mean *send again*?), ``_batch_limit`` (bytes one transmit
-    may carry), and four methods: ``_transmit(group)`` hands a group
-    of calls to the socket as one transmit and returns the bytes it
-    framed, ``_receive(flags)`` performs one read with ``flags``
-    (``MSG_DONTWAIT``, or 0: wait up to the kernel timeout) and
-    returns the complete messages it yielded (``None`` when nothing
-    arrived; raises :class:`~repro.errors.RpcProtocolError` on
-    connection death),
-    ``_pump()`` writes what ``_outbuf`` still holds, and
+    may carry), and four methods: ``_transmit(requests)`` hands the
+    request messages of a group to the socket as one transmit and
+    returns the bytes it framed, ``_receive(flags)`` performs one read
+    with ``flags`` (``MSG_DONTWAIT``, or 0: wait up to the kernel
+    timeout) and returns the complete messages it yielded (``None``
+    when nothing arrived; raises :class:`~repro.errors.RpcProtocolError`
+    on connection death), ``_pump()`` writes what ``_outbuf`` still
+    holds, and
     ``_close_socket()``.  The back-off schedule (``wait``,
     ``max_wait``, ``backoff``, ``jitter``, ``_jitter_rng``) and
     ``retry_budget`` are attributes a retransmitting transport's
@@ -370,7 +372,87 @@ class CallEngine(RpcClient):
         caps the whole call — admission, every retransmission window
         and the reply wait draw from it and exhaustion raises
         :class:`~repro.errors.RpcDeadlineExceeded` — on top of the
-        client's own ``timeout``."""
+        client's own ``timeout``.
+
+        With no deadline and no trace sink, a call that finds the
+        engine idle — window 1, the driver role free, an empty table,
+        no wake pair, no unsent bytes — is lone (see the module
+        docstring; :meth:`_handover` says when it stops being)."""
+        if not (deadline is None and self.max_inflight == 1
+                and self._wake_r is None and not self._outbuf
+                and not (_obs.enabled and _obs.tracer.sinks)
+                and self._driver.acquire(False)):
+            return self._call_engine(proc, args, xdr_args, xdr_res, deadline)
+        with self._lock:
+            if not self._pending and self._down is None:
+                xid = next(self._xids) & 0xFFFFFFFF
+                self._pending[xid] = None  # the lone call's window slot
+            else:
+                xid = None
+        if xid is None:
+            self._driver.release()
+            return self._call_engine(proc, args, xdr_args, xdr_res, deadline)
+        messages = error = None
+        settled = False
+        codec = self._codecs.get(proc)  # the residual, called directly
+        try:
+            try:
+                request = (self.build_call(xid, proc, args, xdr_args)
+                           if codec is None else codec[0](xid, args))
+            except BaseException as exc:
+                self._finish_call(CallStats(proc), exc)  # never sent
+                raise
+            if self.retry_budget is not None:
+                self.retry_budget.note_call()
+            wait = self._lone_wait
+            started = time.monotonic()
+            try:
+                self._transmit((request,))
+                # (a failed stream send takes the connection down)
+                if wait and self._down is None:
+                    messages = self._receive(0)
+            except (FaultInjected, RpcProtocolError) as exc:
+                error = exc
+            if (messages is not None and len(messages) == 1
+                    and self._down is None):  # (not swept meanwhile)
+                try:  # (another xid parses as not matched)
+                    settled, value = (
+                        self.parse_reply(messages[0], xid, proc, xdr_res)
+                        if codec is None else codec[1](messages[0], xid))
+                except (XdrError, RpcError):
+                    settled = False  # the engine classifies it again
+            if settled:
+                stats = CallStats(proc)
+                stats.attempts = 1  # what _arm writes for one send
+                if self.retransmits:
+                    stats.backoff_schedule = [wait]
+                stats.elapsed_s = time.monotonic() - started
+                self._finish_call(stats, None)
+        except BaseException:
+            settled = True
+            raise
+        finally:
+            if settled:  # free the slot and the role, wake a waiter
+                del self._pending[xid]
+                self._driver.release()
+                if self._waiters:
+                    with self._lock:
+                        self._cond.notify_all()
+        return (value if settled else self._handover(
+            xid, proc, request, xdr_res, started, messages, error))
+
+    @functools.cached_property
+    def _lone_wait(self):
+        """How long a lone call may wait in its receive: until its
+        first timer (its window; a stream's timeout), when that is at
+        least a tick away — else 0, and it hands over at once."""
+        timer = (min(self.wait, self.max_wait) if self.retransmits
+                 else self.timeout)
+        return timer if timer >= IDLE_TICK_S else 0.0
+
+    def _call_engine(self, proc, args, xdr_args, xdr_res, deadline):
+        """A call that is not lone: into the table, then driven here
+        or by whoever holds the driver role."""
         call, budget = self._start(proc, args, xdr_args, xdr_res, deadline,
                                    True)
         try:
@@ -381,18 +463,9 @@ class CallEngine(RpcClient):
                 raise
             if self._driver.acquire(False):
                 # Nobody else drives: send, then step on this thread
-                # until the call resolves — a lone call first blocks
-                # once in the receive, and settles on its one reply.
-                try:
-                    self._send_group((call,), call.started, False)
-                    if self._lone(call.started):
-                        self._drain(False, 0)
-                    while not call._done:
-                        self._step(False)
-                finally:
-                    self._driver.release()
-                    if self._pending:
-                        self._kick(True)  # leftovers: the demux thread's
+                # until the call resolves.
+                self._send_group((call,), call.started, False)
+                self._drive(call)
             else:
                 with self._lock:
                     wake = not self._sendq
@@ -404,6 +477,49 @@ class CallEngine(RpcClient):
             raise
         if call.span is not None:
             _end_call_span(call.span, call._error)
+        if call._error is not None:
+            raise call._error
+        return call._value
+
+    def _drive(self, call):
+        """Driver role held: step until ``call`` resolves, then give
+        the role back."""
+        try:
+            while not call._done:
+                self._step(False)
+        finally:
+            self._driver.release()
+            if self._pending:
+                self._kick(True)  # leftovers: the demux thread's
+
+    def _handover(self, xid, proc, request, xdr_res, started, messages,
+                  error):
+        """A lone call its receive did not settle — a tick with no
+        reply, another xid, garbage, a server verdict, a batch
+        envelope, a send fault, connection death, ``close()`` — becomes
+        the :class:`PendingCall` the engine would hold after its first
+        send, and the engine puts ``error`` / ``messages`` where it
+        would have."""
+        call = PendingCall(self, xid, proc, request, xdr_res, None, started,
+                           started + self.timeout,
+                           min(self.wait, self.max_wait), None)
+        if isinstance(error, FaultInjected):  # it never went out
+            self._pending[xid] = call
+            self._complete_batch([(call, None, error)])
+        else:
+            self._arm(call, started)
+            with self._lock:
+                swept = self._down is not None
+                self._pending[xid] = call
+                self._timer_floor = min(call.hard_end, call.next_send_at)
+            if swept:  # the sweep passed the slot by: what it would say
+                self._complete_batch([(call, None, RpcConnectionError(
+                    self._sweep(call)))])
+            if error is not None:
+                self._connection_lost(error)
+            elif messages is not None:
+                self._drain(False, messages=messages)
+        self._drive(call)
         if call._error is not None:
             raise call._error
         return call._value
@@ -731,7 +847,7 @@ class CallEngine(RpcClient):
                                     bytes=len(call.request))
                     for call in group if call.span is not None]
         try:
-            nbytes = self._transmit(group)
+            nbytes = self._transmit([call.request for call in group])
         except FaultInjected as exc:
             if send_spans is not None:
                 for span in send_spans:
@@ -749,46 +865,54 @@ class CallEngine(RpcClient):
         self.batches_sent += 1
         self.messages_batched += len(group)
         for call in group:
-            stats = call.stats
-            stats.attempts += 1
-            when = call.hard_end
-            if self.retransmits:
-                window = grant = call.window
-                if call.deadline is not None:
-                    # A deadline is harder than the timeout budget: no
-                    # window stretches past it.
-                    grant = min(window, max(
-                        call.deadline.expires_at - now, 0.0))
-                stats.backoff_schedule.append(grant)
-                when = now + grant
-                if call.hard_end - now <= window:
-                    # The budget no longer covers a full window: this
-                    # is the final try, and it still listens for all
-                    # of it.
-                    call.hard_end = when
-                    call.next_send_at = _NEVER
-                else:
-                    call.next_send_at = when
-            if call.span is not None:
-                call.wait_span = (
-                    call.span.child("client.wait", attempt=stats.attempts,
-                                    window_s=round(grant, 6))
-                    if self.retransmits else
-                    call.span.child("client.wait", attempt=stats.attempts))
+            when = self._arm(call, now)
             if when < self._timer_floor:
                 with self._lock:
                     if when < self._timer_floor:
                         self._timer_floor = when
 
-    def _drain(self, demux, flags=_DONTWAIT):
+    def _arm(self, call, now):
+        """The timer rule for one send of ``call`` at ``now``; returns
+        when its next timer (retransmission or hard end) is due."""
+        stats = call.stats
+        stats.attempts += 1
+        when = call.hard_end
+        if self.retransmits:
+            window = grant = call.window
+            if call.deadline is not None:
+                # A deadline is harder than the timeout budget: no
+                # window stretches past it.
+                grant = min(window, max(
+                    call.deadline.expires_at - now, 0.0))
+            stats.backoff_schedule.append(grant)
+            when = now + grant
+            if call.hard_end - now <= window:
+                # The budget no longer covers a full window: this
+                # is the final try, and it still listens for all
+                # of it.
+                call.hard_end = when
+                call.next_send_at = _NEVER
+            else:
+                call.next_send_at = when
+        if call.span is not None:
+            call.wait_span = (
+                call.span.child("client.wait", attempt=stats.attempts,
+                                window_s=round(grant, 6))
+                if self.retransmits else
+                call.span.child("client.wait", attempt=stats.attempts))
+        return when
+
+    def _drain(self, demux, flags=_DONTWAIT, messages=None):
         """Read and classify replies while a pending call could still
         be answered by what is queued: a lone call costs one receive,
         not one plus the ``EAGAIN`` that ends a read-until-dry loop.
-        Only the first read takes ``flags`` (0 waits in it).  The
+        Only the first read takes ``flags`` (0 waits in it); a lone
+        call handing over passes what its read yielded instead.  The
         resolutions are completed in one batch."""
         resolutions = []
         try:
-            messages = self._receive(flags)
+            if messages is None:
+                messages = self._receive(flags)
             while (messages is not None
                    and self._classify(messages, resolutions)):
                 messages = self._receive(_DONTWAIT)
@@ -1017,7 +1141,11 @@ class CallEngine(RpcClient):
         flight resolves ``RpcConnectionError(describe(call))``."""
         with self._lock:  # the lock _cond notifies under
             self._down = reason
-            calls = list(self._pending.values())
+            #: a lone call (slot None) is skipped: _handover raises this
+            self._sweep = describe
+            # a snapshot: completions pop without the lock
+            calls = [call for call in list(self._pending.values())
+                     if call is not None]
             self._cond.notify_all()  # window-admission waiters
         self._complete_batch([
             (call, None, RpcConnectionError(describe(call)))

@@ -114,10 +114,9 @@ class TcpClient(CallEngine):
         self.reconnects += 1
         return self
 
-    def _transmit(self, group):
-        chunk = (mark_record(group[0].request) if len(group) == 1
-                 else b"".join([mark_record(call.request)
-                                for call in group]))
+    def _transmit(self, requests):
+        chunk = (mark_record(requests[0]) if len(requests) == 1
+                 else b"".join(map(mark_record, requests)))
         size = len(chunk)
         if self._outbuf:
             self._outbuf += chunk  # behind what is already waiting

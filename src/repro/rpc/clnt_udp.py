@@ -87,9 +87,8 @@ class UdpClient(CallEngine):
         self._recv_buffer = bytearray(self.bufsize)
         self._recv_view = memoryview(self._recv_buffer)
 
-    def _transmit(self, group):
-        payload = (group[0].request if len(group) == 1
-                   else pack_batch([call.request for call in group]))
+    def _transmit(self, requests):
+        payload = requests[0] if len(requests) == 1 else pack_batch(requests)
         try:
             self.sock.sendto(payload, self.address)
         except OSError:

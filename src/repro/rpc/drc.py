@@ -160,15 +160,15 @@ class DuplicateRequestCache:
         if not isinstance(reply, bytes):
             reply = bytes(reply)
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = reply
+            entries = self._entries
+            entries[key] = reply
+            entries.move_to_end(key)
             self.stores += 1
-            evicted = self._evict_over_capacity()
-            entries = len(self._entries)
-        if rec is not None:
-            rec.evicted = evicted
-            rec.entries = entries
+            evicted = (self._evict_over_capacity()
+                       if len(entries) > self.capacity else 0)
+            if rec is not None:
+                rec.evicted = evicted
+                rec.entries = len(entries)
         if self.on_store is not None:
             self.on_store(key, reply)
 

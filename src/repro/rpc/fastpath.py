@@ -43,6 +43,7 @@ from repro.xdr import XdrMemStream, XdrOp
 #: worst-case header template: 6 words + two auth areas of
 #: flavor + length + 400-byte body each.
 _MAX_HEADER_BYTES = 6 * 4 + 2 * (8 + MAX_AUTH_BYTES)
+_XID = struct.Struct(">I")
 
 
 class CallHeaderTemplate:
@@ -52,7 +53,7 @@ class CallHeaderTemplate:
     zeroed; :meth:`write_into` patches it per call.
     """
 
-    __slots__ = ("prog", "vers", "proc", "prefix", "size")
+    __slots__ = ("prog", "vers", "proc", "prefix", "size", "_tail")
 
     def __init__(self, prog, vers, proc, cred=NULL_AUTH, verf=NULL_AUTH):
         self.prog = prog
@@ -63,6 +64,11 @@ class CallHeaderTemplate:
                                               verf))
         self.prefix = stream.data()
         self.size = len(self.prefix)
+        self._tail = self.prefix[4:]
+
+    def message(self, xid):
+        """The whole call message of a procedure with no arguments."""
+        return _XID.pack(xid & 0xFFFFFFFF) + self._tail
 
     def write_into(self, buffer, xid):
         """Copy the template into ``buffer`` and patch the xid.

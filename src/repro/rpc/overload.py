@@ -63,6 +63,9 @@ __all__ = [
 DEADLINE_FLAVOR = 0x44454144
 #: cred body: one XDR-aligned unsigned hyper of remaining microseconds
 _BODY = struct.Struct(">Q")
+#: static ``registry.cells`` keys of :meth:`CodelQueue.pop`
+_SOJOURN = ("histogram", "rpc.queue.sojourn_s")
+_SOJOURN_SHEDS = ("counter", "rpc.queue.sojourn_sheds")
 #: fixed offsets inside an encoded call header (RFC 1057 layout):
 #: xid(4) mtype(4) rpcvers(4) prog(4) vers(4) proc(4) = 24 bytes,
 #: then cred flavor(4) + cred length(4) + cred body.
@@ -292,10 +295,10 @@ class CodelQueue:
             shed = (self.policy != "fifo"
                     and self._control(sojourn, now))
         if _obs.enabled:
-            _obs.registry.histogram("rpc.queue.sojourn_s").observe(
-                sojourn)
+            cells = _obs.registry.cells
+            cells[_SOJOURN].observe(sojourn)
             if shed:
-                _obs.registry.counter("rpc.queue.sojourn_sheds").inc()
+                cells[_SOJOURN_SHEDS].inc()
         return item, sojourn, shed
 
     def _control(self, sojourn, now):

@@ -239,50 +239,49 @@ class CircuitBreaker:
 
 
 class InflightLimiter:
-    """A non-blocking in-flight counter with an optional cap.
-
-    ``try_acquire`` admits a request (False == over the cap: shed it);
-    ``wait_idle`` is what graceful drain blocks on.
-    """
+    """A non-blocking in-flight counter with an optional cap:
+    ``try_acquire`` admits a request (False == over the cap: shed it),
+    ``wait_idle`` is what graceful drain blocks on.  A request in
+    flight is an entry of one list (``append`` / ``pop`` are atomic),
+    so :meth:`release` and an uncapped ``enter(None)`` take no lock."""
 
     def __init__(self, limit=None):
         self.limit = limit
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        self._inflight = 0
+        self._slots = []
+        self.enter = self._slots.append  # uncapped admission
         #: threads inside ``wait_idle`` (no waiter, no ``notify_all``)
         self._waiters = 0
-        self.admitted = 0
         self.rejected = 0
 
     @property
     def inflight(self):
-        with self._lock:
-            return self._inflight
+        return len(self._slots)
 
     def try_acquire(self):
         with self._lock:
-            if self.limit is not None and self._inflight >= self.limit:
+            if self.limit is not None and len(self._slots) >= self.limit:
                 self.rejected += 1
                 return False
-            self._inflight += 1
-            self.admitted += 1
+            self.enter(None)
             return True
 
     def release(self):
-        with self._lock:
-            self._inflight -= 1
-            if self._inflight <= 0 and self._waiters:
+        # popped *then* the waiter count read; a waiter counts itself
+        # *then* checks the list: neither order loses a wake-up
+        self._slots.pop()
+        if self._waiters and not self._slots:
+            with self._lock:
                 self._idle.notify_all()
 
     def wait_idle(self, timeout=None):
         """Block until nothing is in flight; True when idle."""
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             self._waiters += 1
             try:
-                while self._inflight > 0:
+                while self._slots:
                     remaining = (None if deadline is None
                                  else deadline - time.monotonic())
                     if remaining is not None and remaining <= 0:
@@ -387,9 +386,9 @@ class CallerQuota:
                 self.shed += 1
             callers = len(self._buckets)
         if _obs.enabled:
-            name = "rpc.quota.admitted" if admitted else "rpc.quota.sheds"
-            _obs.registry.counter(name).inc()
-            _obs.registry.gauge("rpc.quota.callers").set(callers)
+            cells = _obs.registry.cells
+            cells[_QUOTA[admitted]].inc()
+            cells[_QUOTA_CALLERS].set(callers)
         return admitted
 
     def summary(self):
@@ -405,6 +404,10 @@ class CallerQuota:
 
 
 _STOP = object()
+#: static ``registry.cells`` keys of the per-request instruments
+_QUOTA = (("counter", "rpc.quota.sheds"), ("counter", "rpc.quota.admitted"))
+_QUOTA_CALLERS = ("gauge", "rpc.quota.callers")
+_QUEUE_DEPTH = ("gauge", "rpc.server.queue_depth")
 
 
 class WorkerPool:
@@ -453,10 +456,9 @@ class WorkerPool:
     def submit(self, item):
         """Enqueue one request; False means the queue is full (shed)."""
         try:
-            # Count the item as in flight *before* it is visible to a
-            # worker, so wait_idle can never observe a queued-but-
-            # uncounted request.
-            self._limiter.try_acquire()
+            # Counted in flight *before* a worker can see it: wait_idle
+            # never observes a queued-but-uncounted request.
+            self._limiter.enter(None)
             self._queue.put_nowait(item)
         except queue.Full:
             self._limiter.release()
@@ -464,9 +466,7 @@ class WorkerPool:
             return False
         self.submitted += 1
         if _obs.enabled:
-            _obs.registry.gauge("rpc.server.queue_depth").set(
-                self._queue.qsize()
-            )
+            _obs.registry.cells[_QUEUE_DEPTH].set(self._queue.qsize())
         return True
 
     def _run(self):

@@ -65,6 +65,8 @@ NULLPROC = 0
 _CALL_V2 = struct.pack(">II", 0, 2)
 _NULL_AUTHS = bytes(16)
 _FAST_HEADER_SIZE = 10 * 4
+_XID = struct.Struct(">I")
+_HEADER_WORDS = struct.Struct(">6I").unpack_from
 
 #: everything after the xid of an accepted SUCCESS / SYSTEM_ERR reply
 #: with a NULL verifier — what route bodies and sheds answer with
@@ -496,8 +498,8 @@ class SvcRegistry:
         route = stream = xid = None
         routes = self._routes
         fast = self._reply_template is not None
-        if ((fast or routes is not None) and len(data) >= _FAST_HEADER_SIZE
-                and data[24:40] == _NULL_AUTHS):
+        if ((fast or routes is not None)
+                and data[24:40] == _NULL_AUTHS):  # (a full header)
             # The common shape — RPC v2 with two NULL auth areas — is
             # recognized without the field-by-field decode; everything
             # else (and every malformed/mismatch path, so those replies
@@ -505,8 +507,7 @@ class SvcRegistry:
             if routes is not None:
                 route = routes.get(bytes(data[4:24]))
             if route is not None or (fast and data[4:12] == _CALL_V2):
-                xid, _, _, prog, vers, proc = struct.unpack_from(
-                    ">6I", data, 0)
+                xid, _, _, prog, vers, proc = _HEADER_WORDS(data)
         if fast and rec is not None:
             rec.header = _HEADER[xid is not None]
         if xid is None:
@@ -587,11 +588,8 @@ class SvcRegistry:
                     return record
             if span is not None:
                 span.add(tier="fastpath" if fast else "generic")
-            if stream is None:
-                stream = XdrMemStream(data, XdrOp.DECODE,
-                                      offset=_FAST_HEADER_SIZE)
             reply, executed = self._default_body(xid, prog, vers, proc,
-                                                 stream, span)
+                                                 data, stream, span)
             if executed:
                 record = reply
             if self.profiler is not None:
@@ -657,18 +655,23 @@ class SvcRegistry:
         if span is not None:
             span.add(outcome=outcome)
 
-    def _default_body(self, xid, prog, vers, proc, stream, span):
+    def _default_body(self, xid, prog, vers, proc, data, stream, span):
         """The default route body — generic XDR decode, registered
         handler, generic encode — for every request no installed route
-        serves.  Returns ``(reply, executed)``: ``executed`` is True
-        when a handler ran (so the reply is recorded in the DRC), False
-        for the error replies no handler produced."""
+        serves (``stream``: the arguments' decoder, None after a fast
+        header match).  Returns ``(reply, executed)``: ``executed`` is
+        True when a handler ran (so the reply is recorded in the DRC),
+        False for the error replies no handler produced."""
+        table = self._programs.get((prog, vers))
+        if proc == NULLPROC and table is not None and proc not in table:
+            # the ping: an accepted SUCCESS with no results, no encoder
+            self._verdict(span, "success")
+            return _XID.pack(xid) + _OK_TAIL, False
         pool = self._out_pool
         buffer = pool.acquire() if pool is not None else bytearray(
             self.bufsize)
         try:
             out = XdrMemStream(buffer, XdrOp.ENCODE)
-            table = self._programs.get((prog, vers))
             if table is None:
                 versions = self.versions_of(prog)
                 if versions:
@@ -678,11 +681,12 @@ class SvcRegistry:
                 return self._answer(out, xid, AcceptStat.PROG_UNAVAIL, span)
             entry = table.get(proc)
             if entry is None:
-                return self._answer(
-                    out, xid, AcceptStat.SUCCESS if proc == NULLPROC
-                    else AcceptStat.PROC_UNAVAIL, span)
+                return self._answer(out, xid, AcceptStat.PROC_UNAVAIL, span)
             decode_span = (span.child("server.decode_args")
                            if span is not None else None)
+            if stream is None:
+                stream = XdrMemStream(data, XdrOp.DECODE,
+                                      offset=_FAST_HEADER_SIZE)
             try:
                 args = (entry.xdr_args(stream, None)
                         if entry.xdr_args is not None else None)

@@ -5,6 +5,9 @@ Everything else is written here once, in :class:`RpcServer`: registry
 wiring (fast path, DRC, journal, online specialization, fault plan),
 admission (an in-flight cap, or a bounded queue drained by workers),
 the two shed paths, the request counters, drain, and the lifecycle.
+The per-request path — admit, dispatch, count, send, release — is
+built once for the server's configuration (:meth:`RpcServer._stage`),
+not re-read per message.
 
 A transport — a subclass — provides:
 
@@ -97,6 +100,8 @@ class RpcServer:
                 shed_handler=lambda item: self._shed(item[0], item[2],
                                                      "sojourn"),
             )
+        #: the per-request path, built once for this configuration
+        self._submit = self._stage()
         self._stop = threading.Event()
         self._thread = None
 
@@ -109,26 +114,43 @@ class RpcServer:
 
     # -- admission -----------------------------------------------------------
 
-    def _submit(self, message, peer, reply_to, received_at):
-        """Admit one request: serve it here (inline) or queue it
-        (workers); refuse it with a shed reply when over the bound."""
+    def _stage(self):
+        """``_submit(message, peer, reply_to, received_at)`` built for
+        this configuration: queue it (workers), or serve it here under
+        the cap (shed over it) or, uncapped, under a lock-free count.
+        It stays in flight until its reply is handed to the wire, so a
+        drain that returned True has lost no reply."""
         if self._pool is not None:
-            # bytes(): a transport may reuse its receive buffer.
-            if not self._pool.submit((bytes(message), peer, reply_to,
-                                      received_at)):
-                self._shed(message, reply_to, "queue_full")
-        elif self._limiter.try_acquire():
+            return self._enqueue
+        limiter, lock, send = self._limiter, self._counters_lock, self._send
+        dispatch, capped = self.registry.dispatch_bytes, limiter.limit
+        enter, admit, leave = (limiter.enter, limiter.try_acquire,
+                               limiter.release)
+
+        def serve_inline(message, peer, reply_to, received_at):
+            if capped is None:
+                enter(None)
+            elif not admit():
+                return self._shed(message, reply_to, "queue_full")
             try:
-                self._serve(message, peer, reply_to, received_at)
+                reply = dispatch(message, caller=peer,
+                                 received_at=received_at)
+                with lock:
+                    self.requests_handled += 1
+                if reply is not None:
+                    send(reply, reply_to)
             finally:
-                self._limiter.release()
-        else:
+                leave()
+        return serve_inline
+
+    def _enqueue(self, message, peer, reply_to, received_at):
+        # bytes(): a transport may reuse its receive buffer.
+        if not self._pool.submit((bytes(message), peer, reply_to,
+                                  received_at)):
             self._shed(message, reply_to, "queue_full")
 
     def _serve(self, message, peer, reply_to, received_at):
-        """Dispatch one admitted request and answer it (any thread).
-        It stays in flight until its reply is handed to the wire, so a
-        drain that returned True has lost no reply."""
+        """Dispatch one queued request and answer it (a worker)."""
         reply = self.registry.dispatch_bytes(message, caller=peer,
                                              received_at=received_at)
         with self._counters_lock:

@@ -49,6 +49,7 @@ class UdpServer(RpcServer):
         #: the one receive buffer (the receive loop is not reentrant;
         #: the core copies a message before handing it to a worker)
         self._recv_buffer = bytearray(bufsize)
+        self._recv_view = memoryview(self._recv_buffer)
         super().__init__(registry, **core)
         self.sock = self._faulty(self.sock)
 
@@ -62,9 +63,14 @@ class UdpServer(RpcServer):
         if not nbytes:
             return True  # no message (stop()'s wake-up is one of these)
         received_at = time.monotonic()
-        data = memoryview(self._recv_buffer)[:nbytes]
+        data = self._recv_view[:nbytes]
         if _obs.enabled:
             _obs.registry.cells[_DATAGRAMS].inc()
+        if nbytes < 5 or self._recv_buffer[4] != 0xFF:
+            # msg_type's top byte is 0 in any RPC message and 0xFF in a
+            # batch envelope: a plain datagram skips the unwrap
+            self._submit(data, addr, addr, received_at)
+            return True
         try:
             messages = unpack_batch(data)
         except RpcProtocolError:

@@ -150,7 +150,7 @@ class ClientSpecialization:
     def parse_reply(self, data, xid):
         """Decode a reply; falls back to the generic path off the fast
         shape.  Returns (matched, value) like RpcClient.parse_reply."""
-        value = self.decode_reply(data, xid)
+        value = self._recv_module.entry(data, xid, self.pipeline.stubs)
         if value is not None:
             return True, value
         return generic_reply(self._generic_ret_filter, data, xid)
@@ -213,8 +213,8 @@ class ServerSpecialization:
         self.fallback = fallback
         self.result = handle_result
         #: the compiled form the verifier's gate passed: the narrowed
-        #: residual program and its fused entry
-        self._module = module
+        #: residual program, and its fused entry (read once, here)
+        self._module, self._entry = module, module.entry
         self.fast_path_hits = 0
         if fallback is not None:
             fallback.install_route(
@@ -244,7 +244,7 @@ class ServerSpecialization:
         return self._module.entry
 
     def _body(self, data):
-        reply = self.residual_reply(data)
+        reply = self._entry(data)
         if reply is not None:
             self.fast_path_hits += 1
         return reply

@@ -11,6 +11,8 @@ from pathlib import Path
 from repro.analysis.findings import scan_pragmas
 from repro.analysis.lint import Module, excepts, locks, obsguard, spine
 
+ROOT = Path(__file__).resolve().parents[2]
+
 
 def module(rel, source):
     return Module(path=Path("/synthetic") / rel, rel=rel, source=source,
@@ -237,6 +239,24 @@ class SvcRegistry:
         # the same lookups in a module that is no call path
         assert obsguard.check([module("src/repro/rpc/fleet.py",
                                       self.SRC)]) == []
+
+
+    def test_a_lookup_planted_in_the_lone_call_is_flagged(self):
+        """The lone call settles without the engine's folds: a
+        get-or-create on its path would be paid by every serial call."""
+        src = (ROOT / "src/repro/rpc/clnt_core.py").read_text()
+        anchor = "                    messages = self._receive(0)\n"
+        assert src.count(anchor) == 1
+        planted = src.replace(anchor, anchor + (
+            "                    if _obs.enabled:\n"
+            "                        _obs.registry.counter(\"x\").inc()\n"))
+        line = src[:src.index(anchor)].count("\n") + 3
+        findings = obsguard.check(
+            [module("src/repro/rpc/clnt_core.py", planted)])
+        assert [(f.rule, f.line, f.context) for f in findings] == [
+            ("obs-lookup-on-call-path", line, {"function": "call"})]
+        assert obsguard.check(
+            [module("src/repro/rpc/clnt_core.py", src)]) == []
 
 
 class TestExcepts:

@@ -2,6 +2,7 @@
 breaking, overload control — plus the registry's shed/drain/health
 surface and the transports' drain plumbing."""
 
+import sys
 import threading
 import time
 
@@ -163,6 +164,47 @@ class TestInflightLimiter:
         assert not limiter.wait_idle(timeout=0.05)
         limiter.release()
         assert limiter.wait_idle(timeout=0.05)
+
+    @pytest.mark.parametrize("limit", [None, 3])
+    def test_lock_free_slots_lose_no_update(self, limit):
+        """Uncapped admission and every release take no lock: many
+        threads switching often must still count every slot, never
+        exceed the cap, and wake a drain once the last one leaves."""
+        limiter = InflightLimiter(limit)
+        admit = (limiter.try_acquire if limit else
+                 lambda: limiter.enter(None) or True)
+        peak, errors = [0], []
+
+        def churn():
+            try:
+                for _ in range(2000):
+                    if admit():
+                        peak[0] = max(peak[0], limiter.inflight)
+                        limiter.release()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            limiter.try_acquire()  # a drain waits on this one too
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            waiter = threading.Thread(
+                target=lambda: errors.append(limiter.wait_idle(5.0)))
+            waiter.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            limiter.release()
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == [True]
+        assert limiter.inflight == 0
+        assert peak[0] <= (limit or 9)
 
 
 class TestWorkerPool:
