@@ -10,7 +10,9 @@ replies are replayed.  Every dispatch tier runs under the one copy in
 ``SvcRegistry._spine``; a second caller — a route body, a transport, a
 specialization wrapper — is a second protocol that can silently
 diverge from the first.  Any such call outside ``repro/rpc/drc.py``
-and the spine function is a finding.
+and the spine function is a finding.  So is a count written into
+``handlers_invoked`` anywhere but the spine: a reply recorded is one
+execution, one decision with ``drc.put``.
 
 A receiver is taken for a DRC when its last name is ``drc`` or ends
 in ``_drc`` (``drc.put``, ``self.drc.begin``, ``self.fallback.drc
@@ -97,8 +99,19 @@ def _is_drc(node):
     return name == "drc" or name.endswith("_drc")
 
 
+def _count_targets(node):
+    """What ``node`` writes a count into: an increment's target, or a
+    computed store's (a reset to a constant counts nothing)."""
+    if isinstance(node, pyast.AugAssign):
+        return [node.target]
+    if isinstance(node, pyast.Assign):
+        return [] if isinstance(node.value, pyast.Constant) else node.targets
+    return []
+
+
 def _protocol_calls(node, function, found):
-    """Collect ``(call, enclosing function name)`` under *node*."""
+    """Collect ``(node, what, enclosing function name)`` under *node*:
+    DRC protocol calls and counts written into ``handlers_invoked``."""
     for child in pyast.iter_child_nodes(node):
         inner = function
         if isinstance(child, (pyast.FunctionDef, pyast.AsyncFunctionDef)):
@@ -107,7 +120,11 @@ def _protocol_calls(node, function, found):
                 and isinstance(child.func, pyast.Attribute)
                 and child.func.attr in PROTOCOL_CALLS
                 and _is_drc(child.func.value)):
-            found.append((child, function))
+            found.append((child, f"DRC {child.func.attr}()", function))
+        elif any(isinstance(target, pyast.Attribute)
+                 and target.attr == "handlers_invoked"
+                 for target in _count_targets(child)):
+            found.append((child, "handlers_invoked count", function))
         _protocol_calls(child, inner, found)
     return found
 
@@ -223,15 +240,16 @@ def check(modules):
                 ))
         if rel == DRC_MODULE:
             continue
-        for call, function in _protocol_calls(module.tree, None, []):
+        for node, what, function in _protocol_calls(module.tree, None, []):
             if (rel, function) == SPINE:
                 continue
             findings.append(Finding(
                 rule="drc-outside-spine",
                 path=module.rel,
-                line=call.lineno,
-                message=(f"DRC {call.func.attr}() outside the dispatch "
-                         f"spine: the at-most-once protocol lives only "
-                         f"in SvcRegistry._spine; make this a route body"),
+                line=node.lineno,
+                message=(f"{what} outside the dispatch spine: the "
+                         f"at-most-once protocol and its execution count "
+                         f"live only in SvcRegistry._spine; make this a "
+                         f"route body that returns its reply"),
             ))
     return findings

@@ -124,11 +124,10 @@ METRICS = {
         " header decoder"),
     "rpc.server.specialized_hits": (
         "counter", "",
-        "requests answered by the compiled residual dispatcher"),
+        "requests answered by a residual route (pinned or promoted)"),
     "rpc.server.specialized_fallbacks": (
         "counter", "",
-        "requests the offline residual body declined to the default"
-        " body"),
+        "requests a residual route declined to the default body"),
     "rpc.server.datagrams": (
         "counter", "transport",
         "transport-level receive events (UDP datagrams handled)"),
@@ -264,12 +263,12 @@ METRICS = {
         " residual answered is not sampled)"),
     "rpc.spec.online.hits": (
         "counter", "side",
-        "calls answered by a hot-swapped online-specialized route or"
-        " codec"),
+        "calls answered by a hot-swapped online client codec (client"
+        " only: a server route counts rpc.server.specialized_hits)"),
     "rpc.spec.online.violations": (
         "counter", "side",
-        "invariant-guard misses: messages of a size the variant table"
-        " does not hold, answered by the generic codec on that call"),
+        "client invariant-guard misses: calls of a size the codec's"
+        " variant table does not hold, answered generically"),
     "rpc.spec.online.promotions": (
         "counter", "side",
         "procedures auto-specialized and hot-swapped into dispatch"),
@@ -340,4 +339,4 @@ SPANS = {
 }
 
 #: every label value the ``tier`` field/label may take.
-TIERS = ("generic", "fastpath", "staged", "specialized", "online")
+TIERS = ("generic", "fastpath", "staged", "specialized")

@@ -7,11 +7,12 @@ PROG_MISMATCH, PROC_UNAVAIL, GARBAGE_ARGS, SYSTEM_ERR, RPC_MISMATCH).
 
 Dispatch is one *spine* (:meth:`SvcRegistry._spine`) that owns the
 at-most-once protocol — DRC claim, doomed-deadline drop, drain and
-quota shedding, accounting — and a table of *route bodies* that only
-do the work of a call.  The generic XDR decode/handler/encode is the
-default body; staged, offline-specialized and online-promoted residual
-code are entries of the same table (:meth:`SvcRegistry.install_route`),
-so every specialization tier runs under the identical protocol.
+quota shedding, accounting, execution count — and a table of *route
+bodies* that only do the work of a call.  The generic XDR decode/
+handler/encode is the default body; staged code and the residual route
+(offline-pinned and online-promoted residuals) are entries of the same
+table (:meth:`SvcRegistry.install_route`), so every specialization tier
+runs under the identical protocol.
 
 Telemetry (``repro.obs``): when observability is enabled, each
 dispatch emits a ``server.dispatch`` span labelled with the tier that
@@ -153,8 +154,9 @@ class SvcRegistry:
         #: duplicate-request reply cache (see :mod:`repro.rpc.drc`);
         #: active only for dispatches that identify their caller.
         self.drc = None
-        #: handler executions (DRC replays do not count) — lets tests
-        #: assert "invocations == unique requests" under retransmission.
+        #: handler executions, one per reply the spine records (DRC
+        #: replays do not count) — lets tests assert "invocations ==
+        #: unique requests" under retransmission.
         self.handlers_invoked = 0
         #: optional per-caller token-bucket admission (see
         #: :meth:`install_quota`); DRC replays and drain-exempt
@@ -309,18 +311,17 @@ class SvcRegistry:
         ``body(data) -> reply bytes | None`` answers a request whose
         call header matches the constant signature of (prog, vers,
         proc) with two NULL auth areas.  A body does the *work* of a
-        call and nothing else — decode, run the handler (counting it
-        exactly once), encode — and returns None to *decline*, which
-        hands the request to the default body under the same DRC
-        claim.  The at-most-once protocol, drain, quota and accounting
-        stay in :meth:`_spine`; a body never touches them (``counts``:
-        the counters of a request it declined / served).
+        call and nothing else — decode, run the handler, encode — and
+        returns None to *decline*, which hands the request to the
+        default body under the same DRC claim.  The at-most-once
+        protocol, drain, quota, accounting and the execution count stay
+        in :meth:`_spine`; a body never touches them (``counts``: the
+        counters of a request it declined / served).
 
-        One table holds every tier (``staged``, ``specialized``,
-        ``online``); it is published copy-on-write, so concurrent
-        dispatchers see either the old or the new table, never a
-        mid-mutation one.  Installing over an existing entry replaces
-        it.
+        One table holds every tier (``staged``, ``specialized``); it is
+        published copy-on-write, so concurrent dispatchers see either
+        the old or the new table, never a mid-mutation one.  Installing
+        over an existing entry replaces it.
         """
         routes = dict(self._routes or {})
         routes[_signature(prog, vers, proc)] = Route(tier, body, counts)
@@ -393,7 +394,6 @@ class SvcRegistry:
             except Exception:
                 return None
             try:
-                self.handlers_invoked += 1
                 return bytes(data[0:4]) + _OK_TAIL + pack_res(handler(args))
             # repro: disable=overbroad-except -- any servant crash must become a SYSTEM_ERR reply, not kill dispatch
             except Exception:
@@ -494,7 +494,7 @@ class SvcRegistry:
         """The one at-most-once protocol every tier runs under:
         match-or-parse → doomed-deadline drop → ``drc.begin`` →
         drain/quota shed → route body (default: :meth:`_default_body`)
-        → ``drc.put`` / ``abandon`` → reply."""
+        → execution count + ``drc.put`` / ``abandon`` → reply."""
         route = stream = xid = None
         routes = self._routes
         fast = self._reply_template is not None
@@ -596,11 +596,13 @@ class SvcRegistry:
                 self.profiler.record(data, reply)
             return reply
         finally:
-            if drc is not None:
-                if record is not None:
+            if record is not None:
+                # one execution per reply recorded, whichever body ran
+                self.handlers_invoked += 1
+                if drc is not None:
                     drc.put(key, record, rec)
-                else:
-                    drc.abandon(key)
+            elif drc is not None:
+                drc.abandon(key)
 
     def _refusal(self, caller, prog, vers):
         """Why this request must be shed — ``draining``, or ``quota``
@@ -724,7 +726,6 @@ class SvcRegistry:
         handler_span = (span.child("server.handler")
                         if span is not None else None)
         try:
-            self.handlers_invoked += 1
             result = entry.handler(args)
         # repro: disable=overbroad-except -- any servant crash must become a SYSTEM_ERR reply, not kill dispatch
         except Exception:

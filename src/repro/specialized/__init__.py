@@ -14,7 +14,7 @@ from repro import lazy_exports
 __getattr__ = lazy_exports(__name__, {
     "cache": "SpecializationCache content_key",
     "online": "DispatchProfiler OnlineClientCodec OnlinePolicy"
-              " OnlineServerRoute OnlineSpecializer",
+              " OnlineSpecializer ResidualRoute",
     "pipeline": "ClientSpecialization ResidualCodec ServerSpecialization"
                 " SpecializationPipeline",
 })
@@ -25,9 +25,9 @@ __all__ = [
     "DispatchProfiler",
     "OnlineClientCodec",
     "OnlinePolicy",
-    "OnlineServerRoute",
     "OnlineSpecializer",
     "ResidualCodec",
+    "ResidualRoute",
     "ServerSpecialization",
     "SpecializationCache",
     "SpecializationPipeline",

@@ -11,11 +11,12 @@ server tier, ``RpcClient.install_codec`` on the client):
    :class:`DispatchProfiler` tap, on the client inside the
    :class:`OnlineClientCodec` — so a call a residual answered costs no
    profiling at all;
-2. a :class:`VariantTable` per procedure (an :class:`OnlineServerRoute`
+2. a :class:`VariantTable` per procedure (a :class:`ResidualRoute`
    on the server, an :class:`OnlineClientCodec` on the client) maps
    exact message sizes to verified residual codecs, at most
    ``max_sizes`` of them, published copy-on-write, with a hit counter
-   per variant;
+   per variant (the server's is its registry's one residual route,
+   which an offline ``specialize_server`` may *pin* a size into);
 3. an :class:`OnlineSpecializer` background thread reviews every table
    under one **coverage rule** (:meth:`OnlineSpecializer._review`) and
    builds what the rule asks for through the pipeline, its cache and
@@ -31,8 +32,8 @@ missed size holding more than ``1 - stable_fraction`` of them is built
 and added (evicting the least-hit variant of a full table only if it
 had fewer hits than the newcomer had misses), and when no missed size
 qualifies the variants that do not hold that share themselves are
-dropped.  Promotion is the rule on an empty table, demotion is its last
-variant going.
+dropped.  A pinned variant is never displaced or dropped.  Promotion
+is the rule on an empty table, demotion is its last variant going.
 
 The loop is off by default: nothing engages unless an
 ``OnlineSpecializer`` is constructed and attached (the servers take an
@@ -65,8 +66,12 @@ _SUCCESS_REPLY = ReplyHeaderTemplate()
 #: static ``registry.cells`` keys of the per-call updates, by side
 _OBSERVED = {side: ("counter", "rpc.spec.online.observed", ("side", side))
              for side in ("server", "client")}
-_HITS = {side: ("counter", "rpc.spec.online.hits", ("side", side))
-         for side in ("server", "client")}
+_HITS = ("counter", "rpc.spec.online.hits", ("side", "client"))
+_VIOLATIONS = ("counter", "rpc.spec.online.violations", ("side", "client"))
+#: the (declined, served) counters of a residual route, whoever filled
+#: its table
+_ROUTE_COUNTS = (("counter", "rpc.server.specialized_fallbacks"),
+                 ("counter", "rpc.server.specialized_hits"))
 
 
 def env_enabled(default=True):
@@ -194,9 +199,10 @@ class VariantTable:
     #: pipeline method that builds a variant / spec method that runs it
     builder = None
     entry = None
+    #: size keys the coverage rule never evicts (an offline pin)
+    pinned = frozenset()
 
-    def __init__(self, pipeline, proc, profile):
-        self.pipeline = pipeline
+    def __init__(self, proc, profile):
         #: the procedure's stub contract: its shapes, and a message
         #: size inverted to the array lengths it implies
         self.proc = proc
@@ -223,12 +229,6 @@ class VariantTable:
         return self._retired_hits + sum(
             variant.hits for variant in self.variants.values())
 
-    def _miss(self):
-        self.violations += 1
-        if _obs.enabled:
-            _obs.registry.counter("rpc.spec.online.violations",
-                                  side=self.side).inc()
-
     def swap(self, add=None, drop=()):
         """Publish a new table: ``drop`` keys out, ``add=(key, spec)``
         in, atomically."""
@@ -239,9 +239,6 @@ class VariantTable:
             key, spec = add
             variants[key] = _Variant(spec, getattr(spec, self.entry))
         self._publish(variants)
-
-    def _publish(self, variants):
-        self.variants = variants
 
     def period(self):
         """``(hits per resident variant, violations, generic-served
@@ -258,8 +255,9 @@ class VariantTable:
         self._reviewed = (self.violations, self.profile.calls)
 
 
-class OnlineServerRoute(VariantTable):
-    """One hot procedure's residual route body, with the invariant guard.
+class ResidualRoute(VariantTable):
+    """One procedure's residual route body on one registry, with the
+    invariant guard.
 
     Keys are *exact request sizes*, values compiled
     :class:`~repro.specialized.pipeline.ServerSpecialization` residuals.
@@ -267,21 +265,39 @@ class OnlineServerRoute(VariantTable):
     it is counted and declined, so the registry's default body answers
     it correctly on that call (the guard never guesses).
 
-    Installed with ``SvcRegistry.install_route(..., tier="online")``
-    while it holds a variant: the registry's dispatch spine runs the
-    at-most-once protocol, drain and quota around this body exactly as
-    around every other, so at-most-once holds across a mid-traffic hot
-    swap.
+    A registry holds one per procedure: ``specialize_server(...,
+    fallback=registry)`` pins its size (:meth:`pin`), an attached
+    :class:`OnlineSpecializer` adopts it and adds and drops the rest.
+    Installed as tier ``specialized`` while it holds a variant, under
+    the registry's dispatch spine like every route body, so
+    at-most-once holds across a mid-traffic hot swap.
     """
 
     side = "server"
     builder = "specialize_server"
     entry = "residual_reply"
 
-    def __init__(self, pipeline, proc, profile, registry, key):
-        super().__init__(pipeline, proc, profile)
+    def __init__(self, proc, profile, registry, key):
+        super().__init__(proc, profile)
         self.registry = registry
         self.key = key
+
+    @classmethod
+    def of(cls, registry, pipeline, proc, default=None):
+        """The route installed for ``proc`` on ``registry``, else
+        ``default``, else a new empty one (no profile, not installed)."""
+        key = (pipeline.prog_number, pipeline.vers_number, proc.number)
+        route = registry.route_for(*key)
+        if route is not None and isinstance(route.body, cls):
+            return route.body
+        return default or cls(proc, None, registry, key)
+
+    def pin(self, size, spec):
+        """Serve ``size`` by ``spec`` for good: the coverage rule never
+        evicts a pinned variant, so the table is never demoted.  Takes
+        no lock: pin at set-up, not under a running specializer."""
+        self.pinned = self.pinned | {size}
+        self.swap(add=(size, spec), drop=self.variants.keys() & {size})
 
     def arg_lens(self, request_bytes):
         return self.proc.arg_lens_of(request_bytes)
@@ -289,22 +305,21 @@ class OnlineServerRoute(VariantTable):
     def _publish(self, variants):
         was, self.variants = self.variants, variants
         if variants and not was:
-            self.registry.install_route(*self.key, self, tier="online",
-                                        counts=(None, _HITS["server"]))
+            self.registry.install_route(*self.key, self, tier="specialized",
+                                        counts=_ROUTE_COUNTS)
         elif was and not variants:
             self.registry.remove_route(*self.key)
 
     def __call__(self, data):
         variant = self.variants.get(len(data))
         if variant is None:
-            self._miss()
+            self.violations += 1
             return None
         reply = variant.run(data)
         if reply is None:
             # bytes that crash the residual: the default body answers
             self.declines += 1
             return None
-        self.registry.handlers_invoked += 1
         variant.hits += 1
         return reply
 
@@ -327,7 +342,7 @@ class OnlineClientCodec(VariantTable):
 
     def __init__(self, specializer, client, proc_name):
         pipeline = specializer.pipeline
-        super().__init__(pipeline, pipeline.find_proc(proc_name),
+        super().__init__(pipeline.find_proc(proc_name),
                          ProcProfile(specializer.policy.window))
         if self.proc.refusal is not None:
             raise IdlError(self.proc.refusal)
@@ -379,12 +394,14 @@ class OnlineClientCodec(VariantTable):
             if out is not None:
                 variant.hits += 1
                 if _obs.enabled:
-                    _obs.registry.cells[_HITS["client"]].inc()
+                    _obs.registry.cells[_HITS].inc()
                 return out
             self.declines += 1
         else:
             if self.variants:
-                self._miss()
+                self.violations += 1
+                if _obs.enabled:
+                    _obs.registry.cells[_VIOLATIONS].inc()
             if n is not None:
                 pending = self._pending
                 if len(pending) >= self.profile.recent.maxlen:
@@ -570,10 +587,16 @@ class OnlineSpecializer:
                     proc = self._match_proc(*key)
                     # None: another program (health, portmap, ...) or a
                     # procedure outside the stub subset
-                    routes[key] = proc and OnlineServerRoute(
-                        self.pipeline, proc, profile, registry, key)
-                if routes[key] is not None:
-                    tables.append(routes[key])
+                    routes[key] = proc and ResidualRoute(
+                        proc, profile, registry, key)
+                table = routes[key]
+                if table is not None:
+                    # the registry's own table, if it holds one (an
+                    # offline pin, even a later one): never a second
+                    table = routes[key] = ResidualRoute.of(
+                        registry, self.pipeline, table.proc, table)
+                    table.profile = profile
+                    tables.append(table)
         return tables + self._clients
 
     def _match_proc(self, prog, vers, proc_number):
@@ -599,6 +622,7 @@ class OnlineSpecializer:
                 "procedure": table.proc.name,
                 "variants": {key: variant.hits for key, variant
                              in sorted(table.variants.items())},
+                "pinned": sorted(table.pinned),
                 "hits": table.hits,
                 "violations": table.violations,
                 "declines": table.declines,
@@ -670,8 +694,10 @@ class OnlineSpecializer:
         if count > bar:
             victim = None
             if len(held) >= policy.max_sizes:
-                victim = min(held, key=held.get)
-                if held[victim] >= count:
+                victim = min((key for key in held
+                              if key not in table.pinned),
+                             key=held.get, default=None)
+                if victim is None or held[victim] >= count:
                     table.close_period()   # it holds the best it can
                     return
             spec, refusal = self._build(
@@ -690,7 +716,8 @@ class OnlineSpecializer:
                 self._decide(table, "widen" if held else "promote", size,
                              share, evidence)
         elif held:
-            idle = [key for key, n in held.items() if n <= bar]
+            idle = [key for key, n in held.items()
+                    if n <= bar and key not in table.pinned]
             if idle:
                 table.swap(drop=idle)
             for key in idle:

@@ -177,59 +177,45 @@ class ClientSpecialization:
         return client
 
 
-#: cell keys of the counters a request the route (declined, served) moves
-_COUNTS = (("counter", "rpc.server.specialized_fallbacks"),
-           ("counter", "rpc.server.specialized_hits"))
-
-
 class ServerSpecialization:
-    """A compiled specialized dispatcher, duck-typed as a registry for
-    the server transports.
+    """A verified, compiled residual dispatcher for one request size.
 
-    With a ``fallback`` :class:`~repro.rpc.server.SvcRegistry` the
-    residual program is installed there as the ``specialized`` route
-    body of the hot procedure, and ``dispatch_bytes`` enters the
-    fallback's dispatch spine — so the at-most-once protocol, drain,
-    quota and accounting are the registry's own, and anything the
-    body declines is answered by the generic body under the same DRC
-    claim (the residual ``else`` branch of the paper's §6.2).
-    Registry-control attributes (``drc``, ``begin_drain``,
-    ``shed_reply_bytes``, ...) forward to the fallback, so a transport
-    built over this handle drains, sheds and journals exactly as one
-    built over the registry.  A fallback hosts one residual per
-    procedure: the last one built wins.
-
-    Without a fallback it is the bare residual: no DRC to host, and a
-    declined request is dropped.
+    With a ``fallback`` :class:`~repro.rpc.server.SvcRegistry` its size
+    is *pinned* into the registry's one residual route for the
+    procedure (a :class:`~repro.specialized.online.ResidualRoute`, which
+    an online specializer adopts too); anything it declines is answered
+    by the generic body under the same DRC claim (the residual ``else``
+    branch of the paper's §6.2).  The handle then serves as the
+    registry: ``dispatch_bytes`` *is* its spine and every other
+    attribute (``drc``, ``begin_drain``, ``handlers_invoked``, ...)
+    forwards to it.  Without a fallback it is the verified residual
+    only.
     """
 
     def __init__(self, pipeline, handle_result, bufsize, proc,
                  expected_request, module, fallback=None):
-        self.pipeline = pipeline
         self.bufsize = bufsize
         #: the one request size the residual was specialized to and the
         #: verifier proved it on; its entry serves nothing else
         self.expected_request = expected_request
-        self.fallback = fallback
         self.result = handle_result
         #: the compiled form the verifier's gate passed: the narrowed
-        #: residual program, and its fused entry (read once, here)
-        self._module, self._entry = module, module.entry
-        self.fast_path_hits = 0
+        #: residual program and its fused entry
+        self._module = module
         if fallback is not None:
-            fallback.install_route(
-                pipeline.prog_number, pipeline.vers_number, proc.number,
-                self._body, tier="specialized", counts=_COUNTS)
-            # this handle's dispatch *is* the fallback's spine (bound
-            # per instance: no per-call hop through a forwarding method)
-            self.dispatch_bytes = fallback.dispatch_bytes
+            from repro.specialized.online import ResidualRoute
+
+            ResidualRoute.of(fallback, pipeline, proc).pin(
+                expected_request, self)
+            self.registry = fallback
+            self.dispatch_bytes = fallback.dispatch_bytes  # no per-call hop
 
     def __getattr__(self, name):
         # only reached for attributes this handle lacks
-        fallback = self.__dict__.get("fallback")
-        if fallback is None:
+        registry = self.__dict__.get("registry")
+        if registry is None:
             raise AttributeError(name)
-        return getattr(fallback, name)
+        return getattr(registry, name)
 
     @property
     def residual_reply(self):
@@ -237,25 +223,9 @@ class ServerSpecialization:
         None when it declines (another size, bytes that fault the
         residual program, a reply that does not fit).
 
-        This is the whole route body; the dispatch spine of the
-        registry it is installed in (the ``fallback``, or the one an
-        :class:`repro.specialized.online.OnlineServerRoute` serves)
-        owns every protocol decision around it."""
+        This is the whole variant a residual route runs; the registry's
+        dispatch spine owns every protocol decision around it."""
         return self._module.entry
-
-    def _body(self, data):
-        reply = self._entry(data)
-        if reply is not None:
-            self.fast_path_hits += 1
-        return reply
-
-    def dispatch_bytes(self, data, caller=None, received_at=None):
-        """The bare residual (no fallback): a declined request is
-        dropped."""
-        reply = self._body(data)
-        if _obs.enabled:  # no spine here to count the route's answer
-            _obs.registry.cells[_COUNTS[reply is not None]].inc()
-        return reply
 
 
 def assumptions(sig, proc, prog, vers, arg_lens, res_lens, bufsize,
@@ -489,8 +459,9 @@ class SpecializationPipeline:
     def specialize_server(self, hot_proc, arg_lens=None, res_lens=None,
                           bufsize=8800, fallback=None):
         """Specialize the server dispatch path for the expected workload
-        (``hot_proc`` with the given array lengths); other requests are
-        answered by the optional ``fallback`` registry's generic body."""
+        (``hot_proc`` with the given array lengths) and pin it into the
+        optional ``fallback`` registry's residual route; other requests
+        are answered by that registry's generic body."""
         if self.impl_sources is None:
             raise IdlError(
                 "server specialization needs MiniC impl_sources for the"
@@ -507,8 +478,8 @@ class SpecializationPipeline:
                                                res_lens)
 
         # The residual program and its compiled module are cached; the
-        # wrapper is rebuilt per call because it carries per-instance
-        # state (dispatch counters, the live ``fallback`` registry).
+        # wrapper is rebuilt per call because it pins into the live
+        # ``fallback`` registry.
         handle_result, module = self.cache.get(
             key,
             # ``svc_process`` with the request size known: the residual

@@ -10,10 +10,20 @@ pin the fixed behaviour so the defect cannot quietly return:
 * the fleet replication sink's blob decode and the replicator's batch
   encode caught bare ``Exception`` — now narrowed to the decoders'
   documented malformation signals, while garbage still doesn't kill
-  the transport (the behaviour the broad except was protecting).
+  the transport (the behaviour the broad except was protecting);
+* route bodies counted their own executions, one into whatever object
+  they held — an online route attached through a specialization
+  handle counted onto the handle, so the registry read one execution
+  fewer than its DRC stores.  The spine now counts one per reply it
+  records, and ``drc-outside-spine`` flags any other write.
 """
 
+import ast as pyast
+from pathlib import Path
+
 from repro import obs as _obs
+from repro.analysis.findings import scan_pragmas
+from repro.analysis.lint import Module, spine
 from repro.rpc.fleet import DrcReplicator
 from repro.rpc.server import SvcRegistry
 from repro.xdr import xdr_int
@@ -68,3 +78,54 @@ class TestNarrowedExcepts:
         replicator = DrcReplicator(_Drc(), peers=[], origin="me")
         replicator._push_batch([((object(), "caller", 1, 2, 3), b"reply")])
         assert replicator.dropped == 1
+
+
+def lint(rel, source):
+    return spine.check([Module(
+        path=Path("/synthetic") / rel, rel=rel, source=source,
+        tree=pyast.parse(source, filename=rel),
+        pragmas=scan_pragmas(rel, source))])
+
+
+class TestExecutionCountInTheSpine:
+    SERVER = '''
+class SvcRegistry:
+    def __init__(self):
+        self.handlers_invoked = 0
+
+    def _spine(self, data, route):
+        record = route.body(data)
+        if record is not None:
+            self.handlers_invoked += 1
+        return record
+
+    def stage_route(self, handler):
+        def body(data):
+            self.handlers_invoked += 1
+            return handler(data)
+        return body
+'''
+
+    ROUTE = '''
+class Route:
+    def __call__(self, data):
+        reply = self.run(data)
+        if reply is not None:
+            self.registry.handlers_invoked = self.registry.handlers_invoked + 1
+        return reply
+'''
+
+    def test_a_route_body_counting_itself_is_flagged(self):
+        found = (lint("src/repro/rpc/server.py", self.SERVER)
+                 + lint("src/repro/specialized/online.py", self.ROUTE))
+        assert [(f.rule, f.path, f.line) for f in found] == [
+            ("drc-outside-spine", "src/repro/rpc/server.py", 14),
+            ("drc-outside-spine", "src/repro/specialized/online.py", 6),
+        ]
+        assert all("handlers_invoked" in f.message for f in found)
+
+    def test_the_spine_count_and_a_reset_are_clean(self):
+        source = self.SERVER.split("    def stage_route")[0]
+        assert lint("src/repro/rpc/server.py", source) == []
+        reset = "def reset(registry):\n    registry.handlers_invoked = 0\n"
+        assert lint("src/repro/bench/soak.py", reset) == []

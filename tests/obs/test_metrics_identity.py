@@ -236,11 +236,9 @@ def facts_of(registry=None, dispatcher=None, client=None):
     facts = {}
     if registry is not None:
         drc = registry.drc
-        executions = registry.handlers_invoked
-        if dispatcher is not None and dispatcher is not registry:
-            executions += dispatcher.fast_path_hits
         facts.update(drc_hits=drc.hits, drc_misses=drc.misses,
-                     drc_stores=drc.stores, executions=executions,
+                     drc_stores=drc.stores,
+                     executions=registry.handlers_invoked,
                      sheds=registry.sheds, doomed=registry.doomed_dropped)
     if client is not None:
         facts.update(client.stats_summary())
@@ -652,7 +650,7 @@ def test_threaded_dispatch_folds_are_exact(fast_switching):
     assert snapshot["gauges"]["rpc.drc.entries"] == registry.drc.capacity
     latency = snapshot["histograms"]["rpc.server.dispatch_latency_s"]
     assert latency["count"] == latency["cumulative_counts"][-1] == total
-    assert registry.drc.stores == dispatcher.fast_path_hits == total
+    assert registry.drc.stores == registry.handlers_invoked == total
 
 
 def test_short_lived_connections_do_not_grow_the_registry():

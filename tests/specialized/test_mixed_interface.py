@@ -115,9 +115,10 @@ def test_online_promotes_one_and_leaves_the_other_generic(mixed):
             assert registry.dispatch_bytes(g_call())[4:] == g_generic
         online.poll_once()  # raises nothing, starves nothing
     assert online.promotions == 1
-    assert registry.route_for(PROG, VERS, F).tier == "online"
+    assert registry.route_for(PROG, VERS, F).tier == "specialized"
     assert registry.route_for(PROG, VERS, G) is None
     skips = [d for d in online.decisions if d.action == "skip"]
     assert [(d.procedure, d.reason.startswith("unsupported: " + reason))
             for d in skips] == [("G", True)]
     assert [t["procedure"] for t in online.explain()] == ["F"]
+    assert online.explain()[0]["pinned"] == []  # the rule's sizes only

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.errors import VerificationError
-from repro.rpc import SvcRegistry, UdpServer
+from repro.rpc import SvcRegistry, UdpClient, UdpServer
 from repro.rpc.client import RpcClient
 from repro.rpc.svc_mux import MuxUdpServer
 from repro.specialized import (
@@ -429,6 +429,124 @@ class TestKillSwitch:
         assert OnlineSpecializer(pipeline, enabled=False).enabled
 
 
+#: the size an offline ``specialize_server(..., fallback=)`` pins
+PINNED_N = 20
+
+
+def size(stubs, n):
+    """The request size of an ``n``-element call: a server table key."""
+    return len(call_bytes(stubs, 0, n))
+
+
+def pin(pipeline, registry, n=PINNED_N):
+    return pipeline.specialize_server(
+        "SENDRECV", arg_lens={"vals": n}, res_lens={"vals": n},
+        fallback=registry)
+
+
+class TestOfflinePinSharesTheTable:
+    """An offline residual and the online specializer fill one residual
+    route per (registry, procedure): the online side adds and drops
+    variants around the pinned one, never over it.  Its keys are
+    request sizes: ``size(n)`` for an ``n``-element call."""
+
+    @pytest.mark.parametrize("pin_first", [True, False])
+    def test_online_widens_around_the_pin_and_never_drops_it(
+            self, pipeline, stubs, pin_first):
+        registry, shadow = make_registry(stubs), make_registry(stubs)
+        spec = make_spec(pipeline, window=WIDE)
+        xids = itertools.count(1)
+        if pin_first:
+            pin(pipeline, registry)
+            spec.attach_server(registry)
+        else:
+            # the specializer has seen the procedure (an empty table,
+            # not installed) before the pin lands
+            spec.attach_server(registry)
+            drive(stubs, registry, xids, HOT_N, 1)
+            spec.poll_once()
+            pin(pipeline, registry)
+        hot, pinned = size(stubs, HOT_N), size(stubs, PINNED_N)
+        table = route_of(registry)
+        assert table.sizes == [pinned] and table.pinned == {pinned}
+
+        def served_by_the_pin(count):
+            before = table.variants[pinned].hits
+            for _ in range(count):
+                data = call_bytes(stubs, next(xids), PINNED_N)
+                assert bytes(registry.dispatch_bytes(data)) == bytes(
+                    shadow.dispatch_bytes(data))
+            return table.variants[pinned].hits == before + count
+
+        drive(stubs, registry, xids, HOT_N, WIDE)
+        spec.poll_once()
+        route = registry.route_for(PROG, VERS, PROC)
+        assert route.body is table and route.tier == "specialized"
+        assert table.sizes == [hot, pinned]
+        assert served_by_the_pin(5)
+        [explained] = spec.explain()
+        assert explained["pinned"] == [pinned]
+        assert list(explained["variants"]) == [hot, pinned]
+        # full (max_sizes 2): a newcomer displaces the unpinned variant,
+        # though the pin answered nothing in the period either
+        drive(stubs, registry, xids, 4, WIDE)
+        spec.poll_once()
+        assert table.sizes == [size(stubs, 4), pinned]
+        # reviews with no size worth a variant and no traffic for the
+        # pin: the idle unpinned variant goes, the pin stays
+        for _ in range(3):
+            drive_spread(stubs, registry, xids, WIDE)
+            spec.poll_once()
+        assert table.sizes == [pinned] and spec.demotions == 0
+        route = registry.route_for(PROG, VERS, PROC)
+        assert route.body is table and route.tier == "specialized"
+        assert served_by_the_pin(5)
+
+    def test_executions_counted_once_through_the_handle(self, pipeline,
+                                                        stubs):
+        registry = make_registry(stubs)
+        registry.enable_drc()
+        handle = pin(pipeline, registry)
+        spec = make_spec(pipeline)
+        spec.attach_server(handle)
+        xids = itertools.count(1)
+        for _ in range(3):
+            for n in (HOT_N, PINNED_N, HOT_N, HOT_N, 3):
+                drive(stubs, handle, xids, n, 1, caller=CALLER)
+            spec.poll_once()
+        assert spec.builds == 1 and route_of(registry).sizes == [
+            size(stubs, HOT_N), size(stubs, PINNED_N)]
+        drive(stubs, handle, xids, HOT_N, 2, caller=CALLER)
+        assert registry.handlers_invoked == registry.drc.stores == 17
+        assert "handlers_invoked" not in vars(handle)
+
+    def test_executions_counted_once_behind_a_server(self, pipeline, stubs):
+        registry = make_registry(stubs)
+        handle = pin(pipeline, registry)
+        spec = make_spec(pipeline)
+        xdr = stubs.xdr_intarr
+        try:
+            with UdpServer(handle, drc=True, online_spec=spec) as server, \
+                    UdpClient("127.0.0.1", server.port, PROG, VERS,
+                              timeout=5.0) as client:
+                def call(n):
+                    args = stubs.intarr(vals=list(range(n)))
+                    assert client.call(PROC, args, xdr, xdr).vals == [
+                        v + 1 for v in range(n)]
+
+                deadline = time.monotonic() + 10.0
+                while not spec.builds and time.monotonic() < deadline:
+                    for n in (HOT_N, PINNED_N, HOT_N, HOT_N):
+                        call(n)
+                assert spec.builds == 1
+                for n in (HOT_N, PINNED_N, 3):
+                    call(n)
+        finally:
+            spec.stop()
+        assert registry.handlers_invoked == registry.drc.stores
+        assert "handlers_invoked" not in vars(handle)
+
+
 class TestServerKnob:
     def test_udp_server_attaches_and_starts(self, pipeline, stubs):
         registry = make_registry(stubs)
@@ -661,10 +779,14 @@ class TestObsContract:
         snapshot = obs.collect()
         keys = set(snapshot["counters"]) | set(snapshot["gauges"]) | set(
             snapshot["histograms"])
-        for suffix in ("observed", "promotions", "hits", "violations",
-                       "active", "build_s"):
+        for suffix in ("observed", "promotions", "active", "build_s"):
             assert any(key.startswith(f"rpc.spec.online.{suffix}")
                        for key in keys), (suffix, sorted(keys))
+        # the promoted table is the residual route: its hits and guard
+        # misses are the route's, as an offline pin's are
+        counters = snapshot["counters"]
+        assert counters["rpc.server.specialized_hits"] == 2
+        assert counters["rpc.server.specialized_fallbacks"] == 1
 
     def test_promotion_is_verified(self, stubs):
         # Every residual the online path promotes must have passed the
