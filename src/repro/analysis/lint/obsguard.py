@@ -38,7 +38,7 @@ HOT_PREFIXES = ("repro/rpc/", "repro/specialized/", "repro/xdr/")
 #: core's staged per-request path, ``call`` a lone call's whole path.
 CALL_PATH = {
     "repro/rpc/server.py": {"dispatch_bytes", "_spine", "body"},
-    "repro/rpc/drc.py": {"begin", "get", "put", "fold_drc"},
+    "repro/rpc/drc.py": {"begin", "get", "put"},
     "repro/rpc/fastpath.py": {"acquire"},
     "repro/rpc/svc_core.py": {"serve_inline", "_enqueue", "_serve"},
     "repro/rpc/svc_udp.py": {"handle_once"},

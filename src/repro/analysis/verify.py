@@ -307,9 +307,9 @@ def _patched(words, index, value):
     return out
 
 
-def _length_corruptions(base, header_words, shape, lens, short):
+def _length_corruptions(base, header_words, shape, lens):
     """(label, words) of the message ``base`` with each bounded-array
-    length word past its bound, negative and (``short``) one short."""
+    length word past its bound, negative and one short."""
     probes = []
     for index, (field, bound, count) in _len_words(header_words, shape,
                                                    lens):
@@ -317,7 +317,7 @@ def _length_corruptions(base, header_words, shape, lens, short):
                        _patched(base, index, bound + 1)))
         probes.append((f"len-{field}-negative",
                        _patched(base, index, 0xFFFFFFFF)))
-        if short and count > 0:
+        if count > 0:
             probes.append((f"len-{field}-short",
                            _patched(base, index, count - 1)))
     return probes
@@ -653,7 +653,7 @@ class _Recv(_Codec):
             ("stale-xid", (list(base), (xid + 1) & 0xFFFFFFFF)),
         ] + [(label, (words, xid)) for label, words in _length_corruptions(
             base, REPLY_HEADER_WORDS, self.spec.ret_struct,
-            self.spec._res_lens, True)]
+            self.spec._res_lens)]
 
     def entry_only(self):
         spec = self.spec
@@ -719,7 +719,7 @@ class _Dispatch(_Codec):
             ("wrong-prog", _patched(base, 3, self.pipeline.prog_number + 1)),
             ("wrong-proc", _patched(base, 5, proc.number + 1)),
         ] + _length_corruptions(base, CALL_HEADER_WORDS, proc.arg,
-                                self.arg_lens, False)
+                                self.arg_lens)
 
     def entry_only(self):
         return [(label, words, False) for label, words in

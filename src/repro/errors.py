@@ -54,10 +54,6 @@ class VerificationError(SpecializationError):
     fall back to the generic path."""
 
 
-class BindingTimeError(SpecializationError):
-    """Raised by the binding-time analysis on inconsistent declarations."""
-
-
 class XdrError(ReproError):
     """Raised on XDR encode/decode failure (buffer overflow, bad data)."""
 

@@ -72,6 +72,16 @@ def _int_range(ctype):
 
 _I32 = _int_range(ct.INT)
 
+#: ``op``: whether ``word op value`` is false when ``word == known``
+#: — then, in a test that also has ``word != known``, it adds nothing
+_IMPLIED = {
+    "<": lambda known, value: known >= value,
+    "<=": lambda known, value: known > value,
+    ">": lambda known, value: known <= value,
+    ">=": lambda known, value: known < value,
+    "==": lambda known, value: known != value,
+}
+
 #: the operators of a map loop's element expression: none can fault
 _MAP_OPS = frozenset(("+", "-", "*", "&", "|", "^"))
 
@@ -99,6 +109,17 @@ class _Code(str):
         self = str.__new__(cls, text)
         self.fits = fits
         self.pre = pre
+        return self
+
+
+class _Word(_Code):
+    """Word ``index`` of a buffer read whole on entry (a ``_Code``)."""
+
+    __slots__ = ("index",)
+
+    def __new__(cls, text, index):
+        self = _Code.__new__(cls, text, _I32)
+        self.index = index
         return self
 
 
@@ -134,7 +155,7 @@ def _struct_class_name(name):
 class _FuncCompiler:
     """Compiles one FuncDef into Python source lines."""
 
-    def __init__(self, module, func, typeinfo, called):
+    def __init__(self, module, func, typeinfo, called, sizes=None):
         self.module = module
         self.func = func
         self.typeinfo = typeinfo
@@ -163,6 +184,48 @@ class _FuncCompiler:
         #: whether the function stores through it (none in a function
         #: the program calls: its callers pass pointers)
         self.cursors, self.buffers = scalar.cursors(func, not called)
+        #: buffer parameter -> its exact byte length, where the caller
+        #: fixes it (a fused entry's size guard)
+        self.sizes = {name: size for name, size in (sizes or {}).items()
+                      if name in self.buffers}
+        #: local array -> its store sites, for the arrays only ever
+        #: indexed (no pointer to one is taken); those read so far
+        self._arrays = self._bare_arrays(func)
+        self._declared = (set(scalar._declared(func.body))
+                          | {param.name for param in func.params})
+        self._touched = set()
+        #: local -> the word it was loaded from and not yet stored, and
+        #: field -> the word just stored in it (:meth:`_emit_words_run`)
+        self._subst, self._stored = {}, {}
+        #: what is known before emission, where the buffers' lengths
+        #: are (:meth:`_known_values`): the cursors at one known offset
+        #: wherever they are read (their stores are gone, each read is
+        #: the literal); the read-only buffers read as one tuple of
+        #: words on entry (buffer -> its name); the offset of each
+        #: cursor read (uid ->), and of each read in a rolled element
+        #: loop a run takes whole (its first word's); and what locals
+        #: hold where each loop is entered (uid ->)
+        self.static, self.words, self.offsets, self._spans, \
+            self._entries = (self._known_values() if self.sizes else
+                             (frozenset(), {}, {}, {}, {}))
+
+    def _bare_arrays(self, func):
+        """Local array -> its store sites, for the local arrays only
+        ever indexed (no pointer to one is taken)."""
+        arrays = {node.name for node in ast.walk(func.body)
+                  if isinstance(node, ast.Decl)
+                  and isinstance(node.ctype, ct.ArrayType)}
+        sites = collections.Counter()
+        for node in ast.walk(func.body):
+            for child in node.children():
+                if isinstance(child, ast.Var) and child.name in arrays and not (
+                        isinstance(node, ast.Index) and child is node.obj):
+                    arrays.discard(child.name)  # it decays to a pointer
+            if (isinstance(node, (ast.Assign, ast.IncDec))
+                    and isinstance(node.target, ast.Index)
+                    and isinstance(node.target.obj, ast.Var)):
+                sites[node.target.obj.name] += 1
+        return {name: sites[name] for name in arrays}
 
     # -- emit helpers ---------------------------------------------------
 
@@ -234,6 +297,10 @@ class _FuncCompiler:
             if param.name in self.address_taken:
                 self.boxed.add(name)
                 self.emit(f"{name} = [{name}]")
+        for buffer, words in self.words.items():
+            packer = self.module.packer(f">{self.sizes[buffer] // 4}i")
+            self.emit(f"{words} = {packer}.unpack_from("
+                      f"{self.py_name(buffer)})")
         self.stmt(self.func.body, new_scope=False)
         lines = [line for line in self.lines if line is not None]
         return [header] + (lines or ["    pass"])
@@ -252,6 +319,13 @@ class _FuncCompiler:
         if isinstance(node, ast.Var):
             if node.name in self.buffers:
                 return _Code("0", (0, 0))  # a cursor's start offset
+            if node.name in self.static:
+                offset = self.offsets[node.uid]
+                return _Code(repr(offset), (offset, offset))
+            if node.name in self._subst:
+                return self._subst[node.name]
+            if node.name in self._arrays:
+                self._touched.add(node.name)
             name = self.py_name(node.name)
             if name in self.boxed:
                 name = f"{name}[0]"
@@ -355,7 +429,7 @@ class _FuncCompiler:
         ctype = self.type_of(pointer).base
         packer = self.module.packer(_rt.PACK_FMT[ctype.width, ctype.signed])
         data = self.py_name(self.cursors[var.name])
-        return packer, f"{data}, {self.py_name(var.name)}"
+        return packer, f"{data}, {self.expr(var)}"
 
     def _address_of(self, target):
         if isinstance(target, ast.Var):
@@ -417,6 +491,11 @@ class _FuncCompiler:
         )
         if isinstance(node.left, ast.Var) and node.left.name in self.cursors:
             # offsets into one buffer: ``p + c`` and ``p - q`` in bytes
+            fits = [getattr(side, "fits", None) for side in (left, right)]
+            if all(fit and fit[0] == fit[1] for fit in fits):
+                value = (fits[0][0] + fits[1][0] if op == "+"
+                         else fits[0][0] - fits[1][0])
+                return _Code(repr(value), (value, value))
             return f"{left} {op} {_p(right)}"
         if op == "+":
             if left_ptr:
@@ -593,8 +672,182 @@ class _FuncCompiler:
 
     def _assign(self, node):
         if node.op is None:
-            return self._store(node.target, self.expr(node.value))
+            value = self.expr(node.value)
+            if (isinstance(node.target, ast.Var)
+                    and node.target.name in self.static):
+                return value  # a static cursor: nothing to store
+            return self._store(node.target, value)
         return self._update(node.target, node.op, node.value)[1]
+
+    # -- what is known before emission ------------------------------------
+    #
+    # In a function whose buffers have a known length, one forward pass
+    # before emission follows what the locals hold: a cursor's offset
+    # (``p = BASE`` sets it to 0, ``p = p + c`` adds ``c``) and the
+    # literal an ``int`` local was last set to.  A branch keeps what its
+    # arms agree on; a loop forgets what it stores to — but a rolled
+    # element loop a run takes whole (:meth:`_cursor_step`) moves its
+    # cursor by its words; a block forgets the names it declares; and
+    # nothing after a jump is reached.  A cursor read only at known
+    # offsets is static: its stores are gone and each read is a
+    # literal.  A read-only buffer whose every word load is whole and
+    # inside it, through static cursors only, is read once on entry,
+    # whole, as a tuple of words.  A map loop entered with its counter
+    # at a literal needs no test of its trip count.
+
+    def _known_values(self):
+        """``(static cursors, {buffer read whole: its words' name},
+        {uid of a cursor read: its offset}, {uid of a cursor read in a
+        rolled element loop a run takes whole: its first word's
+        offset}, {uid of a loop: {local: what it holds where the loop
+        is entered — a ``for``, after its init}})``."""
+        literals = self._declared - set(self.address_taken) - set(
+            self.cursors)
+        offsets, spans, entries, unknown, unfit = {}, {}, {}, set(), set()
+
+        def load(cursor, at, words):
+            # ``words`` words loaded through ``cursor`` from where it is
+            start = at.get(cursor)
+            if start is not None and (start % 4 or start + 4 * words
+                                      > self.sizes.get(self.cursors[cursor],
+                                                       0)):
+                unfit.add(self.cursors[cursor])
+
+        def reads(node, at):
+            stored = {child.target.uid for child in ast.walk(node)
+                      if isinstance(child, ast.Assign) and child.op is None}
+            for child in ast.walk(node):
+                if (isinstance(child, ast.Var) and child.name in self.cursors
+                        and child.uid not in stored):
+                    offsets[child.uid] = at.get(child.name) if (
+                        at is not None) else 0  # not reached: any will do
+                    if offsets[child.uid] is None:
+                        unknown.add(child.name)
+                cursor = self._word_cursor(child)
+                if (at is not None and isinstance(cursor, ast.Var)
+                        and cursor.name in self.cursors):
+                    load(cursor.name, at, 1)
+
+        def stores(node, at):
+            for child in ast.walk(node):
+                if (isinstance(child, (ast.Assign, ast.IncDec))
+                        and isinstance(child.target, ast.Var)):
+                    at.pop(child.target.name, None)
+
+        def assign(name, value, ctype, before, at):
+            # ``name = value``, from what is known ``before`` it
+            if name in self.cursors:
+                if isinstance(value, ast.Var) and value.name in self.buffers:
+                    at[name] = 0
+                elif (isinstance(value, ast.Binary) and value.op == "+"
+                      and isinstance(value.left, ast.Var)
+                      and value.left.name == name
+                      and isinstance(value.right, ast.IntLit)
+                      and name in before):
+                    at[name] = before[name] + value.right.value
+            elif (name in literals and isinstance(value, ast.IntLit)
+                  and isinstance(ctype, ct.IntType)
+                  and ct.wrap_int(value.value, ctype) == value.value):
+                at[name] = value.value
+
+        def span(stmts, index, at):
+            # whether ``stmts[index:index + 2]`` is a rolled element loop
+            # a run takes whole; its cursor moved past it if so
+            step = (self._cursor_step(stmts[index], stmts[index + 1], None)
+                    if index + 1 < len(stmts) else None)
+            if not (step is not None and isinstance(step[2], _LoopSpan)
+                    and isinstance(step[1], ast.Var)
+                    and step[1].name in self.cursors):
+                return False
+            cursor, trips = step[1].name, step[2].trips
+            start = at.pop(cursor, None)
+            for child in ast.walk(stmts[index + 1]):
+                if isinstance(child, ast.Var) and child.name in self.cursors:
+                    spans[child.uid] = start
+            if start is None:
+                unknown.add(cursor)
+                return True
+            if step[0] == "load":
+                load(cursor, {cursor: start}, trips)
+            at[cursor] = start + 4 * trips
+            return True
+
+        def run(node, at):
+            # what is known after ``node`` runs from ``at`` (changed in
+            # place; None: not reached)
+            if at is None:
+                reads(node, None)
+                return None
+            if isinstance(node, ast.Block):
+                index = 0
+                while index < len(node.stmts):
+                    if at is not None and span(node.stmts, index, at):
+                        index += 2
+                        continue
+                    at = run(node.stmts[index], at)
+                    index += 1
+                for stmt in node.stmts if at is not None else ():
+                    if isinstance(stmt, ast.Decl):
+                        at.pop(stmt.name, None)
+                return at
+            if isinstance(node, ast.ExprStmt):
+                reads(node.expr, at)
+                expr, before = node.expr, dict(at)
+                stores(expr, at)
+                if (isinstance(expr, ast.Assign) and expr.op is None
+                        and isinstance(expr.target, ast.Var)):
+                    assign(expr.target.name, expr.value,
+                           self.type_of(expr.target), before, at)
+                return at
+            if isinstance(node, ast.Decl):
+                before = dict(at)
+                if node.init is not None:
+                    reads(node.init, at)
+                    stores(node.init, at)
+                at.pop(node.name, None)
+                if node.init is not None:
+                    assign(node.name, node.init, node.ctype, before, at)
+                return at
+            if isinstance(node, ast.If):
+                reads(node.cond, at)
+                stores(node.cond, at)
+                ends = [run(node.then, dict(at)),
+                        dict(at) if node.other is None
+                        else run(node.other, dict(at))]
+                ends = [end for end in ends if end is not None]
+                return {name: value for name, value in ends[0].items()
+                        if all(end.get(name) == value for end in ends[1:])
+                        } if ends else None
+            if isinstance(node, (ast.While, ast.For)):
+                init = getattr(node, "init", None)
+                if init is not None:
+                    at = run(init, at)
+                    if at is None:
+                        return run(node, None)
+                entries[node.uid] = dict(at)
+                stores(node, at)
+                for part in (node.cond, getattr(node, "step", None)):
+                    if part is not None:
+                        reads(part, at)
+                run(node.body, dict(at))
+                if isinstance(init, ast.Decl):
+                    at.pop(init.name, None)  # the loop's own
+                return at
+            if getattr(node, "value", None) is not None:  # a return
+                reads(node.value, at)
+            return None
+
+        run(self.func.body, {})
+        static = frozenset(self.cursors) - unknown
+        words = {
+            buffer: f"_w_{buffer}"
+            for buffer, stores_through in self.buffers.items()
+            if not stores_through and buffer in self.sizes
+            and self.sizes[buffer] % 4 == 0 and buffer not in unfit
+            and all(cursor in static for cursor, base
+                    in self.cursors.items() if base == buffer)
+            and any(base == buffer for base in self.cursors.values())}
+        return static, words, offsets, spans, entries
 
     def _incdec(self, node):
         op = "+" if node.op == "++" else "-"
@@ -648,23 +901,29 @@ class _FuncCompiler:
             return
         if isinstance(node, ast.If):
             self.emit(f"if {self.cond(node.cond)}:")
-            self.depth += 1
-            self.stmt(node.then)
-            self._ensure_body()
-            self.depth -= 1
+            self._suite(node.then)
             if node.other is not None:
                 self.emit("else:")
-                self.depth += 1
-                self.stmt(node.other)
-                self._ensure_body()
-                self.depth -= 1
+                self._suite(node.other)
             return
         if isinstance(node, ast.While):
-            self._while(node)
+            self._while(node, self._entries.get(node.uid, {}))
             return
         if isinstance(node, ast.For):
             self._for(node)
             return
+        if isinstance(node, (ast.Return, ast.Break, ast.Continue)):
+            self._jump(node)
+            return
+        raise CompileError(f"cannot compile statement {node!r}")
+
+    def _suite(self, node):
+        self.depth += 1
+        self.stmt(node)
+        self._ensure_body()
+        self.depth -= 1
+
+    def _jump(self, node):
         if isinstance(node, ast.Return):
             if node.value is None:
                 self.emit("return None")
@@ -674,11 +933,8 @@ class _FuncCompiler:
             return
         if isinstance(node, ast.Break):
             self._break()
-            return
-        if isinstance(node, ast.Continue):
+        else:
             self._continue()
-            return
-        raise CompileError(f"cannot compile statement {node!r}")
 
     # -- cursor batching -------------------------------------------------
     #
@@ -701,8 +957,37 @@ class _FuncCompiler:
                 self._emit_cursor_run(run)
                 index = run["end"]
                 continue
+            temp = self._forwarded(stmts, index, guards)
+            if temp is not None:
+                temp, run = temp
+                # ``v = E;`` read only by the store run after it: the
+                # run packs E itself (a wrap composes with E's own)
+                self._subst[temp.target.name] = self.wrap(
+                    self.expr(temp.value), self.type_of(temp.target))
+                self._emit_cursor_run(run)
+                del self._subst[temp.target.name]
+                index = run["end"]
+                continue
             self.stmt(stmts[index])
             index += 1
+
+    def _forwarded(self, stmts, index, guards):
+        """``(the assignment stmts[index], the store run after it)``
+        when, in a function whose buffers have a known length, it sets
+        a local, from locals and literals, that only that run reads."""
+        store = self._plain_assign(stmts[index]) if self.sizes else None
+        if not (store is not None and isinstance(store.target, ast.Var)
+                and store.target.name in self.live.tracked
+                and _pure(store.value)) or any(
+                    isinstance(node, ast.Member) or isinstance(node, ast.Var)
+                    and node.name in self.cursors
+                    for node in ast.walk(store.value)):
+            return None
+        run = self._collect_cursor_run(stmts, index + 1, guards)
+        if run is None or run["kind"] != "store" or not self._dead(
+                store.target.name, self.live.after(run["stmts"][-1])):
+            return None
+        return store, run
 
     @staticmethod
     def _unwrap_casts(expr):
@@ -862,16 +1147,31 @@ class _FuncCompiler:
             return False
         for node in ast.walk(stmt.cond):
             if isinstance(node, ast.Var):
-                if node.name == cursor_text or not any(
-                    node.name in scope for scope in self.scopes
-                ):
+                if node.name == cursor_text or not self._local(node.name):
                     return False
             elif isinstance(node, ast.Unary):
                 if node.op in ("*", "&"):
                     return False
+            elif isinstance(node, ast.Member):
+                if not self.words:  # a field read, ordered by a whole run
+                    return False
             elif not isinstance(node, (ast.IntLit, ast.Cast, ast.Binary)):
                 return False
         return True
+
+    def _run_local(self, stmt, cursor_text):
+        """Whether ``stmt`` only sets a local from locals and literals
+        (or declares one): an item of a run from a buffer read whole."""
+        if isinstance(stmt, ast.Decl):
+            return stmt.init is None and isinstance(stmt.ctype, ct.IntType)
+        store = self._plain_assign(stmt)
+        return (store is not None and isinstance(store.target, ast.Var)
+                and store.target.name in self.live.tracked
+                and store.target.name != cursor_text and _pure(store.value)
+                and not any(isinstance(node, ast.Member)
+                            or isinstance(node, ast.Var)
+                            and node.name == cursor_text
+                            for node in ast.walk(store.value)))
 
     def _exit(self, then, cursor_text):
         """Whether ``then`` only leaves: ``return LITERAL;``, or — an
@@ -902,6 +1202,7 @@ class _FuncCompiler:
         items = []
         words = 0
         index = start
+        whole = False
         while index + 1 < len(stmts):
             step = self._cursor_step(stmts[index], stmts[index + 1], kind)
             if step is None:
@@ -909,23 +1210,31 @@ class _FuncCompiler:
             if cursor is None:
                 kind, cursor, _item = step
                 cursor_text = pretty_expr(cursor)
+                # from a buffer read whole (:meth:`_emit_words_run`)
+                whole = (kind == "load" and isinstance(cursor, ast.Var)
+                         and cursor.name in self.static
+                         and self.cursors[cursor.name] in self.words)
             elif pretty_expr(step[1]) != cursor_text:
                 break
             items.append(step[2])
             words += step[2].trips if isinstance(step[2], _LoopSpan) else 1
             index += 2
-            if isinstance(step[2], _LoopSpan):
+            if isinstance(step[2], _LoopSpan) and not whole:
                 guards = False
             while (
                 guards
                 and kind == "load"
                 and index < len(stmts)
-                and self._run_guard(stmts[index], cursor_text)
+                and (self._run_guard(stmts[index], cursor_text)
+                     or whole and self._run_local(stmts[index], cursor_text)
+                     and (index + 1 == len(stmts) or self._cursor_step(
+                         stmts[index], stmts[index + 1], None) is None))
             ):
                 items.append(stmts[index])
                 index += 1
-        while items and isinstance(items[-1], ast.If):
+        while items and not whole and isinstance(items[-1], ast.If):
             # a test after the last word is not between two of them
+            # (from a buffer read whole, every test is one of the run's)
             items.pop()
             index -= 1
         if not items:
@@ -937,12 +1246,20 @@ class _FuncCompiler:
         items = run["items"]
         count = run["words"]
         node = run["cursor"]
+        words = start = None
         if isinstance(node, ast.Var) and node.name in self.cursors:
-            data = self.py_name(self.cursors[node.name])
-            offset = self.py_name(node.name)
+            buffer = self.cursors[node.name]
+            data = self.py_name(buffer)
+            start = self.offsets.get(node.uid, self._spans.get(node.uid))
+            offset = (_Code(repr(start), (start, start))
+                      if node.name in self.static else self.expr(node))
             advanced = f"{offset} + {{}}"
             after = self.live.after(run["stmts"][-1])
-            if self._dead(node.name, after):
+            if node.name in self.static:
+                words = self.words.get(buffer)
+                advanced = None
+                node = None  # its reads are literals
+            elif self._dead(node.name, after):
                 node = None  # nothing reads where the run leaves it
         else:
             cursor = self.temp()
@@ -953,14 +1270,24 @@ class _FuncCompiler:
             self.emit(f"    {_RT}.underrun()")
             advanced = f"{cursor}.add({{}})"
         where = f"{data}, {offset}"
-        guarded = any(isinstance(item, ast.If) for item in items)
+        guarded = words is None and any(
+            isinstance(item, ast.If) for item in items) and not (
+            advanced is None and start + 4 * count
+            <= self.sizes.get(self.cursors[run["cursor"].name], 0))
+        if words is not None and run["kind"] == "load" and all(
+                not isinstance(item, ast.If) or self._declines(item)
+                for item in items):
+            self._emit_words_run(run, words, start // 4)
+            items = ()  # emitted
         if guarded:
             # One unpack would fault on a buffer that ends inside the
             # run, where word by word an earlier test may have returned:
             # batch only what is known to be there.
             self.emit(f"if {offset} + {4 * count} <= len({data}):")
             self.depth += 1
-        if run["kind"] == "store":
+        if not items:
+            pass
+        elif run["kind"] == "store":
             # Words pack unsigned (masked; constants at compile time); a
             # span of one int array packs signed straight from a slice —
             # in range by the invariant, refused by the pack otherwise.
@@ -974,9 +1301,11 @@ class _FuncCompiler:
                 else:
                     base, first, length, used = span
                     kinds.extend("i" * length)
-                    values.append(
-                        f"*{self.expr(base)}[{first}:{first + length}]"
-                    )
+                    whole = (self.sizes and first == 0
+                             and self._length(base) == length)
+                    values.append(f"*{self.expr(base)}" if whole else
+                                  f"*{self.expr(base)}[{first}:"
+                                  f"{first + length}]")
                     index += used
             fmt = "".join(
                 f"{len(list(group))}{kind}"
@@ -985,18 +1314,26 @@ class _FuncCompiler:
             packer = self.module.packer(">" + fmt)
             self.emit(f"{packer}.pack_into({where}, {', '.join(values)})")
         else:
-            vals = self.temp()
-            packer = self.module.packer(f">{count}i")
-            self.emit(f"{vals} = {packer}.unpack_from({where})")
+            if words is None:
+                vals, base = self.temp(), 0
+                packer = self.module.packer(f">{count}i")
+                self.emit(f"{vals} = {packer}.unpack_from({where})")
+            else:
+                vals, base = words, start // 4
             index = position = 0
             while index < len(items):
+                if isinstance(items[index], (ast.Decl, ast.ExprStmt)):
+                    self.stmt(items[index])  # a local (a whole run's)
+                    index += 1
+                    continue
                 if isinstance(items[index], ast.If):
                     # leave as word by word would: the cursor past the
                     # words read so far
                     guard = items[index]
                     self.emit(f"if {self.cond(guard.cond)}:")
                     self.depth += 1
-                    if not (isinstance(run["cursor"], ast.Var)
+                    if advanced is not None and not (
+                            isinstance(run["cursor"], ast.Var)
                             and self._dead(run["cursor"].name,
                                            self.live.before(guard.then))):
                         self._store(run["cursor"],
@@ -1008,17 +1345,16 @@ class _FuncCompiler:
                 span = self._index_span(items, index)
                 if span is None:
                     if items[index].uid not in self.live.dead:
-                        self._store(items[index],
-                                    _Code(f"{vals}[{position}]", _I32))
+                        self._store(items[index], _Code(
+                            f"{vals}[{base + position}]", _I32))
                     index += 1
                     position += 1
                 else:
-                    base, first, length, used = span
-                    words = vals if length == count else (
-                        f"{vals}[{position}:{position + length}]"
-                    )
-                    self._slice_store(self.expr(base), first,
-                                      first + length, words)
+                    array, first, length, used = span
+                    read = vals if length == count and not base else (
+                        f"{vals}[{base + position}:"
+                        f"{base + position + length}]")
+                    self._slice_store(array, first, first + length, read)
                     index += used
                     position += length
         # One cursor update for the whole run.
@@ -1036,6 +1372,150 @@ class _FuncCompiler:
                 init = self._default_inits.get(self.py_name(item.counter))
                 if init is not None:
                     self.lines[init] = None
+
+    @staticmethod
+    def _declines(guard):
+        """The literal ``guard`` (``if (c) return L;``) returns, or None
+        when its exit is anything else."""
+        then = guard.then
+        if isinstance(then, ast.Block) and len(then.stmts) == 1:
+            then = then.stmts[0]
+        if isinstance(then, ast.Return) and isinstance(then.value,
+                                                       ast.IntLit):
+            return then.value
+        return None
+
+    def _emit_words_run(self, run, words, base):
+        """A load run from the words of a buffer read whole on entry.
+        A local loaded in the run stands for its word until the run
+        ends, when it is stored only if it is read later; the tests
+        between the words, each a ``return L``, are emitted as one test
+        per stretch with one ``L`` and no store between (a word is in
+        bounds and cannot fault, so evaluating every term is safe)."""
+        items = run["items"]
+        loaded, tests, exit_ = {}, [], None
+        stored = self._stored = {}
+        index = position = 0
+        while index < len(items):
+            item = items[index]
+            if isinstance(item, ast.If):
+                value = self._declines(item)
+                if tests and value.value != exit_.value:
+                    self._emit_tests(tests, exit_, words)
+                tests.append(self._compare_terms(item.cond))
+                exit_ = value
+                index += 1
+                continue
+            if isinstance(item, (ast.Decl, ast.ExprStmt)):  # a local
+                if isinstance(item, ast.ExprStmt):  # a test may read it
+                    self._emit_tests(tests, exit_, words)
+                name = getattr(getattr(item, "expr", None), "target", item)
+                name = getattr(name, "name", None)
+                if name in loaded:
+                    del loaded[name]
+                    self._subst.pop(name)
+                self.stmt(item)
+                index += 1
+                continue
+            span = self._index_span(items, index)
+            if span is not None:
+                self._emit_tests(tests, exit_, words)
+                array, first, length, used = span
+                self._slice_store(array, first, first + length,
+                                  f"{words}[{base + position}:"
+                                  f"{base + position + length}]")
+                index += used
+                position += length
+                continue
+            word = _Word(f"{words}[{base + position}]", base + position)
+            if isinstance(item, ast.Var) and item.name in self.live.tracked:
+                self._subst[item.name] = self.wrap(word, self.type_of(item))
+                loaded[item.name] = item
+            elif item.uid not in self.live.dead:
+                self._emit_tests(tests, exit_, words)
+                self._store(item, word)
+                if isinstance(item, ast.Member):
+                    # the tests after it read the word, not the field
+                    stored[pretty_expr(item)] = word
+            index += 1
+            position += 1
+        self._emit_tests(tests, exit_, words)
+        self._stored = {}
+        after = self.live.after(run["stmts"][-1])
+        for name, item in loaded.items():
+            code = self._subst.pop(name)
+            if not self._dead(name, after):
+                self._store(item, code)
+
+    def _compare_terms(self, cond):
+        """``cond`` of a run test as ``(word index, op, literal)`` when
+        it compares a whole word with a literal, else its Python text.
+        An unsigned view of a signed word compared for equality with a
+        literal compares the word with the literal's signed value."""
+        negate = False
+        while isinstance(cond, ast.Unary) and cond.op == "!":
+            cond, negate = cond.operand, not negate
+        if isinstance(cond, ast.Binary) and cond.op in _NEGATED:
+            left, right = cond.left, cond.right
+            op = _NEGATED[cond.op] if negate else cond.op
+            if (isinstance(left, ast.Cast) and op in ("==", "!=")
+                    and isinstance(right, ast.IntLit)
+                    and _int_range(self.type_of(left)) == (0, 0xFFFFFFFF)
+                    and _int_range(self.type_of(left.operand)) == _I32
+                    and 0 <= right.value <= 0xFFFFFFFF):
+                word = self.expr(left.operand)
+                value = ct.wrap_int(right.value, ct.INT)
+            else:
+                word, value = self._stored.get(pretty_expr(left)), None
+                if word is None:
+                    word = self.expr(left)
+                if isinstance(right, ast.IntLit):
+                    value = right.value
+            if isinstance(word, _Word) and value is not None:
+                return word.index, op, value
+        return self.cond(cond, negate)
+
+    def _emit_tests(self, tests, exit_, words):
+        """``if T1 or T2 ...: return L`` for the terms ``tests`` (then
+        emptied) and the ``return L`` node ``exit_``.  Words tested
+        ``!=`` a literal are compared as one tuple per stretch of
+        consecutive words; a range test that a ``!=`` of the same word
+        implies is left out."""
+        if not tests:
+            return
+        unequal = {}
+        for term in tests:
+            if isinstance(term, tuple) and term[1] == "!=":
+                unequal.setdefault(term[0], term[2])
+        texts, groups = [], []
+        for index, value in sorted(unequal.items()):
+            if groups and groups[-1][-1][0] == index - 1:
+                groups[-1].append((index, value))
+            else:
+                groups.append([(index, value)])
+        for group in groups:
+            first, value = group[0]
+            if len(group) == 1:
+                texts.append(f"{words}[{first}] != {value}")
+            else:
+                values = ", ".join(str(value) for _index, value in group)
+                texts.append(f"{words}[{first}:{first + len(group)}]"
+                             f" != ({values})")
+        for term in tests:
+            if not isinstance(term, tuple):
+                texts.append(term)
+                continue
+            index, op, value = term
+            known = unequal.get(index)
+            if op == "!=" or known is not None and _IMPLIED[op](known,
+                                                                value):
+                continue  # in a tuple, or true whenever ``!=`` is false
+            texts.append(f"{words}[{index}] {op} {value}")
+        self.emit(f"if {' or '.join(texts)}:")
+        self.depth += 1
+        self._jump(ast.Return(exit_))
+        self.depth -= 1
+        tests.clear()
 
     def _int32_array(self, item):
         """The type of the signed 32-bit array ``item`` is an element
@@ -1073,19 +1553,46 @@ class _FuncCompiler:
             length += 1
         return first.obj, first.index.value, length, length
 
-    def _slice_store(self, array, lo, hi, values, sized=True):
-        """Emit ``array[lo:hi] = values`` so that it faults where the
-        element stores it stands for would: a Python slice store into a
-        list that ends before ``hi`` grows the list instead.  Unless
-        ``sized`` (``values`` known to be ``hi - lo`` long), a
-        ``values`` of another length — the element reads that made it
-        ran off their array — faults too."""
-        test = f"len({array}) < {hi}"
+    def _length(self, array):
+        """The length of the MiniC array ``array`` — every list that
+        holds one is as long as its type says — or None."""
+        atype = self.type_of(array)
+        return atype.length if isinstance(atype, ct.ArrayType) else None
+
+    def _slice_store(self, array, lo, hi, values, sized=True, fresh=False):
+        """Emit ``array[lo:hi] = values`` (``array`` a MiniC node, the
+        bounds literals or Python text, ``values`` a new tuple — a new
+        list when ``fresh``) so that it faults where the element stores
+        it stands for would: a Python slice store into a list that ends
+        before ``hi`` grows the list instead.  Unless ``sized``
+        (``values`` known to be ``hi - lo`` long), a ``values`` of
+        another length — the element reads that made it ran off their
+        array — faults too.  A store of a whole local array, indexed
+        only, of ``values`` known to be as long binds it to them, and
+        the first, at the top level, drops its initial value: nothing
+        read it."""
+        name = array.name if isinstance(array, ast.Var) else None
+        first = name is not None and name not in self._touched
+        text = self.expr(array)
+        # what is known of lengths is used where buffer lengths are
+        length = self._length(array) if self.sizes else None
+        if (sized and lo == 0 and hi == length and name in self._arrays
+                and (fresh or self._arrays[name] == 1)):
+            init = self._default_inits.get(str(text))
+            if first and init is not None and self.depth == 1 and not (
+                    self.loop_stack):
+                self.lines[init] = None
+            self.emit(f"{text} = {values}")
+            return
+        tests = []
+        if not (isinstance(hi, int) and length is not None and hi <= length):
+            tests.append(f"len({text}) < {hi}")
         if not sized:
-            test += f" or len({values}) != {hi} - {lo}"
-        self.emit(f"if {test}:")
-        self.emit(f"    {_RT}.overrun()")
-        self.emit(f"{array}[{lo}:{hi}] = {values}")
+            tests.append(f"len({values}) != {hi} - {lo}")
+        if tests:
+            self.emit(f"if {' or '.join(tests)}:")
+            self.emit(f"    {_RT}.overrun()")
+        self.emit(f"{text}[{lo}:{hi}] = {values}")
 
     def _ensure_body(self):
         """Guarantee the just-opened suite is non-empty."""
@@ -1098,6 +1605,9 @@ class _FuncCompiler:
         boxed = node.name in self.address_taken and not isinstance(
             node.ctype, (ct.StructType, ct.ArrayType)
         )
+        if node.name in self.static and node.init is not None:
+            self.expr(node.init)  # a static cursor: nothing to store
+            return
         if self._dead(node.name, self.live.after(node)) and (
             node.init is None or _pure(node.init)
         ):
@@ -1118,8 +1628,10 @@ class _FuncCompiler:
 
     # -- loops -----------------------------------------------------------------
 
-    def _while(self, node):
-        if self._counted_loop(node):
+    def _while(self, node, entry):
+        """``entry``: what locals hold where the loop is entered
+        (:meth:`_known_values`)."""
+        if self._counted_loop(node, entry):
             return
         head = len(self.lines)
         self.emit("while True:")
@@ -1144,8 +1656,14 @@ class _FuncCompiler:
             isinstance(expr, ast.Var)
             and _int_range(self.type_of(expr)) == _I32
             and expr.name not in self.address_taken
-            and any(expr.name in scope for scope in self.scopes)
+            and self._local(expr.name)
         )
+
+    def _local(self, name):
+        """Whether ``name`` is a local here — declared, or declared
+        further on in a statement list a run is being collected from."""
+        return (name in self._declared
+                or any(name in scope for scope in self.scopes))
 
     def _match_step(self, body, counter):
         """Split a loop body whose tail is ``counter++`` — spelled
@@ -1203,7 +1721,7 @@ class _FuncCompiler:
             expr = expr.obj
         return (expr.name, *reversed(fields))
 
-    def _counted_loop(self, node):
+    def _counted_loop(self, node, entry):
         """Emit ``while (i < BOUND) { body; i++; }`` as ``for i in
         range(i, BOUND)`` and return True — or return False, emitting
         nothing, unless BOUND is a literal, a variable or a ``.``-member
@@ -1260,7 +1778,8 @@ class _FuncCompiler:
             after = self.live.after(node)
             self._emit_map(index, limit,
                            None if self._dead(old, after) else old,
-                           *mapped, exits=not self._dead(counter, after))
+                           *mapped, exits=not self._dead(counter, after),
+                           start=entry.get(counter))
             return True
         self.emit(f"for {index} in range({index}, {limit}):")
         self.depth += 1
@@ -1320,7 +1839,8 @@ class _FuncCompiler:
                 return None
         return (store, reads) if reads else None
 
-    def _emit_map(self, index, limit, old, store, reads, exits=True):
+    def _emit_map(self, index, limit, old, store, reads, exits=True,
+                  start=None):
         """Emit the map loop ``DST[i] = E`` over ``range(i, limit)``:
         one comprehension over the slices ``SRC[i:limit]`` computing E
         before its 32-bit wrap, a test on only the sides of the int
@@ -1329,10 +1849,17 @@ class _FuncCompiler:
         in range wraps to itself — one slice store, and C's exit values
         of ``i`` (unless not ``exits``) and ``old`` (unless None): the
         ones read afterwards; after zero trips, nothing."""
-        sources = {}
+        trips = None
+        if start is not None and limit.isdigit():
+            trips = int(limit) - start
+            if trips <= 0:
+                return  # no trip: nothing changes
+            index = str(start)
+        sources, lengths = {}, {}
         for node in reads:
             base = self.expr(node.obj)
             name = sources.setdefault(base, f"_e{len(sources) + 1}")
+            lengths[base] = self._length(node.obj)
             self._elements[node.uid] = _Code(name, _I32)
         value = self.wrap(self.expr(store.value), self.type_of(store.target))
         self._elements.clear()
@@ -1341,8 +1868,9 @@ class _FuncCompiler:
         if len(sources) > 1:
             slices = f"zip({slices})"
         values = self.temp()
-        self.emit(f"if {index} < {limit}:")
-        self.depth += 1
+        if trips is None:
+            self.emit(f"if {index} < {limit}:")
+            self.depth += 1
         self.emit(f"{values} = [{pre or value}"
                   f" for {', '.join(sources.values())} in {slices}]")
         if pre is not None:
@@ -1356,14 +1884,21 @@ class _FuncCompiler:
             self.emit(f"if {' or '.join(tests)}:")
             wrapped = self.wrap("_e", self.type_of(store.target))
             self.emit(f"    {values} = [{wrapped} for _e in {values}]")
-        self._slice_store(self.expr(store.target.obj), index, limit, values,
-                          sized=False)
+        sized = trips is not None and all(
+            length is not None and length >= int(limit)
+            for length in lengths.values())
+        if trips is not None:
+            index, limit = start, int(limit)
+        self._slice_store(store.target.obj, index, limit, values,
+                          sized=sized, fresh=True)
         if old is not None:
-            last = int(limit) - 1 if limit.isdigit() else f"{limit} - 1"
+            last = (limit - 1 if isinstance(limit, int) else
+                    int(limit) - 1 if limit.isdigit() else f"{limit} - 1")
             self.emit(f"{self.py_name(old)} = {last}")
         if exits:
-            self.emit(f"{index} = {limit}")
-        self.depth -= 1
+            self.emit(f"{self.py_name(store.target.index.name)} = {limit}")
+        if trips is None:
+            self.depth -= 1
 
     def _for(self, node):
         self.scopes.append({})
@@ -1371,7 +1906,7 @@ class _FuncCompiler:
             self._decl(node.init)
         elif isinstance(node.init, ast.ExprStmt):
             self._effect(node.init.expr)
-        jumps = self._own_jumps(node.body)
+        jumps = scalar.own_jumps(node.body)
         if not any(isinstance(jump, ast.Continue) for jump in jumps):
             # Without ``continue`` the loop *is*
             # ``while (cond) { body; step; }``.
@@ -1379,8 +1914,8 @@ class _FuncCompiler:
             if node.step is not None:
                 stmts.append(ast.ExprStmt(node.step))
             self._while(
-                ast.While(node.cond or ast.IntLit(1), ast.Block(stmts))
-            )
+                ast.While(node.cond or ast.IntLit(1), ast.Block(stmts)),
+                self._entries.get(node.uid, {}))
             self.scopes.pop()
             return
         # ``continue`` must still run the step: the body becomes a
@@ -1408,20 +1943,6 @@ class _FuncCompiler:
             self._effect(node.step)
         self.depth -= 1
         self.scopes.pop()
-
-    @staticmethod
-    def _own_jumps(body):
-        """Break/Continue nodes belonging to this loop (not nested ones)."""
-        result = []
-        stack = [body]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.While, ast.For)):
-                continue
-            if isinstance(node, (ast.Break, ast.Continue)):
-                result.append(node)
-            stack.extend(node.children())
-        return result
 
     def _break(self):
         if not self.loop_stack:
@@ -1453,8 +1974,12 @@ class CompiledModule:
     replacement) and not compiled on its own: :meth:`func` and
     :meth:`call` refuse it by name (``inlined`` holds them)."""
 
-    def __init__(self, program, glue=None):
+    def __init__(self, program, glue=None, sizes=None):
         self.program = program
+        #: buffer parameter of an entry function (one the program does
+        #: not call) -> the byte length every caller hands it: a fused
+        #: entry's size guard, as a static fact
+        self.sizes = sizes or {}
         self.global_names = {}
         #: run format -> name of its module-level ``struct.Struct``
         self.packers = {}
@@ -1524,8 +2049,9 @@ class CompiledModule:
                   if isinstance(node, ast.Call)}
         funcs = []
         for func in lowered.funcs:
-            compiler = _FuncCompiler(self, func, typeinfo,
-                                     func.name in called)
+            called_ = func.name in called
+            compiler = _FuncCompiler(self, func, typeinfo, called_,
+                                     None if called_ else self.sizes)
             funcs.extend(compiler.compile())
             funcs.append("")
             self.buffers[func.name] = compiler.buffers
@@ -1603,6 +2129,8 @@ class CompiledModule:
         return _rt.PyBuffer(size)
 
 
-def compile_program(program, glue=None):
-    """Compile a MiniC program; returns a :class:`CompiledModule`."""
-    return CompiledModule(program, glue)
+def compile_program(program, glue=None, sizes=None):
+    """Compile a MiniC program; returns a :class:`CompiledModule`.
+    ``sizes`` gives the byte length of the entry functions' buffer
+    parameters that every caller fixes (:attr:`CompiledModule.sizes`)."""
+    return CompiledModule(program, glue, sizes)

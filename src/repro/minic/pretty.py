@@ -223,12 +223,6 @@ class _Printer:
             self.emit("")
 
 
-def pretty_stmt(node, indent="    "):
-    printer = _Printer(indent)
-    printer.stmt(node)
-    return "\n".join(printer.lines)
-
-
 def pretty_func(node, indent="    "):
     printer = _Printer(indent)
     printer.func_def(node)

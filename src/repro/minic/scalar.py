@@ -162,7 +162,10 @@ class _Inliner:
                                         else None)
             #: the caller's names: every one in use, their one type
             #: (None: declared twice), those whose address is taken
-            self._caller = set(counts) | self.globals, types, taken
+            uses = collections.Counter(
+                node.name for node in ast.walk(body)
+                if isinstance(node, ast.Var))
+            self._caller = set(counts) | self.globals, types, taken, uses
             self._block(body)
             self._caller = saved
             declared, read, written, _taken = _names(body)
@@ -172,13 +175,46 @@ class _Inliner:
         return facts
 
     def _block(self, block):
-        stmts = []
-        for stmt in block.stmts:
-            stmts.extend(self._stmt(stmt))
+        stmts, old, index = [], block.stmts, 0
+        while index < len(old):
+            following = old[index + 1] if index + 1 < len(old) else None
+            expanded = self._stmt(old[index], following)
+            index += 1
+            if expanded and expanded[-1] is _TESTED:
+                expanded.pop()
+                index += 1  # the test is part of the expansion
+            stmts.extend(expanded)
         block.stmts[:] = stmts
 
-    def _stmt(self, stmt):
-        """The statements ``stmt`` becomes (its nested blocks expanded)."""
+    def _tested(self, target, test):
+        """For ``target = f(...);`` followed by ``test``: the literal
+        the caller returns when ``test`` is ``if (!target) return L;``
+        and nothing else reads ``target`` — then the inlined body can
+        return it, or go on, itself — else None."""
+        if not (isinstance(target, ast.Var) and isinstance(test, ast.If)
+                and test.other is None
+                and isinstance(test.cond, ast.Unary)
+                and test.cond.op == "!"
+                and isinstance(test.cond.operand, ast.Var)
+                and test.cond.operand.name == target.name):
+            return None
+        then = test.then
+        if isinstance(then, ast.Block) and len(then.stmts) == 1:
+            then = then.stmts[0]
+        if not (isinstance(then, ast.Return)
+                and isinstance(then.value, ast.IntLit)):
+            return None
+        _names, types, taken, uses = self._caller
+        ctype = types.get(target.name)
+        if (target.name in taken or target.name in self.globals
+                or not isinstance(ctype, ct.IntType)
+                or uses[target.name] != 2):
+            return None
+        return then.value, ctype
+
+    def _stmt(self, stmt, following=None):
+        """The statements ``stmt`` becomes (its nested blocks expanded);
+        ending in ``_TESTED`` when they took in ``following`` too."""
         for name in ("then", "other", "body"):
             child = getattr(stmt, name, None)
             if isinstance(child, ast.Block):
@@ -205,12 +241,21 @@ class _Inliner:
         if free - self.globals or free & set(self._caller[1]):
             return [stmt]  # a global the callee reads is shadowed here
         self.inlined.add(callee.name)
+        tested = None
+        if isinstance(stmt, ast.ExprStmt) and all(
+                isinstance(node.value, ast.IntLit)
+                for node in ast.walk(body) if isinstance(node, ast.Return)):
+            tested = self._tested(target, following)
+        if tested is not None:
+            return [*self._inline(callee, body, declared, written, call,
+                                  None, tested).stmts, _TESTED]
         lead = []
         if isinstance(stmt, ast.Decl):
             lead.append(ast.Decl(stmt.ctype, stmt.name, None,
                                  line=stmt.line))
-        return lead + [self._inline(callee, body, declared, written, call,
-                                    target)]
+        # its names are fresh in the caller: no block needed around it
+        return lead + self._inline(callee, body, declared, written, call,
+                                   target).stmts
 
     def _fresh(self, name):
         names = self._caller[0]
@@ -221,10 +266,14 @@ class _Inliner:
         names.add(candidate)
         return candidate
 
-    def _inline(self, callee, body, declared, written, call, target):
+    def _inline(self, callee, body, declared, written, call, target,
+                tested=None):
         """The block that stands for ``target = callee(args)``: the
         parameters bound, the body with its returns turned into exits,
-        and the result stored."""
+        and the result stored.  With ``tested`` — ``(L, type)`` of a
+        result only tested by ``if (!target) return L;`` — a return of
+        a literal that is 0 in that type is that ``return L``, any
+        other is an exit, and nothing is stored."""
         rename = {name: self._fresh(name) for name in declared}
         pure = not any(has_effects(arg) for arg in call.args)
         bound, stmts = {}, []
@@ -239,21 +288,29 @@ class _Inliner:
         body = _copy(body, rename, bound)
         ret = None
         if not callee.ret_type.is_void and target is not None:
-            _names, types, taken = self._caller
+            _names, types, taken, _uses = self._caller
             if (isinstance(target, ast.Var) and target.name not in taken
                     and types.get(target.name) == callee.ret_type):
                 ret = target.name
             else:
                 ret = self._fresh(f"{callee.name}_ret")
                 stmts.append(ast.Decl(callee.ret_type, ret, None))
-        exits = _Exits(ret, self._fresh(f"{callee.name}_done"))
+        exits = _Exits(ret, self._fresh(f"{callee.name}_done"), tested)
         lowered = exits.block(body, tail=True)
+        straighten(lowered, self.globals)
         if exits.flagged:
             stmts.append(ast.Decl(ct.INT, exits.flag, ast.IntLit(0)))
         if exits.jumps:
-            lowered = ast.While(ast.IntLit(1), ast.Block(
-                lowered.stmts + [ast.Break()]))
-        stmts.append(lowered)
+            if (lowered.stmts and isinstance(lowered.stmts[-1], ast.Break)
+                    and sum(isinstance(jump, ast.Break) for jump in
+                            own_jumps(lowered)) == 1):
+                lowered.stmts.pop()  # one exit, at the end: no loop
+            else:
+                if not _ends(lowered.stmts):
+                    lowered.stmts.append(ast.Break())
+                lowered = ast.While(ast.IntLit(1), lowered)
+        stmts.extend(lowered.stmts if isinstance(lowered, ast.Block)
+                     else [lowered])
         if ret is not None and not (isinstance(target, ast.Var)
                                     and target.name == ret):
             stmts.append(ast.ExprStmt(ast.Assign(None, target,
@@ -269,7 +326,7 @@ class _Inliner:
         if isinstance(arg, ast.IntLit):
             return (isinstance(ptype, ct.IntType)
                     and ct.wrap_int(arg.value, ptype) == arg.value)
-        _names, types, taken = self._caller
+        _names, types, taken, _uses = self._caller
         if isinstance(arg, ast.Unary) and arg.op == "&":
             var = arg.operand
             return (isinstance(var, ast.Var) and var.name in types
@@ -284,9 +341,11 @@ class _Exits:
     exit from the one-trip loop the body is wrapped in: ``break``, or
     inside the callee's own loops a flag and a ``break`` out of each."""
 
-    def __init__(self, ret, flag):
+    def __init__(self, ret, flag, tested=None):
         self.ret = ret
         self.flag = flag
+        #: ``(L, type)``: see :meth:`_Inliner._inline`
+        self.tested = tested
         self.jumps = False
         self.flagged = False
 
@@ -300,7 +359,12 @@ class _Exits:
     def stmt(self, stmt, tail, loops):
         if isinstance(stmt, ast.Return):
             out = []
-            if stmt.value is not None:
+            if self.tested is not None:
+                declined, ctype = self.tested
+                if not ct.wrap_int(stmt.value.value, ctype):
+                    return [ast.Return(ast.IntLit(declined.value),
+                                       line=stmt.line)]
+            elif stmt.value is not None:
                 if self.ret is not None:
                     out.append(ast.ExprStmt(ast.Assign(
                         None, ast.Var(self.ret), stmt.value)))
@@ -329,6 +393,88 @@ class _Exits:
                 return [stmt, ast.If(ast.Var(self.flag),
                                      ast.Block([ast.Break()]), None)]
         return [stmt]
+
+
+#: the marker ending an expansion that took in the statement after it
+_TESTED = object()
+
+
+def _ends(stmts):
+    """Whether the statement list ``stmts`` never completes normally:
+    every path through it returns or jumps."""
+    if not stmts:
+        return False
+    last = stmts[-1]
+    if isinstance(last, (ast.Return, ast.Break, ast.Continue)):
+        return True
+    if isinstance(last, ast.Block):
+        return _ends(last.stmts)
+    if isinstance(last, ast.If):
+        return last.other is not None and all(
+            _ends(arm.stmts if isinstance(arm, ast.Block) else [arm])
+            for arm in (last.then, last.other))
+    return False
+
+
+def own_jumps(block):
+    """The ``break`` / ``continue`` nodes of the loop body ``block``
+    that leave that loop (not a loop inside it)."""
+    found, stack = [], [block]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Break, ast.Continue)):
+            found.append(node)
+        elif not isinstance(node, (ast.While, ast.For)):
+            stack.extend(node.children())
+    return found
+
+
+def _stmts(node):
+    return node.stmts if isinstance(node, ast.Block) else [node]
+
+
+def _straighten(stmts, unique=frozenset()):
+    """Put the list ``stmts`` in guard form, where what goes on is
+    straight-line code (in place, through what it splices in):
+    ``if (c) { T } return R;`` — ``T`` never completing — and ``if (c)
+    { T } else return R;`` both become ``if (!c) return R; T``."""
+    index = 0
+    while index < len(stmts):
+        stmt = stmts[index]
+        if isinstance(stmt, ast.If):
+            then, other = _stmts(stmt.then), stmt.other
+            if (other is None and index == len(stmts) - 2
+                    and isinstance(stmts[-1], ast.Return) and _ends(then)):
+                exit_, rest = stmts[-1], []
+            elif (other is not None and len(_stmts(other)) == 1
+                  and isinstance(_stmts(other)[0], ast.Return)):
+                exit_, rest = _stmts(other)[0], stmts[index + 1:]
+            else:
+                index += 1
+                continue
+            if any(isinstance(child, ast.Decl) and child.name not in unique
+                   for child in then):
+                then = [ast.Block(then, line=stmt.line)]  # keep its scope
+            stmts[index:] = [
+                ast.If(ast.Unary("!", stmt.cond, line=stmt.line),
+                       ast.Block([exit_]), None, line=stmt.line),
+                *then, *rest]
+        index += 1
+
+
+def straighten(node, outer=frozenset()):
+    """:func:`_straighten` every statement list in ``node``, inner
+    ones first.  A then-arm's local is spliced into the list around it
+    only when no other declaration in ``node`` and none of the names of
+    ``outer`` (the function's parameters and the globals) has its name:
+    spliced, it would shadow that one in the statements after it."""
+    blocks = [child for child in ast.walk(node)
+              if isinstance(child, ast.Block)]
+    counts = collections.Counter(_declared(node))
+    unique = {name for name, count in counts.items()
+              if count == 1 and name not in outer}
+    for block in reversed(blocks):
+        _straighten(block.stmts, unique)
 
 
 def _replace_structs(func, global_names):
@@ -421,6 +567,8 @@ def scalarize(program):
              for func in program.funcs]
     funcs = [func for func in funcs if func.name not in inliner.inlined]
     for func in funcs:
+        straighten(func.body, {param.name for param in func.params}
+                   | inliner.globals)
         _replace_structs(func, inliner.globals)
     return ast.Program(program.structs, program.enums, funcs,
                        program.globals)

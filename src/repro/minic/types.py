@@ -92,17 +92,6 @@ class StructType(CType):
                 return ftype
         raise TypeCheckError(f"struct {self.name} has no field {name!r}")
 
-    def field_offset(self, name):
-        offset = 0
-        for fname, ftype in self.fields:
-            if fname == name:
-                return offset
-            offset += ftype.size()
-        raise TypeCheckError(f"struct {self.name} has no field {name!r}")
-
-    def has_field(self, name):
-        return any(fname == name for fname, _ in self.fields)
-
     def __str__(self):
         return f"struct {self.name}"
 

@@ -24,27 +24,6 @@ from collections import OrderedDict
 from repro import obs as _obs
 
 
-#: static ``registry.cells`` keys of :func:`fold_drc`
-_HITS = ("counter", "rpc.drc.hits")
-_MISSES = ("counter", "rpc.drc.misses")
-_STORES = ("counter", "rpc.drc.stores")
-_EVICTIONS = ("counter", "rpc.drc.evictions")
-_ENTRIES = ("gauge", "rpc.drc.entries")
-
-
-def fold_drc(rec, cells):
-    """Registry lock held: the DRC's part of a dispatch record.  A
-    full cache evicts one entry per store: the level rarely moves."""
-    cells[_HITS if rec.drc_hit else _MISSES].value += 1
-    if rec.entries:
-        cells[_STORES].value += 1
-        if rec.evicted:
-            cells[_EVICTIONS].value += rec.evicted
-        level = cells[_ENTRIES]
-        if level.value != rec.entries:
-            level.value = rec.entries
-
-
 #: placeholder value for a request whose handler is currently running
 #: (claimed but not yet answered) — never returned as a reply.
 _IN_PROGRESS = object()

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from repro import obs as _obs
 from repro.errors import RpcProtocolError, XdrError
 from repro.rpc.auth import NULL_AUTH
-from repro.rpc.drc import DuplicateRequestCache, fold_drc
+from repro.rpc.drc import DuplicateRequestCache
 from repro.rpc.fastpath import BufferPool, ReplyHeaderTemplate
 from repro.rpc.message import (
     AcceptStat,
@@ -76,9 +76,11 @@ _OK_TAIL = ReplyHeaderTemplate(stat=AcceptStat.SUCCESS).prefix[4:]
 _ERR_TAIL = ReplyHeaderTemplate(stat=AcceptStat.SYSTEM_ERR).prefix[4:]
 
 #: one entry of the route table: the ``tier`` label observability
-#: reports, the ``body(data) -> reply | None`` that serves, and the
-#: cell keys of the counters a request it (declined, served) moves.
-Route = namedtuple("Route", "tier body counts")
+#: reports, the ``body(data) -> reply | None`` that serves, the cell
+#: keys of the counters a request it (declined, served) moves, and the
+#: outcome of every reply it returns when there is only one (else None).
+Route = namedtuple("Route", "tier body counts answers",
+                   defaults=(None,))
 
 
 def _signature(prog, vers, proc):
@@ -95,6 +97,8 @@ _OUTCOMES = {struct.pack(">5I", 1, 0, 0, 0, stat): stat.name.lower()
 _OUTCOMES[struct.pack(">5I", 1, 1, RejectStat.RPC_MISMATCH, 2, 2)] = (
     "rpc_mismatch")
 
+_monotonic = time.monotonic
+
 #: static ``registry.cells`` keys of the per-dispatch fold
 _REQUESTS = ("counter", "rpc.server.requests")
 _LATENCY = ("histogram", "rpc.server.dispatch_latency_s")
@@ -102,27 +106,31 @@ _DOOMED = ("counter", "rpc.deadline.doomed")
 _HANDLER_ERRORS = ("counter", "rpc.server.handler_errors")
 _HEADER = {True: ("counter", "rpc.server.fastpath_header_hits"),
            False: ("counter", "rpc.server.fastpath_fallbacks")}
+_DRC_HITS = ("counter", "rpc.drc.hits")
+_DRC_MISSES = ("counter", "rpc.drc.misses")
+_DRC_STORES = ("counter", "rpc.drc.stores")
+_DRC_EVICTIONS = ("counter", "rpc.drc.evictions")
+_DRC_ENTRIES = ("gauge", "rpc.drc.entries")
 _REPLIES = {outcome: ("counter", "rpc.server.replies", ("outcome", outcome))
             for outcome in (*_OUTCOMES.values(), "drc_replay", "shed",
                             "dropped")}
 
 
 class _Dispatch:
-    """What one dispatch did, as plain fields (observability on only)."""
+    """What one dispatch did, as plain fields (observability on only).
+    The defaults are the class's, so a record costs no initializer: a
+    dispatch sets only what happened."""
 
-    __slots__ = ("header", "route_count", "doomed", "outcome",
-                 "drc_hit", "evicted", "entries")
-
-    def __init__(self):
-        #: cell keys: :data:`_HEADER`'s and :attr:`Route.counts`'s
-        self.header = self.route_count = None
-        self.doomed = False
-        #: ``drc_replay`` / ``shed``: what the reply bytes cannot say
-        self.outcome = None
-        #: the DRC's part: ``begin``'s verdict; ``put``'s evictions
-        #: and level (never 0 after a store)
-        self.drc_hit = None
-        self.evicted = self.entries = 0
+    #: cell keys: :data:`_HEADER`'s and :attr:`Route.counts`'s
+    header = route_count = None
+    #: ``drc_replay`` / ``shed``, or the outcome a route body declares
+    #: for every reply it returns: what the fold need not read from the
+    #: reply bytes
+    outcome = None
+    #: the DRC's part: ``begin``'s verdict; ``put``'s evictions and
+    #: level (never 0 after a store)
+    drc_hit = None
+    evicted = entries = 0
 
 
 @dataclass
@@ -305,7 +313,7 @@ class SvcRegistry:
     # -- the route table ----------------------------------------------------
 
     def install_route(self, prog, vers, proc, body, tier,
-                      counts=(None, None)):
+                      counts=(None, None), answers=None):
         """Atomically hot-swap a route body into dispatch.
 
         ``body(data) -> reply bytes | None`` answers a request whose
@@ -316,7 +324,8 @@ class SvcRegistry:
         default body under the same DRC claim.  The at-most-once
         protocol, drain, quota, accounting and the execution count stay
         in :meth:`_spine`; a body never touches them (``counts``: the
-        counters of a request it declined / served).
+        counters of a request it declined / served; ``answers``: the
+        outcome of every reply it returns, when it has only one).
 
         One table holds every tier (``staged``, ``specialized``); it is
         published copy-on-write, so concurrent dispatchers see either
@@ -324,7 +333,8 @@ class SvcRegistry:
         over an existing entry replaces it.
         """
         routes = dict(self._routes or {})
-        routes[_signature(prog, vers, proc)] = Route(tier, body, counts)
+        routes[_signature(prog, vers, proc)] = Route(tier, body, counts,
+                                                     answers)
         self._routes = routes
         return self
 
@@ -450,7 +460,7 @@ class SvcRegistry:
             return self._spine(data, caller, received_at, None)
         rec = _Dispatch()
         span = outcome = None
-        started = time.monotonic()
+        started = _monotonic()
         if _obs.tracer.sinks:
             span = _obs.span(
                 "server.dispatch", side="server", bytes=len(data),
@@ -464,25 +474,24 @@ class SvcRegistry:
                 span.end(outcome="error", error=type(exc).__name__)
             raise
         finally:  # the fold: all of the dispatch's updates, one lock round
-            elapsed = time.monotonic() - started
-            registry = _obs.registry
-            cells = registry.cells
-            registry.lock.acquire()
-            try:
+            elapsed = _monotonic() - started
+            cells = _obs.registry.cells
+            with _obs.registry.lock:
                 cells[_REQUESTS].value += 1
                 cells[_LATENCY].fold(elapsed)
                 if rec.header is not None:
                     cells[rec.header].value += 1
                 if rec.route_count is not None:
                     cells[rec.route_count].value += 1
-                if rec.doomed:
-                    cells[_DOOMED].value += 1
-                if rec.drc_hit is not None:
-                    fold_drc(rec, cells)
+                if rec.drc_hit is not None:  # the DRC's part
+                    cells[_DRC_HITS if rec.drc_hit else _DRC_MISSES].value += 1
+                    if rec.entries:
+                        cells[_DRC_STORES].value += 1
+                        if rec.evicted:
+                            cells[_DRC_EVICTIONS].value += rec.evicted
+                        cells[_DRC_ENTRIES].value = rec.entries
                 if outcome is not None:
                     cells[_REPLIES[outcome]].value += 1
-            finally:
-                registry.lock.release()
         if span is not None:
             if reply is None:
                 span.end(outcome="dropped")
@@ -531,8 +540,9 @@ class SvcRegistry:
                 arrived = received_at if received_at is not None else now
                 if arrived + remaining <= now:
                     self.doomed_dropped += 1
-                    if rec is not None:
-                        rec.doomed = True
+                    if rec is not None:  # rare: off the one fold
+                        with _obs.registry.lock:
+                            _obs.registry.cells[_DOOMED].value += 1
                     if span is not None:
                         span.add(xid=xid, outcome="doomed")
                     return None
@@ -581,6 +591,8 @@ class SvcRegistry:
                 record = route.body(data)
                 if rec is not None:
                     rec.route_count = route.counts[record is not None]
+                    if record is not None:
+                        rec.outcome = route.answers
                 if record is not None:
                     if span is not None:
                         span.add(tier=route.tier, outcome=_OUTCOMES.get(

@@ -10,7 +10,8 @@ runtime in :mod:`repro.rpcgen.sunrpc_minic`):
   guard* of the paper's §6.2: the dynamic length is compared against a
   parameter known at specialization time, and the matching branch
   re-assigns the known value so flow-sensitive binding-time analysis
-  unrolls the element loop;
+  unrolls the element loop; the ``else`` is the generic loop, or, in
+  the pipeline's live stubs (``decline=True``), ``return FALSE``;
 * per procedure: ``<proc>_marshal`` (client argument marshaling — the
   paper's Table 1 micro-benchmark), ``<proc>_call`` (full client call
   over ``net_sendrecv`` with the ``expected_inlen`` rewrite — Table 2),
@@ -53,8 +54,9 @@ class MiniCGenerator:
     """Emits the MiniC text of what :attr:`contract` describes: the
     in-subset structs and procedures of the interface."""
 
-    def __init__(self, interface):
+    def __init__(self, interface, decline=False):
         self.interface = interface
+        self.decline = decline
         self.contract = StubContract(interface)
         self.lines = []
 
@@ -135,23 +137,19 @@ class MiniCGenerator:
         value so the element loop unrolls under specialization."""
         name = field.name
         item = self._scalar_call(field.kind, f"objp->{name}[i]")
-        self.emit(f"    if (!xdr_int(xdrs, &objp->{name}_len))")
-        self.emit("        return FALSE;")
-        self.emit(f"    if (objp->{name}_len < 0)")
-        self.emit("        return FALSE;")
-        self.emit(f"    if (objp->{name}_len > {field.bound})")
-        self.emit("        return FALSE;")
+        loop = [f"for (i = 0; i < objp->{name}_len; i++) {{",
+                f"    if (!{item})", "        return FALSE;", "}"]
+        for test in (f"!xdr_int(xdrs, &objp->{name}_len)",
+                     f"objp->{name}_len < 0", f"objp->{name}_len > {field.bound}"):
+            self.emit(f"    if ({test})")
+            self.emit("        return FALSE;")
         self.emit(f"    if (objp->{name}_len == {expected}) {{")
         self.emit(f"        objp->{name}_len = {expected};")
-        self.emit(f"        for (i = 0; i < objp->{name}_len; i++) {{")
-        self.emit(f"            if (!{item})")
-        self.emit("                return FALSE;")
-        self.emit("        }")
+        for line in loop:
+            self.emit(f"        {line}")
         self.emit("    } else {")
-        self.emit(f"        for (i = 0; i < objp->{name}_len; i++) {{")
-        self.emit(f"            if (!{item})")
-        self.emit("                return FALSE;")
-        self.emit("        }")
+        for line in ["return FALSE;"] if self.decline else loop:
+            self.emit(f"        {line}")
         self.emit("    }")
 
     # -- client functions -----------------------------------------------------

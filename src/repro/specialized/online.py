@@ -306,7 +306,7 @@ class ResidualRoute(VariantTable):
         was, self.variants = self.variants, variants
         if variants and not was:
             self.registry.install_route(*self.key, self, tier="specialized",
-                                        counts=_ROUTE_COUNTS)
+                                        counts=_ROUTE_COUNTS, answers="success")
         elif was and not variants:
             self.registry.remove_route(*self.key)
 

@@ -118,18 +118,18 @@ class ClientSpecialization:
             glue=lambda module: sr.marshal_entry(
                 proc, marshal_result, arg_lens, pipeline.prog_number,
                 pipeline.vers_number, self.expected_request,
-                module.buffers[marshal_result.entry_name]))
+                module.buffers[marshal_result.entry_name]),
+            sizes={"outbuf": self.expected_request})
         self._recv_module = compile_program(
             narrow_arrays(recv_result.program, {ret_struct.name: res_lens}),
             glue=lambda module: sr.recv_entry(
                 proc, recv_result, res_lens, self.expected_reply,
-                module.buffers[recv_result.entry_name]))
-        self._generic_arg_filter = getattr(
-            pipeline.stubs, f"xdr_{arg_struct.name}"
-        )
-        self._generic_ret_filter = getattr(
-            pipeline.stubs, f"xdr_{ret_struct.name}"
-        )
+                module.buffers[recv_result.entry_name]),
+            sizes={"inbuf": self.expected_reply})
+        self._generic_arg_filter = getattr(pipeline.stubs,
+                                           f"xdr_{arg_struct.name}")
+        self._generic_ret_filter = getattr(pipeline.stubs,
+                                           f"xdr_{ret_struct.name}")
         self._arg_lens = arg_lens
         self._res_lens = res_lens
 
@@ -264,7 +264,7 @@ class SpecializationPipeline:
         #: the generator holds the stub contract: which procedures are
         #: inside the MiniC subset, their wire layouts, the signature
         #: of every entry specialized below
-        self._gen = MiniCGenerator(self.interface)
+        self._gen = MiniCGenerator(self.interface, decline=True)
         self.minic_source = self._gen.generate(impl_sources)
         self.program_ast = parse_program(self.minic_source)
         self.typeinfo = typecheck_program(self.program_ast)
@@ -449,12 +449,13 @@ class SpecializationPipeline:
             capacities[proc.arg.name] = {
                 field: max(length, res_lens[field])
                 for field, length in arg_lens.items()}
+        request, reply = proc.request_size(arg_lens), proc.reply_size(res_lens)
         return compile_program(
             narrow_arrays(result.program, capacities),
             glue=lambda module: sr.dispatch_entry(
-                self._version.process, result, proc.request_size(arg_lens),
-                proc.reply_size(res_lens),
-                module.buffers[result.entry_name]))
+                self._version.process, result, request, reply,
+                module.buffers[result.entry_name]),
+            sizes={"inbuf": request, "outbuf": reply})
 
     def specialize_server(self, hot_proc, arg_lens=None, res_lens=None,
                           bufsize=8800, fallback=None):

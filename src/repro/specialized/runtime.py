@@ -32,9 +32,8 @@ from repro.errors import IdlError
 def _buffer(sig, buffers, role):
     """None when the residual takes its ``role`` parameter as a
     ``pyruntime`` pointer; else whether it stores through that buffer.
-    A partly unrolled residual (``Options(max_unroll=...)`` below the
-    array length) is one that does: its per-element helper has two
-    call sites, so the XDR handle and its cursor escape to it."""
+    A residual whose per-element helper is not inlined is one that
+    does: the XDR handle and its cursor escape to the helper."""
     name = next(p.name for p in sig.params if p.role == role)
     return buffers.get(name)
 
@@ -83,9 +82,10 @@ def _entry(params, guard, body):
 
 def _fill(shape, lens, src, dst, lines, depth=1):
     """Append the statements that copy the Python value ``src`` (stub
-    struct or dict) into the compiled struct ``dst``.  This is the
-    boundary of the compiled code's in-range invariant: scalars are
-    checked here, signed array elements by the pack that sends them."""
+    struct or dict) into the compiled struct ``dst``, setting every
+    field.  This is the boundary of the compiled code's in-range
+    invariant: scalars are checked here, signed array elements by the
+    pack that sends them; an array is handed over as it is."""
     for field in shape.fields:
         name = field.name
         value = (f"({src}[{name!r}] if isinstance({src}, dict)"
@@ -104,7 +104,7 @@ def _fill(shape, lens, src, dst, lines, depth=1):
                 lines.append(f"{dst}.{name}_len = {count}")
             if field.kind == "u_int":
                 lines.append("_v = [int(_i) & 0xFFFFFFFF for _i in _v]")
-            lines.append(f"{dst}.{name}[:{count}] = _v")
+            lines.append(f"{dst}.{name} = _v")
         elif field.kind == "u_int":
             lines.append(f"{dst}.{name} = int({value}) & 0xFFFFFFFF")
         else:
@@ -116,14 +116,12 @@ def _fill(shape, lens, src, dst, lines, depth=1):
 
 def _extract(shape, src):
     """The expression that builds the stub value of ``shape`` from the
-    compiled struct ``src`` (fresh per call: its lists are handed over,
-    a bounded array cut to its decoded length)."""
+    compiled struct ``src`` (fresh per call: its lists, each of the
+    one length decoded, are handed over)."""
     fields = []
     for field in shape.fields:
         name = field.name
-        if field.bound is not None:
-            value = f"{src}.{name}[:{src}.{name}_len]"
-        elif field.struct is not None:
+        if field.struct is not None:
             value = _extract(field.struct, f"{src}.{name}")
         else:
             value = f"{src}.{name}"
@@ -133,8 +131,11 @@ def _extract(shape, src):
 
 def marshal_entry(proc, result, lens, prog, vers, size, buffers):
     """``entry(xid, args)``: the ``size``-byte call message for
-    ``args``, or None — the argument is not of the assumed lengths."""
-    body = [f"argsp = S_{proc.arg.name}()"]
+    ``args`` — a new ``bytearray``, which the client sends as it is —
+    or None: the argument is not of the assumed lengths."""
+    cls = f"S_{proc.arg.name}"  # no initializer: _fill sets each field
+    nested = any(field.struct for field in proc.arg.fields)
+    body = [f"argsp = {cls}()" if nested else f"argsp = {cls}.__new__({cls})"]
     _fill(proc.arg, lens, "args", "argsp", body)
     alloc, out, data = _reply(proc.marshal, buffers, size)
     call = _call(result, proc.marshal, proc.lens(lens, {}),
@@ -142,7 +143,7 @@ def marshal_entry(proc, result, lens, prog, vers, size, buffers):
                  outbuf=out, outsize=str(size))
     body += [alloc,
              f"if {call} == {size}:",
-             f"    return bytes({data})"]
+             f"    return {data}"]
     return (f"\n_clnt = S_CLIENT()\n_clnt.cl_prog = {prog}\n"
             f"_clnt.cl_vers = {vers}\n" + _entry("xid, args", [], body))
 

@@ -13,6 +13,7 @@ from repro.minic.typecheck import typecheck_program
 from repro.tempo import pe_values as pv
 from repro.tempo.assumptions import ArrayOf, Dyn, DynPtr, Known, PtrTo, StructOf
 from repro.tempo.postprocess import postprocess_program
+from repro.tempo.signals import FieldSplit
 from repro.tempo.specializer import Specializer
 
 
@@ -168,7 +169,17 @@ def specialize(
     :returns: a :class:`SpecializationResult`.
     """
     typeinfo = typeinfo or typecheck_program(program)
-    engine = Specializer(program, typeinfo, options)
+    try:
+        return _specialize(program, entry, assumptions, options,
+                           residual_name, typeinfo, root_fields=False)
+    except FieldSplit:
+        return _specialize(program, entry, assumptions, options,
+                           residual_name, typeinfo, root_fields=True)
+
+
+def _specialize(program, entry, assumptions, options, residual_name,
+                typeinfo, root_fields):
+    engine = Specializer(program, typeinfo, options, root_fields)
     func = program.func(entry)
     known_params = {param.name for param in func.params}
     for name in assumptions:

@@ -98,10 +98,6 @@ class PEVal:
 
     __slots__ = ()
 
-    @property
-    def is_static(self):
-        return isinstance(self, Static)
-
 
 class Static(PEVal):
     __slots__ = ("value",)

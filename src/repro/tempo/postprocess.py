@@ -7,6 +7,8 @@ trials.  These passes remove them; they are semantics-preserving by
 construction.
 """
 
+import collections
+
 from repro.minic import ast
 from repro.minic import types as ct
 
@@ -168,9 +170,113 @@ def postprocess_program(program, entry_name):
     return program
 
 
+def _counted(loop):
+    """``(k, N, body)`` of ``while (k < N) { body; k = k + 1; }`` (the
+    step ``k++``, ``k = k + 1`` or ``old = k; k = old + 1``) when the
+    body stores to neither ``k`` nor ``old``, else None."""
+    if not (isinstance(loop, ast.While) and isinstance(loop.body, ast.Block)
+            and isinstance(loop.cond, ast.Binary) and loop.cond.op == "<"
+            and isinstance(loop.cond.left, ast.Var)
+            and isinstance(loop.cond.right, ast.IntLit)):
+        return None
+    counter, stmts = loop.cond.left.name, loop.body.stmts
+    names = {counter}
+    step = stmts[-1].expr if stmts and isinstance(stmts[-1],
+                                                  ast.ExprStmt) else None
+    if isinstance(step, ast.IncDec) and step.op == "++":
+        body = stmts[:-1]
+    elif (isinstance(step, ast.Assign) and step.op is None
+          and isinstance(step.value, ast.Binary) and step.value.op == "+"
+          and isinstance(step.value.left, ast.Var)
+          and isinstance(step.value.right, ast.IntLit)
+          and step.value.right.value == 1):
+        body = stmts[:-1]
+        source = step.value.left.name
+        if source != counter:
+            copy = stmts[-2].expr if len(stmts) > 1 and isinstance(
+                stmts[-2], ast.ExprStmt) else None
+            if not (isinstance(copy, ast.Assign)
+                    and isinstance(copy.target, ast.Var)
+                    and copy.target.name == source
+                    and isinstance(copy.value, ast.Var)
+                    and copy.value.name == counter):
+                return None
+            body, names = stmts[:-2], {counter, source}
+    else:
+        return None
+    if not (isinstance(getattr(step, "target", None), ast.Var)
+            and step.target.name == counter):
+        return None
+    if any(isinstance(node, (ast.Assign, ast.IncDec))
+           and isinstance(node.target, ast.Var) and node.target.name in names
+           for stmt in body for node in ast.walk(stmt)):
+        return None
+    return counter, loop.cond.right.value, body
+
+
+def local_extents(func):
+    """``{the Decl of a local array: the length its accesses reach}``
+    for the arrays whose every use is ``a[i]``, ``i`` a literal or the
+    counter ``k`` of a loop ``while (k < N)`` (:func:`_counted`) around
+    it — ``k`` only ever set to a literal ``>= 0`` or stepped by one."""
+    decls = {node.name: node for node in ast.walk(func.body)
+             if isinstance(node, ast.Decl)
+             and isinstance(node.ctype, ct.ArrayType)}
+    stepped = set()  # counters only set to literals >= 0 or stepped
+    plain = collections.Counter()
+    for node in ast.walk(func.body):
+        if isinstance(node, (ast.Assign, ast.IncDec)) and isinstance(
+                node.target, ast.Var):
+            value = getattr(node, "value", None)
+            plain[node.target.name] += 1
+            if (isinstance(node, ast.Assign) and node.op is None and (
+                    isinstance(value, ast.IntLit) and value.value >= 0
+                    or isinstance(value, ast.Binary) and value.op == "+"
+                    and isinstance(value.left, ast.Var)
+                    and isinstance(value.right, ast.IntLit)
+                    and value.right.value == 1)):
+                stepped.add(node.target.name)
+                plain[node.target.name] -= 1
+    reach = {}
+    for loop in ast.walk(func.body):
+        found = _counted(loop)
+        if found is None:
+            continue
+        counter, bound, body = found
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Index)
+                        and isinstance(node.index, ast.Var)
+                        and node.index.name == counter):
+                    reach[node.uid] = bound
+    extents = dict.fromkeys(decls, 0)
+    for node in ast.walk(func.body):
+        for child in node.children():
+            if not (isinstance(child, ast.Var) and child.name in extents):
+                continue
+            index = node.index if isinstance(node, ast.Index) and (
+                child is node.obj) else None
+            if isinstance(index, ast.IntLit) and index.value >= 0:
+                length = index.value + 1
+            elif (isinstance(index, ast.Var) and node.uid in reach
+                  and index.name in stepped and not plain[index.name]):
+                length = reach[node.uid]
+            else:
+                length = None  # decays to a pointer, or unknown index
+            extents[child.name] = (None if extents[child.name] is None
+                                   or length is None
+                                   else max(extents[child.name], length))
+    return {decls[name]: length for name, length in extents.items()
+            if length is not None and length < decls[name].ctype.length}
+
+
 def narrow_arrays(program, capacities):
     """``program`` with array fields re-declared at a smaller capacity:
-    ``capacities`` maps a struct name to ``{array field: length}``.
+    ``capacities`` maps a struct name to ``{array field: length}``; and
+    each local array at the length its accesses reach
+    (:func:`local_extents`: a result struct split into locals by the
+    specializer keeps the array the IDL declares, of which only the
+    assumed length is ever touched).
 
     A bounded array whose length the specialization assumes needs no
     more room than that in the residual program; an access past the
@@ -180,6 +286,9 @@ def narrow_arrays(program, capacities):
     subtree the change does not reach (``program`` itself, and the
     generic program whose struct definitions it shares, are untouched).
     """
+    locals_ = {}
+    for func in program.funcs:
+        locals_.update(local_extents(func))
     narrowed = {}
     structs = []
     for struct in program.structs:
@@ -194,7 +303,7 @@ def narrow_arrays(program, capacities):
             narrowed[struct.name] = ct.StructType(struct.name, tuple(
                 (field.name, field.ctype) for field in struct.fields))
         structs.append(struct)
-    if not narrowed:
+    if not narrowed and not locals_:
         return program
 
     def retype(ctype):
@@ -208,6 +317,10 @@ def narrow_arrays(program, capacities):
         return ctype
 
     def rewrite(node):
+        if node in locals_:
+            return ast.Decl(ct.ArrayType(retype(node.ctype.base),
+                                         locals_[node]),
+                            node.name, node.init, line=node.line)
         values = []
         for name in node._fields:
             value = getattr(node, name)

@@ -11,8 +11,6 @@ import copy
 import itertools
 
 from repro.minic import ast
-from repro.minic import types as ct
-from repro.tempo.pe_values import clone_expr
 
 
 class BlockBuilder:
@@ -172,15 +170,6 @@ class ResidualProgram:
 # -- small residual-expression helpers ------------------------------------------
 
 
-def int_lit(value):
-    return ast.IntLit(int(value))
-
-
-def lift_template(template):
-    """Clone a dynamic value's template for use in residual code."""
-    return clone_expr(template)
-
-
 def is_simple_path(expr):
     """True for expressions cheap and pure enough to substitute at every
     use site instead of binding to a residual temporary: literals,
@@ -197,11 +186,3 @@ def is_simple_path(expr):
     if isinstance(expr, ast.Cast):
         return is_simple_path(expr.operand)
     return False
-
-
-def residual_type_for(ctype):
-    """Residual declaration type for a demoted value of MiniC type
-    ``ctype`` (aggregates are handled by materialization instead)."""
-    if isinstance(ctype, (ct.StructType, ct.ArrayType)):
-        return ctype
-    return ctype

@@ -27,3 +27,12 @@ class NeedsOutline(Exception):
 
 class NeedsLoopDemotion(Exception):
     """Raised when a static loop meets a dynamic break/continue."""
+
+
+class FieldSplit(Exception):
+    """Raised when a struct handed to a residual call has an array or
+    struct field that was given a residual local of its own while the
+    struct had none: the callee would reach the field through the
+    struct, where none of its values are.  The driver specializes again
+    with such fields rooted through their structs
+    (``Specializer.root_fields``)."""

@@ -53,6 +53,7 @@ from repro.tempo.residual import (
     is_simple_path,
 )
 from repro.tempo.signals import (
+    FieldSplit,
     NeedsLoopDemotion,
     NeedsOutline,
     SpecBreak,
@@ -173,7 +174,7 @@ class Specializer(LoopInduction):
     state and packages the result.
     """
 
-    def __init__(self, program, typeinfo, options=None):
+    def __init__(self, program, typeinfo, options=None, root_fields=False):
         self.program = program
         self.typeinfo = typeinfo
         self.options = options or Options()
@@ -201,6 +202,14 @@ class Specializer(LoopInduction):
         self._residual_loop_kinds = []
         #: the Induction of the loop being residualized by induction
         self._rolling = None
+        #: sub-object created while its struct had no residual root ->
+        #: (the struct's oid, the field)
+        self._parent_of = {}
+        #: give such a sub-object its residual identity through its
+        #: struct (materializing the struct) rather than a local of its
+        #: own — needed only when the struct is later handed to a
+        #: residual call (:class:`FieldSplit`)
+        self.root_fields = root_fields
 
     # ------------------------------------------------------------------
     # small helpers
@@ -255,6 +264,12 @@ class Specializer(LoopInduction):
         """Ensure a store object has a residual identity (a root);
         returns the store's mutable instance."""
         if obj.root is not None:
+            return obj
+        if self.root_fields and obj.oid in self._parent_of:
+            parent, field = self._parent_of[obj.oid]
+            self.materialize(self.store.get(parent))
+            obj = self.store.mutable(obj.oid)
+            obj.root = pv.SubRoot(parent, field=field)
             return obj
         obj = self.store.mutable(obj.oid)
         if isinstance(obj, pv.PEStruct):
@@ -479,6 +494,8 @@ class Specializer(LoopInduction):
                 else None
             )
             nested = self.store.add(pv.PEStruct(ftype, root))
+            if root is None:
+                self._parent_of[nested.oid] = (obj.oid, fname)
             return pv.Static(pv.StructPtr(nested.oid))
         if isinstance(ftype, ctypes.ArrayType):
             root = (
@@ -487,6 +504,8 @@ class Specializer(LoopInduction):
                 else None
             )
             nested = self.store.add(pv.PEArray(ftype, root))
+            if root is None:
+                self._parent_of[nested.oid] = (obj.oid, fname)
             return pv.Static(pv.ElemPtr(nested.oid, 0))
         return None
 
@@ -1771,6 +1790,8 @@ class Specializer(LoopInduction):
                 bind_plan.append((param, "static", arg))
                 continue
             if isinstance(concrete, pv.StructPtr):
+                if self._split_under(concrete.sid):
+                    raise FieldSplit()
                 call_args.append(self.store.pointer_expr(concrete.sid))
                 obj = self.store.get(concrete.sid)
                 rerooted.setdefault(concrete.sid, obj.root)
@@ -1863,6 +1884,19 @@ class Specializer(LoopInduction):
         tmp = self._residual_var(f"r_{func.name}", func.ret_type)
         self.fb.emit(ast.ExprStmt(ast.Assign(None, ast.Var(tmp), call_expr)))
         return pv.Dynamic(ast.Var(tmp))
+
+    def _split_under(self, sid):
+        """Whether a field of struct ``sid`` (or of a struct field of
+        it, down) has a residual local of its own."""
+        for oid, (parent, _field) in self._parent_of.items():
+            obj = self.store.objects.get(oid)
+            if obj is None or not isinstance(obj.root, pv.LocalRoot):
+                continue
+            while parent != sid and parent in self._parent_of:
+                parent = self._parent_of[parent][0]
+            if parent == sid:
+                return True
+        return False
 
     def _bind_one(self, frame, func, taken, param, value):
         if isinstance(value, pv.Static):

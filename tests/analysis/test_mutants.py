@@ -93,6 +93,42 @@ def drop_negative_length_check(field):
     return apply
 
 
+def drop_decline(field):
+    """Replace every ``if (<field> == N) { T } else { return 0; }`` — a
+    length guard's decline of every other length — by ``T``."""
+    def _is_guard(stmt):
+        other = getattr(stmt, "other", None)
+        return (isinstance(stmt, ast.If)
+                and isinstance(stmt.cond, ast.Binary)
+                and stmt.cond.op == "=="
+                and getattr(stmt.cond.left, "field", None) == field
+                and isinstance(other, ast.Block) and len(other.stmts) == 1
+                and isinstance(other.stmts[0], ast.Return))
+
+    def apply(program):
+        dropped = 0
+        for func in program.funcs:
+            for node in ast.walk(func):
+                if isinstance(node, ast.Block):
+                    kept = []
+                    for stmt in node.stmts:
+                        if _is_guard(stmt):
+                            kept.append(stmt.then)
+                            dropped += 1
+                        else:
+                            kept.append(stmt)
+                    node.stmts[:] = kept
+        assert dropped, "mutation found nothing to change"
+    return apply
+
+
+def both(*mutations):
+    def apply(program):
+        for mutation in mutations:
+            mutation(program)
+    return apply
+
+
 def swap_assigns_in(name_fragment):
     """Swap the last two assignments in each function matching the name.
 
@@ -177,12 +213,15 @@ class TestClientMutants:
         assert self._verify(xfer_pipeline, bad)
 
     def test_recv_dropped_bounds_check(self, xfer_pipeline, xfer_client):
-        # mutant 4: the negative-length rejection is gone; a hostile
-        # reply the generic stack refuses is now accepted.
+        # mutant 4: the negative-length rejection is gone, and with it
+        # the decline of every other length (alone, either leaves the
+        # other to refuse); a hostile reply the generic stack refuses
+        # is now accepted.
         bad = respec(xfer_pipeline, xfer_client,
                      recv_result=mutate(
                          xfer_client.recv_result,
-                         drop_negative_length_check("vals_len")))
+                         both(drop_negative_length_check("vals_len"),
+                              drop_decline("vals_len"))))
         rules = self._verify(xfer_pipeline, bad)
         assert "residual-accepts-bad-input" in rules
 
@@ -296,12 +335,70 @@ class TestServerMutants:
 
     def test_server_dropped_bounds_check(self, xfer_pipeline, xfer_server):
         # mutant 9: negative-length requests reach the handler instead
-        # of drawing GARBAGE_ARGS; the hostile probe catches the
-        # residual answering where the generic stack refuses.
+        # of drawing GARBAGE_ARGS (the decline of other lengths is gone
+        # too); the hostile probe catches the residual answering where
+        # the generic stack refuses.
         bad = mutate(xfer_server.result,
-                     drop_negative_length_check("vals_len"))
+                     both(drop_negative_length_check("vals_len"),
+                          drop_decline("vals_len")))
         rules = self._verify(xfer_pipeline, xfer_server, bad)
         assert "residual-accepts-bad-input" in rules
+
+
+class TestDeclineArmMutants:
+    """A live residual declines a length other than the one it was
+    built for.  Here its decline arm answers instead, with the bytes of
+    the assumed length: the hostile probe whose length word is one
+    short (a message of the proved size, which the entry's size guard
+    lets through) must catch it, on either side."""
+
+    N = 20
+
+    @staticmethod
+    def answer_off_profile(program):
+        """``if (len == N) { T } else { return 0; }`` becomes ``if (len
+        == N) { T } else { T }``."""
+        changed = 0
+        for func in program.funcs:
+            for node in ast.walk(func):
+                other = getattr(node, "other", None)
+                if (isinstance(node, ast.If)
+                        and isinstance(node.cond, ast.Binary)
+                        and node.cond.op == "=="
+                        and getattr(node.cond.left, "field", None)
+                        == "vals_len"
+                        and isinstance(other, ast.Block)
+                        and len(other.stmts) == 1
+                        and isinstance(other.stmts[0], ast.Return)):
+                    node.other = copy.deepcopy(node.then)
+                    changed += 1
+        assert changed, "mutation found nothing to change"
+
+    def test_server_decline_arm_that_answers(self, xfer_pipeline):
+        lens = {"vals": self.N}
+        server = xfer_pipeline.specialize_server(
+            "SENDRECV", arg_lens=lens, res_lens=lens)
+        proc = xfer_pipeline.find_proc("SENDRECV")
+
+        def verify(result):
+            return [f.rule for f in verify_server_residual(
+                xfer_pipeline, result, proc, lens, lens, server.bufsize)]
+
+        assert verify(server.result) == []
+        rules = verify(mutate(server.result, self.answer_off_profile))
+        assert rules and set(rules) <= {"guard-domain",
+                                        "residual-accepts-bad-input"}
+
+    def test_recv_decline_arm_that_answers(self, xfer_pipeline):
+        lens = {"vals": self.N}
+        client = xfer_pipeline.specialize_client(
+            "SENDRECV", arg_lens=lens, res_lens=lens)
+        assert verify_client_spec(xfer_pipeline, client) == []
+        bad = respec(xfer_pipeline, client, recv_result=mutate(
+            client.recv_result, self.answer_off_profile))
+        rules = [f.rule for f in verify_client_spec(xfer_pipeline, bad)]
+        assert rules and set(rules) <= {"guard-domain",
+                                        "residual-accepts-bad-input"}
 
 
 class TestSignednessMutants:
@@ -371,10 +468,11 @@ class TestLoweringMutants:
     def test_handler_loop_one_trip_short(self, xfer_pipeline, xfer_server):
         # mutant 10: the handler's map comprehension stops one element
         # early, so the last element goes back unincremented.
-        loop = re.search(r"for _e1 in (\w+__vals)\[i:(\w+)\]\]",
+        loop = re.search(r"for _e1 in (\w+__vals)\[(\w+):(\w+)\]\]",
                          xfer_server._module.source)
         bad = relower(xfer_server._module, loop.group(0),
-                      f"for _e1 in {loop.group(1)}[i:{loop.group(2)} - 1]]")
+                      f"for _e1 in {loop.group(1)}"
+                      f"[{loop.group(2)}:{loop.group(3)} - 1]]")
         assert self._verify(xfer_pipeline, xfer_server, bad) == [
             "lowering-divergence"]
 
@@ -404,12 +502,12 @@ class TestLoweringMutants:
 
     def test_promoted_cursor_advanced_one_word_short(self, xfer_pipeline,
                                                      xfer_server):
-        # mutant 13: the reply cursor, an ``int`` offset since scalar
-        # replacement, steps 28 bytes past the 8-word run instead of 32:
-        # the reply length it returns is one word short.
-        step = f"t_xdr_2__x_private + {4 * VALS_LEN}\n"
-        bad = relower(xfer_server._module, step,
-                      f"t_xdr_2__x_private + {4 * VALS_LEN - 4}\n")
+        # mutant 13: the reply cursor, a literal offset since the reply
+        # buffer's length is known, ends one word short of the 15-word
+        # reply: the reply length it returns is one word short.
+        size = 4 * (6 + 1 + VALS_LEN)
+        bad = relower(xfer_server._module, f"return {size}\n",
+                      f"return {size - 4}\n")
         assert self._verify(xfer_pipeline, xfer_server, bad) == [
             "lowering-divergence"]
 
@@ -419,14 +517,15 @@ class TestLoweringMutants:
         # cursor is promoted to an ``int`` offset, yet handed to a callee
         # that was not inlined and so still takes a pointer.
         run = re.search(r"(_S\d+)\.pack_into\(outbuf, (\w+),"
-                        r" \*(\w+)\[0:(\d+)\]\)",
+                        r" ([^*]+), \*(\w+)\)",
                         xfer_server._module.source)
-        packer, cursor, vals, count = run.groups()
-        callee = (f"\ndef mc_put_vals(xdrs_private, vals):\n"
+        packer, cursor, words, vals = run.groups()
+        callee = (f"\ndef mc_put_vals(xdrs_private, *words):\n"
                   f"    {packer}.pack_into(xdrs_private.buffer.data,"
-                  f" xdrs_private.offset, *vals[0:{count}])\n")
+                  f" xdrs_private.offset, *words)\n")
         bad = relowered(xfer_server._module, lambda text: text.replace(
-            run.group(0), f"mc_put_vals({cursor}, {vals})") + callee)
+            run.group(0), f"mc_put_vals({cursor}, {words}, *{vals})")
+            + callee)
         assert self._verify(xfer_pipeline, xfer_server, bad) == [
             "lowering-divergence"]
 
@@ -434,17 +533,18 @@ class TestLoweringMutants:
         # mutant 11: the slice-packed run starts one element late.
         bad = respec(xfer_pipeline, xfer_client)
         bad._marshal_module = relower(
-            bad._marshal_module, f"*argsp.vals[0:{VALS_LEN}]",
-            f"*argsp.vals[1:{VALS_LEN}], 0")
+            bad._marshal_module, "*argsp.vals)",
+            f"*argsp.vals[1:{VALS_LEN}], 0)")
         assert [f.rule for f in verify_client_spec(xfer_pipeline, bad)] == [
             "lowering-divergence"]
 
     def test_client_recv_elided_wrap_gone_wrong(self, xfer_pipeline,
                                                 xfer_client):
         # mutant 12: the decoded words are stored unsigned.
+        words = 6 + 1 + VALS_LEN  # the reply, read whole
         bad = respec(xfer_pipeline, xfer_client)
         bad._recv_module = relower(
-            bad._recv_module, f"'>{VALS_LEN}i'", f"'>{VALS_LEN}I'")
+            bad._recv_module, f"'>{words}i'", f"'>{words}I'")
         assert "lowering-divergence" in [
             f.rule for f in verify_client_spec(xfer_pipeline, bad)]
 
@@ -465,11 +565,13 @@ class TestFusedEntryMutants:
             "server", f"({IN}, {OUT})", f"({OUT}, {IN})",
             "lowering-divergence"),
         "dispatch-capacity-one-short": (
-            "server", f"[0] * {VALS_LEN}", f"[0] * {VALS_LEN - 1}",
-            "lowering-divergence"),
+            "server", f"bytearray({4 * (6 + 1 + VALS_LEN)})",
+            f"bytearray({4 * (6 + VALS_LEN)})", "lowering-divergence"),
         "marshal-guard-widened": (
+            # wider, and the arguments cut to fit the pack
             "_marshal_module", f"if len(_v) != {VALS_LEN}:",
-            f"if len(_v) < {VALS_LEN}:", "guard-domain"),
+            f"_v = _v[:{VALS_LEN}]\n        if len(_v) < {VALS_LEN}:",
+            "guard-domain"),
         "recv-guard-widened": (
             "_recv_module", "if len(data) != ", "if len(data) < ",
             "guard-domain"),
@@ -477,14 +579,14 @@ class TestFusedEntryMutants:
             "server", "if len(data) != ", "if len(data) < ",
             "guard-domain"),
         "marshal-slice-off-by-one": (
-            "_marshal_module", f"argsp.vals[:{VALS_LEN}] = _v",
-            f"argsp.vals[1:{VALS_LEN}] = _v", "lowering-divergence"),
+            "_marshal_module", "argsp.vals = _v",
+            "argsp.vals = [*_v[1:], 0]", "lowering-divergence"),
         "recv-xid-mask-dropped": (
             "_recv_module", "xid & 0xFFFFFFFF, resp", "xid, resp",
             "lowering-divergence"),
         "recv-result-one-element-short": (
-            "_recv_module", "resp.vals[:resp.vals_len]",
-            "resp.vals[:resp.vals_len - 1]", "lowering-divergence"),
+            "_recv_module", "vals=resp.vals)", "vals=resp.vals[:-1])",
+            "lowering-divergence"),
         "dispatch-reply-one-word-short": (
             "server", "return bytes(out)", "return bytes(out[:-4])",
             "lowering-divergence"),

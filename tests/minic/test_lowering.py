@@ -903,6 +903,167 @@ int f(struct S *s, int a, int b, int n)
         assert module.source.count(".offset + 8 <=") == 1
 
 
+# -- entry functions whose buffers have a known length -----------------------
+
+#: an entry reading eight words into ``b`` through a cursor, then the
+#: map loop ``a[i] = b[i] + 1`` written in ``LOOP``
+KNOWN_LENGTH = """
+int f(char *inbuf, struct S *s, int n)
+{{
+    char *p;
+    int i;
+    int k;
+    int a[8];
+    int b[8];
+    {before}
+    p = inbuf;
+    k = 0;
+    while (k < 8) {{
+        b[k] = (long)ntohl((u_long)*(long *)p);
+        p = p + 4;
+        k = k + 1;
+    }}
+    {loop}
+    s->x = a[0]; s->y = a[4]; s->i = i;
+    return a[7];
+}}
+"""
+
+KNOWN_WORDS = (10, 20, 30, 40, 50, 60, 70, 80)
+
+
+def known_length_call(before, loop, n=0):
+    """``f`` of :data:`KNOWN_LENGTH` compiled with its buffer's length
+    fixed at 32 bytes, called on :data:`KNOWN_WORDS`: (its value, s.x,
+    s.y, s.i), and the module."""
+    module = compile_program(
+        parse_program(PRELUDE + KNOWN_LENGTH.format(before=before,
+                                                    loop=loop)),
+        sizes={"inbuf": 32})
+    s = module.new_struct("S")
+    value = module.call("f", wire_of(*KNOWN_WORDS), s, n)
+    return (value, s.x, s.y, s.i), module
+
+
+class TestKnownLengthLoops:
+    """A map loop is emitted with no test only from a literal its
+    counter holds where the loop is entered — after a ``for``'s init,
+    whatever the counter held before it."""
+
+    @pytest.mark.parametrize("before, loop, mapped", [
+        # the counter holds another literal before the loop's init
+        ("i = 5;", "for (i = 0; i < 8; i++) a[i] = b[i] + 1;", False),
+        ("i = 5;", "i = 0; while (i < 8) { a[i] = b[i] + 1; i = i + 1; }",
+         True),
+        # a loop-scoped counter shadowing a local that holds a literal
+        ("i = 5;", "for (int i = 0; i < 8; i++) a[i] = b[i] + 1; i = 8;",
+         False),
+        # set in both arms of a branch to the same literal
+        ("if (n) i = 0; else i = 0;",
+         "while (i < 8) { a[i] = b[i] + 1; i = i + 1; }", True),
+    ])
+    def test_the_map_starts_where_the_counter_does(self, before, loop,
+                                                   mapped):
+        outcome, module = known_length_call(before, loop)
+        assert outcome == (81, 11, 51, 8), module.source
+        body = _function(module.source, "f")
+        assert ("[_e1 + 1 for _e1 in b[0:8]]" in body) == mapped
+        if mapped:  # from a known start: no test of the trip count
+            assert "if i < 8:" not in body
+
+    @pytest.mark.parametrize("before, n, outcome", [
+        # nothing known of the counter: the map tests its trip count
+        ("", 0, (81, 11, 51, 8)),
+        ("", 3, (81, 0, 51, 8)),
+        ("i = n;", 6, (81, 0, 0, 8)),
+        # the arms disagree: unknown
+        ("if (n) i = 3; else i = 0;", 1, (81, 0, 51, 8)),
+        ("if (n) i = 3; else i = 0;", 0, (81, 11, 51, 8)),
+    ])
+    def test_an_unknown_start_keeps_the_test(self, before, n, outcome):
+        loop = "while (i < 8) { a[i] = b[i] + 1; i = i + 1; }"
+        if not before:
+            before = "i = n;"  # a parameter's value: nothing is known
+        found, module = known_length_call(before, loop, n)
+        assert found == outcome, module.source
+        assert "if i < 8:" in _function(module.source, "f")
+
+    def test_a_loop_first_in_the_function(self):
+        # nothing at all is known where the loop is entered
+        module = compile_program(parse_program(PRELUDE + """
+        int f(char *inbuf, struct S *s, int i)
+        {
+            char *p;
+            int a[8];
+            while (i < 8) { a[i] = s->a[i] + 1; i = i + 1; }
+            p = inbuf;
+            s->x = (long)ntohl((u_long)*(long *)p);
+            return a[2];
+        }"""), sizes={"inbuf": 4})
+        s = module.new_struct("S")
+        s.a[:] = list(range(8))
+        assert module.call("f", wire_of(9), s, 0) == 3
+        assert s.x == 9
+        assert module.call("f", wire_of(9), s, 5) == 0
+
+    def test_a_short_source_still_faults(self):
+        # a map from a source shorter than the array it fills binds
+        # nothing: the comprehension's short list faults as the element
+        # reads past the source's end would
+        module = compile_program(parse_program(PRELUDE + """
+        int f(char *inbuf, struct S *s)
+        {
+            char *p;
+            int i;
+            int a[8];
+            int c[4];
+            p = inbuf;
+            c[0] = (long)ntohl((u_long)*(long *)p);
+            s->x = c[0];
+            i = 0;
+            while (i < 8) { a[i] = c[i] + 1; i = i + 1; }
+            return a[7];
+        }"""), sizes={"inbuf": 4})
+        body = _function(module.source, "f")
+        assert "[_e1 + 1 for _e1 in c[0:8]]" in body
+        assert not re.search(r"^ *a = _t", body, re.M)
+        with pytest.raises(InterpError, match="past the end"):
+            module.call("f", wire_of(9), module.new_struct("S"))
+
+
+# -- guard form: a then-arm's locals spliced into the list around it ---------
+
+
+class TestStraightenedArms:
+    """``if (c) { T } else return R; rest`` becomes ``if (!c) return
+    R; T rest``; a local of ``T`` that has the name of a parameter or
+    a global stays in a block of its own, or ``rest`` would read it."""
+
+    @pytest.mark.parametrize("source", [
+        PRELUDE + """
+        int f(struct S *s, int x)
+        {
+            if (s->n) { int x = 1; s->y = x; } else return 7;
+            return x;
+        }""",
+        PRELUDE + """
+        int x;
+        int f(struct S *s, int v)
+        {
+            if (s->n) { int x = 1; s->y = x; } else return 7;
+            return x + v;
+        }""",
+    ])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_a_shadowing_local_keeps_its_scope(self, source, n):
+        module = compile_program(parse_program(source))
+        s = module.new_struct("S")
+        s.n = n
+        # the parameter ``x`` is 5; the global ``x`` is 0, ``v`` 5
+        assert module.call("f", s, 5) == (5 if n else 7)
+        assert s.y == (1 if n else 0)
+
+
 # -- what the lowering emits ----------------------------------------------
 
 
@@ -1049,49 +1210,35 @@ def test_golden_server_handler_loop(golden_pipeline):
     assert "_rt.wrap_i32(" not in source
     hot = _function(source, "svc_process_xchg_prog_1_spec")
     lines = [line.strip() for line in hot.splitlines()]
-    head = lines.index("_t12 = [_e1 + 1 for _e1 in"
-                       " t_intarr_2__vals[i:t_intarr_2__vals_len]]")
-    assert lines[head - 1] == "if i < t_intarr_2__vals_len:"  # >= 1 trip
-    assert lines[head + 1:head + 7] == [
+    # the request read whole, in one unpack: its header words compared
+    # at once, any other length declined, the 1000 ints one slice
+    words = 10 + 1 + GOLDEN_N
+    assert lines[1] == "_w_inbuf = _S1.unpack_from(inbuf)"
+    assert f"_S1 = _struct.Struct('>{words}i')" in source
+    assert lines[lines.index("return 0") - 1].startswith(
+        "if _w_inbuf[1:6] != (0, 2, 536871713, 1, 1) or ")
+    assert f"t_intarr_2__vals = _w_inbuf[11:{words}]" in lines
+    head = lines.index("_t1 = [_e1 + 1 for _e1 in"
+                       f" t_intarr_2__vals[0:{GOLDEN_N}]]")
+    assert lines[head + 1:head + 5] == [
         # ``src[i] + 1`` can only leave the int range upward
-        "if max(_t12) > 0x7FFFFFFF:",
-        "_t12 = [((_e + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
-        " for _e in _t12]",
-        "if len(t_intarr_3__vals) < t_intarr_2__vals_len"
-        " or len(_t12) != t_intarr_2__vals_len - i:",
-        "_rt.overrun()",
-        "t_intarr_3__vals[i:t_intarr_2__vals_len] = _t12",
-        # C's exit values of ``i`` and ``_old_2`` are never read: no
-        # store of them follows
-        "t_xdr_2__x_private = 0",
+        "if max(_t1) > 0x7FFFFFFF:",
+        "_t1 = [((_e + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
+        " for _e in _t1]",
+        # every trip known: the whole result array (a local of its own
+        # since the result's length is known) is the new list
+        "t_arr = _t1",
+        # the reply in one pack, straight from the request's xid word
+        f"_S2.pack_into(outbuf, 0, xid_2, 1, 0, 0, 0, 0, {GOLDEN_N},"
+        " *t_arr)",
     ]
-    assert " in range(" not in hot
-    # no rolled loop falls back to a generic ``while``: what is left is
-    # the one-trip block each inlined helper runs in, and the element
-    # loop of each inlined array filter's off-profile branch (a length
-    # other than the assumed one)
-    loops = [line for line in lines if line.startswith("while ")]
-    assert loops.count("while 1:") == 5
-    counted = [line for line in loops if line != "while 1:"]
-    assert counted == ["while i__2 < t_intarr_2__vals_len:",
-                       "while i__3 < t_intarr_3__vals_len:"]
-    raw = hot.splitlines()
-    for loop, length in zip(counted, ("t_intarr_2__vals_len",
-                                      "t_intarr_3__vals_len")):
-        assert _enclosing(raw, lines.index(loop)) == [
-            f"if {length} == {GOLDEN_N}:", "else:"]
-    # decode and encode of the 1000 ints: one slice each way through
-    # the request and reply buffers themselves, the decode's store held
-    # to the array's capacity
-    assert lines[lines.index(f"if len(t_intarr_2__vals) < {GOLDEN_N}:")
-                 - 1:][:4] == [
-        "_t10 = _S5.unpack_from(inbuf, t_xdr__x_private)",
-        f"if len(t_intarr_2__vals) < {GOLDEN_N}:",
-        "_rt.overrun()",
-        f"t_intarr_2__vals[0:{GOLDEN_N}] = _t10",
-    ]
-    assert (f"_S5.pack_into(outbuf, t_xdr_2__x_private,"
-            f" *t_intarr_3__vals[0:{GOLDEN_N}])") in lines
+    # straight-line: no loop, no per-word fallback, no length test on
+    # the buffers, no generic element loop for another length
+    assert not [line for line in lines if line.startswith(("while ",
+                                                             "for "))]
+    for absent in ("<= len(", "ElemPtr", "cast_ptr", "x_handy", "[0] *"):
+        assert absent not in hot
+    assert hot.count("unpack_from") == 1
 
 
 def test_golden_client_marshal_is_one_sliced_pack(golden_pipeline):
@@ -1101,8 +1248,8 @@ def test_golden_client_marshal_is_one_sliced_pack(golden_pipeline):
     source = client._marshal_module.source
     assert source.count("pack_into") == 1
     assert f"_struct.Struct('>11I{GOLDEN_N}i')" in source
-    assert f", {GOLDEN_N}, *argsp.vals[0:{GOLDEN_N}])" in source
+    assert f", {GOLDEN_N}, *argsp.vals)" in source
     assert "argsp.vals[1]" not in source
     recv = client._recv_module.source
-    assert recv.count("unpack_from") >= 1
-    assert f"resp.vals[0:{GOLDEN_N}] = " in recv
+    assert recv.count("unpack_from") == 1
+    assert f"resp.vals[0:{GOLDEN_N}] = _w_inbuf[7:{7 + GOLDEN_N}]" in recv

@@ -462,13 +462,14 @@ only_311 = pytest.mark.skipif(
 
 N = 20
 
-#: counted on CPython 3.11: a lone specialized n=20 call runs 646
-#: client bytecodes (1 064 through the engine's table), and serving it
-#: takes ``handle_once`` 881 (1 006 before the staged path), a NULLPROC
-#: 374 (1 218 through the generic reply encoder); the budgets are the
-#: counts plus 5%
-SPEC_CALL_BUDGET = 678
-HANDLE_ONCE_BUDGET = {"spec": 925, "null": 392}
+#: counted on CPython 3.11: a lone specialized n=20 call runs 498
+#: client bytecodes (646 before the straight-line residuals, 1 064
+#: through the engine's table), and serving it takes ``handle_once``
+#: 646 (881 before the straight-line residuals, 1 006 before the staged
+#: path), a NULLPROC 374 (1 218 through the generic reply encoder); the
+#: budgets are the counts plus 5%
+SPEC_CALL_BUDGET = 522
+HANDLE_ONCE_BUDGET = {"spec": 678, "null": 392}
 
 
 @pytest.fixture(scope="module")

@@ -63,15 +63,15 @@ def test_no_object_model_is_left(specs, n):
 
 
 def test_what_does_not_qualify_is_lowered_as_before(generic):
-    """A partly unrolled residual (``max_unroll`` below the array
-    length) calls its per-element helper from two sites, so the helper
-    is not inlined and the XDR handle — with the cursor in it — escapes
-    to it.  The server residual then takes ``pyruntime`` pointers and
-    the entries hand the message over wrapped, as they did before
-    scalar replacement — and still pass the gate and serve the generic
-    path's bytes."""
-    pipeline = SpecializationPipeline(IDL, impl_sources=[IMPL],
-                                      options=Options(max_unroll=3))
+    """A residual specialized without context sensitivity keeps one
+    copy of each helper for all of its call sites, so ``xdr_long`` is
+    called from several and is not inlined, and the XDR handle — with
+    the cursor in it — escapes to it.  The server residual then takes
+    ``pyruntime`` pointers and the entries hand the message over
+    wrapped, as they did before scalar replacement — and still pass the
+    gate and serve the generic path's bytes."""
+    pipeline = SpecializationPipeline(
+        IDL, impl_sources=[IMPL], options=Options(context_sensitive=False))
     client = pipeline.specialize_client("SENDRECV", **lens(20))
     server = pipeline.specialize_server("SENDRECV", **lens(20))
     assert server._module.buffers[server.result.entry_name] == {}
@@ -80,6 +80,27 @@ def test_what_does_not_qualify_is_lowered_as_before(generic):
             " _rt.BufPtr(out, 0, 1, True)") in server._module.source
     assert "_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)" in \
         client._recv_module.source
+    stubs = pipeline.stubs
+    args = stubs.intarr(vals=list(range(20)))
+    request = generic[0].build_call(3, PROC, args, stubs.xdr_intarr)
+    reply = generic[1].dispatch_bytes(request)
+    assert client.build_request(3, args) == request
+    assert server.residual_reply(request) == reply
+    assert client.decode_reply(reply, 3).vals == [v + 1 for v in range(20)]
+
+
+def test_a_partly_unrolled_residual_builds_and_serves(generic):
+    """With ``max_unroll`` below the array length the handler's loop
+    stays rolled, so its stores give the result's array a residual
+    identity while the result struct has none yet; the struct later
+    handed to the reply encoder reaches that array through itself
+    (``t_intarr_3.vals``), not through a local of the caller's.  Both
+    sides build, pass the gate and serve the generic path's bytes."""
+    pipeline = SpecializationPipeline(IDL, impl_sources=[IMPL],
+                                      options=Options(max_unroll=3))
+    client = pipeline.specialize_client("SENDRECV", **lens(20))
+    server = pipeline.specialize_server("SENDRECV", **lens(20))
+    assert "t_arr" not in server.result.pretty()
     stubs = pipeline.stubs
     args = stubs.intarr(vals=list(range(20)))
     request = generic[0].build_call(3, PROC, args, stubs.xdr_intarr)
