@@ -37,7 +37,9 @@ concurrent stack depends on and that no unit test exercises reliably:
   name: the stub contract states the layout and the signatures once;
 * ``knob-contract`` — every ``REPRO_*`` environment knob read by the
   source must be documented in docs/OPERATIONS.md and vice versa
-  (absorbed from ``tools/check_links.py``).
+  (absorbed from ``tools/check_links.py``);
+* ``unreferenced-def`` — a function or class must be named somewhere
+  besides its definition, or it is dead code.
 
 Findings are suppressed per-line with
 ``# repro: disable=<rule> -- <reason>`` pragmas
@@ -85,7 +87,14 @@ def load_modules(repo_root, subdir="src/repro"):
 
 def run_lint(repo_root, subdir="src/repro"):
     """Run every rule; return ``(findings, stats)`` after pragmas."""
-    from repro.analysis.lint import excepts, knobs, locks, obsguard, spine
+    from repro.analysis.lint import (
+        excepts,
+        knobs,
+        locks,
+        obsguard,
+        spine,
+        unreferenced,
+    )
 
     modules = load_modules(repo_root, subdir)
     findings = []
@@ -94,6 +103,7 @@ def run_lint(repo_root, subdir="src/repro"):
     findings += excepts.check(modules)
     findings += spine.check(modules)
     findings += knobs.check(modules, repo_root)
+    findings += unreferenced.check(modules, repo_root)
     pragmas = [p for m in modules for p in m.pragmas]
     findings = apply_pragmas(findings, pragmas)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))

@@ -317,10 +317,6 @@ class SymBuffer(rv.Buffer):
     def store_u32(self, offset, value):
         self.store_int(offset, value, 4, False)
 
-    def load_u32(self, offset):
-        value = self.load_int(offset, 4, False)
-        return value
-
     def fill_zero(self, offset, size):
         self.check(offset, size)
         self.data[offset:offset + size] = [0] * size

@@ -1901,27 +1901,18 @@ class _FuncCompiler:
             self.depth -= 1
 
     def _for(self, node):
+        """A ``for`` with a ``continue`` of its own (scalar replacement
+        made every other one a ``while``): ``continue`` must still run
+        the step, so the body becomes a one-trip inner loop it can
+        leave early."""
         self.scopes.append({})
         if isinstance(node.init, ast.Decl):
             self._decl(node.init)
         elif isinstance(node.init, ast.ExprStmt):
             self._effect(node.init.expr)
-        jumps = scalar.own_jumps(node.body)
-        if not any(isinstance(jump, ast.Continue) for jump in jumps):
-            # Without ``continue`` the loop *is*
-            # ``while (cond) { body; step; }``.
-            stmts = [node.body]
-            if node.step is not None:
-                stmts.append(ast.ExprStmt(node.step))
-            self._while(
-                ast.While(node.cond or ast.IntLit(1), ast.Block(stmts)),
-                self._entries.get(node.uid, {}))
-            self.scopes.pop()
-            return
-        # ``continue`` must still run the step: the body becomes a
-        # one-trip inner loop it can leave early.
         flag = None
-        if any(isinstance(jump, ast.Break) for jump in jumps):
+        if any(isinstance(jump, ast.Break)
+               for jump in scalar.own_jumps(node.body)):
             flag = self.temp()
             self.emit(f"{flag} = False")
         self.emit("while True:")

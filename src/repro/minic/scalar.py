@@ -80,6 +80,29 @@ def _declared(node):
             if isinstance(child, ast.Decl)]
 
 
+def _unscoped(func):
+    """The names ``func`` reads or writes where none of its own
+    variables of that name is in scope: globals."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.Var):
+            if node.name not in scope:
+                found.add(node.name)
+        elif isinstance(node, ast.Decl):
+            if node.init is not None:
+                visit(node.init, scope)
+            scope.add(node.name)
+        else:
+            if isinstance(node, (ast.Block, ast.For)):
+                scope = set(scope)
+            for child in node.children():
+                visit(child, scope)
+
+    visit(func.body, {param.name for param in func.params})
+    return found
+
+
 def _names(node):
     """In one walk of ``node``: (the names Decls introduce, with
     repeats; every name read; the names stored to or whose address is
@@ -433,6 +456,46 @@ def _stmts(node):
     return node.stmts if isinstance(node, ast.Block) else [node]
 
 
+def _while_of(stmt):
+    """``stmt`` as a statement list: a ``for`` with no ``continue`` of
+    its own is ``init; while (cond) { body; step; }`` (a declared
+    counter keeps its scope in a block of its own), anything else
+    itself."""
+    if not isinstance(stmt, ast.For) or any(
+            isinstance(jump, ast.Continue) for jump in own_jumps(stmt.body)):
+        return [stmt]
+    body = stmt.body
+    # the body's statements go into the loop's own block unless one of
+    # them declares a name, which would then shadow the step's
+    stmts = ([body] if not isinstance(body, ast.Block) or any(
+        isinstance(inner, ast.Decl) for inner in body.stmts)
+        else list(body.stmts))
+    if stmt.step is not None:
+        stmts.append(ast.ExprStmt(stmt.step, line=stmt.line))
+    loop = ast.While(stmt.cond or ast.IntLit(1), ast.Block(stmts),
+                     line=stmt.line)
+    if isinstance(stmt.init, ast.Decl):
+        return [ast.Block([stmt.init, loop])]
+    return [loop] if stmt.init is None else [stmt.init, loop]
+
+
+def lower_for_loops(node):
+    """Rewrite every ``for`` in ``node`` by :func:`_while_of`, inner
+    loops first, so that both spellings of a loop are lowered, and
+    their dead stores found, by one path."""
+    for parent in reversed(list(ast.walk(node))):
+        if isinstance(parent, ast.Block):
+            parent.stmts = [new for stmt in parent.stmts
+                            for new in _while_of(stmt)]
+        elif isinstance(parent, (ast.If, ast.While, ast.For)):
+            for field in ("then", "other", "body"):
+                child = getattr(parent, field, None)
+                if isinstance(child, ast.For):
+                    lowered = _while_of(child)
+                    setattr(parent, field, lowered[0] if len(lowered) == 1
+                            else ast.Block(lowered))
+
+
 def _straighten(stmts, unique=frozenset()):
     """Put the list ``stmts`` in guard form, where what goes on is
     straight-line code (in place, through what it splices in):
@@ -567,6 +630,7 @@ def scalarize(program):
              for func in program.funcs]
     funcs = [func for func in funcs if func.name not in inliner.inlined]
     for func in funcs:
+        lower_for_loops(func.body)
         straighten(func.body, {param.name for param in func.params}
                    | inliner.globals)
         _replace_structs(func, inliner.globals)
@@ -583,8 +647,9 @@ def _scalar(ctype):
 
 class Liveness:
     """Backward liveness of ``func``'s tracked variables — scalar locals
-    and parameters declared once whose address is never taken — over
-    its structured statements.
+    and parameters declared once whose address is never taken, and
+    whose name denotes nothing else anywhere in ``func`` (a global it
+    shadows) — over its structured statements.
 
     ``after(stmt)`` / ``before(stmt)`` are the tracked names live after
     / before a statement (None for a statement this analysis did not
@@ -599,8 +664,11 @@ class Liveness:
                    if _scalar(param.ctype)}
         scalars.update(node.name for node in ast.walk(func.body)
                        if isinstance(node, ast.Decl) and _scalar(node.ctype))
+        # a name is the key: each one stands for one variable only
+        shadowing = _unscoped(func)
         self.tracked = {name for name in scalars
-                        if counts[name] == 1 and name not in taken}
+                        if counts[name] == 1 and name not in taken
+                        and name not in shadowing}
         self._after = {}
         self._before = {}
         #: store target uid -> nothing reads it (the last visit, made

@@ -208,10 +208,6 @@ class Buffer:
         self.check(offset, 4)
         struct.pack_into(">I", self.data, offset, value & 0xFFFFFFFF)
 
-    def load_u32(self, offset):
-        self.check(offset, 4)
-        return struct.unpack_from(">I", self.data, offset)[0]
-
     def fill_zero(self, offset, size):
         self.check(offset, size)
         self.data[offset:offset + size] = bytes(size)

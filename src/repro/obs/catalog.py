@@ -263,8 +263,9 @@ METRICS = {
         " residual answered is not sampled)"),
     "rpc.spec.online.hits": (
         "counter", "side",
-        "calls answered by a hot-swapped online client codec (client"
-        " only: a server route counts rpc.server.specialized_hits)"),
+        "calls a residual answered in a client codec table an online"
+        " specializer manages (client only: a server route counts"
+        " rpc.server.specialized_hits)"),
     "rpc.spec.online.violations": (
         "counter", "side",
         "client invariant-guard misses: calls of a size the codec's"

@@ -91,6 +91,11 @@ class RpcClient:
         """
         self._codecs[proc] = (build_request, parse_reply)
 
+    def codec_for(self, proc):
+        """The installed ``(build_request, parse_reply)`` pair for
+        ``proc``, or None."""
+        return self._codecs.get(proc)
+
     # -- fast path --------------------------------------------------------
 
     @property

@@ -82,7 +82,7 @@ class RpcServer:
         if online_spec is not None and hasattr(registry,
                                                "install_profiler"):
             online_spec.attach_server(registry)
-            online_spec.ensure_started()
+            online_spec.start()
         #: messages dispatched / messages answered with a shed reply
         self.requests_handled = 0
         self.requests_shed = 0

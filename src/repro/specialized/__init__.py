@@ -13,17 +13,17 @@ from repro import lazy_exports
 
 __getattr__ = lazy_exports(__name__, {
     "cache": "SpecializationCache content_key",
-    "online": "DispatchProfiler OnlineClientCodec OnlinePolicy"
+    "online": "ClientCodec DispatchProfiler OnlinePolicy"
               " OnlineSpecializer ResidualRoute",
     "pipeline": "ClientSpecialization ResidualCodec ServerSpecialization"
                 " SpecializationPipeline",
 })
 
 __all__ = [
+    "ClientCodec",
     "ClientSpecialization",
     "content_key",
     "DispatchProfiler",
-    "OnlineClientCodec",
     "OnlinePolicy",
     "OnlineSpecializer",
     "ResidualCodec",

@@ -8,15 +8,18 @@ server tier, ``RpcClient.install_codec`` on the client):
 
 1. a :class:`ProcProfile` per procedure samples the calls the
    *generic* codec served — on the server through the registry's
-   :class:`DispatchProfiler` tap, on the client inside the
-   :class:`OnlineClientCodec` — so a call a residual answered costs no
-   profiling at all;
-2. a :class:`VariantTable` per procedure (a :class:`ResidualRoute`
-   on the server, an :class:`OnlineClientCodec` on the client) maps
-   exact message sizes to verified residual codecs, at most
-   ``max_sizes`` of them, published copy-on-write, with a hit counter
-   per variant (the server's is its registry's one residual route,
-   which an offline ``specialize_server`` may *pin* a size into);
+   :class:`DispatchProfiler` tap, on the client on its
+   :class:`ClientCodec`'s miss path — so a call a residual answered
+   costs no profiling at all;
+2. a :class:`VariantTable` per procedure and side (a
+   :class:`ResidualRoute` on a registry, a :class:`ClientCodec` on a
+   client) maps exact message sizes to verified residual codecs, at
+   most ``max_sizes`` of them, published copy-on-write, with a hit
+   counter per variant.  There is one per (registry or client,
+   procedure): an offline ``specialize_server(..., fallback=)`` or
+   ``ClientSpecialization.install`` *pins* its size into it
+   (:meth:`VariantTable.pin`), and the specializer adopts it
+   (:meth:`VariantTable.of`);
 3. an :class:`OnlineSpecializer` background thread reviews every table
    under one **coverage rule** (:meth:`OnlineSpecializer._review`) and
    builds what the rule asks for through the pipeline, its cache and
@@ -72,20 +75,6 @@ _VIOLATIONS = ("counter", "rpc.spec.online.violations", ("side", "client"))
 #: its table
 _ROUTE_COUNTS = (("counter", "rpc.server.specialized_fallbacks"),
                  ("counter", "rpc.server.specialized_hits"))
-
-
-def env_enabled(default=True):
-    """The ``REPRO_ONLINE_SPEC`` kill switch.
-
-    Unset: ``default``.  Set: any falsy spelling (``0``, ``no``,
-    ``off``, ``false``, empty) disables the loop globally, anything
-    else enables it.  The environment wins over code so an operator
-    can switch the loop off without a deploy.
-    """
-    raw = os.environ.get("REPRO_ONLINE_SPEC")
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("", "0", "no", "off", "false")
 
 
 @dataclass
@@ -206,6 +195,7 @@ class VariantTable:
         #: the procedure's stub contract: its shapes, and a message
         #: size inverted to the array lengths it implies
         self.proc = proc
+        #: None until a specializer manages the table
         self.profile = profile
         self.variants = {}
         #: guarded calls whose size is not in the table.
@@ -218,6 +208,23 @@ class VariantTable:
         self.last_decision = None
         self._retired_hits = 0
         self._reviewed = (0, 0)
+
+    @classmethod
+    def of(cls, owner, pipeline, proc, default=None):
+        """The table installed for ``proc`` on ``owner`` (a registry or
+        a client), else ``default``, else a new empty one (no profile,
+        not installed)."""
+        table = cls.installed(owner, pipeline, proc)
+        if isinstance(table, cls):
+            return table
+        return default or cls(proc, None, owner, pipeline)
+
+    def pin(self, size, spec):
+        """Serve ``size`` by ``spec`` for good: the coverage rule never
+        evicts a pinned variant, so the table is never demoted.  Takes
+        no lock: pin at set-up, not under a running specializer."""
+        self.pinned = self.pinned | {size}
+        self.swap(add=(size, spec), drop=self.variants.keys() & {size})
 
     @property
     def sizes(self):
@@ -277,27 +284,16 @@ class ResidualRoute(VariantTable):
     builder = "specialize_server"
     entry = "residual_reply"
 
-    def __init__(self, proc, profile, registry, key):
+    def __init__(self, proc, profile, registry, pipeline):
         super().__init__(proc, profile)
         self.registry = registry
-        self.key = key
+        self.key = (pipeline.prog_number, pipeline.vers_number, proc.number)
 
-    @classmethod
-    def of(cls, registry, pipeline, proc, default=None):
-        """The route installed for ``proc`` on ``registry``, else
-        ``default``, else a new empty one (no profile, not installed)."""
-        key = (pipeline.prog_number, pipeline.vers_number, proc.number)
-        route = registry.route_for(*key)
-        if route is not None and isinstance(route.body, cls):
-            return route.body
-        return default or cls(proc, None, registry, key)
-
-    def pin(self, size, spec):
-        """Serve ``size`` by ``spec`` for good: the coverage rule never
-        evicts a pinned variant, so the table is never demoted.  Takes
-        no lock: pin at set-up, not under a running specializer."""
-        self.pinned = self.pinned | {size}
-        self.swap(add=(size, spec), drop=self.variants.keys() & {size})
+    @staticmethod
+    def installed(registry, pipeline, proc):
+        route = registry.route_for(pipeline.prog_number,
+                                   pipeline.vers_number, proc.number)
+        return route and route.body
 
     def arg_lens(self, request_bytes):
         return self.proc.arg_lens_of(request_bytes)
@@ -324,43 +320,37 @@ class ResidualRoute(VariantTable):
         return reply
 
 
-class OnlineClientCodec(VariantTable):
-    """Whole-message client codec that profiles, then hot-swaps.
-
-    Installed by :meth:`OnlineSpecializer.attach_client` via
-    ``RpcClient.install_codec``.  Keys are argument element counts.
-    A call whose count is in the table goes through the residual
-    codecs and touches nothing else; every other call is encoded and
-    decoded by the byte-identical generic path, which also samples its
-    (count, success-reply size) pair — one violation each while the
-    table holds variants.
+class ClientCodec(VariantTable):
+    """One procedure's whole-message codec on one client, keyed by
+    argument element count: ``ClientSpecialization.install`` pins its
+    count, an attached :class:`OnlineSpecializer` adopts the table and
+    adds and drops the rest.  Each swap publishes, through
+    ``RpcClient.install_codec``, methods specialized to what the table
+    holds: with one variant they call its fused entries directly, and
+    only a call they decline pays for the argument count, the generic
+    codec and the profile.  Only a managed table counts its hits.
     """
 
     side = "client"
     builder = "specialize_client"
     entry = "build_request"
 
-    def __init__(self, specializer, client, proc_name):
-        pipeline = specializer.pipeline
-        super().__init__(pipeline.find_proc(proc_name),
-                         ProcProfile(specializer.policy.window))
-        if self.proc.refusal is not None:
-            raise IdlError(self.proc.refusal)
+    def __init__(self, proc, profile, client, pipeline):
+        super().__init__(proc, profile)
+        if proc.refusal is not None:
+            raise IdlError(proc.refusal)
         self.client = client
-        shape = self.proc.arg
-        #: the bounded array whose element count is the table key, and
-        #: the key of an argument that has none: 0 for a fixed-size
-        #: struct, None (unprofilable) for one with several
-        self._count_field = shape.count_field
-        self._fixed_key = None if shape.bounds else 0
-        self._arg_filter = getattr(pipeline.stubs, f"xdr_{shape.name}")
-        self._ret_filter = getattr(pipeline.stubs,
-                                   f"xdr_{self.proc.ret.name}")
+        self._stubs = pipeline.stubs
+        self._arg_filter = getattr(pipeline.stubs, f"xdr_{proc.arg.name}")
+        self._ret_filter = getattr(pipeline.stubs, f"xdr_{proc.ret.name}")
         #: xid -> element count of generic calls awaiting their reply
         #: (bounded by ``window``: lost replies never accumulate).
         self._pending = {}
-        #: expected reply bytes -> resident spec, for parse routing.
-        self._by_reply = {}
+
+    @staticmethod
+    def installed(client, pipeline, proc):
+        codec = client.codec_for(proc.number)
+        return getattr(codec and codec[1], "__self__", None)
 
     #: the resident argument element counts, ascending.
     lens = VariantTable.sizes
@@ -369,24 +359,52 @@ class OnlineClientCodec(VariantTable):
         return self.proc.arg.lens_of_count(n)
 
     def arg_count(self, args):
-        """The bounded-array element count of ``args`` (0 when the
-        struct has no bounded arrays, None when unprofilable)."""
-        if self._count_field is None:
-            return self._fixed_key
-        value = getattr(args, self._count_field, None)
+        """The key of ``args``: the elements its bounded arrays hold in
+        all (None for a value it cannot tell of)."""
         try:
-            return len(value)
-        except TypeError:
+            return sum(len(getattr(args, field))
+                       for field in self.proc.arg.bounds)
+        except (AttributeError, TypeError):
             return None
 
     def _publish(self, variants):
         self.variants = variants
-        self._by_reply = {variant.spec.expected_reply: variant.spec
-                          for variant in variants.values()}
+        build, parse = self.build_request, self.parse_reply
+        if len(variants) == 1:
+            [self._one] = variants.values()
+            self._encode = self._one.run
+            # (the entry itself: a ``decode_reply`` call is one more frame)
+            self._decode = self._one.spec._recv_module.entry
+            build = (self._build_one if self.profile is None
+                     else self._build_one_counted)
+            parse = self._parse_one
+        self.client.install_codec(self.proc.number, build, parse)
 
     # -- the codec entry points -----------------------------------------
 
+    def _build_one(self, xid, args):
+        return self._encode(xid, args) or self.build_request(xid, args)
+
+    def _build_one_counted(self, xid, args):
+        out = self._encode(xid, args)
+        if out is None:
+            return self.build_request(xid, args)
+        self._one.hits += 1
+        if _obs.enabled:
+            _obs.registry.cells[_HITS].inc()
+        return out
+
+    def _parse_one(self, data, xid):
+        if not self._pending:
+            value = self._decode(data, xid, self._stubs)
+            if value is not None:
+                return True, value
+        return self.parse_reply(data, xid)
+
     def build_request(self, xid, args):
+        """Any call: the variant holding its argument count encodes it,
+        the generic codec any other (a violation, sampled while a
+        specializer manages the table)."""
         n = self.arg_count(args)
         variant = self.variants.get(n)
         if variant is not None:
@@ -397,27 +415,25 @@ class OnlineClientCodec(VariantTable):
                     _obs.registry.cells[_HITS].inc()
                 return out
             self.declines += 1
-        else:
+        elif self.profile is not None:
             if self.variants:
                 self.violations += 1
                 if _obs.enabled:
                     _obs.registry.cells[_VIOLATIONS].inc()
             if n is not None:
-                pending = self._pending
-                if len(pending) >= self.profile.recent.maxlen:
-                    pending.clear()
-                pending[xid] = n
+                if len(self._pending) >= self.profile.recent.maxlen:
+                    self._pending.clear()
+                self._pending[xid] = n
         return generic_request(self.client, self.proc.number,
                                self._arg_filter, xid, args)
 
     def parse_reply(self, data, xid):
         if self._pending:
             self._sample(data, xid)
-        spec = self._by_reply.get(len(data))
-        if spec is not None:
-            # ClientSpecialization.parse_reply falls back generically
-            # itself on any shape mismatch, so this never wrong-decodes.
-            return spec.parse_reply(data, xid)
+        for variant in self.variants.values():
+            value = variant.spec.decode_reply(data, xid)
+            if value is not None:
+                return True, value
         return generic_reply(self._ret_filter, data, xid)
 
     def _sample(self, data, xid):
@@ -456,8 +472,8 @@ class OnlineSpecializer:
     attach any number of server registries and clients, then either
     :meth:`start` the background thread or drive :meth:`poll_once`
     yourself (tests and the bench do, for determinism).  The servers'
-    ``online_spec=`` argument calls ``attach_server`` +
-    ``ensure_started`` for you; the specializer's lifetime belongs to
+    ``online_spec=`` argument calls ``attach_server`` + :meth:`start`
+    (a no-op once running) for you; the specializer's lifetime belongs to
     whoever constructed it (``stop()`` or use it as a context manager).
 
     Builds go through the pipeline's :class:`SpecializationCache`, so
@@ -477,12 +493,15 @@ class OnlineSpecializer:
         self.interval_s = interval_s
         self.bufsize = bufsize
         self.clock = clock
-        if os.environ.get("REPRO_ONLINE_SPEC") is not None:
-            self.enabled = env_enabled()
-        else:
-            self.enabled = True if enabled is None else bool(enabled)
+        # the REPRO_ONLINE_SPEC kill switch, when set, wins over code:
+        # an operator switches the loop off without a deploy
+        raw = os.environ.get("REPRO_ONLINE_SPEC")
+        if raw is not None:
+            enabled = raw.strip().lower() not in ("", "0", "no", "off",
+                                                  "false")
+        self.enabled = enabled is None or bool(enabled)
         self._servers = []   # (registry, profiler, {key: route|None})
-        self._clients = []   # OnlineClientCodec
+        self._clients = []   # ClientCodec
         self._lock = threading.RLock()
         self._stop_event = threading.Event()
         self._thread = None
@@ -511,13 +530,15 @@ class OnlineSpecializer:
         return profiler
 
     def attach_client(self, client, proc_name):
-        """Install a profiling/hot-swapping codec for one procedure on
-        ``client``.  Returns the codec (None when disabled)."""
+        """Profile one procedure on ``client`` and manage its codec
+        table: the one an offline ``install`` pinned into, else a new
+        one, installed now.  Returns the table (None when disabled)."""
         if not self.enabled:
             return None
-        codec = OnlineClientCodec(self, client, proc_name)
-        client.install_codec(codec.proc.number, codec.build_request,
-                             codec.parse_reply)
+        codec = ClientCodec.of(client, self.pipeline,
+                               self.pipeline.find_proc(proc_name))
+        codec.profile = ProcProfile(self.policy.window)
+        codec.swap()  # republished counting its hits
         with self._lock:
             self._clients.append(codec)
         return codec
@@ -533,10 +554,6 @@ class OnlineSpecializer:
                                         name="online-spec", daemon=True)
         self._thread.start()
         return self
-
-    #: servers call this from ``online_spec=`` so several servers can
-    #: share one specializer without racing start().
-    ensure_started = start
 
     @property
     def running(self):
@@ -584,11 +601,9 @@ class OnlineSpecializer:
         for registry, profiler, routes in self._servers:
             for key, profile in profiler.snapshot().items():
                 if key not in routes:
-                    proc = self._match_proc(*key)
                     # None: another program (health, portmap, ...) or a
                     # procedure outside the stub subset
-                    routes[key] = proc and ResidualRoute(
-                        proc, profile, registry, key)
+                    routes[key] = self._new_route(registry, *key)
                 table = routes[key]
                 if table is not None:
                     # the registry's own table, if it holds one (an
@@ -599,7 +614,7 @@ class OnlineSpecializer:
                     tables.append(table)
         return tables + self._clients
 
-    def _match_proc(self, prog, vers, proc_number):
+    def _new_route(self, registry, prog, vers, proc_number):
         pipeline = self.pipeline
         if (prog != pipeline.prog_number
                 or vers != pipeline.vers_number):
@@ -607,7 +622,7 @@ class OnlineSpecializer:
         for proc in pipeline.procs:
             if proc.number == proc_number:
                 if proc.refusal is None:
-                    return proc
+                    return ResidualRoute(proc, None, registry, pipeline)
                 # asked once per registry: the route table remembers
                 self._record("server", proc.name, "skip", None,
                              f"unsupported: {proc.refusal}", (0, 0.0, ()))

@@ -126,10 +126,6 @@ class ClientSpecialization:
                 proc, recv_result, res_lens, self.expected_reply,
                 module.buffers[recv_result.entry_name]),
             sizes={"inbuf": self.expected_reply})
-        self._generic_arg_filter = getattr(pipeline.stubs,
-                                           f"xdr_{arg_struct.name}")
-        self._generic_ret_filter = getattr(pipeline.stubs,
-                                           f"xdr_{ret_struct.name}")
         self._arg_lens = arg_lens
         self._res_lens = res_lens
 
@@ -147,30 +143,17 @@ class ClientSpecialization:
         success reply to ``xid``, or None when it declines."""
         return self._recv_module.entry(data, xid, self.pipeline.stubs)
 
-    def parse_reply(self, data, xid):
-        """Decode a reply; falls back to the generic path off the fast
-        shape.  Returns (matched, value) like RpcClient.parse_reply."""
-        value = self._recv_module.entry(data, xid, self.pipeline.stubs)
-        if value is not None:
-            return True, value
-        return generic_reply(self._generic_ret_filter, data, xid)
-
     def install(self, client):
-        """Attach these codecs to an RpcClient for this procedure; a
-        call the marshal entry declines is encoded as the client would
-        have encoded it with no codec.
+        """Pin these codecs into ``client``'s one codec table for the
+        procedure (a :class:`~repro.specialized.online.ClientCodec`,
+        which an online specializer adopts too); what the fused entries
+        decline is coded as with no codec.  A fast-path client's encode
+        pool narrows to the exact request size (the paper's §6
+        exact-size buffers)."""
+        from repro.specialized.online import ClientCodec
 
-        On a fast-path client this also narrows the encode-buffer pool
-        to the exact expected request size (the paper's §6 exact-size
-        buffers) instead of the 8800-byte default."""
-        encode, proc = self.build_request, self.proc.number
-        xdr_args = self._generic_arg_filter
-
-        def build_request(xid, args):
-            return encode(xid, args) or generic_request(
-                client, proc, xdr_args, xid, args)
-
-        client.install_codec(proc, build_request, self.parse_reply)
+        ClientCodec.of(client, self.pipeline, self.proc).pin(
+            sum(self._arg_lens.values()), self)
         configure = getattr(client, "configure_buffers", None)
         if configure is not None:
             configure(self.expected_request)

@@ -15,15 +15,18 @@ pin the fixed behaviour so the defect cannot quietly return:
   they held — an online route attached through a specialization
   handle counted onto the handle, so the registry read one execution
   fewer than its DRC stores.  The spine now counts one per reply it
-  records, and ``drc-outside-spine`` flags any other write.
+  records, and ``drc-outside-spine`` flags any other write;
+* ``load_u32`` was defined on both MiniC buffer classes (concrete and
+  symbolic) and called by nothing — deleted, and ``unreferenced-def``
+  flags a definition nothing names.
 """
 
 import ast as pyast
 from pathlib import Path
 
 from repro import obs as _obs
-from repro.analysis.findings import scan_pragmas
-from repro.analysis.lint import Module, spine
+from repro.analysis.findings import apply_pragmas, scan_pragmas
+from repro.analysis.lint import Module, load_modules, spine, unreferenced
 from repro.rpc.fleet import DrcReplicator
 from repro.rpc.server import SvcRegistry
 from repro.xdr import xdr_int
@@ -129,3 +132,40 @@ class Route:
         assert lint("src/repro/rpc/server.py", source) == []
         reset = "def reset(registry):\n    registry.handlers_invoked = 0\n"
         assert lint("src/repro/bench/soak.py", reset) == []
+
+
+class TestUnreferencedDefs:
+    MODULE = '''
+def used():
+    return 1
+
+
+def dead():
+    return used()
+
+
+class Reached:
+    # repro: disable=unreferenced-def -- dispatched by getattr
+    def visit_leaf(self):
+        return 0
+
+    def __call__(self):
+        return 0
+'''
+
+    def test_a_def_nothing_else_names_is_flagged(self, tmp_path):
+        module = tmp_path / "src" / "repro" / "walker.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(self.MODULE)
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_walker.py").write_text(
+            "from repro.walker import Reached\n")
+        modules = load_modules(tmp_path)
+        found = apply_pragmas(
+            unreferenced.check(modules, tmp_path),
+            [pragma for module in modules for pragma in module.pragmas])
+        assert [(f.rule, f.path, f.line, f.suppressed) for f in found] == [
+            ("unreferenced-def", "src/repro/walker.py", 6, False),
+            ("unreferenced-def", "src/repro/walker.py", 12, True),
+        ]
+        assert "dead is defined here" in found[0].message

@@ -952,12 +952,12 @@ class TestKnownLengthLoops:
 
     @pytest.mark.parametrize("before, loop, mapped", [
         # the counter holds another literal before the loop's init
-        ("i = 5;", "for (i = 0; i < 8; i++) a[i] = b[i] + 1;", False),
+        ("i = 5;", "for (i = 0; i < 8; i++) a[i] = b[i] + 1;", True),
         ("i = 5;", "i = 0; while (i < 8) { a[i] = b[i] + 1; i = i + 1; }",
          True),
         # a loop-scoped counter shadowing a local that holds a literal
         ("i = 5;", "for (int i = 0; i < 8; i++) a[i] = b[i] + 1; i = 8;",
-         False),
+         True),
         # set in both arms of a branch to the same literal
         ("if (n) i = 0; else i = 0;",
          "while (i < 8) { a[i] = b[i] + 1; i = i + 1; }", True),
@@ -970,6 +970,13 @@ class TestKnownLengthLoops:
         assert ("[_e1 + 1 for _e1 in b[0:8]]" in body) == mapped
         if mapped:  # from a known start: no test of the trip count
             assert "if i < 8:" not in body
+
+    def test_a_for_is_lowered_as_its_while_spelling(self):
+        bodies = {_function(known_length_call("i = 5;", loop)[1].source, "f")
+                  for loop in (
+                      "for (i = 0; i < 8; i++) a[i] = b[i] + 1;",
+                      "i = 0; while (i < 8) { a[i] = b[i] + 1; i = i + 1; }")}
+        assert len(bodies) == 1, bodies
 
     @pytest.mark.parametrize("before, n, outcome", [
         # nothing known of the counter: the map tests its trip count
@@ -1053,6 +1060,14 @@ class TestStraightenedArms:
             if (s->n) { int x = 1; s->y = x; } else return 7;
             return x + v;
         }""",
+        PRELUDE + """
+        int x;
+        int f(struct S *s, int v)
+        {
+            x = v;
+            if (s->n) { int x = 1; s->y = x; } else return 7;
+            return x;
+        }""",
     ])
     @pytest.mark.parametrize("n", [0, 3])
     def test_a_shadowing_local_keeps_its_scope(self, source, n):
@@ -1060,6 +1075,7 @@ class TestStraightenedArms:
         s = module.new_struct("S")
         s.n = n
         # the parameter ``x`` is 5; the global ``x`` is 0, ``v`` 5
+        # (in the last, ``f`` stores ``v`` into the global first)
         assert module.call("f", s, 5) == (5 if n else 7)
         assert s.y == (1 if n else 0)
 

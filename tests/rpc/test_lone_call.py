@@ -40,7 +40,7 @@ from repro.rpc.client import RpcClient
 from repro.rpc.clnt_core import IDLE_TICK_S
 from repro.rpc.fastpath import ReplyHeaderTemplate
 from repro.rpc.record import pack_batch
-from repro.specialized import SpecializationPipeline
+from repro.specialized import OnlineSpecializer, SpecializationPipeline
 from repro.xdr import xdr_u_long
 
 PROG, VERS, PROC = 0x20007c7c, 1, 1
@@ -559,3 +559,39 @@ def test_a_served_datagram_stays_inside_its_bytecode_budget(workload, kind):
         f"UdpServer.handle_once serving a {kind} call runs {count}"
         f" bytecodes > {HANDLE_ONCE_BUDGET[kind]}: the staged server"
         " path gained per-request work")
+
+
+#: counted on CPython 3.11: the codec an ``OnlineSpecializer`` manages,
+#: holding one variant at n=20, encodes in 121 bytecodes and decodes in
+#: 151 (152 and 177 through a per-call count and table lookup, before
+#: its swaps published methods specialized to one variant); the budgets
+#: are the counts plus 5%.  The unmanaged ``install`` path is the
+#: ledger's ``rpc.client.{encode,decode}_pyops.spec``.
+MANAGED_CODEC_BUDGET = {"encode": 127, "decode": 158}
+
+
+@only_311
+def test_a_managed_codec_stays_inside_its_bytecode_budget(workload):
+    pipeline, args, make_registry, lens = workload
+    xdr = pipeline.stubs.xdr_intarr
+    client = RpcClient(pipeline.prog_number,
+                       pipeline.vers_number).enable_fastpath()
+    pipeline.specialize_client("SENDRECV", **lens).install(client)
+    codec = OnlineSpecializer(pipeline, enabled=True).attach_client(
+        client, "SENDRECV")
+    assert codec.lens == [N] and codec.profile is not None
+    reply = make_registry().dispatch_bytes(
+        client.build_call(7, 1, args, xdr))
+    probes = {"encode": lambda: client.build_call(7, 1, args, xdr),
+              "decode": lambda: client.parse_reply(reply, 7, 1, xdr)}
+    for what, probe in probes.items():
+        for _ in range(5):
+            probe()
+        counts = {count_pyops(probe) for _ in range(3)}
+        assert len(counts) == 1, counts
+        count, = counts
+        assert count <= MANAGED_CODEC_BUDGET[what], (
+            f"a managed n={N} client codec's {what} runs {count}"
+            f" bytecodes > {MANAGED_CODEC_BUDGET[what]}: its published"
+            " path gained per-call work")
+    assert codec.violations == 0 and codec.profile.calls == 0

@@ -162,13 +162,12 @@ class TestDiskTier:
         assert revived_pipeline.cache.misses == 0
         args = {"vals": [9, 8, 7, 6]}
         assert revived.build_request(5, args) == first.build_request(5, args)
-        matched, value = revived.parse_reply(
+        value = revived.decode_reply(
             make_pipeline(cache_dir).specialize_server(
                 "BOUNCE", arg_lens=LENS, res_lens=LENS
             ).residual_reply(first.build_request(5, args)),
             5,
         )
-        assert matched
         assert value.vals == [9, 8, 7, 6]
 
     def test_server_roundtrip_through_disk(self, tmp_path):
@@ -185,9 +184,7 @@ class TestDiskTier:
             "BOUNCE", arg_lens=LENS, res_lens=LENS
         )
         request = client.build_request(3, {"vals": [1, 2, 3, 4]})
-        matched, value = client.parse_reply(server.residual_reply(request),
-                                            3)
-        assert matched
+        value = client.decode_reply(server.residual_reply(request), 3)
         assert value.vals == [1, 2, 3, 4]
 
     def test_idl_change_invalidates(self, tmp_path):

@@ -78,7 +78,8 @@ def test_entries_are_byte_identical_to_generic(pipeline, generic, n, xid,
             else pipeline.stubs.intarr(vals=values))
     assert client.build_request(xid, args) == request
     assert server.residual_reply(request) == reply
-    assert client.parse_reply(reply, xid) == generic[0].parse_reply(
+    assert client.install(RpcClient(PROG, VERS)).parse_reply(
+        reply, xid, PROC, None) == generic[0].parse_reply(
         reply, xid, PROC, pipeline.stubs.xdr_intarr)
     assert client.decode_reply(reply, xid).vals == [
         wrap32(v + 1) for v in values]
@@ -89,6 +90,7 @@ def test_off_profile_lengths_decline_on_both_sides(pipeline, generic, n):
     client = pipeline.specialize_client("SENDRECV", **lens(n))
     server = pipeline.specialize_server("SENDRECV", **lens(n))
     stubs = pipeline.stubs
+    installed = client.install(RpcClient(PROG, VERS))
     for other in off_profile(n):
         values = list(range(other))
         request, reply = round_trip(pipeline, generic, 9, values)
@@ -97,7 +99,7 @@ def test_off_profile_lengths_decline_on_both_sides(pipeline, generic, n):
         assert server.residual_reply(request) is None
         assert client.decode_reply(reply, 9) is None
         # ... and the codec's reply path then decodes generically
-        matched, value = client.parse_reply(reply, 9)
+        matched, value = installed.parse_reply(reply, 9, PROC, None)
         assert matched and value.vals == [v + 1 for v in values]
     # a message of the right length but for the trailing word
     request, reply = round_trip(pipeline, generic, 9, list(range(n)))
@@ -138,9 +140,9 @@ def test_a_faulting_residual_is_a_decline(pipeline, generic):
     request, reply = round_trip(pipeline, generic, 7, values)
     assert broken.build_request(7, {"vals": values}) is None
     assert broken.decode_reply(reply, 7) is None
-    matched, value = broken.parse_reply(reply, 7)
-    assert matched and value.vals == [2, 3, 4]
     client = broken.install(RpcClient(PROG, VERS))
+    matched, value = client.parse_reply(reply, 7, PROC, None)
+    assert matched and value.vals == [2, 3, 4]
     args = pipeline.stubs.intarr(vals=values)
     assert client.build_call(7, PROC, args, None) == request
     # the server side: a residual fault leaves the call to the registry

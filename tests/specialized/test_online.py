@@ -726,6 +726,75 @@ class TestClientCodec:
         assert codec.profile.recent[-1][0] == 3
 
 
+class TestInstalledCodecSharesTheTable:
+    """``ClientSpecialization.install`` and the online specializer fill
+    one codec table per (client, procedure): attaching adopts an
+    installed codec, and the online side widens around its pinned
+    argument count, never over it.  Its keys are element counts."""
+
+    @pytest.mark.parametrize("install_first", [True, False])
+    def test_online_widens_around_the_pin_and_never_drops_it(
+            self, pipeline, stubs, install_first):
+        registry = make_registry(stubs)
+        spec = make_spec(pipeline, window=WIDE)
+        client, oracle = RpcClient(PROG, VERS), RpcClient(PROG, VERS)
+        installed = pipeline.specialize_client(
+            "SENDRECV", arg_lens={"vals": PINNED_N},
+            res_lens={"vals": PINNED_N})
+        if install_first:
+            installed.install(client)
+            codec = spec.attach_client(client, "SENDRECV")
+        else:
+            codec = spec.attach_client(client, "SENDRECV")
+            installed.install(client)
+        assert codec.lens == [PINNED_N] and codec.pinned == {PINNED_N}
+        xids = itertools.count(1)
+        xdr = stubs.xdr_intarr
+
+        def call(n):
+            xid = next(xids)
+            args = stubs.intarr(vals=list(range(n)))
+            data = client.build_call(xid, PROC, args, xdr)
+            assert bytes(data) == bytes(oracle.build_call(xid, PROC, args,
+                                                          xdr))
+            matched, value = client.parse_reply(
+                registry.dispatch_bytes(data), xid, PROC, xdr)
+            assert matched and value.vals == [v + 1 for v in range(n)]
+
+        def served_by_the_pin(count):
+            before = codec.variants[PINNED_N].hits
+            for _ in range(count):
+                call(PINNED_N)
+            return codec.variants[PINNED_N].hits == before + count
+
+        assert served_by_the_pin(5)
+        assert codec.violations == 0 and codec.profile.calls == 0
+        for _ in range(WIDE):
+            call(HOT_N)
+        spec.poll_once()
+        assert codec.lens == [HOT_N, PINNED_N]
+        assert (spec.promotions, spec.respecializations) == (0, 1)
+        assert served_by_the_pin(5)
+        [explained] = spec.explain()
+        assert explained["side"] == "client"
+        assert explained["pinned"] == [PINNED_N]
+        assert list(explained["variants"]) == [HOT_N, PINNED_N]
+        # full (max_sizes 2): a newcomer displaces the unpinned variant,
+        # though the pin answered nothing in the period either
+        for _ in range(WIDE):
+            call(4)
+        spec.poll_once()
+        assert codec.lens == [4, PINNED_N]
+        # reviews with no count worth a variant and no traffic for the
+        # pin: the idle unpinned variant goes, the pin stays
+        for _ in range(3):
+            for n in itertools.islice(itertools.cycle(SPREAD), WIDE):
+                call(n)
+            spec.poll_once()
+        assert codec.lens == [PINNED_N] and spec.demotions == 0
+        assert served_by_the_pin(5)
+
+
 class TestCachePersistence:
     def test_promotion_revives_residuals_from_disk(self, tmp_path, stubs):
         cache_dir = str(tmp_path / "online-cache")

@@ -58,6 +58,14 @@ def generic_request(pipeline, xid, values):
     )
 
 
+def parse_installed(pipeline, client_spec, reply, xid):
+    """``(matched, value)`` of ``reply`` on a client ``client_spec`` is
+    installed on."""
+    client = client_spec.install(
+        RpcClient(pipeline.prog_number, pipeline.vers_number))
+    return client.parse_reply(reply, xid, 1, None)
+
+
 def test_request_bytes_match_generic(pipeline, client_spec):
     values = list(range(N))
     specialized = client_spec.build_request(0x42, {"vals": values})
@@ -99,7 +107,7 @@ def test_server_codec_round_trip(pipeline, client_spec, server_spec):
     request = client_spec.build_request(0x77, {"vals": values})
     reply = server_spec.dispatch_bytes(request)
     assert reply is not None
-    matched, result = client_spec.parse_reply(reply, 0x77)
+    matched, result = parse_installed(pipeline, client_spec, reply, 0x77)
     assert matched
     assert result.vals == [v + 1 for v in values]
     assert server_spec.handlers_invoked == 1  # the registry's count
@@ -108,7 +116,7 @@ def test_server_codec_round_trip(pipeline, client_spec, server_spec):
 def test_stale_xid_not_matched(pipeline, client_spec, server_spec):
     request = client_spec.build_request(0x100, {"vals": [1] * N})
     reply = server_spec.dispatch_bytes(request)
-    matched, _value = client_spec.parse_reply(reply, 0x999)
+    matched, _ = parse_installed(pipeline, client_spec, reply, 0x999)
     assert not matched
 
 
@@ -128,7 +136,7 @@ def test_unexpected_length_falls_back(pipeline, client_spec):
     # asking with fewer values through a generic client.
     generic = generic_request(pipeline, 0x55, values)
     reply = registry.dispatch_bytes(generic)
-    matched, result = client_spec.parse_reply(reply, 0x55)
+    matched, result = parse_installed(pipeline, client_spec, reply, 0x55)
     assert matched
     assert result.vals == [v + 1 for v in values]
     del request

@@ -187,8 +187,7 @@ def check_identity(stacks, n, xid, values):
         # ... and its compiled module, through the runtime wrappers
         args = pipeline.stubs.intarr(vals=list(values))
         assert client.build_request(xid, args) == request, name
-        matched, value = client.parse_reply(reply, xid)
-        assert matched and list(value.vals) == results, name
+        assert list(client.decode_reply(reply, xid).vals) == results, name
         assert server.residual_reply(request) == reply, name
 
 
