@@ -45,9 +45,10 @@ CALL_PATH = {
     "repro/rpc/svc_mux.py": {"serve_forever", "_read_conn"},
     "repro/rpc/resilience.py": {"submit", "admit"},
     "repro/rpc/overload.py": {"pop"},
-    "repro/rpc/clnt_core.py": {"call", "_handover", "_start", "_launch",
-                               "_step", "_send_group", "_arm",
-                               "_complete_batch", "_finish_call"},
+    "repro/rpc/clnt_core.py": {"call", "_handover", "call_async", "_start",
+                               "_launch", "_step", "_flush", "_send_group",
+                               "_arm", "_classify", "_complete_batch",
+                               "_finish_call"},
     "repro/specialized/pipeline.py": {"_body"},
     "repro/specialized/online.py": {"record", "__call__", "build_request",
                                     "_sample"},

@@ -766,8 +766,7 @@ class Liveness:
         if isinstance(stmt.init, ast.Decl):
             return self._stmt(stmt.init, head, None)
         if isinstance(stmt.init, ast.ExprStmt):
-            return self._expr(stmt.init.expr, head) | self._uses(
-                stmt.init.expr)
+            return self._expr(stmt.init.expr, head)
         return head
 
 

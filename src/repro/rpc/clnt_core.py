@@ -25,8 +25,15 @@ lone (:meth:`~CallEngine._lone`) no ``select``.
 to wait on) and a call that finds the role taken go through the
 *demux thread*, which starts lazily, picks up whatever an exiting
 inline driver leaves pending, and gives the role back and exits once
-the table has stayed empty for an idle step.  Which of the two drives
-is decided by what the code observes, never by an option.
+the table has stayed empty for an idle step.  The windowed path is
+specialized to its common case the same way: a ``call_async`` with no
+deadline is staged (its xid, its request, one :class:`PendingCall`,
+one lock round that admits, queues and lowers the timer floor); a
+flush whose queue fits the batch limit is one transmit, the timer rule
+run once for it when every call is an untraced first send with no
+deadline; and each read is one classification pass that calls the
+installed codec directly.  Which path runs is decided by what the code
+observes, never by an option.
 
 **Timer rule.**  Each send of a call is granted its current back-off
 window (clamped to the deadline).  When the remaining budget no
@@ -41,7 +48,12 @@ retransmits: only the hard end applies.
 **Telemetry.**  During a call only its :class:`CallStats` are touched;
 lifetime counters and the metrics registry are updated from them at
 exactly one point (:meth:`CallEngine._finish_call`), so a call
-contributes each number once however it ends.  A synchronous call
+contributes each number once however it ends.  The one exception is
+the fold that point would make for a plain reply — obs off, untraced,
+no retransmission, stale reply or garbage: the classification pass
+folds it once per read, a datagram on UDP (:meth:`CallEngine._classify`:
+the completed-call count and ``last_call_stats``), before any of the
+calls it settled reads as done.  A synchronous call
 emits a ``client.call`` span with ``client.encode`` / ``client.send``
 / ``client.wait`` / ``client.decode`` children; the ``rpc.mux.*``
 series and the ``mux.flush`` span describe ``call_async`` and the
@@ -50,6 +62,7 @@ demux thread.
 
 import collections
 import functools
+import operator
 import select
 import socket
 import struct
@@ -83,6 +96,13 @@ _NEVER = float("inf")
 #: flags of a read that must not wait (every read but a lone driver's)
 _DONTWAIT = socket.MSG_DONTWAIT
 _XID = struct.Struct(">I").unpack_from
+_XID_OF = operator.attrgetter("xid")
+_REQUEST = operator.attrgetter("request")
+#: what a first send with no deadline and no span reads (None, None,
+#: 0, its window)
+_FIRST_SEND = operator.attrgetter("deadline", "span", "stats.attempts",
+                                  "window")
+_HARD_END = operator.attrgetter("hard_end")
 
 
 class CallStats:
@@ -197,7 +217,7 @@ class PendingCall:
         ``timeout`` is a safety net for callers that want to poll — the
         engine itself bounds every call by its deadline/timeout budget.
         """
-        if not self.wait(timeout):
+        if not (self._done or self.wait(timeout)):
             raise RpcTimeoutError(
                 f"call (proc={self.proc}, xid={self.xid}) still"
                 f" pending after a {timeout}s result() wait"
@@ -218,10 +238,6 @@ class PendingCall:
     def __repr__(self):
         state = ("done" if self._done else "pending")
         return f"PendingCall(xid={self.xid}, proc={self.proc}, {state})"
-
-
-def _request_size(call):
-    return len(call.request)
 
 
 def _end_call_span(span, error):
@@ -464,7 +480,8 @@ class CallEngine(RpcClient):
             if self._driver.acquire(False):
                 # Nobody else drives: send, then step on this thread
                 # until the call resolves.
-                self._send_group((call,), call.started, False)
+                self._send_group((call,), (call.request,), call.started,
+                                 False)
                 self._drive(call)
             else:
                 with self._lock:
@@ -527,9 +544,52 @@ class CallEngine(RpcClient):
     def call_async(self, proc, args=None, xdr_args=None, xdr_res=None,
                    deadline=None):
         """Submit one call; returns its :class:`PendingCall`.  A call
-        the window cannot admit inside its budget raises instead."""
-        call, budget = self._start(proc, args, xdr_args, xdr_res, deadline,
-                                   False)
+        the window cannot admit inside its budget raises instead.
+
+        With no deadline the submit is staged: the xid, the request
+        (the installed codec's, when there is one), one
+        :class:`PendingCall`, and one lock round that admits it, queues
+        it and lowers the timer floor.  A deadline, a full window or a
+        down engine go through :meth:`_start` / :meth:`_launch`."""
+        if deadline is not None:
+            call, budget = self._start(proc, args, xdr_args, xdr_res,
+                                       deadline, False)
+        else:
+            if self._down is not None:
+                raise RpcConnectionError(self._down)
+            xid = next(self._xids) & 0xFFFFFFFF
+            codec = self._codecs.get(proc)
+            try:
+                request = (self.build_call(xid, proc, args, xdr_args)
+                           if codec is None else codec[0](xid, args))
+            except BaseException as exc:
+                self._finish_call(CallStats(proc), exc)  # never sent
+                raise
+            if self.retry_budget is not None:
+                self.retry_budget.note_call()
+            now = time.monotonic()
+            budget, window = self.timeout, min(self.wait, self.max_wait)
+            call = PendingCall(self, xid, proc, request, xdr_res, None, now,
+                               now + budget, window, None)
+            # its first timer: the end of its window, or its hard end
+            when = now + (window if 0.0 < window < budget else budget)
+            pending = self._pending
+            with self._lock:
+                if self._down is None and len(pending) < self.max_inflight:
+                    if not pending or when < self._timer_floor:
+                        self._timer_floor = when
+                    pending[xid] = call
+                    wake = not self._sendq
+                    self._sendq.append(call)
+                else:
+                    wake = None  # a full window, or down: _launch waits
+            if wake is not None:
+                if _obs.enabled:
+                    _obs.registry.cells[self._series["mux_calls"]].inc()
+                    self._note_inflight()
+                if wake or not self._demux_alive:
+                    self._kick(wake)
+                return call
         error = self._launch((call,), budget)
         if error is not None:
             raise error
@@ -816,21 +876,24 @@ class CallEngine(RpcClient):
             self._pump()
 
     def _flush(self, now, demux):
-        """Transmit whatever is queued, coalesced up to the
-        transport's batch limit."""
+        """Transmit whatever is queued: one transmit when it all fits
+        the transport's batch limit, else coalesced up to it."""
         with self._lock:
             calls = list(self._sendq)
             self._sendq.clear()
-        if len(calls) == 1:
-            self._send_group(calls, now, demux)
-            return
-        for group in batch_groups(calls, self._batch_limit,
-                                  size=_request_size):
-            self._send_group(group, now, demux)
+        requests = list(map(_REQUEST, calls))
+        start = 0
+        for group in batch_groups(requests, self._batch_limit):
+            stop = start + len(group)
+            self._send_group(calls[start:stop], group, now, demux)
+            start = stop
 
-    def _send_group(self, group, now, demux):
-        """One transmit — first sends and retransmissions alike — and
-        the timer rule for every call it carried."""
+    def _send_group(self, group, requests, now, demux):
+        """One transmit of the ``requests`` of ``group`` — first sends
+        and retransmissions alike — and the timer rule for every call
+        it carried: once for the transmit when they are all untraced
+        first sends with no deadline that are not final tries, else
+        per call (:meth:`_arm`)."""
         send_spans = None  # flush_span is set with it, when traced
         if _obs.enabled:
             if demux:
@@ -847,7 +910,7 @@ class CallEngine(RpcClient):
                                     bytes=len(call.request))
                     for call in group if call.span is not None]
         try:
-            nbytes = self._transmit([call.request for call in group])
+            nbytes = self._transmit(requests)
         except FaultInjected as exc:
             if send_spans is not None:
                 for span in send_spans:
@@ -864,12 +927,24 @@ class CallEngine(RpcClient):
                 flush_span.end(bytes=nbytes)
         self.batches_sent += 1
         self.messages_batched += len(group)
-        for call in group:
-            when = self._arm(call, now)
-            if when < self._timer_floor:
-                with self._lock:
-                    if when < self._timer_floor:
-                        self._timer_floor = when
+        window = group[0].window
+        # untraced first sends with no deadline and one window, none of
+        # them a final try: what _arm does per call, decided once
+        if (self.retransmits
+                and set(map(_FIRST_SEND, group)) == {(None, None, 0, window)}
+                and min(map(_HARD_END, group)) - now > window):
+            when = now + window
+            for call in group:
+                call.next_send_at = when
+                stats = call.stats
+                stats.attempts = 1
+                stats.backoff_schedule.append(window)
+        else:
+            when = min([self._arm(call, now) for call in group])
+        if when < self._timer_floor:
+            with self._lock:
+                if when < self._timer_floor:
+                    self._timer_floor = when
 
     def _arm(self, call, now):
         """The timer rule for one send of ``call`` at ``now``; returns
@@ -943,12 +1018,17 @@ class CallEngine(RpcClient):
                                   transport=self._transport).inc()
 
     def _classify(self, messages, resolutions):
-        """The reply classification: each message one read yielded is
+        """The reply classification, one pass per read: each message is
         garbage, an unknown xid, or parsed as a reply to its pending
-        call — a verdict that settles the call is appended to
+        call — by the installed codec when there is one.  A reply that
+        answers an untraced call whose stats hold nothing unusual
+        completes here while obs is off, its counters folded once for
+        the read; any other verdict that settles a call is appended to
         ``resolutions`` as ``(call, value, error)``.  Returns whether a
         pending call is still unanswered."""
-        pending = self._pending
+        pending, codecs = self._pending, self._codecs
+        plain = not _obs.enabled
+        done = []
         for message in messages:
             try:
                 xid = _XID(message)[0]
@@ -956,18 +1036,20 @@ class CallEngine(RpcClient):
                 self._garbage()
                 continue
             # Lock-free probe: dict.get is atomic under the GIL, and
-            # _complete_batch re-checks ownership with a locked pop, so
-            # the worst a racing close() costs is one redundant parse.
+            # every completion re-checks ownership with a pop, so the
+            # worst a racing close() costs is one redundant parse.
             call = pending.get(xid)
             if call is None:
                 self._unknown_xid()
                 continue
-            decode_span = (
-                call.span.child("client.decode", bytes=len(message))
-                if call.span is not None else None)
+            span = call.span
+            decode_span = (span.child("client.decode", bytes=len(message))
+                           if span is not None else None)
+            codec = codecs.get(call.proc)
             try:
-                matched, value = self.parse_reply(message, xid, call.proc,
-                                                  call.xdr_res)
+                matched, value = (
+                    self.parse_reply(message, xid, call.proc, call.xdr_res)
+                    if codec is None else codec[1](message, xid))
             except (XdrError, RpcProtocolError) as exc:
                 # Undecodable under our xid (corruption, truncation):
                 # retransmission recovers it from the server's DRC; on
@@ -984,12 +1066,29 @@ class CallEngine(RpcClient):
                 _end_call_span(decode_span, exc)
                 resolutions.append((call, None, exc))
                 continue
+            stats = call.stats
             if decode_span is not None:
                 decode_span.end(matched=matched)
-            if matched:
-                resolutions.append((call, value, None))
+            if not matched:
+                stats.stale_replies += 1
+            elif (plain and span is None and not (
+                    stats.retransmissions or stats.stale_replies
+                    or stats.garbage_datagrams)):
+                if pending.pop(xid, None) is not None:
+                    call._value = value
+                    done.append(call)
             else:
-                call.stats.stale_replies += 1
+                resolutions.append((call, value, None))
+        if done:  # what _finish_call folds for a plain call, once
+            self.calls_completed += len(done)
+            self.last_call_stats = done[-1].stats
+            now = time.monotonic()
+            for call in done:
+                call.stats.elapsed_s = now - call.started
+                call._done = True
+            if self._waiters:
+                with self._lock:  # the lock _cond notifies under
+                    self._cond.notify_all()
         return len(resolutions) < len(pending)
 
     def _next_window(self, window):
@@ -1048,7 +1147,7 @@ class CallEngine(RpcClient):
                 stamp_deadline(call.request, call.deadline)
             if call.wait_span is not None:
                 call.wait_span.end(outcome="silent")
-            self._send_group((call,), now, demux)
+            self._send_group((call,), (call.request,), now, demux)
         self._complete_batch(resolutions, demux)
 
     # -- completion -------------------------------------------------------
@@ -1092,9 +1191,11 @@ class CallEngine(RpcClient):
 
         Lifetime counters and the metrics registry are updated *here
         only*, from the finished :class:`CallStats` — never inline
-        while the call is in flight.  That guarantees one call
-        contributes each number exactly once however it ends (reply,
-        timeout, server verdict, fault, connection death).
+        while the call is in flight (:meth:`_classify` folds what this
+        would for the plain replies of one read, once).  That
+        guarantees one call contributes each number exactly once
+        however it ends (reply, timeout, server verdict, fault,
+        connection death).
         """
         self.last_call_stats = stats
         self.calls_completed += 1

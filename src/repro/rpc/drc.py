@@ -106,11 +106,13 @@ class DuplicateRequestCache:
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None:  # the common case: claimed, a miss
                 self._entries[key] = _IN_PROGRESS
                 self.misses += 1
-                result = True
-            elif entry is _IN_PROGRESS:
+                if rec is not None:
+                    rec.drc_hit = False
+                return True
+            if entry is _IN_PROGRESS:
                 self.in_progress_drops += 1
                 self.misses += 1
                 result = False
@@ -119,7 +121,7 @@ class DuplicateRequestCache:
                 self.hits += 1
                 result = entry
         if rec is not None:
-            rec.drc_hit = result is not True and result is not False
+            rec.drc_hit = result is not False
         return result
 
     def abandon(self, key):
@@ -143,8 +145,18 @@ class DuplicateRequestCache:
             entries[key] = reply
             entries.move_to_end(key)
             self.stores += 1
-            evicted = (self._evict_over_capacity()
-                       if len(entries) > self.capacity else 0)
+            if len(entries) <= self.capacity:
+                evicted = 0
+            else:  # at capacity: the oldest entry goes, in O(1)
+                old_key, old_value = entries.popitem(False)
+                if old_value is _IN_PROGRESS or len(entries) > self.capacity:
+                    # a live claim, or more to evict: back, for the scan
+                    entries[old_key] = old_value
+                    entries.move_to_end(old_key, False)
+                    evicted = self._evict_over_capacity()
+                else:
+                    self.evictions += 1
+                    evicted = 1
             if rec is not None:
                 rec.evicted = evicted
                 rec.entries = len(entries)

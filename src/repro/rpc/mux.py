@@ -18,7 +18,11 @@ bytes.  What the window buys:
   several call messages in one datagram wrapped in the *batch
   envelope* of :mod:`repro.rpc.record` (our servers unwrap it; a lone
   message is always sent raw, so single calls stay wire-compatible
-  with any Sun RPC server);
+  with any Sun RPC server).  The common case costs per transmit, not
+  per message: a staged ``call_async`` (no deadline) queues in one
+  lock round, a queue that fits is one group armed by one timer rule,
+  the envelope is one ``join`` to pack and, for a run of equal-length
+  members, one ``Struct`` to read, and a reply datagram is one pass;
 
 * the **DRC claim protocol** is preserved: every call gets a unique
   xid, retransmissions re-send the same bytes, and the server's

@@ -32,6 +32,7 @@ an adversarial xid equal to ``BATCH_MAGIC``.  A lone message is always
 sent raw, so single calls stay wire-compatible with any Sun RPC peer.
 """
 
+import functools
 import socket
 import struct
 
@@ -69,30 +70,43 @@ def kernel_timeout(sock, seconds):
     return sock
 
 
-def batch_groups(items, max_bytes, size=len):
-    """Split ``items`` into runs that each fit one batch datagram of
-    ``max_bytes``: the envelope header plus a length word and
-    ``size(item)`` bytes per member.  (A run of one goes out plain,
-    whatever its size.)"""
-    group, group_bytes = [], _BATCH_HEADER.size
-    for item in items:
-        item_bytes = size(item) + 4
-        if group and group_bytes + item_bytes > max_bytes:
-            yield group
+def batch_groups(messages, max_bytes):
+    """Split ``messages`` (bytes-likes) into runs that each fit one
+    batch datagram of ``max_bytes``: the envelope header plus a length
+    word and the bytes of each member.  (A run of one goes out plain,
+    whatever its size.)  Everything fits, the common case, is one test
+    at C speed."""
+    if (_BATCH_HEADER.size + 4 * len(messages) + sum(map(len, messages))
+            <= max_bytes):
+        return [messages] if messages else []
+    groups, group, group_bytes = [], [], _BATCH_HEADER.size
+    for message in messages:
+        message_bytes = len(message) + 4
+        if group and group_bytes + message_bytes > max_bytes:
+            groups.append(group)
             group, group_bytes = [], _BATCH_HEADER.size
-        group.append(item)
-        group_bytes += item_bytes
+        group.append(message)
+        group_bytes += message_bytes
     if group:
-        yield group
+        groups.append(group)
+    return groups
 
 
 def pack_batch(messages):
-    """Frame ``messages`` (bytes-likes) into one batch datagram."""
-    parts = [_BATCH_HEADER.pack(BATCH_MAGIC, _BATCH_FLAG, len(messages))]
-    for message in messages:
-        parts.append(struct.pack(">I", len(message)))
-        parts.append(message if type(message) is bytes else bytes(message))
+    """Frame ``messages`` (bytes-likes) into one batch datagram: one
+    join over the header, then each member's length word and bytes."""
+    parts = [None] * (2 * len(messages) + 1)
+    parts[0] = _BATCH_HEADER.pack(BATCH_MAGIC, _BATCH_FLAG, len(messages))
+    parts[1::2] = map(_WORD.pack, map(len, messages))
+    parts[2::2] = messages
     return b"".join(parts)
+
+
+@functools.lru_cache(maxsize=16)
+def _run_words(count, length):
+    """The length words of ``count`` members of ``length`` bytes each,
+    as one ``Struct`` (from the first word on)."""
+    return struct.Struct(">" + f"I{length}x" * count)
 
 
 def unpack_batch(data):
@@ -102,21 +116,34 @@ def unpack_batch(data):
     carries the envelope; ``None`` when it is an ordinary RPC message.
     A recognized envelope that is internally inconsistent raises
     :class:`~repro.errors.RpcProtocolError` (callers drop it like any
-    other garbage datagram).
+    other garbage datagram).  A run of equal-length members that fills
+    the datagram exactly — what one client's calls to one procedure
+    make — is read with one ``Struct`` and sliced with one ``map``;
+    anything else member by member.
     """
-    if len(data) < _BATCH_HEADER.size:
+    total = len(data)
+    if total < _BATCH_HEADER.size:
         return None
     magic, flag, count = _BATCH_HEADER.unpack_from(data, 0)
     if magic != BATCH_MAGIC or flag != _BATCH_FLAG:
         return None
     view = memoryview(data)
-    messages = []
     offset = _BATCH_HEADER.size
-    total = len(data)
+    if count and total >= offset + 4:
+        length = _WORD.unpack_from(data, offset)[0]
+        step = length + 4
+        if (offset + count * step == total
+                and _run_words(count, length).unpack_from(data, offset)
+                .count(length) == count):
+            start, end = offset + 4, total + 4
+            return list(map(view.__getitem__, map(
+                slice, range(start, end, step),
+                range(start + length, end + length, step))))
+    messages = []
     for _ in range(count):
         if offset + 4 > total:
             raise RpcProtocolError("truncated batch envelope")
-        (length,) = struct.unpack_from(">I", data, offset)
+        (length,) = _WORD.unpack_from(data, offset)
         offset += 4
         if offset + length > total:
             raise RpcProtocolError(

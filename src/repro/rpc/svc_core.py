@@ -28,6 +28,7 @@ A transport — a subclass — provides:
   opened; idempotent.
 """
 
+import functools
 import threading
 
 from repro.rpc.durable import attach_journal
@@ -171,14 +172,11 @@ class RpcServer:
             for message in messages:
                 self._submit(message, peer, reply_to, received_at)
             return
-        replies = []
-        dispatch = self.registry.dispatch_bytes
+        dispatch = functools.partial(self.registry.dispatch_bytes,
+                                     caller=peer, received_at=received_at)
         try:
-            for message in messages:
-                reply = dispatch(message, caller=peer,
-                                 received_at=received_at)
-                if reply is not None:
-                    replies.append(reply)
+            replies = [reply for reply in map(dispatch, messages)
+                       if reply is not None]
             with self._counters_lock:
                 self.requests_handled += len(messages)
             self._send_batch(replies, reply_to)

@@ -978,6 +978,24 @@ class TestKnownLengthLoops:
                       "i = 0; while (i < 8) { a[i] = b[i] + 1; i = i + 1; }")}
         assert len(bodies) == 1, bodies
 
+    def test_a_store_a_for_init_overwrites_is_dropped(self):
+        # a for that keeps its continue is not rewritten as a while:
+        # its init kills the counter, so the store ahead of it is dead
+        loop = ("for (i = 0; i < 8; i++) { if (b[i] == 30) continue;"
+                " a[i] = b[i] + 1; }")
+        found, module = known_length_call("i = 5;", loop)
+        assert "i = 5" not in _function(module.source, "f"), module.source
+        program = parse_program(PRELUDE + KNOWN_LENGTH.format(
+            before="i = 5;", loop=loop))
+        interp = Interpreter(program)
+        s = interp.make_struct("S")
+        buf = interp.make_buffer(32)
+        for offset, byte in enumerate(wire_of(*KNOWN_WORDS)):
+            buf.store_int(offset, byte, 1, False)
+        value = interp.call("f", [rv.BufPtr(buf, 0, 1), interp.ptr_to(s), 0])
+        assert found == (value, *(s.field(name).value
+                                  for name in ("x", "y", "i")))
+
     @pytest.mark.parametrize("before, n, outcome", [
         # nothing known of the counter: the map tests its trip count
         ("", 0, (81, 11, 51, 8)),

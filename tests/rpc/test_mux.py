@@ -14,6 +14,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     RpcConnectionError,
@@ -130,6 +132,77 @@ class TestBatchEnvelope:
         bogus += struct.pack(">I", 1000) + b"short"
         with pytest.raises(RpcProtocolError):
             unpack_batch(bogus)
+
+    # -- properties: the fast paths against the framing and the loop --
+
+    @staticmethod
+    def reference_pack(messages):
+        """The framing documented in :mod:`repro.rpc.record`."""
+        out = struct.pack(">III", BATCH_MAGIC, 0xFFFFFFFF, len(messages))
+        for message in messages:
+            out += struct.pack(">I", len(message)) + bytes(message)
+        return out
+
+    @staticmethod
+    def loop_unpack(data):
+        """Member by member, as the envelope was always read: the
+        messages, None for a plain datagram, or the error's text."""
+        if len(data) < 12:
+            return None
+        magic, flag, count = struct.unpack_from(">III", data, 0)
+        if magic != BATCH_MAGIC or flag != 0xFFFFFFFF:
+            return None
+        messages, offset = [], 12
+        for _ in range(count):
+            if offset + 4 > len(data):
+                return "truncated batch envelope"
+            (length,) = struct.unpack_from(">I", data, offset)
+            offset += 4
+            if offset + length > len(data):
+                return f"batch member of {length} bytes overruns the datagram"
+            messages.append(bytes(data[offset:offset + length]))
+            offset += length
+        return messages
+
+    @staticmethod
+    def unpacked(data):
+        from repro.errors import RpcProtocolError
+
+        try:
+            messages = unpack_batch(data)
+        except RpcProtocolError as exc:
+            return str(exc)
+        return messages if messages is None else [bytes(m) for m in messages]
+
+    @given(messages=st.one_of(
+        st.lists(st.binary(max_size=48), max_size=40),
+        st.builds(lambda length, count: [bytes([count % 256]) * length] * count,
+                  st.integers(0, 48), st.integers(0, 40))))
+    @settings(deadline=None)
+    def test_pack_is_the_framing_and_unpack_inverts_it(self, messages):
+        packed = pack_batch(messages)
+        assert packed == self.reference_pack(messages)
+        assert pack_batch([bytearray(m) for m in messages]) == packed
+        assert self.unpacked(packed) == messages
+
+    @given(length=st.integers(0, 48), count=st.integers(1, 40),
+           damage=st.sampled_from(["truncate", "trailing", "word", "count"]),
+           amount=st.integers(1, 64), where=st.integers(0, 39))
+    @settings(deadline=None)
+    def test_a_damaged_run_reads_as_the_loop_reads_it(self, length, count,
+                                                      damage, amount, where):
+        data = bytearray(pack_batch([b"\x5a" * length] * count))
+        if damage == "truncate":
+            del data[max(12, len(data) - amount):]
+        elif damage == "trailing":
+            data += b"\0" * amount
+        elif damage == "word":  # one member's length word off
+            offset = 12 + (where % count) * (length + 4)
+            struct.pack_into(">I", data, offset,
+                             max(0, length + amount - 32))
+        else:
+            struct.pack_into(">I", data, 8, count + amount)
+        assert self.unpacked(bytes(data)) == self.loop_unpack(bytes(data))
 
     def test_mark_record_reassembles(self):
         payload = bytes(range(256)) * 40
