@@ -39,7 +39,6 @@ HOT_PREFIXES = ("repro/rpc/", "repro/specialized/", "repro/xdr/")
 CALL_PATH = {
     "repro/rpc/server.py": {"dispatch_bytes", "_spine", "body"},
     "repro/rpc/drc.py": {"begin", "get", "put"},
-    "repro/rpc/fastpath.py": {"acquire"},
     "repro/rpc/svc_core.py": {"serve_inline", "_enqueue", "_serve"},
     "repro/rpc/svc_udp.py": {"handle_once"},
     "repro/rpc/svc_mux.py": {"serve_forever", "_read_conn"},

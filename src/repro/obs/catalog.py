@@ -242,13 +242,6 @@ METRICS = {
     "rpc.quota.callers": (
         "gauge", "",
         "caller buckets tracked in the quota LRU"),
-    # -- buffer pools ----------------------------------------------------
-    "rpc.pool.reuses": (
-        "counter", "",
-        "buffer acquisitions served from the free-list"),
-    "rpc.pool.allocations": (
-        "counter", "",
-        "buffer acquisitions that had to allocate (steady state: 0)"),
     # -- fault injection -------------------------------------------------
     "faults.injected": (
         "counter", "kind",

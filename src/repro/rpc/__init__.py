@@ -40,7 +40,7 @@ __getattr__ = lazy_exports(__name__, {
     "clnt_udp": "UdpClient",
     "drc": "DuplicateRequestCache",
     "durable": "DrcJournal attach_journal",
-    "fastpath": "BufferPool CallHeaderTemplate ReplyHeaderTemplate",
+    "fastpath": "CallHeaderTemplate ReplyHeaderTemplate",
     "faults": "FaultPlan FaultySocket",
     "fleet": "DrcReplicator FleetDirectory FleetMember FleetWatcher"
              " Membership install_replication_sink",
@@ -61,7 +61,6 @@ __getattr__ = lazy_exports(__name__, {
 __all__ = [
     "AUTH_NONE",
     "AUTH_SYS",
-    "BufferPool",
     "CallHeaderTemplate",
     "CallStats",
     "CallerQuota",

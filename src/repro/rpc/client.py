@@ -14,23 +14,18 @@ Two message-building disciplines coexist:
 * the *fast* path (:meth:`RpcClient.enable_fastpath`) stages the
   constant work the way the paper's specializer does: the header is a
   pre-serialized :class:`~repro.rpc.fastpath.CallHeaderTemplate`
-  patched with the xid, and encode buffers come from a
-  :class:`~repro.rpc.fastpath.BufferPool` so steady-state calls
-  allocate no scratch space.  Both produce byte-identical wire
-  messages.
+  patched with the xid, and a reply's accepted-SUCCESS header is
+  checked with one slice compare.  The arguments are encoded into a
+  fresh buffer, as on the generic path.  Both produce byte-identical
+  wire messages.
 """
 
 import itertools
 import os
 import struct
 
-from repro.errors import XdrError
 from repro.rpc.auth import NULL_AUTH
-from repro.rpc.fastpath import (
-    BufferPool,
-    CallHeaderTemplate,
-    ReplyHeaderTemplate,
-)
+from repro.rpc.fastpath import CallHeaderTemplate, ReplyHeaderTemplate
 from repro.rpc.message import (
     CallHeader,
     decode_reply_header,
@@ -42,11 +37,6 @@ from repro.xdr import XdrMemStream, XdrOp
 
 #: Sun's UDP transfer-unit default.
 UDPMSGSIZE = 8800
-
-#: Smallest buffer the fast path will shrink to: the worst-case header
-#: (two 400-byte auth areas) and error/mismatch replies must still fit
-#: even when the expected success message is tiny.
-MIN_FASTPATH_BUFSIZE = 1024
 
 #: The accepted-SUCCESS reply header with a NULL verifier — the common
 #: case; the fast path checks replies against it with one slice compare
@@ -75,10 +65,9 @@ class RpcClient:
         #: the specialization pipeline (the residual code marshals the
         #: call header too, as the paper's specialized clntudp_call does).
         self._codecs = {}
-        #: fast-path state: per-proc header templates + the encode
-        #: buffer pool.
-        self._templates = {}
-        self._send_pool = None
+        #: fast-path state: per-proc header templates (None while the
+        #: fast path is off).
+        self._templates = None
 
     # -- marshaling plug point -------------------------------------------
 
@@ -100,39 +89,14 @@ class RpcClient:
 
     @property
     def fastpath_enabled(self):
-        return self._send_pool is not None
+        return self._templates is not None
 
-    def enable_fastpath(self, send_size=None, pool_limit=4):
-        """Turn on header templates and encode-buffer pooling.
-
-        ``send_size`` bounds the pooled buffers (default: ``bufsize``);
-        an installed specialization narrows it to the exact expected
-        request size via :meth:`configure_buffers`.  (Replies land in
-        the transport's one receive buffer: the engine has a single
-        reader.)
-        """
-        self._send_pool = BufferPool(send_size or self.bufsize,
-                                     limit=pool_limit, prefill=1)
+    def enable_fastpath(self):
+        """Turn on the header templates: a call header is built once
+        per procedure and patched with each call's xid, and a reply's
+        accepted-SUCCESS header is checked with one slice compare."""
+        self._templates = {}
         return self
-
-    def configure_buffers(self, request_size):
-        """Shrink the encode pool to the exact-fit request size — called
-        when a specialization is installed and the wire size is a known
-        invariant."""
-        if not self.fastpath_enabled:
-            return
-        self._send_pool = BufferPool(
-            max(int(request_size), MIN_FASTPATH_BUFSIZE),
-            limit=self._send_pool.limit, prefill=1)
-
-    def _template_for(self, proc):
-        template = self._templates.get(proc)
-        if template is None:
-            template = CallHeaderTemplate(
-                self.prog, self.vers, proc, self.cred, self.verf
-            )
-            self._templates[proc] = template
-        return template
 
     def next_xid(self):
         return next(self._xids) & 0xFFFFFFFF
@@ -142,15 +106,19 @@ class RpcClient:
         codec = self._codecs.get(proc)
         if codec is not None:
             return codec[0](xid, args)
-        if self.fastpath_enabled:
+        templates = self._templates
+        if templates is not None:
+            template = templates.get(proc)
+            if template is None:
+                template = templates[proc] = CallHeaderTemplate(
+                    self.prog, self.vers, proc, self.cred, self.verf)
             if xdr_args is None:  # no arguments: the header is the call
-                return self._template_for(proc).message(xid)
-            buffer, length = self.build_call_pooled(xid, proc, args,
-                                                    xdr_args)
-            try:
-                return bytes(buffer[:length])
-            finally:
-                self.release_send_buffer(buffer)
+                return template.message(xid)
+            buffer = bytearray(self.bufsize)
+            stream = XdrMemStream(buffer, XdrOp.ENCODE,
+                                  offset=template.write_into(buffer, xid))
+            xdr_args(stream, args)
+            return stream.data()
         buffer = bytearray(self.bufsize)
         stream = XdrMemStream(buffer, XdrOp.ENCODE)
         header = CallHeader(xid, self.prog, self.vers, proc, self.cred,
@@ -180,42 +148,6 @@ class RpcClient:
         del buffer[stream.pos:]
         return buffer
 
-    def _encode_into(self, buffer, xid, proc, args, xdr_args):
-        offset = self._template_for(proc).write_into(buffer, xid)
-        stream = XdrMemStream(buffer, XdrOp.ENCODE, offset=offset)
-        if xdr_args is not None:
-            xdr_args(stream, args)
-        return stream.pos
-
-    def build_call_pooled(self, xid, proc, args, xdr_args):
-        """Fast path: serialize into a pooled buffer.
-
-        Returns ``(buffer, length)``; the caller sends
-        ``buffer[:length]`` and must hand the buffer back via
-        :meth:`release_send_buffer`.  Requires an enabled fast path and
-        no whole-message codec for ``proc`` (codecs own their bytes).
-        Calls that overflow an exact-fit pool (another proc, bigger
-        args than the installed invariants) retry once with a
-        full-size scratch buffer instead of failing.
-        """
-        buffer = self._send_pool.acquire()
-        try:
-            length = self._encode_into(buffer, xid, proc, args, xdr_args)
-        except XdrError:
-            self.release_send_buffer(buffer)
-            if len(buffer) >= self.bufsize:
-                raise
-            buffer = bytearray(self.bufsize)
-            length = self._encode_into(buffer, xid, proc, args, xdr_args)
-        except BaseException:
-            self.release_send_buffer(buffer)
-            raise
-        return buffer, length
-
-    def release_send_buffer(self, buffer):
-        if self._send_pool is not None:
-            self._send_pool.release(buffer)
-
     def parse_reply(self, data, xid, proc, xdr_res):
         """Validate a reply message and decode the results.
 
@@ -228,7 +160,7 @@ class RpcClient:
         codec = self._codecs.get(proc)
         if codec is not None:
             return codec[1](data, xid)
-        if self.fastpath_enabled and _ACCEPTED_SUCCESS.matches(data):
+        if self._templates is not None and _ACCEPTED_SUCCESS.matches(data):
             if struct.unpack_from(">I", data, 0)[0] != xid:
                 return False, None
             if xdr_res is None:

@@ -619,9 +619,14 @@ class CallEngine(RpcClient):
 
     def _launch(self, calls, budget):
         """Admit ``calls`` and hand them to the demux thread; the tail
-        the window refused is resolved with the error returned."""
+        the window refused is resolved with the error returned.  A call
+        that finds the window full first hands the admitted head to a
+        driver: only their replies can make it room."""
         admitted, wake, error = 0, False, None
         for call in calls:
+            if wake and len(self._pending) >= self.max_inflight:
+                self._kick(True)
+                wake = False
             try:
                 wake = self._admit(call, budget, True) or wake
             except RpcError as exc:

@@ -84,9 +84,7 @@ class TcpClient(CallEngine):
         :class:`~repro.errors.RpcConnectionError` like any connection
         death, and per-connection state is reset so the revived client
         starts clean: reassembly state and unsent bytes are dropped
-        with the old socket, and with the fast path on the buffer
-        pools are rebuilt — a buffer that held a partially transmitted
-        request is never reused.  ``deadline`` bounds the connect
+        with the old socket.  ``deadline`` bounds the connect
         attempt (it draws from the same per-call budget as everything
         else).
         """
@@ -105,9 +103,6 @@ class TcpClient(CallEngine):
                     f"deadline exceeded reconnecting to {self.address}"
                 ) from None
             raise
-        if self.fastpath_enabled:
-            pool = self._send_pool
-            self.enable_fastpath(send_size=pool.size, pool_limit=pool.limit)
         self._assembler = RecordAssembler()
         self._outbuf = bytearray()
         self._down = None

@@ -12,10 +12,9 @@ observable semantics toward at-most-once.
 
 :class:`DuplicateRequestCache` is that cache: a thread-safe LRU keyed
 on ``(xid, caller address, prog, vers, proc)``.  Values are the raw
-reply messages as immutable ``bytes`` — callers must never hand in a
-view of pool-owned memory (the dispatcher's reply buffers are reused
-per call; :meth:`put` defends by copying anything that is not already
-``bytes``).
+reply messages as immutable ``bytes`` — a cached reply must not alias
+a buffer its caller may write again (:meth:`put` copies anything that
+is not already ``bytes``).
 """
 
 import threading
@@ -135,8 +134,7 @@ class DuplicateRequestCache:
         """Record the reply sent for ``key``.
 
         ``reply`` is copied to immutable ``bytes`` unless it already is
-        — cached replies must outlive the dispatcher's pooled reply
-        buffers.
+        — a cached reply must outlive a caller's mutable buffer.
         """
         if not isinstance(reply, bytes):
             reply = bytes(reply)

@@ -1,4 +1,4 @@
-"""Runtime fast path: header templates and buffer pools.
+"""Runtime fast path: the two header templates.
 
 The paper's specialized ``clntudp_call`` folds the static parts of the
 call header away at specialization time, leaving only the xid store in
@@ -17,10 +17,9 @@ discipline to the live Python stack without running Tempo:
   SUCCESS reply header for a fixed verifier is pre-built and patched
   with the caller's xid.
 
-* :class:`BufferPool` removes the other per-call constant cost: the
-  ``bytearray(bufsize)`` allocation.  It is a small LIFO free-list of
-  equal-size buffers; steady-state traffic reuses the same one or two
-  buffers and allocates nothing.
+There is no buffer pool: under CPython a fresh ``bytearray`` of the
+transfer size is cheaper than a locked free-list round trip, and a
+specialized call's fused entry writes its own exact-size message.
 
 Everything here is byte-for-byte equivalent to the generic encoders in
 :mod:`repro.rpc.message` — the equivalence tests in
@@ -28,9 +27,7 @@ Everything here is byte-for-byte equivalent to the generic encoders in
 """
 
 import struct
-import threading
 
-from repro import obs as _obs
 from repro.rpc.auth import MAX_AUTH_BYTES, NULL_AUTH
 from repro.rpc.message import (
     AcceptStat,
@@ -118,56 +115,3 @@ class ReplyHeaderTemplate:
         to the generic decoder.
         """
         return len(data) >= self.size and data[4:self.size] == self._tail
-
-
-#: static ``registry.cells`` keys of :meth:`BufferPool.acquire`
-_REUSES = ("counter", "rpc.pool.reuses")
-_ALLOCATIONS = ("counter", "rpc.pool.allocations")
-
-
-class BufferPool:
-    """A bounded LIFO free-list of equal-size ``bytearray`` buffers.
-
-    ``acquire`` pops a free buffer (or allocates when the list is
-    empty); ``release`` returns it.  Buffers of the wrong size — e.g.
-    checked out before a pool was resized to an exact-fit message size
-    — are silently dropped instead of poisoning the pool.  The
-    ``allocations``/``reuses`` counters let tests assert that
-    steady-state traffic allocates nothing.
-    """
-
-    __slots__ = ("size", "limit", "_free", "_lock", "allocations", "reuses")
-
-    def __init__(self, size, limit=8, prefill=0):
-        self.size = size
-        self.limit = limit
-        self._free = []
-        self._lock = threading.Lock()
-        self.allocations = 0
-        self.reuses = 0
-        for _ in range(min(prefill, limit)):
-            self._free.append(bytearray(size))
-
-    def acquire(self):
-        with self._lock:
-            if self._free:
-                self.reuses += 1
-                buffer = self._free.pop()
-            else:
-                self.allocations += 1
-                buffer = None
-        if _obs.enabled:
-            _obs.registry.cells[_REUSES if buffer is not None
-                                else _ALLOCATIONS].inc()
-        return buffer if buffer is not None else bytearray(self.size)
-
-    def release(self, buffer):
-        if buffer is None or len(buffer) != self.size:
-            return
-        with self._lock:
-            if len(self._free) < self.limit:
-                self._free.append(buffer)
-
-    def __len__(self):
-        with self._lock:
-            return len(self._free)

@@ -247,8 +247,7 @@ class FaultDecision:
 
     def mutate(self, payload):
         """Apply corrupt/truncate to ``payload``; returns new bytes (a
-        copy — the caller's buffer, possibly pool-owned, is never
-        written)."""
+        copy — the caller's buffer is never written)."""
         data = bytes(payload)
         if "truncate" in self.actions and data:
             keep = max(1, int(len(data) * self._truncate_to))

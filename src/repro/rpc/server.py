@@ -35,7 +35,7 @@ from repro import obs as _obs
 from repro.errors import RpcProtocolError, XdrError
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.drc import DuplicateRequestCache
-from repro.rpc.fastpath import BufferPool, ReplyHeaderTemplate
+from repro.rpc.fastpath import ReplyHeaderTemplate
 from repro.rpc.message import (
     AcceptStat,
     RejectStat,
@@ -149,10 +149,9 @@ class SvcRegistry:
         #: (prog, vers) -> {proc: Procedure}
         self._programs = {}
         self.bufsize = bufsize
-        #: fast-path state: pre-built SUCCESS reply header + reply
-        #: buffer pool (see :mod:`repro.rpc.fastpath`).
+        #: fast-path state: the pre-built SUCCESS reply header (see
+        #: :mod:`repro.rpc.fastpath`).
         self._reply_template = None
-        self._out_pool = None
         #: the route table (see :meth:`install_route`): constant
         #: header signature -> :class:`Route`; None while empty.
         self._routes = None
@@ -189,23 +188,15 @@ class SvcRegistry:
         if drc:
             self.enable_drc()
 
-    def enable_fastpath(self, pool_limit=4):
-        """Pre-build the SUCCESS reply header and pool reply buffers.
+    def enable_fastpath(self):
+        """Pre-build the SUCCESS reply header.
 
         The dispatcher then answers the hot path (accepted, SUCCESS,
         null verifier) by copying the template and patching the xid
-        instead of re-encoding six XDR units per reply, and reuses its
-        scratch reply buffers instead of allocating ``bytearray
-        (bufsize)`` per call.
+        instead of re-encoding six XDR units per reply.
         """
         self._reply_template = ReplyHeaderTemplate()
-        self._out_pool = BufferPool(self.bufsize, limit=pool_limit,
-                                    prefill=1)
         return self
-
-    @property
-    def fastpath_enabled(self):
-        return self._reply_template is not None
 
     def enable_drc(self, capacity=256):
         """Turn on the duplicate-request reply cache.
@@ -360,7 +351,7 @@ class SvcRegistry:
         arguments are unmarshaled straight off the datagram, the
         handler runs, and the reply is assembled as ``xid + constant
         accepted-SUCCESS header + results`` — no header decode, no XDR
-        streams, no buffer pool.  This is the dispatch specialization
+        streams.  This is the dispatch specialization
         of the paper applied to the live stack: everything that is
         invariant for a (prog, vers, proc) binding is computed here,
         once, and the residual per-call work is a dict probe and the
@@ -681,52 +672,45 @@ class SvcRegistry:
             # the ping: an accepted SUCCESS with no results, no encoder
             self._verdict(span, "success")
             return _XID.pack(xid) + _OK_TAIL, False
-        pool = self._out_pool
-        buffer = pool.acquire() if pool is not None else bytearray(
-            self.bufsize)
+        out = XdrMemStream(bytearray(self.bufsize), XdrOp.ENCODE)
+        if table is None:
+            versions = self.versions_of(prog)
+            if versions:
+                return self._answer(
+                    out, xid, AcceptStat.PROG_MISMATCH, span,
+                    mismatch=(versions[0], versions[-1]))
+            return self._answer(out, xid, AcceptStat.PROG_UNAVAIL, span)
+        entry = table.get(proc)
+        if entry is None:
+            return self._answer(out, xid, AcceptStat.PROC_UNAVAIL, span)
+        decode_span = (span.child("server.decode_args")
+                       if span is not None else None)
+        if stream is None:
+            stream = XdrMemStream(data, XdrOp.DECODE,
+                                  offset=_FAST_HEADER_SIZE)
         try:
-            out = XdrMemStream(buffer, XdrOp.ENCODE)
-            if table is None:
-                versions = self.versions_of(prog)
-                if versions:
-                    return self._answer(
-                        out, xid, AcceptStat.PROG_MISMATCH, span,
-                        mismatch=(versions[0], versions[-1]))
-                return self._answer(out, xid, AcceptStat.PROG_UNAVAIL, span)
-            entry = table.get(proc)
-            if entry is None:
-                return self._answer(out, xid, AcceptStat.PROC_UNAVAIL, span)
-            decode_span = (span.child("server.decode_args")
-                           if span is not None else None)
-            if stream is None:
-                stream = XdrMemStream(data, XdrOp.DECODE,
-                                      offset=_FAST_HEADER_SIZE)
-            try:
-                args = (entry.xdr_args(stream, None)
-                        if entry.xdr_args is not None else None)
-            # repro: disable=overbroad-except -- fuzzed bytes raise beyond XdrError; all map to GARBAGE_ARGS
-            except Exception as exc:
-                # XdrError is the designed signal, but fuzzed bytes can
-                # make body filters raise UnicodeDecodeError, ValueError
-                # (enum discriminants), struct.error, ... — all of them
-                # are GARBAGE_ARGS per the message grammar, never a
-                # crash.
-                if not isinstance(exc, XdrError):
-                    self.decode_defended += 1
-                    if _obs.enabled:
-                        _obs.registry.counter(
-                            "rpc.server.decode_defended").inc()
-                if decode_span is not None:
-                    decode_span.end(outcome="garbage_args")
-                logger.debug("garbage args: %r", exc)
-                return self._answer(out, xid, AcceptStat.GARBAGE_ARGS, span)
+            args = (entry.xdr_args(stream, None)
+                    if entry.xdr_args is not None else None)
+        # repro: disable=overbroad-except -- fuzzed bytes raise beyond XdrError; all map to GARBAGE_ARGS
+        except Exception as exc:
+            # XdrError is the designed signal, but fuzzed bytes can
+            # make body filters raise UnicodeDecodeError, ValueError
+            # (enum discriminants), struct.error, ... — all of them
+            # are GARBAGE_ARGS per the message grammar, never a
+            # crash.
+            if not isinstance(exc, XdrError):
+                self.decode_defended += 1
+                if _obs.enabled:
+                    _obs.registry.counter(
+                        "rpc.server.decode_defended").inc()
             if decode_span is not None:
-                decode_span.end()
-            return self._run_handler(entry, args, xid, prog, proc, out,
-                                     span), True
-        finally:
-            if pool is not None:
-                pool.release(buffer)
+                decode_span.end(outcome="garbage_args")
+            logger.debug("garbage args: %r", exc)
+            return self._answer(out, xid, AcceptStat.GARBAGE_ARGS, span)
+        if decode_span is not None:
+            decode_span.end()
+        return self._run_handler(entry, args, xid, prog, proc, out,
+                                 span), True
 
     def _answer(self, out, xid, stat, span, mismatch=None):
         """An accepted reply no handler produced (never cached)."""

@@ -147,16 +147,13 @@ class ClientSpecialization:
         """Pin these codecs into ``client``'s one codec table for the
         procedure (a :class:`~repro.specialized.online.ClientCodec`,
         which an online specializer adopts too); what the fused entries
-        decline is coded as with no codec.  A fast-path client's encode
-        pool narrows to the exact request size (the paper's §6
-        exact-size buffers)."""
+        decline is coded as with no codec.  The fused marshal entry
+        writes its own exact-size message (the paper's §6 exact-size
+        buffers): nothing else on the client changes."""
         from repro.specialized.online import ClientCodec
 
         ClientCodec.of(client, self.pipeline, self.proc).pin(
             sum(self._arg_lens.values()), self)
-        configure = getattr(client, "configure_buffers", None)
-        if configure is not None:
-            configure(self.expected_request)
         return client
 
 

@@ -1,11 +1,14 @@
-"""Runtime fast path: template equivalence, buffer-pool invariants,
-and end-to-end loopback behavior (repro.rpc.fastpath)."""
+"""Runtime fast path: template equivalence, what a fast-path call
+costs, and end-to-end loopback behavior (repro.rpc.fastpath)."""
+
+import struct
 
 import pytest
 
+from repro import obs
+from repro.bench.workloads import WORKLOAD_IDL, WORKLOAD_IMPL
 from repro.errors import XdrError
 from repro.rpc import (
-    BufferPool,
     CallHeaderTemplate,
     ReplyHeaderTemplate,
     SvcRegistry,
@@ -16,14 +19,16 @@ from repro.rpc import (
     make_auth_sys,
 )
 from repro.rpc.auth import NULL_AUTH, OpaqueAuth
-from repro.rpc.client import MIN_FASTPATH_BUFSIZE, RpcClient
+from repro.rpc.client import RpcClient
 from repro.rpc.message import (
     AcceptStat,
     CallHeader,
     encode_accepted_reply,
     encode_call_header,
 )
+from repro.specialized import SpecializationPipeline
 from repro.xdr import XdrMemStream, XdrOp, xdr_array, xdr_int, xdr_string
+from tests.rpc.test_lone_call import count_pyops, only_311
 
 PROG, VERS = 0x20003333, 2
 
@@ -170,61 +175,12 @@ class TestServerFastHeaderParse:
         assert (reply, hits, fallbacks) == (None, 0, 1)
 
 
-class TestBufferPool:
-    def test_concurrent_checkouts_are_distinct(self):
-        pool = BufferPool(64, limit=4, prefill=2)
-        first = pool.acquire()
-        second = pool.acquire()
-        assert first is not second
-        pool.release(first)
-        pool.release(second)
-
-    def test_release_then_acquire_reuses(self):
-        pool = BufferPool(64, limit=4)
-        buffer = pool.acquire()
-        pool.release(buffer)
-        assert pool.acquire() is buffer
-        assert pool.allocations == 1
-        assert pool.reuses == 1
-
-    def test_limit_bounds_the_free_list(self):
-        pool = BufferPool(8, limit=2)
-        buffers = [pool.acquire() for _ in range(5)]
-        for buffer in buffers:
-            pool.release(buffer)
-        assert len(pool) == 2
-
-    def test_foreign_size_release_is_dropped(self):
-        pool = BufferPool(64, limit=4)
-        pool.release(bytearray(32))
-        pool.release(None)
-        assert len(pool) == 0
-
-    def test_steady_state_calls_do_not_allocate(self):
-        client = RpcClient(PROG, VERS).enable_fastpath()
-        client.build_call(1, 1, [1, 2], xdr_iarr)  # warm the template
-        allocations = client._send_pool.allocations
-        for xid in range(50):
-            client.build_call(xid, 1, [xid], xdr_iarr)
-        assert client._send_pool.allocations == allocations
-        assert client._send_pool.reuses >= 50
-
-
 class TestExactFitBuffers:
-    def test_configure_buffers_applies_floor(self):
-        client = RpcClient(PROG, VERS).enable_fastpath()
-        client.configure_buffers(48)
-        assert client._send_pool.size == MIN_FASTPATH_BUFSIZE
-
-    def test_configure_buffers_exact_fit(self):
-        client = RpcClient(PROG, VERS).enable_fastpath()
-        client.configure_buffers(5000)
-        assert client._send_pool.size == 5000
-
     def test_overflowing_exact_fit_pool_grows_and_succeeds(self):
+        """Large arguments on a fast-path client are byte-identical to
+        the generic encoding."""
         client = RpcClient(PROG, VERS).enable_fastpath()
-        client.configure_buffers(48)
-        big = list(range(2000))  # ~8KB body, far over the 1KB pool
+        big = list(range(2000))  # ~8KB body
         generic = RpcClient(PROG, VERS)
         assert (client.build_call(5, 1, big, xdr_iarr)
                 == generic.build_call(5, 1, big, xdr_iarr))
@@ -296,7 +252,6 @@ class TestLoopback:
                     lambda x, v: xdr_string(x, v, 256),
                     lambda x, v: xdr_string(x, v, 256),
                 ) == "HELLO"
-                assert client._send_pool.reuses > 0
 
     def test_tcp_fastpath_roundtrip(self):
         with TcpServer(_registry(), fastpath=True) as server:
@@ -323,3 +278,104 @@ class TestLoopback:
             with UdpClient("127.0.0.1", server.port, PROG, VERS,
                            fastpath=False) as client:
                 assert client.call(1, [7], xdr_iarr, xdr_iarr) == [14]
+
+
+# -- what a fast-path call costs -----------------------------------------------
+
+N = 20
+
+#: counted on CPython 3.11 with obs off: a warm n=20 fast-path
+#: ``RpcClient.build_call`` runs 1 862 bytecodes and a fast-path
+#: ``SvcRegistry.dispatch_bytes`` through the default body, DRC on,
+#: 4 066 (1 992 and 4 156 through the buffer pools the fast path had;
+#: the generic paths read 2 781 and 5 539); the budgets are the counts
+#: plus 5%
+FASTPATH_BUDGET = {"build_call": 1955, "dispatch_bytes": 4269}
+
+
+@pytest.fixture(scope="module")
+def workload():
+    """The paper workload's pipeline, its n=20 argument and a fast-path
+    registry serving it with the DRC on."""
+    pipeline = SpecializationPipeline(WORKLOAD_IDL,
+                                      impl_sources=[WORKLOAD_IMPL])
+    stubs = pipeline.stubs
+
+    class Impl:
+        def SENDRECV(self, args):
+            return stubs.intarr(vals=[v + 1 for v in args.vals])
+
+    registry = SvcRegistry(fastpath=True, drc=True)
+    stubs.register_XCHG_PROG_1(registry, Impl())
+    return pipeline, stubs.intarr(vals=list(range(N))), registry
+
+
+@pytest.fixture()
+def obs_off():
+    previous = obs.enabled
+    obs.enabled = False
+    yield
+    obs.enabled = previous
+
+
+def warm_count(probe, warm=5):
+    """The one bytecode count of ``probe()`` once warm."""
+    for _ in range(warm):
+        probe()
+    counts = {count_pyops(probe) for _ in range(3)}
+    assert len(counts) == 1, counts
+    return counts.pop()
+
+
+@only_311
+def test_a_fast_path_build_call_stays_inside_its_bytecode_budget(
+        workload, obs_off):
+    pipeline, args, _registry = workload
+    client = RpcClient(pipeline.prog_number,
+                       pipeline.vers_number).enable_fastpath()
+    count = warm_count(
+        lambda: client.build_call(7, 1, args, pipeline.stubs.xdr_intarr))
+    assert count <= FASTPATH_BUDGET["build_call"], (
+        f"a fast-path n={N} build_call runs {count} bytecodes >"
+        f" {FASTPATH_BUDGET['build_call']}: the header template path"
+        " gained per-call work")
+
+
+@only_311
+def test_a_fast_path_dispatch_stays_inside_its_bytecode_budget(
+        workload, obs_off):
+    pipeline, args, registry = workload
+    request = bytes(RpcClient(pipeline.prog_number, pipeline.vers_number)
+                    .build_call(0, 1, args, pipeline.stubs.xdr_intarr))
+    # a fresh xid per dispatch: a repeated one is a DRC replay
+    requests = iter([struct.pack(">I", 0x1000 + n) + request[4:]
+                     for n in range(8)])
+    count = warm_count(lambda: registry.dispatch_bytes(
+        next(requests), ("127.0.0.1", 9)))
+    assert count <= FASTPATH_BUDGET["dispatch_bytes"], (
+        f"a fast-path n={N} dispatch_bytes runs {count} bytecodes >"
+        f" {FASTPATH_BUDGET['dispatch_bytes']}: the default body or the"
+        " reply template path gained per-call work")
+
+
+def test_a_call_no_codec_serves_encodes_once_after_an_install(workload):
+    """An installed n=20 codec leaves the client's other calls alone:
+    an n=300 call of a procedure it does not serve runs its argument
+    filter once, into the client's own buffer, byte-identical to the
+    generic encoding."""
+    pipeline, _args, _registry = workload
+    prog, vers = pipeline.prog_number, pipeline.vers_number
+    client = RpcClient(prog, vers).enable_fastpath()
+    pipeline.specialize_client("SENDRECV", arg_lens={"vals": N},
+                               res_lens={"vals": N}).install(client)
+    big = pipeline.stubs.intarr(vals=list(range(300)))
+    runs = []
+
+    def counted(xdrs, value):
+        runs.append(xdrs.pos)
+        return pipeline.stubs.xdr_intarr(xdrs, value)
+
+    message = client.build_call(7, 2, big, counted)
+    assert len(runs) == 1
+    assert message == RpcClient(prog, vers).build_call(
+        7, 2, big, pipeline.stubs.xdr_intarr)

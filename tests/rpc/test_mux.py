@@ -8,10 +8,12 @@ out-of-order replies, duplicates after completion, a dead connection
 with N calls in flight).  Nothing hangs.
 """
 
+import random
 import socket
 import struct
 import threading
 import time
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -41,10 +43,14 @@ from repro.rpc.mux import (
     unpack_batch,
 )
 from repro.rpc.record import RecordAssembler
-from repro.xdr import xdr_u_long
+from repro.xdr import xdr_bytes, xdr_u_long
 
 PROG, VERS = 0x20008888, 1
-PROC_INC, PROC_SLEEP_MS, PROC_BOOM = 1, 2, 3
+PROC_INC, PROC_SLEEP_MS, PROC_BOOM, PROC_SUM = 1, 2, 3, 4
+
+
+def xdr_payload(xdrs, value):
+    return xdr_bytes(xdrs, value, 1 << 16)
 
 #: accepted-SUCCESS reply tail (everything after the xid)
 _REPLY_TAIL = ReplyHeaderTemplate().prefix[4:]
@@ -459,6 +465,26 @@ class TestCallAsyncMany:
             finally:
                 client.close()
 
+    def test_burst_larger_than_the_window_resolves_on_an_idle_client(self):
+        # An idle client has no driver: the admitted head must go out
+        # before the tail waits for window room, which only the head's
+        # replies can make -- else the tail times out "window full"
+        # behind calls nobody sent.
+        with UdpServer(make_registry()) as server:
+            client = MuxUdpClient("127.0.0.1", server.port, PROG, VERS,
+                                  timeout=1.0, max_inflight=2)
+            try:
+                started = time.monotonic()
+                calls = client.call_async_many(
+                    PROC_INC, [1, 2, 3, 4],
+                    xdr_args=xdr_u_long, xdr_res=xdr_u_long,
+                )
+                assert [c.exception(1.0) for c in calls] == [None] * 4
+                assert [c.result() for c in calls] == [2, 3, 4, 5]
+                assert time.monotonic() - started < 0.5
+            finally:
+                client.close()
+
     def test_empty_burst(self):
         with _SilentUdpPeer() as peer:
             client = MuxUdpClient("127.0.0.1", peer.port, PROG, VERS)
@@ -475,15 +501,22 @@ class _TcpPeer:
     sequence of behaviors: "die" reads a little and slams the
     connection shut; "serve" answers RPCs off the stream."""
 
-    def __init__(self, behaviors, registry=None, gate=None):
+    def __init__(self, behaviors, registry=None, gate=None, rcvbuf=None):
         self.behaviors = list(behaviors)
         self.registry = registry
         #: "die" waits on this (if given) before slamming the
-        #: connection shut, so a test can get N calls in flight first.
+        #: connection shut, so a test can get N calls in flight first;
+        #: "serve" waits on it before reading anything.
         self.gate = gate
+        self.rcvbuf = rcvbuf
+        #: the records "serve" reassembled
+        self.records = 0
 
     def __enter__(self):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if self.rcvbuf is not None:  # inherited by accepted sockets
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
+                                 self.rcvbuf)
         self.sock.bind(("127.0.0.1", 0))
         self.sock.listen(4)
         self.sock.settimeout(10.0)
@@ -517,12 +550,15 @@ class _TcpPeer:
 
     def _serve(self, conn, peer):
         asm = RecordAssembler()
+        if self.gate is not None:
+            self.gate.wait(5.0)
         try:
             while True:
                 chunk = conn.recv(1 << 16)
                 if not chunk:
                     return
                 for record in asm.feed(chunk):
+                    self.records += 1
                     reply = self.registry.dispatch_bytes(record,
                                                          caller=peer)
                     if reply is not None:
@@ -629,4 +665,44 @@ class TestMuxTcp:
                 assert not slow.done()
                 assert slow.result(5.0) == 300
             finally:
+                client.close()
+
+    def test_a_write_backlog_drains_in_order(self):
+        # A small send buffer and a peer that reads nothing until the
+        # client holds unsent bytes: pipelined large requests spill into
+        # the client's write backlog, which the engine pumps as the
+        # socket drains.  Every call must come back with its own value
+        # (the peer answers with a checksum of the argument it
+        # reassembled), so no record was cut, dropped or reordered.
+        registry = SvcRegistry()
+        registry.register(PROG, VERS, PROC_SUM, zlib.crc32,
+                          xdr_payload, xdr_u_long)
+        gate = threading.Event()
+        payloads = [random.Random(i).randbytes(48_000) for i in range(12)]
+        with _TcpPeer(["serve"], registry, gate=gate,
+                      rcvbuf=4096) as peer:
+            client = MuxTcpClient("127.0.0.1", peer.port, PROG, VERS,
+                                  timeout=10.0)
+            client.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                   4096)
+            pumps, pump = [], client._pump
+
+            def counted_pump():
+                pumps.append(len(client._outbuf))
+                pump()
+
+            client._pump = counted_pump
+            try:
+                calls = [client.call_async(PROC_SUM, payload,
+                                           xdr_args=xdr_payload,
+                                           xdr_res=xdr_u_long)
+                         for payload in payloads]
+                assert _await(lambda: client._outbuf, 5.0)
+                gate.set()
+                assert [c.result(10.0) for c in calls] == [
+                    zlib.crc32(payload) for payload in payloads]
+                assert pumps and not client._outbuf
+                assert peer.records == len(payloads)
+            finally:
+                gate.set()
                 client.close()

@@ -1,5 +1,7 @@
 """Core specializer behaviours on small programs."""
 
+import itertools
+
 import pytest
 
 from repro.errors import SpecializationError
@@ -340,3 +342,139 @@ class TestStructMutation:
         """
         result = spec(source, "f", {})
         assert run(result.program, "f_spec") == 5
+
+
+#: the inputs every parameter ranges over below, Known or Dyn
+VALUES = (-2, 0, 1, 3)
+
+
+def agrees_with_source(source, params):
+    """Specialize ``f`` under every Known/Dyn mix of ``params`` (each
+    Known one at every value of :data:`VALUES`) and run the residual
+    on every input of its Dyn ones: each run must return what the
+    source returns.  Returns the residuals checked."""
+    program = parse_program(source)
+    checked = 0
+    for mask in itertools.product((True, False), repeat=len(params)):
+        known = [p for p, k in zip(params, mask) if k]
+        dyn = [p for p, k in zip(params, mask) if not k]
+        for fixed in itertools.product(VALUES, repeat=len(known)):
+            env = dict(zip(known, fixed))
+            assumptions = {p: Known(env[p]) if p in env else Dyn()
+                           for p in params}
+            result = spec(source, "f", assumptions)
+            for values in itertools.product(VALUES, repeat=len(dyn)):
+                env.update(zip(dyn, values))
+                want = run(program, "f", *[env[p] for p in params])
+                assert run(result.program, "f_spec", *values) == want, (
+                    assumptions, values, result.pretty())
+            checked += 1
+    return checked
+
+
+class TestShortCircuitAndConditional:
+    """``&&`` / ``||`` and ``?:`` under every Known/Dyn mix — with a
+    static variable assigned on the side that may not run, so a
+    dynamic left operand or condition must branch rather than
+    evaluate both sides."""
+
+    def test_logical_operators_agree_with_the_source(self):
+        source = """
+        int f(int a, int b, int c) {
+            int r = 0;
+            int k = 0;
+            if (a > 0 && b > 0) r += 1;
+            if (a > 0 || c > 0) r += 2;
+            if (b < 0 && c < 0) r += 4;
+            if (b == 0 || c == 0) r += 8;
+            if (b > 0 && (k = k + 1) > 0) r += 64;
+            if (c > 0 || (k = k + 10) > 0) r += 128;
+            return r + (a && b) * 16 + (b || c) * 32 + k * 256;
+        }
+        """
+        assert agrees_with_source(source, "abc") == 125
+
+    def test_static_operands_fold_away(self):
+        result = spec("int f(int a, int b) { return (a && b) + (a || b); }",
+                      "f", {"a": Known(0), "b": Dyn()})
+        text = residual_text(result)
+        assert "&&" not in text and "||" not in text
+        assert run(result.program, "f_spec", 3) == 1
+
+    def test_conditional_expression_agrees_with_the_source(self):
+        source = """
+        int f(int a, int b, int c) {
+            int k = 0;
+            int d = a > b ? a - b : b - a;
+            int e = c ? (k = 3) : (k = 4);
+            return d * 100 + e * 10 + k + (a ? (b ? 1 : 2) : 3) * 1000;
+        }
+        """
+        assert agrees_with_source(source, "abc") == 125
+
+    def test_static_condition_selects_one_arm(self):
+        result = spec("int f(int a, int x) { return a ? x + 7 : x - 9; }",
+                      "f", {"a": Known(1), "x": Dyn()})
+        text = residual_text(result)
+        assert "7" in text and "9" not in text
+        assert run(result.program, "f_spec", 5) == 12
+
+
+class TestContinue:
+    def test_static_loop_continue_unrolls_away(self):
+        source = """
+        int f(int x) {
+            int s = 0;
+            for (int i = 0; i < 6; i++) {
+                if (i % 2)
+                    continue;
+                s += i * x;
+            }
+            return s;
+        }
+        """
+        result = spec(source, "f", {"x": Dyn()})
+        text = residual_text(result)
+        assert "continue" not in text and "while" not in text
+        for x in VALUES:
+            assert (run(result.program, "f_spec", x)
+                    == run(parse_program(source), "f", x))
+
+    def test_residual_while_loop_keeps_its_continue(self):
+        source = """
+        int f(int n, int x) {
+            int s = 0;
+            int i = 0;
+            while (i < n) {
+                i++;
+                if (x == i)
+                    continue;
+                s += i;
+            }
+            return s;
+        }
+        """
+        result = spec(source, "f", {"n": Dyn(), "x": Dyn()})
+        assert "continue" in residual_text(result)
+        assert agrees_with_source(source, "nx") == 25
+
+    @pytest.mark.parametrize("assumptions", [
+        {"n": Dyn(), "x": Known(2)},  # a dynamic bound: residual for
+        {"n": Known(4), "x": Dyn()},  # a dynamic continue demotes it
+    ], ids=["dynamic-bound", "dynamic-continue"])
+    def test_continue_in_a_residual_for_loop_is_refused_typed(
+            self, assumptions):
+        source = """
+        int f(int n, int x) {
+            int s = 0;
+            for (int i = 0; i < n; i++) {
+                if (x == i)
+                    continue;
+                s += i;
+            }
+            return s;
+        }
+        """
+        with pytest.raises(SpecializationError,
+                           match="continue inside a residualized for loop"):
+            spec(source, "f", assumptions)
