@@ -30,7 +30,7 @@ What is proved (per codec, on the declared domain):
   falls back to the generic path, so declining is safe — accepting
   with different bytes is the bug class this pass exists to catch;
 * **entry conformance** — what installs is not the residual MiniC but
-  the **fused entry** the transport calls: hand-staged glue, its size
+  the **fused entry** the transport calls: hand-staged bindings, its size
   guard, and the :mod:`~repro.minic.compile_py` lowering of the
   residual (which elides wraps and rewrites loops on its own
   reasoning) over structs narrowed to the assumed array lengths.

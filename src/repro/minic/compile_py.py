@@ -22,6 +22,10 @@ and the in-range invariant"): every integer object holds a value of its
 declared type, so a wrap is emitted — inline — only where a value may
 leave its type's range; tests are Python booleans, counted loops
 ``for ... in range``, cursor runs one precompiled ``struct`` call.
+
+A :class:`FusedEntry` makes one function the module's ``entry``: the
+residual function itself, its parameters bound to the caller's values
+and the message inside it (docs/SPECIALIZATION.md, "Fused entries").
 """
 
 import collections
@@ -155,13 +159,18 @@ def _struct_class_name(name):
 class _FuncCompiler:
     """Compiles one FuncDef into Python source lines."""
 
-    def __init__(self, module, func, typeinfo, called, sizes=None):
+    def __init__(self, module, func, typeinfo, called, sizes=None,
+                 fused=None, split=None):
         self.module = module
         self.func = func
         self.typeinfo = typeinfo
         self.types = typeinfo.expr_types
         self.lines = []
-        self.depth = 1
+        #: a fused entry's body runs inside its fault handler
+        self.top = self.depth = 1 if fused is None else 2
+        #: the fused entry this function is (:class:`FusedEntry`), and
+        #: its struct parameters split into one local per field
+        self.fused, self.split = fused, split or {}
         self.temp_counter = 0
         #: stack of scope dicts: MiniC name -> python name
         self.scopes = [{}]
@@ -172,28 +181,54 @@ class _FuncCompiler:
         #: loop context stack: "while" (continue ok) or "for" (see below)
         self.loop_stack = []
         self.address_taken = _address_taken_names(func)
-        #: uses of each variable in the function (counted on demand)
-        self._var_uses = None
+        #: uses of each variable in the function, and those that are
+        #: not a dead store (counted on demand)
+        self._var_uses = self._live_uses = None
         #: python name -> index in ``lines`` of its default initializer
         self._default_inits = {}
         #: uid of an ``ARRAY[i]`` read -> the name it is bound to in the
         #: map comprehension being emitted
         self._elements = {}
-        self.live = scalar.Liveness(func)
+        #: the split locals of a fused entry's result, those its answer
+        #: reads, and what it reads for a local whose one store it took
+        self._result_arrays = {
+            local for name, binding in (fused.bindings.items()
+                                        if fused else ())
+            if binding[0] == "result" for local
+            in self.split.get(name, {}).values()}
+        self._outputs, self._held = self._answer_reads(), {}
+        self.live = scalar.Liveness(func, self._outputs)
         #: promoted cursor -> its base parameter; buffer parameter ->
         #: whether the function stores through it (none in a function
         #: the program calls: its callers pass pointers)
         self.cursors, self.buffers = scalar.cursors(func, not called)
+        if fused is not None:
+            sizes = {name: binding[-1] for name, binding
+                     in fused.bindings.items()
+                     if binding[0] in ("message", "fresh")}
         #: buffer parameter -> its exact byte length, where the caller
         #: fixes it (a fused entry's size guard)
         self.sizes = {name: size for name, size in (sizes or {}).items()
                       if name in self.buffers}
+        #: a fresh reply buffer -> the line allocating it, while one
+        #: whole pack may still be what it holds (:meth:`_emit_cursor_run`)
+        self._fresh = {}
+        #: the lines that set the fresh buffer to its one pack, while
+        #: nothing was emitted after them; what the answer returns
+        self._packed, self._reply = None, None
+        #: map result -> its pending range scan, while one pack may do
+        #: the check instead (:meth:`_emit_map`)
+        self._deferred = {}
+        #: python name -> the line of its last store of a literal
+        self._literal_stores = {}
         #: local array -> its store sites, for the arrays only ever
         #: indexed (no pointer to one is taken); those read so far
         self._arrays = self._bare_arrays(func)
         self._declared = (set(scalar._declared(func.body))
                           | {param.name for param in func.params})
         self._touched = set()
+        #: the split locals a fused entry fills before the body runs
+        self._inputs = set()
         #: local -> the word it was loaded from and not yet stored, and
         #: field -> the word just stored in it (:meth:`_emit_words_run`)
         self._subst, self._stored = {}, {}
@@ -291,19 +326,155 @@ class _FuncCompiler:
 
     def compile(self):
         self.scopes.append({})
-        params = [self.declare(param.name) for param in self.func.params]
-        header = f"def {self.module.func_name(self.func.name)}({', '.join(params)}):"
-        for param, name in zip(self.func.params, params):
-            if param.name in self.address_taken:
-                self.boxed.add(name)
-                self.emit(f"{name} = [{name}]")
+        if self.fused is None:
+            params = [self.declare(param.name) for param in self.func.params]
+            header = (f"def {self.module.func_name(self.func.name)}"
+                      f"({', '.join(params)}):")
+            for param, name in zip(self.func.params, params):
+                if param.name in self.address_taken:
+                    self.boxed.add(name)
+                    self.emit(f"{name} = [{name}]")
+        else:
+            header = f"def entry({self.fused.params}):"
+            self._bind()
         for buffer, words in self.words.items():
             packer = self.module.packer(f">{self.sizes[buffer] // 4}i")
             self.emit(f"{words} = {packer}.unpack_from("
                       f"{self.py_name(buffer)})")
         self.stmt(self.func.body, new_scope=False)
+        for name in list(self._deferred):
+            self._scan(name)
         lines = [line for line in self.lines if line is not None]
-        return [header] + (lines or ["    pass"])
+        if self.fused is None:
+            return [header] + (lines or ["    pass"])
+        return ([header] + [f"    {line}" for line in self.fused.guard]
+                + ["    try:"] + (lines or ["        pass"])
+                + ["    except Exception:", "        pass",
+                   "    return None"])
+
+    # -- a fused entry's interface ----------------------------------------
+
+    def _answer_reads(self):
+        """The split result locals the answer reads."""
+        reads = set()
+        for name, binding in (self.fused.bindings.items()
+                              if self.fused else ()):
+            if binding[0] == "result" and name in self.split:
+                fields = self.split[name]
+                binding[1](lambda field: reads.add(fields.get(field)) or "_")
+        return reads - {None}
+
+    def _bind(self):
+        """The entry's own statements before the function body: each
+        parameter bound as :class:`FusedEntry` says.  A parameter bound
+        to a value it never stores to stands for that value; a struct
+        split into locals is filled field by field."""
+        self.used_names.update(self.fused.names)
+        stored = {node.target.name for node in ast.walk(self.func.body)
+                  if isinstance(node, (ast.Assign, ast.IncDec))
+                  and isinstance(node.target, ast.Var)}
+        params = {param.name: param for param in self.func.params}
+        for name, binding in self.fused.bindings.items():
+            kind, value = binding[0], binding[1]
+            param = params.get(name)
+            if name in self.split:
+                if kind == "fields":
+                    fields = {field: self.declare(local) for field, local
+                              in self.split[name].items()}
+                    self._inputs.update(self.split[name].values())
+                    for line in value(fields.get):
+                        self.emit(line)
+                continue
+            if param is None:
+                continue  # a parameter the residual does not keep
+            if kind == "value" and name not in stored and (
+                    name not in self.address_taken):
+                self._subst[name] = self.typed(value, param.ctype)
+                continue
+            if kind == "message" and self.buffers.get(name) is False:
+                self.scopes[-1][name] = value  # read in place
+                continue
+            py = self.declare(name)
+            if kind == "value":
+                if name in self.address_taken:
+                    self.boxed.add(py)
+                    value = f"[{value}]"
+            elif kind == "message":
+                value = (f"bytearray({value})" if self.buffers.get(name)
+                         else f"{_RT}.BufPtr({_RT}.PyBuffer({value}),"
+                              " 0, 1, True)")
+            elif kind == "fresh":
+                if self.buffers.get(name) is None:
+                    self.emit(f"out = {_RT}.PyBuffer({value})")
+                    value, self._reply = (f"{_RT}.BufPtr(out, 0, 1, True)",
+                                          "bytes(out.data)")
+                else:
+                    self._fresh[name] = len(self.lines)
+                    value, self._reply = f"bytearray({value})", f"bytes({py})"
+            else:  # a struct the function reads or fills through
+                cls = _struct_class_name(param.ctype.base.name)
+                self.emit(f"{py} = {cls}()")
+                if kind == "fields":
+                    for line in value(lambda field: f"{py}.{field}"):
+                        self.emit(line)
+                continue
+            self.emit(f"{py} = {value}")
+
+    def _fused_return(self, value):
+        """A ``return value`` of the fused entry: the answer when the
+        value is the one that answers, ``None`` otherwise."""
+        op, literal = self.fused.accepts
+        fits = getattr(value, "fits", None)
+        if fits is not None and fits[0] == fits[1]:
+            if (fits[0] == literal) == (op == "=="):
+                self._answer()
+            else:
+                self.emit("return None")
+            return
+        self.emit(f"if {_p(value)} {op} {literal}:")
+        self.depth += 1
+        self._answer()
+        self.depth -= 1
+        self.emit("return None")
+
+    def _answer(self):
+        """``return`` the entry's answer: the result struct built from
+        the fields the function stored, or the fresh reply buffer."""
+        for name, binding in self.fused.bindings.items():
+            if binding[0] != "result":
+                continue
+            if name in self.split:
+                fields = self.split[name]
+                struct = next(param.ctype.base for param in self.module.program
+                              .func(self.func.name).params if param.name == name)
+
+                def read(field):
+                    local = fields.get(field)
+                    if local is None:  # never stored: its initial value
+                        return self.module.default_value(
+                            struct.field_type(field))
+                    self._touched.add(local)
+                    return (self._held.get(local)
+                            or self._subst.get(local) or self.py_name(local))
+            else:
+                py = self.py_name(name)
+
+                def read(field):
+                    return f"{py}.{field}"
+            lines, value = binding[1](read)
+            for line in lines:
+                self.emit(line)
+            self.emit(f"return {value}")
+            return
+        if self._packed is not None and self._packed[1] == len(self.lines):
+            # the reply is the one pack just emitted: return it
+            for at in self._packed[0]:
+                text = self.lines[at]
+                indent = text[:len(text) - len(text.lstrip())]
+                self.lines[at] = (indent + "return "
+                                  + text.split(" = ", 1)[1])
+            return
+        self.emit(f"return {self._reply}")
 
     # -- expressions --------------------------------------------------------
     #
@@ -324,6 +495,8 @@ class _FuncCompiler:
                 return _Code(repr(offset), (offset, offset))
             if node.name in self._subst:
                 return self._subst[node.name]
+            if node.name in self._held:
+                return _Code(self._held[node.name])
             if node.name in self._arrays:
                 self._touched.add(node.name)
             name = self.py_name(node.name)
@@ -622,6 +795,9 @@ class _FuncCompiler:
         ttype = self.type_of(target)
         wrapped = self.wrap(value, ttype)
         if isinstance(target, ast.Var):
+            if self._read_in_place(target, wrapped):
+                self._subst[target.name] = wrapped
+                return wrapped
             place = self.py_name(target.name)
             if place in self.boxed:
                 place = f"{place}[0]"
@@ -649,8 +825,28 @@ class _FuncCompiler:
                 raise CompileError(f"cannot store to {target!r}")
             self.emit(f"{pointer}.set({wrapped})")
             return self.typed(f"{pointer}.get()", ttype)
+        fits = getattr(wrapped, "fits", None)
+        if fits is not None and fits[0] == fits[1]:
+            self._literal_stores[place] = len(self.lines)
         self.emit(f"{place} = {wrapped}")
         return self.typed(place, ttype)
+
+    def _read_in_place(self, target, value):
+        """Whether the store of ``value`` — one word of a buffer read
+        whole, which nothing changes, or its wrap — into local
+        ``target`` is its one live store, at the top level, and read
+        once: the read then reads the word itself."""
+        word = value if isinstance(value, _Word) else getattr(
+            value, "pre", None)
+        if not (isinstance(word, _Word) and self.depth == self.top
+                and not self.loop_stack and target.name in self.live.tracked):
+            return False
+        if self._live_uses is None:
+            self._live_uses = collections.Counter(
+                node.name for node in ast.walk(self.func.body)
+                if isinstance(node, ast.Var)
+                and node.uid not in self.live.dead)
+        return self._live_uses[target.name] == 2
 
     def _update(self, target, op, operand):
         """``target op= operand`` (``None``: the literal 1); returns
@@ -927,6 +1123,9 @@ class _FuncCompiler:
         if isinstance(node, ast.Return):
             if node.value is None:
                 self.emit("return None")
+            elif self.fused is not None:
+                self._fused_return(self.wrap(self.expr(node.value),
+                                             self.func.ret_type))
             else:
                 value = self.wrap(self.expr(node.value), self.func.ret_type)
                 self.emit(f"return {value}")
@@ -1094,16 +1293,20 @@ class _FuncCompiler:
         old, rest = self._match_step(loop.body.stmts, counter)
         if rest is None or old is not None:
             return None
+        # the init, the test, the index and the step (twice)
+        if self._uses_of(counter) != 5:
+            return None
+        return counter, cond.right.value, rest[0], rest[1]
+
+    def _uses_of(self, name):
+        """How many times the function mentions variable ``name``."""
         if self._var_uses is None:
             self._var_uses = collections.Counter(
                 node.name
                 for node in ast.walk(self.func)
                 if isinstance(node, ast.Var)
             )
-        # the init, the test, the index and the step (twice)
-        if self._var_uses[counter] != 5:
-            return None
-        return counter, cond.right.value, rest[0], rest[1]
+        return self._var_uses[name]
 
     def _cursor_step(self, first, second, kind):
         """(kind, cursor, item) when the two statements are one step of
@@ -1291,18 +1494,30 @@ class _FuncCompiler:
             # Words pack unsigned (masked; constants at compile time); a
             # span of one int array packs signed straight from a slice —
             # in range by the invariant, refused by the pack otherwise.
-            kinds, values, index = [], [], 0
+            kinds, values, index, wraps = [], [], 0, []
             while index < len(items):
                 span = self._index_span(items, index)
                 if span is None:
-                    kinds.append("I")
-                    values.append(self.wrap(self.expr(items[index]), ct.U_LONG))
+                    value = self.wrap(self.expr(items[index]), ct.U_LONG)
+                    signed = getattr(value, "pre", None)
+                    fits = getattr(signed, "fits", None)
+                    if fits and _I32[0] <= fits[0] and fits[1] <= _I32[1]:
+                        # the same four bytes, packed from the int
+                        # itself: no mask
+                        kinds.append("i")
+                        values.append(signed)
+                    else:
+                        kinds.append("I")
+                        values.append(value)
                     index += 1
                 else:
                     base, first, length, used = span
                     kinds.extend("i" * length)
                     whole = (self.sizes and first == 0
                              and self._length(base) == length)
+                    name = getattr(base, "name", None)
+                    if name in self._deferred:
+                        wraps += self._checked_by_pack(name, run)
                     values.append(f"*{self.expr(base)}" if whole else
                                   f"*{self.expr(base)}[{first}:"
                                   f"{first + length}]")
@@ -1312,7 +1527,34 @@ class _FuncCompiler:
                 for kind, group in itertools.groupby(kinds)
             )
             packer = self.module.packer(">" + fmt)
-            self.emit(f"{packer}.pack_into({where}, {', '.join(values)})")
+            statement = f"{packer}.pack_into({where}, {', '.join(values)})"
+            buffer = self.cursors.get(getattr(run["cursor"], "name", None))
+            whole = (advanced is None and start == 0
+                     and buffer in self._fresh
+                     and 4 * count == self.sizes[buffer]
+                     and self._fills(buffer, items))
+            if whole:
+                # the whole reply, written once: it is what pack returns
+                self.lines[self._fresh.pop(buffer)] = None
+                statement = (f"{self.py_name(buffer)} = "
+                             f"{packer}.pack({', '.join(values)})")
+            lines = []
+            if wraps:
+                # the pack is the range check: on a value out of range,
+                # wrap and pack again (a wrap is the identity in range)
+                self.emit("try:")
+                lines.append(len(self.lines))
+                self.emit(f"    {statement}")
+                self.emit("except _struct.error:")
+                self.depth += 1
+                for line in wraps:
+                    self.emit(line)
+            lines.append(len(self.lines))
+            self.emit(statement)
+            if wraps:
+                self.depth -= 1
+            if whole:
+                self._packed = (lines, len(self.lines))
         else:
             if words is None:
                 vals, base = self.temp(), 0
@@ -1351,10 +1593,11 @@ class _FuncCompiler:
                     position += 1
                 else:
                     array, first, length, used = span
-                    read = vals if length == count and not base else (
-                        f"{vals}[{base + position}:"
-                        f"{base + position + length}]")
-                    self._slice_store(array, first, first + length, read)
+                    read = (vals if length == count and not base
+                            else self._words_slice(
+                                vals, base + position, length))
+                    self._slice_store(array, first, first + length, read,
+                                      sites=used, words=words is not None)
                     index += used
                     position += length
         # One cursor update for the whole run.
@@ -1372,6 +1615,37 @@ class _FuncCompiler:
                 init = self._default_inits.get(self.py_name(item.counter))
                 if init is not None:
                     self.lines[init] = None
+
+    def _checked_by_pack(self, name, run):
+        """The wrap of map result ``name`` when the signed pack of
+        ``run`` is all that reads it, at the map's own depth — then the
+        pack is its range check; else nothing, its scan emitted."""
+        depth, wrapped = self._deferred[name][1:3]
+        uses = sum(isinstance(node, ast.Var) and node.name == name
+                   for stmt in run["stmts"] for node in ast.walk(stmt))
+        if depth != self.depth or self._uses_of(name) != 1 + uses:
+            self._scan(name)
+            return []
+        del self._deferred[name]
+        py = self.py_name(name)
+        return [f"{py} = [{wrapped} for _e in {py}]"]
+
+    def _fills(self, buffer, items):
+        """Whether the store run of ``items`` is every access the
+        function makes through ``buffer``'s cursors: as many plain
+        stores as the run has, and no other dereference."""
+        def through(node):
+            pointer = (self._unwrap_casts(node.operand)
+                       if isinstance(node, ast.Unary) and node.op == "*"
+                       else None)
+            return (isinstance(pointer, ast.Var)
+                    and self.cursors.get(pointer.name) == buffer)
+
+        nodes = list(ast.walk(self.func.body))
+        stores = sum(isinstance(node, ast.Assign) and node.op is None
+                     and through(node.target) for node in nodes)
+        return sum(map(through, nodes)) == stores == sum(
+            not isinstance(item, ast.If) for item in items)
 
     @staticmethod
     def _declines(guard):
@@ -1422,8 +1696,9 @@ class _FuncCompiler:
                 self._emit_tests(tests, exit_, words)
                 array, first, length, used = span
                 self._slice_store(array, first, first + length,
-                                  f"{words}[{base + position}:"
-                                  f"{base + position + length}]")
+                                  self._words_slice(
+                                      words, base + position, length),
+                                  sites=used, words=True)
                 index += used
                 position += length
                 continue
@@ -1517,6 +1792,16 @@ class _FuncCompiler:
         self.depth -= 1
         tests.clear()
 
+    def _words_slice(self, words, lo, length):
+        """The text of ``length`` words from ``lo`` of the tuple
+        ``words``: a buffer read whole, sliced to its end as ``[lo:]``
+        (or a tuple of the run's words, sliced)."""
+        total = next((self.sizes[buffer] // 4 for buffer, name
+                      in self.words.items() if name == words), None)
+        if lo + length == total:
+            return words if lo == 0 else f"{words}[{lo}:]"
+        return f"{words}[{lo}:{lo + length}]"
+
     def _int32_array(self, item):
         """The type of the signed 32-bit array ``item`` is an element
         of, or None."""
@@ -1559,7 +1844,8 @@ class _FuncCompiler:
         atype = self.type_of(array)
         return atype.length if isinstance(atype, ct.ArrayType) else None
 
-    def _slice_store(self, array, lo, hi, values, sized=True, fresh=False):
+    def _slice_store(self, array, lo, hi, values, sized=True, fresh=False,
+                     sites=1, words=False):
         """Emit ``array[lo:hi] = values`` (``array`` a MiniC node, the
         bounds literals or Python text, ``values`` a new tuple — a new
         list when ``fresh``) so that it faults where the element stores
@@ -1568,22 +1854,31 @@ class _FuncCompiler:
         (``values`` known to be ``hi - lo`` long), a ``values`` of
         another length — the element reads that made it ran off their
         array — faults too.  A store of a whole local array, indexed
-        only, of ``values`` known to be as long binds it to them, and
+        only, of ``values`` known to be as long — and the ``sites``
+        element stores it stands for all the array has, unless
+        ``values`` is fresh — binds it to them, and
         the first, at the top level, drops its initial value: nothing
-        read it."""
+        read it.  There, ``words`` (``values`` a slice of a buffer read
+        whole, which nothing changes) read once — by the body, or by a
+        fused entry's answer for a result field — are read in place.
+        Returns whether the array was bound."""
         name = array.name if isinstance(array, ast.Var) else None
         first = name is not None and name not in self._touched
         text = self.expr(array)
         # what is known of lengths is used where buffer lengths are
         length = self._length(array) if self.sizes else None
         if (sized and lo == 0 and hi == length and name in self._arrays
-                and (fresh or self._arrays[name] == 1)):
+                and (fresh or self._arrays[name] == sites)):
             init = self._default_inits.get(str(text))
-            if first and init is not None and self.depth == 1 and not (
-                    self.loop_stack):
+            top = self.depth == self.top and not self.loop_stack
+            if first and init is not None and top:
                 self.lines[init] = None
+                reads = self._uses_of(name) - self._arrays[name]
+                if words and reads + (name in self._result_arrays) == 1:
+                    self._held[name] = values
+                    return True
             self.emit(f"{text} = {values}")
-            return
+            return True
         tests = []
         if not (isinstance(hi, int) and length is not None and hi <= length):
             tests.append(f"len({text}) < {hi}")
@@ -1593,6 +1888,7 @@ class _FuncCompiler:
             self.emit(f"if {' or '.join(tests)}:")
             self.emit(f"    {_RT}.overrun()")
         self.emit(f"{text}[{lo}:{hi}] = {values}")
+        return False
 
     def _ensure_body(self):
         """Guarantee the just-opened suite is non-empty."""
@@ -1601,6 +1897,8 @@ class _FuncCompiler:
             self.emit("pass")
 
     def _decl(self, node):
+        if node.name in self._inputs:
+            return  # declared and set where the entry binds it
         name = self.declare(node.name)
         boxed = node.name in self.address_taken and not isinstance(
             node.ctype, (ct.StructType, ct.ArrayType)
@@ -1779,7 +2077,7 @@ class _FuncCompiler:
             self._emit_map(index, limit,
                            None if self._dead(old, after) else old,
                            *mapped, exits=not self._dead(counter, after),
-                           start=entry.get(counter))
+                           start=entry.get(counter), loop=node)
             return True
         self.emit(f"for {index} in range({index}, {limit}):")
         self.depth += 1
@@ -1840,21 +2138,31 @@ class _FuncCompiler:
         return (store, reads) if reads else None
 
     def _emit_map(self, index, limit, old, store, reads, exits=True,
-                  start=None):
+                  start=None, loop=None):
         """Emit the map loop ``DST[i] = E`` over ``range(i, limit)``:
-        one comprehension over the slices ``SRC[i:limit]`` computing E
-        before its 32-bit wrap, a test on only the sides of the int
-        range its value can leave, a second pass wrapping every element
-        when one did leave it — wraps compose modulo 2**32, so a value
-        in range wraps to itself — one slice store, and C's exit values
-        of ``i`` (unless not ``exits``) and ``old`` (unless None): the
-        ones read afterwards; after zero trips, nothing."""
+        one comprehension over the slices ``SRC[i:limit]`` (a whole
+        array itself) computing E before its 32-bit wrap, a test on
+        only the sides of the int range its value can leave, a second
+        pass wrapping every element when one did leave it — wraps
+        compose modulo 2**32, so a value in range wraps to itself — one
+        slice store, and C's exit values of ``i`` (unless not
+        ``exits``) and ``old`` (unless None): the ones read afterwards;
+        after zero trips, nothing.  A literal start the counter is set
+        to only for this ``loop`` is not stored.  A DST bound to the
+        values and read by nothing but one signed pack leaves the range
+        test to that pack (:meth:`_emit_cursor_run`)."""
         trips = None
         if start is not None and limit.isdigit():
             trips = int(limit) - start
             if trips <= 0:
                 return  # no trip: nothing changes
             index = str(start)
+            counter = store.target.index.name
+            init = self._literal_stores.get(self.py_name(counter))
+            if not exits and init is not None and self._uses_of(counter) == (
+                    1 + sum(isinstance(node, ast.Var) and node.name == counter
+                            for node in ast.walk(loop))):
+                self.lines[init] = None  # only this loop read it
         sources, lengths = {}, {}
         for node in reads:
             base = self.expr(node.obj)
@@ -1864,15 +2172,37 @@ class _FuncCompiler:
         value = self.wrap(self.expr(store.value), self.type_of(store.target))
         self._elements.clear()
         pre = getattr(value, "pre", None)
-        slices = ", ".join(f"{base}[{index}:{limit}]" for base in sources)
+        sized = trips is not None and all(
+            length is not None and length >= int(limit)
+            for length in lengths.values())
+        whole = sized and start == 0
+        slices = ", ".join(
+            base if whole and lengths[base] == int(limit)
+            else f"{base}[{index}:{limit}]" for base in sources)
         if len(sources) > 1:
             slices = f"zip({slices})"
         values = self.temp()
         if trips is None:
             self.emit(f"if {index} < {limit}:")
             self.depth += 1
+        made = len(self.lines)
         self.emit(f"{values} = [{pre or value}"
                   f" for {', '.join(sources.values())} in {slices}]")
+        scan = len(self.lines)
+        if pre is not None:
+            self.lines.append(None)  # the range scan, unless a pack checks
+        if trips is not None:
+            index, limit = start, int(limit)
+        dst = store.target.obj
+        bound = self._slice_store(dst, index, limit, values, sized=sized,
+                                  fresh=True)
+        if bound and self.lines[-1] == (
+                "    " * self.depth + f"{self.expr(dst)} = {values}"):
+            # the comprehension makes the array itself
+            self.lines[-1] = None
+            self.lines[made] = self.lines[made].replace(
+                values, self.expr(dst), 1)
+            values = self.expr(dst)
         if pre is not None:
             fits = getattr(pre, "fits", None)
             lo, hi = _I32
@@ -1881,16 +2211,16 @@ class _FuncCompiler:
                 tests.append(f"max({values}) > 0x{hi:X}")
             if fits is None or fits[0] < lo:
                 tests.append(f"min({values}) < -0x{-lo:X}")
-            self.emit(f"if {' or '.join(tests)}:")
             wrapped = self.wrap("_e", self.type_of(store.target))
-            self.emit(f"    {values} = [{wrapped} for _e in {values}]")
-        sized = trips is not None and all(
-            length is not None and length >= int(limit)
-            for length in lengths.values())
-        if trips is not None:
-            index, limit = start, int(limit)
-        self._slice_store(store.target.obj, index, limit, values,
-                          sized=sized, fresh=True)
+            scan = (scan, self.depth, wrapped,
+                    [f"if {' or '.join(tests)}:",
+                     f"    {values} = [{wrapped} for _e in {values}]"])
+            name = getattr(dst, "name", None)
+            if name in self._deferred:
+                self._scan(name)  # an earlier map's, not yet checked
+            self._deferred[name] = scan
+            if not (bound and isinstance(dst, ast.Var)):
+                self._scan(name)
         if old is not None:
             last = (limit - 1 if isinstance(limit, int) else
                     int(limit) - 1 if limit.isdigit() else f"{limit} - 1")
@@ -1899,6 +2229,12 @@ class _FuncCompiler:
             self.emit(f"{self.py_name(store.target.index.name)} = {limit}")
         if trips is None:
             self.depth -= 1
+
+    def _scan(self, name):
+        """Emit the range scan of map result ``name`` where the map
+        left room for it: no pack checks that result."""
+        at, depth, _wrapped, lines = self._deferred.pop(name)
+        self.lines[at] = "\n".join("    " * depth + line for line in lines)
 
     def _for(self, node):
         """A ``for`` with a ``continue`` of its own (scalar replacement
@@ -1958,14 +2294,55 @@ _RESERVED = frozenset(keyword.kwlist) | {
     "_rt", "_once", "_struct", "len", "max", "min", "zip"}
 
 
+class FusedEntry:
+    """What makes a compiled function a **fused entry**: the function
+    itself, defined as ``entry(params)`` with its parameters bound
+    inside it (docs/SPECIALIZATION.md, "Fused entries").
+
+    ``bindings`` maps each parameter of the MiniC function ``name`` to
+    how the entry binds it:
+
+    * ``("value", text)`` — the Python expression ``text``;
+    * ``("message", text, size)`` — the ``size`` bytes ``text`` holds,
+      read in place unless the function stores through them;
+    * ``("fresh", size)`` — a new ``size``-byte reply, which the answer
+      returns as ``bytes``;
+    * ``("fields", fill)`` — a struct the entry fills: ``fill(place)``
+      is the lines that convert and check the caller's value, storing
+      field ``f`` into ``place(f)`` (None: nothing reads it);
+    * ``("result", build)`` — a struct the function fills:
+      ``build(read)`` is ``(lines, expression)`` making the answer,
+      field ``f`` read as ``read(f)``.
+
+    A struct the function only reaches by ``p->f`` is split into one
+    local per field (:func:`~repro.minic.scalar.split_params`); any
+    other is a struct object.  A return of ``value`` answers when
+    ``value op literal`` holds (``accepts``); every other return, and
+    any exception, returns ``None``: a decline.  ``guard`` lines run
+    before the fault handler; ``names`` are the Python names the
+    entry's own text uses."""
+
+    def __init__(self, name, params, bindings, accepts, guard=(),
+                 names=()):
+        self.name = name
+        self.params = params
+        self.bindings = bindings
+        self.accepts = accepts
+        self.guard = list(guard)
+        self.names = set(names) | {
+            word.strip() for word in params.split(",")} | {"out"}
+
+
 class CompiledModule:
     """A MiniC program compiled to a live Python namespace.
 
     A function with one call site is inlined there (scalar
     replacement) and not compiled on its own: :meth:`func` and
-    :meth:`call` refuse it by name (``inlined`` holds them)."""
+    :meth:`call` refuse it by name (``inlined`` holds them).  With a
+    ``fused`` :class:`FusedEntry`, its function is compiled as the
+    module's ``entry`` and the module keeps only what that reaches."""
 
-    def __init__(self, program, glue=None, sizes=None):
+    def __init__(self, program, sizes=None, fused=None):
         self.program = program
         #: buffer parameter of an entry function (one the program does
         #: not call) -> the byte length every caller hands it: a fused
@@ -1979,17 +2356,11 @@ class CompiledModule:
         #: ``bytes`` when the function never stores through it, else a
         #: ``bytearray`` — and any other pointer a ``pyruntime`` value.
         self.buffers = {}
-        #: ``glue(module)``: Python source appended to the generated
-        #: module, so that hand-staged code around the compiled
-        #: functions (the pipeline's fused entries) is part of the one
-        #: ``compile()``; it is called once the functions are lowered,
-        #: so that it can read ``buffers``
         # what is lowered is ``program`` after scalar replacement
         lowered = scalar.scalarize(program)
         self.inlined = ({func.name for func in program.funcs}
                         - {func.name for func in lowered.funcs})
-        generated = self._generate(lowered)
-        self.source = generated + (glue(self) if glue else "")
+        self.source = self._generate(lowered, fused)
         self.namespace = {}
         code = compile(self.source, "<minic-compiled>", "exec")
         exec(code, self.namespace)  # noqa: S102 - our own generated code
@@ -2014,26 +2385,19 @@ class CompiledModule:
             return f"{_RT}.NULL"
         return "0"
 
-    def _generate(self, lowered):
-        lines = [
-            "# Generated by repro.minic.compile_py — do not edit.",
-            "import struct as _struct",
-            "import repro.minic.pyruntime as _rt",
-            "",
-            "def _net_sendrecv(out_ptr, out_len, in_ptr, in_max):",
-            "    raise _rt.InterpError('no network attached;"
-            " use CompiledModule.attach_network')",
-            "",
-        ]
-        for struct in self.program.structs:
-            lines.extend(self._struct_class(struct))
-            lines.append("")
+    def _generate(self, lowered, fused):
+        split = {}
+        if fused is not None:
+            split = scalar.split_params(lowered.func(fused.name), {
+                name for name, binding in fused.bindings.items()
+                if binding[0] in ("fields", "result")})
+        body = []
         for glob in self.program.globals:
             name = f"g_{glob.name}"
             self.global_names[glob.name] = name
-            lines.append(f"{name} = {self.default_value(glob.ctype)}")
+            body.append(f"{name} = {self.default_value(glob.ctype)}")
         if self.program.globals:
-            lines.append("")
+            body.append("")
         typeinfo = typecheck_program(lowered)
         called = {node.name for func in lowered.funcs
                   for node in ast.walk(func.body)
@@ -2041,16 +2405,53 @@ class CompiledModule:
         funcs = []
         for func in lowered.funcs:
             called_ = func.name in called
-            compiler = _FuncCompiler(self, func, typeinfo, called_,
-                                     None if called_ else self.sizes)
+            compiler = _FuncCompiler(
+                self, func, typeinfo, called_,
+                None if called_ else self.sizes,
+                *((fused, split) if fused and func.name == fused.name
+                  else ()))
             funcs.extend(compiler.compile())
             funcs.append("")
             self.buffers[func.name] = compiler.buffers
         for fmt, name in self.packers.items():
-            lines.append(f"{name} = _struct.Struct({fmt!r})")
+            body.append(f"{name} = _struct.Struct({fmt!r})")
         if self.packers:
-            lines.append("")
-        return "\n".join(lines + funcs) + "\n"
+            body.append("")
+        body = "\n".join(body + funcs) + "\n"
+        classes = {_struct_class_name(struct.name): self._struct_class(struct)
+                   for struct in self.program.structs}
+        if fused is not None:
+            # only the classes the entry reaches, and theirs
+            kept, text = {}, body
+            while True:
+                more = {name: lines for name, lines in classes.items()
+                        if name not in kept
+                        and re.search(rf"\b{name}\b", text)}
+                if not more:
+                    break
+                kept.update(more)
+                text = "\n".join(itertools.chain(*more.values()))
+            classes = {name: lines for name, lines in classes.items()
+                       if name in kept}
+        classes = "".join("\n".join(lines) + "\n\n"
+                          for lines in classes.values())
+        text = classes + body
+        lines = ["# Generated by repro.minic.compile_py — do not edit."]
+        if "_struct." in text:
+            lines.append("import struct as _struct")
+        if "_rt." in text:
+            lines.append("import repro.minic.pyruntime as _rt")
+        lines.append("")
+        if "_net_sendrecv(" in body:
+            lines += [
+                "def _net_sendrecv(out_ptr, out_len, in_ptr, in_max):",
+                "    raise _rt.InterpError('no network attached;"
+                " use CompiledModule.attach_network')",
+                "",
+            ]
+            if "_rt." not in text:
+                lines.insert(1, "import repro.minic.pyruntime as _rt")
+        return "\n".join(lines) + "\n" + text
 
     def _struct_class(self, struct):
         cls = _struct_class_name(struct.name)
@@ -2079,7 +2480,7 @@ class CompiledModule:
 
     @property
     def entry(self):
-        """The function the glue defines under the name ``entry``."""
+        """The fused entry (:class:`FusedEntry`)."""
         return self.namespace["entry"]
 
     def call(self, name, *args):
@@ -2120,8 +2521,9 @@ class CompiledModule:
         return _rt.PyBuffer(size)
 
 
-def compile_program(program, glue=None, sizes=None):
+def compile_program(program, sizes=None, fused=None):
     """Compile a MiniC program; returns a :class:`CompiledModule`.
     ``sizes`` gives the byte length of the entry functions' buffer
-    parameters that every caller fixes (:attr:`CompiledModule.sizes`)."""
-    return CompiledModule(program, glue, sizes)
+    parameters that every caller fixes (:attr:`CompiledModule.sizes`);
+    ``fused`` makes one of them the module's fused entry."""
+    return CompiledModule(program, sizes, fused)

@@ -619,6 +619,78 @@ def _replaced(node, promoted, split):
     return node
 
 
+def split_params(func, names):
+    """Scalar replacement at the interface: each struct-pointer
+    parameter of ``func`` named in ``names`` whose every use is ``p->f``
+    — ``f`` an integer, or an array of integers that is only indexed,
+    and no address taken of either — becomes one local per field it
+    uses, declared first in the body, and leaves the parameter list.
+    ``func`` is changed in place; returns ``{parameter: {field:
+    local}}`` for the parameters split (a parameter with no use splits
+    into no locals)."""
+    params = {param.name: param.ctype for param in func.params
+              if param.name in names
+              and isinstance(param.ctype, ct.PointerType)
+              and isinstance(param.ctype.base, ct.StructType)}
+    parents = {}
+    for node in ast.walk(func.body):
+        for child in node.children():
+            parents[child.uid] = node
+    fields = {name: {} for name in params}
+    for node in ast.walk(func.body):
+        if not (isinstance(node, ast.Var) and node.name in fields):
+            continue
+        member = parents.get(node.uid)
+        ok = isinstance(member, ast.Member) and member.arrow
+        if ok:
+            ftype = params[node.name].base.field_type(member.field)
+            holder = parents.get(member.uid)
+            if isinstance(ftype, ct.ArrayType):
+                ok = (isinstance(ftype.base, ct.IntType)
+                      and isinstance(holder, ast.Index)
+                      and holder.obj is member)
+                holder = parents.get(holder.uid) if ok else holder
+            else:
+                ok = isinstance(ftype, ct.IntType)
+            ok = ok and not (isinstance(holder, ast.Unary)
+                             and holder.op == "&")
+        if not ok:
+            del fields[node.name]
+            continue
+        fields[node.name][member.field] = ftype
+    taken = (set(_declared(func.body)) | {param.name for param in func.params}
+             | _unscoped(func))
+    split, decls = {}, []
+    for name, used in fields.items():
+        split[name] = {}
+        for field, ftype in used.items():
+            local, suffix = f"{name}__{field}", 2
+            while local in taken:
+                local = f"{name}__{field}_{suffix}"
+                suffix += 1
+            taken.add(local)
+            split[name][field] = local
+            decls.append(ast.Decl(ftype, local, None))
+
+    def replace(node):
+        if (isinstance(node, ast.Member) and node.arrow
+                and isinstance(node.obj, ast.Var) and node.obj.name in split):
+            return ast.Var(split[node.obj.name][node.field], line=node.line)
+        for attr in node._fields:
+            value = getattr(node, attr)
+            if isinstance(value, ast.Node):
+                setattr(node, attr, replace(value))
+            elif isinstance(value, list):
+                value[:] = [replace(item) if isinstance(item, ast.Node)
+                            else item for item in value]
+        return node
+
+    replace(func.body)
+    func.body.stmts[:0] = decls
+    func.params = [param for param in func.params if param.name not in split]
+    return split
+
+
 def scalarize(program):
     """``program`` with single-call functions inlined and struct locals
     replaced by scalars: a new Program (the input is not touched) that
@@ -654,9 +726,11 @@ class Liveness:
     ``after(stmt)`` / ``before(stmt)`` are the tracked names live after
     / before a statement (None for a statement this analysis did not
     see: treat everything as live); ``dead`` holds the uids of the
-    target ``Var`` of each statement-level store nothing reads."""
+    target ``Var`` of each statement-level store nothing reads.  The
+    names in ``exits`` are read where ``func`` returns (a fused entry's
+    result fields, which its answer reads)."""
 
-    def __init__(self, func):
+    def __init__(self, func, exits=frozenset()):
         counts = collections.Counter(_declared(func.body))
         counts.update(param.name for param in func.params)
         taken = _address_taken_names(func.body)
@@ -669,6 +743,7 @@ class Liveness:
         self.tracked = {name for name in scalars
                         if counts[name] == 1 and name not in taken
                         and name not in shadowing}
+        self.exits = frozenset(exits) & self.tracked
         self._after = {}
         self._before = {}
         #: store target uid -> nothing reads it (the last visit, made
@@ -743,7 +818,7 @@ class Liveness:
         elif isinstance(stmt, ast.For):
             live = self._for(stmt, out)
         elif isinstance(stmt, ast.Return):
-            live = self._uses(stmt.value)
+            live = self._uses(stmt.value) | self.exits
         elif isinstance(stmt, ast.Break):
             live = loop[0] if loop else out
         elif isinstance(stmt, ast.Continue):
@@ -801,7 +876,7 @@ def cursors(func, bases=True):
     call's fault.  A base is a parameter whose every use is such an
     assignment.  With ``bases`` false no parameter is one (nor is any
     cursor found): a function the program calls is handed pointers by
-    its callers, and only the glue passes bytes."""
+    its callers, and only a fused entry binds bytes."""
     counts = collections.Counter(_declared(func.body))
     params = {param.name for param in func.params
               if bases and _is_char_pointer(param.ctype)}

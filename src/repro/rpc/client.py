@@ -61,12 +61,11 @@ class RpcClient:
         self.propagate_deadline = propagation_enabled(propagate_deadline)
         start = struct.unpack(">I", os.urandom(4))[0]
         self._xids = itertools.count(start)
-        #: optional whole-message codecs per proc number — installed by
-        #: the specialization pipeline (the residual code marshals the
-        #: call header too, as the paper's specialized clntudp_call does).
+        #: whole-message codecs per proc number, which the pipeline
+        #: installs (the residual marshals the header too, as the
+        #: paper's specialized clntudp_call does)
         self._codecs = {}
-        #: fast-path state: per-proc header templates (None while the
-        #: fast path is off).
+        #: per-proc header templates (None: the fast path is off)
         self._templates = None
 
     # -- marshaling plug point -------------------------------------------
@@ -76,8 +75,8 @@ class RpcClient:
 
         ``build_request(xid, args) -> bytes`` serializes the complete
         call message (header included); ``parse_reply(data, xid) ->
-        (matched, value)`` validates and decodes a complete reply.
-        """
+        (matched, value)`` validates and decodes a complete reply.  What
+        they decline, :meth:`encode_call` / :meth:`decode_reply` code."""
         self._codecs[proc] = (build_request, parse_reply)
 
     def codec_for(self, proc):
@@ -104,8 +103,11 @@ class RpcClient:
     def build_call(self, xid, proc, args, xdr_args):
         """Serialize a complete call message; returns the bytes."""
         codec = self._codecs.get(proc)
-        if codec is not None:
-            return codec[0](xid, args)
+        return (self.encode_call(xid, proc, args, xdr_args) if codec is None
+                else codec[0](xid, args))
+
+    def encode_call(self, xid, proc, args, xdr_args):
+        """:meth:`build_call` with no codec."""
         templates = self._templates
         if templates is not None:
             template = templates.get(proc)
@@ -119,11 +121,9 @@ class RpcClient:
                                   offset=template.write_into(buffer, xid))
             xdr_args(stream, args)
             return stream.data()
-        buffer = bytearray(self.bufsize)
-        stream = XdrMemStream(buffer, XdrOp.ENCODE)
-        header = CallHeader(xid, self.prog, self.vers, proc, self.cred,
-                            self.verf)
-        encode_call_header(stream, header)
+        stream = XdrMemStream(bytearray(self.bufsize), XdrOp.ENCODE)
+        encode_call_header(stream, CallHeader(
+            xid, self.prog, self.vers, proc, self.cred, self.verf))
         if xdr_args is not None:
             xdr_args(stream, args)
         return stream.data()
@@ -136,13 +136,12 @@ class RpcClient:
         codecs — those are specialized for the constant NULL-cred
         shape — and returns a mutable ``bytearray`` so the engine
         can re-stamp a shrunken budget into retransmissions with
-        :func:`~repro.rpc.overload.stamp_deadline`.
-        """
+        :func:`~repro.rpc.overload.stamp_deadline`."""
         buffer = bytearray(self.bufsize)
         stream = XdrMemStream(buffer, XdrOp.ENCODE)
-        header = CallHeader(xid, self.prog, self.vers, proc,
-                            make_deadline_cred(deadline), self.verf)
-        encode_call_header(stream, header)
+        encode_call_header(stream, CallHeader(
+            xid, self.prog, self.vers, proc, make_deadline_cred(deadline),
+            self.verf))
         if xdr_args is not None:
             xdr_args(stream, args)
         del buffer[stream.pos:]
@@ -155,11 +154,13 @@ class RpcClient:
         over the received datagram — decoding never copies it.
         Returns ``(matched, value)``: ``matched`` is False when the xid
         belongs to a different (stale) call and the datagram should be
-        ignored rather than failing the call.
-        """
+        ignored rather than failing the call."""
         codec = self._codecs.get(proc)
-        if codec is not None:
-            return codec[1](data, xid)
+        return (self.decode_reply(data, xid, xdr_res) if codec is None
+                else codec[1](data, xid))
+
+    def decode_reply(self, data, xid, xdr_res):
+        """:meth:`parse_reply` with no codec."""
         if self._templates is not None and _ACCEPTED_SUCCESS.matches(data):
             if struct.unpack_from(">I", data, 0)[0] != xid:
                 return False, None
@@ -172,9 +173,7 @@ class RpcClient:
         if reply.xid != xid:
             return False, None
         raise_for_reply(reply)
-        if xdr_res is not None:
-            return True, xdr_res(stream, None)
-        return True, None
+        return True, None if xdr_res is None else xdr_res(stream, None)
 
     # -- the public call surface ---------------------------------------------
 

@@ -413,7 +413,7 @@ class CallEngine(RpcClient):
         codec = self._codecs.get(proc)  # the residual, called directly
         try:
             try:
-                request = (self.build_call(xid, proc, args, xdr_args)
+                request = (self.encode_call(xid, proc, args, xdr_args)
                            if codec is None else codec[0](xid, args))
             except BaseException as exc:
                 self._finish_call(CallStats(proc), exc)  # never sent
@@ -433,7 +433,7 @@ class CallEngine(RpcClient):
                     and self._down is None):  # (not swept meanwhile)
                 try:  # (another xid parses as not matched)
                     settled, value = (
-                        self.parse_reply(messages[0], xid, proc, xdr_res)
+                        self.decode_reply(messages[0], xid, xdr_res)
                         if codec is None else codec[1](messages[0], xid))
                 except (XdrError, RpcError):
                     settled = False  # the engine classifies it again
@@ -560,7 +560,7 @@ class CallEngine(RpcClient):
             xid = next(self._xids) & 0xFFFFFFFF
             codec = self._codecs.get(proc)
             try:
-                request = (self.build_call(xid, proc, args, xdr_args)
+                request = (self.encode_call(xid, proc, args, xdr_args)
                            if codec is None else codec[0](xid, args))
             except BaseException as exc:
                 self._finish_call(CallStats(proc), exc)  # never sent
@@ -1053,7 +1053,7 @@ class CallEngine(RpcClient):
             codec = codecs.get(call.proc)
             try:
                 matched, value = (
-                    self.parse_reply(message, xid, call.proc, call.xdr_res)
+                    self.decode_reply(message, xid, call.xdr_res)
                     if codec is None else codec[1](message, xid))
             except (XdrError, RpcProtocolError) as exc:
                 # Undecodable under our xid (corruption, truncation):

@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from repro import obs as _obs
 from repro.errors import IdlError, VerificationError
 from repro.rpc.fastpath import ReplyHeaderTemplate
-from repro.specialized.pipeline import generic_reply, generic_request
 
 logger = logging.getLogger(__name__)
 
@@ -424,8 +423,8 @@ class ClientCodec(VariantTable):
                 if len(self._pending) >= self.profile.recent.maxlen:
                     self._pending.clear()
                 self._pending[xid] = n
-        return generic_request(self.client, self.proc.number,
-                               self._arg_filter, xid, args)
+        return self.client.encode_call(xid, self.proc.number, args,
+                                       self._arg_filter)
 
     def parse_reply(self, data, xid):
         if self._pending:
@@ -434,7 +433,7 @@ class ClientCodec(VariantTable):
             value = variant.spec.decode_reply(data, xid)
             if value is not None:
                 return True, value
-        return generic_reply(self._ret_filter, data, xid)
+        return self.client.decode_reply(data, xid, self._ret_filter)
 
     def _sample(self, data, xid):
         """Profile the reply of a call the generic path encoded."""

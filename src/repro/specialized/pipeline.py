@@ -8,9 +8,13 @@ This ties the whole experiment together for live use:
    the server dispatch path) to the declared invariants — program and
    procedure numbers, buffer sizes, the XDR operation, and the assumed
    bounded-array lengths (the paper's ``expected_inlen`` rewrite);
-3. the residual MiniC is compiled to Python and wrapped in codecs that
-   plug into :class:`repro.rpc.client.RpcClient` /
-   :class:`repro.rpc.svc_udp.UdpServer`.
+3. the residual MiniC is compiled to Python, each residual entry
+   function compiled *as* its fused entry (:mod:`repro.specialized.
+   runtime` binds its parameters to the caller's values and the
+   message), and those entries are the codecs that plug into
+   :class:`repro.rpc.client.RpcClient` /
+   :class:`repro.rpc.svc_udp.UdpServer`; the residual programs keep
+   only the struct types their code names.
 
 Replies that do not match the expected shape (wrong length, stale xid,
 error status) fall back to the generic decode path, mirroring the
@@ -33,20 +37,13 @@ from repro.errors import IdlError
 from repro.minic.compile_py import compile_program
 from repro.minic.parser import parse_program
 from repro.minic.typecheck import typecheck_program
-from repro.rpc.message import (
-    CallHeader,
-    decode_reply_header,
-    encode_call_header,
-    raise_for_reply,
-)
 from repro.rpcgen.codegen_minic import MiniCGenerator
 from repro.rpcgen.codegen_py import load_python
 from repro.specialized import runtime as sr
 from repro.specialized.cache import SpecializationCache, content_key
 from repro.tempo import Dyn, DynPtr, Known, PtrTo, StructOf, specialize
-from repro.tempo.postprocess import narrow_arrays
+from repro.tempo.postprocess import narrow_arrays, prune_unused_structs
 from repro.tempo.specializer import Options
-from repro.xdr import XdrMemStream, XdrOp
 
 
 class ResidualCodec:
@@ -70,36 +67,15 @@ class ResidualCodec:
                    result.residual_params)
 
 
-def generic_request(client, proc, xdr_args, xid, args):
-    """The call message as ``client`` builds it with no codec installed
-    — what a codec sends for a call its residual declines (it cannot
-    ask ``build_call``: the codec *is* what that would run)."""
-    stream = XdrMemStream(bytearray(client.bufsize), XdrOp.ENCODE)
-    encode_call_header(stream, CallHeader(
-        xid, client.prog, client.vers, proc, client.cred, client.verf))
-    xdr_args(stream, args)
-    return stream.data()
-
-
-def generic_reply(xdr_res, data, xid):
-    """``(matched, value)`` through the generic decoder: classifies
-    stale xids and protocol errors."""
-    stream = XdrMemStream(data, XdrOp.DECODE)
-    reply = decode_reply_header(stream)
-    if reply.xid != (xid & 0xFFFFFFFF):
-        return False, None
-    raise_for_reply(reply)
-    return True, xdr_res(stream, None)
-
-
 class ClientSpecialization:
     """Compiled specialized client codecs for one procedure.
 
     ``marshal_result`` / ``recv_result`` are the residual programs as
     Tempo wrote them; what runs is ``_marshal_module`` /
     ``_recv_module``: the same programs with their bounded arrays
-    narrowed to the assumed lengths, compiled together with their
-    fused entry (docs/SPECIALIZATION.md, "Fused entries")."""
+    narrowed to the assumed lengths, the residual entry function
+    compiled as the fused entry (docs/SPECIALIZATION.md, "Fused
+    entries")."""
 
     def __init__(self, pipeline, proc, arg_struct, ret_struct, arg_lens,
                  res_lens, bufsize, marshal_result, recv_result):
@@ -115,17 +91,13 @@ class ClientSpecialization:
         self._marshal_module = compile_program(
             narrow_arrays(marshal_result.program,
                           {arg_struct.name: arg_lens}),
-            glue=lambda module: sr.marshal_entry(
+            fused=sr.marshal_entry(
                 proc, marshal_result, arg_lens, pipeline.prog_number,
-                pipeline.vers_number, self.expected_request,
-                module.buffers[marshal_result.entry_name]),
-            sizes={"outbuf": self.expected_request})
+                pipeline.vers_number, self.expected_request))
         self._recv_module = compile_program(
             narrow_arrays(recv_result.program, {ret_struct.name: res_lens}),
-            glue=lambda module: sr.recv_entry(
-                proc, recv_result, res_lens, self.expected_reply,
-                module.buffers[recv_result.entry_name]),
-            sizes={"inbuf": self.expected_reply})
+            fused=sr.recv_entry(proc, recv_result, res_lens,
+                                self.expected_reply))
         self._arg_lens = arg_lens
         self._res_lens = res_lens
 
@@ -180,7 +152,7 @@ class ServerSpecialization:
         self.expected_request = expected_request
         self.result = handle_result
         #: the compiled form the verifier's gate passed: the narrowed
-        #: residual program and its fused entry
+        #: residual program, its entry function the fused entry
         self._module = module
         if fallback is not None:
             from repro.specialized.online import ResidualRoute
@@ -368,7 +340,7 @@ class SpecializationPipeline:
         )
 
     def _specialize(self, sig, proc, arg_lens, res_lens, bufsize, **lengths):
-        return specialize(
+        result = specialize(
             self.program_ast,
             sig.name,
             assumptions(sig, proc, self.prog_number, self.vers_number,
@@ -376,6 +348,9 @@ class SpecializationPipeline:
             options=self.options,
             typeinfo=self.typeinfo,
         )
+        # what serves keeps only the types its code names
+        result.program = prune_unused_structs(result.program)
+        return result
 
     # -- client ------------------------------------------------------------
 
@@ -419,9 +394,10 @@ class SpecializationPipeline:
 
     def compile_server(self, result, proc, arg_lens, res_lens):
         """The compiled form of a residual dispatcher: ``result``'s
-        program with its arrays narrowed to the assumed lengths,
-        compiled with its fused entry.  The one recipe — for a build,
-        a disk revival and a verifier handed only the residual."""
+        program with its arrays narrowed to the assumed lengths, its
+        entry function compiled as the fused entry.  The one recipe —
+        for a build, a disk revival and a verifier handed only the
+        residual."""
         # one array per struct field: where the argument and the result
         # share a type, the longer of the two assumed lengths
         capacities = {proc.arg.name: arg_lens, proc.ret.name: res_lens}
@@ -432,10 +408,8 @@ class SpecializationPipeline:
         request, reply = proc.request_size(arg_lens), proc.reply_size(res_lens)
         return compile_program(
             narrow_arrays(result.program, capacities),
-            glue=lambda module: sr.dispatch_entry(
-                self._version.process, result, request, reply,
-                module.buffers[result.entry_name]),
-            sizes={"inbuf": request, "outbuf": reply})
+            fused=sr.dispatch_entry(self._version.process, result, request,
+                                    reply))
 
     def specialize_server(self, hot_proc, arg_lens=None, res_lens=None,
                           bufsize=8800, fallback=None):

@@ -1,23 +1,19 @@
-"""Staged glue between Python-land values and compiled residual code.
+"""The interface of each fused entry, staged from the stub contract.
 
-Compiled residual programs (from :mod:`repro.minic.compile_py`) operate
-on :mod:`repro.minic.pyruntime` values: generated struct classes, plain
-lists for arrays — and on the message bytes themselves, where a
-``char *`` parameter is a *buffer parameter*
-(:attr:`~repro.minic.compile_py.CompiledModule.buffers`).
-The application hands over stub structs (or dict-style values) and
-bytes.  Moving between the two is decided entirely by the interface, so
-it is decided once, when a specialization is built: each function here
-reads the stub contract (:mod:`repro.rpcgen.contract` — the struct
-shapes, and by role the parameters of the entry that was specialized)
-and returns the *source* of one **fused entry** —
-guard, conversion, the call of the compiled residual function with its
-arguments in place, and the conversion back — which the pipeline hands
-to :func:`~repro.minic.compile_py.compile_program` as the module's
-glue (docs/SPECIALIZATION.md, "Fused entries").  Each is handed the
-residual entry's buffer parameters, which the lowering decides: the
-request goes in place unless the residual stores through it, the reply
-is written into an exact-size ``bytearray``.
+A fused entry is the residual function itself (docs/SPECIALIZATION.md,
+"Fused entries"): :func:`~repro.minic.compile_py.compile_program`
+compiles it as the module's ``entry``, its parameters bound inside it,
+its size guard and fault handler around it.  How each parameter is
+bound is decided entirely by the interface, so it is decided once,
+when a specialization is built: each function here reads the stub
+contract (:mod:`repro.rpcgen.contract` — the struct shapes, and by role
+the parameters of the entry that was specialized) and returns the
+:class:`~repro.minic.compile_py.FusedEntry` that says it.  The
+application hands over stub structs (or dict-style values) and bytes:
+the argument's fields are converted and checked into the function's
+own field locals, the message is read in place, the reply is what the
+function packs, and the result is a stub struct built from the
+function's field locals.
 
 Every entry returns ``None`` to decline: on a size outside the one the
 residual was proved on, and on **any** fault (a value out of range, an
@@ -27,154 +23,140 @@ as it always has.
 """
 
 from repro.errors import IdlError
+from repro.minic.compile_py import FusedEntry
+
+#: the mask a caller's xid is handed to the residual through
+_XID = "xid & 0xFFFFFFFF"
+
+#: the temporaries the staged text below uses, nested structs included
+_NAMES = {"_v", "_i", *(f"_s{depth}" for depth in range(1, 8)),
+          *(f"_r{depth}" for depth in range(1, 8))}
 
 
-def _buffer(sig, buffers, role):
-    """None when the residual takes its ``role`` parameter as a
-    ``pyruntime`` pointer; else whether it stores through that buffer.
-    A residual whose per-element helper is not inlined is one that
-    does: the XDR handle and its cursor escape to the helper."""
-    name = next(p.name for p in sig.params if p.role == role)
-    return buffers.get(name)
-
-
-def _request(sig, buffers):
-    """The argument that hands the request ``data`` over."""
-    return {None: "_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)",
-            False: "data", True: "bytearray(data)"}[
-        _buffer(sig, buffers, "inbuf")]
-
-
-def _reply(sig, buffers, size):
-    """``(allocation of out, the argument, out's bytes)`` for a reply
-    written into an exact-size buffer."""
-    if _buffer(sig, buffers, "outbuf") is None:
-        return (f"out = _rt.PyBuffer({size})", "_rt.BufPtr(out, 0, 1, True)",
-                "out.data")
-    return f"out = bytearray({size})", "out", "out"
-
-
-def _call(residual, sig, lens, **roles):
-    """The call of ``residual``'s compiled entry — the residual of the
-    emitted entry ``sig`` — each residual parameter replaced by the
-    expression its role has in ``roles``, an assumed length by its
-    count in ``lens``."""
-    bound = sig.bind(roles, lens, str)
+def _bindings(residual, sig, lens, **roles):
+    """Each parameter of ``residual``'s function — the residual of the
+    emitted entry ``sig`` — bound by its role in ``roles``, an assumed
+    length by its count in ``lens``."""
+    bound = sig.bind(roles, lens, lambda count: ("value", str(count)))
     try:
-        args = ", ".join(bound[name] for _ctype, name in
-                         residual.residual_params)
+        return {name: bound[name] for _ctype, name in residual.residual_params}
     except KeyError as exc:
         raise IdlError(f"{residual.entry_name}: no binding for residual"
                        f" parameter {exc}") from None
-    return f"mc_{residual.entry_name}({args})"
 
 
-def _entry(params, guard, body):
-    """Source of ``entry(params)``: ``guard`` lines outside, ``body``
-    lines inside the fault-is-a-decline handler."""
-    lines = [f"def entry({params}):"]
-    lines += [f"    {line}" for line in guard]
-    lines.append("    try:")
-    lines += [f"        {line}" for line in body]
-    lines += ["    except Exception:", "        pass", "    return None"]
-    return "\n" + "\n".join(lines) + "\n"
+def _guard(size):
+    return [f"if len(data) != {size}:", "    return None"]
 
 
-def _fill(shape, lens, src, dst, lines, depth=1):
-    """Append the statements that copy the Python value ``src`` (stub
-    struct or dict) into the compiled struct ``dst``, setting every
-    field.  This is the boundary of the compiled code's in-range
-    invariant: scalars are checked here, signed array elements by the
-    pack that sends them; an array is handed over as it is."""
+def _fill(shape, lens, src, place, lines, depth=1):
+    """Append the statements that convert the Python value ``src``
+    (stub struct or dict) field by field, each into ``place(field)``
+    (None: checked only).  This is the boundary of the compiled code's
+    in-range invariant: scalars are checked here, signed array elements
+    by the pack that sends them; an array is handed over as it is."""
     for field in shape.fields:
         name = field.name
         value = (f"({src}[{name!r}] if isinstance({src}, dict)"
                  f" else {src}.{name})")
+        target = place(name)
         count = field.size if field.bound is None else lens[name]
         if field.struct is not None:
             nested = f"_s{depth}"
             lines.append(f"{nested} = {value}")
-            _fill(field.struct, {}, nested, f"{dst}.{name}", lines,
-                  depth + 1)
-        elif count is not None:
-            lines += [f"_v = {value}",
-                      f"if len(_v) != {count}:",
+            _fill(field.struct, {}, nested,
+                  lambda sub: target and f"{target}.{sub}", lines, depth + 1)
+            continue
+        local = target if target and target.isidentifier() else "_v"
+        if count is not None:
+            lines += [f"{local} = {value}",
+                      f"if len({local}) != {count}:",
                       "    return None"]
-            if field.bound is not None:
-                lines.append(f"{dst}.{name}_len = {count}")
+            length = place(f"{name}_len") if field.bound is not None else None
+            if length:
+                lines.append(f"{length} = {count}")
             if field.kind == "u_int":
-                lines.append("_v = [int(_i) & 0xFFFFFFFF for _i in _v]")
-            lines.append(f"{dst}.{name} = _v")
+                lines.append(f"{local} = [int(_i) & 0xFFFFFFFF"
+                             f" for _i in {local}]")
         elif field.kind == "u_int":
-            lines.append(f"{dst}.{name} = int({value}) & 0xFFFFFFFF")
+            lines.append(f"{local} = int({value}) & 0xFFFFFFFF")
         else:
-            lines += [f"_v = int({value})",
-                      "if not -0x80000000 <= _v <= 0x7FFFFFFF:",
-                      "    return None",
-                      f"{dst}.{name} = _v"]
+            lines += [f"{local} = int({value})",
+                      f"if not -0x80000000 <= {local} <= 0x7FFFFFFF:",
+                      "    return None"]
+        if target and local != target:
+            lines.append(f"{target} = {local}")
 
 
-def _extract(shape, src):
-    """The expression that builds the stub value of ``shape`` from the
-    compiled struct ``src`` (fresh per call: its lists, each of the
-    one length decoded, are handed over)."""
-    fields = []
+def _build(shape, read, lines, depth=1):
+    """Append the statements that build the stub value of ``shape``
+    from the fields the residual stored, field ``f`` read as
+    ``read(f)``; returns the name that holds it (a fresh object per
+    call, its arrays fresh lists)."""
+    name, cls = f"_r{depth}", f"stubs.{shape.name}"
+    lines.append(f"{name} = {cls}.__new__({cls})")
     for field in shape.fields:
-        name = field.name
         if field.struct is not None:
-            value = _extract(field.struct, f"{src}.{name}")
+            value = _build(field.struct,
+                           lambda sub, f=field.name: f"{read(f)}.{sub}",
+                           lines, depth + 1)
+        elif field.size is not None or field.bound is not None:
+            value = f"list({read(field.name)})"
         else:
-            value = f"{src}.{name}"
-        fields.append(f"{name}={value}")
-    return f"stubs.{shape.name}({', '.join(fields)})"
+            value = read(field.name)
+        lines.append(f"{name}.{field.name} = {value}")
+    return name
 
 
-def marshal_entry(proc, result, lens, prog, vers, size, buffers):
+def marshal_entry(proc, result, lens, prog, vers, size):
     """``entry(xid, args)``: the ``size``-byte call message for
-    ``args`` — a new ``bytearray``, which the client sends as it is —
-    or None: the argument is not of the assumed lengths."""
-    cls = f"S_{proc.arg.name}"  # no initializer: _fill sets each field
-    nested = any(field.struct for field in proc.arg.fields)
-    body = [f"argsp = {cls}()" if nested else f"argsp = {cls}.__new__({cls})"]
-    _fill(proc.arg, lens, "args", "argsp", body)
-    alloc, out, data = _reply(proc.marshal, buffers, size)
-    call = _call(result, proc.marshal, proc.lens(lens, {}),
-                 client="_clnt", xid="xid & 0xFFFFFFFF", args="argsp",
-                 outbuf=out, outsize=str(size))
-    body += [alloc,
-             f"if {call} == {size}:",
-             f"    return {data}"]
-    return (f"\n_clnt = S_CLIENT()\n_clnt.cl_prog = {prog}\n"
-            f"_clnt.cl_vers = {vers}\n" + _entry("xid, args", [], body))
+    ``args``, as ``bytes``, or None: the argument is not of the assumed
+    lengths, or holds a value the residual cannot send."""
+    def client(place):
+        return [f"{target} = {value}" for target, value in (
+            (place("cl_prog"), prog), (place("cl_vers"), vers)) if target]
+
+    def args(place):
+        lines = []
+        _fill(proc.arg, lens, "args", place, lines)
+        return lines
+
+    return FusedEntry(
+        result.entry_name, "xid, args",
+        _bindings(result, proc.marshal, proc.lens(lens, {}),
+                  client=("fields", client), xid=("value", _XID),
+                  args=("fields", args), outbuf=("fresh", size),
+                  outsize=("value", str(size))),
+        ("==", size), names=_NAMES)
 
 
-def recv_entry(proc, result, lens, size, buffers):
+def recv_entry(proc, result, lens, size):
     """``entry(data, xid, stubs)``: the result decoded from the
     ``size``-byte success reply ``data``, built from the ``stubs``
     module's classes, or None."""
-    call = _call(result, proc.recv, proc.lens({}, lens),
-                 inbuf=_request(proc.recv, buffers), inlen=str(size),
-                 xid="xid & 0xFFFFFFFF", result="resp")
-    return _entry(
-        "data, xid, stubs",
-        [f"if len(data) != {size}:", "    return None"],
-        [f"resp = S_{proc.ret.name}()",
-         f"if {call}:",
-         f"    return {_extract(proc.ret, 'resp')}"])
+    def build(read):
+        lines = []
+        return lines, _build(proc.ret, read, lines)
+
+    return FusedEntry(
+        result.entry_name, "data, xid, stubs",
+        _bindings(result, proc.recv, proc.lens({}, lens),
+                  inbuf=("message", "data", size),
+                  inlen=("value", str(size)), xid=("value", _XID),
+                  result=("result", build)),
+        ("!=", 0), guard=_guard(size), names=_NAMES)
 
 
-def dispatch_entry(sig, result, request_size, reply_size, buffers):
-    """``entry(data)``: the reply to the ``request_size``-byte call
-    ``data``, written into an exact-size buffer — a longer one faults,
-    a shorter one is not this entry's to send: both are left to the
+def dispatch_entry(sig, result, request_size, reply_size):
+    """``entry(data)``: the ``reply_size``-byte reply to the
+    ``request_size``-byte call ``data`` — a longer reply faults, a
+    shorter one is not this entry's to send: both are left to the
     generic path — or None."""
-    alloc, out, data = _reply(sig, buffers, reply_size)
-    call = _call(result, sig, {}, inbuf=_request(sig, buffers),
-                 inlen=str(request_size), outbuf=out,
-                 outsize=str(reply_size))
-    return _entry(
-        "data",
-        [f"if len(data) != {request_size}:", "    return None"],
-        [alloc,
-         f"if {call} == {reply_size}:",
-         f"    return bytes({data})"])
+    return FusedEntry(
+        result.entry_name, "data",
+        _bindings(result, sig, {},
+                  inbuf=("message", "data", request_size),
+                  inlen=("value", str(request_size)),
+                  outbuf=("fresh", reply_size),
+                  outsize=("value", str(reply_size))),
+        ("==", reply_size), guard=_guard(request_size), names=_NAMES)

@@ -8,6 +8,7 @@ construction.
 """
 
 import collections
+import re
 
 from repro.minic import ast
 from repro.minic import types as ct
@@ -113,6 +114,32 @@ def prune_unreachable_functions(program, entry_name):
         worklist.extend(_called_functions(by_name[name]))
     program.funcs = [func for func in program.funcs if func.name in reachable]
     return program
+
+
+def prune_unused_structs(program):
+    """``program`` without the struct definitions nothing in its
+    functions and globals names, directly or through another struct's
+    fields (a new Program when any goes)."""
+    from repro.minic.pretty import pretty_program, type_str
+
+    def named(text):
+        return set(re.findall(r"\bstruct (\w+)", text))
+
+    used = named(pretty_program(ast.Program(
+        [], program.enums, program.funcs, program.globals)))
+    by_name = {struct.name: struct for struct in program.structs}
+    pending = list(used)
+    while pending:
+        struct = by_name.get(pending.pop())
+        for field in struct.fields if struct else ():
+            more = named(type_str(field.ctype)) - used
+            used |= more
+            pending += more
+    if set(by_name) <= used:
+        return program
+    return ast.Program([struct for struct in program.structs
+                        if struct.name in used],
+                       program.enums, program.funcs, program.globals)
 
 
 def _function_fingerprint(func):

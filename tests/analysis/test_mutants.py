@@ -468,26 +468,29 @@ class TestLoweringMutants:
     def test_handler_loop_one_trip_short(self, xfer_pipeline, xfer_server):
         # mutant 10: the handler's map comprehension stops one element
         # early, so the last element goes back unincremented.
-        loop = re.search(r"for _e1 in (\w+__vals)\[(\w+):(\w+)\]\]",
+        loop = re.search(r"for _e1 in (\w+)\[(\d+):\]\]",
                          xfer_server._module.source)
         bad = relower(xfer_server._module, loop.group(0),
-                      f"for _e1 in {loop.group(1)}"
-                      f"[{loop.group(2)}:{loop.group(3)} - 1]]")
+                      f"for _e1 in {loop.group(1)}[{loop.group(2)}:-1]]")
         assert self._verify(xfer_pipeline, xfer_server, bad) == [
             "lowering-divergence"]
 
     #: the handler's map loop ``res.vals[i] = args.vals[i] + 1``, with
     #: one of its parts lowered wrong: (pattern, replacement).  The
-    #: in-domain probe opens with ``INT_MAX``, whose ``+ 1`` wraps.
+    #: in-domain probe opens with ``INT_MAX``, whose ``+ 1`` wraps: the
+    #: reply's pack is the range check, its ``struct.error`` arm the
+    #: wrap.
     MAP_MUTANTS = {
         "rewrap-deleted": (
-            r"(if max\(_t\d+\) > 0x7FFFFFFF:\n +)_t\d+ = [^\n]+", r"\1pass"),
+            r"(except _struct\.error:\n +)\w+ = [^\n]+", r"\1pass"),
+        # the arm taken on a failure the pack does not raise
         "range-check-wrong-side": (
-            r"max\((_t\d+)\) > 0x7FFFFFFF", r"min(\1) < -0x80000000"),
+            r"except _struct\.error:", r"except OverflowError:"),
         "range-check-deleted": (
-            r"\n +if max\(_t\d+\) > 0x7FFFFFFF:\n[^\n]+", ""),
+            r"try:\n +(return _S\d+\.pack\([^\n]+)\n +except _struct\.error:"
+            r"\n[^\n]+\n[^\n]+", r"\1"),
         "map-reads-dst": (
-            r"(for _e1 in \w+)_2__vals\[", r"\1_3__vals["),
+            r"(\w+) = \[(_e1 \+ 1) for _e1 in [^\n]+\]", r"\1 = [\2 for _e1 in \1]"),
     }
 
     @pytest.mark.parametrize("name", sorted(MAP_MUTANTS))
@@ -502,12 +505,13 @@ class TestLoweringMutants:
 
     def test_promoted_cursor_advanced_one_word_short(self, xfer_pipeline,
                                                      xfer_server):
-        # mutant 13: the reply cursor, a literal offset since the reply
-        # buffer's length is known, ends one word short of the 15-word
-        # reply: the reply length it returns is one word short.
-        size = 4 * (6 + 1 + VALS_LEN)
-        bad = relower(xfer_server._module, f"return {size}\n",
-                      f"return {size - 4}\n")
+        # mutant 13: the reply run, one pack since the reply buffer's
+        # length is known, ends one word short of the 15-word reply:
+        # its format and its values one word short.
+        bad = relowered(xfer_server._module, lambda text: text.replace(
+            f"I{VALS_LEN}i')", f"I{VALS_LEN - 1}i')").replace(
+            "*t_arr)", "*t_arr[:-1])"))
+        assert bad.source != xfer_server._module.source
         assert self._verify(xfer_pipeline, xfer_server, bad) == [
             "lowering-divergence"]
 
@@ -516,16 +520,14 @@ class TestLoweringMutants:
         # mutant 14: escape analysis that missed a call — the reply
         # cursor is promoted to an ``int`` offset, yet handed to a callee
         # that was not inlined and so still takes a pointer.
-        run = re.search(r"(_S\d+)\.pack_into\(outbuf, (\w+),"
-                        r" ([^*]+), \*(\w+)\)",
+        run = re.search(r"(_S\d+)\.pack\(([^*]+), \*(\w+)\)",
                         xfer_server._module.source)
-        packer, cursor, words, vals = run.groups()
+        packer, words, vals = run.groups()
         callee = (f"\ndef mc_put_vals(xdrs_private, *words):\n"
                   f"    {packer}.pack_into(xdrs_private.buffer.data,"
                   f" xdrs_private.offset, *words)\n")
         bad = relowered(xfer_server._module, lambda text: text.replace(
-            run.group(0), f"mc_put_vals({cursor}, {words}, *{vals})")
-            + callee)
+            run.group(0), f"mc_put_vals(0, {words}, *{vals})") + callee)
         assert self._verify(xfer_pipeline, xfer_server, bad) == [
             "lowering-divergence"]
 
@@ -533,8 +535,8 @@ class TestLoweringMutants:
         # mutant 11: the slice-packed run starts one element late.
         bad = respec(xfer_pipeline, xfer_client)
         bad._marshal_module = relower(
-            bad._marshal_module, "*argsp.vals)",
-            f"*argsp.vals[1:{VALS_LEN}], 0)")
+            bad._marshal_module, "*argsp__vals)",
+            f"*argsp__vals[1:{VALS_LEN}], 0)")
         assert [f.rule for f in verify_client_spec(xfer_pipeline, bad)] == [
             "lowering-divergence"]
 
@@ -550,27 +552,30 @@ class TestLoweringMutants:
 
 
 class TestFusedEntryMutants:
-    """The bug is in the staged glue of a fused entry — the residual
-    MiniC and its lowering are right: only a gate on the entry the
-    transport calls can see it."""
+    """The bug is in the staged interface of a fused entry — how it
+    binds the caller's values and the message, and what it answers; the
+    residual MiniC and its lowering are right: only a gate on the entry
+    the transport calls can see it."""
 
-    #: the request goes in place, the reply buffer is ``out``
-    IN, OUT = ("data", "out")
     #: (the module sabotaged, old, new, the rule that must fire)
     MUTANTS = {
+        # the caller's xid and a header word handed over swapped
         "marshal-arguments-swapped": (
-            "_marshal_module", "(_clnt, xid & 0xFFFFFFFF, argsp,",
-            "(argsp, xid & 0xFFFFFFFF, _clnt,", "lowering-divergence"),
+            "_marshal_module", "pack(xid & 0xFFFFFFFF, 0, 2,",
+            "pack(0, xid & 0xFFFFFFFF, 2,", "lowering-divergence"),
+        # the request's xid and a reply word handed over swapped
         "dispatch-arguments-swapped": (
-            "server", f"({IN}, {OUT})", f"({OUT}, {IN})",
+            "server", "pack(_w_inbuf[0], 1, 0,", "pack(1, _w_inbuf[0], 0,",
             "lowering-divergence"),
+        # the reply pack one element short of its format: the reply
+        # buffer one word short
         "dispatch-capacity-one-short": (
-            "server", f"bytearray({4 * (6 + 1 + VALS_LEN)})",
-            f"bytearray({4 * (6 + VALS_LEN)})", "lowering-divergence"),
+            "server", "*t_arr)", "*t_arr[:-1])", "lowering-divergence"),
         "marshal-guard-widened": (
             # wider, and the arguments cut to fit the pack
-            "_marshal_module", f"if len(_v) != {VALS_LEN}:",
-            f"_v = _v[:{VALS_LEN}]\n        if len(_v) < {VALS_LEN}:",
+            "_marshal_module", f"if len(argsp__vals) != {VALS_LEN}:",
+            f"argsp__vals = argsp__vals[:{VALS_LEN}]\n"
+            f"        if len(argsp__vals) < {VALS_LEN}:",
             "guard-domain"),
         "recv-guard-widened": (
             "_recv_module", "if len(data) != ", "if len(data) < ",
@@ -578,17 +583,18 @@ class TestFusedEntryMutants:
         "dispatch-guard-widened": (
             "server", "if len(data) != ", "if len(data) < ",
             "guard-domain"),
+        # the argument's field bound one element off
         "marshal-slice-off-by-one": (
-            "_marshal_module", "argsp.vals = _v",
-            "argsp.vals = [*_v[1:], 0]", "lowering-divergence"),
+            "_marshal_module", "else args.vals)\n",
+            "else args.vals)[1:] + [0]\n", "lowering-divergence"),
         "recv-xid-mask-dropped": (
-            "_recv_module", "xid & 0xFFFFFFFF, resp", "xid, resp",
+            "_recv_module", "!= (xid & 0xFFFFFFFF)", "!= xid",
             "lowering-divergence"),
         "recv-result-one-element-short": (
-            "_recv_module", "vals=resp.vals)", "vals=resp.vals[:-1])",
+            "_recv_module", "list(_w_inbuf[7:])", "list(_w_inbuf[7:-1])",
             "lowering-divergence"),
         "dispatch-reply-one-word-short": (
-            "server", "return bytes(out)", "return bytes(out[:-4])",
+            "server", ", *t_arr)\n", ", *t_arr)[:-4]\n",
             "lowering-divergence"),
     }
 
@@ -618,10 +624,12 @@ class TestFusedEntryMutants:
         real = runtime.dispatch_entry
 
         def sabotaged(*args):
-            source = real(*args)
-            assert "return bytes(out)" in source
-            return source.replace("return bytes(out)",
-                                  "return bytes(out[:-4])")
+            # the reply buffer one word short
+            entry = real(*args)
+            kind, size = entry.bindings["outbuf"]
+            assert kind == "fresh"
+            entry.bindings["outbuf"] = (kind, size - 4)
+            return entry
 
         monkeypatch.setattr(runtime, "dispatch_entry", sabotaged)
         findings = verify_server_residual(

@@ -735,7 +735,9 @@ class TestLoopAsSpan:
     def test_store_loop_joins_the_header_words_in_one_pack(self):
         module = run_span(span_case(f"while (k < 8) {{ {STORE} k = k + 1; }}"))
         body = _function(module.source, "f")
-        assert "_struct.Struct('>2I8i')" in module.source
+        # the literal packs unsigned, ``n`` (an ``int``) signed as the
+        # array does: the same bytes as ``(u_long)n``
+        assert "_struct.Struct('>1I9i')" in module.source
         assert body.count("pack_into") == 1 and "*s.a[0:8])" in body
         assert "while" not in body and "for " not in body
         assert "k = " not in body  # the dead counter is gone, init and all
@@ -967,7 +969,8 @@ class TestKnownLengthLoops:
         outcome, module = known_length_call(before, loop)
         assert outcome == (81, 11, 51, 8), module.source
         body = _function(module.source, "f")
-        assert ("[_e1 + 1 for _e1 in b[0:8]]" in body) == mapped
+        # ``b`` is the request's words, read once: read in place
+        assert ("a = [_e1 + 1 for _e1 in _w_inbuf]" in body) == mapped
         if mapped:  # from a known start: no test of the trip count
             assert "if i < 8:" not in body
 
@@ -1054,6 +1057,79 @@ class TestKnownLengthLoops:
         assert not re.search(r"^ *a = _t", body, re.M)
         with pytest.raises(InterpError, match="past the end"):
             module.call("f", wire_of(9), module.new_struct("S"))
+
+
+# -- the pack as the range check of a map it alone reads -------------------
+
+#: an entry reading eight words into ``b``, mapping ``a[i] = b[i] + 1``
+#: and packing ``a`` into the reply; ``{tail}`` may read ``a`` too
+PACKED_MAP = """
+int f(char *inbuf, char *outbuf, struct S *s)
+{{
+    char *p; char *q; char *r; int i; int j; int k; int a[8]; int b[8];
+    p = inbuf;
+    k = 0;
+    while (k < 8) {{
+        b[k] = (long)ntohl((u_long)*(long *)p); p = p + 4; k = k + 1;
+    }}
+    i = 0;
+    while (i < 8) {{ a[i] = b[i] + 1; i = i + 1; }}
+    q = outbuf;
+    r = outbuf;
+    j = 0;
+    while (j < 8) {{
+        *(long *)q = (long)htonl((u_long)a[j]); q = q + 4; j = j + 1;
+    }}
+    {tail}
+    return (int)(q - r);
+}}
+"""
+
+
+def packed_map(tail, words):
+    """``f`` of :data:`PACKED_MAP` on ``words`` compiled (both buffers
+    of a known 32 bytes) and interpreted: asserts the two agree on the
+    value, the reply and ``s.x``; returns the compiled ``f``."""
+    program = parse_program(PRELUDE + PACKED_MAP.format(tail=tail))
+    module = compile_program(program, sizes={"inbuf": 32, "outbuf": 32})
+    s, out = module.new_struct("S"), bytearray(32)
+    compiled = (module.call("f", wire_of(*words), out, s), bytes(out), s.x)
+    interp = Interpreter(program)
+    s_interp = interp.make_struct("S")
+    inbuf, outbuf = interp.make_buffer(32), interp.make_buffer(32)
+    for offset, byte in enumerate(wire_of(*words)):
+        inbuf.store_int(offset, byte, 1, False)
+    value = interp.call("f", [rv.BufPtr(inbuf, 0, 1), rv.BufPtr(outbuf, 0, 1),
+                              interp.ptr_to(s_interp)])
+    assert compiled == (value, outbuf.bytes(), s_interp.field("x").value), \
+        module.source
+    return _function(module.source, "f")
+
+
+class TestPackChecksTheRange:
+    """A map result that only a signed pack reads is range-checked by
+    the pack: on ``struct.error`` it is wrapped and packed again (a
+    wrap is the identity on a value in range).  Read anywhere else, it
+    keeps its scan."""
+
+    @pytest.mark.parametrize("words", [
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (INT_MAX, 0, INT_MIN, -1, INT_MAX, 5, INT_MAX - 1, 9),
+    ])
+    def test_a_result_only_packed_has_no_scan(self, words):
+        body = packed_map("", words)
+        assert "max(" not in body and "min(" not in body
+        assert body.count("except _struct.error:") == 1
+        assert body.count(".pack_into(") == 2
+
+    @pytest.mark.parametrize("words", [
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (0, 1, 2, INT_MAX, 4, 5, 6, 7),
+    ])
+    def test_a_result_read_elsewhere_keeps_its_scan(self, words):
+        body = packed_map("s->x = a[3];", words)
+        assert "if max(a) > 0x7FFFFFFF:" in body
+        assert "_struct.error" not in body
 
 
 # -- guard form: a then-arm's locals spliced into the list around it ---------
@@ -1236,41 +1312,43 @@ def _enclosing(raw, index):
     return [raw[test].strip(), raw[other].strip()]
 
 
+def _entry(source):
+    return source[source.index("def entry("):]
+
+
 def test_golden_server_handler_loop(golden_pipeline):
     lens = {"vals": GOLDEN_N}
     server = golden_pipeline.specialize_server(
         "SENDRECV", arg_lens=lens, res_lens=lens)
     source = server._module.source
     assert "_rt.wrap_i32(" not in source
-    hot = _function(source, "svc_process_xchg_prog_1_spec")
+    hot = _entry(source)
     lines = [line.strip() for line in hot.splitlines()]
     # the request read whole, in one unpack: its header words compared
     # at once, any other length declined, the 1000 ints one slice
     words = 10 + 1 + GOLDEN_N
-    assert lines[1] == "_w_inbuf = _S1.unpack_from(inbuf)"
+    assert "_w_inbuf = _S1.unpack_from(data)" in lines
     assert f"_S1 = _struct.Struct('>{words}i')" in source
-    assert lines[lines.index("return 0") - 1].startswith(
-        "if _w_inbuf[1:6] != (0, 2, 536871713, 1, 1) or ")
-    assert f"t_intarr_2__vals = _w_inbuf[11:{words}]" in lines
-    head = lines.index("_t1 = [_e1 + 1 for _e1 in"
-                       f" t_intarr_2__vals[0:{GOLDEN_N}]]")
-    assert lines[head + 1:head + 5] == [
-        # ``src[i] + 1`` can only leave the int range upward
-        "if max(_t1) > 0x7FFFFFFF:",
-        "_t1 = [((_e + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
-        " for _e in _t1]",
-        # every trip known: the whole result array (a local of its own
-        # since the result's length is known) is the new list
-        "t_arr = _t1",
-        # the reply in one pack, straight from the request's xid word
-        f"_S2.pack_into(outbuf, 0, xid_2, 1, 0, 0, 0, 0, {GOLDEN_N},"
-        " *t_arr)",
+    test = next(index for index, line in enumerate(lines) if line.startswith(
+        "if _w_inbuf[1:6] != (0, 2, 536871713, 1, 1) or "))
+    assert lines[test + 1] == "return None"
+    head = lines.index("t_arr = [_e1 + 1 for _e1 in _w_inbuf[11:]]")
+    reply = (f"return _S2.pack(_w_inbuf[0], 1, 0, 0, 0, 0, {GOLDEN_N},"
+             " *t_arr)")
+    assert lines[head + 1:head + 6] == [
+        # the reply in one pack, straight from the request's xid word;
+        # the pack is the range check of ``src[i] + 1``: on
+        # ``struct.error`` the values wrap and pack again
+        "try:", reply, "except _struct.error:",
+        "t_arr = [((_e + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
+        " for _e in t_arr]", reply,
     ]
     # straight-line: no loop, no per-word fallback, no length test on
-    # the buffers, no generic element loop for another length
+    # the buffers, no generic element loop for another length, no scan
     assert not [line for line in lines if line.startswith(("while ",
                                                              "for "))]
-    for absent in ("<= len(", "ElemPtr", "cast_ptr", "x_handy", "[0] *"):
+    for absent in ("<= len(", "ElemPtr", "cast_ptr", "x_handy", "[0] *",
+                   "max(", "bytearray("):
         assert absent not in hot
     assert hot.count("unpack_from") == 1
 
@@ -1280,10 +1358,10 @@ def test_golden_client_marshal_is_one_sliced_pack(golden_pipeline):
     client = golden_pipeline.specialize_client(
         "SENDRECV", arg_lens=lens, res_lens=lens)
     source = client._marshal_module.source
-    assert source.count("pack_into") == 1
+    assert "pack_into" not in source and source.count(".pack(") == 1
     assert f"_struct.Struct('>11I{GOLDEN_N}i')" in source
-    assert f", {GOLDEN_N}, *argsp.vals)" in source
-    assert "argsp.vals[1]" not in source
+    assert f", {GOLDEN_N}, *argsp__vals)" in source
+    assert "argsp__vals[1]" not in source
     recv = client._recv_module.source
     assert recv.count("unpack_from") == 1
-    assert f"resp.vals[0:{GOLDEN_N}] = _w_inbuf[7:{7 + GOLDEN_N}]" in recv
+    assert "_r1.vals = list(_w_inbuf[7:])" in recv

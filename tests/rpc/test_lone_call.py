@@ -426,11 +426,13 @@ def count_pyops(fn):
     return count
 
 
-#: one lone fast-path NULLPROC call, counted on CPython 3.11: 406
-#: (UDP) and 470 (TCP); the budgets are those plus 5%.  Through the
-#: engine's table, send group and drain they read 1 016 and 1 048
-#: (through ``select`` 1 120 and 1 150).
-PYOPS_BUDGET = {UdpClient: 426, TcpClient: 493}
+#: one lone fast-path NULLPROC call, counted on CPython 3.11: 372
+#: (UDP) and 436 (TCP), the engine calling the codec-free half of
+#: ``build_call`` / ``parse_reply`` itself (391 and 455 through the
+#: public methods, which look the codec up again); the budgets are
+#: those plus 5%.  Through the engine's table, send group and drain
+#: they read 1 016 and 1 048 (through ``select`` 1 120 and 1 150).
+PYOPS_BUDGET = {UdpClient: 391, TcpClient: 458}
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -442,7 +444,7 @@ def test_a_lone_null_call_stays_inside_its_bytecode_budget(server_cls,
     with server_cls(registry(), fastpath=True) as server:
         with client_cls("127.0.0.1", server.port, PROG, VERS,
                         fastpath=True) as client:
-            for _ in range(5):  # warm the buffer pools and templates
+            for _ in range(5):  # warm the header templates
                 client.null_call()
             counts = {count_pyops(client.null_call) for _ in range(3)}
     assert len(counts) == 1, counts
@@ -462,14 +464,15 @@ only_311 = pytest.mark.skipif(
 
 N = 20
 
-#: counted on CPython 3.11: a lone specialized n=20 call runs 498
-#: client bytecodes (646 before the straight-line residuals, 1 064
-#: through the engine's table), and serving it takes ``handle_once``
-#: 646 (881 before the straight-line residuals, 1 006 before the staged
+#: counted on CPython 3.11: a lone specialized n=20 call runs 414
+#: client bytecodes (494 with the fused entries' struct glue, 646
+#: before the straight-line residuals, 1 064 through the engine's
+#: table), and serving it takes ``handle_once`` 602 (644 with the glue,
+#: 881 before the straight-line residuals, 1 006 before the staged
 #: path), a NULLPROC 374 (1 218 through the generic reply encoder); the
 #: budgets are the counts plus 5%
-SPEC_CALL_BUDGET = 522
-HANDLE_ONCE_BUDGET = {"spec": 678, "null": 392}
+SPEC_CALL_BUDGET = 434
+HANDLE_ONCE_BUDGET = {"spec": 632, "null": 392}
 
 
 @pytest.fixture(scope="module")
@@ -522,7 +525,7 @@ def test_a_lone_specialized_call_stays_inside_its_bytecode_budget(workload):
 def served_pyops(dispatcher, request, warm=5):
     """Bytecodes ``UdpServer.handle_once`` runs serving ``request``
     under fresh xids, driven on this thread (the server is not
-    started), once ``warm`` requests warmed its pools and caches."""
+    started), once ``warm`` requests warmed its templates and caches."""
     server = UdpServer(dispatcher, fastpath=True)
     peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     peer.bind(("127.0.0.1", 0))
@@ -563,9 +566,10 @@ def test_a_served_datagram_stays_inside_its_bytecode_budget(workload, kind):
 
 #: counted on CPython 3.11: once the duplicate-request cache holds its
 #: capacity (256) every store evicts the oldest entry; serving an n=20
-#: call then takes ``handle_once`` 670 bytecodes (707 while each store
-#: scanned for claims); the budget is the count plus 5%
-AT_CAPACITY_BUDGET = 703
+#: call then takes ``handle_once`` 628 bytecodes (670 with the fused
+#: entry's struct glue, 707 while each store scanned for claims); the
+#: budget is the count plus 5%
+AT_CAPACITY_BUDGET = 659
 
 
 @only_311
@@ -585,12 +589,14 @@ def test_a_served_datagram_at_drc_capacity_evicts_in_constant_time(workload):
 
 
 #: counted on CPython 3.11: the codec an ``OnlineSpecializer`` manages,
-#: holding one variant at n=20, encodes in 121 bytecodes and decodes in
-#: 151 (152 and 177 through a per-call count and table lookup, before
-#: its swaps published methods specialized to one variant); the budgets
-#: are the counts plus 5%.  The unmanaged ``install`` path is the
-#: ledger's ``rpc.client.{encode,decode}_pyops.spec``.
-MANAGED_CODEC_BUDGET = {"encode": 127, "decode": 158}
+#: holding one variant at n=20, encodes in 87 bytecodes and decodes in
+#: 105, its fused entries the residual functions themselves (121 and
+#: 151 with their struct glue; 152 and 177 through a per-call count and
+#: table lookup, before its swaps published methods specialized to one
+#: variant); the budgets are the counts plus 5%.  The unmanaged
+#: ``install`` path is the ledger's ``rpc.client.{encode,decode}_pyops.
+#: spec``.
+MANAGED_CODEC_BUDGET = {"encode": 91, "decode": 110}
 
 
 @only_311
@@ -618,3 +624,34 @@ def test_a_managed_codec_stays_inside_its_bytecode_budget(workload):
             f" bytecodes > {MANAGED_CODEC_BUDGET[what]}: its published"
             " path gained per-call work")
     assert codec.violations == 0 and codec.profile.calls == 0
+
+
+#: counted on CPython 3.11: what an installed n=20 codec adds to a call
+#: it declines — its entry's length test and its table lookup — before
+#: the client's codec-free half encodes it: 96 bytecodes on encode and
+#: 88 on decode, whatever the length (1 020 more on encode at n=300 while
+#: a decline encoded the header through the XDR micro-layers, not the
+#: template); the budget is the larger plus 5%
+DECLINE_BUDGET = 101
+
+
+@only_311
+@pytest.mark.parametrize("n", [300, 1000])
+def test_a_declined_call_is_coded_as_with_no_codec(workload, n):
+    pipeline, _args, make_registry, lens = workload
+    xdr = pipeline.stubs.xdr_intarr
+    args = pipeline.stubs.intarr(vals=list(range(n)))
+    plain, coded = (RpcClient(pipeline.prog_number, pipeline.vers_number)
+                    .enable_fastpath() for _ in range(2))
+    pipeline.specialize_client("SENDRECV", **lens).install(coded)
+    reply = make_registry().dispatch_bytes(plain.build_call(7, 1, args, xdr))
+    probes = {"encode": lambda client: client.build_call(7, 1, args, xdr),
+              "decode": lambda client: client.parse_reply(reply, 7, 1, xdr)}
+    for what, probe in probes.items():
+        assert probe(coded) == probe(plain)
+        counts = [count_pyops(functools.partial(probe, client))
+                  for client in (coded, plain)]
+        assert counts[0] - counts[1] <= DECLINE_BUDGET, (
+            f"an n={n} call the n={N} codec declines runs {counts[0]}"
+            f" {what} bytecodes, {counts[1]} with no codec: its decline"
+            " path codes it otherwise")

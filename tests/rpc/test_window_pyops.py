@@ -37,14 +37,15 @@ pytestmark = pytest.mark.skipif(
 N, WINDOW = 20, 32
 
 #: counted on CPython 3.11, obs off: a windowed specialized n=20 call
-#: costs the client 568-572 bytecodes, as the calls fall into datagrams
-#: (≈ 878 before the staged submit, the one-group flush, the
-#: per-datagram reply pass and the C-level envelope), and one message
-#: of a 32-call envelope costs ``handle_once`` 577 at DRC capacity (714
-#: before the C-level envelope and the O(1) eviction); the budgets are
-#: 571 and 577 plus 5%
-CLIENT_BUDGET = 599
-SERVER_BUDGET = 605
+#: costs the client 488-492 bytecodes, as the calls fall into datagrams
+#: (568-572 with the fused entries' struct glue; ≈ 878 before the
+#: staged submit, the one-group flush, the per-datagram reply pass and
+#: the C-level envelope), and one message of a 32-call envelope costs
+#: ``handle_once`` 523 at DRC capacity (565 with the glue; 714 before
+#: the C-level envelope and the O(1) eviction); the budgets are 489 and
+#: 523 plus 5%
+CLIENT_BUDGET = 514
+SERVER_BUDGET = 549
 
 
 @pytest.fixture(autouse=True)

@@ -85,6 +85,56 @@ def test_entries_are_byte_identical_to_generic(pipeline, generic, n, xid,
         wrap32(v + 1) for v in values]
 
 
+#: the reply and call header words the protocol fixes — a reply's
+#: message type, reply status, verifier length and accept status; a
+#: call's message type, RPC version, program, version, procedure and
+#: its credential's and verifier's lengths — and the edge values, each
+#: of which some draw holds (``INT_MAX + 1`` wraps on the server)
+REPLY_FIXED, CALL_FIXED = (1, 2, 4, 5), (1, 2, 3, 4, 5, 7, 9)
+INT_MAX, INT_MIN = 2**31 - 1, -2**31
+
+
+def bumped(data, word):
+    """``data`` with header word ``word`` one more (modulo 2**32)."""
+    out = bytearray(data)
+    out[4 * word:4 * word + 4] = ((int.from_bytes(
+        out[4 * word:4 * word + 4], "big") + 1) % 2**32).to_bytes(4, "big")
+    return bytes(out)
+
+
+@pytest.mark.parametrize("n", (1, 20, 1000))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_edge_values_serve_and_near_misses_decline(pipeline, generic, n,
+                                                   data):
+    values = contents(n, data.draw(st.lists(st.sampled_from(EDGE_WORDS),
+                                            max_size=8)),
+                      data.draw(st.integers(0, 2**16)))
+    high, low = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    values[low] = INT_MIN
+    values[high] = INT_MAX  # (n = 1: INT_MAX alone)
+    xid = data.draw(st.integers(0, 2**32 - 1))
+    request, reply = round_trip(pipeline, generic, xid, values)
+    client = pipeline.specialize_client("SENDRECV", **lens(n))
+    server = pipeline.specialize_server("SENDRECV", **lens(n))
+    stubs = pipeline.stubs
+    assert client.build_request(xid, stubs.intarr(vals=values)) == request
+    assert server.residual_reply(request) == reply
+    assert client.decode_reply(reply, xid).vals == [
+        wrap32(v + 1) for v in values]
+    # a wrong xid, one wrong header word, a length one element off
+    assert client.decode_reply(reply, (xid + 1) % 2**32) is None
+    assert client.decode_reply(bumped(
+        reply, data.draw(st.sampled_from(REPLY_FIXED))), xid) is None
+    assert server.residual_reply(bumped(
+        request, data.draw(st.sampled_from(CALL_FIXED)))) is None
+    other = values[:-1] if data.draw(st.booleans()) else values + [0]
+    assert client.build_request(xid, stubs.intarr(vals=other)) is None
+    request, reply = round_trip(pipeline, generic, xid, other)
+    assert server.residual_reply(request) is None
+    assert client.decode_reply(reply, xid) is None
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_off_profile_lengths_decline_on_both_sides(pipeline, generic, n):
     client = pipeline.specialize_client("SENDRECV", **lens(n))
@@ -129,13 +179,19 @@ def test_a_faulting_residual_is_a_decline(pipeline, generic):
     broken = respec(pipeline,
                     pipeline.specialize_client("SENDRECV", **lens(3)))
 
-    def fault(*_args):
-        raise IndexError("list assignment index out of range")
+    class Fault:
+        """A packer whose every call faults, as a residual access past
+        a narrowed array does."""
+
+        def __getattr__(self, name):
+            raise IndexError("list assignment index out of range")
 
     for module in (broken._marshal_module, broken._recv_module):
-        for name in module.namespace:
-            if name.startswith("mc_") and name.endswith("_spec"):
-                module.namespace[name] = fault
+        packers = [name for name in module.namespace
+                   if name.startswith("_S")]
+        assert packers, module.source
+        for name in packers:
+            module.namespace[name] = Fault()
     values = [1, 2, 3]
     request, reply = round_trip(pipeline, generic, 7, values)
     assert broken.build_request(7, {"vals": values}) is None

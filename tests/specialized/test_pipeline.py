@@ -210,7 +210,7 @@ class TestLoweringGate:
     @pytest.fixture()
     def off_by_one(self, monkeypatch):
         """A back end that lowers every counted loop one trip short —
-        a ``for`` loop's range or a map comprehension's slices."""
+        a ``for`` loop's range or a map comprehension's source."""
         from repro.minic import compile_py
 
         emit = compile_py._FuncCompiler.emit
@@ -219,7 +219,8 @@ class TestLoweringGate:
             if text.startswith("for ") and " in range(" in text:
                 text = text.replace("):", " - 1):")
             elif " for _e1 in " in text:
-                text = re.sub(r"\[(\w+):(\w+)\]", r"[\1:\2 - 1]", text)
+                text = re.sub(r" for _e1 in (.+)\]$", r" for _e1 in \1[:-1]]",
+                              text)
             emit(self, text)
 
         monkeypatch.setattr(compile_py._FuncCompiler, "emit", wrong)

@@ -67,18 +67,19 @@ def test_what_does_not_qualify_is_lowered_as_before(generic):
     copy of each helper for all of its call sites, so ``xdr_long`` is
     called from several and is not inlined, and the XDR handle — with
     the cursor in it — escapes to it.  The server residual then takes
-    ``pyruntime`` pointers and the entries hand the message over
-    wrapped, as they did before scalar replacement — and still pass the
-    gate and serve the generic path's bytes."""
+    ``pyruntime`` pointers and the entries bind the message wrapped, as
+    they did before scalar replacement — and still pass the gate and
+    serve the generic path's bytes."""
     pipeline = SpecializationPipeline(
         IDL, impl_sources=[IMPL], options=Options(context_sensitive=False))
     client = pipeline.specialize_client("SENDRECV", **lens(20))
     server = pipeline.specialize_server("SENDRECV", **lens(20))
     assert server._module.buffers[server.result.entry_name] == {}
     assert "S_XDR()" in server._module.source
-    assert ("_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True),"
-            " _rt.BufPtr(out, 0, 1, True)") in server._module.source
-    assert "_rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)" in \
+    assert "inbuf = _rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)" in \
+        server._module.source
+    assert "outbuf = _rt.BufPtr(out, 0, 1, True)" in server._module.source
+    assert "inbuf = _rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)" in \
         client._recv_module.source
     stubs = pipeline.stubs
     args = stubs.intarr(vals=list(range(20)))
