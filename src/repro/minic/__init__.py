@@ -11,8 +11,9 @@ Public entry points:
 * :func:`repro.minic.parser.parse_program` — source text to AST.
 * :class:`repro.minic.interp.Interpreter` — reference interpreter with a
   byte-accurate buffer model and an optional instruction-cost trace.
-* :func:`repro.minic.compile_py.compile_program` — compile a (generic or
-  residual) MiniC program to executable Python.
+* :func:`repro.minic.compile_py.compile_program` — compile a residual
+  program's entry function to executable Python, as its fused entry
+  (a function outside the residual subset raises ``CompileError``).
 * :func:`repro.minic.pretty.pretty_program` — canonical source rendering,
   also used for the paper's code-size measurements (Table 3).
 """

@@ -1,31 +1,29 @@
-"""Compile MiniC programs to executable Python.
+"""Compile a Tempo residual function to Python, as its fused entry.
 
-Both the generic Sun RPC micro-layers and the Tempo residual programs are
-compiled with this backend, which gives an apples-to-apples live-Python
-performance comparison (the residual program wins because the *code* is
-simpler, not because it runs on a different substrate).
+One lowering: :func:`compile_program` compiles the entry function of a
+residual program as the module's ``entry``, its parameters bound to the
+caller's values and the message inside it (docs/SPECIALIZATION.md,
+"Fused entries"), and nothing else.  What is lowered is the program
+after :mod:`repro.minic.scalar`: one-call functions inlined, struct
+locals split into scalars, cursors turned into ``int`` offsets into the
+bytes a buffer parameter holds, dead stores dropped
+(docs/SPECIALIZATION.md, "Scalar replacement").  A function that still
+has a call, an address-of, a pointer other than such a cursor, a struct
+object or a ``for`` / ``break`` / ``continue`` after that is outside the
+*residual subset* (docs/SPECIALIZATION.md, "The residual subset"): it
+raises a :class:`~repro.errors.CompileError` that names the construct,
+and the procedure is served by the generic stack.
 
 The translation is statement-oriented.  C expressions with side effects
-(assignment expressions, ``++``, short-circuit operators with effectful
-right-hand sides) are flattened into prelude statements feeding temporary
-variables, so the generated Python is simple and debuggable.
-
-Pointers/structs/buffers are represented by :mod:`repro.minic.pyruntime`
-values; struct types become generated Python classes with ``__slots__``.
-What is lowered is the program after :mod:`repro.minic.scalar`: one-call
-functions inlined, struct locals split into scalars, cursors turned into
-``int`` offsets into the bytes a buffer parameter holds, dead stores
-dropped (docs/SPECIALIZATION.md, "Scalar replacement").
+(assignment expressions, ``++``) are flattened into prelude statements
+feeding temporary variables, so the generated Python is simple and
+debuggable.
 
 The lowering is type-directed (docs/SPECIALIZATION.md, "Lowering rules
 and the in-range invariant"): every integer object holds a value of its
 declared type, so a wrap is emitted — inline — only where a value may
 leave its type's range; tests are Python booleans, counted loops
 ``for ... in range``, cursor runs one precompiled ``struct`` call.
-
-A :class:`FusedEntry` makes one function the module's ``entry``: the
-residual function itself, its parameters bound to the caller's values
-and the message inside it (docs/SPECIALIZATION.md, "Fused entries").
 """
 
 import collections
@@ -35,26 +33,18 @@ import re
 
 from repro.errors import CompileError
 from repro.minic import ast
-from repro.minic import builtins
-from repro.minic import pyruntime as _rt
 from repro.minic import scalar
 from repro.minic import types as ct
-from repro.minic.interp import _address_taken_names
 from repro.minic.pretty import pretty_expr
 from repro.minic.typecheck import typecheck_program
 
-_RT = "_rt"
+#: the ``struct`` format of an integer view: (width, signed)
+_PACK_FMT = {(4, True): ">i", (4, False): ">I", (2, True): ">h",
+             (2, False): ">H", (1, True): ">b", (1, False): ">B"}
 
-_BUILTIN_MAP = {
-    "htons": f"{_RT}.htons",
-    "ntohs": f"{_RT}.ntohs",
-    "bzero": f"{_RT}.bzero",
-    "memcpy": f"{_RT}.memcpy",
-    "abort": f"{_RT}.c_abort",
-    # Resolved inside the generated module namespace; callers inject a
-    # real transport via CompiledModule.attach_network().
-    "net_sendrecv": "_net_sendrecv",
-}
+#: the byte-order conversions: the identity on MiniC's big-endian
+#: abstract machine, so the only calls the subset keeps
+_IDENTITY = frozenset(("htonl", "ntohl"))
 
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
 
@@ -134,53 +124,38 @@ _LoopSpan = collections.namedtuple("_LoopSpan", "base trips counter")
 
 def _pure(node):
     """Whether evaluating ``node`` can neither fault nor have an
-    effect: literals, locals, ``.`` members and arithmetic that does not
-    divide."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Binary):
-            if child.op in ("/", "%"):
-                return False
-        elif isinstance(child, ast.Unary):
-            if child.op in ("*", "&"):
-                return False
-        elif isinstance(child, ast.Member):
-            if child.arrow:
-                return False
-        elif not isinstance(child, (ast.IntLit, ast.Var, ast.Cast, ast.Cond,
-                                    ast.SizeOf)):
-            return False
-    return True
+    effect: literals, locals and arithmetic."""
+    return all(isinstance(child, (ast.IntLit, ast.Var, ast.Cast, ast.SizeOf,
+                                  ast.Binary))
+               or isinstance(child, ast.Unary) and child.op != "*"
+               for child in ast.walk(node))
 
 
-def _struct_class_name(name):
-    return f"S_{name}"
+def _default(ctype):
+    """The initial value of a local of type ``ctype``."""
+    if isinstance(ctype, ct.ArrayType):
+        return f"[0] * {ctype.length}"
+    return "0"
 
 
 class _FuncCompiler:
-    """Compiles one FuncDef into Python source lines."""
+    """Compiles a fused entry's function into Python source lines."""
 
-    def __init__(self, module, func, typeinfo, called, sizes=None,
-                 fused=None, split=None):
+    def __init__(self, module, func, typeinfo, fused, split):
         self.module = module
         self.func = func
-        self.typeinfo = typeinfo
         self.types = typeinfo.expr_types
         self.lines = []
-        #: a fused entry's body runs inside its fault handler
-        self.top = self.depth = 1 if fused is None else 2
+        #: the body runs inside the entry's fault handler
+        self.top = self.depth = 2
         #: the fused entry this function is (:class:`FusedEntry`), and
         #: its struct parameters split into one local per field
-        self.fused, self.split = fused, split or {}
+        self.fused, self.split = fused, split
         self.temp_counter = 0
         #: stack of scope dicts: MiniC name -> python name
         self.scopes = [{}]
         #: python names already used in this function
         self.used_names = set()
-        #: MiniC locals that are boxed because their address is taken
-        self.boxed = set()
-        #: loop context stack: "while" (continue ok) or "for" (see below)
-        self.loop_stack = []
-        self.address_taken = _address_taken_names(func)
         #: uses of each variable in the function, and those that are
         #: not a dead store (counted on demand)
         self._var_uses = self._live_uses = None
@@ -192,24 +167,23 @@ class _FuncCompiler:
         #: the split locals of a fused entry's result, those its answer
         #: reads, and what it reads for a local whose one store it took
         self._result_arrays = {
-            local for name, binding in (fused.bindings.items()
-                                        if fused else ())
+            local for name, binding in fused.bindings.items()
             if binding[0] == "result" for local
             in self.split.get(name, {}).values()}
+        self._declared = (set(scalar._declared(func.body))
+                          | {param.name for param in func.params})
+        #: promoted cursor -> its base parameter; buffer parameter ->
+        #: whether the function stores through it
+        self.cursors, self.buffers = scalar.cursors(func)
+        self._check_subset()
         self._outputs, self._held = self._answer_reads(), {}
         self.live = scalar.Liveness(func, self._outputs)
-        #: promoted cursor -> its base parameter; buffer parameter ->
-        #: whether the function stores through it (none in a function
-        #: the program calls: its callers pass pointers)
-        self.cursors, self.buffers = scalar.cursors(func, not called)
-        if fused is not None:
-            sizes = {name: binding[-1] for name, binding
-                     in fused.bindings.items()
-                     if binding[0] in ("message", "fresh")}
-        #: buffer parameter -> its exact byte length, where the caller
-        #: fixes it (a fused entry's size guard)
-        self.sizes = {name: size for name, size in (sizes or {}).items()
-                      if name in self.buffers}
+        #: buffer parameter -> its exact byte length (the entry's size
+        #: guard fixes it)
+        self.sizes = {name: binding[-1] for name, binding
+                      in fused.bindings.items()
+                      if binding[0] in ("message", "fresh")
+                      and name in self.buffers}
         #: a fresh reply buffer -> the line allocating it, while one
         #: whole pack may still be what it holds (:meth:`_emit_cursor_run`)
         self._fresh = {}
@@ -224,14 +198,12 @@ class _FuncCompiler:
         #: local array -> its store sites, for the arrays only ever
         #: indexed (no pointer to one is taken); those read so far
         self._arrays = self._bare_arrays(func)
-        self._declared = (set(scalar._declared(func.body))
-                          | {param.name for param in func.params})
         self._touched = set()
         #: the split locals a fused entry fills before the body runs
         self._inputs = set()
-        #: local -> the word it was loaded from and not yet stored, and
-        #: field -> the word just stored in it (:meth:`_emit_words_run`)
-        self._subst, self._stored = {}, {}
+        #: local -> the word it was loaded from and not yet stored
+        #: (:meth:`_emit_words_run`), or the value it is bound to
+        self._subst = {}
         #: what is known before emission, where the buffers' lengths
         #: are (:meth:`_known_values`): the cursors at one known offset
         #: wherever they are read (their stores are gone, each read is
@@ -244,23 +216,18 @@ class _FuncCompiler:
             self._entries = (self._known_values() if self.sizes else
                              (frozenset(), {}, {}, {}, {}))
 
-    def _bare_arrays(self, func):
-        """Local array -> its store sites, for the local arrays only
-        ever indexed (no pointer to one is taken)."""
-        arrays = {node.name for node in ast.walk(func.body)
-                  if isinstance(node, ast.Decl)
-                  and isinstance(node.ctype, ct.ArrayType)}
-        sites = collections.Counter()
-        for node in ast.walk(func.body):
-            for child in node.children():
-                if isinstance(child, ast.Var) and child.name in arrays and not (
-                        isinstance(node, ast.Index) and child is node.obj):
-                    arrays.discard(child.name)  # it decays to a pointer
-            if (isinstance(node, (ast.Assign, ast.IncDec))
-                    and isinstance(node.target, ast.Index)
-                    and isinstance(node.target.obj, ast.Var)):
-                sites[node.target.obj.name] += 1
-        return {name: sites[name] for name in arrays}
+    @staticmethod
+    def _bare_arrays(func):
+        """Local array -> its store sites (in the subset an array is
+        only ever indexed: no pointer to one is taken)."""
+        sites = collections.Counter(
+            node.target.obj.name for node in ast.walk(func.body)
+            if isinstance(node, (ast.Assign, ast.IncDec))
+            and isinstance(node.target, ast.Index)
+            and isinstance(node.target.obj, ast.Var))
+        return {node.name: sites[node.name] for node in ast.walk(func.body)
+                if isinstance(node, ast.Decl)
+                and isinstance(node.ctype, ct.ArrayType)}
 
     # -- emit helpers ---------------------------------------------------
 
@@ -275,8 +242,6 @@ class _FuncCompiler:
         for scope in reversed(self.scopes):
             if minic_name in scope:
                 return scope[minic_name]
-        if minic_name in self.module.global_names:
-            return self.module.global_names[minic_name]
         raise CompileError(f"undefined variable {minic_name!r}")
 
     def declare(self, minic_name):
@@ -296,8 +261,8 @@ class _FuncCompiler:
 
     @staticmethod
     def typed(text, ctype):
-        """``text`` reads an object (or a call result) of type ``ctype``:
-        every store, return and argument is wrapped, so it is in range."""
+        """``text`` reads an object of type ``ctype``: every store and
+        return is wrapped, so it is in range."""
         return _Code(text, _int_range(ctype))
 
     def wrap(self, code, ctype):
@@ -326,17 +291,7 @@ class _FuncCompiler:
 
     def compile(self):
         self.scopes.append({})
-        if self.fused is None:
-            params = [self.declare(param.name) for param in self.func.params]
-            header = (f"def {self.module.func_name(self.func.name)}"
-                      f"({', '.join(params)}):")
-            for param, name in zip(self.func.params, params):
-                if param.name in self.address_taken:
-                    self.boxed.add(name)
-                    self.emit(f"{name} = [{name}]")
-        else:
-            header = f"def entry({self.fused.params}):"
-            self._bind()
+        self._bind()
         for buffer, words in self.words.items():
             packer = self.module.packer(f">{self.sizes[buffer] // 4}i")
             self.emit(f"{words} = {packer}.unpack_from("
@@ -345,20 +300,65 @@ class _FuncCompiler:
         for name in list(self._deferred):
             self._scan(name)
         lines = [line for line in self.lines if line is not None]
-        if self.fused is None:
-            return [header] + (lines or ["    pass"])
-        return ([header] + [f"    {line}" for line in self.fused.guard]
+        return ([f"def entry({self.fused.params}):"]
+                + [f"    {line}" for line in self.fused.guard]
                 + ["    try:"] + (lines or ["        pass"])
                 + ["    except Exception:", "        pass",
                    "    return None"])
+
+    def _check_subset(self):
+        """Raise :class:`CompileError` naming the first construct of the
+        function outside the residual subset (docs/SPECIALIZATION.md,
+        "The residual subset")."""
+        pointers = set(self.cursors) | set(self.buffers)
+        globals_ = {glob.name for glob in self.module.program.globals}
+
+        def cursor(node):
+            # a cursor or buffer parameter: itself, cast, stepped, set
+            if isinstance(node, ast.Cast):
+                node = node.operand
+            elif isinstance(node, (ast.Binary, ast.Assign)):
+                node = getattr(node, "left", None) or node.target
+            return isinstance(node, ast.Var) and node.name in pointers
+
+        for node in ast.walk(self.func.body):
+            decl = isinstance(node, ast.Decl)
+            ctype = node.ctype if decl else self.types.get(node.uid)
+            what = None
+            if isinstance(node, ast.Call) and node.name not in _IDENTITY:
+                what = f"a call to {node.name}"
+            elif isinstance(node, (ast.For, ast.Break, ast.Continue)):
+                what = f"a {type(node).__name__.lower()}"
+            elif isinstance(node, ast.Unary) and node.op == "&":
+                what = "an address-of"
+            elif isinstance(node, ast.Cond):
+                what = "a conditional expression"
+            elif isinstance(node, ast.Binary) and node.op in ("/", "%"):
+                what = f"a division ({node.op})"
+            elif (isinstance(node, ast.Binary) and node.op in ("&&", "||")
+                  and scalar.has_effects(node.right)):
+                what = f"an effect right of {node.op}"
+            elif isinstance(node, ast.Var) and node.name in globals_:
+                what = f"the global {node.name}"
+            elif isinstance(ctype, ct.StructType) or (
+                    isinstance(ctype, ct.ArrayType)
+                    and not ctype.base.is_integer):
+                what = "a struct object"
+            elif isinstance(ctype, ct.PointerType) and not (
+                    node.name in self.cursors if decl else cursor(node)):
+                what = "a pointer"
+            if what is not None:
+                if decl or isinstance(node, ast.Expr):
+                    what += f" ({node.name if decl else pretty_expr(node)})"
+                raise CompileError(f"{self.func.name}: outside the residual"
+                                   f" subset: {what}")
 
     # -- a fused entry's interface ----------------------------------------
 
     def _answer_reads(self):
         """The split result locals the answer reads."""
         reads = set()
-        for name, binding in (self.fused.bindings.items()
-                              if self.fused else ()):
+        for name, binding in self.fused.bindings.items():
             if binding[0] == "result" and name in self.split:
                 fields = self.split[name]
                 binding[1](lambda field: reads.add(fields.get(field)) or "_")
@@ -370,9 +370,11 @@ class _FuncCompiler:
         to a value it never stores to stands for that value; a struct
         split into locals is filled field by field."""
         self.used_names.update(self.fused.names)
+        # a parameter name a local also declares names more than it
         stored = {node.target.name for node in ast.walk(self.func.body)
                   if isinstance(node, (ast.Assign, ast.IncDec))
-                  and isinstance(node.target, ast.Var)}
+                  and isinstance(node.target, ast.Var)} | set(
+                      scalar._declared(self.func.body))
         params = {param.name: param for param in self.func.params}
         for name, binding in self.fused.bindings.items():
             kind, value = binding[0], binding[1]
@@ -387,37 +389,18 @@ class _FuncCompiler:
                 continue
             if param is None:
                 continue  # a parameter the residual does not keep
-            if kind == "value" and name not in stored and (
-                    name not in self.address_taken):
+            if kind == "value" and name not in stored:
                 self._subst[name] = self.typed(value, param.ctype)
                 continue
-            if kind == "message" and self.buffers.get(name) is False:
+            if kind == "message" and not self.buffers.get(name):
                 self.scopes[-1][name] = value  # read in place
                 continue
             py = self.declare(name)
-            if kind == "value":
-                if name in self.address_taken:
-                    self.boxed.add(py)
-                    value = f"[{value}]"
-            elif kind == "message":
-                value = (f"bytearray({value})" if self.buffers.get(name)
-                         else f"{_RT}.BufPtr({_RT}.PyBuffer({value}),"
-                              " 0, 1, True)")
+            if kind == "message":
+                value = f"bytearray({value})"
             elif kind == "fresh":
-                if self.buffers.get(name) is None:
-                    self.emit(f"out = {_RT}.PyBuffer({value})")
-                    value, self._reply = (f"{_RT}.BufPtr(out, 0, 1, True)",
-                                          "bytes(out.data)")
-                else:
-                    self._fresh[name] = len(self.lines)
-                    value, self._reply = f"bytearray({value})", f"bytes({py})"
-            else:  # a struct the function reads or fills through
-                cls = _struct_class_name(param.ctype.base.name)
-                self.emit(f"{py} = {cls}()")
-                if kind == "fields":
-                    for line in value(lambda field: f"{py}.{field}"):
-                        self.emit(line)
-                continue
+                self._fresh[name] = len(self.lines)
+                value, self._reply = f"bytearray({value})", f"bytes({py})"
             self.emit(f"{py} = {value}")
 
     def _fused_return(self, value):
@@ -443,24 +426,17 @@ class _FuncCompiler:
         for name, binding in self.fused.bindings.items():
             if binding[0] != "result":
                 continue
-            if name in self.split:
-                fields = self.split[name]
-                struct = next(param.ctype.base for param in self.module.program
-                              .func(self.func.name).params if param.name == name)
+            fields = self.split[name]
+            struct = next(param.ctype.base for param in self.module.program
+                          .func(self.func.name).params if param.name == name)
 
-                def read(field):
-                    local = fields.get(field)
-                    if local is None:  # never stored: its initial value
-                        return self.module.default_value(
-                            struct.field_type(field))
-                    self._touched.add(local)
-                    return (self._held.get(local)
-                            or self._subst.get(local) or self.py_name(local))
-            else:
-                py = self.py_name(name)
-
-                def read(field):
-                    return f"{py}.{field}"
+            def read(field):
+                local = fields.get(field)
+                if local is None:  # never stored: its initial value
+                    return _default(struct.field_type(field))
+                self._touched.add(local)
+                return (self._held.get(local)
+                        or self._subst.get(local) or self.py_name(local))
             lines, value = binding[1](read)
             for line in lines:
                 self.emit(line)
@@ -485,8 +461,6 @@ class _FuncCompiler:
     def expr(self, node):
         if isinstance(node, ast.IntLit):
             return _Code(repr(node.value), (node.value, node.value))
-        if isinstance(node, ast.StrLit):
-            return repr(node.value)
         if isinstance(node, ast.Var):
             if node.name in self.buffers:
                 return _Code("0", (0, 0))  # a cursor's start offset
@@ -499,10 +473,7 @@ class _FuncCompiler:
                 return _Code(self._held[node.name])
             if node.name in self._arrays:
                 self._touched.add(node.name)
-            name = self.py_name(node.name)
-            if name in self.boxed:
-                name = f"{name}[0]"
-            return self.typed(name, self.type_of(node))
+            return self.typed(self.py_name(node.name), self.type_of(node))
         if isinstance(node, ast.Unary):
             return self._unary(node)
         if isinstance(node, ast.Binary):
@@ -512,24 +483,17 @@ class _FuncCompiler:
         if isinstance(node, ast.IncDec):
             return self._incdec(node)
         if isinstance(node, ast.Call):
-            return self._call(node)
-        if isinstance(node, ast.Member):
-            obj = self.expr(node.obj)
-            return self.typed(f"{obj}.{node.field}", self.type_of(node))
+            # ``htonl`` / ``ntohl``: the conversion to u_long the
+            # argument has already had
+            return self.wrap(self.expr(node.args[0]), ct.U_LONG)
         if isinstance(node, ast.Index):
             if node.uid in self._elements:
                 return self._elements[node.uid]
             base = self.expr(node.obj)
             index = self.expr(node.index)
-            if isinstance(self.type_of(node.obj), ct.ArrayType):
-                return self.typed(f"{base}[{index}]", self.type_of(node))
-            return self.typed(
-                f"{_RT}.ptr_add({base}, {index}).get()", self.type_of(node)
-            )
+            return self.typed(f"{base}[{index}]", self.type_of(node))
         if isinstance(node, ast.Cast):
-            return self._cast(node)
-        if isinstance(node, ast.Cond):
-            return self._cond(node)
+            return self.wrap(self.expr(node.operand), node.ctype)
         if isinstance(node, ast.SizeOf):
             size = node.ctype.size()
             return _Code(repr(size), (size, size))
@@ -541,9 +505,7 @@ class _FuncCompiler:
         if isinstance(node, ast.Unary) and node.op == "!":
             return self.cond(node.operand, not negate)
         if isinstance(node, ast.Binary) and node.op in _NEGATED:
-            left, right, pointers = self._operands(node)
-            if pointers and node.op not in ("==", "!="):
-                raise CompileError(f"unsupported pointer operation {node.op!r}")
+            left, right = self.expr(node.left), self.expr(node.right)
             op = _NEGATED[node.op] if negate else node.op
             return f"{_p(left)} {op} {_p(right)}"
         if (
@@ -555,8 +517,6 @@ class _FuncCompiler:
             test = f"({self.cond(node.left)}) {joiner} ({self.cond(node.right)})"
             return f"not ({test})" if negate else test
         value = self.expr(node)
-        if isinstance(self.type_of(node), (ct.PointerType, ct.ArrayType)):
-            value = f"{_RT}.truthy({value})"
         return f"not {_p(value)}" if negate else value
 
     def _truth_value(self, node):
@@ -564,24 +524,13 @@ class _FuncCompiler:
         return _Code(f"(1 if {self.cond(node)} else 0)", (0, 1))
 
     def _unary(self, node):
-        if node.op == "&":
-            return self._address_of(node.operand)
         if node.op == "!":
             return self._truth_value(node)
         if node.op == "*":
-            access = self._cursor_access(node.operand)
-            if access is not None:
-                packer, where = access
-                return self.typed(f"{packer}.unpack_from({where})[0]",
-                                  self.type_of(node))
+            packer, where = self._cursor_access(node.operand)
+            return self.typed(f"{packer}.unpack_from({where})[0]",
+                              self.type_of(node))
         operand = self.expr(node.operand)
-        if node.op == "*":
-            pointer_type = self.type_of(node.operand)
-            if isinstance(pointer_type, ct.PointerType) and isinstance(
-                pointer_type.base, ct.StructType
-            ):
-                return operand  # struct pointers are the object itself
-            return self.typed(f"{operand}.get()", self.type_of(node))
         fits = getattr(operand, "fits", None)
         if node.op == "-":
             fits = fits and (-fits[1], -fits[0])
@@ -594,93 +543,29 @@ class _FuncCompiler:
         )
 
     def _cursor_access(self, pointer):
-        """``(packer, "data, offset")`` of ``*pointer`` when ``pointer``
-        is a promoted cursor, as itself or cast; None otherwise."""
+        """``(packer, "data, offset")`` of ``*pointer``, ``pointer`` a
+        promoted cursor, as itself or cast (the subset has no other)."""
         var = pointer.operand if isinstance(pointer, ast.Cast) else pointer
-        if not (isinstance(var, ast.Var) and var.name in self.cursors):
-            return None
         ctype = self.type_of(pointer).base
-        packer = self.module.packer(_rt.PACK_FMT[ctype.width, ctype.signed])
+        packer = self.module.packer(_PACK_FMT[ctype.width, ctype.signed])
         data = self.py_name(self.cursors[var.name])
         return packer, f"{data}, {self.expr(var)}"
 
-    def _address_of(self, target):
-        if isinstance(target, ast.Var):
-            name = self.py_name(target.name)
-            ttype = self.type_of(target)
-            if isinstance(ttype, ct.ArrayType):
-                return f"{_RT}.ElemPtr({name}, 0)"
-            if isinstance(ttype, ct.StructType):
-                return name
-            if name not in self.boxed:
-                raise CompileError(
-                    f"address of unboxed local {target.name!r}"
-                    " (address-taken analysis missed it)"
-                )
-            return f"{_RT}.VarPtr({name})"
-        if isinstance(target, ast.Member):
-            obj = self.expr(target.obj)
-            ftype = self.type_of(target)
-            if isinstance(ftype, (ct.StructType,)):
-                return f"{obj}.{target.field}"
-            if isinstance(ftype, ct.ArrayType):
-                return f"{_RT}.ElemPtr({obj}.{target.field}, 0)"
-            return f"{_RT}.FieldPtr({obj}, {target.field!r})"
-        if isinstance(target, ast.Index):
-            base = self.expr(target.obj)
-            index = self.expr(target.index)
-            if isinstance(self.type_of(target.obj), ct.ArrayType):
-                return f"{_RT}.ElemPtr({base}, {index})"
-            return f"{_RT}.ptr_add({base}, {index})"
-        if isinstance(target, ast.Unary) and target.op == "*":
-            return self.expr(target.operand)
-        raise CompileError(f"cannot take address of {target!r}")
-
-    def _operands(self, node):
-        """Both operands of a binary node (arrays decayed to pointers)
-        and whether either is a pointer."""
-        sides = []
-        pointers = False
-        for side in (node.left, node.right):
-            code = self.expr(side)
-            side_type = self.type_of(side)
-            if isinstance(side_type, ct.ArrayType):
-                code = f"{_RT}.ElemPtr({code}, 0)"
-            pointers |= isinstance(side_type, (ct.PointerType, ct.ArrayType))
-            sides.append(code)
-        return sides[0], sides[1], pointers
-
     def _binary(self, node):
         op = node.op
-        if op in ("&&", "||"):
-            return self._short_circuit(node)
-        if op in _NEGATED:
+        if op in _NEGATED or op in ("&&", "||"):
             return self._truth_value(node)
-        left, right, pointers = self._operands(node)
-        if not pointers:
+        left, right = self.expr(node.left), self.expr(node.right)
+        if not isinstance(self.type_of(node.left), ct.PointerType):
             return self._int_binary(op, left, right, self.type_of(node))
-        left_ptr = isinstance(
-            self.type_of(node.left), (ct.PointerType, ct.ArrayType)
-        )
-        if isinstance(node.left, ast.Var) and node.left.name in self.cursors:
-            # offsets into one buffer: ``p + c`` and ``p - q`` in bytes
-            fits = [getattr(side, "fits", None) for side in (left, right)]
-            if all(fit and fit[0] == fit[1] for fit in fits):
-                value = (fits[0][0] + fits[1][0] if op == "+"
-                         else fits[0][0] - fits[1][0])
-                return _Code(repr(value), (value, value))
-            return f"{left} {op} {_p(right)}"
-        if op == "+":
-            if left_ptr:
-                return f"{_RT}.ptr_add({left}, {right})"
-            return f"{_RT}.ptr_add({right}, {left})"
-        if op == "-":
-            if isinstance(
-                self.type_of(node.right), (ct.PointerType, ct.ArrayType)
-            ):
-                return f"{_RT}.ptr_diff({left}, {right})"
-            return f"{_RT}.ptr_add({left}, -({right}))"
-        raise CompileError(f"unsupported pointer operation {op!r}")
+        # a cursor's offset into its buffer: ``p + c`` and ``p - q`` in
+        # bytes (the subset has no other pointer arithmetic)
+        fits = [getattr(side, "fits", None) for side in (left, right)]
+        if all(fit and fit[0] == fit[1] for fit in fits):
+            value = (fits[0][0] + fits[1][0] if op == "+"
+                     else fits[0][0] - fits[1][0])
+            return _Code(repr(value), (value, value))
+        return f"{left} {op} {_p(right)}"
 
     def _int_binary(self, op, left, right, result_type):
         if op in ("+", "-", "*", "&", "|", "^"):
@@ -694,10 +579,6 @@ class _FuncCompiler:
                                       lfits[1] + rfits[1]))
         elif op == "<<":
             value = f"{_p(left)} << ({_p(right)} & 31)"
-        elif op == "/":
-            value = f"{_RT}.c_div({left}, {right})"
-        elif op == "%":
-            value = f"{_RT}.c_mod({left}, {right})"
         elif op == ">>":
             if not result_type.signed:
                 left = f"{_p(left)} & 0xFFFFFFFF"
@@ -705,87 +586,6 @@ class _FuncCompiler:
         else:
             raise CompileError(f"unknown binary {op!r}")
         return self.wrap(value, result_type)
-
-    def _short_circuit(self, node):
-        if not scalar.has_effects(node.right):
-            return self._truth_value(node)
-        # Effectful right side: materialize with a conditional prelude.
-        temp = self.temp()
-        self.emit(f"{temp} = 1 if {self.cond(node.left)} else 0")
-        self.emit(f"if {temp}:" if node.op == "&&" else f"if not {temp}:")
-        self.depth += 1
-        right = self.cond(node.right)
-        self.emit(f"{temp} = 1 if {right} else 0")
-        self.depth -= 1
-        return _Code(temp, (0, 1))
-
-    def _cond(self, node):
-        effectful = scalar.has_effects(node.then) or scalar.has_effects(
-            node.other
-        )
-        test = self.cond(node.cond)
-        if not effectful:
-            then = self.expr(node.then)
-            other = self.expr(node.other)
-            return f"({then} if {test} else {other})"
-        temp = self.temp()
-        self.emit(f"if {test}:")
-        self.depth += 1
-        then = self.expr(node.then)
-        self.emit(f"{temp} = {then}")
-        self.depth -= 1
-        self.emit("else:")
-        self.depth += 1
-        other = self.expr(node.other)
-        self.emit(f"{temp} = {other}")
-        self.depth -= 1
-        return temp
-
-    def _call(self, node, used=True):
-        ftype = self.typeinfo.func_types[node.name]
-        # converted to the parameter types: a parameter read is in range
-        args = [
-            self.wrap(self.expr(arg), ptype)
-            for arg, ptype in zip(node.args, ftype.params)
-        ]
-        if node.name in ("htonl", "ntohl"):
-            # The abstract machine is big-endian: the byte swap is the
-            # conversion to u_long the argument has already had.
-            return args[0]
-        if builtins.is_builtin(node.name):
-            target = _BUILTIN_MAP[node.name]
-        else:
-            target = self.module.func_name(node.name)
-        call = f"{target}({', '.join(args)})"
-        if ftype.ret.is_void or not used:
-            # Void calls in expression position still need a value.
-            self.emit(call)
-            return _Code("0", (0, 0))
-        temp = self.temp()
-        self.emit(f"{temp} = {call}")
-        return self.typed(temp, ftype.ret)
-
-    def _cast(self, node):
-        value = self.expr(node.operand)
-        target = node.ctype
-        if not isinstance(target, ct.PointerType):
-            return self.wrap(value, target)
-        source = self.type_of(node.operand)
-        if not (
-            target.base.is_integer
-            and isinstance(source, (ct.PointerType, ct.ArrayType))
-        ):
-            return value
-        view = f"{target.base.size()}, {target.base.signed}"
-        if (
-            isinstance(source.base, ct.IntType)
-            and source.base.width == target.base.width == 4
-            and source.base.signed != target.base.signed
-        ):
-            # ``(long *)ulp``: stores through the view must still leave a
-            # value of the object's own type behind.
-            view += ", True"
-        return f"{_RT}.cast_ptr({value}, {view})"
 
     # -- assignment ----------------------------------------------------------
 
@@ -799,32 +599,12 @@ class _FuncCompiler:
                 self._subst[target.name] = wrapped
                 return wrapped
             place = self.py_name(target.name)
-            if place in self.boxed:
-                place = f"{place}[0]"
-        elif isinstance(target, ast.Member):
-            place = f"{self.expr(target.obj)}.{target.field}"
-        elif isinstance(target, ast.Index) and isinstance(
-            self.type_of(target.obj), ct.ArrayType
-        ):
+        elif isinstance(target, ast.Index):
             place = f"{self.expr(target.obj)}[{self.expr(target.index)}]"
-        else:
-            if isinstance(target, ast.Index):
-                pointer = (
-                    f"{_RT}.ptr_add({self.expr(target.obj)},"
-                    f" {self.expr(target.index)})"
-                )
-            elif isinstance(target, ast.Unary) and target.op == "*":
-                access = self._cursor_access(target.operand)
-                if access is not None:
-                    packer, where = access
-                    self.emit(f"{packer}.pack_into({where}, {wrapped})")
-                    return self.typed(f"{packer}.unpack_from({where})[0]",
-                                      ttype)
-                pointer = self.expr(target.operand)
-            else:
-                raise CompileError(f"cannot store to {target!r}")
-            self.emit(f"{pointer}.set({wrapped})")
-            return self.typed(f"{pointer}.get()", ttype)
+        else:  # ``*p``, ``p`` a cursor
+            packer, where = self._cursor_access(target.operand)
+            self.emit(f"{packer}.pack_into({where}, {wrapped})")
+            return self.typed(f"{packer}.unpack_from({where})[0]", ttype)
         fits = getattr(wrapped, "fits", None)
         if fits is not None and fits[0] == fits[1]:
             self._literal_stores[place] = len(self.lines)
@@ -839,7 +619,7 @@ class _FuncCompiler:
         word = value if isinstance(value, _Word) else getattr(
             value, "pre", None)
         if not (isinstance(word, _Word) and self.depth == self.top
-                and not self.loop_stack and target.name in self.live.tracked):
+                and target.name in self.live.tracked):
             return False
         if self._live_uses is None:
             self._live_uses = collections.Counter(
@@ -852,18 +632,11 @@ class _FuncCompiler:
         """``target op= operand`` (``None``: the literal 1); returns
         (value before, re-read after)."""
         target_type = self.type_of(target)
-        before = self.temp()
+        before = self.typed(self.temp(), target_type)
         self.emit(f"{before} = {self.expr(target)}")
         # C reads the target before evaluating the operand
         value = _Code("1", (1, 1)) if operand is None else self.expr(operand)
-        if isinstance(target_type, ct.PointerType):
-            if op not in ("+", "-"):
-                raise CompileError(f"pointer {op}= unsupported")
-            delta = value if op == "+" else f"-({value})"
-            updated = f"{_RT}.ptr_add({before}, {delta})"
-        else:
-            before = self.typed(before, target_type)
-            updated = self._int_binary(op, before, value, target_type)
+        updated = self._int_binary(op, before, value, target_type)
         return before, self._store(target, updated)
 
     def _assign(self, node):
@@ -896,9 +669,8 @@ class _FuncCompiler:
         {uid of a cursor read: its offset}, {uid of a cursor read in a
         rolled element loop a run takes whole: its first word's
         offset}, {uid of a loop: {local: what it holds where the loop
-        is entered — a ``for``, after its init}})``."""
-        literals = self._declared - set(self.address_taken) - set(
-            self.cursors)
+        is entered}})``."""
+        literals = self._declared - set(self.cursors)
         offsets, spans, entries, unknown, unfit = {}, {}, {}, set(), set()
 
         def load(cursor, at, words):
@@ -1014,20 +786,11 @@ class _FuncCompiler:
                 return {name: value for name, value in ends[0].items()
                         if all(end.get(name) == value for end in ends[1:])
                         } if ends else None
-            if isinstance(node, (ast.While, ast.For)):
-                init = getattr(node, "init", None)
-                if init is not None:
-                    at = run(init, at)
-                    if at is None:
-                        return run(node, None)
+            if isinstance(node, ast.While):
                 entries[node.uid] = dict(at)
                 stores(node, at)
-                for part in (node.cond, getattr(node, "step", None)):
-                    if part is not None:
-                        reads(part, at)
+                reads(node.cond, at)
                 run(node.body, dict(at))
-                if isinstance(init, ast.Decl):
-                    at.pop(init.name, None)  # the loop's own
                 return at
             if getattr(node, "value", None) is not None:  # a return
                 reads(node.value, at)
@@ -1073,9 +836,6 @@ class _FuncCompiler:
         """Evaluate expression ``node`` for its side effects only."""
         if self._dead_store(node):
             return
-        if isinstance(node, ast.Call):
-            self._call(node, used=False)
-            return
         value = self.expr(node)
         if isinstance(node, (ast.Assign, ast.IncDec)) or value.isidentifier():
             return  # the store is the effect; its re-read is dead
@@ -1105,11 +865,8 @@ class _FuncCompiler:
         if isinstance(node, ast.While):
             self._while(node, self._entries.get(node.uid, {}))
             return
-        if isinstance(node, ast.For):
-            self._for(node)
-            return
-        if isinstance(node, (ast.Return, ast.Break, ast.Continue)):
-            self._jump(node)
+        if isinstance(node, ast.Return):
+            self._return(node)
             return
         raise CompileError(f"cannot compile statement {node!r}")
 
@@ -1119,33 +876,21 @@ class _FuncCompiler:
         self._ensure_body()
         self.depth -= 1
 
-    def _jump(self, node):
-        if isinstance(node, ast.Return):
-            if node.value is None:
-                self.emit("return None")
-            elif self.fused is not None:
-                self._fused_return(self.wrap(self.expr(node.value),
-                                             self.func.ret_type))
-            else:
-                value = self.wrap(self.expr(node.value), self.func.ret_type)
-                self.emit(f"return {value}")
-            return
-        if isinstance(node, ast.Break):
-            self._break()
+    def _return(self, node):
+        if node.value is None:
+            self.emit("return None")
         else:
-            self._continue()
+            self._fused_return(self.wrap(self.expr(node.value),
+                                         self.func.ret_type))
 
     # -- cursor batching -------------------------------------------------
     #
     # Tempo residual code marshals through a byte cursor: runs of
     #     *(long *)X = <value>;  X = X + 4;
-    # pairs (and the mirrored load form).  Translating each pair through
-    # the general pointer runtime costs several object allocations per
-    # element; recognizing whole runs and emitting one struct.pack_into /
-    # unpack_from is the Python analogue of what ``gcc -O2`` does to the
-    # residual straight-line C in the paper.  A run may be one word long:
-    # through the pointer runtime a word costs two cursor objects and
-    # ~105 bytecodes, through ``struct`` one object and ~40.
+    # pairs (and the mirrored load form).  Recognizing whole runs and
+    # emitting one struct.pack_into / unpack_from is the Python analogue
+    # of what ``gcc -O2`` does to the residual straight-line C in the
+    # paper.  A run may be one word long.
 
     def _stmts_with_batching(self, stmts, guards=True):
         index = 0
@@ -1178,8 +923,7 @@ class _FuncCompiler:
         if not (store is not None and isinstance(store.target, ast.Var)
                 and store.target.name in self.live.tracked
                 and _pure(store.value)) or any(
-                    isinstance(node, ast.Member) or isinstance(node, ast.Var)
-                    and node.name in self.cursors
+                    isinstance(node, ast.Var) and node.name in self.cursors
                     for node in ast.walk(store.value)):
             return None
         run = self._collect_cursor_run(stmts, index + 1, guards)
@@ -1346,17 +1090,14 @@ class _FuncCompiler:
         has no effect and reads no memory, so not the cursor either —
         which a guarded run stores late."""
         if not (isinstance(stmt, ast.If) and stmt.other is None
-                and self._exit(stmt.then, cursor_text)):
+                and self._exit(stmt.then)):
             return False
         for node in ast.walk(stmt.cond):
             if isinstance(node, ast.Var):
                 if node.name == cursor_text or not self._local(node.name):
                     return False
             elif isinstance(node, ast.Unary):
-                if node.op in ("*", "&"):
-                    return False
-            elif isinstance(node, ast.Member):
-                if not self.words:  # a field read, ordered by a whole run
+                if node.op == "*":
                     return False
             elif not isinstance(node, (ast.IntLit, ast.Cast, ast.Binary)):
                 return False
@@ -1371,29 +1112,16 @@ class _FuncCompiler:
         return (store is not None and isinstance(store.target, ast.Var)
                 and store.target.name in self.live.tracked
                 and store.target.name != cursor_text and _pure(store.value)
-                and not any(isinstance(node, ast.Member)
-                            or isinstance(node, ast.Var)
+                and not any(isinstance(node, ast.Var)
                             and node.name == cursor_text
                             for node in ast.walk(store.value)))
 
-    def _exit(self, then, cursor_text):
-        """Whether ``then`` only leaves: ``return LITERAL;``, or — an
-        inlined callee's return — ``{ v = LITERAL; ... break; }`` with
-        each ``v`` a plain local other than the cursor."""
+    @staticmethod
+    def _exit(then):
+        """Whether ``then`` only leaves: ``return LITERAL;``."""
         stmts = then.stmts if isinstance(then, ast.Block) else [then]
-        if len(stmts) == 1 and isinstance(stmts[0], ast.Return):
-            return isinstance(stmts[0].value, ast.IntLit)
-        if not (stmts and isinstance(stmts[-1], ast.Break)):
-            return False
-        for stmt in stmts[:-1]:
-            store = self._plain_assign(stmt)
-            if not (store is not None
-                    and isinstance(store.value, ast.IntLit)
-                    and isinstance(store.target, ast.Var)
-                    and store.target.name != cursor_text
-                    and store.target.name not in self.address_taken):
-                return False
-        return True
+        return (len(stmts) == 1 and isinstance(stmts[0], ast.Return)
+                and isinstance(stmts[0].value, ast.IntLit))
 
     def _collect_cursor_run(self, stmts, start, guards=True):
         """Collect a maximal run of (store|load, bump) pairs and rolled
@@ -1449,29 +1177,21 @@ class _FuncCompiler:
         items = run["items"]
         count = run["words"]
         node = run["cursor"]
-        words = start = None
-        if isinstance(node, ast.Var) and node.name in self.cursors:
-            buffer = self.cursors[node.name]
-            data = self.py_name(buffer)
-            start = self.offsets.get(node.uid, self._spans.get(node.uid))
-            offset = (_Code(repr(start), (start, start))
-                      if node.name in self.static else self.expr(node))
-            advanced = f"{offset} + {{}}"
-            after = self.live.after(run["stmts"][-1])
-            if node.name in self.static:
-                words = self.words.get(buffer)
-                advanced = None
-                node = None  # its reads are literals
-            elif self._dead(node.name, after):
-                node = None  # nothing reads where the run leaves it
-        else:
-            cursor = self.temp()
-            self.emit(f"{cursor} = {self.expr(node)}")
-            data, offset = f"{cursor}.buffer.data", f"{cursor}.offset"
-            # a negative offset would reach the buffer's tail
-            self.emit(f"if {offset} < 0:")
-            self.emit(f"    {_RT}.underrun()")
-            advanced = f"{cursor}.add({{}})"
+        # the cursor is a promoted local (the subset has no other)
+        words = None
+        buffer = self.cursors[node.name]
+        data = self.py_name(buffer)
+        start = self.offsets.get(node.uid, self._spans.get(node.uid))
+        offset = (_Code(repr(start), (start, start))
+                  if node.name in self.static else self.expr(node))
+        advanced = f"{offset} + {{}}"
+        after = self.live.after(run["stmts"][-1])
+        if node.name in self.static:
+            words = self.words.get(buffer)
+            advanced = None
+            node = None  # its reads are literals
+        elif self._dead(node.name, after):
+            node = None  # nothing reads where the run leaves it
         where = f"{data}, {offset}"
         guarded = words is None and any(
             isinstance(item, ast.If) for item in items) and not (
@@ -1668,7 +1388,6 @@ class _FuncCompiler:
         bounds and cannot fault, so evaluating every term is safe)."""
         items = run["items"]
         loaded, tests, exit_ = {}, [], None
-        stored = self._stored = {}
         index = position = 0
         while index < len(items):
             item = items[index]
@@ -1709,13 +1428,9 @@ class _FuncCompiler:
             elif item.uid not in self.live.dead:
                 self._emit_tests(tests, exit_, words)
                 self._store(item, word)
-                if isinstance(item, ast.Member):
-                    # the tests after it read the word, not the field
-                    stored[pretty_expr(item)] = word
             index += 1
             position += 1
         self._emit_tests(tests, exit_, words)
-        self._stored = {}
         after = self.live.after(run["stmts"][-1])
         for name, item in loaded.items():
             code = self._subst.pop(name)
@@ -1741,11 +1456,8 @@ class _FuncCompiler:
                 word = self.expr(left.operand)
                 value = ct.wrap_int(right.value, ct.INT)
             else:
-                word, value = self._stored.get(pretty_expr(left)), None
-                if word is None:
-                    word = self.expr(left)
-                if isinstance(right, ast.IntLit):
-                    value = right.value
+                word = self.expr(left)
+                value = right.value if isinstance(right, ast.IntLit) else None
             if isinstance(word, _Word) and value is not None:
                 return word.index, op, value
         return self.cond(cond, negate)
@@ -1788,7 +1500,7 @@ class _FuncCompiler:
             texts.append(f"{words}[{index}] {op} {value}")
         self.emit(f"if {' or '.join(texts)}:")
         self.depth += 1
-        self._jump(ast.Return(exit_))
+        self._return(ast.Return(exit_))
         self.depth -= 1
         tests.clear()
 
@@ -1870,7 +1582,7 @@ class _FuncCompiler:
         if (sized and lo == 0 and hi == length and name in self._arrays
                 and (fresh or self._arrays[name] == sites)):
             init = self._default_inits.get(str(text))
-            top = self.depth == self.top and not self.loop_stack
+            top = self.depth == self.top
             if first and init is not None and top:
                 self.lines[init] = None
                 reads = self._uses_of(name) - self._arrays[name]
@@ -1886,7 +1598,7 @@ class _FuncCompiler:
             tests.append(f"len({values}) != {hi} - {lo}")
         if tests:
             self.emit(f"if {' or '.join(tests)}:")
-            self.emit(f"    {_RT}.overrun()")
+            self.emit("    return None")
         self.emit(f"{text}[{lo}:{hi}] = {values}")
         return False
 
@@ -1900,9 +1612,6 @@ class _FuncCompiler:
         if node.name in self._inputs:
             return  # declared and set where the entry binds it
         name = self.declare(node.name)
-        boxed = node.name in self.address_taken and not isinstance(
-            node.ctype, (ct.StructType, ct.ArrayType)
-        )
         if node.name in self.static and node.init is not None:
             self.expr(node.init)  # a static cursor: nothing to store
             return
@@ -1915,14 +1624,10 @@ class _FuncCompiler:
         elif node.name in self.cursors:
             init = "None"  # a NULL cursor: any use of it faults
         else:
-            init = self.module.default_value(node.ctype)
-        if boxed:
-            self.boxed.add(name)
-            self.emit(f"{name} = [{init}]")
-        else:
-            if node.init is None:
-                self._default_inits[name] = len(self.lines)
-            self.emit(f"{name} = {init}")
+            init = _default(node.ctype)
+        if node.init is None:
+            self._default_inits[name] = len(self.lines)
+        self.emit(f"{name} = {init}")
 
     # -- loops -----------------------------------------------------------------
 
@@ -1941,19 +1646,15 @@ class _FuncCompiler:
             # the test has preludes that must re-run every iteration
             self.emit(f"if not ({test}):")
             self.emit("    break")
-        self.loop_stack.append("while")
         self.stmt(node.body)
         self._ensure_body()
-        self.loop_stack.pop()
         self.depth -= 1
 
     def _is_counter(self, expr):
-        """A function-local ``int`` variable that lives in a plain Python
-        name (its address is never taken)."""
+        """A function-local ``int`` variable."""
         return (
             isinstance(expr, ast.Var)
             and _int_range(self.type_of(expr)) == _I32
-            and expr.name not in self.address_taken
             and self._local(expr.name)
         )
 
@@ -2002,29 +1703,20 @@ class _FuncCompiler:
         return None, None
 
     def _lvalue_path(self, expr, elements=True):
-        """``(variable, field, ...)`` naming a variable, a ``.``-member
-        of one or (with ``elements``) an element of such an array: two
-        such objects overlap iff one path is a prefix of the other.
-        None for anything reached through a pointer."""
-        fields = []
-        while not isinstance(expr, ast.Var):
-            if isinstance(expr, ast.Member) and not expr.arrow:
-                fields.append(expr.field)
-            elif not (
-                elements
-                and isinstance(expr, ast.Index)
-                and isinstance(self.type_of(expr.obj), ct.ArrayType)
-            ):
-                return None
+        """``(variable,)`` naming a variable or (with ``elements``) an
+        element of the array one names: two such objects overlap iff
+        one path is a prefix of the other.  None for anything else (a
+        cursor's word)."""
+        while elements and isinstance(expr, ast.Index):
             expr = expr.obj
-        return (expr.name, *reversed(fields))
+        return (expr.name,) if isinstance(expr, ast.Var) else None
 
     def _counted_loop(self, node, entry):
         """Emit ``while (i < BOUND) { body; i++; }`` as ``for i in
         range(i, BOUND)`` and return True — or return False, emitting
-        nothing, unless BOUND is a literal, a variable or a ``.``-member
-        chain of one, and nothing in the body can change it, ``i`` or
-        the trip count (no call, jump, or store through a pointer).  A
+        nothing, unless BOUND is a literal or a variable, and nothing in
+        the body can change it, ``i`` or the trip count (no return, no
+        store through a cursor, no byte-order conversion).  A
         body of the map shape (:meth:`_map_store`) is emitted with no
         loop at all (:meth:`_emit_map`)."""
         cond = node.cond
@@ -2047,9 +1739,7 @@ class _FuncCompiler:
             if frozen[-1] is None or _int_range(self.type_of(bound)) != _I32:
                 return False
         for child in itertools.chain.from_iterable(map(ast.walk, rest)):
-            if isinstance(
-                child, (ast.Call, ast.Return, ast.Break, ast.Continue)
-            ):
+            if isinstance(child, (ast.Call, ast.Return)):
                 return False
             if isinstance(child, ast.Decl) and any(
                 child.name == path[0] for path in frozen
@@ -2059,11 +1749,8 @@ class _FuncCompiler:
                 return False
             if isinstance(child, (ast.Assign, ast.IncDec)):
                 written = self._lvalue_path(child.target)
-                if written is None or isinstance(
-                    self.type_of(child.target), ct.StructType
-                ):
-                    return False
-                if any(_overlap(path, written) for path in frozen):
+                if written is None or any(_overlap(path, written)
+                                          for path in frozen):
                     return False
         mapped = self._map_store(rest, counter)
         limit = self.expr(bound)
@@ -2236,62 +1923,10 @@ class _FuncCompiler:
         at, depth, _wrapped, lines = self._deferred.pop(name)
         self.lines[at] = "\n".join("    " * depth + line for line in lines)
 
-    def _for(self, node):
-        """A ``for`` with a ``continue`` of its own (scalar replacement
-        made every other one a ``while``): ``continue`` must still run
-        the step, so the body becomes a one-trip inner loop it can
-        leave early."""
-        self.scopes.append({})
-        if isinstance(node.init, ast.Decl):
-            self._decl(node.init)
-        elif isinstance(node.init, ast.ExprStmt):
-            self._effect(node.init.expr)
-        flag = None
-        if any(isinstance(jump, ast.Break)
-               for jump in scalar.own_jumps(node.body)):
-            flag = self.temp()
-            self.emit(f"{flag} = False")
-        self.emit("while True:")
-        self.depth += 1
-        if node.cond is not None:
-            self.emit(f"if {self.cond(node.cond, negate=True)}:")
-            self.emit("    break")
-        self.emit("for _once in (0,):")
-        self.depth += 1
-        self.loop_stack.append(("for", flag))
-        self.stmt(node.body)
-        self._ensure_body()
-        self.loop_stack.pop()
-        self.depth -= 1
-        if flag is not None:
-            self.emit(f"if {flag}:")
-            self.emit("    break")
-        if node.step is not None:
-            self._effect(node.step)
-        self.depth -= 1
-        self.scopes.pop()
-
-    def _break(self):
-        if not self.loop_stack:
-            raise CompileError("break outside a loop")
-        top = self.loop_stack[-1]
-        if top != "while":
-            self.emit(f"{top[1]} = True")
-        self.emit("break")
-
-    def _continue(self):
-        if not self.loop_stack:
-            raise CompileError("continue outside a loop")
-        top = self.loop_stack[-1]
-        if top == "while":
-            self.emit("continue")
-        else:
-            self.emit("break")  # leaves the _once loop; step still runs
-
 
 #: names a MiniC identifier may not take in the generated module
 _RESERVED = frozenset(keyword.kwlist) | {
-    "_rt", "_once", "_struct", "len", "max", "min", "zip"}
+    "_struct", "len", "max", "min", "zip"}
 
 
 class FusedEntry:
@@ -2316,7 +1951,7 @@ class FusedEntry:
 
     A struct the function only reaches by ``p->f`` is split into one
     local per field (:func:`~repro.minic.scalar.split_params`); any
-    other is a struct object.  A return of ``value`` answers when
+    other is outside the residual subset.  A return of ``value`` answers when
     ``value op literal`` holds (``accepts``); every other return, and
     any exception, returns ``None``: a decline.  ``guard`` lines run
     before the fault handler; ``names`` are the Python names the
@@ -2330,200 +1965,50 @@ class FusedEntry:
         self.accepts = accepts
         self.guard = list(guard)
         self.names = set(names) | {
-            word.strip() for word in params.split(",")} | {"out"}
+            word.strip() for word in params.split(",")}
 
 
 class CompiledModule:
-    """A MiniC program compiled to a live Python namespace.
+    """A residual program's fused entry compiled to a live Python
+    namespace: ``entry`` is the function :class:`FusedEntry` names, and
+    the module keeps only what that function reaches."""
 
-    A function with one call site is inlined there (scalar
-    replacement) and not compiled on its own: :meth:`func` and
-    :meth:`call` refuse it by name (``inlined`` holds them).  With a
-    ``fused`` :class:`FusedEntry`, its function is compiled as the
-    module's ``entry`` and the module keeps only what that reaches."""
-
-    def __init__(self, program, sizes=None, fused=None):
+    def __init__(self, program, fused):
         self.program = program
-        #: buffer parameter of an entry function (one the program does
-        #: not call) -> the byte length every caller hands it: a fused
-        #: entry's size guard, as a static fact
-        self.sizes = sizes or {}
-        self.global_names = {}
         #: run format -> name of its module-level ``struct.Struct``
         self.packers = {}
-        #: function -> {its buffer parameters: whether it stores through
-        #: them}.  A buffer parameter takes the bytes object itself —
-        #: ``bytes`` when the function never stores through it, else a
-        #: ``bytearray`` — and any other pointer a ``pyruntime`` value.
-        self.buffers = {}
         # what is lowered is ``program`` after scalar replacement
         lowered = scalar.scalarize(program)
-        self.inlined = ({func.name for func in program.funcs}
-                        - {func.name for func in lowered.funcs})
-        self.source = self._generate(lowered, fused)
+        func = lowered.func(fused.name)
+        split = scalar.split_params(func, {
+            name for name, binding in fused.bindings.items()
+            if binding[0] in ("fields", "result")})
+        body = _FuncCompiler(self, func, typecheck_program(lowered), fused,
+                             split).compile()
+        head = [f"{name} = _struct.Struct({fmt!r})"
+                for fmt, name in self.packers.items()]
+        lines = ["# Generated by repro.minic.compile_py — do not edit."]
+        if head:
+            lines += ["import struct as _struct", "", *head]
+        self.source = "\n".join(lines + ["", *body, ""]) + "\n"
         self.namespace = {}
         code = compile(self.source, "<minic-compiled>", "exec")
         exec(code, self.namespace)  # noqa: S102 - our own generated code
-
-    def func_name(self, name):
-        return f"mc_{name}"
 
     def packer(self, fmt):
         """The name of the ``struct.Struct`` for ``fmt``, compiled once at
         module build rather than looked up by format string per call."""
         return self.packers.setdefault(fmt, f"_S{len(self.packers) + 1}")
 
-    def default_value(self, ctype):
-        if isinstance(ctype, ct.StructType):
-            return f"{_struct_class_name(ctype.name)}()"
-        if isinstance(ctype, ct.ArrayType):
-            if isinstance(ctype.base, ct.StructType):
-                cls = _struct_class_name(ctype.base.name)
-                return f"[{cls}() for _ in range({ctype.length})]"
-            return f"[0] * {ctype.length}"
-        if isinstance(ctype, ct.PointerType):
-            return f"{_RT}.NULL"
-        return "0"
-
-    def _generate(self, lowered, fused):
-        split = {}
-        if fused is not None:
-            split = scalar.split_params(lowered.func(fused.name), {
-                name for name, binding in fused.bindings.items()
-                if binding[0] in ("fields", "result")})
-        body = []
-        for glob in self.program.globals:
-            name = f"g_{glob.name}"
-            self.global_names[glob.name] = name
-            body.append(f"{name} = {self.default_value(glob.ctype)}")
-        if self.program.globals:
-            body.append("")
-        typeinfo = typecheck_program(lowered)
-        called = {node.name for func in lowered.funcs
-                  for node in ast.walk(func.body)
-                  if isinstance(node, ast.Call)}
-        funcs = []
-        for func in lowered.funcs:
-            called_ = func.name in called
-            compiler = _FuncCompiler(
-                self, func, typeinfo, called_,
-                None if called_ else self.sizes,
-                *((fused, split) if fused and func.name == fused.name
-                  else ()))
-            funcs.extend(compiler.compile())
-            funcs.append("")
-            self.buffers[func.name] = compiler.buffers
-        for fmt, name in self.packers.items():
-            body.append(f"{name} = _struct.Struct({fmt!r})")
-        if self.packers:
-            body.append("")
-        body = "\n".join(body + funcs) + "\n"
-        classes = {_struct_class_name(struct.name): self._struct_class(struct)
-                   for struct in self.program.structs}
-        if fused is not None:
-            # only the classes the entry reaches, and theirs
-            kept, text = {}, body
-            while True:
-                more = {name: lines for name, lines in classes.items()
-                        if name not in kept
-                        and re.search(rf"\b{name}\b", text)}
-                if not more:
-                    break
-                kept.update(more)
-                text = "\n".join(itertools.chain(*more.values()))
-            classes = {name: lines for name, lines in classes.items()
-                       if name in kept}
-        classes = "".join("\n".join(lines) + "\n\n"
-                          for lines in classes.values())
-        text = classes + body
-        lines = ["# Generated by repro.minic.compile_py — do not edit."]
-        if "_struct." in text:
-            lines.append("import struct as _struct")
-        if "_rt." in text:
-            lines.append("import repro.minic.pyruntime as _rt")
-        lines.append("")
-        if "_net_sendrecv(" in body:
-            lines += [
-                "def _net_sendrecv(out_ptr, out_len, in_ptr, in_max):",
-                "    raise _rt.InterpError('no network attached;"
-                " use CompiledModule.attach_network')",
-                "",
-            ]
-            if "_rt." not in text:
-                lines.insert(1, "import repro.minic.pyruntime as _rt")
-        return "\n".join(lines) + "\n" + text
-
-    def _struct_class(self, struct):
-        cls = _struct_class_name(struct.name)
-        field_names = ", ".join(repr(f.name) for f in struct.fields)
-        lines = [
-            f"class {cls}:",
-            f"    __slots__ = ({field_names}{',' if struct.fields else ''})",
-            "    def __init__(self):",
-        ]
-        for field in struct.fields:
-            lines.append(
-                f"        self.{field.name} = {self.default_value(field.ctype)}"
-            )
-        if not struct.fields:
-            lines.append("        pass")
-        return lines
-
-    # -- public API ----------------------------------------------------------
-
-    def func(self, name):
-        """Return the compiled Python callable for MiniC function ``name``."""
-        if name in self.inlined:
-            raise KeyError(f"{name} is inlined at its one call site and"
-                           " not compiled on its own")
-        return self.namespace[self.func_name(name)]
-
     @property
     def entry(self):
         """The fused entry (:class:`FusedEntry`)."""
         return self.namespace["entry"]
 
-    def call(self, name, *args):
-        """Call MiniC function ``name``; a buffer parameter may be
-        passed as a ``pyruntime`` pointer too (what it points at on)."""
-        function = self.func(name)
-        buffers = self.buffers[name]
-        if buffers:
-            params = self.program.func(name).params
-            args = [_rt.buffer_at(arg) if param.name in buffers else arg
-                    for param, arg in zip(params, args)]
-        return function(*args)
 
-    def new_struct(self, name):
-        return self.namespace[_struct_class_name(name)]()
-
-    def attach_network(self, network):
-        """Install a loopback transport for ``net_sendrecv``.
-
-        ``network`` is a callable taking request ``bytes`` and returning
-        reply ``bytes`` (UDP request/response semantics).
-        """
-
-        def _net_sendrecv(out_ptr, out_len, in_ptr, in_max):
-            request = bytes(
-                out_ptr.buffer.data[out_ptr.offset:out_ptr.offset + out_len]
-            )
-            reply = network(request)[:in_max]
-            in_ptr.buffer.data[in_ptr.offset:in_ptr.offset + len(reply)] = (
-                reply
-            )
-            return len(reply)
-
-        self.namespace["_net_sendrecv"] = _net_sendrecv
-
-    @staticmethod
-    def new_buffer(size):
-        return _rt.PyBuffer(size)
-
-
-def compile_program(program, sizes=None, fused=None):
-    """Compile a MiniC program; returns a :class:`CompiledModule`.
-    ``sizes`` gives the byte length of the entry functions' buffer
-    parameters that every caller fixes (:attr:`CompiledModule.sizes`);
-    ``fused`` makes one of them the module's fused entry."""
-    return CompiledModule(program, sizes, fused)
+def compile_program(program, fused):
+    """Compile the function of ``program`` that ``fused`` (a
+    :class:`FusedEntry`) names as the module's fused entry; returns a
+    :class:`CompiledModule`.  Raises :class:`CompileError` naming the
+    construct when that function is outside the residual subset."""
+    return CompiledModule(program, fused)

@@ -32,7 +32,6 @@ from repro.minic import builtins
 from repro.minic import cost
 from repro.minic import types as ct
 from repro.minic import values as rv
-from repro.minic.pyruntime import c_div, c_mod
 from repro.minic.typecheck import typecheck_program
 
 _MAX_STEPS_DEFAULT = 50_000_000
@@ -68,7 +67,22 @@ def _address_taken_names(func):
 
 # -- C integer operators --------------------------------------------------
 
-#: ``/`` and ``%`` truncate toward zero, as compiled code does
+
+def c_div(left, right):
+    """C's ``/``: truncates toward zero."""
+    if right == 0:
+        raise InterpError("division by zero")
+    quotient = abs(left) // abs(right)
+    if (left < 0) != (right < 0):
+        quotient = -quotient
+    return quotient
+
+
+def c_mod(left, right):
+    """C's ``%``: the remainder of :func:`c_div`."""
+    return left - c_div(left, right) * right
+
+
 _ARITH = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": c_div, "%": c_mod,

@@ -20,14 +20,15 @@ whole program before any Python is emitted (docs/SPECIALIZATION.md,
   parameters that are only ever such a base (*buffer parameters*: the
   compiled function takes the bytes object itself).
 
-Whatever does not qualify is left as it was and lowered as before.
+Whatever does not qualify is left as it was, and :mod:`compile_py`
+refuses a function that keeps it (docs/SPECIALIZATION.md, "The
+residual subset").
 """
 
 import collections
 
 from repro.minic import ast
 from repro.minic import types as ct
-from repro.minic.interp import _address_taken_names
 
 
 def _copy(node, rename, bound):
@@ -719,9 +720,10 @@ def _scalar(ctype):
 
 class Liveness:
     """Backward liveness of ``func``'s tracked variables — scalar locals
-    and parameters declared once whose address is never taken, and
-    whose name denotes nothing else anywhere in ``func`` (a global it
-    shadows) — over its structured statements.
+    and parameters declared once whose name denotes nothing else
+    anywhere in ``func`` (a global it shadows) — over the structured
+    statements of a function in the residual subset (no address-of, no
+    ``for``, ``break`` or ``continue``).
 
     ``after(stmt)`` / ``before(stmt)`` are the tracked names live after
     / before a statement (None for a statement this analysis did not
@@ -733,7 +735,6 @@ class Liveness:
     def __init__(self, func, exits=frozenset()):
         counts = collections.Counter(_declared(func.body))
         counts.update(param.name for param in func.params)
-        taken = _address_taken_names(func.body)
         scalars = {param.name for param in func.params
                    if _scalar(param.ctype)}
         scalars.update(node.name for node in ast.walk(func.body)
@@ -741,8 +742,7 @@ class Liveness:
         # a name is the key: each one stands for one variable only
         shadowing = _unscoped(func)
         self.tracked = {name for name in scalars
-                        if counts[name] == 1 and name not in taken
-                        and name not in shadowing}
+                        if counts[name] == 1 and name not in shadowing}
         self.exits = frozenset(exits) & self.tracked
         self._after = {}
         self._before = {}
@@ -750,7 +750,7 @@ class Liveness:
         #: with the loops' live sets at their fixpoint, decides)
         self._stores = {}
         self._used = {}
-        self._stmt(func.body, frozenset(), None)
+        self._stmt(func.body, frozenset())
         self.dead = {uid for uid, dead in self._stores.items() if dead}
 
     def after(self, stmt):
@@ -784,14 +784,13 @@ class Liveness:
             self._stores[expr.target.uid] = expr.target.name not in out
         return out | self._uses(expr)
 
-    def _stmt(self, stmt, out, loop):
-        """Live before ``stmt`` given ``out`` after it; ``loop`` is the
-        innermost loop's (live after it, live at its continue point)."""
+    def _stmt(self, stmt, out):
+        """Live before ``stmt`` given ``out`` after it."""
         self._after[stmt.uid] = out
         if isinstance(stmt, ast.Block):
             live = out
             for child in reversed(stmt.stmts):
-                live = self._stmt(child, live, loop)
+                live = self._stmt(child, live)
         elif isinstance(stmt, ast.ExprStmt):
             live = self._expr(stmt.expr, out, stmt)
         elif isinstance(stmt, ast.Decl):
@@ -800,54 +799,33 @@ class Liveness:
                 live = self._expr(ast.Assign(None, ast.Var(stmt.name),
                                              stmt.init), out)
         elif isinstance(stmt, ast.If):
-            live = self._stmt(stmt.then, out, loop)
+            live = self._stmt(stmt.then, out)
             if stmt.other is not None:
-                live = live | self._stmt(stmt.other, out, loop)
+                live = live | self._stmt(stmt.other, out)
             else:
                 live = live | out
             live = live | self._uses(stmt.cond)
         elif isinstance(stmt, ast.While):
             head = _exits(stmt.cond, out) | self._uses(stmt.cond)
             while True:
-                body = self._stmt(stmt.body, head, (out, head))
+                body = self._stmt(stmt.body, head)
                 grown = head | body
                 if grown == head:
                     break
                 head = grown
             live = head
-        elif isinstance(stmt, ast.For):
-            live = self._for(stmt, out)
         elif isinstance(stmt, ast.Return):
             live = self._uses(stmt.value) | self.exits
-        elif isinstance(stmt, ast.Break):
-            live = loop[0] if loop else out
-        elif isinstance(stmt, ast.Continue):
-            live = loop[1] if loop else out
         else:
             live = frozenset(self.tracked)
         self._before[stmt.uid] = live
         return live
 
-    def _for(self, stmt, out):
-        head = _exits(stmt.cond, out) | self._uses(stmt.cond)
-        while True:
-            step = head if stmt.step is None else (
-                self._expr(stmt.step, head) | self._uses(stmt.step))
-            body = self._stmt(stmt.body, step, (out, step))
-            grown = head | body
-            if grown == head:
-                break
-            head = grown
-        if isinstance(stmt.init, ast.Decl):
-            return self._stmt(stmt.init, head, None)
-        if isinstance(stmt.init, ast.ExprStmt):
-            return self._expr(stmt.init.expr, head)
-        return head
-
 
 def _exits(cond, out):
     """What is live where a loop with test ``cond`` ends by its test:
-    ``out``, or nothing for ``while (1)`` (only a ``break`` leaves it)."""
+    ``out``, or nothing for ``while (1)`` (which nothing in the subset
+    leaves)."""
     if cond is None or (isinstance(cond, ast.IntLit) and cond.value):
         return frozenset()
     return out
@@ -861,7 +839,7 @@ def _is_char_pointer(ctype):
             and isinstance(ctype.base, ct.IntType) and ctype.base.width == 1)
 
 
-def cursors(func, bases=True):
+def cursors(func):
     """``(cursors, buffers)`` of ``func``: ``cursors`` maps each ``char
     *`` local that can be an ``int`` offset to its base parameter,
     ``buffers`` each base parameter to whether ``func`` stores through
@@ -874,12 +852,10 @@ def cursors(func, bases=True):
     q``).  So an offset starts at 0 and only ever grows: it is ``>= 0``
     by construction, and an access past the end is the ``struct``
     call's fault.  A base is a parameter whose every use is such an
-    assignment.  With ``bases`` false no parameter is one (nor is any
-    cursor found): a function the program calls is handed pointers by
-    its callers, and only a fused entry binds bytes."""
+    assignment."""
     counts = collections.Counter(_declared(func.body))
     params = {param.name for param in func.params
-              if bases and _is_char_pointer(param.ctype)}
+              if _is_char_pointer(param.ctype)}
     parents, decls = {}, {}
     uses = collections.defaultdict(list)
     for node in ast.walk(func.body):

@@ -53,7 +53,7 @@ from collections import Counter, deque, namedtuple
 from dataclasses import dataclass
 
 from repro import obs as _obs
-from repro.errors import IdlError, VerificationError
+from repro.errors import CompileError, IdlError, VerificationError
 from repro.rpc.fastpath import ReplyHeaderTemplate
 
 logger = logging.getLogger(__name__)
@@ -326,8 +326,8 @@ class ClientCodec(VariantTable):
     adds and drops the rest.  Each swap publishes, through
     ``RpcClient.install_codec``, methods specialized to what the table
     holds: with one variant they call its fused entries directly, and
-    only a call they decline pays for the argument count, the generic
-    codec and the profile.  Only a managed table counts its hits.
+    what they decline goes to the client's codec-free half (through the
+    table, which counts and samples it, only when managed).
     """
 
     side = "client"
@@ -382,7 +382,8 @@ class ClientCodec(VariantTable):
     # -- the codec entry points -----------------------------------------
 
     def _build_one(self, xid, args):
-        return self._encode(xid, args) or self.build_request(xid, args)
+        return self._encode(xid, args) or self.client.encode_call(
+            xid, self.proc.number, args, self._arg_filter)
 
     def _build_one_counted(self, xid, args):
         out = self._encode(xid, args)
@@ -398,6 +399,7 @@ class ClientCodec(VariantTable):
             value = self._decode(data, xid, self._stubs)
             if value is not None:
                 return True, value
+            return self.client.decode_reply(data, xid, self._ret_filter)
         return self.parse_reply(data, xid)
 
     def build_request(self, xid, args):
@@ -763,6 +765,8 @@ class OnlineSpecializer:
             logger.warning("online specialization rejected by the"
                            " residual verifier: %s", exc)
             return None, "verify_failed"
+        except CompileError as exc:  # outside the residual subset
+            return None, f"outside_subset: {exc}"
         # repro: disable=overbroad-except -- a failed build is skipped and counted; the generic path keeps serving
         except Exception:
             logger.exception("online specialization build failed")

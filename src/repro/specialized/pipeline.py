@@ -8,13 +8,11 @@ This ties the whole experiment together for live use:
    the server dispatch path) to the declared invariants — program and
    procedure numbers, buffer sizes, the XDR operation, and the assumed
    bounded-array lengths (the paper's ``expected_inlen`` rewrite);
-3. the residual MiniC is compiled to Python, each residual entry
-   function compiled *as* its fused entry (:mod:`repro.specialized.
-   runtime` binds its parameters to the caller's values and the
-   message), and those entries are the codecs that plug into
-   :class:`repro.rpc.client.RpcClient` /
-   :class:`repro.rpc.svc_udp.UdpServer`; the residual programs keep
-   only the struct types their code names.
+3. each residual entry function is compiled to Python *as* its fused
+   entry (:mod:`repro.specialized.runtime` binds its parameters): those
+   entries are the codecs that plug into :class:`repro.rpc.client.
+   RpcClient` / :class:`repro.rpc.svc_udp.UdpServer`, and a residual
+   outside the subset ``compile_py`` lowers raises ``CompileError``.
 
 Replies that do not match the expected shape (wrong length, stale xid,
 error status) fall back to the generic decode path, mirroring the
@@ -71,11 +69,9 @@ class ClientSpecialization:
     """Compiled specialized client codecs for one procedure.
 
     ``marshal_result`` / ``recv_result`` are the residual programs as
-    Tempo wrote them; what runs is ``_marshal_module`` /
-    ``_recv_module``: the same programs with their bounded arrays
-    narrowed to the assumed lengths, the residual entry function
-    compiled as the fused entry (docs/SPECIALIZATION.md, "Fused
-    entries")."""
+    Tempo wrote them; what runs is ``_marshal_module`` / ``_recv_module``:
+    their entry functions, arrays narrowed to the assumed lengths,
+    compiled as fused entries (docs/SPECIALIZATION.md, "Fused entries")."""
 
     def __init__(self, pipeline, proc, arg_struct, ret_struct, arg_lens,
                  res_lens, bufsize, marshal_result, recv_result):

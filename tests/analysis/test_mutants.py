@@ -647,6 +647,19 @@ def prepended(source):
     return apply
 
 
+#: a store past the end of a local array: a fault inside the residual
+#: subset (``abort()`` is a call, outside it)
+FAULT = "int mz[1]; mz[1] = 0;"
+
+
+def on_word(index, test, then):
+    """``if (WORD test) { then }``, WORD the ``index``-th word of the
+    message, read through a cursor of its own (a byte read by index,
+    ``inbuf[k]``, is a pointer read outside the residual subset)."""
+    return (f"char *mc; mc = inbuf; mc = mc + {4 * index};"
+            f" if ((long)ntohl((u_long)*(long *)mc) {test}) {{ {then} }}")
+
+
 def drop_first_literal_store(program, entry):
     """The entry function's first store of a literal word is gone: a
     header word of the message is never written."""
@@ -683,7 +696,7 @@ class TestLadderRules:
             "marshal", prepended("return 0;"),
             [("residual-domain-reject", None)]),
         "marshal-faults": (
-            "marshal", prepended("abort();"), [("residual-bounds", None)]),
+            "marshal", prepended(FAULT), [("residual-bounds", None)]),
         "marshal-branches-on-xid": (
             "marshal", prepended("if (xid == 5) return 0;"),
             [("residual-undecidable", None)]),
@@ -694,26 +707,26 @@ class TestLadderRules:
             "recv", prepended("return 0;"),
             [("residual-domain-reject", None)]),
         "recv-faults": (
-            "recv", prepended("abort();"), [("residual-bounds", None)]),
+            "recv", prepended(FAULT), [("residual-bounds", None)]),
         "recv-branches-on-xid": (
             "recv", prepended("if (xid == 5) return 0;"),
             [("residual-undecidable", None)]),
         "recv-faults-on-a-hostile-probe": (
-            "recv", prepended("if (inbuf[7] != 1) abort();"),
+            "recv", prepended(on_word(1, "!= 1", FAULT)),
             [("residual-bounds", "wrong-mtype")]),
         "dispatch-declines": (
             "dispatch", prepended("return 0;"),
             [("residual-domain-reject", None)]),
         "dispatch-faults": (
-            "dispatch", prepended("abort();"), [("residual-bounds", None)]),
+            "dispatch", prepended(FAULT), [("residual-bounds", None)]),
         "dispatch-branches-on-an-argument-byte": (
-            "dispatch", prepended("if (inbuf[47] == 5) return 0;"),
+            "dispatch", prepended(on_word(11, "== 5", "return 0;")),
             [("residual-undecidable", None)]),
         "dispatch-leaves-a-word-unwritten": (
             "dispatch", drop_first_literal_store,
             [("residual-uninitialized", None)]),
         "dispatch-faults-only-on-a-hostile-probe": (
-            "dispatch", prepended("if (inbuf[7] != 0) abort();"), []),
+            "dispatch", prepended(on_word(1, "!= 0", FAULT)), []),
     }
 
     @pytest.mark.parametrize("name", sorted(CELLS))

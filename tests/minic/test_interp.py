@@ -34,7 +34,7 @@ class TestArithmetic:
             run("int f(int a) { return a / 0; }", "f", 1)
 
     def test_modulo_by_zero_is_the_compiled_codes_error(self):
-        # one rule for ``/`` and ``%``: repro.minic.pyruntime's
+        # one rule for ``/`` and ``%``: interp.c_div's
         with pytest.raises(InterpError, match="^division by zero$"):
             run("int f(int a) { return a % 0; }", "f", 1)
 

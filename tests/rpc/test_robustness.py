@@ -87,38 +87,27 @@ def test_valid_calls_always_answered(values):
     ]
 
 
-def test_specialized_dispatcher_survives_fuzz(sunrpc_program):
-    """The compiled specialized server must be as robust as the generic
-    one: garbage in, None (drop) out — never an exception."""
+def test_specialized_dispatcher_survives_fuzz():
+    """The compiled specialized server — its fused dispatch entry — must
+    be as robust as the generic one: garbage in, None (drop) out, never
+    an exception."""
     import struct
 
-    workload = sunrpc_program
-    result = workload.specialized_server(8)
-    from repro.minic.compile_py import compile_program
-    from repro.minic import pyruntime as rt
+    from repro.bench.workloads import WORKLOAD_IDL, WORKLOAD_IMPL
+    from repro.specialized import SpecializationPipeline
 
-    module = compile_program(result.program)
-    params = [name for _t, name in result.residual_params]
-
-    def dispatch(data):
-        in_buffer = rt.PyBuffer(data)
-        out_buffer = rt.PyBuffer(8800)
-        values = {
-            "inbuf": rt.BufPtr(in_buffer),
-            "inlen": len(data),
-            "outbuf": rt.BufPtr(out_buffer),
-            "outsize": 8800,
-        }
-        return module.call(
-            result.entry_name, *[values[name] for name in params]
-        )
-
+    pipeline = SpecializationPipeline(WORKLOAD_IDL,
+                                      impl_sources=[WORKLOAD_IMPL])
+    lens = {"vals": 8}
+    server = pipeline.specialize_server("SENDRECV", arg_lens=lens,
+                                        res_lens=lens)
     for blob in (
         b"",
         b"\x00" * 4,
         b"\xff" * 100,
         struct.pack(">IIIIII", 1, 0, 2, 0x20000321, 1, 1),
         struct.pack(">II", 7, 1) + b"\x00" * 60,
+        b"\xff" * server.expected_request,
+        b"\x00" * server.expected_request,
     ):
-        outlen = dispatch(blob)
-        assert outlen == 0  # dropped, like the generic path
+        assert server.residual_reply(blob) is None  # declined, like a drop

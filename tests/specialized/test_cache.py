@@ -83,7 +83,7 @@ class TestOptionsInTheKey:
         def build():
             pipeline = SpecializationPipeline(
                 IDL, impl_sources=[IMPL], cache_dir=str(tmp_path),
-                options=Options(max_unroll=3))
+                options=Options(roll=True, max_unroll=3))
             pipeline.specialize_client("BOUNCE", arg_lens=LENS,
                                        res_lens=LENS)
             return pipeline.cache

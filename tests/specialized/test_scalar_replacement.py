@@ -1,16 +1,21 @@
 """Scalar replacement on the live codecs (docs/SPECIALIZATION.md,
 "Scalar replacement"): what the lowering leaves of C's object model,
-and the fused entries on hostile messages of exactly the length their
+what it refuses (docs/SPECIALIZATION.md, "The residual subset"), and
+the fused entries on hostile messages of exactly the length their
 guard admits — each must serve what the generic path serves, or
 decline."""
+
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CompileError
 from repro.rpc import SvcRegistry
 from repro.rpc.client import RpcClient
-from repro.specialized import SpecializationPipeline
+from repro.specialized import (OnlinePolicy, OnlineSpecializer,
+                               SpecializationPipeline)
 from repro.tempo.specializer import Options
 
 from tests.tempo.test_induction import IDL, IMPL, PROC, PROG, VERS, lens
@@ -62,53 +67,66 @@ def test_no_object_model_is_left(specs, n):
         assert "PyBuffer(" not in module.source
 
 
-def test_what_does_not_qualify_is_lowered_as_before(generic):
-    """A residual specialized without context sensitivity keeps one
-    copy of each helper for all of its call sites, so ``xdr_long`` is
-    called from several and is not inlined, and the XDR handle — with
-    the cursor in it — escapes to it.  The server residual then takes
-    ``pyruntime`` pointers and the entries bind the message wrapped, as
-    they did before scalar replacement — and still pass the gate and
-    serve the generic path's bytes."""
-    pipeline = SpecializationPipeline(
-        IDL, impl_sources=[IMPL], options=Options(context_sensitive=False))
-    client = pipeline.specialize_client("SENDRECV", **lens(20))
-    server = pipeline.specialize_server("SENDRECV", **lens(20))
-    assert server._module.buffers[server.result.entry_name] == {}
-    assert "S_XDR()" in server._module.source
-    assert "inbuf = _rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)" in \
-        server._module.source
-    assert "outbuf = _rt.BufPtr(out, 0, 1, True)" in server._module.source
-    assert "inbuf = _rt.BufPtr(_rt.PyBuffer(data), 0, 1, True)" in \
-        client._recv_module.source
-    stubs = pipeline.stubs
-    args = stubs.intarr(vals=list(range(20)))
-    request = generic[0].build_call(3, PROC, args, stubs.xdr_intarr)
-    reply = generic[1].dispatch_bytes(request)
-    assert client.build_request(3, args) == request
-    assert server.residual_reply(request) == reply
-    assert client.decode_reply(reply, 3).vals == [v + 1 for v in range(20)]
+#: the pipelines whose residuals keep what the lowering does not have:
+#: without context sensitivity ``xdr_long`` keeps one copy for all its
+#: call sites, so it stays a call, and the XDR handle — the cursor in
+#: it — escapes to it; with ``max_unroll`` below the array length the
+#: rolled element loops reach the arrays through ``long *`` pointers
+OUTSIDE = {
+    "context-insensitive": (Options(context_sensitive=False), "a pointer"),
+    "partly-unrolled": (Options(max_unroll=3), "a pointer|an address-of"),
+}
 
 
-def test_a_partly_unrolled_residual_builds_and_serves(generic):
-    """With ``max_unroll`` below the array length the handler's loop
-    stays rolled, so its stores give the result's array a residual
-    identity while the result struct has none yet; the struct later
-    handed to the reply encoder reaches that array through itself
-    (``t_intarr_3.vals``), not through a local of the caller's.  Both
-    sides build, pass the gate and serve the generic path's bytes."""
+@pytest.mark.parametrize("options, construct", OUTSIDE.values(),
+                         ids=list(OUTSIDE))
+def test_a_residual_outside_the_subset_is_refused(options, construct):
     pipeline = SpecializationPipeline(IDL, impl_sources=[IMPL],
-                                      options=Options(max_unroll=3))
-    client = pipeline.specialize_client("SENDRECV", **lens(20))
-    server = pipeline.specialize_server("SENDRECV", **lens(20))
-    assert "t_arr" not in server.result.pretty()
+                                      options=options)
+    for build in (pipeline.specialize_client, pipeline.specialize_server):
+        with pytest.raises(CompileError, match="outside the residual"
+                           f" subset: ({construct})"):
+            build("SENDRECV", **lens(20))
+
+
+@pytest.mark.parametrize("options, construct", OUTSIDE.values(),
+                         ids=list(OUTSIDE))
+def test_an_online_specializer_skips_it_and_the_generic_stack_answers(
+        options, construct):
+    pipeline = SpecializationPipeline(IDL, impl_sources=[IMPL],
+                                      options=options)
     stubs = pipeline.stubs
+
+    class Impl:
+        def SENDRECV(self, args):
+            return stubs.intarr(vals=[v + 1 for v in args.vals])
+
+    registry = stubs.register_IND_PROG_1(SvcRegistry(), Impl())
+    plain, client = RpcClient(PROG, VERS), RpcClient(PROG, VERS)
+    spec = OnlineSpecializer(pipeline, policy=OnlinePolicy(
+        min_calls=4, window=8, cooldown_s=0.0), enabled=True)
+    spec.attach_server(registry)
+    codec = spec.attach_client(client, "SENDRECV")
     args = stubs.intarr(vals=list(range(20)))
-    request = generic[0].build_call(3, PROC, args, stubs.xdr_intarr)
-    reply = generic[1].dispatch_bytes(request)
-    assert client.build_request(3, args) == request
-    assert server.residual_reply(request) == reply
-    assert client.decode_reply(reply, 3).vals == [v + 1 for v in range(20)]
+    for xid in range(1, 5):
+        request = client.build_call(xid, PROC, args, stubs.xdr_intarr)
+        assert request == plain.build_call(xid, PROC, args,
+                                           stubs.xdr_intarr)
+        reply = registry.dispatch_bytes(request)
+        assert client.parse_reply(reply, xid, PROC, stubs.xdr_intarr)[1] \
+            .vals == [v + 1 for v in range(20)]
+    spec.poll_once()
+    assert spec.promotions == 0 and spec.builds == 0
+    skips = [decision for decision in spec.decisions
+             if decision.action == "skip"]
+    assert {decision.side for decision in skips} == {"client", "server"}
+    for decision in skips:
+        assert re.match(f"outside_subset: .* ({construct})", decision.reason)
+    assert codec.lens == []
+    # still the generic stack: the same bytes as a client with no codec
+    request = client.build_call(9, PROC, args, stubs.xdr_intarr)
+    assert request == plain.build_call(9, PROC, args, stubs.xdr_intarr)
+    assert registry.route_for(PROG, VERS, PROC) is None
 
 
 def planted(data, word, how, value):

@@ -3,16 +3,14 @@
 Hypothesis generates marshaling-style workloads (array contents, buffer
 capacities, procedure ids) and checks that the residual program produces
 bit-identical buffers and results to the original program run on the
-full inputs — across the interpreter and the compiled-Python backend.
+full inputs.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.minic import pyruntime as rt
 from repro.minic import values as rv
-from repro.minic.compile_py import compile_program
 from repro.minic.interp import Interpreter
 from repro.minic.parser import parse_program
 from repro.tempo import Dyn, Known, PtrTo, StructOf, specialize
@@ -95,44 +93,6 @@ def test_residual_matches_original(values, tag, handy):
         result.program, result.entry_name, handy, tag, values
     )
     assert original == residual
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    values=st.lists(
-        st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=12
-    ),
-    tag=st.integers(-(2**31), 2**31 - 1),
-)
-def test_compiled_residual_matches_interpreter(values, tag):
-    result = specialize(
-        _PROGRAM,
-        "encode_msg",
-        {
-            "xdrs": PtrTo(
-                StructOf(x_op=Known(0), x_handy=Known(128),
-                         x_private=Dyn(), x_base=Dyn())
-            ),
-            "m": PtrTo(StructOf(len=Known(len(values)))),
-        },
-    )
-    _status, expected = _encode_with(
-        result.program, result.entry_name, 128, tag, values
-    )
-    module = compile_program(result.program)
-    xdrs = module.new_struct("XDR")
-    buf = module.new_buffer(128)
-    xdrs.x_op = 0
-    xdrs.x_handy = 128
-    xdrs.x_private = rt.BufPtr(buf, 0, 1)
-    xdrs.x_base = rt.BufPtr(buf, 0, 1)
-    msg = module.new_struct("msg")
-    msg.tag = tag
-    msg.len = len(values)
-    msg.vals[:len(values)] = values
-    status = module.call(result.entry_name, xdrs, msg)
-    assert status == 1
-    assert buf.bytes() == expected
 
 
 @settings(max_examples=20, deadline=None)
