@@ -148,8 +148,8 @@ METRICS = {
         " readiness wakeup (server); 1 = no batching happened"),
     "rpc.mux.wakeups": (
         "counter", "transport, side",
-        "demux/event-loop select returns — syscall pressure of the"
-        " readiness loop"),
+        "select returns of a windowed step (client) or of the event"
+        " loop (server) — syscall pressure of the readiness loop"),
     "rpc.mux.unknown_xids": (
         "counter", "transport",
         "replies bearing an xid with no pending call (late retransmit"
@@ -321,7 +321,7 @@ SPANS = {
                    " read loop (TCP)",
     "client.decode": "parsing one received payload against the"
                      " expected xid",
-    "mux.flush": "one coalesced transmit by a mux client's demux loop"
+    "mux.flush": "one coalesced transmit by a windowed step"
                  " (fields: messages, bytes)",
     "server.dispatch": "one whole dispatch_bytes, root of the server's"
                        " trace",

@@ -10,22 +10,31 @@ single obs fold, ``close()`` and fail-all.  A transport
 framing: it transmits a group of requests, receives messages, says
 whether silence means *retransmit*, and reports connection death.
 
-**One step, one driver role.**  The engine has one step — flush queued
-sends, wait until the earliest timer, drain the socket, fire timers —
-and one *driver role*, a lock, so the socket has exactly one reader at
-any time.  A synchronous :meth:`CallEngine.call` that finds the engine
+**One step, one driver role: the waiter drives.**  The engine has one
+step — flush queued sends, wait until the earliest timer, drain the
+socket, fire timers — and one *driver role*, a lock, so the socket has
+exactly one reader.  Whoever waits takes the role when it is free and
+steps on its own thread until what it waits for happens — a
+synchronous :meth:`CallEngine.call`, a :meth:`PendingCall.result`
+(inside its own timeout), a submitter waiting for window room — with
+no thread hand-off; giving the role back, it notifies the other
+waiters and one takes over.  A synchronous call that finds the engine
 idle is *lone*: it holds its window slot with no :class:`PendingCall`,
 transmits once, blocks once in the receive under the socket's kernel
-timeout and settles on its reply — anything else hands it to the
-engine as the call it would hold after that send.  A call that finds
-the role free steps on its own thread until it resolves: no demux
-thread, no wake-up byte, no ``Condition`` round trip, and while it is
-lone (:meth:`~CallEngine._lone`) no ``select``.
-:meth:`~CallEngine.call_async` (a handle nobody is guaranteed
-to wait on) and a call that finds the role taken go through the
-*demux thread*, which starts lazily, picks up whatever an exiting
-inline driver leaves pending, and gives the role back and exits once
-the table has stayed empty for an idle step.  The windowed path is
+timeout (no ``select``) and settles on its reply — anything else hands
+it to the engine as the call it would hold after that send.  Calls
+nobody waits on (a :meth:`~CallEngine.call_async` handle only polled,
+or dropped) are the *fallback thread*'s, which the first
+``call_async`` starts: when no driver has given the role back for one
+switch interval (``sys.getswitchinterval()``) and the role is free, it
+makes one step that does not block; it exits once the table has stayed
+empty for :data:`IDLE_TICK_S`, so late duplicates are still counted.
+That is ``call_async``'s latency contract: a call nobody waits on is
+sent, read and timed out at most one switch interval later than by a
+driver asleep in ``select``, which is already how long a running
+submitter may hold the interpreter lock against any other thread.  A
+submit writes a wake-up byte only while another thread holds the role
+(it may be asleep in ``select``).  The windowed path is
 specialized to its common case the same way: a ``call_async`` with no
 deadline is staged (its xid, its request, one :class:`PendingCall`,
 one lock round that admits, queues and lowers the timer floor); a
@@ -56,8 +65,9 @@ the completed-call count and ``last_call_stats``), before any of the
 calls it settled reads as done.  A synchronous call
 emits a ``client.call`` span with ``client.encode`` / ``client.send``
 / ``client.wait`` / ``client.decode`` children; the ``rpc.mux.*``
-series and the ``mux.flush`` span describe ``call_async`` and the
-demux thread.
+series and the ``mux.flush`` span describe ``call_async``'s flushes
+and every *windowed* step (a ``result()`` waiter's, a window-admission
+waiter's, the fallback thread's), whichever thread makes it.
 """
 
 import collections
@@ -66,6 +76,7 @@ import operator
 import select
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -87,9 +98,10 @@ from repro.rpc.resilience import Deadline
 
 __all__ = ["CallEngine", "CallStats", "PendingCall"]
 
-#: longest a driver sleeps in ``select`` or a blocking receive: bounds
-#: what a wake-up that raced the lazily created wake pair, or a
-#: ``close()`` from another thread, can cost.
+#: longest a driver sleeps in ``select`` or a blocking receive (what a
+#: wake-up that raced the lazily created wake pair, or a ``close()``
+#: from another thread, can cost); how long the fallback thread reads
+#: on after the table empties
 IDLE_TICK_S = 0.2
 
 _NEVER = float("inf")
@@ -151,14 +163,10 @@ class PendingCall:
     death, ``close()``), so :meth:`result` cannot hang past the call's
     budget.
 
-    Completion is signaled through the owning client's *shared*
-    condition variable rather than a per-call ``threading.Event`` —
-    at tens of thousands of calls per second, one Event (a Condition
-    plus a Lock) per call is measurable allocation and locking cost —
-    and only when somebody waits (the engine counts its waiters).
-    ``_done`` is written under that condition's lock, after
-    ``_value``/``_error``, so the unlocked fast-path read in
-    :meth:`wait` is safe under the GIL.
+    A waiter drives the engine when the driver role is free, else it
+    sleeps on the client's one shared condition (no per-call ``Event``).
+    ``_done`` is written after ``_value``/``_error``: :meth:`wait` reads
+    it unlocked.
     """
 
     __slots__ = ("xid", "proc", "request", "xdr_res", "deadline", "stats",
@@ -194,22 +202,10 @@ class PendingCall:
         return self._done
 
     def wait(self, timeout=None):
-        """Block until resolved; True when done (like Event.wait)."""
-        if self._done:
-            return True
-        end = None if timeout is None else time.monotonic() + timeout
-        engine = self._engine
-        with engine._lock:  # the lock _cond waits on
-            engine._waiters += 1
-            try:
-                while not self._done:
-                    remaining = None if end is None else end - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        return False
-                    engine._cond.wait(remaining)
-                return True
-            finally:
-                engine._waiters -= 1
+        """Block until resolved, driving the engine when nobody else
+        does; True when done (like Event.wait)."""
+        return self._done or self._engine._await(self.done, (
+            _NEVER if timeout is None else time.monotonic() + timeout))
 
     def result(self, timeout=None):
         """The call's value; re-raises its typed error.
@@ -217,23 +213,22 @@ class PendingCall:
         ``timeout`` is a safety net for callers that want to poll — the
         engine itself bounds every call by its deadline/timeout budget.
         """
-        if not (self._done or self.wait(timeout)):
-            raise RpcTimeoutError(
-                f"call (proc={self.proc}, xid={self.xid}) still"
-                f" pending after a {timeout}s result() wait"
-            )
+        if not self._done:
+            self._waited(timeout, "result")
         if self._error is not None:
             raise self._error
         return self._value
 
     def exception(self, timeout=None):
         """The typed error the call resolved to, or None."""
-        if not self.wait(timeout):
-            raise RpcTimeoutError(
-                f"call (proc={self.proc}, xid={self.xid}) still"
-                f" pending after a {timeout}s exception() wait"
-            )
+        self._waited(timeout, "exception")
         return self._error
+
+    def _waited(self, timeout, what):
+        if not self.wait(timeout):
+            raise RpcTimeoutError(f"call (proc={self.proc}, xid={self.xid})"
+                                  f" still pending after a {timeout}s"
+                                  f" {what}() wait")
 
     def __repr__(self):
         state = ("done" if self._done else "pending")
@@ -333,8 +328,12 @@ class CallEngine(RpcClient):
         self._driver = threading.Lock()
         self._demux_thread = None
         self._demux_alive = False
+        #: when a driver last gave the role back, and how many steps
+        #: the fallback thread made (waiters made the others)
+        self._stepped = 0.0
+        self._fallback_steps = 0
         #: interrupts a driver's select when a second party queues
-        #: work; created with the demux thread, not before
+        #: work; created with the fallback thread, not before
         self._wake_r = self._wake_w = None
         #: why no new call may start (closed, connection down) or None
         self._down = None
@@ -473,41 +472,63 @@ class CallEngine(RpcClient):
                                    True)
         try:
             try:
-                self._admit(call, budget, False)
+                wake = self._admit(call, budget)
             except RpcError as exc:
                 self._unsent(call, exc)
                 raise
             if self._driver.acquire(False):
-                # Nobody else drives: send, then step on this thread
-                # until the call resolves.
-                self._send_group((call,), (call.request,), call.started,
-                                 False)
-                self._drive(call)
+                self._drive(call.done)  # nobody else drives: step here
             else:
-                with self._lock:
-                    wake = not self._sendq
-                    self._sendq.append(call)
                 self._kick(wake)
                 call.wait()
         except BaseException as exc:
             _end_call_span(call.span, exc)
             raise
-        if call.span is not None:
-            _end_call_span(call.span, call._error)
+        _end_call_span(call.span, call._error)
         if call._error is not None:
             raise call._error
         return call._value
 
-    def _drive(self, call):
-        """Driver role held: step until ``call`` resolves, then give
-        the role back."""
+    def _await(self, ready, end):
+        """Wait until ``ready()`` or ``end``; returns ``ready()``.  The
+        waiter drives: with the role free it steps on this thread, else
+        it sleeps until a completion or a driver leaving."""
+        while True:
+            if self._driver.acquire(False):
+                self._drive(ready, end, True)
+                if ready():
+                    return True
+            with self._lock:  # the lock _cond waits on
+                # counted *before* the checks: a completion or a driver
+                # leaving after them sees this waiter and notifies
+                self._waiters += 1
+                try:
+                    remaining = end - time.monotonic()
+                    if ready() or remaining <= 0:
+                        return ready()
+                    if self._driver.locked():
+                        self._cond.wait(None if end is _NEVER else remaining)
+                finally:
+                    self._waiters -= 1
+
+    def _drive(self, ready, end=_NEVER, windowed=False):
+        """Driver role held: step until ``ready()`` or ``end``."""
         try:
-            while not call._done:
-                self._step(False)
+            while not ready() and self._step(windowed, end) < end:
+                pass
         finally:
-            self._driver.release()
-            if self._pending:
-                self._kick(True)  # leftovers: the demux thread's
+            self._stepped = time.monotonic()
+            self._release()
+
+    def _release(self):
+        """Give the driver role back and notify the waiters (one takes
+        it over); calls nobody waits on are the fallback thread's."""
+        self._driver.release()
+        if self._waiters:
+            with self._lock:  # the lock _cond notifies under
+                self._cond.notify_all()
+        if self._pending and not self._demux_alive:
+            self._kick()
 
     def _handover(self, xid, proc, request, xdr_res, started, messages,
                   error):
@@ -536,7 +557,7 @@ class CallEngine(RpcClient):
                 self._connection_lost(error)
             elif messages is not None:
                 self._drain(False, messages=messages)
-        self._drive(call)
+        self._drive(call.done)
         if call._error is not None:
             raise call._error
         return call._value
@@ -587,7 +608,7 @@ class CallEngine(RpcClient):
                 if _obs.enabled:
                     _obs.registry.cells[self._series["mux_calls"]].inc()
                     self._note_inflight()
-                if wake or not self._demux_alive:
+                if wake and self._driver.locked() or not self._demux_alive:
                     self._kick(wake)
                 return call
         error = self._launch((call,), budget)
@@ -618,17 +639,14 @@ class CallEngine(RpcClient):
         return calls
 
     def _launch(self, calls, budget):
-        """Admit ``calls`` and hand them to the demux thread; the tail
-        the window refused is resolved with the error returned.  A call
-        that finds the window full first hands the admitted head to a
-        driver: only their replies can make it room."""
+        """Admit and queue ``calls`` for a driver; the tail the window
+        refused is resolved with the error returned.  A call that finds
+        the window full drives the engine itself (:meth:`_admit`),
+        which sends the admitted head first."""
         admitted, wake, error = 0, False, None
         for call in calls:
-            if wake and len(self._pending) >= self.max_inflight:
-                self._kick(True)
-                wake = False
             try:
-                wake = self._admit(call, budget, True) or wake
+                wake = self._admit(call, budget) or wake
             except RpcError as exc:
                 error = exc
                 break
@@ -725,62 +743,44 @@ class CallEngine(RpcClient):
                            now, hard_end, min(self.wait, self.max_wait),
                            span), budget
 
-    def _admit(self, call, budget, queue):
-        """Window admission: enter ``call`` into the table — and, with
-        ``queue``, the send queue — once there is room, waiting for a
-        completion to make some until ``budget`` seconds after the
-        call started (then, or if the client goes down, the typed
-        error is raised).  Returns whether the send queue went from
-        empty to non-empty: whoever drives needs a wake-up then; a
-        non-empty queue already has one coming."""
+    def _admit(self, call, budget):
+        """Window admission: enter ``call`` into the table and the send
+        queue once there is room, waiting (and driving: only replies
+        make room) until ``budget`` seconds after the call started;
+        then, or if the client goes down, the typed error is raised.
+        Returns whether the send queue went from empty to non-empty:
+        a driver on another thread needs a wake-up then; a non-empty
+        queue already has one coming."""
         pending = self._pending
-        with self._lock:  # the lock _cond waits on
-            if self._down is not None or len(pending) >= self.max_inflight:
-                self._await_room(call.started + budget, budget)
-            # no timer of this call can be due before this, and in an
-            # empty table no other is (a stale floor would cost _lone)
-            when = call.hard_end
-            if call.window and call.started + call.window < when:
-                when = call.started + call.window
-            if not pending or when < self._timer_floor:
-                self._timer_floor = when
-            pending[call.xid] = call
-            if queue:
-                wake = not self._sendq
-                self._sendq.append(call)
-                return wake
-        return False
-
-    def _await_room(self, admit_by, budget):
-        """Lock held: wait for the window to open, until ``admit_by``."""
-        # Counted *before* the check, so a completion that pops after
-        # the check cannot miss this waiter (see _complete_batch).
-        self._waiters += 1
-        try:
-            while True:
-                if self._down is not None:
-                    raise RpcConnectionError(self._down)
-                if len(self._pending) < self.max_inflight:
-                    return
-                remaining = admit_by - time.monotonic()
-                if remaining <= 0:
-                    raise RpcTimeoutError(
-                        f"window full: {self.max_inflight} call(s) already"
-                        f" in flight and none completed within"
-                        f" {budget:.3f}s")
-                self._cond.wait(remaining)
-        finally:
-            self._waiters -= 1
+        while True:
+            with self._lock:
+                if self._down is None and len(pending) < self.max_inflight:
+                    # no timer of this call is due before this, nor one
+                    # of an empty table (a stale floor would cost _lone)
+                    when = call.hard_end
+                    if call.window and call.started + call.window < when:
+                        when = call.started + call.window
+                    if not pending or when < self._timer_floor:
+                        self._timer_floor = when
+                    pending[call.xid] = call
+                    self._sendq.append(call)
+                    return len(self._sendq) == 1
+            if self._down is not None:
+                raise RpcConnectionError(self._down)
+            if not self._await(lambda: self._down is not None or len(
+                    pending) < self.max_inflight, call.started + budget):
+                raise RpcTimeoutError(
+                    f"window full: {self.max_inflight} call(s) already in"
+                    f" flight and none completed within {budget:.3f}s")
 
     # -- the driver role --------------------------------------------------
 
-    def _kick(self, wake):
-        """Queued work needs a driver other than the caller: make sure
-        the demux thread lives, and interrupt whoever is in ``select``."""
+    def _kick(self, wake=False):
+        """Make sure the fallback thread lives and, with ``wake``,
+        interrupt a driver on another thread (it may be in ``select``)."""
         if not self._demux_alive:
             with self._lock:
-                start = not self._demux_alive and self._down is None
-                if start:
+                if not self._demux_alive and self._down is None:
                     self._demux_alive = True
                     if self._wake_r is None:
                         self._wake_r, self._wake_w = socket.socketpair()
@@ -792,70 +792,78 @@ class CallEngine(RpcClient):
                     # started under the lock: _halt() must never find
                     # a thread it cannot join yet
                     self._demux_thread.start()
-        if wake and self._wake_w is not None:
+        if wake and self._wake_w is not None and self._driver.locked():
             try:
                 self._wake_w.send(b"\0")
             except OSError:
                 pass  # full pipe: a wake-up is queued; closed: shutting down
 
     def _demux(self):
-        """The demux thread: hold the driver role while anything is
-        pending and for one idle step after (late duplicates are
-        counted, a steady ``call_async`` caller does not pay a thread
-        start per call), then give it back — a lone synchronous call
-        drives itself — and exit."""
-        self._driver.acquire()
+        """The fallback thread, for calls nobody waits on: when no
+        driver has stepped for a switch interval and the role is free,
+        one step that does not block, and the role back; it exits once
+        the table has stayed empty for :data:`IDLE_TICK_S`."""
+        tick = wait = sys.getswitchinterval()
+        busy = time.monotonic()
         try:
-            idle = False
             while True:
-                self._step(True)
-                if idle or self._down is not None:
-                    with self._lock:
-                        # Checked and cleared under the lock a
-                        # submitter inserts under: it either sees this
-                        # thread alive and its call is seen here, or
-                        # starts a new one.
-                        if self._down is not None or not self._pending:
-                            self._demux_alive = False
-                            return
-                idle = not self._pending
+                time.sleep(wait)
+                now = time.monotonic()
+                wait = self._stepped + tick - now
+                if wait <= 0.0:
+                    wait = tick
+                    if self._driver.acquire(False):
+                        self._fallback_steps += 1
+                        try:
+                            self._step(True, 0.0)
+                        finally:
+                            self._release()
+                with self._lock:
+                    # Checked and cleared under the lock a submitter
+                    # inserts under: it either sees this thread alive
+                    # and its call is seen here, or starts a new one.
+                    if self._pending and self._down is None:
+                        busy = now
+                    elif self._down is not None or now - busy >= IDLE_TICK_S:
+                        self._demux_alive = False
+                        return
         except BaseException:
             self._demux_alive = False
             raise
-        finally:
-            self._driver.release()
 
-    def _lone(self, now):
+    def _lone(self, now, end):
         """May the driver wait in the receive itself?  Only with nothing
         else to watch: window 1 (nobody can queue a send meanwhile), no
-        wake pair, no unsent bytes, a call pending, and no timer due
-        within the tick the kernel timeout bounds the receive by."""
+        wake pair, no unsent bytes, a call pending, and no timer (nor
+        ``end``) due within the kernel timeout's tick."""
         return (self.max_inflight == 1 and self._wake_r is None
                 and not self._outbuf and self._pending
-                and self._timer_floor - now >= IDLE_TICK_S)
+                and min(self._timer_floor, end) - now >= IDLE_TICK_S)
 
-    def _step(self, demux):
+    def _step(self, windowed, end=_NEVER):
         """One turn of the engine, by whoever holds the driver role:
-        flush queued sends, sleep until the earliest timer — in the
-        receive when :meth:`_lone`, else in ``select`` — drain what
-        arrived, fire what is due."""
+        flush queued sends, sleep until the earliest timer or ``end`` —
+        in the receive when :meth:`_lone`, else in ``select`` — drain
+        what arrived, fire what is due.  Returns when it started."""
         now = time.monotonic()
         if self._sendq:
-            self._flush(now, demux)
+            self._flush(now, windowed)
             if not self._pending:
-                return
-        if self._lone(now):
-            self._drain(demux, 0)
+                return now
+        if self._lone(now, end):
+            self._drain(windowed, 0)
         else:
-            self._select(now, demux)
+            self._select(now, windowed, end)
         if self._pending:  # (connection death leaves nothing pending)
-            self._fire_timers(demux)
+            self._fire_timers(windowed)
+        return now
 
-    def _select(self, now, demux):
-        """Sleep in ``select`` until a timer, a reply, a wake-up or
-        room for unsent bytes is due; act on what is ready."""
-        timeout = self._timer_floor - now
-        if timeout > IDLE_TICK_S or not self._pending:
+    def _select(self, now, windowed, end):
+        """Sleep in ``select`` (a tick at most) until a timer, a reply, a
+        wake-up, room for unsent bytes or ``end``; act on what is ready."""
+        when = self._timer_floor if self._pending else _NEVER
+        timeout = (when if when < end else end) - now
+        if timeout > IDLE_TICK_S:
             timeout = IDLE_TICK_S
         elif timeout < 0.0:
             timeout = 0.0
@@ -867,11 +875,11 @@ class CallEngine(RpcClient):
         except (OSError, ValueError) as exc:
             self._connection_lost(f"socket closed: {exc}")
             return
-        if demux and _obs.enabled:
+        if windowed and _obs.enabled:
             _obs.registry.cells[self._series["wakeups"]].inc()
         for ready in readable:
             if ready is sock:
-                self._drain(demux)
+                self._drain(windowed)
             else:
                 try:
                     wake_r.recv(4096)
@@ -880,7 +888,7 @@ class CallEngine(RpcClient):
         if writable:
             self._pump()
 
-    def _flush(self, now, demux):
+    def _flush(self, now, windowed):
         """Transmit whatever is queued: one transmit when it all fits
         the transport's batch limit, else coalesced up to it."""
         with self._lock:
@@ -890,10 +898,10 @@ class CallEngine(RpcClient):
         start = 0
         for group in batch_groups(requests, self._batch_limit):
             stop = start + len(group)
-            self._send_group(calls[start:stop], group, now, demux)
+            self._send_group(calls[start:stop], group, now, windowed)
             start = stop
 
-    def _send_group(self, group, requests, now, demux):
+    def _send_group(self, group, requests, now, windowed):
         """One transmit of the ``requests`` of ``group`` — first sends
         and retransmissions alike — and the timer rule for every call
         it carried: once for the transmit when they are all untraced
@@ -901,14 +909,14 @@ class CallEngine(RpcClient):
         per call (:meth:`_arm`)."""
         send_spans = None  # flush_span is set with it, when traced
         if _obs.enabled:
-            if demux:
+            if windowed:
                 _obs.registry.cells[self._series["batch_size"]].observe(
                     len(group))
             if _obs.tracer.sinks:
                 flush_span = (_obs.span("mux.flush", side="client",
                                         transport=self._transport,
                                         messages=len(group))
-                              if demux else None)
+                              if windowed else None)
                 send_spans = [
                     call.span.child("client.send",
                                     attempt=call.stats.attempts + 1,
@@ -923,7 +931,7 @@ class CallEngine(RpcClient):
                 if flush_span is not None:
                     flush_span.end(outcome="fault")
             self._complete_batch([(call, None, exc) for call in group],
-                                 demux)
+                                 windowed)
             return
         if send_spans is not None:
             for span in send_spans:
@@ -982,7 +990,7 @@ class CallEngine(RpcClient):
                 call.span.child("client.wait", attempt=stats.attempts))
         return when
 
-    def _drain(self, demux, flags=_DONTWAIT, messages=None):
+    def _drain(self, windowed, flags=_DONTWAIT, messages=None):
         """Read and classify replies while a pending call could still
         be answered by what is queued: a lone call costs one receive,
         not one plus the ``EAGAIN`` that ends a read-until-dry loop.
@@ -999,10 +1007,10 @@ class CallEngine(RpcClient):
         except RpcProtocolError as exc:
             # Replies fully received ahead of the death resolve with
             # their real values, not in the connection-error sweep.
-            self._complete_batch(resolutions, demux)
+            self._complete_batch(resolutions, windowed)
             self._connection_lost(exc)
             return
-        self._complete_batch(resolutions, demux)
+        self._complete_batch(resolutions, windowed)
 
     def _garbage(self):
         """Count a payload that cannot be attributed to any call."""
@@ -1105,7 +1113,7 @@ class CallEngine(RpcClient):
             )
         return min(grown, self.max_wait)
 
-    def _fire_timers(self, demux):
+    def _fire_timers(self, windowed):
         now = time.monotonic()
         if now < self._timer_floor:
             return  # no timer can be due yet; skip the scan
@@ -1152,12 +1160,12 @@ class CallEngine(RpcClient):
                 stamp_deadline(call.request, call.deadline)
             if call.wait_span is not None:
                 call.wait_span.end(outcome="silent")
-            self._send_group((call,), (call.request,), now, demux)
-        self._complete_batch(resolutions, demux)
+            self._send_group((call,), (call.request,), now, windowed)
+        self._complete_batch(resolutions, windowed)
 
     # -- completion -------------------------------------------------------
 
-    def _complete_batch(self, resolutions, demux=False):
+    def _complete_batch(self, resolutions, windowed=False):
         """Resolve ``[(call, value, error), ...]``.  The pop (atomic
         under the GIL) is the ownership check: entries another path
         already resolved are skipped.  Stats fold before ``_done``, so
@@ -1185,23 +1193,16 @@ class CallEngine(RpcClient):
             call._value = value
             call._error = error
             call._done = True
-        if demux and _obs.enabled:
+        if windowed and _obs.enabled:
             self._note_inflight()
         if self._waiters:
             with self._lock:  # the lock _cond notifies under
                 self._cond.notify_all()
 
     def _finish_call(self, stats, error):
-        """The single aggregation point for per-call telemetry.
-
-        Lifetime counters and the metrics registry are updated *here
-        only*, from the finished :class:`CallStats` — never inline
-        while the call is in flight (:meth:`_classify` folds what this
-        would for the plain replies of one read, once).  That
-        guarantees one call contributes each number exactly once
-        however it ends (reply, timeout, server verdict, fault,
-        connection death).
-        """
+        """The single aggregation point for per-call telemetry (the
+        module's *Telemetry*): from the finished :class:`CallStats`, so
+        a call contributes each number exactly once however it ends."""
         self.last_call_stats = stats
         self.calls_completed += 1
         if (stats.retransmissions or stats.stale_replies
@@ -1268,7 +1269,7 @@ class CallEngine(RpcClient):
 
     def _halt(self, reason, describe):
         """Stop driving: :meth:`_refuse`, then wait for whoever holds
-        the driver role — the demux thread or a caller stepping inline
+        the driver role — the fallback thread or a waiter stepping
         — to leave it."""
         self._refuse(reason, describe)
         self._kick(True)

@@ -8,9 +8,9 @@ xids in flight instead of 1 — the same engine
 bytes.  What the window buys:
 
 * :meth:`~repro.rpc.clnt_core.CallEngine.call_async` returns a
-  :class:`PendingCall` at once, and many of them share one socket and
-  one demux thread instead of a thread each, every call keeping its
-  own adaptive retransmission schedule (UDP) and deadline;
+  :class:`PendingCall` at once, and many of them share one socket,
+  driven by whoever waits on them, every call keeping its own
+  adaptive retransmission schedule (UDP) and deadline;
 
 * **call batching**: whatever is queued when the driver flushes goes
   out as one transmit — on TCP several record-marked messages in one

@@ -8,9 +8,11 @@ out-of-order replies, duplicates after completion, a dead connection
 with N calls in flight).  Nothing hangs.
 """
 
+import collections
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 import zlib
@@ -34,6 +36,7 @@ from repro.rpc import (
     TcpServer,
     UdpServer,
 )
+from repro.rpc.clnt_core import IDLE_TICK_S
 from repro.rpc.fastpath import ReplyHeaderTemplate
 from repro.rpc.faults import FaultPlan
 from repro.rpc.mux import (
@@ -44,6 +47,8 @@ from repro.rpc.mux import (
 )
 from repro.rpc.record import RecordAssembler
 from repro.xdr import xdr_bytes, xdr_u_long
+
+from tests.rpc.test_client_core import _CountingSocket
 
 PROG, VERS = 0x20008888, 1
 PROC_INC, PROC_SLEEP_MS, PROC_BOOM, PROC_SUM = 1, 2, 3, 4
@@ -410,6 +415,117 @@ class TestMuxUdp:
             finally:
                 client.close()
 
+    def test_a_driving_waiter_keeps_its_timeout(self):
+        # The waiter drives, and its select is capped by its own end,
+        # not by the engine's idle tick.
+        with _SilentUdpPeer() as peer:
+            client = MuxUdpClient("127.0.0.1", peer.port, PROG, VERS,
+                                  timeout=5.0, wait=2.0, jitter=0)
+            try:
+                call = client.call_async(PROC_INC, 1, xdr_args=xdr_u_long,
+                                         xdr_res=xdr_u_long)
+                started = time.monotonic()
+                with pytest.raises(RpcTimeoutError, match="still pending"):
+                    call.result(0.05)
+                assert time.monotonic() - started < 0.05 + IDLE_TICK_S / 2
+                assert not call.done()
+            finally:
+                client.close()
+
+    def test_a_call_nobody_waits_on_resolves_by_the_fallback(self):
+        # Polled, never waited on: the fallback thread sends it, reads
+        # its reply and, on silence, times it out -- inside the
+        # client's timeout plus a tick.
+        with MuxUdpServer(make_registry()) as server, \
+                _SilentUdpPeer() as peer:
+            answered = MuxUdpClient("127.0.0.1", server.port, PROG, VERS,
+                                    timeout=1.0)
+            silent = MuxUdpClient("127.0.0.1", peer.port, PROG, VERS,
+                                  timeout=0.3, wait=0.1, max_wait=0.1,
+                                  jitter=0)
+            try:
+                started = time.monotonic()
+                calls = [client.call_async(PROC_INC, 7, xdr_args=xdr_u_long,
+                                           xdr_res=xdr_u_long)
+                         for client in (answered, silent)]
+                assert _await(lambda: all(c.done() for c in calls), 2.0)
+                assert time.monotonic() - started < 1.0
+                assert calls[0].result() == 8
+                assert isinstance(calls[1].exception(), RpcTimeoutError)
+                # sends at 0, 0.1 and 0.2 s, the last one the final try
+                assert calls[1].stats.attempts == 3
+                assert calls[1].stats.elapsed_s < 0.3 + 0.1
+                assert answered._fallback_steps and silent._fallback_steps
+            finally:
+                answered.close()
+                silent.close()
+
+    def test_a_sliding_window_is_driven_by_its_waiter(self):
+        # One thread, a window of 32 kept full for 10 turns: every step
+        # is the waiter's, and the fallback thread never takes the role.
+        with MuxUdpServer(make_registry()) as server:
+            client = MuxUdpClient("127.0.0.1", server.port, PROG, VERS,
+                                  timeout=5.0, max_inflight=32)
+            try:
+                window, values = collections.deque(), []
+                for i in range(10 * 32):
+                    if len(window) == 32:
+                        values.append(window.popleft().result(5.0))
+                    window.append(client.call_async(
+                        PROC_INC, i, xdr_args=xdr_u_long,
+                        xdr_res=xdr_u_long))
+                values.extend(call.result(5.0) for call in window)
+                assert values == list(range(1, 10 * 32 + 1))
+                assert client._fallback_steps == 0
+            finally:
+                client.close()
+
+    def test_waiters_on_many_threads_hand_the_role_over(self):
+        # More waiting threads than cores, each sliding its own window
+        # of handles, under a short switch interval: whoever waits
+        # drives or is handed the role, the socket keeps one reader,
+        # and no reply is lost or counted twice.
+        threads, per_thread, depth = 4, 60, 8
+        results, errors = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MuxUdpServer(make_registry(), workers=2) as server:
+                client = MuxUdpClient("127.0.0.1", server.port, PROG, VERS,
+                                      timeout=10.0, wait=0.5)
+                client.sock = counting = _CountingSocket(client.sock)
+
+                def waiter(base):
+                    try:
+                        window = collections.deque()
+                        for i in range(base, base + per_thread):
+                            if len(window) == depth:
+                                value, call = window.popleft()
+                                results.append(call.result(10.0) - value)
+                            window.append((i, client.call_async(
+                                PROC_INC, i, xdr_args=xdr_u_long,
+                                xdr_res=xdr_u_long)))
+                        results.extend(call.result(10.0) - value
+                                       for value, call in window)
+                    except Exception as exc:  # noqa: BLE001
+                        errors.append(repr(exc))
+
+                workers = [threading.Thread(target=waiter, daemon=True,
+                                            args=(k * 1000,))
+                           for k in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30.0)
+                assert not any(worker.is_alive() for worker in workers)
+                client.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert results == [1] * (threads * per_thread)
+        assert counting.reads > 0 and counting.max_readers == 1
+        assert client.calls_completed == threads * per_thread
+
     def test_close_resolves_inflight_calls_typed(self):
         with _SilentUdpPeer() as peer:
             client = MuxUdpClient("127.0.0.1", peer.port, PROG, VERS,
@@ -482,6 +598,25 @@ class TestCallAsyncMany:
                 assert [c.exception(1.0) for c in calls] == [None] * 4
                 assert [c.result() for c in calls] == [2, 3, 4, 5]
                 assert time.monotonic() - started < 0.5
+            finally:
+                client.close()
+
+    def test_a_full_window_is_made_room_by_the_submitter(self):
+        # The submitter waiting for room drives: each full window is
+        # one step on its thread, not a wait for the fallback's tick,
+        # and the burst resolves well inside the client's timeout.
+        with UdpServer(make_registry()) as server:
+            client = MuxUdpClient("127.0.0.1", server.port, PROG, VERS,
+                                  timeout=5.0, max_inflight=2)
+            try:
+                started = time.monotonic()
+                calls = client.call_async_many(
+                    PROC_INC, list(range(40)),
+                    xdr_args=xdr_u_long, xdr_res=xdr_u_long,
+                )
+                assert [c.result(5.0) for c in calls] == list(range(1, 41))
+                assert time.monotonic() - started < 5.0 / 10
+                assert client._fallback_steps == 0
             finally:
                 client.close()
 

@@ -6,11 +6,11 @@ datagram is one transmit with the timer rule run once for it, a reply
 datagram is one pass that calls the installed codec and folds the
 counters once, and the batch envelope is packed and read at C speed on
 both ends.  Below: a specialized n=20 call through a warm window of 32
-on the client (the submitting thread's ``call_async`` and ``result``
-plus its share of the demux thread's turns), and one message of a
-32-call envelope through ``UdpServer.handle_once`` with the
-duplicate-request cache at capacity — counted on CPython 3.11 as
-``test_lone_call.py`` counts, obs off.
+on the client — all of it on the submitting thread, whose ``result()``
+drives every step of the engine (the fallback thread only idles) — and
+one message of a 32-call envelope through ``UdpServer.handle_once``
+with the duplicate-request cache at capacity — counted on CPython 3.11
+as ``test_lone_call.py`` counts, obs off.
 """
 
 import collections
@@ -37,14 +37,15 @@ pytestmark = pytest.mark.skipif(
 N, WINDOW = 20, 32
 
 #: counted on CPython 3.11, obs off: a windowed specialized n=20 call
-#: costs the client 488-492 bytecodes, as the calls fall into datagrams
-#: (568-572 with the fused entries' struct glue; ≈ 878 before the
-#: staged submit, the one-group flush, the per-datagram reply pass and
-#: the C-level envelope), and one message of a 32-call envelope costs
+#: costs the client 478 bytecodes, all on the submitting thread (488-492
+#: when a demux thread read every reply and woke the waiter; 568-572
+#: with the fused entries' struct glue; ≈ 878 before the staged submit,
+#: the one-group flush, the per-datagram reply pass and the C-level
+#: envelope), and one message of a 32-call envelope costs
 #: ``handle_once`` 523 at DRC capacity (565 with the glue; 714 before
-#: the C-level envelope and the O(1) eviction); the budgets are 489 and
+#: the C-level envelope and the O(1) eviction); the budgets are 478 and
 #: 523 plus 5%
-CLIENT_BUDGET = 514
+CLIENT_BUDGET = 502
 SERVER_BUDGET = 549
 
 
@@ -80,7 +81,8 @@ def workload():
 
 def slide(client, args, xdr, calls, give_up):
     """A sliding window — each completed call is replaced at once —
-    then wait for the demux thread to exit; returns the replies."""
+    then wait for the fallback thread to exit; returns the replies and
+    how many steps the fallback made before the last one was in."""
     window, replies = collections.deque(), []
     submitted = 0
     while submitted < calls or window:
@@ -88,9 +90,10 @@ def slide(client, args, xdr, calls, give_up):
             window.append(client.call_async(1, args, xdr, xdr))
             submitted += 1
         replies.append(window.popleft().result(10.0))
+    steps = client._fallback_steps
     while client._demux_alive and time.monotonic() < give_up:
         time.sleep(0.001)
-    return replies
+    return replies, steps
 
 
 def per_thread_pyops(fn):
@@ -129,22 +132,32 @@ def test_a_windowed_call_stays_inside_its_bytecode_budget(workload):
                           pipeline.vers_number, fastpath=True,
                           max_inflight=WINDOW) as client:
             pipeline.specialize_client("SENDRECV", **lens).install(client)
-            # warm, then let the demux thread exit: its next start and
-            # its turns are counted
+            # warm, then let the fallback thread exit: its next start
+            # and its idle tail are counted
             slide(client, args, xdr, 200, time.monotonic() + 5.0)
             assert not client._demux_alive
             batches = client.batches_sent, client.messages_batched
-            replies = []
-            counts = per_thread_pyops(lambda: replies.extend(slide(
-                client, args, xdr, calls, time.monotonic() + 30.0)))
+            idle_steps, out = client._fallback_steps, []
+            # The fallback's tick is the switch interval: a long one
+            # keeps it from stepping into the gaps the tracer stretches
+            # between the waiter's turns (it reads the interval when
+            # it starts, inside the counted run).
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(0.5)
+            try:
+                counts = per_thread_pyops(lambda: out.append(slide(
+                    client, args, xdr, calls, time.monotonic() + 30.0)))
+            finally:
+                sys.setswitchinterval(interval)
             sent = (client.batches_sent - batches[0],
                     client.messages_batched - batches[1])
+    (replies, fallback_steps), = out
     assert [reply.vals for reply in replies] == [
         [v + 1 for v in args.vals]] * calls
     assert sent[1] == calls and sent[0] * 4 < calls  # batched
+    assert fallback_steps == idle_steps, "a turn went unwaited"
     me = threading.get_ident()
     submitting = counts.pop(me)
-    assert counts, "the demux thread was not counted"
     count = (submitting + sum(counts.values())) / calls
     assert count <= CLIENT_BUDGET, (
         f"a windowed specialized n={N} call runs {count:.0f} client"

@@ -5,6 +5,7 @@ the fused entries on hostile messages of exactly the length their
 guard admits — each must serve what the generic path serves, or
 decline."""
 
+import ast
 import re
 
 import pytest
@@ -22,9 +23,57 @@ from tests.tempo.test_induction import IDL, IMPL, PROC, PROG, VERS, lens
 
 SIZES = (1, 20, 1000)
 
-#: what the lowering spells only for C's object model: buffer cursors,
-#: boxed out-parameters, the XDR handle, pointer arithmetic
-OBJECT_MODEL = ("BufPtr(", "VarPtr(", "S_XDR()", ".add(", "ptr_diff")
+#: the Python a residual module may be made of (docs/SPECIALIZATION.md,
+#: "The residual subset", *Emitted*, and the bindings of "Fused
+#: entries"): anything else — C's object model (cursors, boxed
+#: out-parameters, the XDR handle), a class, a second function, a loop
+#: over anything but ``range`` — is outside it
+SUBSET_NODES = (
+    ast.Module, ast.Import, ast.alias, ast.Assign, ast.AugAssign,
+    ast.FunctionDef, ast.arguments, ast.arg, ast.Try, ast.ExceptHandler,
+    ast.Pass, ast.If, ast.While, ast.For, ast.Return, ast.Expr,
+    ast.Name, ast.Constant, ast.Load, ast.Store, ast.Attribute, ast.Call,
+    ast.Starred, ast.Subscript, ast.Slice, ast.Tuple, ast.List,
+    ast.ListComp, ast.comprehension, ast.IfExp, ast.BoolOp, ast.And,
+    ast.Or, ast.UnaryOp, ast.Not, ast.USub, ast.Invert, ast.BinOp,
+    ast.Add, ast.Sub, ast.Mult, ast.BitAnd, ast.BitOr, ast.BitXor,
+    ast.LShift, ast.RShift, ast.Compare, ast.Eq, ast.NotEq, ast.Lt,
+    ast.LtE, ast.Gt, ast.GtE)
+#: the only calls: these builtins (``isinstance`` is the ``fields``
+#: binding's dict test, ``range`` a counted loop's), the packers'
+#: methods, ``_struct.Struct`` for a packer and ``__new__`` for the
+#: ``result`` binding's fresh stub
+SUBSET_CALLS = {"len", "max", "min", "zip", "list", "bytes", "bytearray",
+                "range", "isinstance"}
+SUBSET_METHODS = {"pack", "pack_into", "unpack_from", "Struct", "__new__"}
+
+
+def outside_subset(source):
+    """What of ``source`` is outside the residual subset (empty when
+    it is all inside)."""
+    tree = ast.parse(source)
+    found = [type(node).__name__ for node in ast.walk(tree)
+             if not isinstance(node, SUBSET_NODES)]
+    found += [f"import {alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.Import) for alias in node.names
+              if alias.name != "struct"]
+    functions = [node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    if functions != ["entry"]:
+        found.append(f"functions {functions}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and not (
+                isinstance(node.iter, ast.Call)
+                and isinstance(node.iter.func, ast.Name)
+                and node.iter.func.id == "range"):
+            found.append(f"a for over {ast.unparse(node.iter)}")
+        if isinstance(node, ast.Call) and not (
+                isinstance(node.func, ast.Name)
+                and node.func.id in SUBSET_CALLS
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr in SUBSET_METHODS):
+            found.append(f"a call to {ast.unparse(node.func)}")
+    return found
 
 #: words worth planting anywhere in a header
 HOSTILE = (0, 1, 2, 3, 4, 8, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
@@ -60,11 +109,21 @@ def test_no_object_model_is_left(specs, n):
     client, server = specs[n]
     for module in (client._marshal_module, client._recv_module,
                    server._module):
-        found = [token for token in OBJECT_MODEL if token in module.source]
+        found = outside_subset(module.source)
         assert not found, f"{found} in\n{module.source}"
-        # the request is read in place, the reply written into the
-        # buffer the entry returns
-        assert "PyBuffer(" not in module.source
+
+
+@pytest.mark.parametrize("change", [
+    ("len(data)", "open(data)"),         # a call outside the subset
+    ("_S1.unpack_from(data)", "_S1.unpack_from(data).__reduce__()"),
+    ("def entry(", "class S_XDR:\n    pass\n\ndef entry("),
+], ids=["builtin-call", "method-call", "class"])
+def test_the_subset_check_rejects_what_is_outside_it(specs, change):
+    """The check above cannot pass vacuously: a live module changed by
+    one construct outside the subset is rejected."""
+    source = specs[20][1]._module.source
+    assert change[0] in source and not outside_subset(source)
+    assert outside_subset(source.replace(*change, 1))
 
 
 #: the pipelines whose residuals keep what the lowering does not have:
